@@ -6,7 +6,7 @@
 //
 // The implementation lives under internal/: Galois-field arithmetic and a
 // Reed–Solomon codec at the bottom; chipkill ECC schemes (commercial
-// SCCDCD, double chip sparing, LOT-ECC, VECC); DRAM, power, cache, memory
+// SCCDCD, double chip sparing, LOT-ECC); DRAM, power, cache, memory
 // controller and CPU models; the ARCC controller itself (internal/core);
 // the enhanced scrubber; the sharded Monte Carlo engine (internal/mc) that
 // every lifetime sweep runs on; and the reliability and experiment
@@ -33,7 +33,7 @@
 // Lifetime sweeps can be accelerated for rare-event regimes: the fault
 // model offers conditional ("at least one fault") and rate-tilted
 // importance samplers with closed-form likelihood ratios, the engine runs
-// weighted trials (internal/mc.RunWeighted) through mergeable streaming
+// weighted trials (internal/mc.RunWeightedCtx) through mergeable streaming
 // estimators (internal/stats: weighted moments, 95% CIs, Kish effective
 // sample size, a deterministic quantile sketch), and scenarios opt in via
 // accel/ci fields or the -accel/-ci flags. Weighted merges keep the

@@ -31,11 +31,11 @@ func Fig31(ctx context.Context, cfg exhibit.Config) (Fig31Result, error) {
 	for fi, f := range res.Factors {
 		rates := faultmodel.FieldStudyRates().Scale(f)
 		seed := mc.DeriveSeed(cfg.SeedOrDefault(), tagFig31+uint64(fi))
-		series, err := reliability.FaultyPageFractionCtx(ctx, seed, cfg.MCOptions(), rates, shape, 2, 36, res.Years, channels(cfg))
+		series, err := reliability.FaultyPageFraction(ctx, lifetimeSpec(cfg, seed, rates, 36, res.Years), shape)
 		if err != nil {
 			return Fig31Result{}, err
 		}
-		res.Fraction = append(res.Fraction, series)
+		res.Fraction = append(res.Fraction, series.Mean)
 	}
 	return res, nil
 }

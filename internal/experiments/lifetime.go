@@ -65,11 +65,11 @@ func Fig76(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
 	for fi, f := range res.Factors {
 		rates := faultmodel.FieldStudyRates().Scale(f)
 		seed := mc.DeriveSeed(cfg.SeedOrDefault(), tagFig76+uint64(fi))
-		series, err := reliability.LifetimeOverheadCtx(ctx, seed, cfg.MCOptions(), rates, 2, 9, res.Years, channels(cfg), ov, factor-1)
+		series, err := reliability.LifetimeOverhead(ctx, lifetimeSpec(cfg, seed, rates, 9, res.Years), ov, factor-1)
 		if err != nil {
 			return LifetimeResult{}, err
 		}
-		res.WorstCase = append(res.WorstCase, series)
+		res.WorstCase = append(res.WorstCase, series.Mean)
 	}
 	return res, nil
 }
@@ -109,22 +109,29 @@ func worstCasePerf() reliability.OverheadByType {
 	return out
 }
 
+// lifetimeSpec is the plain-sampling Monte Carlo every lifetime exhibit
+// runs: cfg's channel count over two ranks of devicesPerRank devices.
+func lifetimeSpec(cfg exhibit.Config, seed int64, rates faultmodel.Rates, devicesPerRank, years int) reliability.Spec {
+	return reliability.Spec{Seed: seed, Opts: cfg.MCOptions(), Rates: rates, Ranks: 2, DevicesPerRank: devicesPerRank,
+		Years: years, Channels: channels(cfg)}
+}
+
 func lifetimeSweep(ctx context.Context, cfg exhibit.Config, title, metric string, measured, worst reliability.OverheadByType, cap float64) (LifetimeResult, error) {
 	res := LifetimeResult{Title: title, Metric: metric, Years: 7, Factors: []float64{1, 2, 4}}
 	for fi, f := range res.Factors {
 		rates := faultmodel.FieldStudyRates().Scale(f)
-		meas, err := reliability.LifetimeOverheadCtx(ctx, mc.DeriveSeed(cfg.SeedOrDefault(), tagLifetimeMeas+uint64(fi)),
-			cfg.MCOptions(), rates, 2, 18, res.Years, channels(cfg), measured, cap)
+		meas, err := reliability.LifetimeOverhead(ctx,
+			lifetimeSpec(cfg, mc.DeriveSeed(cfg.SeedOrDefault(), tagLifetimeMeas+uint64(fi)), rates, 18, res.Years), measured, cap)
 		if err != nil {
 			return LifetimeResult{}, err
 		}
-		res.Measured = append(res.Measured, meas)
-		wc, err := reliability.LifetimeOverheadCtx(ctx, mc.DeriveSeed(cfg.SeedOrDefault(), tagLifetimeWorst+uint64(fi)),
-			cfg.MCOptions(), rates, 2, 18, res.Years, channels(cfg), worst, cap)
+		res.Measured = append(res.Measured, meas.Mean)
+		wc, err := reliability.LifetimeOverhead(ctx,
+			lifetimeSpec(cfg, mc.DeriveSeed(cfg.SeedOrDefault(), tagLifetimeWorst+uint64(fi)), rates, 18, res.Years), worst, cap)
 		if err != nil {
 			return LifetimeResult{}, err
 		}
-		res.WorstCase = append(res.WorstCase, wc)
+		res.WorstCase = append(res.WorstCase, wc.Mean)
 	}
 	return res, nil
 }

@@ -137,7 +137,6 @@ func RunScenario(ctx context.Context, cfg exhibit.Config, s exhibit.Scenario) (S
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	wantStats := cfg.CI || s.CI || accel.Mode != reliability.AccelNone
 	// The report embeds the *effective* parameters — what actually ran —
 	// so a serialized scenario reproduces the numbers it carries.
 	s.Trials = trials
@@ -145,43 +144,29 @@ func RunScenario(ctx context.Context, cfg exhibit.Config, s exhibit.Scenario) (S
 	s.CI = s.CI || cfg.CI
 	res := ScenarioResult{Scenario: s}
 
-	ov := reliability.WorstCaseOverheads(shape, factor)
-	burst := s.BurstOrZero()
-	if wantStats {
-		// The streaming-statistics path: same samplers, same per-year
-		// series math, weighted by each trial's likelihood ratio. With
-		// accel "none" the means are bit-identical to the plain path.
-		fs, err := reliability.FaultyPageFractionStatsBurstCtx(ctx,
-			mc.DeriveSeed(cfg.SeedOrDefault(), tagScenario), cfg.MCOptions(),
-			rates, burst, shape, s.Ranks, s.DevicesPerRank, s.Years, trials, accel)
-		if err != nil {
-			return ScenarioResult{}, err
+	// Plain sampling without "ci" keeps bare per-year means; intervals,
+	// effective sample sizes and acceleration run the weighted estimator,
+	// whose accel-"none" means are bit-identical to the plain ones.
+	spec := func(tag uint64) reliability.Spec {
+		return reliability.Spec{
+			Seed: mc.DeriveSeed(cfg.SeedOrDefault(), tag), Opts: cfg.MCOptions(),
+			Rates: rates, Burst: s.BurstOrZero(), Ranks: s.Ranks, DevicesPerRank: s.DevicesPerRank,
+			Years: s.Years, Channels: trials, Accel: accel, CI: s.CI,
 		}
-		os, err := reliability.LifetimeOverheadStatsBurstCtx(ctx,
-			mc.DeriveSeed(cfg.SeedOrDefault(), tagScenario+1), cfg.MCOptions(),
-			rates, burst, s.Ranks, s.DevicesPerRank, s.Years, trials, ov, factor-1, accel)
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		res.FaultyFraction, res.FaultyCI, res.FaultyESS = fs.Mean, fs.CI95, fs.ESS
-		res.Overhead, res.OverheadCI, res.OverheadESS = os.Mean, os.CI95, os.ESS
-		if sk := os.FinalSketch; sk != nil && sk.N > 0 {
-			res.OverheadQuantiles = &QuantileSummary{
-				P50: sk.Quantile(0.50), P90: sk.Quantile(0.90), P99: sk.Quantile(0.99),
-			}
-		}
-	} else {
-		res.FaultyFraction, err = reliability.FaultyPageFractionBurstCtx(ctx,
-			mc.DeriveSeed(cfg.SeedOrDefault(), tagScenario), cfg.MCOptions(),
-			rates, burst, shape, s.Ranks, s.DevicesPerRank, s.Years, trials)
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		res.Overhead, err = reliability.LifetimeOverheadBurstCtx(ctx,
-			mc.DeriveSeed(cfg.SeedOrDefault(), tagScenario+1), cfg.MCOptions(),
-			rates, burst, s.Ranks, s.DevicesPerRank, s.Years, trials, ov, factor-1)
-		if err != nil {
-			return ScenarioResult{}, err
+	}
+	fs, err := reliability.FaultyPageFraction(ctx, spec(tagScenario), shape)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	os, err := reliability.LifetimeOverhead(ctx, spec(tagScenario+1), reliability.WorstCaseOverheads(shape, factor), factor-1)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	res.FaultyFraction, res.FaultyCI, res.FaultyESS = fs.Mean, fs.CI95, fs.ESS
+	res.Overhead, res.OverheadCI, res.OverheadESS = os.Mean, os.CI95, os.ESS
+	if sk := os.FinalSketch; sk != nil && sk.N > 0 {
+		res.OverheadQuantiles = &QuantileSummary{
+			P50: sk.Quantile(0.50), P90: sk.Quantile(0.90), P99: sk.Quantile(0.99),
 		}
 	}
 

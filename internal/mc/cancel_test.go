@@ -156,13 +156,10 @@ func TestRunCtxCompletesUncancelled(t *testing.T) {
 	}
 }
 
-// TestMapCtxCancel exercises the generic wrappers' error path.
+// TestMapCtxCancel exercises the generic wrapper's error path.
 func TestMapCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MapCtx(ctx, 100, 1, Options{}, func(*rand.Rand, int) int { return 0 }); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("MapCtx error = %v, want ErrCanceled", err)
-	}
 	if _, err := MapScratchCtx(ctx, 100, 1, Options{}, func() *int { return new(int) },
 		func(*rand.Rand, int, *int) int { return 0 }); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("MapScratchCtx error = %v, want ErrCanceled", err)

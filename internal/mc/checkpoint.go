@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"context"
 	"encoding"
 	"sync"
 	"time"
@@ -245,15 +244,4 @@ func (r *Resumer) JobCheckpoint() *CheckpointConfig {
 		cc.Sink = func(cp *Checkpoint) { r.persist(i, cp) }
 	}
 	return cc
-}
-
-// RunCtxResumable is RunCtx with explicit checkpoint/resume control: it
-// skips the shards ck.Resume already completed, merges their persisted
-// accumulators in shard order, and emits snapshots of newly completed
-// shards to ck.Sink at the configured cadence. The result is
-// bit-identical to an uninterrupted RunCtx of the same job, however many
-// times the run was interrupted and resumed. A nil ck is plain RunCtx.
-func RunCtxResumable(ctx context.Context, job Job, opts Options, ck *CheckpointConfig) (Accumulator, error) {
-	opts.Checkpoint = ck
-	return RunCtx(ctx, job, opts)
 }

@@ -89,7 +89,7 @@ func interrupt(t *testing.T, job Job, opts Options, resume *Checkpoint, afterSha
 
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	const trials, seed = 1000, 42
-	want := Run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
+	want := run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
 
 	for _, par := range []int{1, 4} {
 		opts := Options{Parallelism: par}
@@ -99,8 +99,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		}
 
 		var executed atomic.Int64
-		acc, err := RunCtxResumable(context.Background(), ckJob(trials, seed, &executed), opts,
-			&CheckpointConfig{Resume: cp})
+		acc, err := RunCtx(context.Background(), ckJob(trials, seed, &executed), Options{Parallelism: par, Checkpoint: &CheckpointConfig{Resume: cp}})
 		if err != nil {
 			t.Fatalf("parallelism %d: resume: %v", par, err)
 		}
@@ -118,7 +117,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 func TestCheckpointResumeAfterManyInterruptions(t *testing.T) {
 	const trials, seed = 1000, 7
-	want := Run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
+	want := run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
 
 	// Interrupt after every 3 fresh shards until a resume completes; the
 	// final result must be bit-identical no matter how many times the run
@@ -126,8 +125,12 @@ func TestCheckpointResumeAfterManyInterruptions(t *testing.T) {
 	var cp *Checkpoint
 	interruptions := 0
 	for {
-		if cp != nil && trials-cp.Done() <= 3*DefaultShardSize {
-			break // next run would finish before the third snapshot
+		// The third snapshot cancels the run, but the other worker's
+		// in-flight shard still completes, and a run whose every shard
+		// completed is not cancelled; so interrupt only while at least
+		// five shards remain.
+		if cp != nil && trials-cp.Done() <= 4*DefaultShardSize {
+			break
 		}
 		cp = interrupt(t, ckJob(trials, seed, nil), Options{Parallelism: 2}, cp, 3)
 		interruptions++
@@ -135,8 +138,8 @@ func TestCheckpointResumeAfterManyInterruptions(t *testing.T) {
 	if interruptions < 2 {
 		t.Fatalf("only %d interruptions; the test needs several to mean anything", interruptions)
 	}
-	acc, err := RunCtxResumable(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 2},
-		&CheckpointConfig{Resume: cp})
+	acc, err := RunCtx(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 2,
+		Checkpoint: &CheckpointConfig{Resume: cp}})
 	if err != nil {
 		t.Fatalf("final resume: %v", err)
 	}
@@ -150,8 +153,8 @@ func TestCheckpointResumeAfterManyInterruptions(t *testing.T) {
 func TestCheckpointFullyRestoredRunExecutesNothing(t *testing.T) {
 	const trials, seed = 300, 3
 	var full *Checkpoint
-	_, err := RunCtxResumable(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 2},
-		&CheckpointConfig{Sink: func(cp *Checkpoint) { full = cp }})
+	_, err := RunCtx(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 2,
+		Checkpoint: &CheckpointConfig{Sink: func(cp *Checkpoint) { full = cp }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +162,10 @@ func TestCheckpointFullyRestoredRunExecutesNothing(t *testing.T) {
 		t.Fatalf("completed run's final checkpoint covers %v trials, want %d", full.Done(), trials)
 	}
 
-	want := Run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
+	want := run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
 	var executed atomic.Int64
-	acc, err := RunCtxResumable(context.Background(), ckJob(trials, seed, &executed), Options{Parallelism: 4},
-		&CheckpointConfig{Resume: full})
+	acc, err := RunCtx(context.Background(), ckJob(trials, seed, &executed), Options{Parallelism: 4,
+		Checkpoint: &CheckpointConfig{Resume: full}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +189,15 @@ func TestCheckpointMismatchIgnored(t *testing.T) {
 		// The job keeps its true shape; only the checkpoint's metadata
 		// disagrees, so matches() must reject it wholesale.
 		job := ckJob(trials, seed, nil)
-		want := Run(job, Options{Parallelism: 1}).(*ckSum)
+		want := run(job, Options{Parallelism: 1}).(*ckSum)
 		var executed atomic.Int64
 		jobCounted := job
 		jobCounted.Trial = func(rng *rand.Rand, trial int, acc Accumulator) {
 			executed.Add(1)
 			job.Trial(rng, trial, acc)
 		}
-		acc, err := RunCtxResumable(context.Background(), jobCounted, Options{Parallelism: 1},
-			&CheckpointConfig{Resume: stale})
+		acc, err := RunCtx(context.Background(), jobCounted, Options{Parallelism: 1,
+			Checkpoint: &CheckpointConfig{Resume: stale}})
 		if err != nil {
 			t.Fatalf("%s mismatch: %v", name, err)
 		}
@@ -211,8 +214,8 @@ func TestCheckpointMismatchIgnored(t *testing.T) {
 func TestCheckpointCorruptShardReruns(t *testing.T) {
 	const trials, seed = 500, 13
 	var full *Checkpoint
-	_, err := RunCtxResumable(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 1},
-		&CheckpointConfig{Sink: func(cp *Checkpoint) { full = cp }})
+	_, err := RunCtx(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{Sink: func(cp *Checkpoint) { full = cp }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +227,10 @@ func TestCheckpointCorruptShardReruns(t *testing.T) {
 	corrupt.Shards[99] = full.Shards[0]    // out of range: ignored
 	delete(corrupt.Shards, 3)              // simply missing
 
-	want := Run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
+	want := run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
 	var executed atomic.Int64
-	acc, err := RunCtxResumable(context.Background(), ckJob(trials, seed, &executed), Options{Parallelism: 1},
-		&CheckpointConfig{Resume: corrupt})
+	acc, err := RunCtx(context.Background(), ckJob(trials, seed, &executed), Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{Resume: corrupt}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,15 +247,15 @@ func TestCheckpointNonMarshalableAccNeverSnapshots(t *testing.T) {
 	// sumJob's accumulator has no MarshalBinary: the engine must run the
 	// job normally and never call the sink.
 	sank := 0
-	acc, err := RunCtxResumable(context.Background(), sumJob(500, 1), Options{Parallelism: 2},
-		&CheckpointConfig{Sink: func(*Checkpoint) { sank++ }})
+	acc, err := RunCtx(context.Background(), sumJob(500, 1), Options{Parallelism: 2,
+		Checkpoint: &CheckpointConfig{Sink: func(*Checkpoint) { sank++ }}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sank != 0 {
 		t.Errorf("sink called %d times for a non-checkpointable job", sank)
 	}
-	want := Run(sumJob(500, 1), Options{Parallelism: 1}).(*sumAcc)
+	want := run(sumJob(500, 1), Options{Parallelism: 1}).(*sumAcc)
 	if got := acc.(*sumAcc); got.sum != want.sum {
 		t.Errorf("sum %v, want %v", got.sum, want.sum)
 	}
@@ -262,8 +265,8 @@ func TestCheckpointEveryShardsCadence(t *testing.T) {
 	const trials = 1000 // 16 shards at the default size
 	snaps := 0
 	var last *Checkpoint
-	_, err := RunCtxResumable(context.Background(), ckJob(trials, 5, nil), Options{Parallelism: 1},
-		&CheckpointConfig{EveryShards: 4, Sink: func(cp *Checkpoint) { snaps++; last = cp }})
+	_, err := RunCtx(context.Background(), ckJob(trials, 5, nil), Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{EveryShards: 4, Sink: func(cp *Checkpoint) { snaps++; last = cp }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +283,8 @@ func TestCheckpointPeriodCadence(t *testing.T) {
 	// snapshots can fire, and with EveryShards unset they must not fire
 	// per shard.
 	snaps := 0
-	_, err := RunCtxResumable(context.Background(), ckJob(1000, 5, nil), Options{Parallelism: 1},
-		&CheckpointConfig{Period: time.Hour, Sink: func(*Checkpoint) { snaps++ }})
+	_, err := RunCtx(context.Background(), ckJob(1000, 5, nil), Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{Period: time.Hour, Sink: func(*Checkpoint) { snaps++ }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +312,8 @@ func TestCheckpointFlushOnCancelCoversCompletedShards(t *testing.T) {
 			}
 		}
 	}
-	_, err := RunCtxResumable(ctx, job, Options{Parallelism: 1},
-		&CheckpointConfig{EveryShards: 100, Sink: func(cp *Checkpoint) { last = cp }})
+	_, err := RunCtx(ctx, job, Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{EveryShards: 100, Sink: func(cp *Checkpoint) { last = cp }}})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
@@ -389,9 +392,9 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := Run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
-	acc, err := RunCtxResumable(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 1},
-		&CheckpointConfig{Resume: &back})
+	want := run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
+	acc, err := RunCtx(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{Resume: &back}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,15 +408,15 @@ func TestResumerAlignsJobSequence(t *testing.T) {
 	// second, rebuild a Resumer from the persisted map, and re-run both.
 	// Job 0 must restore fully, job 1 partially, results bit-identical.
 	const trials, seedA, seedB = 500, 23, 29
-	wantA := Run(ckJob(trials, seedA, nil), Options{Parallelism: 1}).(*ckSum)
-	wantB := Run(ckJob(trials, seedB, nil), Options{Parallelism: 1}).(*ckSum)
+	wantA := run(ckJob(trials, seedA, nil), Options{Parallelism: 1}).(*ckSum)
+	wantB := run(ckJob(trials, seedB, nil), Options{Parallelism: 1}).(*ckSum)
 
 	saved := map[int]*Checkpoint{}
 	persist := func(i int, cp *Checkpoint) { saved[i] = cp }
 
 	// First attempt: job A completes, job B is cancelled after 3 shards.
 	r := NewResumer(nil, 0, 0, persist)
-	if _, err := RunCtxResumable(context.Background(), ckJob(trials, seedA, nil), Options{Parallelism: 1}, r.JobCheckpoint()); err != nil {
+	if _, err := RunCtx(context.Background(), ckJob(trials, seedA, nil), Options{Parallelism: 1, Checkpoint: r.JobCheckpoint()}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -427,7 +430,7 @@ func TestResumerAlignsJobSequence(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := RunCtxResumable(ctx, ckJob(trials, seedB, nil), Options{Parallelism: 1}, ckB); !errors.Is(err, ErrCanceled) {
+	if _, err := RunCtx(ctx, ckJob(trials, seedB, nil), Options{Parallelism: 1, Checkpoint: ckB}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
 	if saved[0] == nil || saved[0].Done() != trials || saved[1] == nil || saved[1].Done() == 0 {
@@ -437,11 +440,11 @@ func TestResumerAlignsJobSequence(t *testing.T) {
 	// Second attempt from the persisted map: the sequence indices line up.
 	var execA, execB atomic.Int64
 	r2 := NewResumer(saved, 0, 0, nil)
-	accA, err := RunCtxResumable(context.Background(), ckJob(trials, seedA, &execA), Options{Parallelism: 1}, r2.JobCheckpoint())
+	accA, err := RunCtx(context.Background(), ckJob(trials, seedA, &execA), Options{Parallelism: 1, Checkpoint: r2.JobCheckpoint()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	accB, err := RunCtxResumable(context.Background(), ckJob(trials, seedB, &execB), Options{Parallelism: 1}, r2.JobCheckpoint())
+	accB, err := RunCtx(context.Background(), ckJob(trials, seedB, &execB), Options{Parallelism: 1, Checkpoint: r2.JobCheckpoint()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package mc is the sharded Monte Carlo engine behind every lifetime
 // figure the repository regenerates (Fig 3.1, 6.1 validation, 7.4-7.6)
-// and behind the replicated simulation runs of Chapter 7.
+// and behind the per-mix simulator fan-outs of Chapter 7.
 //
 // A job's trials are partitioned into fixed-size shards. Each shard owns a
 // private RNG stream whose seed is derived from the job seed and the shard
@@ -33,7 +33,7 @@ import (
 	"sync"
 )
 
-// ErrCanceled is the sentinel RunCtx (and the MapCtx/MapScratchCtx
+// ErrCanceled is the sentinel RunCtx (and the RunWeightedCtx/MapScratchCtx
 // wrappers) return when the context is cancelled before the job
 // completes. The engine stops within one shard boundary of the cancel: no
 // new shard starts once the context is done, in-flight shards finish, and
@@ -125,24 +125,14 @@ func (o Options) shardSize() int {
 	return o.ShardSize
 }
 
-// Run executes the job and returns the merge of all shard accumulators
-// (shard 0's accumulator after folding shards 1..n-1 into it, in order).
-func Run(job Job, opts Options) Accumulator {
-	acc, err := RunCtx(context.Background(), job, opts)
-	if err != nil {
-		// A background context never cancels, and RunCtx has no other
-		// error path.
-		panic(err)
-	}
-	return acc
-}
-
-// RunCtx is Run under a context: it executes the job and returns the
-// merge of all shard accumulators (shard 0's accumulator after folding
-// shards 1..n-1 into it, in order). If ctx is cancelled mid-run it
-// returns (nil, ErrCanceled) within one shard boundary instead of
-// completing the fan-out; a run that completes is unaffected by a cancel
-// that arrives afterwards.
+// RunCtx executes the job and returns the merge of all shard
+// accumulators (shard 0's accumulator after folding shards 1..n-1 into
+// it, in order). If ctx is cancelled mid-run it returns
+// (nil, ErrCanceled) within one shard boundary instead of completing the
+// fan-out; a run that completes is unaffected by a cancel that arrives
+// afterwards. A job with Options.Checkpoint set skips the shards its
+// Resume snapshot already completed and emits snapshots of newly
+// completed shards, bit-identical to an uninterrupted run.
 func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 	if job.Trials <= 0 {
 		panic(fmt.Sprintf("mc: non-positive trial count %d", job.Trials))
@@ -364,63 +354,18 @@ func NewProgressPrinter(w io.Writer, label string) func(done, total int) {
 	}
 }
 
-// Map runs n trials and returns their results in trial order: a
-// convenience wrapper over Run for jobs whose trials each produce one
-// independent value (e.g. one simulator run per seed). The per-trial rng
-// comes from the trial's shard stream as usual.
-func Map[T any](n int, seed int64, opts Options, f func(rng *rand.Rand, trial int) T) []T {
-	out, err := MapCtx(context.Background(), n, seed, opts, f)
-	if err != nil {
-		panic(err) // a background context never cancels
-	}
-	return out
-}
-
-// MapCtx is Map under a context: a cancelled context returns
-// (nil, ErrCanceled) within one shard boundary.
-func MapCtx[T any](ctx context.Context, n int, seed int64, opts Options, f func(rng *rand.Rand, trial int) T) ([]T, error) {
-	size := opts.shardSize()
-	if size > n {
-		size = n
-	}
-	acc, err := RunCtx(ctx, Job{
-		Trials: n,
-		Seed:   seed,
-		// Pre-size each shard's buffers to the shard size, so the trial
-		// loop appends without regrowth.
-		NewAcc: func() Accumulator {
-			return &mapAcc[T]{idx: make([]int, 0, size), vals: make([]T, 0, size)}
-		},
-		Trial: func(rng *rand.Rand, trial int, a Accumulator) {
-			ma := a.(*mapAcc[T])
-			ma.idx = append(ma.idx, trial)
-			ma.vals = append(ma.vals, f(rng, trial))
-		},
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return collectMap[T](acc, n), nil
-}
-
-// MapScratch is Map with a reusable scratch workspace, mirroring the
-// Job.NewScratch/TrialScratch pair: newScratch runs once per worker and its
-// result is threaded through every trial that worker executes. Like Job
-// scratch, the workspace must carry capacity only — a trial must not read
-// state a previous trial left behind — so results stay bit-identical at any
-// parallelism. sim.RunReplicated and the Fig 7.1-7.3 fan-outs thread a
-// sim.Scratch this way, so consecutive simulator runs on a worker reuse one
-// world's backing arrays.
-func MapScratch[T, S any](n int, seed int64, opts Options, newScratch func() S, f func(rng *rand.Rand, trial int, scratch S) T) []T {
-	out, err := MapScratchCtx(context.Background(), n, seed, opts, newScratch, f)
-	if err != nil {
-		panic(err) // a background context never cancels
-	}
-	return out
-}
-
-// MapScratchCtx is MapScratch under a context: a cancelled context
-// returns (nil, ErrCanceled) within one shard boundary.
+// MapScratchCtx runs n trials and returns their results in trial order:
+// a wrapper over RunCtx for jobs whose trials each produce one
+// independent value (e.g. one simulator run per mix). The per-trial rng
+// comes from the trial's shard stream as usual. newScratch runs once per
+// worker and its result is threaded through every trial that worker
+// executes, mirroring Job.NewScratch/TrialScratch; like Job scratch, the
+// workspace must carry capacity only — a trial must not read state a
+// previous trial left behind — so results stay bit-identical at any
+// parallelism. The Fig 7.1-7.3 fan-outs thread a sim.Scratch this way,
+// so consecutive simulator runs on a worker reuse one world's backing
+// arrays. A cancelled context returns (nil, ErrCanceled) within one
+// shard boundary.
 func MapScratchCtx[T, S any](ctx context.Context, n int, seed int64, opts Options, newScratch func() S, f func(rng *rand.Rand, trial int, scratch S) T) ([]T, error) {
 	size := opts.shardSize()
 	if size > n {
@@ -442,17 +387,12 @@ func MapScratchCtx[T, S any](ctx context.Context, n int, seed int64, opts Option
 	if err != nil {
 		return nil, err
 	}
-	return collectMap[T](acc, n), nil
-}
-
-// collectMap reorders a merged mapAcc into trial order.
-func collectMap[T any](acc Accumulator, n int) []T {
 	ma := acc.(*mapAcc[T])
 	out := make([]T, n)
 	for i, idx := range ma.idx {
 		out[idx] = ma.vals[i]
 	}
-	return out
+	return out, nil
 }
 
 type mapAcc[T any] struct {
@@ -473,7 +413,7 @@ type mapAccWire[T any] struct {
 	Vals []T
 }
 
-// MarshalBinary makes Map/MapScratch jobs checkpointable (see
+// MarshalBinary makes MapScratchCtx jobs checkpointable (see
 // CheckpointConfig): a shard's trial results are gob-encoded, which
 // round-trips float64 values bit for bit. It fails — and the engine
 // simply skips checkpointing that shard — when T is not gob-encodable

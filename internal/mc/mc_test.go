@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -21,6 +22,35 @@ func (a *sumAcc) Merge(other Accumulator) {
 	a.count += o.count
 }
 
+// run is RunCtx under a background context, which never cancels.
+func run(job Job, opts Options) Accumulator {
+	acc, err := RunCtx(context.Background(), job, opts)
+	if err != nil {
+		panic(err)
+	}
+	return acc
+}
+
+// runWeighted is RunWeightedCtx under a background context.
+func runWeighted(job WeightedJob, opts Options) *WeightedSet {
+	set, err := RunWeightedCtx(context.Background(), job, opts)
+	if err != nil {
+		panic(err)
+	}
+	return set
+}
+
+// mapTrials is MapScratchCtx without a scratch workspace, under a
+// background context.
+func mapTrials[T any](n int, seed int64, opts Options, f func(rng *rand.Rand, trial int) T) []T {
+	out, err := MapScratchCtx(context.Background(), n, seed, opts, func() struct{} { return struct{}{} },
+		func(rng *rand.Rand, trial int, _ struct{}) T { return f(rng, trial) })
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func sumJob(trials int, seed int64) Job {
 	return Job{
 		Trials: trials,
@@ -38,7 +68,7 @@ func sumJob(trials int, seed int64) Job {
 
 func TestRunCoversEveryTrialExactlyOnce(t *testing.T) {
 	for _, trials := range []int{1, 63, 64, 65, 1000} {
-		acc := Run(sumJob(trials, 1), Options{Parallelism: 3}).(*sumAcc)
+		acc := run(sumJob(trials, 1), Options{Parallelism: 3}).(*sumAcc)
 		if acc.count != trials {
 			t.Errorf("trials=%d: ran %d trials", trials, acc.count)
 		}
@@ -46,12 +76,12 @@ func TestRunCoversEveryTrialExactlyOnce(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
-	want := Run(sumJob(1000, 42), Options{Parallelism: 1}).(*sumAcc)
+	want := run(sumJob(1000, 42), Options{Parallelism: 1}).(*sumAcc)
 	if want.sum == 0 {
 		t.Fatal("degenerate sum")
 	}
 	for _, par := range []int{1, 4, runtime.NumCPU(), 32} {
-		got := Run(sumJob(1000, 42), Options{Parallelism: par}).(*sumAcc)
+		got := run(sumJob(1000, 42), Options{Parallelism: par}).(*sumAcc)
 		if got.sum != want.sum {
 			t.Errorf("parallelism %d: sum %v, want bit-identical %v", par, got.sum, want.sum)
 		}
@@ -59,8 +89,8 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestRunSeedChangesResult(t *testing.T) {
-	a := Run(sumJob(500, 1), Options{}).(*sumAcc)
-	b := Run(sumJob(500, 2), Options{}).(*sumAcc)
+	a := run(sumJob(500, 1), Options{}).(*sumAcc)
+	b := run(sumJob(500, 2), Options{}).(*sumAcc)
 	if a.sum == b.sum {
 		t.Fatal("different seeds produced identical sums")
 	}
@@ -69,8 +99,8 @@ func TestRunSeedChangesResult(t *testing.T) {
 func TestRunShardSizeChangesStreams(t *testing.T) {
 	// Different shard sizes give different (but each internally
 	// deterministic) results: the per-shard streams re-partition.
-	a := Run(sumJob(500, 1), Options{ShardSize: 64}).(*sumAcc)
-	b := Run(sumJob(500, 1), Options{ShardSize: 128}).(*sumAcc)
+	a := run(sumJob(500, 1), Options{ShardSize: 64}).(*sumAcc)
+	b := run(sumJob(500, 1), Options{ShardSize: 128}).(*sumAcc)
 	if a.sum == b.sum {
 		t.Fatal("shard size did not re-partition the streams")
 	}
@@ -108,7 +138,7 @@ func TestProgressMonotoneAndComplete(t *testing.T) {
 			last = done
 			calls++
 		}}
-		Run(sumJob(95, 7), opts)
+		run(sumJob(95, 7), opts)
 		// 1 job-start signal + 10 per-shard calls.
 		if last != 95 || calls != 11 {
 			t.Fatalf("par %d: final progress %d after %d calls, want 95 after 11", par, last, calls)
@@ -117,11 +147,11 @@ func TestProgressMonotoneAndComplete(t *testing.T) {
 }
 
 func TestMapOrdersResultsByTrial(t *testing.T) {
-	want := Map(257, 3, Options{Parallelism: 1}, func(rng *rand.Rand, trial int) float64 {
+	want := mapTrials(257, 3, Options{Parallelism: 1}, func(rng *rand.Rand, trial int) float64 {
 		return float64(trial) + rng.Float64()
 	})
 	for _, par := range []int{4, runtime.NumCPU()} {
-		got := Map(257, 3, Options{Parallelism: par}, func(rng *rand.Rand, trial int) float64 {
+		got := mapTrials(257, 3, Options{Parallelism: par}, func(rng *rand.Rand, trial int) float64 {
 			return float64(trial) + rng.Float64()
 		})
 		for i := range want {
@@ -164,7 +194,7 @@ func scratchJob(trials int, seed int64) Job {
 }
 
 func TestTrialScratchMatchesTrialAcrossParallelism(t *testing.T) {
-	want := Run(scratchJob(1000, 42), Options{Parallelism: 1}).(*sumAcc)
+	want := run(scratchJob(1000, 42), Options{Parallelism: 1}).(*sumAcc)
 	if want.sum == 0 {
 		t.Fatal("degenerate sum")
 	}
@@ -172,7 +202,7 @@ func TestTrialScratchMatchesTrialAcrossParallelism(t *testing.T) {
 		t.Fatalf("ran %d trials, want 1000", want.count)
 	}
 	for _, par := range []int{1, 4, runtime.NumCPU(), 32} {
-		got := Run(scratchJob(1000, 42), Options{Parallelism: par}).(*sumAcc)
+		got := run(scratchJob(1000, 42), Options{Parallelism: par}).(*sumAcc)
 		if got.sum != want.sum {
 			t.Errorf("parallelism %d: sum %v, want bit-identical %v", par, got.sum, want.sum)
 		}
@@ -198,7 +228,7 @@ func TestNewScratchCalledOncePerWorker(t *testing.T) {
 				acc.(*sumAcc).count++
 			},
 		}
-		Run(job, Options{Parallelism: par, ShardSize: 10})
+		run(job, Options{Parallelism: par, ShardSize: 10})
 		// One workspace per worker — the shards a worker drains share it.
 		if created < 1 || created > par {
 			t.Fatalf("parallelism %d: NewScratch called %d times, want 1..%d (once per worker)", par, created, par)
@@ -221,7 +251,7 @@ func TestTrialScratchWithoutNewScratchGetsNil(t *testing.T) {
 			acc.(*sumAcc).count++
 		},
 	}
-	if acc := Run(job, Options{}).(*sumAcc); acc.count != 10 {
+	if acc := run(job, Options{}).(*sumAcc); acc.count != 10 {
 		t.Fatalf("ran %d trials, want 10", acc.count)
 	}
 }
@@ -288,22 +318,30 @@ func TestRunPanicsOnBadJob(t *testing.T) {
 					t.Errorf("%s: no panic", name)
 				}
 			}()
-			Run(job, Options{})
+			run(job, Options{})
 		}()
 	}
 }
 
-// TestMapScratchMatchesMap pins MapScratch to Map: same trial order, same
-// results, one scratch per shard threaded through that shard's trials, at
-// any parallelism.
+// TestMapScratchMatchesMap pins MapScratchCtx to a plain map over the
+// shard streams: same trial order, same results, one scratch per worker
+// threaded through that worker's trials, at any parallelism.
 func TestMapScratchMatchesMap(t *testing.T) {
 	const n, seed = 103, int64(5)
 	f := func(rng *rand.Rand, trial int) float64 { return rng.Float64() + float64(trial) }
-	want := Map(n, seed, Options{Parallelism: 1, ShardSize: 8}, f)
+	want := make([]float64, n)
+	for trial := range want {
+		if trial%8 == 0 {
+			rng := rand.New(rand.NewSource(ShardSeed(seed, trial/8)))
+			for t := trial; t < trial+8 && t < n; t++ {
+				want[t] = f(rng, t)
+			}
+		}
+	}
 	for _, par := range []int{1, 4, 0} {
 		var mu sync.Mutex
 		scratches := 0
-		got := MapScratch(n, seed, Options{Parallelism: par, ShardSize: 8},
+		got, err := MapScratchCtx(context.Background(), n, seed, Options{Parallelism: par, ShardSize: 8},
 			func() *[]int {
 				mu.Lock()
 				scratches++
@@ -315,6 +353,9 @@ func TestMapScratchMatchesMap(t *testing.T) {
 				*s = append(*s, trial) // scratch carries capacity; contents unused
 				return f(rng, trial)
 			})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("parallelism %d: %d results, want %d", par, len(got), len(want))
 		}

@@ -104,18 +104,9 @@ func (s *WeightedSet) add(vals []float64, w float64) {
 	}
 }
 
-// RunWeighted executes the job and returns the shard-order merge of all
-// per-shard estimator sets.
-func RunWeighted(job WeightedJob, opts Options) *WeightedSet {
-	set, err := RunWeightedCtx(context.Background(), job, opts)
-	if err != nil {
-		panic(err) // a background context never cancels
-	}
-	return set
-}
-
-// RunWeightedCtx is RunWeighted under a context: a cancelled context
-// returns (nil, ErrCanceled) within one shard boundary.
+// RunWeightedCtx executes the job and returns the shard-order merge of
+// all per-shard estimator sets; a cancelled context returns
+// (nil, ErrCanceled) within one shard boundary.
 func RunWeightedCtx(ctx context.Context, job WeightedJob, opts Options) (*WeightedSet, error) {
 	if job.Dims <= 0 {
 		panic(fmt.Sprintf("mc: non-positive dimension count %d", job.Dims))

@@ -39,7 +39,7 @@ func weightedObs(rng *rand.Rand, vals []float64) {
 // additions in the same shard order, then one division.
 func TestRunWeightedAllOnesBitIdentical(t *testing.T) {
 	const dims, trials = 3, 1000
-	set := RunWeighted(WeightedJob{
+	set := runWeighted(WeightedJob{
 		Trials: trials,
 		Seed:   42,
 		Dims:   dims,
@@ -49,7 +49,7 @@ func TestRunWeightedAllOnesBitIdentical(t *testing.T) {
 		},
 	}, Options{Parallelism: 4})
 
-	acc := Run(Job{
+	acc := run(Job{
 		Trials: trials,
 		Seed:   42,
 		NewAcc: func() Accumulator { return &legacySumAcc{sums: make([]float64, dims)} },
@@ -93,9 +93,9 @@ func TestRunWeightedParallelismDeterminism(t *testing.T) {
 			return 0.5 + rng.Float64()
 		},
 	}
-	base := RunWeighted(job, Options{Parallelism: 1})
+	base := runWeighted(job, Options{Parallelism: 1})
 	for _, p := range []int{4, runtime.GOMAXPROCS(0)} {
-		got := RunWeighted(job, Options{Parallelism: p})
+		got := runWeighted(job, Options{Parallelism: p})
 		if !reflect.DeepEqual(base, got) {
 			t.Fatalf("parallelism %d result differs from serial run", p)
 		}
@@ -103,7 +103,7 @@ func TestRunWeightedParallelismDeterminism(t *testing.T) {
 }
 
 func TestRunWeightedSketch(t *testing.T) {
-	set := RunWeighted(WeightedJob{
+	set := runWeighted(WeightedJob{
 		Trials:     5000,
 		Seed:       3,
 		Dims:       2,
@@ -131,7 +131,7 @@ func TestRunWeightedSketch(t *testing.T) {
 
 func TestRunWeightedScratch(t *testing.T) {
 	type ws struct{ buf []float64 }
-	set := RunWeighted(WeightedJob{
+	set := runWeighted(WeightedJob{
 		Trials:     500,
 		Seed:       9,
 		Dims:       1,
@@ -180,7 +180,7 @@ func TestRunWeightedCheckpointResume(t *testing.T) {
 			return 1 + rng.Float64()
 		},
 	}
-	full := RunWeighted(job, Options{Parallelism: 1})
+	full := runWeighted(job, Options{Parallelism: 1})
 
 	var snap *Checkpoint
 	ctx, cancel := context.WithCancel(context.Background())
@@ -218,15 +218,15 @@ func TestRunWeightedPanics(t *testing.T) {
 		return 1
 	}
 	for name, f := range map[string]func(){
-		"zero dims":      func() { RunWeighted(WeightedJob{Trials: 1, Dims: 0, Trial: ok}, Options{}) },
-		"nil trial":      func() { RunWeighted(WeightedJob{Trials: 1, Dims: 1}, Options{}) },
-		"sketch dim oob": func() { RunWeighted(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{1}, Trial: ok}, Options{}) },
-		"sketch dim dup": func() { RunWeighted(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{0, 0}, Trial: ok}, Options{}) },
+		"zero dims":      func() { runWeighted(WeightedJob{Trials: 1, Dims: 0, Trial: ok}, Options{}) },
+		"nil trial":      func() { runWeighted(WeightedJob{Trials: 1, Dims: 1}, Options{}) },
+		"sketch dim oob": func() { runWeighted(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{1}, Trial: ok}, Options{}) },
+		"sketch dim dup": func() { runWeighted(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{0, 0}, Trial: ok}, Options{}) },
 		"negative weight": func() {
-			RunWeighted(WeightedJob{Trials: 1, Dims: 1, Trial: func(*rand.Rand, int, any, []float64) float64 { return -1 }}, Options{})
+			runWeighted(WeightedJob{Trials: 1, Dims: 1, Trial: func(*rand.Rand, int, any, []float64) float64 { return -1 }}, Options{})
 		},
 		"nan weight": func() {
-			RunWeighted(WeightedJob{Trials: 1, Dims: 1, Trial: func(*rand.Rand, int, any, []float64) float64 { return math.NaN() }}, Options{})
+			runWeighted(WeightedJob{Trials: 1, Dims: 1, Trial: func(*rand.Rand, int, any, []float64) float64 { return math.NaN() }}, Options{})
 		},
 	} {
 		func() {
@@ -252,6 +252,6 @@ func BenchmarkRunWeighted(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		RunWeighted(job, Options{Parallelism: 4})
+		runWeighted(job, Options{Parallelism: 4})
 	}
 }

@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -36,41 +37,51 @@ func TestParseAccel(t *testing.T) {
 	}
 }
 
-// TestStatsAccelNoneBitIdentical: with plain sampling the stats path must
-// reproduce the legacy functions bit for bit — same samplers, same series
-// math, same shard-ordered additions — at more than one parallelism.
+// TestStatsAccelNoneBitIdentical: with plain sampling the CI path (the
+// weighted engine at unit weight) must reproduce the per-year sums path
+// bit for bit — same samplers, same burst expansion, same series math,
+// same shard-ordered additions — for both metrics, with and without
+// bursts, at any parallelism.
 func TestStatsAccelNoneBitIdentical(t *testing.T) {
 	shape := faultmodel.ARCCChannelShape()
 	rates := faultmodel.FieldStudyRates().Scale(4)
 	ov := WorstCaseOverheads(shape, 2.0)
-	for _, par := range []int{1, 4} {
-		opts := mc.Options{Parallelism: par}
-		plainF := FaultyPageFraction(11, opts, rates, shape, 2, 36, 5, 700)
-		statsF, err := FaultyPageFractionStats(11, opts, rates, shape, 2, 36, 5, 700, Accel{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plainO := LifetimeOverhead(12, opts, rates, 2, 36, 5, 700, ov, 1.0)
-		statsO, err := LifetimeOverheadStats(12, opts, rates, 2, 36, 5, 700, ov, 1.0, Accel{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for y := 0; y < 5; y++ {
-			if math.Float64bits(statsF.Mean[y]) != math.Float64bits(plainF[y]) {
-				t.Fatalf("par %d year %d: faulty-fraction stats mean %v != plain %v", par, y+1, statsF.Mean[y], plainF[y])
+	bursts := map[string]faultmodel.Burst{
+		"no burst": {},
+		"burst":    {RowProb: 0.8, RowMean: 6, RowMax: 24, BankProb: 0.5, BankMean: 4, BankMax: 16},
+	}
+	for name, burst := range bursts {
+		for _, par := range []int{1, 4, runtime.NumCPU()} {
+			spec := testSpec(11, mc.Options{Parallelism: par}, rates, 36, 5, 700)
+			spec.Burst = burst
+			withCI := spec
+			withCI.CI = true
+			plainF, statsF := mustFaulty(t, spec, shape), mustFaulty(t, withCI, shape)
+			spec.Seed, withCI.Seed = 12, 12
+			plainO, statsO := mustOverhead(t, spec, ov, 1.0), mustOverhead(t, withCI, ov, 1.0)
+			for y := 0; y < 5; y++ {
+				if math.Float64bits(statsF.Mean[y]) != math.Float64bits(plainF.Mean[y]) {
+					t.Fatalf("%s par %d year %d: faulty-fraction CI mean %v != plain %v", name, par, y+1, statsF.Mean[y], plainF.Mean[y])
+				}
+				if math.Float64bits(statsO.Mean[y]) != math.Float64bits(plainO.Mean[y]) {
+					t.Fatalf("%s par %d year %d: overhead CI mean %v != plain %v", name, par, y+1, statsO.Mean[y], plainO.Mean[y])
+				}
 			}
-			if math.Float64bits(statsO.Mean[y]) != math.Float64bits(plainO[y]) {
-				t.Fatalf("par %d year %d: overhead stats mean %v != plain %v", par, y+1, statsO.Mean[y], plainO[y])
+			if plainF.CI95 != nil || plainO.CI95 != nil || plainO.ESS != 0 || plainO.FinalSketch != nil {
+				t.Fatalf("%s par %d: a run without CI reported interval statistics", name, par)
 			}
-		}
-		if statsO.FinalSketch == nil || statsO.FinalSketch.N != 700 {
-			t.Fatal("plain-sampling run should sketch the final year")
-		}
-		if math.Abs(statsO.ESS-700) > 1e-6 {
-			t.Fatalf("unit-weight ESS = %v, want 700", statsO.ESS)
-		}
-		if statsO.CI95[4] <= 0 {
-			t.Fatal("final-year CI should be positive")
+			if statsO.FinalSketch == nil || statsO.FinalSketch.N != 700 {
+				t.Fatalf("%s par %d: plain-sampling overhead run with CI should sketch the final year", name, par)
+			}
+			if statsF.FinalSketch != nil {
+				t.Fatalf("%s par %d: faulty-fraction run sketched a year nothing reads", name, par)
+			}
+			if math.Abs(statsO.ESS-700) > 1e-6 {
+				t.Fatalf("%s par %d: unit-weight ESS = %v, want 700", name, par, statsO.ESS)
+			}
+			if statsO.CI95[4] <= 0 {
+				t.Fatalf("%s par %d: final-year CI should be positive", name, par)
+			}
 		}
 	}
 }
@@ -82,16 +93,12 @@ func TestStatsAccelDeterministicAcrossParallelism(t *testing.T) {
 	ov := WorstCaseOverheads(shape, 2.0)
 	rates := faultmodel.FieldStudyRates()
 	for _, accel := range []Accel{{Mode: AccelConditional}, {Mode: AccelTilted, Tilt: 8}} {
-		base, err := LifetimeOverheadStats(21, mc.Options{Parallelism: 1}, rates, 2, 36, 5, 900, ov, 1.0, accel)
-		if err != nil {
-			t.Fatal(err)
-		}
+		spec := testSpec(21, mc.Options{Parallelism: 1}, rates, 36, 5, 900)
+		spec.Accel = accel
+		base := mustOverhead(t, spec, ov, 1.0)
 		for _, par := range []int{4, runtime.GOMAXPROCS(0)} {
-			got, err := LifetimeOverheadStats(21, mc.Options{Parallelism: par}, rates, 2, 36, 5, 900, ov, 1.0, accel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(base, got) {
+			spec.Opts.Parallelism = par
+			if got := mustOverhead(t, spec, ov, 1.0); !reflect.DeepEqual(base, got) {
 				t.Fatalf("%v at parallelism %d differs from serial run", accel, par)
 			}
 		}
@@ -104,15 +111,12 @@ func TestStatsAccelEquivalence(t *testing.T) {
 	shape := faultmodel.ARCCChannelShape()
 	ov := WorstCaseOverheads(shape, 2.0)
 	rates := faultmodel.FieldStudyRates()
-	plain, err := LifetimeOverheadStats(31, mc.Options{}, rates, 2, 18, 7, 20000, ov, 3.0, Accel{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := testSpec(31, mc.Options{}, rates, 18, 7, 20000)
+	spec.CI = true
+	plain := mustOverhead(t, spec, ov, 3.0)
 	for _, accel := range []Accel{{Mode: AccelConditional}, {Mode: AccelTilted, Tilt: 4}} {
-		acc, err := LifetimeOverheadStats(32, mc.Options{}, rates, 2, 18, 7, 20000, ov, 3.0, accel)
-		if err != nil {
-			t.Fatal(err)
-		}
+		spec.Seed, spec.Accel = 32, accel
+		acc := mustOverhead(t, spec, ov, 3.0)
 		for y := 0; y < 7; y++ {
 			diff := math.Abs(acc.Mean[y] - plain.Mean[y])
 			tol := 3 * math.Sqrt(plain.CI95[y]*plain.CI95[y]+acc.CI95[y]*acc.CI95[y])
@@ -137,14 +141,11 @@ func TestConditionalVarianceReduction(t *testing.T) {
 	ov := WorstCaseOverheads(shape, 2.0)
 	rates := faultmodel.FieldStudyRates().Scale(0.05) // P(any fault in 7y) ~ 0.7%
 	const channels = 4000
-	plain, err := LifetimeOverheadStats(41, mc.Options{}, rates, 2, 18, 7, channels, ov, 3.0, Accel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cond, err := LifetimeOverheadStats(42, mc.Options{}, rates, 2, 18, 7, channels, ov, 3.0, Accel{Mode: AccelConditional})
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := testSpec(41, mc.Options{}, rates, 18, 7, channels)
+	spec.CI = true
+	plain := mustOverhead(t, spec, ov, 3.0)
+	spec.Seed, spec.Accel = 42, Accel{Mode: AccelConditional}
+	cond := mustOverhead(t, spec, ov, 3.0)
 	y := 6 // final year
 	if plain.CI95[y] == 0 {
 		t.Fatal("plain run saw no faults at all; cannot compare variances")
@@ -159,8 +160,9 @@ func TestConditionalVarianceReduction(t *testing.T) {
 
 func TestConditionalZeroRateIsError(t *testing.T) {
 	shape := faultmodel.ARCCChannelShape()
-	_, err := FaultyPageFractionStats(1, mc.Options{}, faultmodel.Rates{}, shape, 2, 36, 5, 100, Accel{Mode: AccelConditional})
-	if err == nil {
+	spec := testSpec(1, mc.Options{}, faultmodel.Rates{}, 36, 5, 100)
+	spec.Accel = Accel{Mode: AccelConditional}
+	if _, err := FaultyPageFraction(context.Background(), spec, shape); err == nil {
 		t.Fatal("conditioning on an impossible event should be an error")
 	}
 }
@@ -186,10 +188,10 @@ func BenchmarkLifetimeOverheadStatsConditional(b *testing.B) {
 	shape := faultmodel.ARCCChannelShape()
 	ov := WorstCaseOverheads(shape, 2.0)
 	rates := faultmodel.FieldStudyRates().Scale(0.05)
+	spec := testSpec(1, mc.Options{Parallelism: 1}, rates, 18, 7, 2000)
+	spec.Accel = Accel{Mode: AccelConditional}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := LifetimeOverheadStats(1, mc.Options{Parallelism: 1}, rates, 2, 18, 7, 2000, ov, 3.0, Accel{Mode: AccelConditional}); err != nil {
-			b.Fatal(err)
-		}
+		mustOverhead(b, spec, ov, 3.0)
 	}
 }

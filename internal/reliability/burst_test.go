@@ -16,77 +16,44 @@ func burstTestRates() faultmodel.Rates {
 	return faultmodel.FieldStudyRates().Scale(100)
 }
 
+// TestZeroBurstBitIdentical: a burst whose probabilities are zero is the
+// zero burst — it consumes no randomness, so sizes alone change nothing
+// — on both metrics, with and without CI, at two parallelisms.
 func TestZeroBurstBitIdentical(t *testing.T) {
 	rates := burstTestRates()
 	shape := faultmodel.ARCCChannelShape()
-	opts := mc.Options{Parallelism: 4}
-	ctx := context.Background()
-
-	plain, err := FaultyPageFractionCtx(ctx, 5, opts, rates, shape, 2, 18, 7, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := FaultyPageFractionBurstCtx(ctx, 5, opts, rates, faultmodel.Burst{}, shape, 2, 18, 7, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(plain, zero) {
-		t.Fatalf("zero burst diverged:\n%v\n%v", plain, zero)
-	}
-
 	ov := WorstCaseOverheads(shape, 2)
-	p2, err := LifetimeOverheadCtx(ctx, 5, opts, rates, 2, 18, 7, 3000, ov, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z2, err := LifetimeOverheadBurstCtx(ctx, 5, opts, rates, faultmodel.Burst{}, 2, 18, 7, 3000, ov, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(p2, z2) {
-		t.Fatalf("zero burst diverged (overhead):\n%v\n%v", p2, z2)
-	}
-
-	// Stats path too, at two parallelisms.
-	s1, err := FaultyPageFractionStatsBurstCtx(ctx, 5, mc.Options{Parallelism: 1}, rates, faultmodel.Burst{}, shape, 2, 18, 7, 3000, Accel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s4, err := FaultyPageFractionStatsBurstCtx(ctx, 5, opts, rates, faultmodel.Burst{}, shape, 2, 18, 7, 3000, Accel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(s1.Mean, s4.Mean) || !slices.Equal(s1.Mean, plain) {
-		t.Fatalf("stats zero-burst means diverged:\n%v\n%v\n%v", s1.Mean, s4.Mean, plain)
+	for _, par := range []int{1, 4} {
+		for _, ci := range []bool{false, true} {
+			spec := testSpec(5, mc.Options{Parallelism: par}, rates, 18, 7, 3000)
+			spec.CI = ci
+			sized := spec
+			sized.Burst = faultmodel.Burst{RowMean: 8, RowMax: 32, BankMean: 8, BankMax: 32}
+			if a, b := mustFaulty(t, spec, shape).Mean, mustFaulty(t, sized, shape).Mean; !slices.Equal(a, b) {
+				t.Fatalf("par %d ci %v: zero burst diverged:\n%v\n%v", par, ci, a, b)
+			}
+			if a, b := mustOverhead(t, spec, ov, 1).Mean, mustOverhead(t, sized, ov, 1).Mean; !slices.Equal(a, b) {
+				t.Fatalf("par %d ci %v: zero burst diverged (overhead):\n%v\n%v", par, ci, a, b)
+			}
+		}
 	}
 }
 
 func TestBurstRaisesFaultyFraction(t *testing.T) {
 	rates := burstTestRates()
 	shape := faultmodel.ARCCChannelShape()
-	opts := mc.Options{Parallelism: 4}
-	ctx := context.Background()
-	burst := faultmodel.Burst{RowProb: 1, RowMean: 8, RowMax: 32, BankProb: 1, BankMean: 8, BankMax: 32}
-
-	plain, err := FaultyPageFractionCtx(ctx, 5, opts, rates, shape, 2, 18, 7, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bursty, err := FaultyPageFractionBurstCtx(ctx, 5, opts, rates, burst, shape, 2, 18, 7, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := testSpec(5, mc.Options{Parallelism: 4}, rates, 18, 7, 4000)
+	plain := mustFaulty(t, spec, shape).Mean
+	spec.Burst = faultmodel.Burst{RowProb: 1, RowMean: 8, RowMax: 32, BankProb: 1, BankMean: 8, BankMax: 32}
+	bursty := mustFaulty(t, spec, shape).Mean
 	final := len(plain) - 1
 	if bursty[final] <= plain[final] {
 		t.Fatalf("correlated bursts did not raise the faulty fraction: %v <= %v", bursty[final], plain[final])
 	}
 
 	// Determinism across parallelism.
-	again, err := FaultyPageFractionBurstCtx(ctx, 5, mc.Options{Parallelism: 1}, rates, burst, shape, 2, 18, 7, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(bursty, again) {
+	spec.Opts.Parallelism = 1
+	if again := mustFaulty(t, spec, shape).Mean; !slices.Equal(bursty, again) {
 		t.Fatalf("burst run not parallelism-invariant:\n%v\n%v", bursty, again)
 	}
 }
@@ -97,18 +64,13 @@ func TestBurstComposesWithAcceleration(t *testing.T) {
 	// estimate against a high-trial plain run within combined CIs.
 	rates := burstTestRates()
 	shape := faultmodel.ARCCChannelShape()
-	ctx := context.Background()
-	burst := faultmodel.Burst{RowProb: 0.8, RowMean: 6, RowMax: 24}
 	const years = 7
-
-	ref, err := FaultyPageFractionStatsBurstCtx(ctx, 21, mc.Options{Parallelism: 4}, rates, burst, shape, 2, 18, years, 60_000, Accel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := FaultyPageFractionStatsBurstCtx(ctx, 99, mc.Options{Parallelism: 4}, rates, burst, shape, 2, 18, years, 8_000, Accel{Mode: AccelConditional})
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := testSpec(21, mc.Options{Parallelism: 4}, rates, 18, years, 60_000)
+	spec.Burst = faultmodel.Burst{RowProb: 0.8, RowMean: 6, RowMax: 24}
+	spec.CI = true
+	ref := mustFaulty(t, spec, shape)
+	spec.Seed, spec.Channels, spec.Accel = 99, 8_000, Accel{Mode: AccelConditional}
+	acc := mustFaulty(t, spec, shape)
 	// Conditional sampling leaves the zero-fault stratum implicit; both
 	// estimate the same mean.
 	for y := 0; y < years; y++ {
@@ -123,13 +85,13 @@ func TestBurstComposesWithAcceleration(t *testing.T) {
 }
 
 func TestBurstRejectsInvalid(t *testing.T) {
-	bad := faultmodel.Burst{RowProb: 2}
-	if _, err := FaultyPageFractionBurstCtx(context.Background(), 1, mc.Options{}, burstTestRates(), bad,
-		faultmodel.ARCCChannelShape(), 2, 18, 3, 10); err == nil {
+	spec := testSpec(1, mc.Options{}, burstTestRates(), 18, 3, 10)
+	spec.Burst = faultmodel.Burst{RowProb: 2}
+	if _, err := FaultyPageFraction(context.Background(), spec, faultmodel.ARCCChannelShape()); err == nil {
 		t.Fatal("invalid burst accepted (plain)")
 	}
-	if _, err := LifetimeOverheadStatsBurstCtx(context.Background(), 1, mc.Options{}, burstTestRates(), bad,
-		2, 18, 3, 10, WorstCaseOverheads(faultmodel.ARCCChannelShape(), 2), 1, Accel{}); err == nil {
-		t.Fatal("invalid burst accepted (stats)")
+	spec.CI = true
+	if _, err := LifetimeOverhead(context.Background(), spec, WorstCaseOverheads(faultmodel.ARCCChannelShape(), 2), 1); err == nil {
+		t.Fatal("invalid burst accepted (CI)")
 	}
 }

@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -24,13 +25,17 @@ func TestReliabilityDeterministicAcrossParallelism(t *testing.T) {
 		run  func(opts mc.Options) []float64
 	}{
 		{"FaultyPageFraction", func(opts mc.Options) []float64 {
-			return FaultyPageFraction(11, opts, rates, shape, 2, 36, 5, 700)
+			return mustFaulty(t, testSpec(11, opts, rates, 36, 5, 700), shape).Mean
 		}},
 		{"LifetimeOverhead", func(opts mc.Options) []float64 {
-			return LifetimeOverhead(12, opts, rates, 2, 36, 5, 700, ov, 1.0)
+			return mustOverhead(t, testSpec(12, opts, rates, 36, 5, 700), ov, 1.0).Mean
 		}},
 		{"SimulateARCCDED", func(opts mc.Options) []float64 {
-			return []float64{float64(SimulateARCCDED(13, opts, inflated, 700))}
+			n, err := SimulateARCCDED(context.Background(), 13, opts, inflated, 700)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []float64{float64(n)}
 		}},
 	}
 	parallelisms := []int{1, 4, runtime.NumCPU()}
@@ -48,18 +53,42 @@ func TestReliabilityDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// testSpec is the plain-sampling Spec of the tests: two ranks of
+// devicesPerRank devices, no burst, no acceleration, no CI.
+func testSpec(seed int64, opts mc.Options, rates faultmodel.Rates, devicesPerRank, years, channels int) Spec {
+	return Spec{Seed: seed, Opts: opts, Rates: rates, Ranks: 2, DevicesPerRank: devicesPerRank, Years: years, Channels: channels}
+}
+
+func mustFaulty(tb testing.TB, s Spec, shape faultmodel.ChannelShape) *SeriesStats {
+	tb.Helper()
+	out, err := FaultyPageFraction(context.Background(), s, shape)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+func mustOverhead(tb testing.TB, s Spec, overhead OverheadByType, cap float64) *SeriesStats {
+	tb.Helper()
+	out, err := LifetimeOverhead(context.Background(), s, overhead, cap)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
 // benchOverheadRun executes the Fig 7.4 worst-case Monte Carlo once, at a
 // volume large enough for the worker pool to matter.
-func benchOverheadRun(opts mc.Options) []float64 {
+func benchOverheadRun(b *testing.B, opts mc.Options) []float64 {
 	shape := faultmodel.ARCCChannelShape()
 	rates := faultmodel.FieldStudyRates().Scale(4)
 	ov := WorstCaseOverheads(shape, 2)
-	return LifetimeOverhead(1, opts, rates, 2, 36, 7, 20000, ov, 1.0)
+	return mustOverhead(b, testSpec(1, opts, rates, 36, 7, 20000), ov, 1.0).Mean
 }
 
 func BenchmarkLifetimeOverheadSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		benchOverheadRun(mc.Options{Parallelism: 1})
+		benchOverheadRun(b, mc.Options{Parallelism: 1})
 	}
 }
 
@@ -71,10 +100,10 @@ func BenchmarkLifetimeOverheadSerial(b *testing.B) {
 func BenchmarkLifetimeOverheadParallel(b *testing.B) {
 	var got []float64
 	for i := 0; i < b.N; i++ {
-		got = benchOverheadRun(mc.Options{Parallelism: 8})
+		got = benchOverheadRun(b, mc.Options{Parallelism: 8})
 	}
 	b.StopTimer()
-	want := benchOverheadRun(mc.Options{Parallelism: 1})
+	want := benchOverheadRun(b, mc.Options{Parallelism: 1})
 	for i := range want {
 		if got[i] != want[i] {
 			b.Fatalf("parallel output diverged from serial at year %d: %v != %v", i+1, got[i], want[i])

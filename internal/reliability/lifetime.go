@@ -133,136 +133,173 @@ func overheadSeries(arrivals []faultmodel.Arrival, overhead OverheadByType, cap 
 	}
 }
 
-// FaultyPageFraction reproduces Fig 3.1: the average fraction of a
-// channel's 4 KB pages that has been affected by at least one fault, as a
-// function of operational lifespan, under the worst-case assumption that
-// every location under faulty circuitry is corrupted. It Monte Carlo
-// averages over channels — sharded across workers per opts, bit-identical
-// at any parallelism for a given seed — and returns one value per year
-// 1..years.
-func FaultyPageFraction(seed int64, opts mc.Options, rates faultmodel.Rates, shape faultmodel.ChannelShape,
-	ranks, devicesPerRank int, years, channels int) []float64 {
-	out, err := FaultyPageFractionCtx(context.Background(), seed, opts, rates, shape, ranks, devicesPerRank, years, channels)
-	if err != nil {
-		panic(err) // a background context never cancels
-	}
-	return out
-}
-
-// FaultyPageFractionCtx is FaultyPageFraction under a context: a
-// cancelled context returns (nil, mc.ErrCanceled) within one shard
-// boundary instead of completing the fan-out.
-func FaultyPageFractionCtx(ctx context.Context, seed int64, opts mc.Options, rates faultmodel.Rates, shape faultmodel.ChannelShape,
-	ranks, devicesPerRank int, years, channels int) ([]float64, error) {
-	return FaultyPageFractionBurstCtx(ctx, seed, opts, rates, faultmodel.Burst{}, shape, ranks, devicesPerRank, years, channels)
-}
-
-// FaultyPageFractionBurstCtx is FaultyPageFractionCtx under a correlated
-// fault-burst model: each sampled history is expanded by burst before the
-// per-year series is evaluated. A zero burst consumes no randomness, so
-// the result is bit-identical to FaultyPageFractionCtx.
-func FaultyPageFractionBurstCtx(ctx context.Context, seed int64, opts mc.Options, rates faultmodel.Rates, burst faultmodel.Burst,
-	shape faultmodel.ChannelShape, ranks, devicesPerRank int, years, channels int) ([]float64, error) {
-	if years <= 0 || channels <= 0 {
-		panic("reliability: invalid years/channels")
-	}
-	if err := burst.Validate(); err != nil {
-		return nil, err
-	}
-	acc, err := mc.RunCtx(ctx, mc.Job{
-		Trials:     channels,
-		Seed:       seed,
-		NewAcc:     newYearSums(years),
-		NewScratch: newArrivalScratch(rates, ranks, devicesPerRank, float64(years), burst.CapHintFactor()),
-		TrialScratch: func(rng *rand.Rand, _ int, a mc.Accumulator, sc any) {
-			sums := a.(*yearSums).sums
-			scratch := sc.(*arrivalScratch)
-			arrivals := faultmodel.SampleArrivalsInto(rng, scratch.buf, rates, ranks, devicesPerRank, float64(years))
-			arrivals = burst.ExpandInto(rng, arrivals)
-			scratch.buf = arrivals
-			faultyPageSeries(arrivals, shape, years, scratch.series)
-			for i, v := range scratch.series {
-				sums[i] += v
-			}
-		},
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	sums := acc.(*yearSums).sums
-	for i := range sums {
-		sums[i] /= float64(channels)
-	}
-	return sums, nil
-}
-
 // OverheadByType maps the large-span fault types to the overhead (power
 // increase or performance decrease, as a fraction) a channel suffers once
 // that fault's pages are upgraded — the per-fault measurements of
 // Figs 7.2/7.3 feed in here.
 type OverheadByType map[faultmodel.Type]float64
 
-// LifetimeOverhead reproduces the Fig 7.4/7.5 methodology: Monte Carlo over
-// channels channels, each accumulating the overhead of every fault from its
-// arrival time onward (additive per fault, capped at cap — the overhead of
-// a fully-upgraded memory). For each year X it reports the overhead
-// time-averaged from power-on through the end of year X, averaged over
-// channels. Channels are sharded across workers per opts; the result is
-// bit-identical at any parallelism for a given seed.
-func LifetimeOverhead(seed int64, opts mc.Options, rates faultmodel.Rates, ranks, devicesPerRank int,
-	years, channels int, overhead OverheadByType, cap float64) []float64 {
-	out, err := LifetimeOverheadCtx(context.Background(), seed, opts, rates, ranks, devicesPerRank, years, channels, overhead, cap)
-	if err != nil {
-		panic(err) // a background context never cancels
-	}
-	return out
+// Spec describes one lifetime Monte Carlo: the fault process and channel
+// geometry it samples, how many channels over how many years, and how
+// the trials are drawn and summarised. Channels are sharded across
+// workers per Opts; the result is bit-identical at any parallelism for a
+// given Seed.
+type Spec struct {
+	Seed int64
+	Opts mc.Options
+	// Rates is the per-device fault process of every channel.
+	Rates faultmodel.Rates
+	// Burst expands each sampled history with correlated faults before
+	// the per-year series is evaluated. The zero value consumes no
+	// randomness, so it reproduces a burst-free run bit for bit.
+	Burst                 faultmodel.Burst
+	Ranks, DevicesPerRank int
+	Years, Channels       int
+	// Accel selects the sampling proposal; the zero value is plain
+	// sampling. Any other mode implies CI.
+	Accel Accel
+	// CI requests per-year 95% confidence intervals and the effective
+	// sample size. Plain sampling without CI keeps bare per-year sums;
+	// its Mean is bit-identical to the same Spec with CI set.
+	CI bool
 }
 
-// LifetimeOverheadCtx is LifetimeOverhead under a context: a cancelled
-// context returns (nil, mc.ErrCanceled) within one shard boundary instead
-// of completing the fan-out.
-func LifetimeOverheadCtx(ctx context.Context, seed int64, opts mc.Options, rates faultmodel.Rates, ranks, devicesPerRank int,
-	years, channels int, overhead OverheadByType, cap float64) ([]float64, error) {
-	return LifetimeOverheadBurstCtx(ctx, seed, opts, rates, faultmodel.Burst{}, ranks, devicesPerRank, years, channels, overhead, cap)
+// FaultyPageFraction reproduces Fig 3.1: the average fraction of a
+// channel's 4 KB pages that has been affected by at least one fault, as a
+// function of operational lifespan, under the worst-case assumption that
+// every location under faulty circuitry is corrupted. It returns one
+// value per year 1..s.Years; a cancelled ctx returns mc.ErrCanceled
+// within one shard boundary.
+func FaultyPageFraction(ctx context.Context, s Spec, shape faultmodel.ChannelShape) (*SeriesStats, error) {
+	return s.run(ctx, false, func(arrivals []faultmodel.Arrival, series []float64) {
+		faultyPageSeries(arrivals, shape, s.Years, series)
+	})
 }
 
-// LifetimeOverheadBurstCtx is LifetimeOverheadCtx under a correlated
-// fault-burst model: each sampled history is expanded by burst before the
-// overhead series is evaluated. A zero burst consumes no randomness, so
-// the result is bit-identical to LifetimeOverheadCtx.
-func LifetimeOverheadBurstCtx(ctx context.Context, seed int64, opts mc.Options, rates faultmodel.Rates, burst faultmodel.Burst,
-	ranks, devicesPerRank int, years, channels int, overhead OverheadByType, cap float64) ([]float64, error) {
-	if years <= 0 || channels <= 0 || cap <= 0 {
-		panic(fmt.Sprintf("reliability: invalid lifetime-overhead arguments (years=%d channels=%d cap=%v)", years, channels, cap))
+// LifetimeOverhead reproduces the Fig 7.4/7.5 methodology: each channel
+// accumulates the overhead of every fault from its arrival time onward
+// (additive per fault, capped at cap — the overhead of a fully-upgraded
+// memory). For each year X it reports the overhead time-averaged from
+// power-on through the end of year X, averaged over channels. A zero cap
+// (a free upgrade) gives an all-zero series. Under plain sampling with CI
+// the result also sketches the final year's per-channel distribution.
+func LifetimeOverhead(ctx context.Context, s Spec, overhead OverheadByType, cap float64) (*SeriesStats, error) {
+	if cap < 0 || math.IsNaN(cap) {
+		return nil, fmt.Errorf("reliability: overhead cap %v must be non-negative", cap)
 	}
-	if err := burst.Validate(); err != nil {
+	return s.run(ctx, true, func(arrivals []faultmodel.Arrival, series []float64) {
+		overheadSeries(arrivals, overhead, cap, s.Years, series)
+	})
+}
+
+func (s Spec) validate() error {
+	if s.Years <= 0 || s.Channels <= 0 {
+		return fmt.Errorf("reliability: lifetime Monte Carlo needs positive years and channels (years=%d channels=%d)", s.Years, s.Channels)
+	}
+	if err := s.Accel.Validate(); err != nil {
+		return err
+	}
+	if err := s.Burst.Validate(); err != nil {
+		return err
+	}
+	if s.Accel.Mode == AccelConditional && faultmodel.ExpectedArrivals(s.Rates, s.Ranks, s.DevicesPerRank, float64(s.Years)) <= 0 {
+		return fmt.Errorf("reliability: conditional acceleration of a zero-rate fault process (nothing to condition on)")
+	}
+	return nil
+}
+
+// run is the one lifetime Monte Carlo behind both metrics. Every trial
+// draws an arrival history under the accel's proposal, expands it under
+// the burst model, and writes its per-year series; the trial weight is
+// the likelihood ratio of the primary arrival process alone, which stays
+// exact under expansion because bursts are drawn from the same
+// conditional law under the nominal and proposal processes. Plain
+// sampling without CI folds the series into per-year sums; everything
+// else runs the weighted engine, sketching the final year when
+// sketchFinal is set and every weight is 1.
+func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []faultmodel.Arrival, series []float64)) (*SeriesStats, error) {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	acc, err := mc.RunCtx(ctx, mc.Job{
-		Trials:     channels,
-		Seed:       seed,
-		NewAcc:     newYearSums(years),
-		NewScratch: newArrivalScratch(rates, ranks, devicesPerRank, float64(years), burst.CapHintFactor()),
-		TrialScratch: func(rng *rand.Rand, _ int, a mc.Accumulator, sc any) {
-			sums := a.(*yearSums).sums
-			scratch := sc.(*arrivalScratch)
-			arrivals := faultmodel.SampleArrivalsInto(rng, scratch.buf, rates, ranks, devicesPerRank, float64(years))
-			arrivals = burst.ExpandInto(rng, arrivals)
-			scratch.buf = arrivals
-			overheadSeries(arrivals, overhead, cap, years, scratch.series)
-			for i, v := range scratch.series {
-				sums[i] += v
-			}
+	years := float64(s.Years)
+	tiltHint := s.Burst.CapHintFactor()
+	if s.Accel.Mode == AccelTilted {
+		tiltHint *= s.Accel.Tilt
+	}
+	newScratch := newArrivalScratch(s.Rates, s.Ranks, s.DevicesPerRank, years, tiltHint)
+	trial := func(rng *rand.Rand, scratch *arrivalScratch, vals []float64) float64 {
+		var arrivals []faultmodel.Arrival
+		w := 1.0
+		switch s.Accel.Mode {
+		case AccelConditional:
+			arrivals, w = faultmodel.SampleArrivalsConditionalInto(rng, scratch.buf, s.Rates, s.Ranks, s.DevicesPerRank, years)
+		case AccelTilted:
+			arrivals, w = faultmodel.SampleArrivalsTiltedInto(rng, scratch.buf, s.Rates, s.Accel.Tilt, s.Ranks, s.DevicesPerRank, years)
+		default:
+			arrivals = faultmodel.SampleArrivalsInto(rng, scratch.buf, s.Rates, s.Ranks, s.DevicesPerRank, years)
+		}
+		arrivals = s.Burst.ExpandInto(rng, arrivals)
+		scratch.buf = arrivals
+		series(arrivals, vals)
+		return w
+	}
+
+	if !s.CI && s.Accel.Mode == AccelNone {
+		acc, err := mc.RunCtx(ctx, mc.Job{
+			Trials:     s.Channels,
+			Seed:       s.Seed,
+			NewAcc:     newYearSums(s.Years),
+			NewScratch: newScratch,
+			TrialScratch: func(rng *rand.Rand, _ int, a mc.Accumulator, sc any) {
+				scratch := sc.(*arrivalScratch)
+				trial(rng, scratch, scratch.series)
+				sums := a.(*yearSums).sums
+				for i, v := range scratch.series {
+					sums[i] += v
+				}
+			},
+		}, s.Opts)
+		if err != nil {
+			return nil, err
+		}
+		sums := acc.(*yearSums).sums
+		for i := range sums {
+			sums[i] /= float64(s.Channels)
+		}
+		return &SeriesStats{Mean: sums, Trials: s.Channels}, nil
+	}
+
+	job := mc.WeightedJob{
+		Trials:     s.Channels,
+		Seed:       s.Seed,
+		Dims:       s.Years,
+		NewScratch: newScratch,
+		Trial: func(rng *rand.Rand, _ int, sc any, vals []float64) float64 {
+			return trial(rng, sc.(*arrivalScratch), vals)
 		},
-	}, opts)
+	}
+	if sketchFinal && s.Accel.Mode == AccelNone {
+		// Raw per-channel quantiles are only meaningful when every trial
+		// weight is 1.
+		job.SketchDims = []int{s.Years - 1}
+	}
+	set, err := mc.RunWeightedCtx(ctx, job, s.Opts)
 	if err != nil {
 		return nil, err
 	}
-	sums := acc.(*yearSums).sums
-	for i := range sums {
-		sums[i] /= float64(channels)
+	out := &SeriesStats{
+		Mean:        make([]float64, s.Years),
+		CI95:        make([]float64, s.Years),
+		ESS:         set.Dims[s.Years-1].ESS(),
+		Trials:      s.Channels,
+		Accel:       s.Accel,
+		FinalSketch: set.Sketch(s.Years - 1),
 	}
-	return sums, nil
+	for i := range out.Mean {
+		out.Mean[i] = set.Dims[i].Mean()
+		out.CI95[i] = set.Dims[i].CI95()
+	}
+	return out, nil
 }
 
 // WorstCaseOverheads derives the Fig 7.4/7.5 "worst case est." inputs from

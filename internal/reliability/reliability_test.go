@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -108,7 +109,11 @@ func TestMonteCarloValidatesAnalyticModel(t *testing.T) {
 	p.LifeYears = 1
 	want := ARCCDEDExpectedSDCs(p)
 	const channels = 3000
-	got := float64(SimulateARCCDED(42, mc.Options{}, p, channels)) / channels
+	events, err := SimulateARCCDED(context.Background(), 42, mc.Options{}, p, channels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := float64(events) / channels
 	if want <= 0 {
 		t.Fatal("analytic expectation not positive")
 	}
@@ -134,7 +139,7 @@ func TestFaultyPageFractionShape(t *testing.T) {
 	// Fig 3.1: a few percent at most through year 7 at 1x rates, growing
 	// with time and with the rate factor.
 	shape := faultmodel.ARCCChannelShape()
-	f1 := FaultyPageFraction(1, mc.Options{}, faultmodel.FieldStudyRates(), shape, 2, 36, 7, 4000)
+	f1 := mustFaulty(t, testSpec(1, mc.Options{}, faultmodel.FieldStudyRates(), 36, 7, 4000), shape).Mean
 	if len(f1) != 7 {
 		t.Fatalf("got %d years", len(f1))
 	}
@@ -146,7 +151,7 @@ func TestFaultyPageFractionShape(t *testing.T) {
 	if f1[6] <= 0 || f1[6] > 0.10 {
 		t.Fatalf("year-7 faulty fraction %v, want (0, 0.10] — 'just a few percent'", f1[6])
 	}
-	f4 := FaultyPageFraction(2, mc.Options{}, faultmodel.FieldStudyRates().Scale(4), shape, 2, 36, 7, 4000)
+	f4 := mustFaulty(t, testSpec(2, mc.Options{}, faultmodel.FieldStudyRates().Scale(4), 36, 7, 4000), shape).Mean
 	if f4[6] <= f1[6] {
 		t.Fatal("4x rates must raise the faulty fraction")
 	}
@@ -160,7 +165,7 @@ func TestLifetimeOverheadShape(t *testing.T) {
 	// years, and bounded by the cap.
 	shape := faultmodel.ARCCChannelShape()
 	ov := WorstCaseOverheads(shape, 2) // power doubles on upgraded pages
-	got := LifetimeOverhead(2, mc.Options{}, faultmodel.FieldStudyRates(), 2, 36, 7, 4000, ov, 1.0)
+	got := mustOverhead(t, testSpec(2, mc.Options{}, faultmodel.FieldStudyRates(), 36, 7, 4000), ov, 1.0).Mean
 	for y := 1; y < 7; y++ {
 		if got[y] < got[y-1]-1e-12 {
 			t.Fatalf("lifetime overhead not monotone at year %d: %v < %v", y+1, got[y], got[y-1])
@@ -173,10 +178,42 @@ func TestLifetimeOverheadShape(t *testing.T) {
 
 func TestLifetimeOverheadRespectsCap(t *testing.T) {
 	ov := OverheadByType{faultmodel.Device: 10} // absurd per-fault overhead
-	got := LifetimeOverhead(3, mc.Options{}, faultmodel.FieldStudyRates().Scale(1000), 2, 36, 3, 200, ov, 0.5)
-	for _, v := range got {
-		if v > 0.5+1e-9 {
-			t.Fatalf("overhead %v exceeds cap 0.5", v)
+	spec := testSpec(3, mc.Options{}, faultmodel.FieldStudyRates().Scale(1000), 36, 3, 200)
+	for _, cap := range []float64{0.5, 0} {
+		for _, v := range mustOverhead(t, spec, ov, cap).Mean {
+			if v > cap+1e-9 || v < 0 {
+				t.Fatalf("overhead %v outside [0, cap %v]", v, cap)
+			}
+		}
+	}
+	// A free upgrade (cap 0) costs nothing, with or without CI.
+	spec.CI = true
+	if got := mustOverhead(t, spec, ov, 0); got.Mean[2] != 0 || got.CI95[2] != 0 {
+		t.Fatalf("zero-cap overhead %v ± %v, want exactly 0", got.Mean[2], got.CI95[2])
+	}
+}
+
+func TestLifetimeRejectsInvalidSpec(t *testing.T) {
+	shape := faultmodel.ARCCChannelShape()
+	ov := WorstCaseOverheads(shape, 2)
+	good := testSpec(5, mc.Options{}, faultmodel.FieldStudyRates(), 36, 1, 1)
+	noYears, noChannels := good, good
+	noYears.Years = 0
+	noChannels.Channels = -1
+	badTilt := good
+	badTilt.Accel = Accel{Mode: AccelTilted}
+	ctx := context.Background()
+	for name, run := range map[string]func() (*SeriesStats, error){
+		"faulty years":      func() (*SeriesStats, error) { return FaultyPageFraction(ctx, noYears, shape) },
+		"faulty channels":   func() (*SeriesStats, error) { return FaultyPageFraction(ctx, noChannels, shape) },
+		"faulty tilt":       func() (*SeriesStats, error) { return FaultyPageFraction(ctx, badTilt, shape) },
+		"overhead years":    func() (*SeriesStats, error) { return LifetimeOverhead(ctx, noYears, ov, 1) },
+		"overhead channels": func() (*SeriesStats, error) { return LifetimeOverhead(ctx, noChannels, ov, 1) },
+		"negative cap":      func() (*SeriesStats, error) { return LifetimeOverhead(ctx, good, ov, -1) },
+		"NaN cap":           func() (*SeriesStats, error) { return LifetimeOverhead(ctx, good, ov, math.NaN()) },
+	} {
+		if out, err := run(); err == nil || out != nil {
+			t.Errorf("%s: got (%v, %v), want an error", name, out, err)
 		}
 	}
 }
@@ -202,8 +239,8 @@ func TestARCCLOTECCLifetimeOverheadMatchesPaperMagnitude(t *testing.T) {
 	// than ~6.3% at 4x. Generous bands around those anchors.
 	shape := faultmodel.ARCCChannelShape()
 	ov := WorstCaseOverheads(shape, 4)
-	at1 := LifetimeOverhead(4, mc.Options{}, faultmodel.FieldStudyRates(), 2, 18, 7, 6000, ov, 3.0)
-	at4 := LifetimeOverhead(5, mc.Options{}, faultmodel.FieldStudyRates().Scale(4), 2, 18, 7, 6000, ov, 3.0)
+	at1 := mustOverhead(t, testSpec(4, mc.Options{}, faultmodel.FieldStudyRates(), 18, 7, 6000), ov, 3.0).Mean
+	at4 := mustOverhead(t, testSpec(5, mc.Options{}, faultmodel.FieldStudyRates().Scale(4), 18, 7, 6000), ov, 3.0).Mean
 	if at1[6] <= 0.001 || at1[6] > 0.05 {
 		t.Fatalf("1x 7-year overhead %v, want around the paper's 1.6%%", at1[6])
 	}
@@ -218,9 +255,7 @@ func TestPanicsOnBadArguments(t *testing.T) {
 		"bad geom":      func() { RankGeom{}.OverlapProb(faultmodel.Bit, faultmodel.Bit) },
 		"bad ranks":     func() { DefaultRankGeom().PairThreatProb(faultmodel.Bit, faultmodel.Bit, 0) },
 		"bad params":    func() { ARCCDEDExpectedSDCs(Params{}) },
-		"bad channels":  func() { SimulateARCCDED(5, mc.Options{}, DefaultParams(), 0) },
-		"bad years":     func() { FaultyPageFraction(5, mc.Options{}, faultmodel.FieldStudyRates(), shape, 2, 36, 0, 1) },
-		"bad cap":       func() { LifetimeOverhead(5, mc.Options{}, faultmodel.FieldStudyRates(), 2, 36, 1, 1, nil, 0) },
+		"bad channels":  func() { SimulateARCCDED(context.Background(), 5, mc.Options{}, DefaultParams(), 0) },
 		"worst-case <1": func() { WorstCaseOverheads(shape, 0.5) },
 	} {
 		func() {

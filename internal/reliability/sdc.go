@@ -160,18 +160,9 @@ func (a *eventCount) UnmarshalBinary(b []byte) error {
 // closed-form model, exactly as the paper validates its analytic models
 // with Monte Carlo; run it at inflated rates to see events at all.
 // Channels are sharded across workers per opts with one RNG stream per
-// shard, so the count is reproducible at any parallelism.
-func SimulateARCCDED(seed int64, opts mc.Options, p Params, channels int) int {
-	n, err := SimulateARCCDEDCtx(context.Background(), seed, opts, p, channels)
-	if err != nil {
-		panic(err) // a background context never cancels
-	}
-	return n
-}
-
-// SimulateARCCDEDCtx is SimulateARCCDED under a context: a cancelled
-// context returns (0, mc.ErrCanceled) within one shard boundary.
-func SimulateARCCDEDCtx(ctx context.Context, seed int64, opts mc.Options, p Params, channels int) (int, error) {
+// shard, so the count is reproducible at any parallelism; a cancelled ctx
+// returns (0, mc.ErrCanceled) within one shard boundary.
+func SimulateARCCDED(ctx context.Context, seed int64, opts mc.Options, p Params, channels int) (int, error) {
 	p.validate()
 	if channels <= 0 {
 		panic("reliability: non-positive channel count")

@@ -181,10 +181,11 @@ func TestSubmitStatusResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNewAxisScenariosThroughServer submits one scenario per new PR-10
-// family — DDR5 geometry with multi-tenant interference, correlated
-// row/bank bursts, and trace replay — purely as JSON, and checks each
-// result byte-identical to the CLI's rendering of the same scenario.
+// TestNewAxisScenariosThroughServer submits one scenario per axis family
+// — DDR5 geometry with multi-tenant interference, correlated row/bank
+// bursts, trace replay, and a free upgrade (upgrade_factor 1, a zero
+// overhead cap) — purely as JSON, and checks each result byte-identical
+// to the CLI's rendering of the same scenario.
 func TestNewAxisScenariosThroughServer(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "core0.trc")
 	f, err := os.Create(trace)
@@ -211,6 +212,7 @@ func TestNewAxisScenariosThroughServer(t *testing.T) {
 			"burst":{"row_prob":0.5,"row_mean":4,"row_max":16,"bank_prob":0.2,"bank_mean":3,"bank_max":8}}`,
 		"trace-replay": fmt.Sprintf(`{"name":"trace-replay","trials":64,"years":2,"mixes":[],
 			"dram":"ddr4","trace":%s}`, tracePath),
+		"free-upgrade": `{"name":"free-upgrade","trials":64,"years":2,"mixes":[],"upgrade_factor":1}`,
 	}
 
 	_, ts := newTestServer(t, server.Options{Workers: 2})
@@ -235,6 +237,14 @@ func TestNewAxisScenariosThroughServer(t *testing.T) {
 		case "trace-replay":
 			if !bytes.Contains(got, []byte(`"trace"`)) {
 				t.Fatalf("%s: result missing trace row: %s", label, got)
+			}
+		case "free-upgrade":
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(compact.Bytes(), []byte(`"Overhead":[0,0]`)) {
+				t.Fatalf("%s: a free upgrade must cost nothing: %s", label, got)
 			}
 		}
 	}

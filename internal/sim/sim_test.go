@@ -182,3 +182,30 @@ func TestMemorySystemString(t *testing.T) {
 		t.Fatal("MemorySystem strings wrong")
 	}
 }
+
+func TestReplaySourceReproducesStreamRun(t *testing.T) {
+	// Record each core's stream, replay the traces through the simulator,
+	// and require the identical result — the trace path is faithful.
+	cfg := shortConfig(2, ARCC)
+	direct := Run(cfg)
+
+	// Rebuild the same streams and capture generously more accesses than
+	// the run consumes.
+	replay := cfg
+	base := uint64(0)
+	for i := range replay.Sources {
+		b := cfg.Mix.Benchmarks[i]
+		s := b.NewStream(cfg.Seed+int64(i)*7919, base)
+		accesses := make([]workload.Access, 0, 200000)
+		for j := 0; j < 200000; j++ {
+			accesses = append(accesses, s.Next())
+		}
+		replay.Sources[i] = workload.NewReplaySource(accesses)
+		base += uint64(b.FootprintLines)
+		base = (base + 63) &^ 63
+	}
+	replayed := Run(replay)
+	if direct != replayed {
+		t.Fatalf("trace replay diverged:\n direct   %+v\n replayed %+v", direct, replayed)
+	}
+}

@@ -38,9 +38,8 @@ func GeoMean(xs []float64) float64 {
 }
 
 // StdDev returns the sample standard deviation (n-1 denominator). A
-// single sample carries no spread information, so its deviation is zero —
-// the same contract sim.RunReplicated gives a single replica. Only an
-// empty slice is a harness bug and panics.
+// single sample carries no spread information, so its deviation is zero.
+// Only an empty slice is a harness bug and panics.
 func StdDev(xs []float64) float64 {
 	if len(xs) == 0 {
 		panic("stats: standard deviation of empty slice")

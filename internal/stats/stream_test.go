@@ -325,8 +325,7 @@ func TestQuantileSketchEdgeCases(t *testing.T) {
 }
 
 func TestStdDevCI95SingleSample(t *testing.T) {
-	// A single sample has no spread: zero, not a panic (the RunReplicated
-	// runs==1 contract).
+	// A single sample has no spread: zero, not a panic.
 	if got := StdDev([]float64{3.5}); got != 0 {
 		t.Fatalf("StdDev singleton = %v, want 0", got)
 	}
