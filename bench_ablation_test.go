@@ -6,16 +6,15 @@ import (
 
 	"arcc/internal/cache"
 	"arcc/internal/core"
-	"arcc/internal/ecc"
 	"arcc/internal/memctrl"
-	"arcc/internal/rs"
 	"arcc/internal/scrub"
 )
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // 4-step vs conventional scrubber, shared-recency vs independent LLC
-// replacement, and raw codec throughput for the relaxed vs upgraded
-// codeword geometries.
+// replacement, sectored caching, pair scheduling, and the page upgrade.
+// Codec throughput per codeword geometry is timed by the DecodeBatchInto
+// benchmarks in internal/ecc.
 
 func BenchmarkAblationScrubFourStep(b *testing.B) {
 	benchScrub(b, scrub.FourStep)
@@ -59,72 +58,6 @@ func benchLLC(b *testing.B, policy cache.Policy) {
 		a := addrs[i%len(addrs)]
 		if !c.Access(a, false) {
 			c.Insert(a, i%3 == 0, false)
-		}
-	}
-}
-
-func BenchmarkRelaxedEncode(b *testing.B) {
-	benchEncode(b, ecc.NewRelaxed())
-}
-
-func BenchmarkUpgradedEncode(b *testing.B) {
-	benchEncode(b, ecc.NewSCCDCD())
-}
-
-func benchEncode(b *testing.B, s ecc.Scheme) {
-	data := make([]byte, s.DataSymbols())
-	rand.New(rand.NewSource(1)).Read(data)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Encode(data)
-	}
-}
-
-func BenchmarkRelaxedDecodeClean(b *testing.B) {
-	benchDecode(b, ecc.NewRelaxed(), false)
-}
-
-func BenchmarkRelaxedDecodeOneError(b *testing.B) {
-	benchDecode(b, ecc.NewRelaxed(), true)
-}
-
-func BenchmarkUpgradedDecodeClean(b *testing.B) {
-	benchDecode(b, ecc.NewSCCDCD(), false)
-}
-
-func BenchmarkUpgradedDecodeOneError(b *testing.B) {
-	benchDecode(b, ecc.NewSCCDCD(), true)
-}
-
-func benchDecode(b *testing.B, s ecc.Scheme, inject bool) {
-	data := make([]byte, s.DataSymbols())
-	rand.New(rand.NewSource(1)).Read(data)
-	cw := s.Encode(data)
-	if inject {
-		cw[3] ^= 0x5A
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Decode(cw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkErasureDecode(b *testing.B) {
-	code := rs.New(36, 32)
-	data := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(data)
-	cw := code.Encode(data)
-	bad := make([]byte, len(cw))
-	copy(bad, cw)
-	bad[7] ^= 0xFF
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := code.DecodeErasures(bad, []int{7}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -192,20 +125,4 @@ func benchPairing(b *testing.B, p memctrl.Pairing) {
 		}
 	}
 	b.ReportMetric(float64(c.LastCompletion())/float64(b.N), "cycles/op")
-}
-
-func BenchmarkEightCheckDecodeTwoErrors(b *testing.B) {
-	s := ecc.NewEightCheck()
-	data := make([]byte, s.DataSymbols())
-	rand.New(rand.NewSource(1)).Read(data)
-	cw := s.Encode(data)
-	cw[3] ^= 0x5A
-	cw[40] ^= 0xC3
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Decode(cw); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -62,17 +62,10 @@ func (c *Controller) ReadLineInto(page, line int, data []byte) error {
 	}
 }
 
-// ReadPair reads upgraded pair p (lines 2p and 2p+1) of page, returning the
-// 128 B payload in a fresh slice. Two channels are accessed in lockstep.
-// ReadPair is a compatibility wrapper over ReadPairInto.
-func (c *Controller) ReadPair(page, pair int) ([]byte, error) {
-	data := make([]byte, 2*LineBytes)
-	err := c.ReadPairInto(page, pair, data)
-	return data, err
-}
-
-// ReadPairInto is ReadPair with a caller-owned 128 B buffer; it performs no
-// heap allocations.
+// ReadPairInto reads upgraded pair p (lines 2p and 2p+1) of page into a
+// caller-owned 128 B buffer. Two channels are accessed in lockstep. The
+// returned error is ErrUncorrectable for DUEs. It performs no heap
+// allocations.
 func (c *Controller) ReadPairInto(page, pair int, data []byte) error {
 	if len(data) != 2*LineBytes {
 		panic(fmt.Sprintf("core: ReadPairInto with %d bytes, want %d", len(data), 2*LineBytes))
@@ -84,7 +77,7 @@ func (c *Controller) ReadPairInto(page, pair int, data []byte) error {
 // pass scratch slices of the right size).
 func (c *Controller) readPairInto(page, pair int, data []byte) error {
 	if c.table.Mode(page) != pagetable.Upgraded {
-		panic(fmt.Sprintf("core: ReadPair on %v page %d", c.table.Mode(page), page))
+		panic(fmt.Sprintf("core: ReadPairInto on %v page %d", c.table.Mode(page), page))
 	}
 	chX, chY, slot := c.pairChannels(pair)
 	rank, addr := c.addrOf(page, slot)
@@ -180,15 +173,10 @@ func (c *Controller) noteOutcome(corrected int, err error) {
 	}
 }
 
-// RawRead returns the 72 stored bytes of one sub-line as the devices return
-// them (fault corruption applied, no ECC), in a fresh slice. The scrubber's
-// pattern tests use this primitive (via RawReadInto for the hot loop).
-func (c *Controller) RawRead(page, line int) []byte {
-	return c.RawReadInto(page, line, make([]byte, storedLineBytes))
-}
-
-// RawReadInto is RawRead with a caller-owned buffer, which is overwritten
-// and returned; it performs no heap allocations.
+// RawReadInto returns the 72 stored bytes of one sub-line as the devices
+// return them (fault corruption applied, no ECC), in the caller-owned
+// buffer raw, which is overwritten and returned. The scrubber's pattern
+// tests use this primitive. It performs no heap allocations.
 func (c *Controller) RawReadInto(page, line int, raw []byte) []byte {
 	ch, slot := c.channelOf(line)
 	rank, addr := c.addrOf(page, slot)

@@ -137,8 +137,8 @@ type Stats struct {
 	Reads           int64 // line reads served
 	Writes          int64 // line writes served
 	SubLineAccesses int64 // 64 B channel accesses performed (2 per upgraded line, 4 per upgraded8 line)
-	Corrected       int64 // codewords repaired on the fly
-	DUEs            int64 // detected uncorrectable codewords
+	Corrected       int64 // symbols repaired on the fly (sum of the batch decodes' repaired positions)
+	DUEs            int64 // accesses (a line, pair or quad) with at least one uncorrectable codeword
 	PageUpgrades    int64 // relaxed -> upgraded transitions
 	StrongUpgrades  int64 // upgraded -> upgraded8 transitions
 }

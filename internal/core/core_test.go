@@ -190,8 +190,8 @@ func TestWritePairAndReadPair(t *testing.T) {
 	pairData := make([]byte, 2*LineBytes)
 	r.Read(pairData)
 	c.WritePair(page, 7, pairData)
-	got, err := c.ReadPair(page, 7)
-	if err != nil {
+	got := make([]byte, 2*LineBytes)
+	if err := c.ReadPairInto(page, 7, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, pairData) {
@@ -265,6 +265,33 @@ func TestUpgradedToleratesFaultsInBothChannels(t *testing.T) {
 			if err != nil || !bytes.Equal(got, want[1]) {
 				t.Fatalf("sparing: data mismatch after double fault (err=%v)", err)
 			}
+		}
+	}
+}
+
+// TestUpgradePageSparesFaultyDevice pins UpgradePage's spare choice on the
+// sparing code: the upgraded-codeword position of the device the relaxed
+// reads kept repairing — an even channel's data symbols sit at 0..15, an
+// odd channel's at 16..31.
+func TestUpgradePageSparesFaultyDevice(t *testing.T) {
+	for _, ch := range []int{0, 1} {
+		cfg := testConfig()
+		cfg.Upgrade = UpgradeSparing
+		c := New(cfg)
+		c.RelaxAll()
+		r := rand.New(rand.NewSource(13))
+		page := 0
+		for line := 0; line < LinesPerPage; line++ {
+			if err := c.WriteLine(page, line, randLine(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.InjectFault(ch, 0, dram.Fault{Device: 6, Scope: dram.ScopeDevice, Mode: dram.StuckAt1})
+		if err := c.UpgradePage(page); err != nil {
+			t.Fatalf("channel %d: upgrade with one faulty device: %v", ch, err)
+		}
+		if got, want := c.sparedPosOf(page), 16*ch+6; got != want {
+			t.Fatalf("channel %d device 6: spared position %d, want %d", ch, got, want)
 		}
 	}
 }
@@ -383,7 +410,7 @@ func TestRawReadWriteRoundTrip(t *testing.T) {
 		raw[i] = 0xFF
 	}
 	c.RawWrite(0, 5, raw)
-	if got := c.RawRead(0, 5); !bytes.Equal(got, raw) {
+	if got := c.RawReadInto(0, 5, make([]byte, storedLineBytes)); !bytes.Equal(got, raw) {
 		t.Fatal("raw round trip mismatch")
 	}
 }

@@ -9,9 +9,10 @@ import (
 	"arcc/internal/pagetable"
 )
 
-// TestReadIntoMatchesRead pins the Into variants to the allocating wrappers
-// across all three page modes, with faults injected so corrections and raw
-// passthrough paths are exercised too.
+// TestReadIntoMatchesRead pins the caller-buffer read paths to ReadLine
+// across all three page modes — ReadLineInto line by line, ReadPairInto and
+// ReadQuadInto against the ReadLines of the lines they cover — with faults
+// injected so corrections and raw passthrough paths are exercised too.
 func TestReadIntoMatchesRead(t *testing.T) {
 	for _, upgrade := range []UpgradeCode{UpgradeSCCDCD, UpgradeSparing} {
 		cfg := testConfig()
@@ -51,15 +52,29 @@ func TestReadIntoMatchesRead(t *testing.T) {
 				}
 			}
 		}
+		// readLines concatenates ReadLine over n lines from first, with the
+		// first error any of them reported.
+		readLines := func(page, first, n int) ([]byte, error) {
+			var out []byte
+			var firstErr error
+			for line := first; line < first+n; line++ {
+				data, err := c.ReadLine(page, line)
+				out = append(out, data...)
+				if firstErr == nil {
+					firstErr = err
+				}
+			}
+			return out, firstErr
+		}
 		for pair := 0; pair < LinesPerPage/2; pair++ {
-			want, wantErr := c.ReadPair(1, pair)
+			want, wantErr := readLines(1, 2*pair, 2)
 			gotErr := c.ReadPairInto(1, pair, pairBuf)
 			if (wantErr == nil) != (gotErr == nil) || !bytes.Equal(want, pairBuf) {
 				t.Fatalf("upgrade %v pair %d: ReadPairInto diverged", upgrade, pair)
 			}
 		}
 		for quad := 0; quad < LinesPerPage/4; quad++ {
-			want, wantErr := c.ReadQuad(2, quad)
+			want, wantErr := readLines(2, 4*quad, 4)
 			gotErr := c.ReadQuadInto(2, quad, quadBuf)
 			if (wantErr == nil) != (gotErr == nil) || !bytes.Equal(want, quadBuf) {
 				t.Fatalf("upgrade %v quad %d: ReadQuadInto diverged", upgrade, quad)

@@ -43,17 +43,10 @@ func (c *Controller) readQuadStored(page, quad int) [4][]byte {
 	return stored
 }
 
-// ReadQuad reads upgraded8 quad q (lines 4q..4q+3), returning the 256 B
-// payload in a fresh slice. All four channels are accessed in lockstep.
-// ReadQuad is a compatibility wrapper over ReadQuadInto.
-func (c *Controller) ReadQuad(page, quad int) ([]byte, error) {
-	data := make([]byte, 4*LineBytes)
-	err := c.ReadQuadInto(page, quad, data)
-	return data, err
-}
-
-// ReadQuadInto is ReadQuad with a caller-owned 256 B buffer; it performs no
-// heap allocations.
+// ReadQuadInto reads upgraded8 quad q (lines 4q..4q+3) of page into a
+// caller-owned 256 B buffer. All four channels are accessed in lockstep.
+// The returned error is ErrUncorrectable for DUEs. It performs no heap
+// allocations.
 func (c *Controller) ReadQuadInto(page, quad int, data []byte) error {
 	if len(data) != 4*LineBytes {
 		panic(fmt.Sprintf("core: ReadQuadInto with %d bytes, want %d", len(data), 4*LineBytes))
@@ -64,24 +57,12 @@ func (c *Controller) ReadQuadInto(page, quad int, data []byte) error {
 // readQuadInto is ReadQuadInto without the length check.
 func (c *Controller) readQuadInto(page, quad int, data []byte) error {
 	if c.table.Mode(page) != pagetable.Upgraded8 {
-		panic(fmt.Sprintf("core: ReadQuad on %v page %d", c.table.Mode(page), page))
+		panic(fmt.Sprintf("core: ReadQuadInto on %v page %d", c.table.Mode(page), page))
 	}
 	stored := c.readQuadStored(page, quad)
 	corrected, err := c.decodeQuadInto(stored, data)
 	c.noteOutcome(corrected, err)
 	return err
-}
-
-// WriteQuad writes back a full 256 B upgraded8 quad.
-func (c *Controller) WriteQuad(page, quad int, data []byte) {
-	if len(data) != 4*LineBytes {
-		panic(fmt.Sprintf("core: WriteQuad with %d bytes, want %d", len(data), 4*LineBytes))
-	}
-	if c.table.Mode(page) != pagetable.Upgraded8 {
-		panic(fmt.Sprintf("core: WriteQuad on %v page %d", c.table.Mode(page), page))
-	}
-	c.stats.Writes += 4
-	c.writeQuadStored(page, quad, data)
 }
 
 // writeQuadStored encodes a 256 B quad and stores its four sub-lines,

@@ -162,11 +162,17 @@ func TestWriteQuadAndReadQuad(t *testing.T) {
 	if err := c.UpgradePageToStrong(2); err != nil {
 		t.Fatal(err)
 	}
+	// Write quad 3 line by line (each WriteLine is a quad
+	// read-modify-write), then read the whole quad back.
 	data := make([]byte, 4*LineBytes)
 	rand.New(rand.NewSource(5)).Read(data)
-	c.WriteQuad(2, 3, data)
-	got, err := c.ReadQuad(2, 3)
-	if err != nil || !bytes.Equal(got, data) {
+	for i := 0; i < 4; i++ {
+		if err := c.WriteLine(2, 4*3+i, data[i*LineBytes:(i+1)*LineBytes]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, 4*LineBytes)
+	if err := c.ReadQuadInto(2, 3, got); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("quad round trip failed: %v", err)
 	}
 }
@@ -210,15 +216,16 @@ func TestNewPanicsOnOddChannelCount(t *testing.T) {
 }
 
 func TestFourChannelScrubPrimitivesCoverAllLines(t *testing.T) {
-	// RawRead/RawWrite/CorrectLine must address all 64 lines across the
-	// four channels without collisions.
+	// RawReadInto/RawWrite/CorrectLine must address all 64 lines across
+	// the four channels without collisions.
 	c := newQuadController(t)
 	for line := 0; line < LinesPerPage; line++ {
 		raw := bytes.Repeat([]byte{byte(line)}, storedLineBytes)
 		c.RawWrite(7, line, raw)
 	}
+	got := make([]byte, storedLineBytes)
 	for line := 0; line < LinesPerPage; line++ {
-		got := c.RawRead(7, line)
+		c.RawReadInto(7, line, got)
 		if got[0] != byte(line) {
 			t.Fatalf("line %d raw data collided: got %#x", line, got[0])
 		}

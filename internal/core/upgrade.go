@@ -30,7 +30,10 @@ func (c *Controller) UpgradePage(page int) error {
 	// positionHits identifies which upgraded-codeword positions were
 	// repaired so sparing can remap a consistently-failing device. Data
 	// from an even channel occupies positions 0..15 of the upgraded
-	// codeword, from an odd channel 16..31.
+	// codeword, from an odd channel 16..31. Each line decodes in place on
+	// the read path's own batch decode; a data symbol whose byte the decode
+	// changed is a repaired position (the decoder never reports a
+	// zero-magnitude correction, and DUE codewords stay raw).
 	var readErr error
 	positionHits := &c.scr.posHits
 	clear(positionHits[:])
@@ -40,30 +43,23 @@ func (c *Controller) UpgradePage(page int) error {
 		rank, addr := c.addrOf(page, slot)
 		c.stats.SubLineAccesses++
 		stored := c.channels[ch][rank].ReadLineInto(addr, c.scr.stored[0])
-		data := pageData[line*LineBytes : (line+1)*LineBytes]
-		lineDUE := false
+		raw := c.scr.stored[1]
+		copy(raw, stored)
+		corrected, err := c.decodeRelaxedLineInto(stored, pageData[line*LineBytes:(line+1)*LineBytes])
+		c.noteOutcome(corrected, err)
+		if err != nil {
+			readErr = err
+		}
+		if corrected == 0 {
+			continue
+		}
+		hits := positionHits[16*(ch%2):]
 		for cw := 0; cw < codewordsPerLine; cw++ {
-			res, derr := c.relaxed.DecodeInto(stored[cw*18:(cw+1)*18], c.scr.relaxed)
-			if derr != nil {
-				lineDUE = true
-				copy(data[cw*dataPerCodeword:], stored[cw*18:cw*18+dataPerCodeword])
-				continue
-			}
-			c.stats.Corrected += int64(len(res.Corrected))
-			copy(data[cw*dataPerCodeword:], res.Data)
-			for _, pos := range res.Corrected {
-				if pos < 16 {
-					if ch%2 == 0 {
-						positionHits[pos]++
-					} else {
-						positionHits[16+pos]++
-					}
+			for pos := 0; pos < dataPerCodeword; pos++ {
+				if stored[cw*18+pos] != raw[cw*18+pos] {
+					hits[pos]++
 				}
 			}
-		}
-		if lineDUE {
-			readErr = ErrUncorrectable
-			c.stats.DUEs++
 		}
 	}
 

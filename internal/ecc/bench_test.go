@@ -5,70 +5,71 @@ import (
 	"testing"
 )
 
-// The scheme-level decode benchmarks cover the codeword geometries the
-// functional data path (package core) decodes on every access: the relaxed
-// (18,16) code, the upgraded SCCDCD (36,32) code, the sparing code with a
-// remapped position, and the §5.1 (72,64) code. Run with -benchmem: the
-// DecodeInto paths must report zero allocs/op.
+// The scheme-level decode benchmarks time DecodeBatchInto on the burst the
+// functional data path (package core) decodes on every access: four
+// codewords of the relaxed (18,16) code, the upgraded SCCDCD (36,32) code,
+// the §5.1 (72,64) code, and the sparing code with a remapped position.
+// Every iteration restores the burst from a pristine copy (the decode
+// corrects in place), so ns/op is per four-codeword burst including that
+// copy. Run with -benchmem: the paths must report zero allocs/op.
 
-func benchScheme(b *testing.B, s Scheme, nbad int) {
+const benchBurst = 4
+
+// benchDecodeBatch times a DecodeBatchInto burst of s; with bad set, the
+// same symbol position is corrupted in every codeword (one failed device).
+func benchDecodeBatch(b *testing.B, s Scheme, bad bool) {
 	r := rand.New(rand.NewSource(1))
-	data := make([]byte, s.DataSymbols())
-	r.Read(data)
-	cw := s.Encode(data)
-	for _, pos := range r.Perm(s.TotalSymbols())[:nbad] {
-		cw[pos] ^= byte(1 + r.Intn(255))
+	n := s.TotalSymbols()
+	pristine, _ := burst(r, s, benchBurst)
+	if bad {
+		for i := 0; i < benchBurst; i++ {
+			pristine[i*n+5] ^= 0x3C
+		}
 	}
+	buf := make([]byte, len(pristine))
 	scr := s.NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.DecodeInto(cw, scr); err != nil {
+		copy(buf, pristine)
+		if _, err := s.DecodeBatchInto(buf, n, benchBurst, scr); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkDecodeIntoRelaxedClean(b *testing.B)   { benchScheme(b, NewRelaxed(), 0) }
-func BenchmarkDecodeIntoRelaxed1Err(b *testing.B)    { benchScheme(b, NewRelaxed(), 1) }
-func BenchmarkDecodeIntoSCCDCDClean(b *testing.B)    { benchScheme(b, NewSCCDCD(), 0) }
-func BenchmarkDecodeIntoSCCDCD1Err(b *testing.B)     { benchScheme(b, NewSCCDCD(), 1) }
-func BenchmarkDecodeIntoEightCheck2Err(b *testing.B) { benchScheme(b, NewEightCheck(), 2) }
+func BenchmarkDecodeBatchIntoRelaxedClean(b *testing.B) { benchDecodeBatch(b, NewRelaxed(), false) }
+func BenchmarkDecodeBatchIntoRelaxed1Err(b *testing.B)  { benchDecodeBatch(b, NewRelaxed(), true) }
+func BenchmarkDecodeBatchIntoSCCDCDClean(b *testing.B)  { benchDecodeBatch(b, NewSCCDCD(), false) }
+func BenchmarkDecodeBatchIntoSCCDCD1Err(b *testing.B)   { benchDecodeBatch(b, NewSCCDCD(), true) }
+func BenchmarkDecodeBatchIntoEightCheckClean(b *testing.B) {
+	benchDecodeBatch(b, NewEightCheck(), false)
+}
+func BenchmarkDecodeBatchIntoEightCheck1Err(b *testing.B) {
+	benchDecodeBatch(b, NewEightCheck(), true)
+}
 
-// BenchmarkDecodeIntoSpared1Err measures the sparing scheme's
-// erasure+error path: a dead (spared) device babbling plus one new fault.
-func BenchmarkDecodeIntoSpared1Err(b *testing.B) {
+// BenchmarkDecodeSparedBatchInto1Err measures the sparing scheme's
+// erasure+error path: in every codeword of the burst the dead (spared)
+// device babbles and one new fault appears.
+func BenchmarkDecodeSparedBatchInto1Err(b *testing.B) {
 	s := NewDoubleChipSparing()
 	r := rand.New(rand.NewSource(2))
-	data := make([]byte, 32)
-	r.Read(data)
-	cw := make([]byte, 36)
-	copy(cw, data)
-	s.EncodeSparedInto(cw, 7)
-	cw[7] = 0x55
-	cw[20] ^= 0x0F
+	pristine := make([]byte, benchBurst*36)
+	for i := 0; i < benchBurst; i++ {
+		cw := pristine[i*36 : (i+1)*36]
+		r.Read(cw[:32])
+		s.EncodeSparedInto(cw, 7)
+		cw[7] = 0x55
+		cw[20] ^= 0x0F
+	}
+	buf := make([]byte, len(pristine))
 	scr := s.NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.DecodeSparedInto(cw, 7, scr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeLegacySCCDCD1Err is the allocating wrapper for comparison.
-func BenchmarkDecodeLegacySCCDCD1Err(b *testing.B) {
-	s := NewSCCDCD()
-	r := rand.New(rand.NewSource(3))
-	data := make([]byte, s.DataSymbols())
-	r.Read(data)
-	cw := s.Encode(data)
-	cw[11] ^= 0x42
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Decode(cw); err != nil {
+		copy(buf, pristine)
+		if _, err := s.DecodeSparedBatchInto(buf, 36, benchBurst, 7, scr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,8 +15,8 @@ func TestQuickSchemesRoundTripArbitraryData(t *testing.T) {
 		f := func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))
 			data := randBytes(r, s.DataSymbols())
-			res, err := s.Decode(s.Encode(data))
-			return err == nil && bytes.Equal(res.Data, data)
+			got, _, err := decodeOne(s, encode(s, data))
+			return err == nil && bytes.Equal(got, data)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 			t.Errorf("%s: %v", s.Name(), err)
@@ -33,11 +33,11 @@ func TestQuickSingleSymbolCorruptionAlwaysCorrected(t *testing.T) {
 			}
 			r := rand.New(rand.NewSource(seed))
 			data := randBytes(r, s.DataSymbols())
-			cw := s.Encode(data)
+			cw := encode(s, data)
 			pos := int(posRaw) % s.TotalSymbols()
 			cw[pos] ^= delta
-			res, err := s.Decode(cw)
-			return err == nil && bytes.Equal(res.Data, data)
+			got, _, err := decodeOne(s, cw)
+			return err == nil && bytes.Equal(got, data)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s: %v", s.Name(), err)
@@ -53,16 +53,16 @@ func TestQuickDetectGuaranteeNeverReturnsWrongDataSilently(t *testing.T) {
 		f := func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))
 			data := randBytes(r, s.DataSymbols())
-			cw := s.Encode(data)
+			cw := encode(s, data)
 			n := s.GuaranteedDetect()
 			for _, p := range r.Perm(s.TotalSymbols())[:n] {
 				cw[p] ^= byte(1 + r.Intn(255))
 			}
-			res, err := s.Decode(cw)
+			got, _, err := decodeOne(s, cw)
 			if err != nil {
 				return true // detected: fine
 			}
-			return bytes.Equal(res.Data, data) // corrected exactly: also fine
+			return bytes.Equal(got, data) // corrected exactly: also fine
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 			t.Errorf("%s: silent corruption within detect guarantee: %v", s.Name(), err)

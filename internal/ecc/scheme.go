@@ -29,17 +29,6 @@ import (
 // not correct — a DUE (detectable uncorrectable error) in memory terms.
 var ErrDetected = errors.New("ecc: detected uncorrectable error")
 
-// Result is the outcome of decoding one codeword.
-type Result struct {
-	// Data holds the recovered data symbols (length DataSymbols). The
-	// allocating Decode returns a fresh slice; DecodeInto's Data aliases
-	// the scratch (or the scratch-held corrected codeword) and is valid
-	// only until the scratch's next use.
-	Data []byte
-	// Corrected lists codeword symbol positions that were repaired.
-	Corrected []int
-}
-
 // Scheme is one chipkill-correct code configuration. Implementations are
 // stateless and safe for concurrent use; sparing state is carried explicitly
 // by the caller (see DoubleChipSparing), and decode working memory by the
@@ -57,35 +46,27 @@ type Scheme interface {
 	// GuaranteedDetect is the number of bad symbols whose detection the
 	// scheme guarantees (the paper's reliability discussion, Ch. 2 & 6).
 	GuaranteedDetect() int
-	// Encode produces an N-symbol codeword from K data symbols.
-	Encode(data []byte) []byte
 	// EncodeInto computes the codeword in place: cw has TotalSymbols
 	// symbols of which the first DataSymbols hold the data; every other
 	// symbol (check symbols, and the sparing scheme's spare) is
 	// overwritten. It performs no heap allocations.
 	EncodeInto(cw []byte)
-	// Decode recovers the data from a possibly corrupted codeword. It
-	// returns ErrDetected for detected-uncorrectable patterns. Error
-	// patterns beyond GuaranteedDetect bad symbols may silently corrupt
-	// data (SDC) — quantifying that risk is the job of package reliability.
-	Decode(cw []byte) (Result, error)
-	// DecodeInto is Decode against a reusable workspace obtained from this
-	// scheme's NewScratch: zero heap allocations in steady state, with the
-	// Result aliasing the scratch until its next use. The input is not
-	// modified. Decode is the detaching wrapper equivalent.
-	DecodeInto(cw []byte, s *Scratch) (Result, error)
 	// DecodeBatchInto decodes count codewords laid out in buf at the given
 	// stride (codeword i at buf[i*stride : i*stride+TotalSymbols]), IN
-	// PLACE, against the reusable workspace — the memory controller's burst
-	// path, where all codewords of one access decode together. On return
-	// every successfully decoded codeword's data symbols hold the recovered
-	// data at their natural positions (schemes with a non-prefix layout
-	// un-remap in place); codewords with detected-uncorrectable patterns
-	// keep their raw content. It returns the total number of symbol
-	// positions repaired across the batch, plus ErrDetected if any codeword
-	// was uncorrectable. The all-clean batch — the overwhelmingly common
-	// read — is verified word-parallel without running the scalar decoder
-	// at all, and the call performs zero heap allocations in steady state.
+	// PLACE, against a reusable workspace from this scheme's NewScratch.
+	// It is the scheme's only decoder: the memory controller decodes every
+	// access — a line's four codewords, a pair's, a quad's — as one batch.
+	// On return every successfully decoded codeword's data symbols hold the
+	// recovered data at their natural positions (schemes with a non-prefix
+	// layout un-remap in place); codewords with detected-uncorrectable
+	// patterns keep their raw content. It returns the total number of
+	// symbol positions repaired across the batch, plus ErrDetected if any
+	// codeword was uncorrectable. Error patterns beyond GuaranteedDetect
+	// bad symbols may silently corrupt data (SDC) — quantifying that risk
+	// is the job of package reliability. The all-clean batch — the
+	// overwhelmingly common read — is verified word-parallel without
+	// running the scalar decoder at all, and the call performs zero heap
+	// allocations in steady state.
 	DecodeBatchInto(buf []byte, stride, count int, s *Scratch) (corrected int, err error)
 	// NewScratch allocates a decode workspace sized for this scheme.
 	NewScratch() *Scratch
@@ -105,34 +86,15 @@ func (s *rsScheme) TotalSymbols() int     { return s.code.N() }
 func (s *rsScheme) CheckSymbols() int     { return s.code.CheckSymbols() }
 func (s *rsScheme) GuaranteedDetect() int { return s.detectGt }
 
-func (s *rsScheme) Encode(data []byte) []byte { return s.code.Encode(data) }
-
 // EncodeInto implements Scheme: the data symbols are the codeword prefix,
 // so this is the underlying code's in-place systematic encode.
 func (s *rsScheme) EncodeInto(cw []byte) { s.code.EncodeInto(cw) }
-
-func (s *rsScheme) Decode(cw []byte) (Result, error) {
-	res, err := s.code.DecodeBounded(cw, s.maxFix)
-	if err != nil {
-		return Result{}, ErrDetected
-	}
-	return Result{Data: res.Corrected[:s.code.K()], Corrected: res.ErrorPositions}, nil
-}
-
-// DecodeInto implements Scheme on rs.DecodeScratch; the Result aliases s.
-func (s *rsScheme) DecodeInto(cw []byte, scr *Scratch) (Result, error) {
-	res, err := s.code.DecodeScratch(cw, s.maxFix, scr.rs)
-	if err != nil {
-		return Result{}, ErrDetected
-	}
-	return Result{Data: res.Corrected[:s.code.K()], Corrected: res.ErrorPositions}, nil
-}
 
 // DecodeBatchInto implements Scheme on rs.DecodeBatchFlat: data symbols are
 // the codeword prefix, so the in-place batch correction already leaves the
 // recovered data at its natural positions.
 func (s *rsScheme) DecodeBatchInto(buf []byte, stride, count int, scr *Scratch) (int, error) {
-	res := s.code.DecodeBatchFlat(buf, stride, count, s.maxFix, scr.rs)
+	res := s.code.DecodeBatchFlat(buf, stride, count, nil, s.maxFix, scr.rs)
 	if !res.OK() {
 		return res.Corrected, ErrDetected
 	}

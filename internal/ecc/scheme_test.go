@@ -16,6 +16,38 @@ func randBytes(r *rand.Rand, n int) []byte {
 	return b
 }
 
+// encode returns a fresh codeword of s for data (length DataSymbols).
+func encode(s Scheme, data []byte) []byte {
+	cw := make([]byte, s.TotalSymbols())
+	copy(cw, data)
+	s.EncodeInto(cw)
+	return cw
+}
+
+// encodeSpared is encode for a sparing codeword with sparedPos remapped.
+func encodeSpared(s *DoubleChipSparing, data []byte, sparedPos int) []byte {
+	cw := make([]byte, s.TotalSymbols())
+	copy(cw, data)
+	s.EncodeSparedInto(cw, sparedPos)
+	return cw
+}
+
+// decodeOne decodes a copy of cw as a one-codeword batch, returning the
+// recovered data symbols (raw on a DUE), the repaired-symbol count, and
+// the error.
+func decodeOne(s Scheme, cw []byte) (data []byte, corrected int, err error) {
+	buf := append([]byte(nil), cw...)
+	corrected, err = s.DecodeBatchInto(buf, len(buf), 1, s.NewScratch())
+	return buf[:s.DataSymbols()], corrected, err
+}
+
+// decodeSparedOne is decodeOne through DecodeSparedBatchInto.
+func decodeSparedOne(s *DoubleChipSparing, cw []byte, sparedPos int) (data []byte, corrected int, err error) {
+	buf := append([]byte(nil), cw...)
+	corrected, err = s.DecodeSparedBatchInto(buf, len(buf), 1, sparedPos, s.NewScratch())
+	return buf[:s.DataSymbols()], corrected, err
+}
+
 func TestSchemeGeometry(t *testing.T) {
 	cases := []struct {
 		s                  Scheme
@@ -42,15 +74,14 @@ func TestSchemeRoundTrip(t *testing.T) {
 	for _, s := range allSchemes() {
 		for trial := 0; trial < 50; trial++ {
 			data := randBytes(r, s.DataSymbols())
-			cw := s.Encode(data)
-			if len(cw) != s.TotalSymbols() {
-				t.Fatalf("%s: codeword length %d, want %d", s.Name(), len(cw), s.TotalSymbols())
-			}
-			res, err := s.Decode(cw)
+			got, n, err := decodeOne(s, encode(s, data))
 			if err != nil {
 				t.Fatalf("%s: clean decode failed: %v", s.Name(), err)
 			}
-			if !bytes.Equal(res.Data, data) {
+			if n != 0 {
+				t.Fatalf("%s: clean decode repaired %d symbols", s.Name(), n)
+			}
+			if !bytes.Equal(got, data) {
 				t.Fatalf("%s: clean round trip corrupted data", s.Name())
 			}
 		}
@@ -63,20 +94,20 @@ func TestSchemeCorrectsSingleBadSymbol(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, s := range allSchemes() {
 		data := randBytes(r, s.DataSymbols())
-		cw := s.Encode(data)
+		cw := encode(s, data)
 		for pos := 0; pos < s.TotalSymbols(); pos++ {
 			bad := make([]byte, len(cw))
 			copy(bad, cw)
 			bad[pos] ^= byte(1 + r.Intn(255))
-			res, err := s.Decode(bad)
+			got, n, err := decodeOne(s, bad)
 			if err != nil {
 				t.Fatalf("%s: single bad symbol at %d not corrected: %v", s.Name(), pos, err)
 			}
-			if !bytes.Equal(res.Data, data) {
+			if !bytes.Equal(got, data) {
 				t.Fatalf("%s: wrong correction at position %d", s.Name(), pos)
 			}
-			if len(res.Corrected) != 1 || res.Corrected[0] != pos {
-				t.Fatalf("%s: corrected positions %v, want [%d]", s.Name(), res.Corrected, pos)
+			if n != 1 {
+				t.Fatalf("%s: bad symbol at %d repaired %d symbols, want 1", s.Name(), pos, n)
 			}
 		}
 	}
@@ -87,7 +118,7 @@ func TestSCCDCDDetectsDoubleBadSymbol(t *testing.T) {
 	s := NewSCCDCD()
 	r := rand.New(rand.NewSource(3))
 	data := randBytes(r, s.DataSymbols())
-	cw := s.Encode(data)
+	cw := encode(s, data)
 	for trial := 0; trial < 1000; trial++ {
 		bad := make([]byte, len(cw))
 		copy(bad, cw)
@@ -95,7 +126,7 @@ func TestSCCDCDDetectsDoubleBadSymbol(t *testing.T) {
 		for _, p := range perm {
 			bad[p] ^= byte(1 + r.Intn(255))
 		}
-		if _, err := s.Decode(bad); err != ErrDetected {
+		if _, _, err := decodeOne(s, bad); err != ErrDetected {
 			t.Fatalf("trial %d: double bad symbol not detected (err=%v)", trial, err)
 		}
 	}
@@ -105,7 +136,7 @@ func TestDoubleChipSparingDetectsDoubleBadSymbol(t *testing.T) {
 	s := NewDoubleChipSparing()
 	r := rand.New(rand.NewSource(4))
 	data := randBytes(r, 32)
-	cw := s.Encode(data)
+	cw := encode(s, data)
 	for trial := 0; trial < 1000; trial++ {
 		bad := make([]byte, len(cw))
 		copy(bad, cw)
@@ -113,7 +144,7 @@ func TestDoubleChipSparingDetectsDoubleBadSymbol(t *testing.T) {
 		for _, p := range perm {
 			bad[p] ^= byte(1 + r.Intn(255))
 		}
-		if _, err := s.Decode(bad); err != ErrDetected {
+		if _, _, err := decodeOne(s, bad); err != ErrDetected {
 			t.Fatalf("trial %d: simultaneous double bad symbol not detected (err=%v)", trial, err)
 		}
 	}
@@ -127,7 +158,7 @@ func TestDoubleChipSparingCorrectsSecondFaultAfterSparing(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		data := randBytes(r, 32)
 		firstBad := r.Intn(32)
-		cw := s.EncodeSpared(data, firstBad)
+		cw := encodeSpared(s, data, firstBad)
 
 		// The dead device now returns garbage AND a second device fails.
 		bad := make([]byte, len(cw))
@@ -139,11 +170,11 @@ func TestDoubleChipSparingCorrectsSecondFaultAfterSparing(t *testing.T) {
 		}
 		bad[secondBad] ^= byte(1 + r.Intn(255))
 
-		res, err := s.DecodeSpared(bad, firstBad)
+		got, _, err := decodeSparedOne(s, bad, firstBad)
 		if err != nil {
 			t.Fatalf("trial %d: second fault after sparing not corrected: %v", trial, err)
 		}
-		if !bytes.Equal(res.Data, data) {
+		if !bytes.Equal(got, data) {
 			t.Fatalf("trial %d: wrong data after spared decode", trial)
 		}
 	}
@@ -154,12 +185,15 @@ func TestDoubleChipSparingSparedRoundTripClean(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for pos := 0; pos < 32; pos++ {
 		data := randBytes(r, 32)
-		cw := s.EncodeSpared(data, pos)
-		res, err := s.DecodeSpared(cw, pos)
+		cw := encodeSpared(s, data, pos)
+		got, n, err := decodeSparedOne(s, cw, pos)
 		if err != nil {
 			t.Fatalf("spared pos %d: %v", pos, err)
 		}
-		if !bytes.Equal(res.Data, data) {
+		if n != 0 {
+			t.Fatalf("spared pos %d: clean decode repaired %d symbols", pos, n)
+		}
+		if !bytes.Equal(got, data) {
 			t.Fatalf("spared pos %d: data mismatch", pos)
 		}
 	}
@@ -168,17 +202,26 @@ func TestDoubleChipSparingSparedRoundTripClean(t *testing.T) {
 func TestDoubleChipSparingEncodeSparedNegativeIsPlain(t *testing.T) {
 	s := NewDoubleChipSparing()
 	data := randBytes(rand.New(rand.NewSource(7)), 32)
-	if !bytes.Equal(s.EncodeSpared(data, -1), s.Encode(data)) {
-		t.Fatal("EncodeSpared(-1) differs from Encode")
+	// Poison the spare and check symbols: both forms must overwrite them.
+	cw := append(data, 0xAA, 0xAA, 0xAA, 0xAA)
+	spared := append([]byte(nil), cw...)
+	s.EncodeSparedInto(spared, -1)
+	s.EncodeInto(cw)
+	if !bytes.Equal(spared, cw) {
+		t.Fatal("EncodeSparedInto(-1) differs from EncodeInto")
+	}
+	if cw[SparePosition] != 0 {
+		t.Fatalf("unspared codeword has spare symbol %#x, want 0", cw[SparePosition])
 	}
 }
 
 func TestDoubleChipSparingPanics(t *testing.T) {
 	s := NewDoubleChipSparing()
 	for name, f := range map[string]func(){
-		"encode wrong len":   func() { s.Encode(make([]byte, 16)) },
-		"spare non-data pos": func() { s.EncodeSpared(make([]byte, 32), 33) },
-		"decode wrong len":   func() { s.Decode(make([]byte, 18)) },
+		"encode wrong len":          func() { s.EncodeInto(make([]byte, 32)) },
+		"spare non-data pos":        func() { s.EncodeSparedInto(make([]byte, 36), 33) },
+		"decode short buffer":       func() { s.DecodeBatchInto(make([]byte, 18), 36, 1, s.NewScratch()) },
+		"decode spare non-data pos": func() { s.DecodeSparedBatchInto(make([]byte, 36), 36, 1, 33, s.NewScratch()) },
 	} {
 		func() {
 			defer func() {
@@ -198,7 +241,7 @@ func TestRelaxedDetectsSingleAlwaysButNotAlwaysDouble(t *testing.T) {
 	s := NewRelaxed()
 	r := rand.New(rand.NewSource(8))
 	data := randBytes(r, 16)
-	cw := s.Encode(data)
+	cw := encode(s, data)
 	var miscorrect int
 	for trial := 0; trial < 500; trial++ {
 		bad := make([]byte, len(cw))
@@ -207,9 +250,9 @@ func TestRelaxedDetectsSingleAlwaysButNotAlwaysDouble(t *testing.T) {
 		for _, p := range perm {
 			bad[p] ^= byte(1 + r.Intn(255))
 		}
-		res, err := s.Decode(bad)
+		got, _, err := decodeOne(s, bad)
 		if err == nil {
-			if bytes.Equal(res.Data, data) {
+			if bytes.Equal(got, data) {
 				t.Fatalf("trial %d: double error decoded to original data", trial)
 			}
 			miscorrect++
@@ -224,7 +267,7 @@ func TestEightCheckCorrectsDoubleBadSymbol(t *testing.T) {
 	s := NewEightCheck()
 	r := rand.New(rand.NewSource(9))
 	data := randBytes(r, 64)
-	cw := s.Encode(data)
+	cw := encode(s, data)
 	for trial := 0; trial < 200; trial++ {
 		bad := make([]byte, len(cw))
 		copy(bad, cw)
@@ -232,11 +275,14 @@ func TestEightCheckCorrectsDoubleBadSymbol(t *testing.T) {
 		for _, p := range perm {
 			bad[p] ^= byte(1 + r.Intn(255))
 		}
-		res, err := s.Decode(bad)
+		got, n, err := decodeOne(s, bad)
 		if err != nil {
 			t.Fatalf("trial %d: double error not corrected by 8-check code: %v", trial, err)
 		}
-		if !bytes.Equal(res.Data, data) {
+		if n != 2 {
+			t.Fatalf("trial %d: repaired %d symbols, want 2", trial, n)
+		}
+		if !bytes.Equal(got, data) {
 			t.Fatalf("trial %d: wrong correction", trial)
 		}
 	}

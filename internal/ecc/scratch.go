@@ -3,17 +3,11 @@ package ecc
 import "arcc/internal/rs"
 
 // Scratch is a reusable decode workspace for one Scheme, wrapping the
-// underlying rs.Scratch plus the small remap buffer schemes with a
-// non-prefix data layout (double chip sparing) need. Mirroring the rs
-// contract: a Scratch belongs to one decode call at a time, and the Result
-// returned by DecodeInto/DecodeSparedInto aliases the scratch's buffers,
-// valid only until the scratch's next use. Scratches are scheme-specific —
-// obtain one from the Scheme whose DecodeInto it will be passed to.
+// underlying rs.Scratch plus the one-entry erasure list the sparing
+// scheme's spared decode passes down. Mirroring the rs contract, a Scratch
+// belongs to one decode call at a time. Scratches are scheme-specific —
+// obtain one from the Scheme whose DecodeBatchInto it will be passed to.
 type Scratch struct {
-	rs *rs.Scratch
-	// data backs Result.Data when the decoded payload cannot alias the
-	// corrected codeword directly (the sparing scheme's spare-position
-	// un-remap); sized to the scheme's DataSymbols.
-	data    []byte
+	rs      *rs.Scratch
 	erasure [1]int
 }

@@ -14,8 +14,9 @@ import (
 // corrected — as long as it appears after the first was detected.
 //
 // Sparing state (which position has been remapped) belongs to the rank, not
-// the code, so it is passed explicitly to DecodeSpared. The plain Decode
-// method decodes with no position spared.
+// the code, so it is passed explicitly to EncodeSparedInto and
+// DecodeSparedBatchInto. The Scheme methods EncodeInto and DecodeBatchInto
+// work with no position spared.
 type DoubleChipSparing struct {
 	code *rs.Code // (36, 33): 33 payload symbols (32 data + spare slot), 3 check
 }
@@ -47,44 +48,15 @@ func (s *DoubleChipSparing) GuaranteedDetect() int { return 2 }
 // SparePosition is the codeword position of the spare symbol.
 const SparePosition = 32
 
-// Encode implements Scheme. The spare symbol is initialised to zero.
-func (s *DoubleChipSparing) Encode(data []byte) []byte {
-	if len(data) != 32 {
-		panic(fmt.Sprintf("ecc: sparing Encode with %d symbols, want 32", len(data)))
-	}
-	payload := make([]byte, 33)
-	copy(payload, data)
-	return s.code.Encode(payload)
-}
-
-// EncodeSpared encodes data for a codeword whose sparedPos has been remapped:
-// the symbol that would live at sparedPos is stored in the spare position
-// instead, and the dead position carries zero.
-func (s *DoubleChipSparing) EncodeSpared(data []byte, sparedPos int) []byte {
-	if sparedPos < 0 {
-		return s.Encode(data)
-	}
-	if len(data) != 32 {
-		panic(fmt.Sprintf("ecc: sparing Encode with %d symbols, want 32", len(data)))
-	}
-	if sparedPos >= 32 {
-		panic(fmt.Sprintf("ecc: cannot spare non-data position %d", sparedPos))
-	}
-	payload := make([]byte, 33)
-	copy(payload, data)
-	payload[SparePosition] = data[sparedPos]
-	payload[sparedPos] = 0
-	return s.code.Encode(payload)
-}
-
 // EncodeInto implements Scheme: cw[0:32] hold the data; the spare (position
-// 32) and the check symbols are overwritten in place.
+// 32) is set to zero and the check symbols are overwritten in place.
 func (s *DoubleChipSparing) EncodeInto(cw []byte) { s.EncodeSparedInto(cw, -1) }
 
-// EncodeSparedInto is EncodeSpared in place: cw[0:32] hold the data laid
-// out at their natural positions; the spare remap (move cw[sparedPos] to
-// the spare, zero the dead position) and the check symbols are applied
-// directly to cw. It performs no heap allocations.
+// EncodeSparedInto encodes a codeword whose sparedPos (-1 for none) has
+// been remapped, in place: cw[0:32] hold the data laid out at their natural
+// positions. The symbol that would live at sparedPos is moved to the spare
+// position and the dead position carries zero; then the check symbols are
+// computed. It performs no heap allocations.
 func (s *DoubleChipSparing) EncodeSparedInto(cw []byte, sparedPos int) {
 	if len(cw) != 36 {
 		panic(fmt.Sprintf("ecc: sparing EncodeInto with %d symbols, want 36", len(cw)))
@@ -101,100 +73,37 @@ func (s *DoubleChipSparing) EncodeSparedInto(cw []byte, sparedPos int) {
 	s.code.EncodeInto(cw)
 }
 
-// Decode implements Scheme, decoding with no spared position.
-func (s *DoubleChipSparing) Decode(cw []byte) (Result, error) {
-	return s.DecodeSpared(cw, -1)
-}
-
-// DecodeSpared decodes a codeword in which sparedPos (-1 for none) has been
-// remapped to the spare. The dead position is treated as an erasure, which
-// leaves enough redundancy to correct one additional unknown bad symbol —
-// the "second chipkill" the scheme is named for.
-func (s *DoubleChipSparing) DecodeSpared(cw []byte, sparedPos int) (Result, error) {
-	if len(cw) != 36 {
-		panic(fmt.Sprintf("ecc: sparing Decode with %d symbols, want 36", len(cw)))
-	}
-	var res rs.Result
-	var err error
-	if sparedPos < 0 {
-		res, err = s.code.DecodeBounded(cw, 1)
-	} else {
-		// One erasure (the dead device) + up to one unknown error uses
-		// exactly the three check symbols: 2*1 + 1 = 3.
-		res, err = s.code.DecodeErrorsErasures(cw, []int{sparedPos}, 1)
-	}
-	if err != nil {
-		return Result{}, ErrDetected
-	}
-	data := make([]byte, 32)
-	copy(data, res.Corrected[:32])
-	if sparedPos >= 0 {
-		data[sparedPos] = res.Corrected[SparePosition]
-	}
-	return Result{Data: data, Corrected: res.ErrorPositions}, nil
-}
-
-// DecodeInto implements Scheme, decoding with no spared position against
-// the reusable workspace; the Result aliases scr.
-func (s *DoubleChipSparing) DecodeInto(cw []byte, scr *Scratch) (Result, error) {
-	return s.DecodeSparedInto(cw, -1, scr)
-}
-
-// DecodeSparedInto is DecodeSpared against a reusable workspace: zero heap
-// allocations in steady state, with the Result aliasing scr until its next
-// use (for spared codewords Data is scr's remap buffer; otherwise it aliases
-// the corrected codeword directly).
-func (s *DoubleChipSparing) DecodeSparedInto(cw []byte, sparedPos int, scr *Scratch) (Result, error) {
-	if len(cw) != 36 {
-		panic(fmt.Sprintf("ecc: sparing Decode with %d symbols, want 36", len(cw)))
-	}
-	var res rs.Result
-	var err error
-	if sparedPos < 0 {
-		res, err = s.code.DecodeScratch(cw, 1, scr.rs)
-	} else {
-		// One erasure (the dead device) + up to one unknown error uses
-		// exactly the three check symbols: 2*1 + 1 = 3.
-		scr.erasure[0] = sparedPos
-		res, err = s.code.DecodeErrorsErasuresScratch(cw, scr.erasure[:], 1, scr.rs)
-	}
-	if err != nil {
-		return Result{}, ErrDetected
-	}
-	if sparedPos < 0 {
-		return Result{Data: res.Corrected[:32], Corrected: res.ErrorPositions}, nil
-	}
-	copy(scr.data, res.Corrected[:32])
-	scr.data[sparedPos] = res.Corrected[SparePosition]
-	return Result{Data: scr.data, Corrected: res.ErrorPositions}, nil
-}
-
 // DecodeBatchInto implements Scheme, batch-decoding with no spared position.
 func (s *DoubleChipSparing) DecodeBatchInto(buf []byte, stride, count int, scr *Scratch) (int, error) {
 	return s.DecodeSparedBatchInto(buf, stride, count, -1, scr)
 }
 
-// DecodeSparedBatchInto is DecodeSpared over a flat batch, in place:
-// codeword i occupies buf[i*stride : i*stride+36]. On return each good
-// codeword's first 32 symbols hold the recovered data — for spared
-// codewords the spare symbol is un-remapped back over the dead position, so
-// the lane no longer reads as a valid stored codeword — while uncorrectable
-// codewords keep their raw content (no un-remap: the raw symbols are
-// untrusted either way). Returns the total repaired-symbol count plus
-// ErrDetected if any codeword was uncorrectable. Zero heap allocations in
-// steady state; the all-clean batch never runs the scalar decoder.
+// DecodeSparedBatchInto decodes a flat batch of codewords in which
+// sparedPos (-1 for none) has been remapped to the spare, in place:
+// codeword i occupies buf[i*stride : i*stride+36]. The dead position is
+// treated as an erasure, which leaves enough redundancy to correct one
+// additional unknown bad symbol — the "second chipkill" the scheme is
+// named for. On return each good codeword's first 32 symbols hold the
+// recovered data — for spared codewords the spare symbol is un-remapped
+// back over the dead position, so the lane no longer reads as a valid
+// stored codeword — while uncorrectable codewords keep their raw content
+// (no un-remap: the raw symbols are untrusted either way). Returns the
+// total repaired-symbol count plus ErrDetected if any codeword was
+// uncorrectable. Zero heap allocations in steady state; the all-clean batch
+// never runs the scalar decoder.
 func (s *DoubleChipSparing) DecodeSparedBatchInto(buf []byte, stride, count, sparedPos int, scr *Scratch) (int, error) {
 	if sparedPos >= 32 {
 		panic(fmt.Sprintf("ecc: cannot spare non-data position %d", sparedPos))
 	}
-	var res rs.BatchResult
-	if sparedPos < 0 {
-		res = s.code.DecodeBatchFlat(buf, stride, count, 1, scr.rs)
-	} else {
+	var erasures []int
+	if sparedPos >= 0 {
 		// One erasure (the dead device) + up to one unknown error uses
 		// exactly the three check symbols: 2*1 + 1 = 3.
 		scr.erasure[0] = sparedPos
-		res = s.code.DecodeErrorsErasuresBatchFlat(buf, stride, count, scr.erasure[:], 1, scr.rs)
+		erasures = scr.erasure[:]
+	}
+	res := s.code.DecodeBatchFlat(buf, stride, count, erasures, 1, scr.rs)
+	if sparedPos >= 0 {
 		// Un-remap the good lanes: the symbol the dead device would have
 		// held lives in the spare position. res.Bad is ascending, so one
 		// cursor walks it in step with the lane loop.
@@ -216,7 +125,7 @@ func (s *DoubleChipSparing) DecodeSparedBatchInto(buf []byte, stride, count, spa
 
 // NewScratch implements Scheme.
 func (s *DoubleChipSparing) NewScratch() *Scratch {
-	return &Scratch{rs: s.code.NewScratch(), data: make([]byte, 32)}
+	return &Scratch{rs: s.code.NewScratch()}
 }
 
 var _ Scheme = (*DoubleChipSparing)(nil)

@@ -5,16 +5,17 @@
 // from GF(2^8) with the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1
 // (0x11D), the same polynomial used by most memory and storage codes.
 //
-// The package exposes both scalar arithmetic (Add, Mul, Div, Inv, Pow) and
-// polynomial arithmetic over GF(2^8) (see poly.go), which the Reed–Solomon
-// codec in package rs builds on. Multiplication and division are table
-// driven: a 255-entry exponential table and a 256-entry logarithm table are
-// built once at package initialisation, and a full 256x256 (64 KB)
-// multiplication table on top of them makes Mul a single unconditional
-// lookup. The rows of that table are exposed directly (MulRow) together
-// with bulk kernels over byte slices (MulSlice, MulAddSlice), which the
-// Reed–Solomon hot path — encoding, syndrome computation, Chien search —
-// is written against.
+// The package exposes scalar arithmetic (Add, Mul, Div, Inv, Pow), the
+// few polynomial operations the Reed–Solomon codec in package rs needs
+// (PolyTrim, PolyMul, PolyEval; see poly.go), and the word-parallel batch
+// kernels of its batch syndrome sweep (see kernels_batch.go).
+// Multiplication and division are table driven: a 255-entry exponential
+// table and a 256-entry logarithm table are built once at package
+// initialisation, and a full 256x256 (64 KB) multiplication table on top
+// of them makes Mul a single unconditional lookup. The rows of that table
+// are exposed directly (MulRow) together with the multiply-accumulate
+// kernel MulAddSlice, which the Reed–Solomon hot path — encoding, syndrome
+// computation, Chien search — is written against.
 package gf
 
 import "fmt"

@@ -12,15 +12,6 @@ package gf
 // and index it directly.
 func MulRow(c Elem) *[Size]Elem { return &mulTable[c] }
 
-// MulSlice sets dst[i] = c * src[i] for every i in src. dst must be at least
-// as long as src; dst and src may be the same slice.
-func MulSlice(dst, src []byte, c Elem) {
-	row := &mulTable[c]
-	for i, v := range src {
-		dst[i] = row[v]
-	}
-}
-
 // MulAddSlice adds c * src into dst element-wise: dst[i] ^= c * src[i] for
 // every i in src. dst must be at least as long as src. This is the
 // multiply-accumulate step of polynomial multiplication and of the Forney

@@ -5,9 +5,9 @@ package gf
 // codewords, the "lanes" — are packed little-endian into one uint64, and a
 // constant multiplication of all eight lanes runs as a handful of
 // shift/mask/XOR word operations with no table lookups and no loop-carried
-// memory latency. Package rs builds its batch syndrome and encode kernels
-// on these primitives; the per-lane layout (lane l occupies byte l) is part
-// of the contract.
+// memory latency. Package rs builds its batch syndrome sweep on these
+// primitives; the per-lane layout (lane l occupies byte l) is part of the
+// contract.
 //
 // Two multiply forms are exposed. XtimeWord multiplies every lane by x
 // (alpha = 0x02) directly and is chained for the small alpha powers the
@@ -79,9 +79,8 @@ func Xtime3Word(v uint64) uint64 {
 type BroadcastRow [8]uint64
 
 // MulRowBatch builds the BroadcastRow of c — the batch counterpart of
-// MulRow. Rows for fixed constants (generator coefficients, syndrome
-// evaluation points) should be built once and reused, exactly as scalar
-// callers hold MulRow pointers.
+// MulRow. Rows for fixed constants (syndrome evaluation points) should be
+// built once and reused, exactly as scalar callers hold MulRow pointers.
 func MulRowBatch(c Elem) BroadcastRow {
 	var r BroadcastRow
 	for j := 0; j < 8; j++ {
@@ -117,32 +116,12 @@ func MulWord(v uint64, r *BroadcastRow) uint64 {
 	return p
 }
 
-// MulAddWord returns acc ^ (c * v) lane-wise, the word-parallel
-// multiply-accumulate: the fused step of batch encode feedback and batch
-// syndrome Horner chains.
-func MulAddWord(acc, v uint64, r *BroadcastRow) uint64 {
-	return acc ^ MulWord(v, r)
-}
-
 // PackWord packs the first Lanes bytes of b little-endian into a word:
 // b[l] lands in lane l. b must hold at least Lanes bytes.
 func PackWord(b []byte) uint64 {
 	_ = b[7]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// UnpackWord is the inverse of PackWord: lane l of v is stored to b[l].
-func UnpackWord(v uint64, b []byte) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }
 
 // GatherWord packs byte off of each of lanes stride-separated codewords in
@@ -251,25 +230,5 @@ func GatherWords8(buf []byte, off, stride, lanes int, w *[8]uint64) {
 func ScatterWord(v uint64, buf []byte, off, stride, lanes int) {
 	for l := 0; l < lanes; l++ {
 		buf[l*stride+off] = byte(v >> (8 * l))
-	}
-}
-
-// MulAddSliceBatch adds c * src into dst element-wise like MulAddSlice, but
-// processes eight bytes per step with the bit-sliced kernel and only falls
-// back to the scalar table row for the tail. dst must be at least as long
-// as src. On flat stride-N batch buffers (the batch codec layout) this is
-// the bulk multiply-accumulate over all lanes at once.
-func MulAddSliceBatch(dst, src []byte, c Elem) {
-	if c == 0 {
-		return
-	}
-	r := MulRowBatch(c)
-	n := len(src) &^ (Lanes - 1)
-	for i := 0; i < n; i += Lanes {
-		UnpackWord(PackWord(dst[i:])^MulWord(PackWord(src[i:]), &r), dst[i:])
-	}
-	row := &mulTable[c]
-	for i := n; i < len(src); i++ {
-		dst[i] ^= row[src[i]]
 	}
 }

@@ -53,6 +53,9 @@ func TestMulRowBatchMatchesMulRow(t *testing.T) {
 	}
 }
 
+// TestMulAddWord checks the word multiply-accumulate step the batch
+// syndrome sweep's Horner chains run for wide codes,
+// MulWord(acc, row) ^ v, against the scalar Mul(c, acc) ^ v in every lane.
 func TestMulAddWord(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	acc := make([]byte, Lanes)
@@ -62,10 +65,10 @@ func TestMulAddWord(t *testing.T) {
 		r.Read(src)
 		c := Elem(r.Intn(Size))
 		row := MulRowBatch(c)
-		v := MulAddWord(PackWord(acc), PackWord(src), &row)
+		v := MulWord(PackWord(acc), &row) ^ PackWord(src)
 		for l := 0; l < Lanes; l++ {
-			if got, want := byte(v>>(8*l)), acc[l]^Mul(c, src[l]); got != want {
-				t.Fatalf("MulAddWord lane %d: got %#x, want %#x", l, got, want)
+			if got, want := byte(v>>(8*l)), Mul(c, acc[l])^src[l]; got != want {
+				t.Fatalf("multiply-accumulate lane %d: got %#x, want %#x", l, got, want)
 			}
 		}
 	}
@@ -77,7 +80,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	out := make([]byte, Lanes)
 	for trial := 0; trial < 100; trial++ {
 		r.Read(b)
-		UnpackWord(PackWord(b), out)
+		ScatterWord(PackWord(b), out, 0, 1, Lanes) // stride 1: the unpack
 		for l := range b {
 			if out[l] != b[l] {
 				t.Fatalf("round trip lane %d: got %#x, want %#x", l, out[l], b[l])
@@ -116,47 +119,6 @@ func TestGatherScatterWord(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestMulAddSliceBatchMatchesMulAddSlice(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 200; trial++ {
-		n := r.Intn(100) // covers 0, sub-word, and non-multiple-of-8 tails
-		src := make([]byte, n)
-		r.Read(src)
-		c := Elem(r.Intn(Size))
-		got := make([]byte, n)
-		want := make([]byte, n)
-		r.Read(got)
-		copy(want, got)
-		MulAddSliceBatch(got, src, c)
-		MulAddSlice(want, src, c)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("MulAddSliceBatch(c=%#x, n=%d): [%d] = %#x, want %#x", c, n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestMulAddSliceBatchAllocs(t *testing.T) {
-	src := make([]byte, 64)
-	dst := make([]byte, 64)
-	if n := testing.AllocsPerRun(100, func() { MulAddSliceBatch(dst, src, 0x53) }); n != 0 {
-		t.Fatalf("MulAddSliceBatch allocates %v per run, want 0", n)
-	}
-}
-
-func BenchmarkMulAddSliceBatch(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	src := make([]byte, 64)
-	dst := make([]byte, 64)
-	r.Read(src)
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MulAddSliceBatch(dst, src, byte(i)|1)
 	}
 }
 

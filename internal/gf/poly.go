@@ -2,8 +2,8 @@ package gf
 
 // Polynomial is a polynomial over GF(2^8), stored with the coefficient of
 // x^i at index i. The zero-length slice is the zero polynomial. Functions in
-// this file treat Polynomial values as immutable and always return fresh
-// slices.
+// this file never modify their arguments; PolyTrim returns a prefix of its
+// argument, PolyMul a fresh slice.
 type Polynomial []Elem
 
 // PolyTrim returns p with trailing zero coefficients removed, so that the
@@ -14,22 +14,6 @@ func PolyTrim(p Polynomial) Polynomial {
 		n--
 	}
 	return p[:n]
-}
-
-// PolyDegree returns the degree of p, or -1 for the zero polynomial.
-func PolyDegree(p Polynomial) int { return len(PolyTrim(p)) - 1 }
-
-// PolyAdd returns a + b.
-func PolyAdd(a, b Polynomial) Polynomial {
-	if len(b) > len(a) {
-		a, b = b, a
-	}
-	out := make(Polynomial, len(a))
-	copy(out, a)
-	for i, c := range b {
-		out[i] ^= c
-	}
-	return PolyTrim(out)
 }
 
 // PolyMul returns a * b.
@@ -45,13 +29,6 @@ func PolyMul(a, b Polynomial) Polynomial {
 	return PolyTrim(out)
 }
 
-// PolyScale returns p * c for a scalar c.
-func PolyScale(p Polynomial, c Elem) Polynomial {
-	out := make(Polynomial, len(p))
-	MulSlice(out, p, c)
-	return PolyTrim(out)
-}
-
 // PolyEval evaluates p at x using Horner's rule.
 func PolyEval(p Polynomial, x Elem) Elem {
 	row := MulRow(x)
@@ -60,44 +37,4 @@ func PolyEval(p Polynomial, x Elem) Elem {
 		acc = row[acc] ^ p[i]
 	}
 	return acc
-}
-
-// PolyDivMod returns the quotient and remainder of a / b. It panics if b is
-// the zero polynomial.
-func PolyDivMod(a, b Polynomial) (q, r Polynomial) {
-	b = PolyTrim(b)
-	if len(b) == 0 {
-		panic("gf: polynomial division by zero")
-	}
-	r = make(Polynomial, len(a))
-	copy(r, a)
-	r = PolyTrim(r)
-	if PolyDegree(r) < PolyDegree(b) {
-		return nil, r
-	}
-	q = make(Polynomial, PolyDegree(r)-PolyDegree(b)+1)
-	lead := Inv(b[len(b)-1])
-	for PolyDegree(r) >= PolyDegree(b) {
-		d := PolyDegree(r) - PolyDegree(b)
-		c := Mul(r[len(r)-1], lead)
-		q[d] = c
-		for i, bc := range b {
-			r[d+i] ^= Mul(c, bc)
-		}
-		r = PolyTrim(r)
-	}
-	return PolyTrim(q), r
-}
-
-// PolyDeriv returns the formal derivative of p. In characteristic 2 the
-// even-power terms vanish and odd-power terms keep their coefficients.
-func PolyDeriv(p Polynomial) Polynomial {
-	if len(p) < 2 {
-		return nil
-	}
-	out := make(Polynomial, len(p)-1)
-	for i := 1; i < len(p); i += 2 {
-		out[i-1] = p[i]
-	}
-	return PolyTrim(out)
 }

@@ -6,31 +6,27 @@ import (
 	"arcc/internal/gf"
 )
 
-// This file implements the batch codec path: every exhibit and every
-// arcc-server sweep decodes many independent codewords under the same code,
-// so the batch entry points amortise per-codeword overhead and run the
-// syndrome and encode recurrences word-parallel — eight codewords at a
-// time, one byte lane per codeword, on the bit-sliced gf kernels
-// (gf.MulWord / gf.XtimeWord). The dominant workload is the clean read:
-// a batch whose codewords all have zero syndromes completes without
-// touching the scalar decoder at all, and only the rare lanes whose
-// syndromes come back nonzero fall back to the existing (fully tested)
-// scalar scratch decoder, one lane at a time.
+// This file implements the batch decoder: the memory controller decodes
+// every access as a batch of independent codewords under the same code (a
+// line's four beats, a pair's or quad's four wide codewords), so the batch
+// entry point amortises per-codeword overhead and runs the syndrome
+// recurrence word-parallel — eight codewords at a time, one byte lane per
+// codeword, on the bit-sliced gf kernels (gf.XtimeWord / gf.MulWord). The
+// dominant workload is the clean read: a batch whose codewords all have
+// zero syndromes completes without touching the scalar decoder at all, and
+// only the rare lanes whose syndromes come back nonzero fall back to the
+// scalar scratch decoders, one lane at a time.
 //
-// Layouts. Each API takes either a [][]byte (one slice per codeword, each
-// of length N) or a flat []byte with an explicit stride: codeword i
-// occupies buf[i*stride : i*stride+N], stride >= N. The flat form is the
-// fast path — the word kernels gather lanes straight out of it — and is
-// what the memory controller's read path uses (its per-burst codewords are
-// already contiguous in scratch). The slice form stages groups of eight
-// through an on-stack buffer and costs one extra copy per codeword.
+// Layout. The batch is a flat []byte with an explicit stride: codeword i
+// occupies buf[i*stride : i*stride+N], stride >= N. The word kernels gather
+// lanes straight out of it; the controller's per-access codewords are
+// already contiguous in its scratch.
 //
 // In-place contract. Batch decoding corrects codewords IN PLACE: clean
 // lanes are left untouched (no output copy — that is the point), corrected
 // lanes are overwritten with the repaired codeword, and lanes with
 // detected-uncorrectable patterns keep their raw content and are listed in
-// BatchResult.Bad. Inputs of Encode/Syndromes/Check batches are read-only
-// except for the check symbols EncodeBatch rewrites.
+// BatchResult.Bad.
 
 // BatchResult reports the outcome of one batch decode.
 type BatchResult struct {
@@ -39,39 +35,15 @@ type BatchResult struct {
 	// the dirty lanes; clean lanes contribute zero).
 	Corrected int
 	// Bad lists the batch indices of codewords whose error patterns were
-	// detected but not correctable; their content is left as read. The
-	// slice aliases the Scratch and is valid until its next batch use.
+	// detected but not correctable, in increasing order; their content is
+	// left as read. The slice aliases the Scratch and is valid until its
+	// next batch use.
 	Bad []int
 }
 
 // OK reports whether every codeword in the batch decoded cleanly or was
 // fully corrected.
 func (r BatchResult) OK() bool { return len(r.Bad) == 0 }
-
-// batchStage is an on-stack staging buffer for the [][]byte entry points:
-// one group of gf.Lanes codewords at the maximum codeword length.
-type batchStage [gf.Lanes * gf.Order]byte
-
-func (c *Code) checkBatchFlatArgs(buf []byte, stride, count int) {
-	if count < 0 {
-		panic(fmt.Sprintf("rs: negative batch count %d", count))
-	}
-	if stride < c.n {
-		panic(fmt.Sprintf("rs: batch stride %d below codeword length %d", stride, c.n))
-	}
-	if count > 0 && len(buf) < (count-1)*stride+c.n {
-		panic(fmt.Sprintf("rs: batch buffer holds %d bytes, want >= %d for %d codewords at stride %d",
-			len(buf), (count-1)*stride+c.n, count, stride))
-	}
-}
-
-func (c *Code) checkBatchSlices(cws [][]byte) {
-	for i, cw := range cws {
-		if len(cw) != c.n {
-			panic(fmt.Sprintf("rs: batch codeword %d has %d symbols, want %d", i, len(cw), c.n))
-		}
-	}
-}
 
 // synWords runs the word-parallel syndrome recurrence over up to gf.Lanes
 // codewords at buf[0:], stride apart, writing syndrome word i (lane l's
@@ -155,161 +127,35 @@ func (c *Code) synWords(buf []byte, stride, lanes int, sw []uint64) uint64 {
 	}
 }
 
-// encodeGroup recomputes the check symbols of up to gf.Lanes codewords at
-// buf[0:], stride apart, in place: the word-parallel form of EncodeInto's
-// LFSR, with the generator taps applied to all lanes at once through the
-// precomputed broadcast rows.
-func (c *Code) encodeGroup(buf []byte, stride, lanes int) {
-	nk := c.n - c.k
-	var remBuf [gf.Order]uint64
-	var gw [8]uint64
-	rem := remBuf[:nk]
-	step := func(v uint64) {
-		factor := v ^ rem[0]
-		copy(rem, rem[1:])
-		rem[nk-1] = 0
-		for j := range rem {
-			rem[j] ^= gf.MulWord(factor, &c.encBatch[j])
-		}
-	}
-	i := 0
-	for ; i+8 <= c.k; i += 8 {
-		gf.GatherWords8(buf, i, stride, lanes, &gw)
-		for _, v := range gw {
-			step(v)
-		}
-	}
-	for ; i < c.k; i++ {
-		step(gf.GatherWord(buf, i, stride, lanes))
-	}
-	for j := 0; j < nk; j++ {
-		gf.ScatterWord(rem[j], buf, c.k+j, stride, lanes)
-	}
-}
-
-// EncodeBatchFlat recomputes the check symbols of count codewords laid out
-// in buf at the given stride, in place, from each codeword's first K data
-// symbols. It performs no heap allocations.
-func (c *Code) EncodeBatchFlat(buf []byte, stride, count int) {
-	c.checkBatchFlatArgs(buf, stride, count)
-	for base := 0; base < count; base += gf.Lanes {
-		lanes := min(gf.Lanes, count-base)
-		c.encodeGroup(buf[base*stride:], stride, lanes)
-	}
-}
-
-// EncodeBatch recomputes the check symbols of every codeword (each of
-// length N) in place from its first K data symbols. It performs no heap
-// allocations; the codewords are staged through an on-stack group buffer.
-func (c *Code) EncodeBatch(cws [][]byte) {
-	c.checkBatchSlices(cws)
-	var stage batchStage
-	for base := 0; base < len(cws); base += gf.Lanes {
-		lanes := min(gf.Lanes, len(cws)-base)
-		for l := 0; l < lanes; l++ {
-			copy(stage[l*c.n:], cws[base+l][:c.k])
-		}
-		c.encodeGroup(stage[:], c.n, lanes)
-		for l := 0; l < lanes; l++ {
-			copy(cws[base+l][c.k:], stage[l*c.n+c.k:(l+1)*c.n])
-		}
-	}
-}
-
-// SyndromesBatchFlat computes the N-K syndromes of count codewords laid
-// out in buf at the given stride into syn — codeword i's syndromes occupy
-// syn[i*(N-K) : (i+1)*(N-K)] — and returns syn. It performs no heap
-// allocations.
-func (c *Code) SyndromesBatchFlat(buf []byte, stride, count int, syn []byte) []byte {
-	c.checkBatchFlatArgs(buf, stride, count)
-	nk := c.n - c.k
-	if len(syn) != count*nk {
-		panic(fmt.Sprintf("rs: SyndromesBatch into %d bytes, want %d", len(syn), count*nk))
-	}
-	var sw [gf.Order]uint64
-	for base := 0; base < count; base += gf.Lanes {
-		lanes := min(gf.Lanes, count-base)
-		c.synWords(buf[base*stride:], stride, lanes, sw[:nk])
-		for i := 0; i < nk; i++ {
-			gf.ScatterWord(sw[i], syn[base*nk:], i, nk, lanes)
-		}
-	}
-	return syn
-}
-
-// SyndromesBatch computes the N-K syndromes of every codeword into syn
-// (len(cws) * (N-K) bytes, laid out per codeword) and returns syn. It
-// performs no heap allocations.
-func (c *Code) SyndromesBatch(cws [][]byte, syn []byte) []byte {
-	c.checkBatchSlices(cws)
-	nk := c.n - c.k
-	if len(syn) != len(cws)*nk {
-		panic(fmt.Sprintf("rs: SyndromesBatch into %d bytes, want %d", len(syn), len(cws)*nk))
-	}
-	var stage batchStage
-	var sw [gf.Order]uint64
-	for base := 0; base < len(cws); base += gf.Lanes {
-		lanes := min(gf.Lanes, len(cws)-base)
-		for l := 0; l < lanes; l++ {
-			copy(stage[l*c.n:], cws[base+l])
-		}
-		c.synWords(stage[:], c.n, lanes, sw[:nk])
-		for i := 0; i < nk; i++ {
-			gf.ScatterWord(sw[i], syn[base*nk:], i, nk, lanes)
-		}
-	}
-	return syn
-}
-
-// CheckBatchFlat reports whether all count codewords laid out in buf at
-// the given stride are consistent (every syndrome of every codeword zero).
-// It performs no heap allocations and short-circuits on the first dirty
-// group.
-func (c *Code) CheckBatchFlat(buf []byte, stride, count int) bool {
-	c.checkBatchFlatArgs(buf, stride, count)
-	nk := c.n - c.k
-	var sw [gf.Order]uint64
-	for base := 0; base < count; base += gf.Lanes {
-		lanes := min(gf.Lanes, count-base)
-		if c.synWords(buf[base*stride:], stride, lanes, sw[:nk]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// CheckBatch reports whether every codeword is consistent. It performs no
-// heap allocations.
-func (c *Code) CheckBatch(cws [][]byte) bool {
-	c.checkBatchSlices(cws)
-	nk := c.n - c.k
-	var stage batchStage
-	var sw [gf.Order]uint64
-	for base := 0; base < len(cws); base += gf.Lanes {
-		lanes := min(gf.Lanes, len(cws)-base)
-		for l := 0; l < lanes; l++ {
-			copy(stage[l*c.n:], cws[base+l])
-		}
-		if c.synWords(stage[:], c.n, lanes, sw[:nk]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // DecodeBatchFlat decodes count codewords laid out in buf at the given
-// stride, in place, each correcting at most maxErrors symbol errors. The
-// all-clean fast path — every lane's syndromes zero, verified
-// word-parallel — touches nothing; lanes with nonzero syndromes fall back
-// to the scalar scratch decoder: corrected lanes are rewritten in place,
-// detected-uncorrectable lanes keep their raw content and are reported in
-// BatchResult.Bad. Steady-state decoding performs zero heap allocations
-// (Bad grows s's buffer once on the first batch that needs it).
-func (c *Code) DecodeBatchFlat(buf []byte, stride, count, maxErrors int, s *Scratch) BatchResult {
-	c.checkBatchFlatArgs(buf, stride, count)
-	if maxErrors < 0 || maxErrors > c.MaxCorrectable() {
-		panic(fmt.Sprintf("rs: maxErrors %d out of range [0, %d]", maxErrors, c.MaxCorrectable()))
+// stride, in place, each correcting the erased positions plus at most
+// maxErrors unknown-position symbol errors. The erasure positions apply to
+// every codeword in the batch (the sparing use case: one dead device
+// position per rank); with no erasures this is plain bounded decoding.
+//
+// The all-clean fast path — every lane's syndromes zero, verified
+// word-parallel — touches nothing. Lanes with nonzero syndromes fall back
+// to the scalar decoder — DecodeScratch without erasures,
+// DecodeErrorsErasuresScratch with them — with that decoder's result:
+// corrected lanes are rewritten in place, detected-uncorrectable lanes keep
+// their raw content and are reported in BatchResult.Bad.
+//
+// The bound and the erasure list are validated on every call, clean batch
+// or not, against 2*maxErrors + len(erasures) <= N-K; a violation panics.
+// Steady-state decoding performs zero heap allocations (Bad grows s's
+// buffer once on the first batch that needs it).
+func (c *Code) DecodeBatchFlat(buf []byte, stride, count int, erasures []int, maxErrors int, s *Scratch) BatchResult {
+	if count < 0 {
+		panic(fmt.Sprintf("rs: negative batch count %d", count))
 	}
+	if stride < c.n {
+		panic(fmt.Sprintf("rs: batch stride %d below codeword length %d", stride, c.n))
+	}
+	if count > 0 && len(buf) < (count-1)*stride+c.n {
+		panic(fmt.Sprintf("rs: batch buffer holds %d bytes, want >= %d for %d codewords at stride %d",
+			len(buf), (count-1)*stride+c.n, count, stride))
+	}
+	c.checkDecodeArgs(erasures, maxErrors)
 	nk := c.n - c.k
 	res := BatchResult{Bad: s.bad[:0]}
 	var sw [gf.Order]uint64
@@ -324,84 +170,13 @@ func (c *Code) DecodeBatchFlat(buf []byte, stride, count, maxErrors int, s *Scra
 				continue
 			}
 			lane := buf[(base+l)*stride : (base+l)*stride+c.n]
-			r, err := c.DecodeScratch(lane, maxErrors, s)
-			if err != nil {
-				res.Bad = append(res.Bad, base+l)
-				continue
+			var r Result
+			var err error
+			if len(erasures) == 0 {
+				r, err = c.DecodeScratch(lane, maxErrors, s)
+			} else {
+				r, err = c.DecodeErrorsErasuresScratch(lane, erasures, maxErrors, s)
 			}
-			copy(lane, r.Corrected)
-			res.Corrected += len(r.ErrorPositions)
-		}
-	}
-	s.bad = res.Bad[:0]
-	return res
-}
-
-// DecodeErrorsErasuresBatchFlat decodes count codewords laid out in buf at
-// the given stride, in place, each correcting the erased positions plus at
-// most maxErrors unknown-position errors — the batch counterpart of
-// DecodeErrorsErasuresScratch with the same in-place contract as
-// DecodeBatchFlat: the word-parallel syndrome sweep leaves all-clean groups
-// untouched, and only lanes with nonzero syndromes fall back to the scalar
-// erasure decoder. The erasure positions apply to every codeword in the
-// batch (the sparing use case: one dead device position per rank).
-func (c *Code) DecodeErrorsErasuresBatchFlat(buf []byte, stride, count int, erasures []int, maxErrors int, s *Scratch) BatchResult {
-	c.checkBatchFlatArgs(buf, stride, count)
-	nk := c.n - c.k
-	res := BatchResult{Bad: s.bad[:0]}
-	var sw [gf.Order]uint64
-	for base := 0; base < count; base += gf.Lanes {
-		lanes := min(gf.Lanes, count-base)
-		dirty := c.synWords(buf[base*stride:], stride, lanes, sw[:nk])
-		if dirty == 0 {
-			continue
-		}
-		for l := 0; l < lanes; l++ {
-			if byte(dirty>>(8*l)) == 0 {
-				continue
-			}
-			lane := buf[(base+l)*stride : (base+l)*stride+c.n]
-			r, err := c.DecodeErrorsErasuresScratch(lane, erasures, maxErrors, s)
-			if err != nil {
-				res.Bad = append(res.Bad, base+l)
-				continue
-			}
-			copy(lane, r.Corrected)
-			res.Corrected += len(r.ErrorPositions)
-		}
-	}
-	s.bad = res.Bad[:0]
-	return res
-}
-
-// DecodeBatch decodes every codeword (each of length N) in place with the
-// same contract as DecodeBatchFlat, staging clean-checks through an
-// on-stack group buffer; dirty lanes are decoded directly in their own
-// slices.
-func (c *Code) DecodeBatch(cws [][]byte, maxErrors int, s *Scratch) BatchResult {
-	c.checkBatchSlices(cws)
-	if maxErrors < 0 || maxErrors > c.MaxCorrectable() {
-		panic(fmt.Sprintf("rs: maxErrors %d out of range [0, %d]", maxErrors, c.MaxCorrectable()))
-	}
-	nk := c.n - c.k
-	res := BatchResult{Bad: s.bad[:0]}
-	var stage batchStage
-	var sw [gf.Order]uint64
-	for base := 0; base < len(cws); base += gf.Lanes {
-		lanes := min(gf.Lanes, len(cws)-base)
-		for l := 0; l < lanes; l++ {
-			copy(stage[l*c.n:], cws[base+l])
-		}
-		dirty := c.synWords(stage[:], c.n, lanes, sw[:nk])
-		if dirty == 0 {
-			continue
-		}
-		for l := 0; l < lanes; l++ {
-			if byte(dirty>>(8*l)) == 0 {
-				continue
-			}
-			lane := cws[base+l]
-			r, err := c.DecodeScratch(lane, maxErrors, s)
 			if err != nil {
 				res.Bad = append(res.Bad, base+l)
 				continue

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"arcc/internal/gf"
 )
 
 // batchCodes are the geometries the batch path is exercised on: the three
@@ -14,8 +16,9 @@ func batchCodes() []*Code {
 }
 
 // buildBatch returns count random valid codewords, flat at the given
-// stride, plus the same codewords as slices. Gap bytes between codewords
-// are filled with junk to catch kernels that read past N.
+// stride, plus a slice view of each codeword into the flat buffer. Gap
+// bytes between codewords are filled with junk to catch kernels that read
+// past N.
 func buildBatch(r *rand.Rand, c *Code, count, stride int) (flat []byte, cws [][]byte) {
 	flat = make([]byte, count*stride+7) // +junk tail beyond the last codeword
 	r.Read(flat)
@@ -36,90 +39,59 @@ func corruptLanes(r *rand.Rand, cw []byte, nbad int) {
 	}
 }
 
-func TestEncodeBatchMatchesScalar(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for _, c := range batchCodes() {
-		for _, count := range []int{0, 1, 2, 7, 8, 9, 16, 23} {
-			stride := c.N() + r.Intn(3)
-			flat, cws := buildBatch(r, c, count, stride)
-			// Scramble the check symbols, then batch-encode both forms.
-			want := make([][]byte, count)
-			for i, cw := range cws {
-				r.Read(cw[c.K():])
-				want[i] = append([]byte(nil), cw...)
-				c.EncodeInto(want[i])
-			}
-			c.EncodeBatchFlat(flat, stride, count)
-			for i, cw := range cws {
-				if !bytes.Equal(cw, want[i]) {
-					t.Fatalf("(%d,%d) EncodeBatchFlat count=%d stride=%d: codeword %d mismatch", c.N(), c.K(), count, stride, i)
-				}
-			}
-			for i := range cws {
-				r.Read(cws[i][c.K():])
-			}
-			c.EncodeBatch(cws)
-			for i, cw := range cws {
-				if !bytes.Equal(cw, want[i]) {
-					t.Fatalf("(%d,%d) EncodeBatch count=%d: codeword %d mismatch", c.N(), c.K(), count, i)
-				}
-			}
-		}
-	}
-}
-
+// TestSyndromesAndCheckBatchMatchScalar pins the batch decoder's
+// word-parallel syndrome sweep (synWords) to the scalar SyndromesInto lane
+// by lane, and its dirty word — the batch clean check — to whether any
+// lane has a nonzero syndrome.
 func TestSyndromesAndCheckBatchMatchScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, c := range batchCodes() {
 		nk := c.CheckSymbols()
-		for _, count := range []int{0, 1, 3, 8, 11, 17} {
-			stride := c.N() + r.Intn(5)
-			flat, cws := buildBatch(r, c, count, stride)
-			// Corrupt a few lanes so both clean and dirty lanes appear.
-			for i := range cws {
-				if i%3 == 1 {
-					corruptLanes(r, cws[i], 1+r.Intn(3))
+		want := make([]byte, nk)
+		for lanes := 1; lanes <= gf.Lanes; lanes++ {
+			for trial := 0; trial < 6; trial++ {
+				stride := c.N() + r.Intn(5)
+				flat, cws := buildBatch(r, c, lanes, stride)
+				// Corrupt some lanes so both clean and dirty lanes appear.
+				for i := range cws {
+					if r.Intn(3) == 1 {
+						corruptLanes(r, cws[i], 1+r.Intn(3))
+					}
 				}
-			}
-			want := make([]byte, count*nk)
-			allClean := true
-			for i, cw := range cws {
-				c.SyndromesInto(cw, want[i*nk:(i+1)*nk])
-				allClean = allClean && allZero(want[i*nk:(i+1)*nk])
-			}
-
-			got := make([]byte, count*nk)
-			c.SyndromesBatchFlat(flat, stride, count, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("(%d,%d) SyndromesBatchFlat count=%d stride=%d mismatch:\n got %x\nwant %x", c.N(), c.K(), count, stride, got, want)
-			}
-			for i := range got {
-				got[i] = 0
-			}
-			c.SyndromesBatch(cws, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("(%d,%d) SyndromesBatch count=%d mismatch", c.N(), c.K(), count)
-			}
-			if g := c.CheckBatchFlat(flat, stride, count); g != allClean {
-				t.Fatalf("(%d,%d) CheckBatchFlat = %v, want %v", c.N(), c.K(), g, allClean)
-			}
-			if g := c.CheckBatch(cws); g != allClean {
-				t.Fatalf("(%d,%d) CheckBatch = %v, want %v", c.N(), c.K(), g, allClean)
+				sw := make([]uint64, nk)
+				dirty := c.synWords(flat, stride, lanes, sw)
+				anyDirty := false
+				for l, cw := range cws {
+					c.SyndromesInto(cw, want)
+					anyDirty = anyDirty || !allZero(want)
+					for i := range want {
+						if got := byte(sw[i] >> (8 * l)); got != want[i] {
+							t.Fatalf("(%d,%d) lanes=%d: lane %d S_%d = %#x, want %#x", c.N(), c.K(), lanes, l, i, got, want[i])
+						}
+					}
+				}
+				if (dirty != 0) != anyDirty {
+					t.Fatalf("(%d,%d) lanes=%d: dirty word %#x, want dirty=%v", c.N(), c.K(), lanes, dirty, anyDirty)
+				}
+				for l := lanes; l < gf.Lanes; l++ {
+					if byte(dirty>>(8*l)) != 0 {
+						t.Fatalf("(%d,%d) lanes=%d: padding lane %d reads dirty", c.N(), c.K(), lanes, l)
+					}
+				}
 			}
 		}
 	}
 }
 
-// decodeScalarReference applies the per-codeword scalar decoder with the
-// batch path's in-place semantics: corrected lanes rewritten, DUE lanes
-// left raw and listed.
-func decodeScalarReference(c *Code, cws [][]byte, maxErrors int) (BatchResult, [][]byte) {
-	s := c.NewScratch()
+// decodeScalarReference applies the per-codeword scalar decoder — the
+// erasure decoder when erasures are given — with the batch path's in-place
+// semantics: corrected lanes rewritten, DUE lanes left raw and listed.
+func decodeScalarReference(c *Code, cws [][]byte, erasures []int, maxErrors int) (BatchResult, [][]byte) {
 	var res BatchResult
 	out := make([][]byte, len(cws))
 	for i, cw := range cws {
 		out[i] = append([]byte(nil), cw...)
-		r, err := c.DecodeScratch(cw, maxErrors, s)
+		r, err := decodeOne(c, cw, erasures, maxErrors)
 		if err != nil {
 			res.Bad = append(res.Bad, i)
 			continue
@@ -130,53 +102,52 @@ func decodeScalarReference(c *Code, cws [][]byte, maxErrors int) (BatchResult, [
 	return res, out
 }
 
+// TestDecodeBatchMatchesScalar checks DecodeBatchFlat lane by lane against
+// the scalar decoders, with no erasure (DecodeScratch) and with one erasure
+// shared by the batch (DecodeErrorsErasuresScratch), at the largest error
+// bound the distance limit allows.
 func TestDecodeBatchMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, c := range batchCodes() {
-		maxFix := c.MaxCorrectable()
-		for _, count := range []int{0, 1, 2, 8, 9, 13, 20} {
-			for trial := 0; trial < 8; trial++ {
-				stride := c.N() + r.Intn(4)
-				flat, cws := buildBatch(r, c, count, stride)
-				// Random per-lane corruption: clean, correctable, and
-				// overwhelming patterns mixed in one batch.
-				for i := range cws {
-					switch r.Intn(4) {
-					case 1:
-						corruptLanes(r, cws[i], 1+r.Intn(max(maxFix, 1)))
-					case 2:
-						corruptLanes(r, cws[i], maxFix+1+r.Intn(3))
+		for _, numErase := range []int{0, 1} {
+			maxFix := (c.CheckSymbols() - numErase) / 2
+			for _, count := range []int{0, 1, 2, 8, 9, 13, 20} {
+				for trial := 0; trial < 8; trial++ {
+					stride := c.N() + r.Intn(4)
+					flat, cws := buildBatch(r, c, count, stride)
+					erasures := r.Perm(c.N())[:numErase]
+					// Random per-lane corruption: clean, correctable, and
+					// overwhelming patterns mixed in one batch; with an
+					// erasure, its position is garbage in about half the
+					// lanes.
+					for i := range cws {
+						switch r.Intn(4) {
+						case 1:
+							corruptLanes(r, cws[i], 1+r.Intn(max(maxFix, 1)))
+						case 2:
+							corruptLanes(r, cws[i], maxFix+1+r.Intn(3))
+						}
+						for _, p := range erasures {
+							if r.Intn(2) == 0 {
+								cws[i][p] = byte(r.Intn(256))
+							}
+						}
 					}
-				}
-				snapshot := make([][]byte, count)
-				for i, cw := range cws {
-					snapshot[i] = append([]byte(nil), cw...)
-				}
-				wantRes, wantOut := decodeScalarReference(c, snapshot, maxFix)
-
-				s := c.NewScratch()
-				gotRes := c.DecodeBatchFlat(flat, stride, count, maxFix, s)
-				if gotRes.Corrected != wantRes.Corrected || !equalInts(gotRes.Bad, wantRes.Bad) {
-					t.Fatalf("(%d,%d) DecodeBatchFlat count=%d: result %+v, want %+v", c.N(), c.K(), count, gotRes, wantRes)
-				}
-				for i, cw := range cws {
-					if !bytes.Equal(cw, wantOut[i]) {
-						t.Fatalf("(%d,%d) DecodeBatchFlat count=%d: codeword %d content mismatch", c.N(), c.K(), count, i)
+					snapshot := make([][]byte, count)
+					for i, cw := range cws {
+						snapshot[i] = append([]byte(nil), cw...)
 					}
-				}
+					wantRes, wantOut := decodeScalarReference(c, snapshot, erasures, maxFix)
 
-				// Slice form on a fresh copy of the same batch.
-				copies := make([][]byte, count)
-				for i := range snapshot {
-					copies[i] = append([]byte(nil), snapshot[i]...)
-				}
-				gotRes = c.DecodeBatch(copies, maxFix, s)
-				if gotRes.Corrected != wantRes.Corrected || !equalInts(gotRes.Bad, wantRes.Bad) {
-					t.Fatalf("(%d,%d) DecodeBatch count=%d: result %+v, want %+v", c.N(), c.K(), count, gotRes, wantRes)
-				}
-				for i := range copies {
-					if !bytes.Equal(copies[i], wantOut[i]) {
-						t.Fatalf("(%d,%d) DecodeBatch count=%d: codeword %d content mismatch", c.N(), c.K(), count, i)
+					s := c.NewScratch()
+					gotRes := c.DecodeBatchFlat(flat, stride, count, erasures, maxFix, s)
+					if gotRes.Corrected != wantRes.Corrected || !equalInts(gotRes.Bad, wantRes.Bad) {
+						t.Fatalf("(%d,%d) DecodeBatchFlat count=%d erasures=%v: result %+v, want %+v", c.N(), c.K(), count, erasures, gotRes, wantRes)
+					}
+					for i, cw := range cws {
+						if !bytes.Equal(cw, wantOut[i]) {
+							t.Fatalf("(%d,%d) DecodeBatchFlat count=%d erasures=%v: codeword %d content mismatch", c.N(), c.K(), count, erasures, i)
+						}
 					}
 				}
 			}
@@ -204,7 +175,7 @@ func TestDecodeBatchMaxErrorsZero(t *testing.T) {
 	flat, cws := buildBatch(r, c, 8, c.N())
 	corruptLanes(r, cws[5], 1)
 	s := c.NewScratch()
-	res := c.DecodeBatchFlat(flat, c.N(), 8, 0, s)
+	res := c.DecodeBatchFlat(flat, c.N(), 8, nil, 0, s)
 	if res.Corrected != 0 || !equalInts(res.Bad, []int{5}) {
 		t.Fatalf("detect-only batch: %+v, want Bad=[5]", res)
 	}
@@ -248,59 +219,94 @@ func TestDecodeErasuresFastPathMatchesErrors(t *testing.T) {
 	}
 }
 
-// TestBatchAllocs pins the zero-allocation contract of every batch API,
-// clean and dirty, after a single warm-up call (the Bad buffer may grow
-// once).
+// TestBatchAllocs pins the zero-allocation contract of the batch decoder,
+// clean and dirty, with and without erasures, after a single warm-up call
+// (the Bad buffer may grow once).
 func TestBatchAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	c := New(36, 32)
 	const count = 13
-	flat, cws := buildBatch(r, c, count, c.N())
-	corruptLanes(r, cws[3], 2)
-	corruptLanes(r, cws[9], c.CheckSymbols()+2) // a DUE lane
-	pristine := append([]byte(nil), flat...)
+	clean, _ := buildBatch(r, c, count, c.N())
+	dirty := append([]byte(nil), clean...)
+	corruptLanes(r, dirty[3*c.N():4*c.N()], 2)
+	corruptLanes(r, dirty[9*c.N():10*c.N()], c.CheckSymbols()+2) // a DUE lane
+	// With position 7 erased: garbage there in every lane, one more error
+	// in lane 4, and an uncorrectable lane 11.
+	erased := append([]byte(nil), clean...)
+	for i := 0; i < count; i++ {
+		erased[i*c.N()+7] ^= 0x5A
+	}
+	erased[4*c.N()+20] ^= 0x11
+	corruptLanes(r, erased[11*c.N():12*c.N()], c.CheckSymbols())
+	erasures := []int{7}
+	flat := make([]byte, len(clean))
 	s := c.NewScratch()
-	syn := make([]byte, count*c.CheckSymbols())
 
-	c.DecodeBatchFlat(flat, c.N(), count, c.MaxCorrectable(), s) // warm up s.bad
-	copy(flat, pristine)
+	copy(flat, dirty)
+	c.DecodeBatchFlat(flat, c.N(), count, nil, c.MaxCorrectable(), s) // warm up s.bad
 
 	cases := []struct {
-		name string
-		fn   func()
+		name      string
+		input     []byte
+		erasures  []int
+		maxErrors int
 	}{
-		{"EncodeBatchFlat", func() { c.EncodeBatchFlat(flat, c.N(), count) }},
-		{"EncodeBatch", func() { c.EncodeBatch(cws) }},
-		{"SyndromesBatchFlat", func() { c.SyndromesBatchFlat(flat, c.N(), count, syn) }},
-		{"SyndromesBatch", func() { c.SyndromesBatch(cws, syn) }},
-		{"CheckBatchFlat", func() { _ = c.CheckBatchFlat(flat, c.N(), count) }},
-		{"CheckBatch", func() { _ = c.CheckBatch(cws) }},
-		{"DecodeBatchFlat", func() {
-			copy(flat, pristine)
-			c.DecodeBatchFlat(flat, c.N(), count, c.MaxCorrectable(), s)
-		}},
-		{"DecodeBatch", func() {
-			copy(flat, pristine)
-			c.DecodeBatch(cws, c.MaxCorrectable(), s)
-		}},
+		{"DecodeBatchFlat/clean", clean, nil, c.MaxCorrectable()},
+		{"DecodeBatchFlat/dirty", dirty, nil, c.MaxCorrectable()},
+		{"DecodeBatchFlat/dirty+erasure", erased, erasures, 1},
 	}
 	for _, tc := range cases {
-		if n := testing.AllocsPerRun(50, tc.fn); n != 0 {
+		fn := func() {
+			copy(flat, tc.input)
+			c.DecodeBatchFlat(flat, c.N(), count, tc.erasures, tc.maxErrors, s)
+		}
+		if n := testing.AllocsPerRun(50, fn); n != 0 {
 			t.Errorf("%s allocates %v per run, want 0", tc.name, n)
 		}
 	}
 }
 
-// FuzzDecodeBatchEquivalence feeds arbitrary bytes as a batch buffer and
-// cross-checks the batch decoder against the scalar decoder lane by lane.
-func FuzzDecodeBatchEquivalence(f *testing.F) {
-	f.Add([]byte{0}, uint8(3), uint8(2))
-	f.Add(bytes.Repeat([]byte{0xA5}, 200), uint8(9), uint8(1))
-	f.Add(bytes.Repeat([]byte{7}, 500), uint8(16), uint8(2))
+// TestDecodeBatchRejectsBadArgsOnCleanBatch pins that the error bound and
+// the erasure list are validated on every call: an all-clean batch never
+// reaches the scalar decoders, and must still reject what a dirty batch
+// would.
+func TestDecodeBatchRejectsBadArgsOnCleanBatch(t *testing.T) {
 	c := New(36, 32)
-	f.Fuzz(func(t *testing.T, raw []byte, countIn, maxErrIn uint8) {
+	flat, _ := buildBatch(rand.New(rand.NewSource(7)), c, 4, c.N())
+	s := c.NewScratch()
+	for _, tc := range []struct {
+		erasures  []int
+		maxErrors int
+	}{
+		{nil, -1}, {nil, 3}, {[]int{1}, 2}, {[]int{36}, 1}, {[]int{-1}, 0}, {[]int{2, 2}, 0}, {[]int{0, 1, 2, 3, 4}, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("erasures %v, maxErrors %d: clean batch accepted", tc.erasures, tc.maxErrors)
+				}
+			}()
+			c.DecodeBatchFlat(flat, c.N(), 4, tc.erasures, tc.maxErrors, s)
+		}()
+	}
+}
+
+// FuzzDecodeBatchEquivalence feeds arbitrary bytes as a batch buffer and
+// cross-checks the batch decoder against the scalar decoders lane by lane,
+// with no erasure or with one erased position shared by the batch.
+func FuzzDecodeBatchEquivalence(f *testing.F) {
+	f.Add([]byte{0}, uint8(3), uint8(2), uint8(36))
+	f.Add(bytes.Repeat([]byte{0xA5}, 200), uint8(9), uint8(1), uint8(5))
+	f.Add(bytes.Repeat([]byte{7}, 500), uint8(16), uint8(2), uint8(31))
+	c := New(36, 32)
+	f.Fuzz(func(t *testing.T, raw []byte, countIn, maxErrIn, erasureIn uint8) {
 		count := int(countIn) % 17
-		maxErrors := int(maxErrIn) % (c.MaxCorrectable() + 1)
+		// erasureIn selects one erased position, or none when it maps to N.
+		var erasures []int
+		if p := int(erasureIn) % (c.N() + 1); p < c.N() {
+			erasures = []int{p}
+		}
+		maxErrors := int(maxErrIn) % ((c.CheckSymbols()-len(erasures))/2 + 1)
 		need := count * c.N()
 		flat := make([]byte, need)
 		copy(flat, raw)
@@ -313,15 +319,15 @@ func FuzzDecodeBatchEquivalence(f *testing.F) {
 		for i := range cws {
 			cws[i] = append([]byte(nil), flat[i*c.N():(i+1)*c.N()]...)
 		}
-		wantRes, wantOut := decodeScalarReference(c, cws, maxErrors)
+		wantRes, wantOut := decodeScalarReference(c, cws, erasures, maxErrors)
 		s := c.NewScratch()
-		gotRes := c.DecodeBatchFlat(flat, c.N(), count, maxErrors, s)
+		gotRes := c.DecodeBatchFlat(flat, c.N(), count, erasures, maxErrors, s)
 		if gotRes.Corrected != wantRes.Corrected || !equalInts(gotRes.Bad, wantRes.Bad) {
-			t.Fatalf("batch result %+v, want %+v", gotRes, wantRes)
+			t.Fatalf("batch result %+v, want %+v (erasures %v, maxErrors %d)", gotRes, wantRes, erasures, maxErrors)
 		}
 		for i := 0; i < count; i++ {
 			if !bytes.Equal(flat[i*c.N():(i+1)*c.N()], wantOut[i]) {
-				t.Fatalf("lane %d content mismatch", i)
+				t.Fatalf("lane %d content mismatch (erasures %v, maxErrors %d)", i, erasures, maxErrors)
 			}
 		}
 	})

@@ -6,9 +6,8 @@ import (
 )
 
 // The benchmarks below cover the codec hot path on the (36, 32) upgraded
-// code — the geometry every ARCC decode in the simulator uses. The
-// *Scratch variants are the steady-state path (zero allocations); the
-// plain variants measure the pooled allocating wrappers.
+// code — the geometry every ARCC decode in the simulator uses. Every
+// decoder measured here is allocation-free in steady state.
 
 func benchCodeword(b *testing.B, c *Code, flips ...int) []byte {
 	b.Helper()
@@ -81,20 +80,6 @@ func BenchmarkDecodeScratchClean(b *testing.B) { benchmarkDecodeScratch(b) }
 func BenchmarkDecodeScratch1Err(b *testing.B)  { benchmarkDecodeScratch(b, 3) }
 func BenchmarkDecodeScratch2Err(b *testing.B)  { benchmarkDecodeScratch(b, 3, 17) }
 
-func BenchmarkDecode2Err(b *testing.B) {
-	// The allocating wrapper on the same workload as DecodeScratch2Err:
-	// the delta is the pooled-scratch detach copy.
-	c := New(36, 32)
-	cw := benchCodeword(b, c, 3, 17)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(cw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // The batch benchmarks below iterate b.N in codeword steps (i += lanes per
 // batch call), so their ns/op is per CODEWORD — directly comparable to the
 // scalar per-codeword benchmarks above. The headline comparison is
@@ -118,45 +103,6 @@ func benchBatch(b *testing.B, c *Code, lanes int, flips map[int][]int) []byte {
 	return buf
 }
 
-func BenchmarkEncodeBatch(b *testing.B) {
-	c := New(36, 32)
-	const lanes = 8
-	buf := benchBatch(b, c, lanes, nil)
-	b.SetBytes(int64(c.N()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += lanes {
-		c.EncodeBatchFlat(buf, c.N(), lanes)
-	}
-}
-
-func BenchmarkSyndromesBatch(b *testing.B) {
-	c := New(36, 32)
-	const lanes = 8
-	buf := benchBatch(b, c, lanes, nil)
-	syn := make([]byte, lanes*c.CheckSymbols())
-	b.SetBytes(int64(c.N()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += lanes {
-		c.SyndromesBatchFlat(buf, c.N(), lanes, syn)
-	}
-}
-
-func BenchmarkCheckBatch(b *testing.B) {
-	c := New(36, 32)
-	const lanes = 8
-	buf := benchBatch(b, c, lanes, nil)
-	b.SetBytes(int64(c.N()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += lanes {
-		if !c.CheckBatchFlat(buf, c.N(), lanes) {
-			b.Fatal("clean batch reported dirty")
-		}
-	}
-}
-
 func benchmarkDecodeBatch(b *testing.B, lanes int, flips map[int][]int) {
 	c := New(36, 32)
 	buf := benchBatch(b, c, lanes, flips)
@@ -166,7 +112,7 @@ func benchmarkDecodeBatch(b *testing.B, lanes int, flips map[int][]int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += lanes {
-		res := c.DecodeBatchFlat(buf, c.N(), lanes, c.MaxCorrectable(), s)
+		res := c.DecodeBatchFlat(buf, c.N(), lanes, nil, c.MaxCorrectable(), s)
 		if !res.OK() {
 			b.Fatal("batch decode failed")
 		}

@@ -54,13 +54,13 @@ func FuzzRSRoundTrip(f *testing.F) {
 					msg[i] = data[i%len(data)]
 				}
 			}
-			clean := code.Encode(msg)
+			clean := encode(code, msg)
 
 			// Correctable band: e <= t errors round-trip.
 			e := rng.Intn(code.MaxCorrectable() + 1)
 			cw := append([]byte(nil), clean...)
 			want := corrupt(rng, cw, e)
-			res, err := code.Decode(cw)
+			res, err := decodeOne(code, cw, nil, code.MaxCorrectable())
 			if err != nil {
 				t.Fatalf("(%d,%d): %d <= t errors not corrected: %v", code.N(), code.K(), e, err)
 			}
@@ -85,7 +85,7 @@ func FuzzRSRoundTrip(f *testing.F) {
 			e2 := lo + rng.Intn(hi-lo+1)
 			cw2 := append([]byte(nil), clean...)
 			corrupt(rng, cw2, e2)
-			if _, err := code.DecodeBounded(cw2, b); !errors.Is(err, ErrUncorrectable) {
+			if _, err := decodeOne(code, cw2, nil, b); !errors.Is(err, ErrUncorrectable) {
 				t.Fatalf("(%d,%d): %d errors under bound %d not flagged as DUE: %v",
 					code.N(), code.K(), e2, b, err)
 			}
@@ -94,7 +94,7 @@ func FuzzRSRoundTrip(f *testing.F) {
 			ne := 1 + rng.Intn(code.CheckSymbols())
 			cw3 := append([]byte(nil), clean...)
 			erased := corrupt(rng, cw3, ne)
-			res3, err := code.DecodeErasures(cw3, erased)
+			res3, err := decodeOne(code, cw3, erased, 0)
 			if err != nil || !bytes.Equal(res3.Corrected, clean) {
 				t.Fatalf("(%d,%d): %d erasures not reconstructed: %v", code.N(), code.K(), ne, err)
 			}
@@ -112,12 +112,12 @@ func TestRSCorruptionPropertyTable(t *testing.T) {
 		msg := make([]byte, code.K())
 		for trial := 0; trial < 200; trial++ {
 			rng.Read(msg)
-			clean := code.Encode(msg)
+			clean := encode(code, msg)
 
 			for e := 0; e <= code.MaxCorrectable(); e++ {
 				cw := append([]byte(nil), clean...)
 				corrupt(rng, cw, e)
-				res, err := code.Decode(cw)
+				res, err := decodeOne(code, cw, nil, code.MaxCorrectable())
 				if err != nil || !bytes.Equal(res.Corrected, clean) {
 					t.Fatalf("(%d,%d) trial %d: %d errors not corrected (%v)", code.N(), code.K(), trial, e, err)
 				}
@@ -127,7 +127,7 @@ func TestRSCorruptionPropertyTable(t *testing.T) {
 			for e := b + 1; e <= code.CheckSymbols()-b; e++ {
 				cw := append([]byte(nil), clean...)
 				corrupt(rng, cw, e)
-				if _, err := code.DecodeBounded(cw, b); !errors.Is(err, ErrUncorrectable) {
+				if _, err := decodeOne(code, cw, nil, b); !errors.Is(err, ErrUncorrectable) {
 					t.Fatalf("(%d,%d) trial %d: %d errors under bound %d escaped detection (%v)",
 						code.N(), code.K(), trial, e, b, err)
 				}

@@ -6,38 +6,36 @@
 // most one symbol per codeword. This package provides the code itself:
 //
 //   - Code{N, K} describes an (N, K) code with N-K check symbols.
-//   - Encode appends check symbols to K data symbols.
-//   - Decode corrects up to floor((N-K)/2) symbol errors and reports
-//     detected-but-uncorrectable patterns.
-//   - DecodeErasures corrects up to N-K erasures at known positions
-//     (used by double chip sparing once a failed device is identified).
+//   - EncodeInto recomputes a codeword's check symbols in place from its K
+//     data symbols.
+//   - DecodeBatchFlat decodes a flat batch of codewords in place, each
+//     correcting up to a caller-chosen bound of unknown-position symbol
+//     errors — at most floor((N-K)/2) — plus, optionally, erasures at
+//     known positions shared by every codeword (double chip sparing's dead
+//     device), and reports the detected-but-uncorrectable codewords.
 //
 // The configurations used by the ARCC evaluation are (18, 16) for relaxed
 // pages (2 check symbols: single symbol correct OR single symbol detect,
 // depending on decode policy) and (36, 32) for upgraded pages (4 check
 // symbols: single correct + double detect as in commercial SCCDCD).
 //
-// The hot path is allocation-free: New precomputes multiplication-table
-// rows for the generator coefficients, the syndrome evaluation points, and
-// the Chien stepping constants, and a reusable Scratch workspace (see
-// NewScratch/DecodeScratch) holds every buffer a decode needs. The plain
-// Decode/DecodeErasures entry points are thin wrappers that borrow a
-// pooled Scratch and copy the result out.
+// DecodeBatchFlat is the decoder the memory controller runs on every read,
+// scrub and page upgrade. It checks eight codewords at a time with a
+// word-parallel syndrome sweep on package gf's bit-sliced kernels (see
+// batch.go), so an all-clean batch is verified without running the scalar
+// decoder at all. Only lanes with nonzero syndromes fall back, one at a
+// time, to the scalar decoders DecodeScratch (errors only) and
+// DecodeErrorsErasuresScratch (errors and erasures).
 //
-// When several codewords of the same code decode together — the memory
-// controller's burst path, every exhibit's trial loop — the batch entry
-// points (EncodeBatch, SyndromesBatch, CheckBatch, DecodeBatch, and their
-// flat-stride *Flat forms; see batch.go) run the syndrome and encode
-// recurrences word-parallel on package gf's bit-sliced kernels, eight
-// codewords at a time. The all-clean batch is verified without running
-// the scalar decoder at all; only lanes with nonzero syndromes fall back
-// to DecodeScratch, one lane at a time.
+// The codec is allocation-free: New precomputes multiplication-table rows
+// for the generator coefficients, the syndrome evaluation points, and the
+// Chien stepping constants, and a reusable Scratch workspace (NewScratch)
+// holds every buffer a decode needs.
 package rs
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"arcc/internal/gf"
 )
@@ -51,7 +49,6 @@ var ErrUncorrectable = errors.New("rs: detected uncorrectable error")
 // symbols. Code values are immutable and safe for concurrent use.
 type Code struct {
 	n, k int
-	gen  gf.Polynomial // generator polynomial, degree n-k
 
 	// encRows[j] is the multiplication row of gen[n-k-1-j]: the feedback
 	// taps of the systematic encoder, highest coefficient first, so the
@@ -78,15 +75,10 @@ type Code struct {
 	posRootInv  []byte
 	posRootRows []*[gf.Size]byte
 
-	// synBatch[i] is the broadcast row of alpha^i and encBatch[j] the
-	// broadcast row of gen[n-k-1-j]: the word-parallel counterparts of
-	// synRows and encRows, driving the batch syndrome and encode kernels
-	// (batch.go) eight codeword lanes at a time.
+	// synBatch[i] is the broadcast row of alpha^i: the word-parallel
+	// counterpart of synRows, driving the batch syndrome sweep (batch.go)
+	// eight codeword lanes at a time.
 	synBatch []gf.BroadcastRow
-	encBatch []gf.BroadcastRow
-
-	// scratch pools Scratch workspaces for the allocating Decode wrappers.
-	scratch sync.Pool
 }
 
 // New constructs an (n, k) code. It panics if the parameters are outside
@@ -100,7 +92,7 @@ func New(n, k int) *Code {
 	for i := 0; i < n-k; i++ {
 		gen = gf.PolyMul(gen, gf.Polynomial{gf.Exp(i), 1})
 	}
-	c := &Code{n: n, k: k, gen: gen}
+	c := &Code{n: n, k: k}
 	nk := n - k
 	c.encRows = make([]*[gf.Size]byte, nk)
 	c.synRows = make([]*[gf.Size]byte, nk)
@@ -124,12 +116,9 @@ func New(n, k int) *Code {
 		c.posRootRows[p] = gf.MulRow(x)
 	}
 	c.synBatch = make([]gf.BroadcastRow, nk)
-	c.encBatch = make([]gf.BroadcastRow, nk)
 	for j := 0; j < nk; j++ {
 		c.synBatch[j] = gf.MulRowBatch(gf.Exp(j))
-		c.encBatch[j] = gf.MulRowBatch(gen[nk-1-j])
 	}
-	c.scratch.New = func() any { return c.NewScratch() }
 	return c
 }
 
@@ -145,18 +134,6 @@ func (c *Code) CheckSymbols() int { return c.n - c.k }
 // MaxCorrectable returns the number of symbol errors the code can correct
 // with errors-only decoding, floor((N-K)/2).
 func (c *Code) MaxCorrectable() int { return (c.n - c.k) / 2 }
-
-// Encode computes the codeword for data (length K) and returns a fresh
-// N-symbol slice: data followed by check symbols. It panics if len(data) != K.
-func (c *Code) Encode(data []byte) []byte {
-	if len(data) != c.k {
-		panic(fmt.Sprintf("rs: Encode called with %d data symbols, want %d", len(data), c.k))
-	}
-	cw := make([]byte, c.n)
-	copy(cw, data)
-	c.EncodeInto(cw)
-	return cw
-}
 
 // EncodeInto recomputes the check symbols of cw (length N) in place from its
 // first K data symbols. It performs no heap allocations.
@@ -186,18 +163,13 @@ func (c *Code) EncodeInto(cw []byte) {
 	copy(cw[c.k:], rem)
 }
 
-// Syndromes computes the N-K syndromes of cw in a fresh slice. All zero
-// syndromes mean the codeword is consistent (either error-free, or an
-// undetectable error pattern that aliases to another valid codeword).
-func (c *Code) Syndromes(cw []byte) []byte {
-	return c.SyndromesInto(cw, make([]byte, c.n-c.k))
-}
-
 // SyndromesInto computes the N-K syndromes of cw into syn, which must have
-// length N-K, and returns syn. It performs no heap allocations.
+// length N-K, and returns syn. All zero syndromes mean the codeword is
+// consistent (either error-free, or an undetectable error pattern that
+// aliases to another valid codeword). It performs no heap allocations.
 func (c *Code) SyndromesInto(cw, syn []byte) []byte {
 	if len(cw) != c.n {
-		panic(fmt.Sprintf("rs: Syndromes called with %d symbols, want %d", len(cw), c.n))
+		panic(fmt.Sprintf("rs: SyndromesInto called with %d symbols, want %d", len(cw), c.n))
 	}
 	if len(syn) != c.n-c.k {
 		panic(fmt.Sprintf("rs: SyndromesInto called with a %d-symbol buffer, want %d", len(syn), c.n-c.k))
@@ -239,11 +211,4 @@ func (c *Code) SyndromesInto(cw, syn []byte) []byte {
 		}
 	}
 	return syn
-}
-
-// Check reports whether cw is a consistent codeword (all syndromes zero).
-// It performs no heap allocations.
-func (c *Code) Check(cw []byte) bool {
-	var buf [gf.Order]byte
-	return allZero(c.SyndromesInto(cw, buf[:c.n-c.k]))
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"arcc/internal/gf"
 )
 
 // codesUnderTest returns the two code geometries the ARCC evaluation uses
@@ -20,6 +22,26 @@ func randData(r *rand.Rand, k int) []byte {
 	d := make([]byte, k)
 	r.Read(d)
 	return d
+}
+
+// encode returns a fresh codeword for data (length K): data followed by
+// its check symbols.
+func encode(c *Code, data []byte) []byte {
+	cw := make([]byte, c.N())
+	copy(cw, data)
+	c.EncodeInto(cw)
+	return cw
+}
+
+// decodeOne runs the scalar decoder the batch path falls back to —
+// DecodeScratch without erasures, DecodeErrorsErasuresScratch with them —
+// on a fresh Scratch, so the Result stays valid after the call.
+func decodeOne(c *Code, cw []byte, erasures []int, maxErrors int) (Result, error) {
+	s := c.NewScratch()
+	if len(erasures) == 0 {
+		return c.DecodeScratch(cw, maxErrors, s)
+	}
+	return c.DecodeErrorsErasuresScratch(cw, erasures, maxErrors, s)
 }
 
 func TestNewPanicsOnBadParams(t *testing.T) {
@@ -46,11 +68,17 @@ func TestEncodeIsSystematic(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, c := range codesUnderTest() {
 		data := randData(r, c.K())
-		cw := c.Encode(data)
+		cw := make([]byte, c.N())
+		copy(cw, data)
+		// Poison the check-symbol region to prove EncodeInto overwrites it.
+		for i := c.K(); i < c.N(); i++ {
+			cw[i] = 0xAA
+		}
+		c.EncodeInto(cw)
 		if !bytes.Equal(cw[:c.K()], data) {
 			t.Fatalf("(%d,%d): codeword does not begin with data", c.N(), c.K())
 		}
-		if !c.Check(cw) {
+		if !allZero(c.SyndromesInto(cw, make([]byte, c.CheckSymbols()))) {
 			t.Fatalf("(%d,%d): fresh codeword fails syndrome check", c.N(), c.K())
 		}
 	}
@@ -65,7 +93,7 @@ func TestEncodeLinear(t *testing.T) {
 		for i := range sum {
 			sum[i] = a[i] ^ b[i]
 		}
-		cwa, cwb, cws := c.Encode(a), c.Encode(b), c.Encode(sum)
+		cwa, cwb, cws := encode(c, a), encode(c, b), encode(c, sum)
 		for i := range cws {
 			if cwa[i]^cwb[i] != cws[i] {
 				t.Fatalf("(%d,%d): linearity violated at symbol %d", c.N(), c.K(), i)
@@ -77,8 +105,8 @@ func TestEncodeLinear(t *testing.T) {
 func TestDecodeCleanCodeword(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, c := range codesUnderTest() {
-		cw := c.Encode(randData(r, c.K()))
-		res, err := c.Decode(cw)
+		cw := encode(c, randData(r, c.K()))
+		res, err := decodeOne(c, cw, nil, c.MaxCorrectable())
 		if err != nil {
 			t.Fatalf("(%d,%d): decode of clean codeword failed: %v", c.N(), c.K(), err)
 		}
@@ -94,13 +122,13 @@ func TestDecodeCleanCodeword(t *testing.T) {
 func TestDecodeCorrectsSingleErrorEveryPositionEveryValue(t *testing.T) {
 	c := New(18, 16)
 	r := rand.New(rand.NewSource(4))
-	cw := c.Encode(randData(r, c.K()))
+	cw := encode(c, randData(r, c.K()))
 	for pos := 0; pos < c.N(); pos++ {
 		for _, delta := range []byte{1, 0x80, 0xFF, 0x5A} {
 			bad := make([]byte, len(cw))
 			copy(bad, cw)
 			bad[pos] ^= delta
-			res, err := c.Decode(bad)
+			res, err := decodeOne(c, bad, nil, c.MaxCorrectable())
 			if err != nil {
 				t.Fatalf("pos %d delta %#x: %v", pos, delta, err)
 			}
@@ -120,14 +148,14 @@ func TestDecodeCorrectsUpToT(t *testing.T) {
 		tMax := c.MaxCorrectable()
 		for errs := 1; errs <= tMax; errs++ {
 			for trial := 0; trial < 200; trial++ {
-				cw := c.Encode(randData(r, c.K()))
+				cw := encode(c, randData(r, c.K()))
 				bad := make([]byte, len(cw))
 				copy(bad, cw)
 				positions := r.Perm(c.N())[:errs]
 				for _, p := range positions {
 					bad[p] ^= byte(1 + r.Intn(255))
 				}
-				res, err := c.Decode(bad)
+				res, err := decodeOne(c, bad, nil, c.MaxCorrectable())
 				if err != nil {
 					t.Fatalf("(%d,%d) %d errors: %v", c.N(), c.K(), errs, err)
 				}
@@ -150,14 +178,14 @@ func TestDecodeDetectsTPlusOneErrors(t *testing.T) {
 	c := New(36, 32)
 	r := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 2000; trial++ {
-		cw := c.Encode(randData(r, c.K()))
+		cw := encode(c, randData(r, c.K()))
 		bad := make([]byte, len(cw))
 		copy(bad, cw)
 		positions := r.Perm(c.N())[:2]
 		for _, p := range positions {
 			bad[p] ^= byte(1 + r.Intn(255))
 		}
-		if _, err := c.DecodeBounded(bad, 1); err != ErrUncorrectable {
+		if _, err := decodeOne(c, bad, nil, 1); err != ErrUncorrectable {
 			t.Fatalf("double error decoded under single-error bound: trial %d, err %v", trial, err)
 		}
 	}
@@ -172,14 +200,14 @@ func TestRelaxedCodeDoubleErrorMayMiscorrect(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var detected, miscorrected int
 	for trial := 0; trial < 2000; trial++ {
-		cw := c.Encode(randData(r, c.K()))
+		cw := encode(c, randData(r, c.K()))
 		bad := make([]byte, len(cw))
 		copy(bad, cw)
 		positions := r.Perm(c.N())[:2]
 		for _, p := range positions {
 			bad[p] ^= byte(1 + r.Intn(255))
 		}
-		res, err := c.Decode(bad)
+		res, err := decodeOne(c, bad, nil, c.MaxCorrectable())
 		switch {
 		case err == ErrUncorrectable:
 			detected++
@@ -200,14 +228,14 @@ func TestRelaxedCodeDoubleErrorMayMiscorrect(t *testing.T) {
 func TestDecodeBoundedZeroDetectsOnly(t *testing.T) {
 	c := New(18, 16)
 	r := rand.New(rand.NewSource(8))
-	cw := c.Encode(randData(r, c.K()))
+	cw := encode(c, randData(r, c.K()))
 	bad := make([]byte, len(cw))
 	copy(bad, cw)
 	bad[3] ^= 0x40
-	if _, err := c.DecodeBounded(bad, 0); err != ErrUncorrectable {
+	if _, err := decodeOne(c, bad, nil, 0); err != ErrUncorrectable {
 		t.Fatalf("detect-only decode of corrupted word: err = %v, want ErrUncorrectable", err)
 	}
-	res, err := c.DecodeBounded(cw, 0)
+	res, err := decodeOne(c, cw, nil, 0)
 	if err != nil || !bytes.Equal(res.Corrected, cw) {
 		t.Fatalf("detect-only decode of clean word failed: %v", err)
 	}
@@ -215,15 +243,15 @@ func TestDecodeBoundedZeroDetectsOnly(t *testing.T) {
 
 func TestDecodeBoundedPanicsOutOfRange(t *testing.T) {
 	c := New(18, 16)
-	cw := c.Encode(make([]byte, 16))
+	cw := encode(c, make([]byte, 16))
 	for _, bound := range []int{-1, 2} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("DecodeBounded(bound=%d) did not panic", bound)
+					t.Errorf("DecodeScratch(bound=%d) did not panic", bound)
 				}
 			}()
-			c.DecodeBounded(cw, bound)
+			c.DecodeScratch(cw, bound, c.NewScratch())
 		}()
 	}
 }
@@ -234,14 +262,14 @@ func TestDecodeErasures(t *testing.T) {
 		nk := c.CheckSymbols()
 		for numErase := 1; numErase <= nk; numErase++ {
 			for trial := 0; trial < 100; trial++ {
-				cw := c.Encode(randData(r, c.K()))
+				cw := encode(c, randData(r, c.K()))
 				bad := make([]byte, len(cw))
 				copy(bad, cw)
 				erasures := r.Perm(c.N())[:numErase]
 				for _, p := range erasures {
 					bad[p] ^= byte(1 + r.Intn(255))
 				}
-				res, err := c.DecodeErasures(bad, erasures)
+				res, err := decodeOne(c, bad, erasures, 0)
 				if err != nil {
 					t.Fatalf("(%d,%d) %d erasures: %v", c.N(), c.K(), numErase, err)
 				}
@@ -258,8 +286,8 @@ func TestDecodeErasuresUnchangedPositionsAllowed(t *testing.T) {
 	// failed device may return correct data on some beats.
 	c := New(36, 32)
 	r := rand.New(rand.NewSource(10))
-	cw := c.Encode(randData(r, c.K()))
-	res, err := c.DecodeErasures(cw, []int{0, 7, 35})
+	cw := encode(c, randData(r, c.K()))
+	res, err := decodeOne(c, cw, []int{0, 7, 35}, 0)
 	if err != nil || !bytes.Equal(res.Corrected, cw) {
 		t.Fatalf("erasing intact positions: err=%v", err)
 	}
@@ -273,7 +301,7 @@ func TestDecodeErrorsErasuresCombined(t *testing.T) {
 	c := New(10, 4)
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 500; trial++ {
-		cw := c.Encode(randData(r, c.K()))
+		cw := encode(c, randData(r, c.K()))
 		bad := make([]byte, len(cw))
 		copy(bad, cw)
 		perm := r.Perm(c.N())
@@ -283,7 +311,7 @@ func TestDecodeErrorsErasuresCombined(t *testing.T) {
 			bad[p] ^= byte(1 + r.Intn(255))
 		}
 		bad[errPos] ^= byte(1 + r.Intn(255))
-		res, err := c.DecodeErrorsErasures(bad, erasures, 1)
+		res, err := decodeOne(c, bad, erasures, 1)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -295,23 +323,23 @@ func TestDecodeErrorsErasuresCombined(t *testing.T) {
 
 func TestDecodeErasuresTooMany(t *testing.T) {
 	c := New(18, 16)
-	cw := c.Encode(make([]byte, 16))
-	if _, err := c.DecodeErasures(cw, []int{0, 1, 2}); err != ErrUncorrectable {
+	cw := encode(c, make([]byte, 16))
+	if _, err := decodeOne(c, cw, []int{0, 1, 2}, 0); err != ErrUncorrectable {
 		t.Fatalf("3 erasures on 2-check code: err = %v, want ErrUncorrectable", err)
 	}
 }
 
 func TestDecodeErasuresPanicsOnBadPositions(t *testing.T) {
 	c := New(18, 16)
-	cw := c.Encode(make([]byte, 16))
+	cw := encode(c, make([]byte, 16))
 	for _, bad := range [][]int{{-1}, {18}, {3, 3}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("DecodeErasures(%v) did not panic", bad)
+					t.Errorf("DecodeErrorsErasuresScratch(%v) did not panic", bad)
 				}
 			}()
-			c.DecodeErasures(cw, bad)
+			decodeOne(c, cw, bad, 0)
 		}()
 	}
 }
@@ -319,46 +347,86 @@ func TestDecodeErasuresPanicsOnBadPositions(t *testing.T) {
 func TestDecodeDoesNotModifyInput(t *testing.T) {
 	c := New(18, 16)
 	r := rand.New(rand.NewSource(12))
-	cw := c.Encode(randData(r, c.K()))
+	cw := encode(c, randData(r, c.K()))
 	bad := make([]byte, len(cw))
 	copy(bad, cw)
 	bad[5] ^= 0x11
 	snapshot := make([]byte, len(bad))
 	copy(snapshot, bad)
-	if _, err := c.Decode(bad); err != nil {
+	if _, err := decodeOne(c, bad, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeOne(c, bad, []int{5}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bad, snapshot) {
-		t.Fatal("Decode modified its input")
+		t.Fatal("a scalar decode modified its input")
 	}
 }
 
-func TestEncodeIntoMatchesEncode(t *testing.T) {
-	c := New(36, 32)
-	r := rand.New(rand.NewSource(13))
-	data := randData(r, c.K())
-	want := c.Encode(data)
+// referenceEncode is the definitional systematic encoder, independent of
+// EncodeInto's LFSR: the check symbols are the remainder of
+// data(x)*x^(N-K) divided by the generator (x-alpha^0)...(x-alpha^(N-K-1)),
+// with data[0] the highest-power coefficient, found by schoolbook long
+// division.
+func referenceEncode(c *Code, data []byte) []byte {
+	nk := c.CheckSymbols()
+	gen := gf.Polynomial{1} // lowest power first
+	for i := 0; i < nk; i++ {
+		gen = gf.PolyMul(gen, gf.Polynomial{gf.Exp(i), 1})
+	}
+	// rem holds the dividend highest power first: data then nk zeros.
+	rem := make([]byte, c.N())
+	copy(rem, data)
+	for i := 0; i < c.K(); i++ {
+		q := rem[i] // gen is monic: the quotient term is the leading coefficient
+		for j := 0; j <= nk; j++ {
+			rem[i+j] ^= gf.Mul(q, gen[nk-j])
+		}
+	}
 	cw := make([]byte, c.N())
 	copy(cw, data)
-	// Poison the check-symbol region to prove EncodeInto overwrites it.
-	for i := c.K(); i < c.N(); i++ {
-		cw[i] = 0xAA
-	}
-	c.EncodeInto(cw)
-	if !bytes.Equal(cw, want) {
-		t.Fatal("EncodeInto disagrees with Encode")
+	copy(cw[c.K():], rem[c.K():])
+	return cw
+}
+
+// TestEncodeIntoMatchesEncode pins EncodeInto to the definitional encoder,
+// on a buffer whose check-symbol region is poisoned first.
+func TestEncodeIntoMatchesEncode(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for _, c := range codesUnderTest() {
+		for trial := 0; trial < 20; trial++ {
+			data := randData(r, c.K())
+			want := referenceEncode(c, data)
+			cw := make([]byte, c.N())
+			copy(cw, data)
+			for i := c.K(); i < c.N(); i++ {
+				cw[i] = 0xAA
+			}
+			c.EncodeInto(cw)
+			if !bytes.Equal(cw, want) {
+				t.Fatalf("(%d,%d): EncodeInto %x, definitional encode %x", c.N(), c.K(), cw, want)
+			}
+		}
 	}
 }
 
 func TestSyndromesLengthAndPanic(t *testing.T) {
 	c := New(18, 16)
-	if got := len(c.Syndromes(make([]byte, 18))); got != 2 {
+	if got := len(c.SyndromesInto(make([]byte, 18), make([]byte, 2))); got != 2 {
 		t.Fatalf("syndrome count = %d, want 2", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Syndromes with wrong length did not panic")
-		}
-	}()
-	c.Syndromes(make([]byte, 17))
+	for name, f := range map[string]func(){
+		"codeword": func() { c.SyndromesInto(make([]byte, 17), make([]byte, 2)) },
+		"syndrome": func() { c.SyndromesInto(make([]byte, 18), make([]byte, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SyndromesInto with wrong %s length did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }

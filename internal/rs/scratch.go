@@ -6,6 +6,16 @@ import (
 	"arcc/internal/gf"
 )
 
+// Result reports the outcome of a successful scalar decode.
+type Result struct {
+	// Corrected is the repaired codeword. It aliases the Scratch the
+	// decode ran against.
+	Corrected []byte
+	// ErrorPositions lists the codeword positions (0-based, data-first) at
+	// which symbols were corrected, in increasing order.
+	ErrorPositions []int
+}
+
 // Scratch is a reusable decode workspace. A Scratch holds every buffer the
 // decoder needs — syndromes, Berlekamp–Massey state, locator products,
 // Chien accumulators, Forney magnitudes, and the corrected codeword — so
@@ -15,8 +25,7 @@ import (
 // concurrent use, and the Result returned by DecodeScratch /
 // DecodeErrorsErasuresScratch aliases the scratch's buffers, valid only
 // until the next call that reuses the Scratch. Callers that need the result
-// to outlive the scratch must copy it (the allocating Decode wrappers do
-// exactly that with a pooled Scratch).
+// to outlive the scratch must copy it.
 type Scratch struct {
 	out    []byte // corrected codeword, length N
 	syn    []byte // syndromes, length N-K
@@ -39,7 +48,7 @@ type Scratch struct {
 	mags      []byte // Forney magnitudes
 	positions []int  // codeword positions of found roots
 
-	// bad backs BatchResult.Bad for the batch decoders (batch.go). It
+	// bad backs BatchResult.Bad for the batch decoder (batch.go). It
 	// grows on the first batch that reports uncorrectable lanes and is
 	// reused afterwards.
 	bad []int
@@ -69,17 +78,20 @@ func (c *Code) NewScratch() *Scratch {
 }
 
 // DecodeScratch corrects at most maxErrors symbol errors in cw using the
-// workspace s, with zero heap allocations. The input is not modified. The
-// returned Result aliases s's buffers and is valid until s's next use; see
-// Decode/DecodeBounded for the allocating equivalents and the meaning of
-// maxErrors.
+// workspace s, with zero heap allocations. It returns ErrUncorrectable when
+// the error pattern is detected but exceeds the bound. The input is not
+// modified. The returned Result aliases s's buffers and is valid until s's
+// next use.
+//
+// maxErrors must not exceed MaxCorrectable. Memory controllers use the
+// bound to implement policy: commercial SCCDCD decodes its 4-check-symbol
+// code with a bound of one error so that the residual check capacity
+// guarantees detection of a second bad symbol.
 func (c *Code) DecodeScratch(cw []byte, maxErrors int, s *Scratch) (Result, error) {
 	if len(cw) != c.n {
-		panic(fmt.Sprintf("rs: Decode called with %d symbols, want %d", len(cw), c.n))
+		panic(fmt.Sprintf("rs: DecodeScratch called with %d symbols, want %d", len(cw), c.n))
 	}
-	if maxErrors < 0 || maxErrors > c.MaxCorrectable() {
-		panic(fmt.Sprintf("rs: maxErrors %d out of range [0, %d]", maxErrors, c.MaxCorrectable()))
-	}
+	c.checkDecodeArgs(nil, maxErrors)
 	out := s.out
 	copy(out, cw)
 
@@ -115,32 +127,22 @@ func (c *Code) DecodeScratch(cw []byte, maxErrors int, s *Scratch) (Result, erro
 	return Result{Corrected: out, ErrorPositions: positions}, nil
 }
 
-// DecodeErrorsErasuresScratch corrects the erased positions and additionally
-// up to maxErrors unknown-position errors using the workspace s, with zero
-// heap allocations. The input is not modified. The returned Result aliases
-// s's buffers and is valid until s's next use; see DecodeErrorsErasures for
-// the allocating equivalent and the distance bound.
+// DecodeErrorsErasuresScratch corrects the erased positions (erasures) and
+// additionally up to maxErrors unknown-position errors using the workspace
+// s, with zero heap allocations, subject to the distance bound
+// 2*maxErrors + len(erasures) <= N-K. Double chip sparing decodes this way
+// once a failed device has been identified: the device's symbol position is
+// erased and reconstructed. More erasures than check symbols return
+// ErrUncorrectable. The input is not modified. The returned Result aliases
+// s's buffers and is valid until s's next use.
 func (c *Code) DecodeErrorsErasuresScratch(cw []byte, erasures []int, maxErrors int, s *Scratch) (Result, error) {
 	if len(cw) != c.n {
-		panic(fmt.Sprintf("rs: Decode called with %d symbols, want %d", len(cw), c.n))
+		panic(fmt.Sprintf("rs: DecodeErrorsErasuresScratch called with %d symbols, want %d", len(cw), c.n))
 	}
-	nk := c.n - c.k
-	if len(erasures) > nk {
+	if len(erasures) > c.n-c.k {
 		return Result{}, ErrUncorrectable
 	}
-	if maxErrors < 0 || 2*maxErrors+len(erasures) > nk {
-		panic(fmt.Sprintf("rs: 2*%d errors + %d erasures exceeds %d check symbols", maxErrors, len(erasures), nk))
-	}
-	for i, p := range erasures {
-		if p < 0 || p >= c.n {
-			panic(fmt.Sprintf("rs: erasure position %d out of range [0, %d)", p, c.n))
-		}
-		for _, q := range erasures[:i] {
-			if q == p {
-				panic(fmt.Sprintf("rs: duplicate erasure position %d", p))
-			}
-		}
-	}
+	c.checkDecodeArgs(erasures, maxErrors)
 	out := s.out
 	copy(out, cw)
 
@@ -245,6 +247,28 @@ func (c *Code) DecodeErrorsErasuresScratch(cw []byte, erasures []int, maxErrors 
 		return Result{Corrected: out}, nil
 	}
 	return Result{Corrected: out, ErrorPositions: positions[:n]}, nil
+}
+
+// checkDecodeArgs panics on a decode bound no decoder of this code accepts:
+// a negative maxErrors, a bound beyond the distance limit
+// 2*maxErrors + len(erasures) <= N-K (for errors only, maxErrors <=
+// MaxCorrectable), or an erasure position out of range or repeated. These
+// are caller bugs, not error patterns, so they panic instead of returning
+// ErrUncorrectable.
+func (c *Code) checkDecodeArgs(erasures []int, maxErrors int) {
+	if nk := c.n - c.k; maxErrors < 0 || 2*maxErrors+len(erasures) > nk {
+		panic(fmt.Sprintf("rs: %d errors + %d erasures out of range: need 2*errors + erasures <= %d", maxErrors, len(erasures), nk))
+	}
+	for i, p := range erasures {
+		if p < 0 || p >= c.n {
+			panic(fmt.Sprintf("rs: erasure position %d out of range [0, %d)", p, c.n))
+		}
+		for _, q := range erasures[:i] {
+			if q == p {
+				panic(fmt.Sprintf("rs: duplicate erasure position %d", p))
+			}
+		}
+	}
 }
 
 // berlekampMasseyInto finds the minimal error-locator polynomial sigma(x)
@@ -442,4 +466,13 @@ func mulAddTruncated(dst, a, b []byte) {
 		}
 		gf.MulAddSlice(dst[i:i+end], b[:end], v)
 	}
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }

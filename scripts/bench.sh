@@ -25,7 +25,7 @@ run() { go test -run=xxx -benchmem -count=1 "$@" | tee -a "$raw"; }
 # word-parallel batch kernels (PR 8): the batch benchmarks report ns per
 # CODEWORD, so BenchmarkDecodeBatchClean vs BenchmarkDecodeScratchClean is
 # the batch speedup on the clean read that dominates every sweep.
-run -bench='MulAddSlice|EncodeInto|EncodeBatch|Syndromes|ChienSearch|DecodeScratch|Decode2Err|DecodeBatch|CheckBatch|DecodeErasuresScratch' \
+run -bench='MulAddSlice|EncodeInto|Syndromes|ChienSearch|DecodeScratch|DecodeBatch|DecodeErasuresScratch' \
     ./internal/gf/ ./internal/rs/
 # Fault-arrival sampling, including the conditional ("at least one
 # fault") and rate-tilted importance samplers (PR 9).
@@ -42,9 +42,9 @@ run -bench='LifetimeOverheadStatsConditional' ./internal/reliability/
 # record the footprint-proportional residency — plus first-touch page
 # materialisation cost.
 run -bench='PagedMemTerabyteSweep|PagedMemMaterialise' ./internal/pagedmem/
-# Scheme-level scratch decode paths (the functional data path's per-access
-# work) and the full-system simulator steady state (PR 3's hot path).
-run -bench='DecodeInto|DecodeLegacy' ./internal/ecc/
+# Scheme-level four-codeword decode bursts (the functional data path's
+# per-access work) and the full-system simulator steady state.
+run -bench='DecodeBatchInto|DecodeSparedBatchInto' ./internal/ecc/
 run -bench='SimRunSteadyState' ./internal/sim/
 # End-to-end exhibit regenerators (quick profile). A handful of iterations
 # rather than one, so the recorded ns/op is comparable across PRs instead
