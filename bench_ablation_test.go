@@ -54,10 +54,11 @@ func benchLLC(b *testing.B, policy cache.Policy) {
 		}
 	}
 	b.ResetTimer()
+	var evs []cache.Eviction
 	for i := 0; i < b.N; i++ {
 		a := addrs[i%len(addrs)]
 		if !c.Access(a, false) {
-			c.Insert(a, i%3 == 0, false)
+			evs = c.InsertInto(a, i%3 == 0, false, evs[:0])
 		}
 	}
 }

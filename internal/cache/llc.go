@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -39,23 +40,45 @@ const (
 	IndependentLRU
 )
 
-type way struct {
-	tag      uint64
-	valid    bool
-	dirty    bool
-	upgraded bool
-	lastUse  int64
-}
+// Per-way flag bits.
+const (
+	flagDirty uint8 = 1 << iota
+	flagUpgraded
+)
 
 // LLC is a set-associative write-back, write-allocate cache.
+//
+// Ways are stored flat, set-major: way w of set s is slot s*assoc+w in every
+// per-way array. A slot's key is its tag plus one, so zero marks an invalid
+// way and a lookup is one compare per way. Invariants between public calls:
+//
+//   - an invalid slot is all zero: key, flags, link, and lastUse 0, which
+//     is older than any valid way (the clock is at least 1 at every use), so
+//     the LRU scan picks the first invalid way, as a fill-first-free cache
+//     does, and Reset is a clear of every array;
+//   - an upgraded line's partner (addr^1) is resident and upgraded — pairs
+//     fill together in InsertInto and leave together in evict — and link
+//     holds the offset from the line's slot to its partner's, symmetrically;
+//     every other slot's link is 0, pointing at itself;
+//   - upgraded[s] counts set s's upgraded ways, so a set with none takes the
+//     plain LRU scan;
+//   - missed is addr+1 of the line the last Access missed, cleared by every
+//     InsertInto: only an InsertInto can make a line resident, so an insert
+//     of that line may skip its lookup (still counting the tag read).
 type LLC struct {
-	sets     [][]way
-	numSets  uint64
+	keys     []uint64 // tag+1; 0 = invalid
+	lastUse  []int64
+	flags    []uint8
+	link     []int32 // partner slot minus own slot; 0 unless upgraded
+	upgraded []int32 // per set: upgraded ways
+
+	setMask  uint64
 	tagShift uint // log2(numSets); addr = tag<<tagShift | setIndex
 	assoc    int
 	policy   Policy
 	clock    int64
 	tagReads int64
+	missed   uint64
 
 	hits, misses, writebacks int64
 }
@@ -70,6 +93,9 @@ func New(sizeBytes, assoc int, policy Policy) *LLC {
 	if lines%assoc != 0 {
 		panic(fmt.Sprintf("cache: %d lines not divisible by associativity %d", lines, assoc))
 	}
+	if lines > math.MaxInt32 {
+		panic(fmt.Sprintf("cache: %d lines exceed the 32-bit slot index", lines))
+	}
 	numSets := lines / assoc
 	if numSets < 2 {
 		panic("cache: need at least 2 sets for paired sub-lines")
@@ -77,192 +103,198 @@ func New(sizeBytes, assoc int, policy Policy) *LLC {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a power of two", numSets))
 	}
-	sets := make([][]way, numSets)
-	backing := make([]way, numSets*assoc)
-	for i := range sets {
-		sets[i], backing = backing[:assoc], backing[assoc:]
-	}
-	return &LLC{
-		sets:     sets,
-		numSets:  uint64(numSets),
+	c := &LLC{
+		keys:     make([]uint64, lines),
+		lastUse:  make([]int64, lines),
+		flags:    make([]uint8, lines),
+		link:     make([]int32, lines),
+		upgraded: make([]int32, numSets),
+		setMask:  uint64(numSets - 1),
 		tagShift: uint(bits.TrailingZeros64(uint64(numSets))),
 		assoc:    assoc,
 		policy:   policy,
 	}
+	return c
 }
 
 // Reset returns the cache to its post-New state — empty, counters zeroed —
 // reusing the backing arrays. sim.Scratch resets rather than reallocates the
 // LLCs between simulator runs.
 func (c *LLC) Reset() {
-	for _, set := range c.sets {
-		clear(set)
-	}
-	c.clock, c.tagReads = 0, 0
+	clear(c.keys)
+	clear(c.lastUse)
+	clear(c.flags)
+	clear(c.link)
+	clear(c.upgraded)
+	c.clock, c.tagReads, c.missed = 0, 0, 0
 	c.hits, c.misses, c.writebacks = 0, 0, 0
 }
 
-func (c *LLC) setIndex(addr uint64) uint64 { return addr & (c.numSets - 1) }
-func (c *LLC) tagOf(addr uint64) uint64    { return addr >> c.tagShift }
+// locate returns addr's set, the set's first slot, and addr's key.
+func (c *LLC) locate(addr uint64) (set uint64, base int, key uint64) {
+	set = addr & c.setMask
+	return set, int(set) * c.assoc, addr>>c.tagShift + 1
+}
 
-func (c *LLC) find(addr uint64) *way {
-	set := c.sets[c.setIndex(addr)]
-	tag := c.tagOf(addr)
-	c.tagReads++
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return &set[i]
+// lookup returns the slot holding key in the set starting at base, or -1.
+func (c *LLC) lookup(base int, key uint64) int {
+	for i, k := range c.keys[base : base+c.assoc] {
+		if k == key {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Access looks up addr, updating recency and the dirty bit on a hit.
 // It reports whether the access hit.
 func (c *LLC) Access(addr uint64, write bool) bool {
 	c.clock++
-	if w := c.find(addr); w != nil {
+	c.tagReads++
+	_, base, key := c.locate(addr)
+	if i := c.lookup(base, key); i >= 0 {
 		c.hits++
-		w.lastUse = c.clock
+		c.lastUse[i] = c.clock
 		if write {
-			w.dirty = true
+			c.flags[i] |= flagDirty
 		}
 		return true
 	}
 	c.misses++
+	c.missed = addr + 1
 	return false
 }
 
 // Contains reports residency without touching recency or statistics.
 func (c *LLC) Contains(addr uint64) bool {
-	set := c.sets[c.setIndex(addr)]
-	tag := c.tagOf(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	_, base, key := c.locate(addr)
+	return c.lookup(base, key) >= 0
 }
 
-// Insert fills addr after a miss. For upgraded lines both sub-lines
+// InsertInto fills addr after a miss. For upgraded lines both sub-lines
 // (addr&^1 and addr|1) are inserted — the memory returned the whole 128 B
-// line. Returns the evictions this caused in a fresh slice (nil when none).
-// write marks the *requested* line dirty.
-//
-// Insert is a compatibility wrapper over InsertInto; hot callers should
-// pass their own eviction scratch to InsertInto instead.
-func (c *LLC) Insert(addr uint64, upgraded, write bool) []Eviction {
-	return c.InsertInto(addr, upgraded, write, nil)
-}
-
-// InsertInto is Insert with a caller-owned eviction buffer: the evictions
-// (at most three: a victim plus an upgraded victim's partner per sub-line
-// inserted) are appended to evs and the extended slice is returned. Passing
-// a scratch slice with spare capacity makes a steady-state miss path
-// allocation-free.
+// line. write marks the *requested* line dirty. The evictions (at most
+// three: a victim plus an upgraded victim's partner per sub-line inserted)
+// are appended to evs and the extended slice is returned; passing a scratch
+// slice with spare capacity makes a steady-state miss path allocation-free.
 func (c *LLC) InsertInto(addr uint64, upgraded, write bool, evs []Eviction) []Eviction {
 	c.clock++
+	absent := c.missed == addr+1 // the preceding Access missed addr
+	c.missed = 0
 	if !upgraded {
-		return c.insertOne(addr, false, write, evs)
-	}
-	lo, hi := addr&^uint64(1), addr|1
-	evs = c.insertOne(lo, true, write && addr == lo, evs)
-	evs = c.insertOne(hi, true, write && addr == hi, evs)
-	return evs
-}
-
-func (c *LLC) insertOne(addr uint64, upgraded, dirty bool, evs []Eviction) []Eviction {
-	if w := c.find(addr); w != nil {
-		// Already resident (e.g. partner was brought in earlier).
-		w.lastUse = c.clock
-		w.upgraded = w.upgraded || upgraded
-		w.dirty = w.dirty || dirty
+		_, evs = c.insertOne(addr, false, write, absent, evs)
 		return evs
 	}
-	set := c.sets[c.setIndex(addr)]
-	victim := c.pickVictim(addr, set)
-	if victim.valid {
-		evs = c.evict(victim, c.setIndex(addr), evs)
-	}
-	*victim = way{tag: c.tagOf(addr), valid: true, dirty: dirty, upgraded: upgraded, lastUse: c.clock}
+	lo, hi := addr&^uint64(1), addr|1
+	l, evs := c.insertOne(lo, true, write && addr == lo, absent && addr == lo, evs)
+	h, evs := c.insertOne(hi, true, write && addr == hi, absent && addr == hi, evs)
+	// Filling hi can evict only lines of hi's set and their partners in
+	// lo's set — never lo itself — so l still holds lo.
+	c.link[l], c.link[h] = int32(h-l), int32(l-h)
 	return evs
 }
 
-// pickVictim selects the LRU way. Under SharedRecency, a sub-line of an
-// upgraded pair is judged by the most recent use of either sub-line, which
-// costs a second tag access (counted; the paper doubles replacement time
-// and observes no slowdown).
-func (c *LLC) pickVictim(addr uint64, set []way) *way {
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
+// insertOne makes addr resident (filling it or, when it already is,
+// refreshing it in place) and returns its slot. absent skips the lookup for
+// a line known not to be resident; the tag read is counted either way.
+func (c *LLC) insertOne(addr uint64, upgraded, dirty, absent bool, evs []Eviction) (int, []Eviction) {
+	set, base, key := c.locate(addr)
+	c.tagReads++
+	var f uint8
+	if dirty {
+		f = flagDirty
+	}
+	if upgraded {
+		f |= flagUpgraded
+	}
+	if !absent {
+		if i := c.lookup(base, key); i >= 0 {
+			// Already resident (e.g. partner was brought in earlier).
+			c.lastUse[i] = c.clock
+			if f&^c.flags[i]&flagUpgraded != 0 {
+				c.upgraded[set]++
+			}
+			c.flags[i] |= f
+			return i, evs
 		}
 	}
-	setIdx := c.setIndex(addr)
+	v := c.pickVictim(set, base)
+	if c.keys[v] != 0 {
+		evs = c.evict(set, v, evs)
+	}
+	c.keys[v], c.lastUse[v], c.flags[v] = key, c.clock, f
+	if upgraded {
+		c.upgraded[set]++
+	}
+	return v, evs
+}
+
+// pickVictim selects the LRU way of the set starting at base (the first
+// invalid way, when there is one). Under SharedRecency, a sub-line of an
+// upgraded pair is judged by the most recent use of either sub-line, which
+// costs a second tag access (the paper doubles replacement time and
+// observes no slowdown). Those reads are counted only when the set is full:
+// a free way is taken without consulting any partner.
+func (c *LLC) pickVictim(set uint64, base int) int {
+	use := c.lastUse[base : base+c.assoc]
 	best := 0
-	bestRecency := int64(1<<62 - 1)
-	for i := range set {
-		rec := set[i].lastUse
-		if c.policy == SharedRecency && set[i].upgraded {
-			if p := c.partnerOf(&set[i], setIdx); p != nil {
-				c.tagReads++
-				if p.lastUse > rec {
-					rec = p.lastUse
-				}
+	if c.policy != SharedRecency || c.upgraded[set] == 0 {
+		oldest := use[0]
+		for i, u := range use {
+			if u < oldest {
+				oldest, best = u, i
 			}
 		}
-		if rec < bestRecency {
-			bestRecency = rec
-			best = i
+		return base + best
+	}
+	// A relaxed or invalid way links to itself, so every way's recency is
+	// max(own, linked) without a branch on the upgraded bit.
+	link := c.link[base : base+c.assoc]
+	bestRec := int64(math.MaxInt64)
+	for i, own := range use {
+		if rec := max(own, c.lastUse[base+i+int(link[i])]); rec < bestRec {
+			bestRec, best = rec, i
 		}
 	}
-	return &set[best]
-}
-
-// partnerOf finds the partner sub-line of w (which lives in the adjacent
-// set with the same tag), or nil if it is not resident.
-func (c *LLC) partnerOf(w *way, setIdx uint64) *way {
-	addr := w.tag<<c.tagShift | setIdx
-	partner := addr ^ 1
-	set := c.sets[c.setIndex(partner)]
-	tag := c.tagOf(partner)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return &set[i]
-		}
+	if use[best] != 0 {
+		// A full set: every upgraded way's partner tag was read.
+		c.tagReads += int64(c.upgraded[set])
 	}
-	return nil
+	return base + best
 }
 
-// evict removes w and, for upgraded sub-lines, also removes the partner so
-// both halves write back together. The evictions are appended to evs.
-func (c *LLC) evict(w *way, setIdx uint64, evs []Eviction) []Eviction {
-	addr := w.tag<<c.tagShift | setIdx
-	if !w.upgraded {
-		if w.dirty {
+// evict removes slot v of set and, for an upgraded sub-line, also its
+// partner (via the link) so both halves write back together. The evictions
+// are appended to evs.
+func (c *LLC) evict(set uint64, v int, evs []Eviction) []Eviction {
+	addr := (c.keys[v]-1)<<c.tagShift | set
+	dirty := c.flags[v]&flagDirty != 0
+	upgraded := c.flags[v]&flagUpgraded != 0
+	p := v + int(c.link[v])
+	c.invalidate(v)
+	if !upgraded {
+		if dirty {
 			c.writebacks++
 		}
-		w.valid = false
-		return append(evs, Eviction{Addr: addr, Dirty: w.dirty})
+		return append(evs, Eviction{Addr: addr, Dirty: dirty})
 	}
-	partnerAddr := addr ^ 1
-	base := len(evs)
-	evs = append(evs, Eviction{Addr: addr, Dirty: w.dirty, Upgraded: true, PairedWith: partnerAddr})
-	if p := c.partnerOf(w, setIdx); p != nil {
-		// Either sub-line dirty forces the pair to write back together.
-		evs = append(evs, Eviction{Addr: partnerAddr, Dirty: p.dirty, Upgraded: true, PairedWith: addr})
-		if w.dirty || p.dirty {
-			evs[base].Dirty = true
-			evs[base+1].Dirty = true
-			c.writebacks += 2
-		}
-		p.valid = false
-	} else if w.dirty {
-		c.writebacks++
+	c.upgraded[set]--
+	pDirty := c.flags[p]&flagDirty != 0
+	c.invalidate(p)
+	c.upgraded[set^1]--
+	// Either sub-line dirty forces the pair to write back together.
+	dirty = dirty || pDirty
+	if dirty {
+		c.writebacks += 2
 	}
-	w.valid = false
-	return evs
+	return append(evs,
+		Eviction{Addr: addr, Dirty: dirty, Upgraded: true, PairedWith: addr ^ 1},
+		Eviction{Addr: addr ^ 1, Dirty: dirty, Upgraded: true, PairedWith: addr})
+}
+
+// invalidate returns slot i to the invalid state.
+func (c *LLC) invalidate(i int) {
+	c.keys[i], c.lastUse[i], c.flags[i], c.link[i] = 0, 0, 0, 0
 }
 
 // Stats returns hit/miss/writeback counters and total tag reads (the extra

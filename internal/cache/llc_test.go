@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -33,7 +34,7 @@ func TestMissThenHit(t *testing.T) {
 	if c.Access(100, false) {
 		t.Fatal("cold access hit")
 	}
-	c.Insert(100, false, false)
+	c.InsertInto(100, false, false, nil)
 	if !c.Access(100, false) {
 		t.Fatal("access after insert missed")
 	}
@@ -47,10 +48,10 @@ func TestLRUEviction(t *testing.T) {
 	c := newSmall(SharedRecency) // 64 sets, 2 ways
 	// Three addresses in the same set (stride = numSets).
 	a, b, d := uint64(0), uint64(64), uint64(128)
-	c.Insert(a, false, false)
-	c.Insert(b, false, false)
+	c.InsertInto(a, false, false, nil)
+	c.InsertInto(b, false, false, nil)
 	c.Access(a, false) // b becomes LRU
-	ev := c.Insert(d, false, false)
+	ev := c.InsertInto(d, false, false, nil)
 	if len(ev) != 1 || ev[0].Addr != b {
 		t.Fatalf("evictions = %+v, want [b=64]", ev)
 	}
@@ -61,9 +62,9 @@ func TestLRUEviction(t *testing.T) {
 
 func TestDirtyEvictionCountsWriteback(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(0, false, true) // dirty
-	c.Insert(64, false, false)
-	ev := c.Insert(128, false, false) // evicts 0 (LRU)
+	c.InsertInto(0, false, true, nil) // dirty
+	c.InsertInto(64, false, false, nil)
+	ev := c.InsertInto(128, false, false, nil) // evicts 0 (LRU)
 	if len(ev) != 1 || !ev[0].Dirty {
 		t.Fatalf("evictions = %+v, want dirty eviction of 0", ev)
 	}
@@ -75,24 +76,26 @@ func TestDirtyEvictionCountsWriteback(t *testing.T) {
 
 func TestUpgradedInsertBringsBothSubLines(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(10, true, false)
+	c.InsertInto(10, true, false, nil)
 	if !c.Contains(10) || !c.Contains(11) {
 		t.Fatal("upgraded insert must fill both sub-lines")
 	}
 	// Sub-lines land in adjacent sets.
-	if c.setIndex(10) == c.setIndex(11) {
+	s10, _, _ := c.locate(10)
+	s11, _, _ := c.locate(11)
+	if s10 == s11 {
 		t.Fatal("sub-lines should map to different (adjacent) sets")
 	}
 }
 
 func TestUpgradedPairEvictsTogether(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(10, true, true) // pair {10, 11}, 10 dirty
+	c.InsertInto(10, true, true, nil) // pair {10, 11}, 10 dirty
 	// Force eviction of 10 by filling its set (set index 10, 2 ways) with
 	// same-set addresses; collect evictions across all inserts.
 	var ev []Eviction
 	for _, a := range []uint64{10 + 64, 10 + 128, 10 + 192} {
-		ev = append(ev, c.Insert(a, false, false)...)
+		ev = append(ev, c.InsertInto(a, false, false, nil)...)
 	}
 	var sawPair int
 	for _, e := range ev {
@@ -118,12 +121,12 @@ func TestSharedRecencyProtectsPartner(t *testing.T) {
 	// Pair {0, 1}; only sub-line 1 is reused. Under SharedRecency the
 	// reuse of 1 must protect 0 from eviction.
 	c := newSmall(SharedRecency)
-	c.Insert(0, true, false) // pair {0,1}: 0 in set 0, 1 in set 1
-	c.Insert(64, false, false)
-	c.Access(1, false)                // refresh partner's recency
-	c.Access(64, false)               // refresh competitor too... make 64 newer than 0's own use
-	c.Access(1, false)                // partner newest overall
-	ev := c.Insert(128, false, false) // set 0 is full: {0, 64}
+	c.InsertInto(0, true, false, nil) // pair {0,1}: 0 in set 0, 1 in set 1
+	c.InsertInto(64, false, false, nil)
+	c.Access(1, false)                         // refresh partner's recency
+	c.Access(64, false)                        // refresh competitor too... make 64 newer than 0's own use
+	c.Access(1, false)                         // partner newest overall
+	ev := c.InsertInto(128, false, false, nil) // set 0 is full: {0, 64}
 	if len(ev) != 1 {
 		t.Fatalf("evictions %+v", ev)
 	}
@@ -134,12 +137,12 @@ func TestSharedRecencyProtectsPartner(t *testing.T) {
 
 func TestIndependentLRUDoesNotProtectPartner(t *testing.T) {
 	c := newSmall(IndependentLRU)
-	c.Insert(0, true, false)
-	c.Insert(64, false, false)
+	c.InsertInto(0, true, false, nil)
+	c.InsertInto(64, false, false, nil)
 	c.Access(1, false)
 	c.Access(64, false)
 	c.Access(1, false)
-	ev := c.Insert(128, false, false)
+	ev := c.InsertInto(128, false, false, nil)
 	// Under independent LRU, sub-line 0's own recency is oldest, so the
 	// pair gets evicted despite partner reuse.
 	found := false
@@ -155,17 +158,16 @@ func TestIndependentLRUDoesNotProtectPartner(t *testing.T) {
 
 func TestPartnerReinsertIsIdempotent(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(20, true, false)
-	c.Insert(21, true, true) // partner already resident; must not duplicate
+	c.InsertInto(20, true, false, nil)
+	c.InsertInto(21, true, true, nil) // partner already resident; must not duplicate
 	if !c.Contains(20) || !c.Contains(21) {
 		t.Fatal("pair should be resident")
 	}
-	// Count resident copies of 21's tag in its set.
-	set := c.sets[c.setIndex(21)]
-	tag := c.tagOf(21)
+	// Count resident copies of 21's key in its set.
+	_, base, key := c.locate(21)
 	n := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	for _, k := range c.keys[base : base+c.assoc] {
+		if k == key {
 			n++
 		}
 	}
@@ -176,12 +178,12 @@ func TestPartnerReinsertIsIdempotent(t *testing.T) {
 
 func TestWriteMarksOnlyRequestedSubLineDirty(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(30, true, true) // write to even sub-line
+	c.InsertInto(30, true, true, nil) // write to even sub-line
 	// Evict the pair and check dirtiness: 30 dirty, and pair write-back
 	// policy promotes both to dirty together.
-	c.Insert(30+64, false, false)
-	c.Insert(30+128, false, false)
-	ev := c.Insert(30+192, false, false)
+	c.InsertInto(30+64, false, false, nil)
+	c.InsertInto(30+128, false, false, nil)
+	ev := c.InsertInto(30+192, false, false, nil)
 	for _, e := range ev {
 		if (e.Addr == 30 || e.Addr == 31) && !e.Dirty {
 			t.Fatalf("pair member %d not dirty on paired write-back", e.Addr)
@@ -191,10 +193,10 @@ func TestWriteMarksOnlyRequestedSubLineDirty(t *testing.T) {
 
 func TestTagReadsCountedForSharedRecency(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(0, true, false)
-	c.Insert(64, false, false)
+	c.InsertInto(0, true, false, nil)
+	c.InsertInto(64, false, false, nil)
 	_, _, _, before := c.Stats()
-	c.Insert(128, false, false) // replacement in set 0 examines partner tag
+	c.InsertInto(128, false, false, nil) // replacement in set 0 examines partner tag
 	_, _, _, after := c.Stats()
 	if after <= before {
 		t.Fatal("replacement did not record extra tag reads")
@@ -206,7 +208,7 @@ func TestHitRate(t *testing.T) {
 	if c.HitRate() != 0 {
 		t.Fatal("hit rate before any access")
 	}
-	c.Insert(5, false, false)
+	c.InsertInto(5, false, false, nil)
 	c.Access(5, false)
 	c.Access(6, false)
 	if got := c.HitRate(); got != 0.5 {
@@ -222,20 +224,20 @@ func TestRandomizedInvariantNoDuplicateResidency(t *testing.T) {
 		upgraded := rng.Intn(3) == 0
 		write := rng.Intn(2) == 0
 		if !c.Access(addr, write) {
-			c.Insert(addr, upgraded, write)
+			c.InsertInto(addr, upgraded, write, nil)
 		}
 	}
 	// Invariant: no tag appears twice in a set.
-	for si, set := range c.sets {
+	for base := 0; base < len(c.keys); base += c.assoc {
 		seen := map[uint64]bool{}
-		for _, w := range set {
-			if !w.valid {
+		for _, k := range c.keys[base : base+c.assoc] {
+			if k == 0 {
 				continue
 			}
-			if seen[w.tag] {
-				t.Fatalf("set %d holds duplicate tag %d", si, w.tag)
+			if seen[k] {
+				t.Fatalf("set %d holds duplicate tag %d", base/c.assoc, k-1)
 			}
-			seen[w.tag] = true
+			seen[k] = true
 		}
 	}
 }
@@ -254,7 +256,7 @@ func TestSpatialWorkloadBenefitsFromUpgradedPrefetch(t *testing.T) {
 				addr = uint64(rng.Intn(1 << 20))
 			}
 			if !c.Access(addr, false) {
-				c.Insert(addr, upgraded, false)
+				c.InsertInto(addr, upgraded, false, nil)
 			}
 		}
 		return c.HitRate()
@@ -262,44 +264,6 @@ func TestSpatialWorkloadBenefitsFromUpgradedPrefetch(t *testing.T) {
 	relaxed, upgraded := run(false), run(true)
 	if upgraded <= relaxed {
 		t.Fatalf("upgraded-line prefetch did not help a sequential workload: %v <= %v", upgraded, relaxed)
-	}
-}
-
-// TestInsertIntoMatchesInsert pins the scratch API to the legacy one: the
-// same access/insert sequence driven through InsertInto (with a reused
-// eviction buffer) and Insert produces identical evictions and statistics.
-func TestInsertIntoMatchesInsert(t *testing.T) {
-	for _, policy := range []Policy{SharedRecency, IndependentLRU} {
-		legacy := newSmall(policy)
-		scratch := newSmall(policy)
-		rng := rand.New(rand.NewSource(7))
-		var evs []Eviction
-		for i := 0; i < 20000; i++ {
-			addr := uint64(rng.Intn(512))
-			write := rng.Intn(3) == 0
-			upgraded := rng.Intn(3) == 0
-			if legacy.Access(addr, write) != scratch.Access(addr, write) {
-				t.Fatalf("policy %v: access %d diverged", policy, i)
-			}
-			if legacy.Contains(addr) {
-				continue
-			}
-			want := legacy.Insert(addr, upgraded, write)
-			evs = scratch.InsertInto(addr, upgraded, write, evs[:0])
-			if len(want) != len(evs) {
-				t.Fatalf("policy %v: insert %d: %d evictions vs %d", policy, i, len(evs), len(want))
-			}
-			for j := range want {
-				if want[j] != evs[j] {
-					t.Fatalf("policy %v: insert %d eviction %d: %+v vs %+v", policy, i, j, evs[j], want[j])
-				}
-			}
-		}
-		lh, lm, lw, lt := legacy.Stats()
-		sh, sm, sw, st := scratch.Stats()
-		if lh != sh || lm != sm || lw != sw || lt != st {
-			t.Fatalf("policy %v: stats diverged: %d/%d/%d/%d vs %d/%d/%d/%d", policy, sh, sm, sw, st, lh, lm, lw, lt)
-		}
 	}
 }
 
@@ -332,7 +296,7 @@ func TestReset(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		a := uint64(rng.Intn(512))
 		if !used.Access(a, i%4 == 0) {
-			used.Insert(a, i%2 == 0, i%4 == 0)
+			used.InsertInto(a, i%2 == 0, i%4 == 0, nil)
 		}
 	}
 	used.Reset()
@@ -345,8 +309,8 @@ func TestReset(t *testing.T) {
 			t.Fatalf("access %d diverged after Reset", i)
 		}
 		if !fresh.Contains(a) {
-			wantEv := fresh.Insert(a, i%2 == 0, w)
-			gotEv := used.Insert(a, i%2 == 0, w)
+			wantEv := fresh.InsertInto(a, i%2 == 0, w, nil)
+			gotEv := used.InsertInto(a, i%2 == 0, w, nil)
 			if len(wantEv) != len(gotEv) {
 				t.Fatalf("insert %d diverged after Reset", i)
 			}
@@ -356,5 +320,48 @@ func TestReset(t *testing.T) {
 	fh, fm, fw, ft := fresh.Stats()
 	if uh != fh || um != fm || uw != fw || ut != ft {
 		t.Fatalf("stats diverged after Reset: %d/%d/%d/%d vs %d/%d/%d/%d", uh, um, uw, ut, fh, fm, fw, ft)
+	}
+}
+
+// BenchmarkLLCMissPath times the simulator's LLC step — Access, then
+// InsertInto on a miss with a reused eviction buffer — on the Table 7.2
+// cache (1 MB, 16-way, shared recency) over a seeded stream with 70%
+// sequential lines, a quarter of them writes, and 0%, 50% or 100% of pages
+// upgraded. One op is one access; allocs/op must stay 0.
+func BenchmarkLLCMissPath(b *testing.B) {
+	for _, pct := range []int{0, 50, 100} {
+		b.Run(fmt.Sprintf("upgraded=%d", pct), func(b *testing.B) {
+			type access struct {
+				line            uint64
+				write, upgraded bool
+			}
+			rng := rand.New(rand.NewSource(1))
+			stream := make([]access, 1<<16)
+			line := uint64(0)
+			for i := range stream {
+				if rng.Float64() < 0.7 {
+					line++
+				} else {
+					line = uint64(rng.Intn(1 << 22))
+				}
+				page := (line >> 6) * 0x9E3779B97F4A7C15
+				stream[i] = access{line, rng.Intn(4) == 0, page>>32%100 < uint64(pct)}
+			}
+			c := New(1<<20, 16, SharedRecency)
+			evs := make([]Eviction, 0, 4)
+			step := func(a access) {
+				if !c.Access(a.line, a.write) {
+					evs = c.InsertInto(a.line, a.upgraded, a.write, evs[:0])
+				}
+			}
+			for _, a := range stream {
+				step(a) // warm up: fill the cache
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(stream[i&(len(stream)-1)])
+			}
+		})
 	}
 }

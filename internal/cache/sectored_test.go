@@ -91,7 +91,7 @@ func TestSectoredWastesCapacityOnRandomWorkloads(t *testing.T) {
 		} else {
 			c := New(64*1024, 8, SharedRecency)
 			access = func(a uint64) bool { return c.Access(a, false) }
-			insert = func(a uint64) { c.Insert(a, false, false) }
+			insert = func(a uint64) { c.InsertInto(a, false, false, nil) }
 			hitRate = c.HitRate
 		}
 		// Hot random working set somewhat larger than half the cache.

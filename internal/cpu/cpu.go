@@ -15,10 +15,7 @@
 // Instructions between misses retire at the core's peak width.
 package cpu
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Config shapes one core.
 type Config struct {
@@ -102,18 +99,6 @@ type Issuer interface {
 	IssueAt(now int64) (complete int64)
 }
 
-// issuerFunc adapts a plain callback to Issuer for the IssueMiss wrapper.
-type issuerFunc func(now int64) int64
-
-func (f issuerFunc) IssueAt(now int64) int64 { return f(now) }
-
-// IssueMiss registers a demand miss via a callback. It is a compatibility
-// wrapper over IssueMissTo; hot callers should pre-bind an Issuer instead
-// of allocating a closure per miss.
-func (c *Core) IssueMiss(issue func(now int64) (complete int64)) {
-	c.IssueMissTo(issuerFunc(issue))
-}
-
 // IssueMissTo registers a demand miss. If the MLP window is full the core
 // first stalls until the oldest outstanding miss completes. It performs no
 // heap allocations.
@@ -131,9 +116,16 @@ func (c *Core) IssueMissTo(iss Issuer) {
 	if complete < c.time {
 		complete = c.time
 	}
-	// Insert keeping the slice sorted (it is tiny: MLP entries).
-	i, _ := slices.BinarySearch(c.outstanding, complete)
-	c.outstanding = slices.Insert(c.outstanding, i, complete)
+	// Insert keeping the window sorted: it holds fewer than MLP entries
+	// here (a full window stalled and retired its oldest above), so it
+	// grows in place within the capacity New reserved, shifting the later
+	// completions up one slot.
+	n := len(c.outstanding)
+	c.outstanding = c.outstanding[:n+1]
+	for ; n > 0 && c.outstanding[n-1] > complete; n-- {
+		c.outstanding[n] = c.outstanding[n-1]
+	}
+	c.outstanding[n] = complete
 
 	// A miss also has some exposed front-end cost even when overlapped.
 	c.time += c.cfg.HitLatency

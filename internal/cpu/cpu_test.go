@@ -1,6 +1,9 @@
 package cpu
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestNewPanicsOnBadConfig(t *testing.T) {
 	for _, cfg := range []Config{
@@ -55,7 +58,7 @@ func TestMLPOverlapsMisses(t *testing.T) {
 		const lat = 300
 		for i := 0; i < 1000; i++ {
 			c.AdvanceCompute(10)
-			c.IssueMiss(func(now int64) int64 { return now + lat })
+			c.IssueMissTo(&fixedIssuer{lat: lat})
 		}
 		c.Drain()
 		return c.Now()
@@ -71,14 +74,14 @@ func TestWindowFullStalls(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MLP = 2
 	c := New(cfg)
-	issue := func(now int64) int64 { return now + 1000 }
-	c.IssueMiss(issue)
-	c.IssueMiss(issue)
+	issue := &fixedIssuer{lat: 1000}
+	c.IssueMissTo(issue)
+	c.IssueMissTo(issue)
 	if c.OutstandingMisses() != 2 {
 		t.Fatalf("outstanding = %d, want 2", c.OutstandingMisses())
 	}
 	before := c.Now()
-	c.IssueMiss(issue) // must stall until the first completes
+	c.IssueMissTo(issue) // must stall until the first completes
 	if c.Now() < before+900 {
 		t.Fatalf("third miss did not stall the full window: time went %d -> %d", before, c.Now())
 	}
@@ -88,7 +91,7 @@ func TestRetireFreesWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MLP = 2
 	c := New(cfg)
-	c.IssueMiss(func(now int64) int64 { return now + 100 })
+	c.IssueMissTo(&fixedIssuer{lat: 100})
 	c.AdvanceCompute(1000) // plenty of time for the miss to retire
 	if c.OutstandingMisses() != 0 {
 		t.Fatalf("outstanding = %d after retirement window", c.OutstandingMisses())
@@ -97,7 +100,7 @@ func TestRetireFreesWindow(t *testing.T) {
 
 func TestDrain(t *testing.T) {
 	c := New(DefaultConfig())
-	c.IssueMiss(func(now int64) int64 { return now + 500 })
+	c.IssueMissTo(&fixedIssuer{lat: 500})
 	c.Drain()
 	if c.OutstandingMisses() != 0 {
 		t.Fatal("Drain left misses outstanding")
@@ -110,7 +113,7 @@ func TestDrain(t *testing.T) {
 func TestCompletionBeforeNowClamped(t *testing.T) {
 	c := New(DefaultConfig())
 	c.AdvanceCompute(10000)
-	c.IssueMiss(func(now int64) int64 { return 1 }) // stale completion
+	c.IssueMissTo(&fixedIssuer{lat: -1_000_000}) // stale completion
 	c.Drain()
 	if c.Now() < 5000 {
 		t.Fatal("time went backwards")
@@ -133,7 +136,7 @@ func TestMemoryLatencySensitivity(t *testing.T) {
 		c := New(DefaultConfig())
 		for i := 0; i < 2000; i++ {
 			c.AdvanceCompute(20)
-			c.IssueMiss(func(now int64) int64 { return now + lat })
+			c.IssueMissTo(&fixedIssuer{lat: lat})
 		}
 		c.Drain()
 		return c.IPC()
@@ -144,33 +147,36 @@ func TestMemoryLatencySensitivity(t *testing.T) {
 	}
 }
 
-// fixedIssuer is a closure-free Issuer for tests: completion = now + lat.
-type fixedIssuer struct{ lat int64 }
+// fixedIssuer is a test Issuer: completion = now + lat. It records the
+// cycle it was called at.
+type fixedIssuer struct{ lat, now int64 }
 
-func (f *fixedIssuer) IssueAt(now int64) int64 { return now + f.lat }
+func (f *fixedIssuer) IssueAt(now int64) int64 {
+	f.now = now
+	return now + f.lat
+}
 
-// TestIssueMissToMatchesIssueMiss pins the closure-free path to the legacy
-// callback path: the same miss sequence produces identical core state.
-func TestIssueMissToMatchesIssueMiss(t *testing.T) {
-	a := New(DefaultConfig())
-	b := New(DefaultConfig())
+// TestIssueMissToMatchesSortedInsert pins the in-place window insert to a
+// binary-search insert: after each miss the window must equal the previous
+// window with every completion at or before the issue cycle retired and the
+// (clamped) new completion inserted in sorted position. The latencies
+// include duplicates, zero and stale (negative) values, and a full window.
+func TestIssueMissToMatchesSortedInsert(t *testing.T) {
+	c := New(DefaultConfig())
 	iss := &fixedIssuer{}
-	lat := []int64{200, 40, 900, 1, 0, 350, 350, 77, 600, 5}
-	for i := 0; i < 200; i++ {
-		l := lat[i%len(lat)]
-		a.AdvanceCompute(i % 7)
-		b.AdvanceCompute(i % 7)
-		a.IssueMiss(func(now int64) int64 { return now + l })
-		iss.lat = l
-		b.IssueMissTo(iss)
-		if a.Now() != b.Now() || a.Instructions() != b.Instructions() || a.OutstandingMisses() != b.OutstandingMisses() {
-			t.Fatalf("miss %d: state diverged: now %d vs %d, misses %d vs %d", i, a.Now(), b.Now(), a.OutstandingMisses(), b.OutstandingMisses())
+	lat := []int64{200, 40, 900, 1, 0, 350, 350, 77, 600, 5, -50, 350}
+	for i := 0; i < 500; i++ {
+		c.AdvanceCompute(i % 7)
+		want := slices.Clone(c.outstanding)
+		iss.lat = lat[i%len(lat)]
+		c.IssueMissTo(iss)
+		want = slices.DeleteFunc(want, func(done int64) bool { return done <= iss.now })
+		complete := max(iss.now+iss.lat, iss.now)
+		at, _ := slices.BinarySearch(want, complete)
+		want = slices.Insert(want, at, complete)
+		if !slices.Equal(c.outstanding, want) {
+			t.Fatalf("miss %d: window %v, want %v", i, c.outstanding, want)
 		}
-	}
-	a.Drain()
-	b.Drain()
-	if a.Now() != b.Now() {
-		t.Fatalf("drained time diverged: %d vs %d", a.Now(), b.Now())
 	}
 }
 

@@ -101,10 +101,14 @@ type Controller struct {
 	busFree  []int64   // [channel]
 
 	// Bank-group column spacing state (tCCD): per channel, the start cycle
-	// and group of the last column command. Unused when the configuration
-	// has no bank groups or the timing has no TCCDL.
+	// and group of the last column command. Unused unless groups is set.
 	lastCol      []int64 // [channel]
 	lastColGroup []int   // [channel], -1 before any column command
+
+	// refresh and groups record, once in New, whether the timing models
+	// auto-refresh and whether the configuration has bank-group column
+	// spacing, so the access paths skip both when they are off.
+	refresh, groups bool
 
 	reads, writes  int64
 	busBusy        int64 // accumulated data-bus busy cycles (all channels)
@@ -133,7 +137,10 @@ func New(cfg Config, meter *power.Meter) *Controller {
 			rows[i][j] = -1
 		}
 	}
-	c := &Controller{cfg: cfg, meter: meter, bankFree: banks, openRow: rows, busFree: make([]int64, cfg.Channels)}
+	c := &Controller{cfg: cfg, meter: meter, bankFree: banks, openRow: rows, busFree: make([]int64, cfg.Channels),
+		refresh: cfg.Timing.TREFI > 0 && cfg.Timing.TRFC > 0,
+		groups:  cfg.BankGroups > 1 && cfg.Timing.TCCDL > 0,
+	}
 	c.lastCol = make([]int64, cfg.Channels)
 	c.lastColGroup = make([]int, cfg.Channels)
 	for i := range c.lastColGroup {
@@ -182,11 +189,15 @@ func (c *Controller) Access(now int64, channel, globalBank int, write bool) int6
 	if globalBank < 0 || globalBank >= c.cfg.RanksPerChannel*c.cfg.BanksPerRank {
 		panic(fmt.Sprintf("memctrl: bank %d out of range", globalBank))
 	}
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	start := max64(now, c.bankFree[channel][globalBank])
-	start = c.afterRefresh(start)
-	dataReady := start + int64(t.TRCD+t.CL)
-	dataStart := c.applyCCD(channel, globalBank, max64(dataReady, c.busFree[channel]))
+	if c.refresh {
+		start = c.afterRefresh(start)
+	}
+	dataStart := max64(start+int64(t.TRCD+t.CL), c.busFree[channel])
+	if c.groups {
+		dataStart = c.applyCCD(channel, globalBank, dataStart)
+	}
 	complete := dataStart + int64(t.Burst)
 	c.busFree[channel] = complete
 	c.bankFree[channel][globalBank] = start + int64(t.TRC)
@@ -267,13 +278,15 @@ func (c *Controller) AccessOpenPage(now int64, channel, globalBank int, row int6
 	if row < 0 {
 		panic("memctrl: negative row")
 	}
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	trp := t.TRP
 	if trp == 0 {
 		trp = t.TRCD // sensible DDR2 default: tRP == tRCD
 	}
 	start := max64(now, c.bankFree[channel][globalBank])
-	start = c.afterRefresh(start)
+	if c.refresh {
+		start = c.afterRefresh(start)
+	}
 	var dataReady int64
 	if c.openRow[channel][globalBank] == row {
 		// Row hit: column access only.
@@ -286,7 +299,10 @@ func (c *Controller) AccessOpenPage(now int64, channel, globalBank int, row int6
 		}
 		dataReady = start + penalty
 	}
-	dataStart := c.applyCCD(channel, globalBank, max64(dataReady, c.busFree[channel]))
+	dataStart := max64(dataReady, c.busFree[channel])
+	if c.groups {
+		dataStart = c.applyCCD(channel, globalBank, dataStart)
+	}
 	complete := dataStart + int64(t.Burst)
 	c.busFree[channel] = complete
 	c.bankFree[channel][globalBank] = complete
@@ -347,13 +363,11 @@ func (c *Controller) LastCompletion() int64 { return c.lastCompletion }
 // column-to-column spacing (tCCD_L to the same group, tCCD_S to another)
 // and records the command. Banks interleave across groups (group = bank %
 // BankGroups), so sequential bank interleaving alternates groups and pays
-// the short gap. A no-op when the configuration has no bank groups or the
-// timing no TCCDL — DDR2 configurations book identically to before.
+// the short gap. Called only when the configuration has bank groups and the
+// timing a TCCDL (c.groups) — DDR2 configurations book identically to
+// before.
 func (c *Controller) applyCCD(channel, globalBank int, dataStart int64) int64 {
-	t := c.cfg.Timing
-	if c.cfg.BankGroups <= 1 || t.TCCDL <= 0 {
-		return dataStart
-	}
+	t := &c.cfg.Timing
 	group := (globalBank % c.cfg.BanksPerRank) % c.cfg.BankGroups
 	if g := c.lastColGroup[channel]; g >= 0 {
 		gap := int64(t.TCCDS)
@@ -371,12 +385,10 @@ func (c *Controller) applyCCD(channel, globalBank int, dataStart int64) int64 {
 
 // afterRefresh pushes a command start time out of any refresh window: with
 // auto-refresh enabled, the first TRFC cycles of every TREFI period are
-// consumed by the refresh command (all banks of the rank busy).
+// consumed by the refresh command (all banks of the rank busy). Called only
+// when the timing models refresh (c.refresh).
 func (c *Controller) afterRefresh(start int64) int64 {
-	t := c.cfg.Timing
-	if t.TREFI <= 0 || t.TRFC <= 0 {
-		return start
-	}
+	t := &c.cfg.Timing
 	if offset := start % int64(t.TREFI); offset < int64(t.TRFC) {
 		return start - offset + int64(t.TRFC)
 	}

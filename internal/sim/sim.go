@@ -223,7 +223,7 @@ func withRefresh(t memctrl.Timing) memctrl.Timing {
 // only — RunWith fully resets every component before use — so for a given
 // Config the result is bit-identical whether the scratch is fresh or reused.
 // A Scratch serves one run at a time and is not safe for concurrent use;
-// mc-driven fan-outs thread one per shard (mc.MapScratch), and the plain Run
+// mc-driven fan-outs thread one per shard (mc.MapScratchCtx), and the plain Run
 // entry point borrows one from an internal pool.
 type Scratch struct {
 	cores   [4]*cpu.Core

@@ -46,6 +46,10 @@ run -bench='PagedMemTerabyteSweep|PagedMemMaterialise' ./internal/pagedmem/
 # per-access work) and the full-system simulator steady state.
 run -bench='DecodeBatchInto|DecodeSparedBatchInto' ./internal/ecc/
 run -bench='SimRunSteadyState' ./internal/sim/
+# The simulator's LLC step on its own (Access, then InsertInto on a miss)
+# at 0%, 50% and 100% of pages upgraded, so the LLC layer is gated apart
+# from the simulator steady state that contains it.
+run -bench='LLCMissPath' ./internal/cache/
 # End-to-end exhibit regenerators (quick profile). A handful of iterations
 # rather than one, so the recorded ns/op is comparable across PRs instead
 # of a single noisy wall-time sample.
