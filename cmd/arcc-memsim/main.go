@@ -88,17 +88,12 @@ func run() error {
 	cfg.InstructionsPerCore = *instructions
 	cfg.Seed = *seed
 	if *replayTrace != "" {
-		f, err := os.Open(*replayTrace)
+		src, err := workload.LoadTraceFile(*replayTrace)
 		if err != nil {
 			return err
 		}
-		accesses, err := workload.ReadAll(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		cfg.Sources[0] = workload.NewReplaySource(accesses)
-		fmt.Fprintf(os.Stderr, "replaying %d recorded accesses on core 0\n", len(accesses))
+		cfg.Sources[0] = src
+		fmt.Fprintf(os.Stderr, "replaying %d recorded accesses on core 0\n", src.Len())
 	}
 	r := sim.Run(cfg)
 

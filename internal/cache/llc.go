@@ -53,15 +53,17 @@ const (
 // way and a lookup is one compare per way. Invariants between public calls:
 //
 //   - an invalid slot is all zero: key, flags, link, and lastUse 0, which
-//     is older than any valid way (the clock is at least 1 at every use), so
-//     the LRU scan picks the first invalid way, as a fill-first-free cache
-//     does, and Reset is a clear of every array;
+//     is older than any valid way (the clock is at least 1 at every use),
+//     and Reset is a clear of every array;
 //   - an upgraded line's partner (addr^1) is resident and upgraded — pairs
 //     fill together in InsertInto and leave together in evict — and link
 //     holds the offset from the line's slot to its partner's, symmetrically;
 //     every other slot's link is 0, pointing at itself;
-//   - upgraded[s] counts set s's upgraded ways, so a set with none takes the
-//     plain LRU scan;
+//   - bit w of valid[s] is set exactly when way w of set s holds a line, so
+//     a set with a free way fills its first free way, as a fill-first-free
+//     cache does, without scanning recencies;
+//   - upgraded[s] counts set s's upgraded ways, so a full set with none
+//     takes the plain LRU scan;
 //   - missed is addr+1 of the line the last Access missed, cleared by every
 //     InsertInto: only an InsertInto can make a line resident, so an insert
 //     of that line may skip its lookup (still counting the tag read).
@@ -69,12 +71,14 @@ type LLC struct {
 	keys     []uint64 // tag+1; 0 = invalid
 	lastUse  []int64
 	flags    []uint8
-	link     []int32 // partner slot minus own slot; 0 unless upgraded
-	upgraded []int32 // per set: upgraded ways
+	link     []int32  // partner slot minus own slot; 0 unless upgraded
+	valid    []uint64 // per set: bit w set while way w is valid
+	upgraded []int32  // per set: upgraded ways
 
 	setMask  uint64
 	tagShift uint // log2(numSets); addr = tag<<tagShift | setIndex
 	assoc    int
+	waysMask uint64 // the low assoc bits
 	policy   Policy
 	clock    int64
 	tagReads int64
@@ -88,6 +92,9 @@ type LLC struct {
 func New(sizeBytes, assoc int, policy Policy) *LLC {
 	if sizeBytes <= 0 || assoc <= 0 {
 		panic(fmt.Sprintf("cache: invalid size %d / assoc %d", sizeBytes, assoc))
+	}
+	if assoc > 64 {
+		panic(fmt.Sprintf("cache: associativity %d exceeds the 64-bit free-way mask", assoc))
 	}
 	lines := sizeBytes / 64
 	if lines%assoc != 0 {
@@ -108,10 +115,12 @@ func New(sizeBytes, assoc int, policy Policy) *LLC {
 		lastUse:  make([]int64, lines),
 		flags:    make([]uint8, lines),
 		link:     make([]int32, lines),
+		valid:    make([]uint64, numSets),
 		upgraded: make([]int32, numSets),
 		setMask:  uint64(numSets - 1),
 		tagShift: uint(bits.TrailingZeros64(uint64(numSets))),
 		assoc:    assoc,
+		waysMask: uint64(1)<<assoc - 1, // all ones at assoc 64
 		policy:   policy,
 	}
 	return c
@@ -125,6 +134,7 @@ func (c *LLC) Reset() {
 	clear(c.lastUse)
 	clear(c.flags)
 	clear(c.link)
+	clear(c.valid)
 	clear(c.upgraded)
 	c.clock, c.tagReads, c.missed = 0, 0, 0
 	c.hits, c.misses, c.writebacks = 0, 0, 0
@@ -223,19 +233,24 @@ func (c *LLC) insertOne(addr uint64, upgraded, dirty, absent bool, evs []Evictio
 		evs = c.evict(set, v, evs)
 	}
 	c.keys[v], c.lastUse[v], c.flags[v] = key, c.clock, f
+	c.valid[set] |= 1 << (v - base)
 	if upgraded {
 		c.upgraded[set]++
 	}
 	return v, evs
 }
 
-// pickVictim selects the LRU way of the set starting at base (the first
-// invalid way, when there is one). Under SharedRecency, a sub-line of an
-// upgraded pair is judged by the most recent use of either sub-line, which
-// costs a second tag access (the paper doubles replacement time and
-// observes no slowdown). Those reads are counted only when the set is full:
-// a free way is taken without consulting any partner.
+// pickVictim selects the victim way of the set starting at base. A set with
+// a free way yields its first free way, as the LRU scans below would (an
+// invalid way's lastUse of 0 is older than any valid way's), without a scan
+// and without consulting any partner. A full set yields its LRU way. Under
+// SharedRecency, a sub-line of an upgraded pair is judged by the most recent
+// use of either sub-line, which costs a second tag access per upgraded way
+// (the paper doubles replacement time and observes no slowdown).
 func (c *LLC) pickVictim(set uint64, base int) int {
+	if free := ^c.valid[set] & c.waysMask; free != 0 {
+		return base + bits.TrailingZeros64(free)
+	}
 	use := c.lastUse[base : base+c.assoc]
 	best := 0
 	if c.policy != SharedRecency || c.upgraded[set] == 0 {
@@ -247,7 +262,7 @@ func (c *LLC) pickVictim(set uint64, base int) int {
 		}
 		return base + best
 	}
-	// A relaxed or invalid way links to itself, so every way's recency is
+	// A relaxed way links to itself, so every way's recency is
 	// max(own, linked) without a branch on the upgraded bit.
 	link := c.link[base : base+c.assoc]
 	bestRec := int64(math.MaxInt64)
@@ -256,10 +271,7 @@ func (c *LLC) pickVictim(set uint64, base int) int {
 			bestRec, best = rec, i
 		}
 	}
-	if use[best] != 0 {
-		// A full set: every upgraded way's partner tag was read.
-		c.tagReads += int64(c.upgraded[set])
-	}
+	c.tagReads += int64(c.upgraded[set])
 	return base + best
 }
 
@@ -272,6 +284,7 @@ func (c *LLC) evict(set uint64, v int, evs []Eviction) []Eviction {
 	upgraded := c.flags[v]&flagUpgraded != 0
 	p := v + int(c.link[v])
 	c.invalidate(v)
+	c.valid[set] &^= 1 << (v - int(set)*c.assoc)
 	if !upgraded {
 		if dirty {
 			c.writebacks++
@@ -281,6 +294,7 @@ func (c *LLC) evict(set uint64, v int, evs []Eviction) []Eviction {
 	c.upgraded[set]--
 	pDirty := c.flags[p]&flagDirty != 0
 	c.invalidate(p)
+	c.valid[set^1] &^= 1 << (p - int(set^1)*c.assoc)
 	c.upgraded[set^1]--
 	// Either sub-line dirty forces the pair to write back together.
 	dirty = dirty || pDirty

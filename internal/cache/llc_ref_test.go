@@ -318,13 +318,22 @@ func checkLLCMatchesReference(t testing.TB, policy Policy, size, assoc, pages in
 
 // checkLLCInvariants verifies the flat layout's bookkeeping, which the
 // observable behaviour alone does not pin: invalid slots are fully cleared,
-// every upgraded line links symmetrically to its upgraded partner and every
-// other slot to itself, and the
-// per-set upgraded counts are exact.
+// each set's valid mask marks exactly its valid ways, every upgraded line
+// links symmetrically to its upgraded partner and every other slot to
+// itself, and the per-set upgraded counts are exact.
 func checkLLCInvariants(t testing.TB, c *LLC) {
 	t.Helper()
 	for set := 0; set <= int(c.setMask); set++ {
 		var upgraded int32
+		var valid uint64
+		for i := set * c.assoc; i < (set+1)*c.assoc; i++ {
+			if c.keys[i] != 0 {
+				valid |= 1 << (i - set*c.assoc)
+			}
+		}
+		if valid != c.valid[set] {
+			t.Fatalf("set %d: valid ways %#x, mask says %#x", set, valid, c.valid[set])
+		}
 		for i := set * c.assoc; i < (set+1)*c.assoc; i++ {
 			if c.keys[i] == 0 {
 				if c.lastUse[i] != 0 || c.flags[i] != 0 || c.link[i] != 0 {

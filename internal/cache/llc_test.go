@@ -17,6 +17,7 @@ func TestNewPanics(t *testing.T) {
 		"zero assoc":  func() { New(1024, 0, SharedRecency) },
 		"indivisible": func() { New(64*3, 2, SharedRecency) },
 		"one set":     func() { New(128, 2, SharedRecency) },
+		"assoc > 64":  func() { New(1<<20, 128, SharedRecency) },
 	} {
 		func() {
 			defer func() {
@@ -327,41 +328,59 @@ func TestReset(t *testing.T) {
 // InsertInto on a miss with a reused eviction buffer — on the Table 7.2
 // cache (1 MB, 16-way, shared recency) over a seeded stream with 70%
 // sequential lines, a quarter of them writes, and 0%, 50% or 100% of pages
-// upgraded. One op is one access; allocs/op must stay 0.
+// upgraded. The warm sub-benchmarks fill the cache before timing, so every
+// miss evicts from a full set. The cold ones Reset the cache every 16K
+// accesses, untimed, so most misses fill a free way, as in a 1M-instruction
+// simulator run, where the LLCs stay far from full. One op is one access;
+// allocs/op must stay 0.
 func BenchmarkLLCMissPath(b *testing.B) {
-	for _, pct := range []int{0, 50, 100} {
-		b.Run(fmt.Sprintf("upgraded=%d", pct), func(b *testing.B) {
-			type access struct {
-				line            uint64
-				write, upgraded bool
+	type access struct {
+		line            uint64
+		write, upgraded bool
+	}
+	for _, warm := range []bool{true, false} {
+		for _, pct := range []int{0, 50, 100} {
+			name := fmt.Sprintf("upgraded=%d", pct)
+			if !warm {
+				name = "cold/" + name
 			}
-			rng := rand.New(rand.NewSource(1))
-			stream := make([]access, 1<<16)
-			line := uint64(0)
-			for i := range stream {
-				if rng.Float64() < 0.7 {
-					line++
-				} else {
-					line = uint64(rng.Intn(1 << 22))
+			b.Run(name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				stream := make([]access, 1<<16)
+				line := uint64(0)
+				for i := range stream {
+					if rng.Float64() < 0.7 {
+						line++
+					} else {
+						line = uint64(rng.Intn(1 << 22))
+					}
+					page := (line >> 6) * 0x9E3779B97F4A7C15
+					stream[i] = access{line, rng.Intn(4) == 0, page>>32%100 < uint64(pct)}
 				}
-				page := (line >> 6) * 0x9E3779B97F4A7C15
-				stream[i] = access{line, rng.Intn(4) == 0, page>>32%100 < uint64(pct)}
-			}
-			c := New(1<<20, 16, SharedRecency)
-			evs := make([]Eviction, 0, 4)
-			step := func(a access) {
-				if !c.Access(a.line, a.write) {
-					evs = c.InsertInto(a.line, a.upgraded, a.write, evs[:0])
+				c := New(1<<20, 16, SharedRecency)
+				evs := make([]Eviction, 0, 4)
+				step := func(a access) {
+					if !c.Access(a.line, a.write) {
+						evs = c.InsertInto(a.line, a.upgraded, a.write, evs[:0])
+					}
 				}
-			}
-			for _, a := range stream {
-				step(a) // warm up: fill the cache
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step(stream[i&(len(stream)-1)])
-			}
-		})
+				if warm {
+					for _, a := range stream {
+						step(a) // fill the cache
+					}
+				}
+				const coldSpan = 1 << 14
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !warm && i%coldSpan == 0 {
+						b.StopTimer()
+						c.Reset()
+						b.StartTimer()
+					}
+					step(stream[i&(len(stream)-1)])
+				}
+			})
+		}
 	}
 }

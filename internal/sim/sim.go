@@ -157,9 +157,8 @@ type Config struct {
 	// 333 MHz DDR2 clock = 9).
 	CPUCyclesPerDRAMCycle int64
 	// Sources, when non-nil, overrides the synthetic generators with
-	// caller-provided access sources (e.g. recorded traces replayed with
-	// workload.NewReplaySource, or trace files loaded into a
-	// workload.TraceSource and cloned per core). Entries left nil fall back
+	// caller-provided access sources (e.g. recorded traces loaded into a
+	// workload.TraceSource, cloned per core). Entries left nil fall back
 	// to the mix's generator for that core.
 	Sources [4]workload.Source
 	// Tenants, when non-empty, replaces the mix's four benchmarks with a

@@ -183,7 +183,7 @@ func TestMemorySystemString(t *testing.T) {
 	}
 }
 
-func TestReplaySourceReproducesStreamRun(t *testing.T) {
+func TestTraceSourceReproducesStreamRun(t *testing.T) {
 	// Record each core's stream, replay the traces through the simulator,
 	// and require the identical result — the trace path is faithful.
 	cfg := shortConfig(2, ARCC)
@@ -200,7 +200,7 @@ func TestReplaySourceReproducesStreamRun(t *testing.T) {
 		for j := 0; j < 200000; j++ {
 			accesses = append(accesses, s.Next())
 		}
-		replay.Sources[i] = workload.NewReplaySource(accesses)
+		replay.Sources[i] = workload.NewTraceSource(accesses)
 		base += uint64(b.FootprintLines)
 		base = (base + 63) &^ 63
 	}

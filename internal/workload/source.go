@@ -6,47 +6,13 @@ import (
 )
 
 // Source produces an access stream. *Stream (the synthetic generators) and
-// *ReplaySource (recorded traces) both implement it, so the simulator can
+// *TraceSource (recorded traces) both implement it, so the simulator can
 // run either.
 type Source interface {
 	Next() Access
 }
 
 var _ Source = (*Stream)(nil)
-
-// ReplaySource cycles through a recorded access sequence. When the
-// simulator needs more accesses than the trace holds, the trace wraps
-// around (with a fresh warning left to the caller via Wrapped).
-type ReplaySource struct {
-	accesses []Access
-	pos      int
-	wrapped  bool
-}
-
-// NewReplaySource wraps a recorded access sequence.
-func NewReplaySource(accesses []Access) *ReplaySource {
-	if len(accesses) == 0 {
-		panic("workload: empty replay source")
-	}
-	return &ReplaySource{accesses: accesses}
-}
-
-// Next implements Source.
-func (r *ReplaySource) Next() Access {
-	a := r.accesses[r.pos]
-	r.pos++
-	if r.pos == len(r.accesses) {
-		r.pos = 0
-		r.wrapped = true
-	}
-	return a
-}
-
-// Wrapped reports whether the trace has been replayed past its end.
-func (r *ReplaySource) Wrapped() bool { return r.wrapped }
-
-// Len returns the trace length.
-func (r *ReplaySource) Len() int { return len(r.accesses) }
 
 // ReadAll loads an entire trace stream into memory for replay.
 func ReadAll(rd io.Reader) ([]Access, error) {

@@ -120,7 +120,7 @@ func TestTraceWriterRejectsOversizeGap(t *testing.T) {
 	}
 }
 
-func TestReplaySourceWrapsAndReadAll(t *testing.T) {
+func TestReadAllRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	s := ByName("mesa").NewStream(9, 0)
 	if _, err := Record(&buf, s, 10); err != nil {
@@ -133,20 +133,11 @@ func TestReplaySourceWrapsAndReadAll(t *testing.T) {
 	if len(accesses) != 10 {
 		t.Fatalf("ReadAll returned %d accesses", len(accesses))
 	}
-	rs := NewReplaySource(accesses)
-	if rs.Len() != 10 || rs.Wrapped() {
-		t.Fatal("fresh replay source state wrong")
-	}
-	for i := 0; i < 10; i++ {
-		if got := rs.Next(); got != accesses[i] {
-			t.Fatalf("replay %d diverged", i)
+	s = ByName("mesa").NewStream(9, 0)
+	for i, a := range accesses {
+		if want := s.Next(); a != want {
+			t.Fatalf("access %d = %+v, recorded %+v", i, a, want)
 		}
-	}
-	if !rs.Wrapped() {
-		t.Fatal("source should report wrap after consuming the trace")
-	}
-	if got := rs.Next(); got != accesses[0] {
-		t.Fatal("wrap did not restart the trace")
 	}
 }
 
@@ -250,11 +241,11 @@ func TestRecordFlushesOnMidStreamFailure(t *testing.T) {
 	}
 }
 
-func TestNewReplaySourcePanicsOnEmpty(t *testing.T) {
+func TestNewTraceSourcePanicsOnEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	NewReplaySource(nil)
+	NewTraceSource(nil)
 }

@@ -21,10 +21,7 @@
 // random; mesa/calculix/sjeng/h264ref are cache-friendly).
 package workload
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Access is one LLC-level memory access.
 type Access struct {
@@ -61,9 +58,10 @@ func (b Benchmark) validate() {
 // Stream produces the access sequence of one benchmark instance.
 type Stream struct {
 	b    Benchmark
-	rng  *rand.Rand
+	rng  rng
 	base uint64 // first line of this instance's address range
 	cur  uint64 // current line within [0, FootprintLines)
+	hot  int64  // hot-set size in lines, at least 1
 	gapM float64
 }
 
@@ -71,13 +69,9 @@ type Stream struct {
 // line address of the region this benchmark instance owns; instances in a
 // mix get disjoint regions.
 func (b Benchmark) NewStream(seed int64, base uint64) *Stream {
-	b.validate()
-	return &Stream{
-		b:    b,
-		rng:  rand.New(rand.NewSource(seed)),
-		base: base,
-		gapM: 1000 / b.APKI,
-	}
+	s := new(Stream)
+	s.Reset(b, seed, base)
+	return s
 }
 
 // Reset re-initialises s exactly as b.NewStream(seed, base) would, reusing
@@ -90,6 +84,7 @@ func (s *Stream) Reset(b Benchmark, seed int64, base uint64) {
 	s.rng.Seed(seed)
 	s.base = base
 	s.cur = 0
+	s.hot = max(int64(float64(b.FootprintLines)*b.HotFraction), 1)
 	s.gapM = 1000 / b.APKI
 }
 
@@ -102,11 +97,7 @@ func (s *Stream) Next() Access {
 	if s.rng.Float64() < b.SpatialLocality {
 		s.cur = (s.cur + 1) % uint64(b.FootprintLines)
 	} else if s.rng.Float64() < b.HotWeight {
-		hot := uint64(float64(b.FootprintLines) * b.HotFraction)
-		if hot == 0 {
-			hot = 1
-		}
-		s.cur = uint64(s.rng.Int63n(int64(hot)))
+		s.cur = uint64(s.rng.Int63n(s.hot))
 	} else {
 		s.cur = uint64(s.rng.Int63n(int64(b.FootprintLines)))
 	}

@@ -147,3 +147,25 @@ func TestAllMixBenchmarksDistinctRegionsPossible(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStreamNext times the generator alone, round-robin over the four
+// streams of every Table 7.3 mix as the simulator's cores draw them. One op
+// is one access; allocs/op must stay 0.
+func BenchmarkStreamNext(b *testing.B) {
+	var streams []*Stream
+	for _, m := range Mixes() {
+		for i, bm := range m.Benchmarks {
+			streams = append(streams, bm.NewStream(int64(i)*7919+1, 0))
+		}
+	}
+	var sink uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := streams[i%len(streams)].Next()
+		sink += a.Line + uint64(a.Gap)
+	}
+	if sink == 0 {
+		b.Fatal("no accesses drawn")
+	}
+}

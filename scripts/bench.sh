@@ -47,9 +47,12 @@ run -bench='PagedMemTerabyteSweep|PagedMemMaterialise' ./internal/pagedmem/
 run -bench='DecodeBatchInto|DecodeSparedBatchInto' ./internal/ecc/
 run -bench='SimRunSteadyState' ./internal/sim/
 # The simulator's LLC step on its own (Access, then InsertInto on a miss)
-# at 0%, 50% and 100% of pages upgraded, so the LLC layer is gated apart
-# from the simulator steady state that contains it.
+# at 0%, 50% and 100% of pages upgraded, on a full cache and on a cold one
+# (reset every 16K accesses, as empty as in a simulator run), so the LLC
+# layer is gated apart from the simulator steady state that contains it.
 run -bench='LLCMissPath' ./internal/cache/
+# The synthetic access generator on its own, per access.
+run -bench='StreamNext' ./internal/workload/
 # End-to-end exhibit regenerators (quick profile). A handful of iterations
 # rather than one, so the recorded ns/op is comparable across PRs instead
 # of a single noisy wall-time sample.
