@@ -1,9 +1,6 @@
 package faultmodel
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Arrival is one fault event in a simulated channel lifetime.
 type Arrival struct {
@@ -42,34 +39,12 @@ func SampleArrivals(rng *rand.Rand, rates Rates, ranks, devicesPerRank int, year
 // capacity). With an adequately sized buffer — see ArrivalCapHint — the
 // steady state performs zero heap allocations. The RNG consumption is
 // identical to SampleArrivals, so the two are interchangeable mid-stream.
+// It builds a Sampler per call; Monte Carlo loops over one process build
+// it once with NewSampler instead.
 func SampleArrivalsInto(rng *rand.Rand, buf []Arrival, rates Rates, ranks, devicesPerRank int, years float64) []Arrival {
-	if ranks <= 0 || devicesPerRank <= 0 || years < 0 {
-		panic("faultmodel: invalid sampling parameters")
-	}
-	hours := years * HoursPerYear
-	totalDevices := ranks * devicesPerRank
-	out := buf[:0]
-	for _, t := range Types() {
-		rate, ok := rates[t]
-		if !ok || rate == 0 {
-			continue
-		}
-		lambda := rate * 1e-9 * float64(totalDevices) * hours
-		n := poisson(rng, lambda)
-		for i := 0; i < n; i++ {
-			a := Arrival{
-				AtHours: rng.Float64() * hours,
-				Type:    t,
-				Rank:    rng.Intn(ranks),
-				Device:  rng.Intn(devicesPerRank),
-			}
-			if t == Lane {
-				a.Rank = -1
-			}
-			out = append(out, a)
-		}
-	}
-	sortArrivals(out)
+	var s Sampler
+	s.initPlain(rates, ranks, devicesPerRank, years)
+	out, _ := s.SampleInto(rng, buf)
 	return out
 }
 
@@ -106,30 +81,5 @@ func sortArrivals(out []Arrival) {
 			j--
 		}
 		out[j+1] = a
-	}
-}
-
-// poisson draws from a Poisson distribution with mean lambda. Knuth's
-// method is exact and fast for the small lambdas (< 1) these simulations
-// use; a normal approximation covers the large-lambda tail defensively.
-func poisson(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 100 {
-		n := int(math.Round(lambda + math.Sqrt(lambda)*rng.NormFloat64()))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	l := math.Exp(-lambda)
-	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
 	}
 }

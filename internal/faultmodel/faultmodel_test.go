@@ -212,7 +212,7 @@ func TestSampleArrivalsMeanMatchesExpectation(t *testing.T) {
 
 func TestPoissonSmallAndLargeLambda(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	if got := poisson(rng, 0); got != 0 {
+	if got := poisson(rng, 0, 1); got != 0 {
 		t.Fatalf("poisson(0) = %d", got)
 	}
 	// Large-lambda path: mean within 5% over many draws.
@@ -220,7 +220,7 @@ func TestPoissonSmallAndLargeLambda(t *testing.T) {
 	var sum float64
 	const draws = 2000
 	for i := 0; i < draws; i++ {
-		sum += float64(poisson(rng, lambda))
+		sum += float64(poisson(rng, lambda, math.Exp(-lambda)))
 	}
 	mean := sum / draws
 	if math.Abs(mean-lambda)/lambda > 0.05 {

@@ -33,147 +33,28 @@ func PNoArrivals(rates Rates, ranks, devicesPerRank int, years float64) float64 
 	return math.Exp(-ExpectedArrivals(rates, ranks, devicesPerRank, years))
 }
 
-// SampleArrivalsConditional draws a fault history conditioned on at least
-// one arrival in the lifespan, returning the sorted trajectory and its
+// SampleArrivalsConditionalInto draws a fault history conditioned on at
+// least one arrival in the lifespan into buf's capacity (contents
+// ignored, backing array reused), returning the sorted trajectory and its
 // likelihood ratio 1 - e^{-λ} against the unconditioned process. It
 // panics when the aggregated rate is zero (conditioning on an impossible
-// event). Monte Carlo loops should call SampleArrivalsConditionalInto
-// with a reused buffer instead.
-func SampleArrivalsConditional(rng *rand.Rand, rates Rates, ranks, devicesPerRank int, years float64) ([]Arrival, float64) {
-	buf := make([]Arrival, 0, ArrivalCapHint(rates, ranks, devicesPerRank, years))
-	return SampleArrivalsConditionalInto(rng, buf, rates, ranks, devicesPerRank, years)
-}
-
-// SampleArrivalsConditionalInto is SampleArrivalsConditional drawing into
-// buf's capacity (contents ignored, backing array reused). The total
-// count comes from the zero-truncated Poisson; each arrival's type is
-// then categorical with probability proportional to the type's aggregated
-// rate — the standard marked-Poisson factorization, so the conditional
-// law exactly matches SampleArrivals given n >= 1.
+// event). It builds a Sampler per call; Monte Carlo loops over one
+// process build it once with NewConditionalSampler instead.
 func SampleArrivalsConditionalInto(rng *rand.Rand, buf []Arrival, rates Rates, ranks, devicesPerRank int, years float64) ([]Arrival, float64) {
-	if ranks <= 0 || devicesPerRank <= 0 || years < 0 {
-		panic("faultmodel: invalid sampling parameters")
-	}
-	hours := years * HoursPerYear
-	perDevice := 1e-9 * float64(ranks*devicesPerRank) * hours
-	var lambda float64
-	for _, t := range Types() {
-		lambda += rates[t] * perDevice
-	}
-	if lambda <= 0 {
-		panic("faultmodel: conditional sampling of a zero-rate arrival process")
-	}
-	n := zeroTruncatedPoisson(rng, lambda)
-	out := buf[:0]
-	for i := 0; i < n; i++ {
-		// Inverse-CDF walk over the per-type means; u lands past the last
-		// bucket only through float rounding, in which case the last
-		// nonzero-rate type absorbs it.
-		u := rng.Float64() * lambda
-		var typ Type
-		for _, t := range Types() {
-			lt := rates[t] * perDevice
-			if lt <= 0 {
-				continue
-			}
-			typ = t
-			if u < lt {
-				break
-			}
-			u -= lt
-		}
-		a := Arrival{
-			AtHours: rng.Float64() * hours,
-			Type:    typ,
-			Rank:    rng.Intn(ranks),
-			Device:  rng.Intn(devicesPerRank),
-		}
-		if typ == Lane {
-			a.Rank = -1
-		}
-		out = append(out, a)
-	}
-	sortArrivals(out)
-	return out, -math.Expm1(-lambda) // 1 - e^{-λ}, accurate for small λ
+	var s Sampler
+	s.initConditional(rates, ranks, devicesPerRank, years)
+	return s.SampleInto(rng, buf)
 }
 
-// SampleArrivalsTilted draws a fault history under rates scaled by tilt
-// and returns the sorted trajectory with its likelihood ratio
+// SampleArrivalsTiltedInto draws a fault history under rates scaled by
+// tilt into buf's capacity (contents ignored, backing array reused) and
+// returns the sorted trajectory with its likelihood ratio
 // e^{(tilt-1)λ} · tilt^{-n} against the unscaled process (λ the unscaled
 // aggregated mean, n the trajectory's arrival count). tilt must be
-// positive; values above 1 make faults commoner and are the useful
-// regime. Monte Carlo loops should call SampleArrivalsTiltedInto with a
-// reused buffer instead.
-func SampleArrivalsTilted(rng *rand.Rand, rates Rates, tilt float64, ranks, devicesPerRank int, years float64) ([]Arrival, float64) {
-	hint := int(float64(ArrivalCapHint(rates, ranks, devicesPerRank, years)) * math.Max(tilt, 1))
-	return SampleArrivalsTiltedInto(rng, make([]Arrival, 0, hint), rates, tilt, ranks, devicesPerRank, years)
-}
-
-// SampleArrivalsTiltedInto is SampleArrivalsTilted drawing into buf's
-// capacity (contents ignored, backing array reused).
+// positive and finite. It builds a Sampler per call; Monte Carlo loops
+// over one process build it once with NewTiltedSampler instead.
 func SampleArrivalsTiltedInto(rng *rand.Rand, buf []Arrival, rates Rates, tilt float64, ranks, devicesPerRank int, years float64) ([]Arrival, float64) {
-	if ranks <= 0 || devicesPerRank <= 0 || years < 0 {
-		panic("faultmodel: invalid sampling parameters")
-	}
-	if tilt <= 0 || math.IsNaN(tilt) || math.IsInf(tilt, 0) {
-		panic("faultmodel: tilt factor must be positive and finite")
-	}
-	hours := years * HoursPerYear
-	perDevice := 1e-9 * float64(ranks*devicesPerRank) * hours
-	out := buf[:0]
-	var lambda float64
-	for _, t := range Types() {
-		rate, ok := rates[t]
-		if !ok || rate == 0 {
-			continue
-		}
-		lt := rate * perDevice
-		lambda += lt
-		n := poisson(rng, lt*tilt)
-		for i := 0; i < n; i++ {
-			a := Arrival{
-				AtHours: rng.Float64() * hours,
-				Type:    t,
-				Rank:    rng.Intn(ranks),
-				Device:  rng.Intn(devicesPerRank),
-			}
-			if t == Lane {
-				a.Rank = -1
-			}
-			out = append(out, a)
-		}
-	}
-	sortArrivals(out)
-	w := math.Exp((tilt-1)*lambda - float64(len(out))*math.Log(tilt))
-	return out, w
-}
-
-// zeroTruncatedPoisson draws from a Poisson(lambda) conditioned on a
-// nonzero outcome. Small lambdas — the rare-fault regime this sampler
-// exists for — use exact inversion on the truncated pmf; large lambdas
-// fall back to rejection, where the zero outcome is vanishingly rare and
-// the expected number of redraws is 1/(1-e^{-λ}) ≈ 1.
-func zeroTruncatedPoisson(rng *rand.Rand, lambda float64) int {
-	if lambda > 30 {
-		for {
-			if n := poisson(rng, lambda); n > 0 {
-				return n
-			}
-		}
-	}
-	u := rng.Float64()
-	p := lambda / math.Expm1(lambda) // P(N=1 | N>=1)
-	cdf := p
-	k := 1
-	for u > cdf {
-		k++
-		p *= lambda / float64(k)
-		cdf += p
-		if p == 0 {
-			// Float underflow: the remaining mass is below representable
-			// precision, so u can only be rounding error past the cdf.
-			break
-		}
-	}
-	return k
+	var s Sampler
+	s.initTilted(rates, tilt, ranks, devicesPerRank, years)
+	return s.SampleInto(rng, buf)
 }

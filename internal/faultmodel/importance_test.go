@@ -183,7 +183,7 @@ func TestZeroTruncatedPoissonLaw(t *testing.T) {
 		const trials = 50_000
 		var sum float64
 		for i := 0; i < trials; i++ {
-			n := zeroTruncatedPoisson(rng, lambda)
+			n := zeroTruncatedPoisson(rng, lambda, math.Exp(-lambda), lambda/math.Expm1(lambda))
 			if n < 1 {
 				t.Fatalf("lambda %v: drew %d < 1", lambda, n)
 			}
@@ -199,12 +199,15 @@ func TestZeroTruncatedPoissonLaw(t *testing.T) {
 
 func TestImportancePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var buf []Arrival
 	for name, f := range map[string]func(){
-		"conditional zero rate": func() { SampleArrivalsConditional(rng, Rates{}, 2, 18, 7) },
-		"conditional bad geom":  func() { SampleArrivalsConditional(rng, FieldStudyRates(), 0, 18, 7) },
-		"tilt zero":             func() { SampleArrivalsTilted(rng, FieldStudyRates(), 0, 2, 18, 7) },
-		"tilt negative":         func() { SampleArrivalsTilted(rng, FieldStudyRates(), -2, 2, 18, 7) },
-		"tilt bad geom":         func() { SampleArrivalsTilted(rng, FieldStudyRates(), 2, 2, 0, 7) },
+		"conditional zero rate": func() { SampleArrivalsConditionalInto(rng, buf, Rates{}, 2, 18, 7) },
+		"conditional bad geom":  func() { SampleArrivalsConditionalInto(rng, buf, FieldStudyRates(), 0, 18, 7) },
+		"tilt zero":             func() { SampleArrivalsTiltedInto(rng, buf, FieldStudyRates(), 0, 2, 18, 7) },
+		"tilt negative":         func() { SampleArrivalsTiltedInto(rng, buf, FieldStudyRates(), -2, 2, 18, 7) },
+		"tilt NaN":              func() { SampleArrivalsTiltedInto(rng, buf, FieldStudyRates(), math.NaN(), 2, 18, 7) },
+		"tilt bad geom":         func() { SampleArrivalsTiltedInto(rng, buf, FieldStudyRates(), 2, 2, 0, 7) },
+		"sampler bad geom":      func() { NewSampler(FieldStudyRates(), 2, 18, -1) },
 	} {
 		func() {
 			defer func() {

@@ -122,6 +122,69 @@ func TestShardSeedsDecorrelated(t *testing.T) {
 	}
 }
 
+// TestShardStreamsMatchMathRand pins the per-shard stream contract the
+// engine's reseeded per-worker generator must keep: every shard draws
+// exactly what rand.New(rand.NewSource(ShardSeed(seed, s))) draws, at any
+// parallelism, even when the previous shard on the worker left bytes of
+// a Read buffered in the shared *rand.Rand.
+func TestShardStreamsMatchMathRand(t *testing.T) {
+	const trials, size, seed = 200, 8, -77
+	type draw struct {
+		f float64
+		n int
+		b [3]byte
+		u uint64
+	}
+	for _, p := range []int{1, 3} {
+		got := mapTrials(trials, seed, Options{Parallelism: p, ShardSize: size}, func(rng *rand.Rand, trial int) draw {
+			var d draw
+			d.f, d.n = rng.Float64(), rng.Intn(1000)
+			rng.Read(d.b[:])
+			d.u = rng.Uint64()
+			return d
+		})
+		for s := 0; s < trials/size; s++ {
+			want := rand.New(rand.NewSource(ShardSeed(seed, s)))
+			for trial := s * size; trial < (s+1)*size; trial++ {
+				var d draw
+				d.f, d.n = want.Float64(), want.Intn(1000)
+				want.Read(d.b[:])
+				d.u = want.Uint64()
+				if got[trial] != d {
+					t.Fatalf("parallelism %d, trial %d: drew %+v, math/rand %+v", p, trial, got[trial], d)
+				}
+			}
+		}
+	}
+}
+
+// nopAcc is an accumulator that costs nothing to create: a zero-size
+// value in an interface does not allocate.
+type nopAcc struct{}
+
+func (nopAcc) Merge(Accumulator) {}
+
+// TestRunCtxAllocationsIndependentOfShardCount pins that a serial run
+// creates its generator once and reseeds it per shard: beyond NewAcc's
+// own (none here), a 64-shard run allocates exactly what a 1-shard run
+// does, where building a generator per shard cost 2 allocations and
+// 5.4 KB each.
+func TestRunCtxAllocationsIndependentOfShardCount(t *testing.T) {
+	allocs := func(shards int) float64 {
+		job := Job{
+			Trials: shards * DefaultShardSize,
+			Seed:   1,
+			NewAcc: func() Accumulator { return nopAcc{} },
+			Trial:  func(rng *rand.Rand, _ int, _ Accumulator) { rng.Float64() },
+		}
+		return testing.AllocsPerRun(20, func() { run(job, Options{Parallelism: 1}) })
+	}
+	one, many := allocs(1), allocs(64)
+	if many != one {
+		t.Fatalf("64-shard run allocates %v, 1-shard run %v: allocations grow with the shard count", many, one)
+	}
+}
+
 func TestProgressMonotoneAndComplete(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		var mu sync.Mutex

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"arcc/internal/stats"
 )
@@ -124,22 +125,11 @@ func RunWeightedCtx(ctx context.Context, job WeightedJob, opts Options) (*Weight
 		}
 		seen[d] = true
 	}
-	newSet := func() *WeightedSet {
-		set := &WeightedSet{Dims: make([]stats.Weighted, job.Dims)}
-		if len(job.SketchDims) > 0 {
-			set.SketchDims = append([]int(nil), job.SketchDims...)
-			set.Sketches = make([]*stats.QuantileSketch, len(job.SketchDims))
-			for j := range set.Sketches {
-				set.Sketches[j] = stats.NewQuantileSketch(job.SketchK)
-			}
-		}
-		return set
-	}
 	acc, err := RunCtx(ctx, Job{
 		Trials: job.Trials,
 		Seed:   job.Seed,
 		NewAcc: func() Accumulator {
-			return &weightedAcc{set: newSet(), vals: make([]float64, job.Dims)}
+			return &weightedAcc{set: newWeightedSet(job), vals: make([]float64, job.Dims)}
 		},
 		NewScratch: job.NewScratch,
 		TrialScratch: func(rng *rand.Rand, trial int, a Accumulator, scratch any) {
@@ -155,6 +145,19 @@ func RunWeightedCtx(ctx context.Context, job WeightedJob, opts Options) (*Weight
 		return nil, err
 	}
 	return acc.(*weightedAcc).set, nil
+}
+
+// newWeightedSet returns the empty estimator set of one shard of job.
+func newWeightedSet(job WeightedJob) *WeightedSet {
+	set := &WeightedSet{Dims: make([]stats.Weighted, job.Dims)}
+	if len(job.SketchDims) > 0 {
+		set.SketchDims = append([]int(nil), job.SketchDims...)
+		set.Sketches = make([]*stats.QuantileSketch, len(job.SketchDims))
+		for j := range set.Sketches {
+			set.Sketches[j] = stats.NewQuantileSketch(job.SketchK)
+		}
+	}
+	return set
 }
 
 // weightedAcc is the per-shard accumulator of a weighted job: the
@@ -181,12 +184,50 @@ func (a *weightedAcc) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary restores a shard's estimator set from MarshalBinary
-// bytes.
+// bytes. The receiver must be fresh from the job's NewAcc: its empty set
+// is the shape the snapshot has to match (see checkShape), so a blob from
+// a job of another shape fails here and the engine re-runs its shard.
 func (a *weightedAcc) UnmarshalBinary(b []byte) error {
 	set := new(WeightedSet)
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(set); err != nil {
 		return err
 	}
+	if err := a.set.checkShape(set); err != nil {
+		return err
+	}
 	a.set = set
+	return nil
+}
+
+// checkShape reports why o — a decoded snapshot — cannot stand in for the
+// shard set s: a different dimension count, different sketched
+// dimensions, a missing sketch or one of another capacity (Merge would
+// panic on any of these, or the run would return a set of the wrong
+// shape), or a sketch whose items do not weigh its observation count
+// (its quantiles would be meaningless).
+func (s *WeightedSet) checkShape(o *WeightedSet) error {
+	if len(o.Dims) != len(s.Dims) {
+		return fmt.Errorf("mc: weighted snapshot has %d dimensions, want %d", len(o.Dims), len(s.Dims))
+	}
+	if !slices.Equal(o.SketchDims, s.SketchDims) || len(o.Sketches) != len(s.Sketches) {
+		return fmt.Errorf("mc: weighted snapshot sketches dimensions %v, want %v", o.SketchDims, s.SketchDims)
+	}
+	for j, sk := range o.Sketches {
+		if sk == nil || sk.K != s.Sketches[j].K {
+			return fmt.Errorf("mc: weighted snapshot sketch %d is missing or has another capacity", j)
+		}
+		// Level i items weigh 2^i each; together they must weigh N.
+		rem := sk.N
+		for i, lvl := range sk.Levels {
+			if rem < 0 || (len(lvl) > 0 && (i >= 63 || int64(len(lvl)) > rem>>i)) {
+				rem = -1
+				break
+			}
+			rem -= int64(len(lvl)) << i
+		}
+		if rem != 0 {
+			return fmt.Errorf("mc: weighted snapshot sketch %d items do not weigh its %d observations", j, sk.N)
+		}
+	}
 	return nil
 }

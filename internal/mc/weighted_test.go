@@ -255,3 +255,158 @@ func BenchmarkRunWeighted(b *testing.B) {
 		runWeighted(job, Options{Parallelism: 4})
 	}
 }
+
+// shapeJob is a small weighted job with a sketch: 5 shards of 8 trials.
+func shapeJob(dims int, sketchK int) WeightedJob {
+	return WeightedJob{
+		Trials:     40,
+		Seed:       5,
+		Dims:       dims,
+		SketchDims: []int{dims - 1},
+		SketchK:    sketchK,
+		Trial: func(rng *rand.Rand, trial int, _ any, vals []float64) float64 {
+			weightedObs(rng, vals)
+			return 0.5 + rng.Float64()
+		},
+	}
+}
+
+const shapeShard = 8
+
+// snapshotWeighted runs job with a snapshot after every shard and returns
+// the snapshot holding the first shards shards (all of them when shards
+// is the job's shard count).
+func snapshotWeighted(t testing.TB, job WeightedJob, shards int) *Checkpoint {
+	t.Helper()
+	var snap *Checkpoint
+	_, err := RunWeightedCtx(context.Background(), job, Options{
+		Parallelism: 1,
+		ShardSize:   shapeShard,
+		Checkpoint: &CheckpointConfig{EveryShards: 1, Sink: func(c *Checkpoint) {
+			if snap == nil && len(c.Shards) == shards {
+				snap = c
+			}
+		}},
+	})
+	if err != nil || snap == nil {
+		t.Fatalf("snapshot run: err %v, snapshot %v", err, snap)
+	}
+	return snap
+}
+
+// sameSet compares two weighted sets bit for bit through their gob image.
+func sameSet(t testing.TB, got, want *WeightedSet) bool {
+	t.Helper()
+	g, err := (&weightedAcc{set: got}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := (&weightedAcc{set: want}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(g) == string(w)
+}
+
+// TestRunWeightedResumeRejectsForeignShape: a checkpoint taken from a
+// weighted job of another shape but the same (Trials, Seed, ShardSize)
+// must be ignored shard by shard, so the resumed run re-executes those
+// shards and equals an uninterrupted run. Before the shape check, a
+// partial 2-dimension checkpoint made a 3-dimension resume panic while
+// merging, and a full one returned the 2-dimension set with no error.
+func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
+	job := shapeJob(3, 8)
+	want := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
+
+	// A snapshot of the right shape whose shard-3 sketch claims one more
+	// observation than its items weigh.
+	miscounted := snapshotWeighted(t, job, 5)
+	acc := &weightedAcc{set: newWeightedSet(job)}
+	if err := acc.UnmarshalBinary(miscounted.Shards[3]); err != nil {
+		t.Fatal(err)
+	}
+	acc.set.Sketches[0].N++
+	blob, err := acc.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	miscounted.Shards[3] = blob
+
+	for name, snap := range map[string]*Checkpoint{
+		"sketch weight": miscounted,
+		"partial 2-dim": snapshotWeighted(t, shapeJob(2, 8), 2),
+		"full 2-dim":    snapshotWeighted(t, shapeJob(2, 8), 5),
+		"full other K":  snapshotWeighted(t, shapeJob(3, 16), 5),
+		"no sketch": snapshotWeighted(t, WeightedJob{Trials: 40, Seed: 5, Dims: 3,
+			Trial: func(rng *rand.Rand, _ int, _ any, vals []float64) float64 { weightedObs(rng, vals); return 1 }}, 5),
+	} {
+		for _, p := range []int{1, 4} {
+			got, err := RunWeightedCtx(context.Background(), job, Options{
+				Parallelism: p,
+				ShardSize:   shapeShard,
+				Checkpoint:  &CheckpointConfig{Resume: snap},
+			})
+			if err != nil {
+				t.Fatalf("%s, parallelism %d: %v", name, p, err)
+			}
+			if !sameSet(t, got, want) {
+				t.Fatalf("%s, parallelism %d: resumed set differs from an uninterrupted run", name, p)
+			}
+		}
+	}
+}
+
+// FuzzWeightedCheckpointResume feeds a weighted job checkpoints of its
+// own shape whose shard map and blobs the fuzzer picks. A resume must
+// never panic or fail, must give the same set at parallelism 1 and 4,
+// and must equal an uninterrupted run whenever every blob it accepts is
+// the real snapshot of that shard: keep selects which real shards go in,
+// and idx places blobA and blobB (arbitrary bytes) at arbitrary indexes.
+func FuzzWeightedCheckpointResume(f *testing.F) {
+	job := shapeJob(3, 8)
+	full := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
+	snaps := snapshotWeighted(f, job, 5).Shards
+	f.Add(uint8(0x1f), []byte{}, []byte{}, []byte{})
+	f.Add(uint8(0x05), []byte{1, 3}, []byte("not gob"), snaps[0][:len(snaps[0])/2])
+	f.Add(uint8(0x0a), []byte{0, 255, 9}, snaps[2], snaps[4])
+	f.Add(uint8(0x00), []byte{4}, snapshotWeighted(f, shapeJob(2, 8), 5).Shards[4], []byte{})
+	f.Fuzz(func(t *testing.T, keep uint8, idx, blobA, blobB []byte) {
+		cp := &Checkpoint{Trials: job.Trials, Seed: job.Seed, ShardSize: shapeShard, Shards: map[int][]byte{}}
+		for s, b := range snaps {
+			if keep>>s&1 == 1 {
+				cp.Shards[s] = b
+			}
+		}
+		exact := true // every blob the resume can accept is that shard's real one
+		for i, b := range idx {
+			s, blob := int(int8(b)), blobA
+			if i%2 == 1 {
+				blob = blobB
+			}
+			cp.Shards[s] = blob
+			if s >= 0 && s < len(snaps) && string(blob) != string(snaps[s]) &&
+				(&weightedAcc{set: newWeightedSet(job)}).UnmarshalBinary(blob) == nil {
+				exact = false
+			}
+		}
+		var first *WeightedSet
+		for _, p := range []int{1, 4} {
+			got, err := RunWeightedCtx(context.Background(), job, Options{
+				Parallelism: p,
+				ShardSize:   shapeShard,
+				Checkpoint:  &CheckpointConfig{Resume: cp},
+			})
+			if err != nil {
+				t.Fatalf("parallelism %d: %v", p, err)
+			}
+			if exact && !sameSet(t, got, full) {
+				t.Fatalf("parallelism %d: resume from real snapshots differs from an uninterrupted run", p)
+			}
+			if first == nil {
+				first = got
+			} else if !sameSet(t, got, first) {
+				t.Fatal("resumed sets differ between parallelism 1 and 4")
+			}
+		}
+	})
+}

@@ -56,7 +56,7 @@ func (a *yearSums) UnmarshalBinary(b []byte) error {
 // arrivalScratch is the per-shard workspace of the lifetime Monte Carlos:
 // one fault-arrival buffer plus one per-year series buffer, reused by
 // every trial of a shard. Both only carry capacity between trials —
-// SampleArrivalsInto overwrites the arrival buffer from scratch and the
+// Sampler.SampleInto overwrites the arrival buffer from scratch and the
 // series helpers overwrite every year slot — so reuse cannot leak state
 // across trials.
 type arrivalScratch struct {
@@ -227,17 +227,19 @@ func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []
 		tiltHint *= s.Accel.Tilt
 	}
 	newScratch := newArrivalScratch(s.Rates, s.Ranks, s.DevicesPerRank, years, tiltHint)
+	// One sampler for the whole run: the per-type means and exponentials
+	// depend only on the Spec, never on the trial.
+	var sampler *faultmodel.Sampler
+	switch s.Accel.Mode {
+	case AccelConditional:
+		sampler = faultmodel.NewConditionalSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
+	case AccelTilted:
+		sampler = faultmodel.NewTiltedSampler(s.Rates, s.Accel.Tilt, s.Ranks, s.DevicesPerRank, years)
+	default:
+		sampler = faultmodel.NewSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
+	}
 	trial := func(rng *rand.Rand, scratch *arrivalScratch, vals []float64) float64 {
-		var arrivals []faultmodel.Arrival
-		w := 1.0
-		switch s.Accel.Mode {
-		case AccelConditional:
-			arrivals, w = faultmodel.SampleArrivalsConditionalInto(rng, scratch.buf, s.Rates, s.Ranks, s.DevicesPerRank, years)
-		case AccelTilted:
-			arrivals, w = faultmodel.SampleArrivalsTiltedInto(rng, scratch.buf, s.Rates, s.Accel.Tilt, s.Ranks, s.DevicesPerRank, years)
-		default:
-			arrivals = faultmodel.SampleArrivalsInto(rng, scratch.buf, s.Rates, s.Ranks, s.DevicesPerRank, years)
-		}
+		arrivals, w := sampler.SampleInto(rng, scratch.buf)
 		arrivals = s.Burst.ExpandInto(rng, arrivals)
 		scratch.buf = arrivals
 		series(arrivals, vals)

@@ -167,6 +167,7 @@ func SimulateARCCDED(ctx context.Context, seed int64, opts mc.Options, p Params,
 	if channels <= 0 {
 		panic("reliability: non-positive channel count")
 	}
+	sampler := faultmodel.NewSampler(p.Rates, p.RanksPerChannel, p.DevicesPerRank, p.LifeYears)
 	acc, err := mc.RunCtx(ctx, mc.Job{
 		Trials:     channels,
 		Seed:       seed,
@@ -175,7 +176,7 @@ func SimulateARCCDED(ctx context.Context, seed int64, opts mc.Options, p Params,
 		TrialScratch: func(rng *rand.Rand, _ int, a mc.Accumulator, sc any) {
 			ec := a.(*eventCount)
 			scratch := sc.(*arrivalScratch)
-			arrivals := faultmodel.SampleArrivalsInto(rng, scratch.buf, p.Rates, p.RanksPerChannel, p.DevicesPerRank, p.LifeYears)
+			arrivals, _ := sampler.SampleInto(rng, scratch.buf)
 			scratch.buf = arrivals
 			for i, first := range arrivals {
 				// The first fault is exposed until the end of its scrub

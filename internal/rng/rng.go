@@ -1,0 +1,175 @@
+// Copyright 2009 The Go Authors. All rights reserved.
+// Use of this source code is governed by a BSD-style
+// license that can be found in the LICENSE file.
+
+// Package rng is math/rand's default generator — the lagged-Fibonacci
+// rngSource of rand.NewSource with the Float64, Int63n and ExpFloat64 of
+// rand.Rand — ported so that callers can hold it by value and call
+// concrete methods the compiler can inline, and reseed it without
+// allocating. It produces math/rand's value stream bit for bit
+// (TestRNGMatchesMathRand), so every result generated through it is
+// unchanged.
+//
+// Source implements rand.Source64: the synthetic access streams call it
+// directly, and the Monte Carlo engine wraps one per worker in a
+// *rand.Rand and reseeds it for every shard.
+package rng
+
+import "math"
+
+// Source is the generator state. The zero value is unusable: Seed it
+// first.
+type Source struct {
+	tap  int           // index into vec
+	feed int           // index into vec
+	vec  [rngLen]int64 // current feedback register
+}
+
+const (
+	rngLen   = 607
+	rngTap   = 273
+	rngMask  = 1<<63 - 1
+	int32max = 1<<31 - 1
+	re       = 7.69711747013104972 // start of the exponential ziggurat's tail
+
+	// seedA is the multiplier of math/rand's seeding LCG
+	// x[n+1] = seedA·x[n] mod (2^31-1); seedSkip is the number of its
+	// steps math/rand discards before the first feedback word.
+	seedA    = 48271
+	seedSkip = 20
+)
+
+// seedPowers[j] is seedA^(seedSkip+1+j) mod (2^31-1): the factor that
+// takes a reduced seed to the (seedSkip+1+j)-th state of the seeding LCG.
+var seedPowers [3 * rngLen]uint64
+
+func init() {
+	x := uint64(1)
+	for k := 1; k <= seedSkip; k++ {
+		x = x * seedA % int32max
+	}
+	for j := range seedPowers {
+		x = x * seedA % int32max
+		seedPowers[j] = x
+	}
+}
+
+// mulMod returns a·b mod (2^31-1) for a, b in [1, 2^31-2]. Since
+// 2^31 ≡ 1 (mod 2^31-1), one fold of the high bits onto the low bits
+// leaves a value below 2·(2^31-1), and one conditional subtraction
+// finishes the reduction.
+func mulMod(a, b uint64) uint64 {
+	x := a * b
+	x = x&int32max + x>>31
+	if x >= int32max {
+		x -= int32max
+	}
+	return x
+}
+
+// Seed initialises the generator as rand.NewSource(seed) does.
+//
+// math/rand walks its seeding LCG x[n+1] = 48271·x[n] mod (2^31-1) one
+// step at a time from x[0] = seed, discards 20 states and builds feedback
+// word i from states 3i+21, 3i+22 and 3i+23. Those states are exactly
+// seed·48271^k mod (2^31-1), so Seed computes each one from a power in
+// seedPowers instead: the same integers, in independent multiplications
+// rather than one 1,841-step dependent chain.
+func (r *Source) Seed(seed int64) {
+	r.tap = 0
+	r.feed = rngLen - rngTap
+
+	seed = seed % int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+
+	x := uint64(seed)
+	for i := range r.vec {
+		p := seedPowers[3*i : 3*i+3 : 3*i+3]
+		u := int64(mulMod(x, p[0])) << 40
+		u ^= int64(mulMod(x, p[1])) << 20
+		u ^= int64(mulMod(x, p[2]))
+		r.vec[i] = u ^ rngCooked[i]
+	}
+}
+
+// Int63 returns a non-negative pseudo-random 63-bit integer.
+func (r *Source) Int63() int64 {
+	r.tap--
+	if r.tap < 0 {
+		r.tap += rngLen
+	}
+	r.feed--
+	if r.feed < 0 {
+		r.feed += rngLen
+	}
+	x := r.vec[r.feed] + r.vec[r.tap]
+	r.vec[r.feed] = x
+	return x & rngMask
+}
+
+// Uint64 returns a pseudo-random 64-bit value, the full feedback word
+// whose low 63 bits Int63 returns.
+func (r *Source) Uint64() uint64 {
+	r.tap--
+	if r.tap < 0 {
+		r.tap += rngLen
+	}
+	r.feed--
+	if r.feed < 0 {
+		r.feed += rngLen
+	}
+	x := r.vec[r.feed] + r.vec[r.tap]
+	r.vec[r.feed] = x
+	return uint64(x)
+}
+
+// Float64 returns a pseudo-random number in [0.0, 1.0), resampling the
+// 1-in-2^53 draw that rounds up to 1.0 as math/rand does.
+func (r *Source) Float64() float64 {
+	for {
+		if f := float64(r.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// Int63n returns a non-negative pseudo-random number in [0, n). It panics
+// if n <= 0.
+func (r *Source) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("invalid argument to Int63n")
+	}
+	if n&(n-1) == 0 { // n is power of two, can mask
+		return r.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := r.Int63()
+	for v > max {
+		v = r.Int63()
+	}
+	return v % n
+}
+
+// ExpFloat64 returns an exponentially distributed float64 with rate 1, by
+// the ziggurat method of Marsaglia and Tsang (2000).
+func (r *Source) ExpFloat64() float64 {
+	for {
+		j := uint32(r.Int63() >> 31)
+		i := j & 0xFF
+		x := float64(j) * float64(we[i])
+		if j < ke[i] {
+			return x
+		}
+		if i == 0 {
+			return re - math.Log(r.Float64())
+		}
+		if fe[i]+float32(r.Float64())*(fe[i-1]-fe[i]) < float32(math.Exp(-x)) {
+			return x
+		}
+	}
+}

@@ -21,7 +21,11 @@
 // random; mesa/calculix/sjeng/h264ref are cache-friendly).
 package workload
 
-import "fmt"
+import (
+	"fmt"
+
+	"arcc/internal/rng"
+)
 
 // Access is one LLC-level memory access.
 type Access struct {
@@ -58,7 +62,7 @@ func (b Benchmark) validate() {
 // Stream produces the access sequence of one benchmark instance.
 type Stream struct {
 	b    Benchmark
-	rng  rng
+	rng  rng.Source
 	base uint64 // first line of this instance's address range
 	cur  uint64 // current line within [0, FootprintLines)
 	hot  int64  // hot-set size in lines, at least 1

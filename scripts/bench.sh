@@ -28,8 +28,9 @@ run() { go test -run=xxx -benchmem -count=1 "$@" | tee -a "$raw"; }
 run -bench='MulAddSlice|EncodeInto|Syndromes|ChienSearch|DecodeScratch|DecodeBatch|DecodeErasuresScratch' \
     ./internal/gf/ ./internal/rs/
 # Fault-arrival sampling, including the conditional ("at least one
-# fault") and rate-tilted importance samplers (PR 9).
-run -bench='SampleArrivals' ./internal/faultmodel/
+# fault") and rate-tilted importance samplers (PR 9), per call and from
+# a Sampler built once per process.
+run -bench='SampleArrivals|SamplerSampleInto' ./internal/faultmodel/
 # Streaming estimators and the weighted MC path (PR 9): per-observation
 # accumulator costs, the weighted engine overhead, and the conditional
 # rare-event lifetime sweep end to end.
@@ -53,6 +54,9 @@ run -bench='SimRunSteadyState' ./internal/sim/
 run -bench='LLCMissPath' ./internal/cache/
 # The synthetic access generator on its own, per access.
 run -bench='StreamNext' ./internal/workload/
+# Reseeding the in-repo math/rand source in place (what the Monte Carlo
+# engine pays per shard) next to building one with rand.NewSource.
+run -bench='Seed' ./internal/rng/
 # End-to-end exhibit regenerators (quick profile). A handful of iterations
 # rather than one, so the recorded ns/op is comparable across PRs instead
 # of a single noisy wall-time sample.
