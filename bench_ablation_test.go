@@ -12,7 +12,7 @@ import (
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // 4-step vs conventional scrubber, shared-recency vs independent LLC
-// replacement, sectored caching, pair scheduling, and the page upgrade.
+// replacement, pair scheduling, and the page upgrade.
 // Codec throughput per codeword geometry is timed by the DecodeBatchInto
 // benchmarks in internal/ecc.
 
@@ -76,26 +76,6 @@ func BenchmarkPageUpgrade(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-	}
-}
-
-func BenchmarkAblationSectoredCache(b *testing.B) {
-	c := cache.NewSectored(1<<20, 8)
-	rng := rand.New(rand.NewSource(1))
-	addrs := make([]uint64, 1<<16)
-	for i := range addrs {
-		if i > 0 && rng.Float64() < 0.7 {
-			addrs[i] = addrs[i-1] + 1
-		} else {
-			addrs[i] = uint64(rng.Intn(1 << 22))
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := addrs[i%len(addrs)]
-		if !c.Access(a, false) {
-			c.Insert(a, i%3 == 0, false)
-		}
 	}
 }
 

@@ -49,7 +49,6 @@ func main() {
 func run() error {
 	years := flag.Int("years", 7, "operational lifespan in years")
 	trials := flag.Int("trials", 10000, "Monte Carlo trials (simulated channels)")
-	channels := flag.Int("channels", 0, "deprecated alias for -trials")
 	factor := flag.Float64("factor", 1, "fault-rate factor over the field study")
 	scrub := flag.Float64("scrub", 4, "scrub interval in hours")
 	ranks := flag.Int("ranks", 2, "ranks per channel")
@@ -64,11 +63,6 @@ func run() error {
 	format := flag.String("format", "text", "output format: text, json, or csv")
 	flag.Parse()
 
-	n := *trials
-	if *channels > 0 {
-		n = *channels
-	}
-
 	s := exhibit.DefaultScenario()
 	s.Name = "faultsim"
 	s.Description = fmt.Sprintf("%gx field-study rates over %d x %d-device ranks", *factor, *ranks, *devices)
@@ -76,7 +70,7 @@ func run() error {
 	s.Ranks = *ranks
 	s.DevicesPerRank = *devices
 	s.Years = *years
-	s.Trials = n
+	s.Trials = *trials
 	s.ScrubHours = *scrub
 	s.Scheme = *scheme
 	s.DRAM = *dramGen

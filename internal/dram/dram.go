@@ -153,27 +153,12 @@ func (r *Rank) ReadLineInto(a Addr, out []byte) []byte {
 	return out
 }
 
-// ReadLineRaw fetches the stored line without fault corruption. Tests and
-// golden-path checks use it; the memory system never does.
-func (r *Rank) ReadLineRaw(a Addr) []byte {
-	r.geom.validate(a)
-	out := make([]byte, r.geom.LineBytes())
-	r.mem.LoadInto(r.geom.flat(a)*r.lineBytes, out)
-	return out
-}
-
 // InjectFault adds a fault overlay to the rank. Faults accumulate; each read
 // applies all overlays in injection order.
 func (r *Rank) InjectFault(f Fault) {
 	f.validate(r.geom)
 	r.faults = append(r.faults, f)
 }
-
-// ClearFaults removes all fault overlays (a repaired/replaced DIMM).
-func (r *Rank) ClearFaults() { r.faults = nil }
-
-// Faults returns the injected fault overlays.
-func (r *Rank) Faults() []Fault { return r.faults }
 
 // ResidentPages reports how many backing-store pages are materialised.
 func (r *Rank) ResidentPages() int { return r.mem.ResidentPages() }

@@ -212,8 +212,7 @@ func TestWrongDataFaultIsDeterministicAndWrong(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatal("WrongData fault is not deterministic across reads")
 	}
-	raw := r.ReadLineRaw(a)
-	if bytes.Equal(first, raw) {
+	if bytes.Equal(first, data) {
 		t.Fatal("WrongData fault returned the stored data")
 	}
 	// Only device 3's symbols differ.
@@ -221,7 +220,7 @@ func TestWrongDataFaultIsDeterministicAndWrong(t *testing.T) {
 		if i%18 == 3 {
 			continue
 		}
-		if first[i] != raw[i] {
+		if first[i] != data[i] {
 			t.Fatalf("WrongData corrupted symbol %d belonging to device %d", i, i%18)
 		}
 	}
@@ -238,15 +237,17 @@ func TestMultipleFaultsAccumulate(t *testing.T) {
 	a := Addr{}
 	r.WriteLine(a, data)
 	got := r.ReadLine(a)
-	if got[1] != 0xFF || got[2] != 0x00 || got[3] != 0x77 {
-		t.Fatalf("accumulated faults wrong: %#x %#x %#x", got[1], got[2], got[3])
-	}
-	if len(r.Faults()) != 2 {
-		t.Fatalf("Faults() = %d entries, want 2", len(r.Faults()))
-	}
-	r.ClearFaults()
-	if got := r.ReadLine(a); !bytes.Equal(got, data) {
-		t.Fatal("ClearFaults did not restore clean reads")
+	for i := range got {
+		want := byte(0x77)
+		switch i % 18 {
+		case 1:
+			want = 0xFF
+		case 2:
+			want = 0x00
+		}
+		if got[i] != want {
+			t.Fatalf("accumulated faults: symbol %d = %#x, want %#x", i, got[i], want)
+		}
 	}
 }
 

@@ -88,9 +88,6 @@ func WithCI(ci bool) Option { return func(c *Config) { c.CI = ci } }
 // WithProgress installs a progress sink.
 func WithProgress(p Progress) Option { return func(c *Config) { c.Progress = p } }
 
-// WithResume installs a checkpoint/resume coordinator.
-func WithResume(r *mc.Resumer) Option { return func(c *Config) { c.Resume = r } }
-
 // SeedOrDefault returns the effective root seed: Seed, or 1 when unset.
 func (c Config) SeedOrDefault() int64 {
 	if c.Seed == 0 {

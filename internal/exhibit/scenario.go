@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"os"
 
@@ -173,6 +174,18 @@ func LoadScenario(path string) (Scenario, error) {
 	return s, nil
 }
 
+// Scenario bounds. Every exhibit stays far inside them; past them a run
+// would exhaust memory before its first trial completes.
+const (
+	// maxYears bounds the lifetime: each Monte Carlo shard holds one value
+	// per year.
+	maxYears = 100
+	// maxExpectedArrivals bounds the mean number of fault arrivals one
+	// channel lifetime draws, bursts and rate tilting included: the
+	// per-worker arrival buffers are sized from that mean.
+	maxExpectedArrivals = 1e4
+)
+
 // Validate checks every field the exhibit package can judge without the
 // workload tables; mix names are validated by the experiments layer when
 // the scenario is turned into an exhibit.
@@ -180,14 +193,16 @@ func (s Scenario) Validate() error {
 	switch {
 	case s.Name == "":
 		return fmt.Errorf("exhibit: scenario needs a name")
-	case s.RateFactor < 0:
-		return fmt.Errorf("exhibit: scenario %q: negative rate_factor %v", s.Name, s.RateFactor)
+	case !(s.RateFactor >= 0) || math.IsInf(s.RateFactor, 1):
+		return fmt.Errorf("exhibit: scenario %q: rate_factor %v must be finite and non-negative", s.Name, s.RateFactor)
 	case s.Ranks <= 0 || s.DevicesPerRank <= 1 || s.BanksPerDevice <= 0:
 		return fmt.Errorf("exhibit: scenario %q: invalid channel geometry (ranks=%d devices_per_rank=%d banks_per_device=%d)",
 			s.Name, s.Ranks, s.DevicesPerRank, s.BanksPerDevice)
 	case s.Years <= 0 || s.Trials <= 0:
 		return fmt.Errorf("exhibit: scenario %q: years and trials must be positive (got %d, %d)", s.Name, s.Years, s.Trials)
-	case s.ScrubHours <= 0:
+	case s.Years > maxYears:
+		return fmt.Errorf("exhibit: scenario %q: years %d exceeds %d", s.Name, s.Years, maxYears)
+	case !(s.ScrubHours > 0):
 		return fmt.Errorf("exhibit: scenario %q: scrub_hours must be positive (got %v)", s.Name, s.ScrubHours)
 	case s.UpgradeFactor < 0 || (s.UpgradeFactor > 0 && s.UpgradeFactor < 1):
 		return fmt.Errorf("exhibit: scenario %q: upgrade_factor must be >= 1 (got %v)", s.Name, s.UpgradeFactor)
@@ -204,18 +219,31 @@ func (s Scenario) Validate() error {
 	if s.System != "arcc" && s.System != "baseline" {
 		return fmt.Errorf("exhibit: scenario %q: unknown system %q (have arcc, baseline)", s.Name, s.System)
 	}
-	if _, err := reliability.ParseAccel(s.Accel); err != nil {
+	accel, err := reliability.ParseAccel(s.Accel)
+	if err != nil {
 		return fmt.Errorf("exhibit: scenario %q: %w", s.Name, err)
 	}
-	for name := range s.FITOverrides {
+	for name, fit := range s.FITOverrides {
 		if _, err := typeByName(name); err != nil {
 			return fmt.Errorf("exhibit: scenario %q: %w", s.Name, err)
+		}
+		if !(fit >= 0) || math.IsInf(fit, 1) {
+			return fmt.Errorf("exhibit: scenario %q: %s FIT %v must be finite and non-negative", s.Name, name, fit)
 		}
 	}
 	if s.Burst != nil {
 		if err := s.Burst.Validate(); err != nil {
 			return fmt.Errorf("exhibit: scenario %q: %w", s.Name, err)
 		}
+	}
+	arrivals := faultmodel.ExpectedArrivals(s.Rates(), s.Ranks, s.DevicesPerRank, float64(s.Years)) *
+		s.BurstOrZero().CapHintFactor()
+	if accel.Mode == reliability.AccelTilted {
+		arrivals *= accel.Tilt
+	}
+	if !(arrivals <= maxExpectedArrivals) {
+		return fmt.Errorf("exhibit: scenario %q: %.3g expected fault arrivals per channel lifetime exceeds %g",
+			s.Name, arrivals, float64(maxExpectedArrivals))
 	}
 	gen, err := dram.ParseGeneration(s.DRAM)
 	if err != nil {

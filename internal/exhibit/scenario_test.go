@@ -1,6 +1,9 @@
 package exhibit
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -126,4 +129,93 @@ func TestLoadScenarioMissingFile(t *testing.T) {
 	if _, err := LoadScenario("testdata/definitely-missing.json"); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// TestScenarioBounds pins the inputs Validate must reject before a run
+// sizes its buffers from them: each once crashed or silently misbehaved.
+func TestScenarioBounds(t *testing.T) {
+	cases := []struct {
+		label, body string
+		ok          bool
+	}{
+		{"huge rate factor", `{"name":"x", "rate_factor": 1e300}`, false},
+		{"huge lifetime", `{"name":"x", "years": 300000000}`, false},
+		{"negative FIT override", `{"name":"x", "fit_overrides": {"bit": -5}}`, false},
+		{"years just past the cap", `{"name":"x", "years": 101}`, false},
+		{"years at the cap", `{"name":"x", "years": 100}`, true},
+		{"arrivals past the cap", `{"name":"x", "fit_overrides": {"device": 1e12}}`, false},
+		{"geometry past the cap", `{"name":"x", "ranks": 4000000000000, "devices_per_rank": 4000000000000}`, false},
+		{"tilt past the cap", `{"name":"x", "rate_factor": 500, "accel": "tilt:1000"}`, false},
+		{"tilt inside the cap", `{"name":"x", "rate_factor": 500, "accel": "tilt:8"}`, true},
+		{"burst past the cap", `{"name":"x", "rate_factor": 50, "burst": {"row_prob": 1, "row_mean": 4, "row_max": 100000}}`, false},
+		{"zero rates", `{"name":"x", "rate_factor": 0}`, true},
+	}
+	for _, tc := range cases {
+		_, err := ParseScenario(strings.NewReader(tc.body))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: ParseScenario(%s) error = %v, want ok=%v", tc.label, tc.body, err, tc.ok)
+		}
+	}
+	// JSON cannot carry non-finite numbers, but the Go API (and the
+	// command-line flags that fill a Scenario) can.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		s := DefaultScenario()
+		s.Name = "x"
+		s.RateFactor = v
+		if s.Validate() == nil {
+			t.Errorf("rate_factor %v accepted", v)
+		}
+		s = DefaultScenario()
+		s.Name = "x"
+		s.FITOverrides = map[string]float64{"row": v}
+		if s.Validate() == nil {
+			t.Errorf("FIT override %v accepted", v)
+		}
+	}
+}
+
+// FuzzParseScenario feeds arbitrary request bodies to the scenario parser:
+// an accepted scenario must resolve without panicking and stay within the
+// bounds Validate promises.
+func FuzzParseScenario(f *testing.F) {
+	f.Add(`{"name":"x", "rate_factor": 1e300}`)
+	f.Add(`{"name":"x", "years": 300000000}`)
+	f.Add(`{"name":"x", "fit_overrides": {"bit": -5}}`)
+	examples, _ := filepath.Glob("../../examples/*/*.json")
+	if len(examples) == 0 {
+		f.Fatal("no example scenarios to seed from")
+	}
+	for _, path := range examples {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(raw))
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		s, err := ParseScenario(strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		rates := s.Rates()
+		if cost := s.CostFactor(); !(cost >= 1) || math.IsInf(cost, 1) {
+			t.Fatalf("cost factor %v", cost)
+		}
+		s.Generation()
+		if shape := s.Shape(); shape.RanksPerChannel != s.Ranks {
+			t.Fatalf("shape %+v for %d ranks", shape, s.Ranks)
+		}
+		if s.Years > maxYears {
+			t.Fatalf("accepted %d years", s.Years)
+		}
+		for typ, fit := range rates {
+			if !(fit >= 0) || math.IsInf(fit, 1) {
+				t.Fatalf("accepted %v FIT %v", typ, fit)
+			}
+		}
+		arrivals := faultmodel.ExpectedArrivals(rates, s.Ranks, s.DevicesPerRank, float64(s.Years))
+		if !(arrivals <= maxExpectedArrivals) {
+			t.Fatalf("accepted %v expected arrivals", arrivals)
+		}
+	})
 }

@@ -27,10 +27,10 @@ type ScrubAblationRow struct {
 	Conventional bool // fault found by the conventional scrubber
 }
 
-// AblationScrub compares the 4-step and conventional scrubbers' detection
+// ablationScrub compares the 4-step and conventional scrubbers' detection
 // coverage across fault situations, including the hidden stuck-at case that
 // motivates the §4.2.2 hardening. Results are functional (real codewords).
-func AblationScrub() []ScrubAblationRow {
+func ablationScrub() []ScrubAblationRow {
 	type scenario struct {
 		name    string
 		fault   dram.Fault
@@ -74,11 +74,11 @@ func AblationScrub() []ScrubAblationRow {
 	return rows
 }
 
-// FprintAblationScrub renders the scrubber coverage comparison.
-func FprintAblationScrub(w io.Writer) {
+// fprintAblationScrub renders the scrubber coverage comparison.
+func fprintAblationScrub(w io.Writer) {
 	fprintf(w, "Ablation: scrubber fault-detection coverage (4-step vs conventional, §4.2.2)\n")
 	fprintf(w, "%-48s %-9s %-12s\n", "Scenario", "4-step", "conventional")
-	for _, r := range AblationScrub() {
+	for _, r := range ablationScrub() {
 		fprintf(w, "%-48s %-9v %-12v\n", r.Scenario, r.FourStep, r.Conventional)
 	}
 }
@@ -93,13 +93,13 @@ type PolicyAblationResult struct {
 	IPCRatio [][]float64
 }
 
-// AblationLLCPolicy quantifies the §4.2.3 design choice: shared-recency
+// ablationLLCPolicy quantifies the §4.2.3 design choice: shared-recency
 // paired replacement versus independent LRU, measured through the full
 // simulator with all pages upgraded. The (policy, mix) runs fan out
 // across the engine's workers; each run is seeded from its config alone,
 // so the ratios are identical at any parallelism, and row 0 — the
 // shared-recency baseline divided by itself — is exactly 1.
-func AblationLLCPolicy(ctx context.Context, cfg exhibit.Config) (PolicyAblationResult, error) {
+func ablationLLCPolicy(ctx context.Context, cfg exhibit.Config) (PolicyAblationResult, error) {
 	res := PolicyAblationResult{Policies: []string{"shared-recency", "independent-lru"}}
 	policies := []cache.Policy{cache.SharedRecency, cache.IndependentLRU}
 	mixes := []workload.Mix{workload.Mixes()[0], workload.Mixes()[9], workload.Mixes()[11]}
@@ -152,10 +152,10 @@ type PairingAblationResult struct {
 	FIFORatio []float64
 }
 
-// AblationPairing measures the cost of the simpler strict-FIFO pairing
+// ablationPairing measures the cost of the simpler strict-FIFO pairing
 // design relative to pointer promotion, under full upgrade pressure. The
 // four (mix, pairing) runs fan out across the engine's workers.
-func AblationPairing(ctx context.Context, cfg exhibit.Config) (PairingAblationResult, error) {
+func ablationPairing(ctx context.Context, cfg exhibit.Config) (PairingAblationResult, error) {
 	var res PairingAblationResult
 	pairings := []memctrl.Pairing{memctrl.PairFIFO, memctrl.PairPromote}
 	mixes := []workload.Mix{workload.Mixes()[0], workload.Mixes()[9]}

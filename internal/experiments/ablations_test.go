@@ -7,7 +7,7 @@ import (
 )
 
 func TestAblationScrub(t *testing.T) {
-	rows := AblationScrub()
+	rows := ablationScrub()
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -23,14 +23,14 @@ func TestAblationScrub(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	FprintAblationScrub(&buf)
+	fprintAblationScrub(&buf)
 	if !strings.Contains(buf.String(), "4-step") {
 		t.Fatal("printer broken")
 	}
 }
 
 func TestAblationLLCPolicy(t *testing.T) {
-	r := runQuick(t, AblationLLCPolicy)
+	r := runQuick(t, ablationLLCPolicy)
 	if len(r.Policies) != 2 || len(r.Mixes) != 3 {
 		t.Fatalf("shape %v/%v", r.Policies, r.Mixes)
 	}
@@ -52,7 +52,7 @@ func TestAblationLLCPolicy(t *testing.T) {
 }
 
 func TestAblationPairing(t *testing.T) {
-	r := runQuick(t, AblationPairing)
+	r := runQuick(t, ablationPairing)
 	for i, ratio := range r.FIFORatio {
 		// FIFO synchronisation can only cost performance, and only a little.
 		if ratio > 1.02 || ratio < 0.85 {

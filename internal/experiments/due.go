@@ -17,9 +17,9 @@ type DUEResult struct {
 	Sparing []float64 // double chip sparing
 }
 
-// DUEAnalysis computes the §6.1 DUE comparison at fault-rate factors
+// dueAnalysis computes the §6.1 DUE comparison at fault-rate factors
 // 1x/2x/4x.
-func DUEAnalysis() DUEResult {
+func dueAnalysis() DUEResult {
 	res := DUEResult{Factors: []float64{1, 2, 4}}
 	for _, f := range res.Factors {
 		p := reliability.DefaultParams()

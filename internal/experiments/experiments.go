@@ -4,14 +4,12 @@
 // run them with Exhibit.Run(ctx, cfg), which yields a structured Report
 // renderable as text (byte-identical to the goldens), JSON, or CSV.
 //
-// The underlying Fig/Table functions remain exported for direct use: each
-// computes its data with the packages that model the system and returns a
-// typed result whose Fprint method renders the same rows/series the paper
-// reports. The Monte Carlo and simulator fan-outs all honour context
-// cancellation — a cancelled context aborts within one engine shard and
-// surfaces mc.ErrCanceled. The cmd/arcc-experiments binary, the root
-// benchmark suite, and the integration tests all drive these entry points
-// through the exhibit registry.
+// The registry is the only way in: the fig/table functions behind each
+// exhibit are unexported. Each computes its data with the packages that
+// model the system and returns a typed result whose Fprint method renders
+// the same rows/series the paper reports. The Monte Carlo and simulator
+// fan-outs all honour context cancellation — a cancelled context aborts
+// within one engine shard and surfaces mc.ErrCanceled.
 package experiments
 
 import (

@@ -23,7 +23,7 @@ func runQuick[T any](t *testing.T, f func(context.Context, exhibit.Config) (T, e
 }
 
 func TestTables(t *testing.T) {
-	rows := Table71()
+	rows := table71()
 	if len(rows) != 2 || rows[0].RankSize != 36 || rows[1].RankSize != 18 {
 		t.Fatalf("Table 7.1 wrong: %+v", rows)
 	}
@@ -31,23 +31,23 @@ func TestTables(t *testing.T) {
 	if rows[0].Channels*rows[0].Ranks*rows[0].RankSize != rows[1].Channels*rows[1].Ranks*rows[1].RankSize {
 		t.Fatal("configurations must use the same total device count")
 	}
-	if len(Table72()) != 12 {
-		t.Fatalf("Table 7.2 has %d rows", len(Table72()))
+	if len(table72()) != 12 {
+		t.Fatalf("Table 7.2 has %d rows", len(table72()))
 	}
-	if len(Table73()) != 12 {
-		t.Fatalf("Table 7.3 has %d mixes", len(Table73()))
+	if len(table73()) != 12 {
+		t.Fatalf("Table 7.3 has %d mixes", len(table73()))
 	}
-	t74 := Table74()
+	t74 := table74()
 	if len(t74) != 4 || t74[0].Fraction != 1.0 || t74[1].Fraction != 0.5 ||
 		t74[2].Fraction != 1.0/16 || t74[3].Fraction != 1.0/32 {
 		t.Fatalf("Table 7.4 wrong: %+v", t74)
 	}
 
 	var buf bytes.Buffer
-	FprintTable71(&buf)
-	FprintTable72(&buf)
-	FprintTable73(&buf)
-	FprintTable74(&buf)
+	fprintTable71(&buf)
+	fprintTable72(&buf)
+	fprintTable73(&buf)
+	fprintTable74(&buf)
 	out := buf.String()
 	for _, want := range []string{"Table 7.1", "Table 7.2", "Table 7.3", "Table 7.4", "ARCC", "Mix12", "Subbank"} {
 		if !strings.Contains(out, want) {
@@ -57,7 +57,7 @@ func TestTables(t *testing.T) {
 }
 
 func TestFig31(t *testing.T) {
-	r := runQuick(t, Fig31)
+	r := runQuick(t, fig31)
 	if len(r.Fraction) != 3 || len(r.Fraction[0]) != 7 {
 		t.Fatalf("Fig 3.1 shape wrong")
 	}
@@ -77,7 +77,7 @@ func TestFig31(t *testing.T) {
 }
 
 func TestFig61(t *testing.T) {
-	r := Fig61(quick())
+	r := fig61(quick())
 	for fi := range r.Factors {
 		for li := range r.Lifespans {
 			if r.ARCC[fi][li] <= r.SCCDCD[fi][li] {
@@ -100,7 +100,7 @@ func TestFig61(t *testing.T) {
 }
 
 func TestFig71(t *testing.T) {
-	r := runQuick(t, Fig71)
+	r := runQuick(t, fig71)
 	if len(r.Mixes) != 12 {
 		t.Fatalf("%d mixes", len(r.Mixes))
 	}
@@ -126,7 +126,7 @@ func TestFig71(t *testing.T) {
 }
 
 func TestFig72(t *testing.T) {
-	r := runQuick(t, Fig72)
+	r := runQuick(t, fig72)
 	if len(r.Scenarios) != 4 {
 		t.Fatalf("%d scenarios", len(r.Scenarios))
 	}
@@ -148,7 +148,7 @@ func TestFig72(t *testing.T) {
 }
 
 func TestFig73(t *testing.T) {
-	r := runQuick(t, Fig73)
+	r := runQuick(t, fig73)
 	var sawGain, sawLoss bool
 	for m := range r.Mixes {
 		v := r.Normalized[0][m] // lane fault: all pages upgraded
@@ -172,7 +172,7 @@ func TestFig74And75(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func(context.Context, exhibit.Config) (LifetimeResult, error)
-	}{{"Fig74", Fig74}, {"Fig75", Fig75}} {
+	}{{"Fig74", fig74}, {"Fig75", fig75}} {
 		r := runQuick(t, tc.run)
 		if len(r.Measured) != 3 || len(r.WorstCase) != 3 {
 			t.Fatalf("%s: wrong factor count", tc.name)
@@ -207,7 +207,7 @@ func TestFig74And75(t *testing.T) {
 }
 
 func TestFig76(t *testing.T) {
-	r := runQuick(t, Fig76)
+	r := runQuick(t, fig76)
 	if r.Measured != nil {
 		t.Fatal("Fig 7.6 reports worst case only")
 	}
@@ -227,7 +227,7 @@ func TestFig76(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, b := runQuick(t, Fig31), runQuick(t, Fig31)
+	a, b := runQuick(t, fig31), runQuick(t, fig31)
 	for fi := range a.Fraction {
 		for y := range a.Fraction[fi] {
 			if a.Fraction[fi][y] != b.Fraction[fi][y] {
@@ -246,12 +246,12 @@ func TestFig7xIdenticalAtAnyParallelism(t *testing.T) {
 	render := func(parallel int) (string, string) {
 		cfg := exhibit.NewConfig(exhibit.WithQuick(true), exhibit.WithParallel(parallel))
 		var b71, b73 bytes.Buffer
-		r71, err := Fig71(ctx, cfg)
+		r71, err := fig71(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r71.Fprint(&b71)
-		r73, err := Fig73(ctx, cfg)
+		r73, err := fig73(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

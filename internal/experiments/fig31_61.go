@@ -20,12 +20,12 @@ type Fig31Result struct {
 	Fraction [][]float64
 }
 
-// Fig31 reproduces Figure 3.1 with a Monte Carlo over memory channels of
+// fig31 reproduces Figure 3.1 with a Monte Carlo over memory channels of
 // two 36-device ranks (the baseline shape the chapter uses). The channels
 // of each rate factor run on the sharded engine with a factor-specific
 // seed stream derived from cfg's seed; a cancelled ctx aborts within one
 // shard and returns mc.ErrCanceled.
-func Fig31(ctx context.Context, cfg exhibit.Config) (Fig31Result, error) {
+func fig31(ctx context.Context, cfg exhibit.Config) (Fig31Result, error) {
 	res := Fig31Result{Years: 7, Factors: []float64{1, 2, 4}}
 	shape := faultmodel.ARCCChannelShape()
 	for fi, f := range res.Factors {
@@ -68,10 +68,10 @@ type Fig61Result struct {
 	ARCC   [][]float64
 }
 
-// Fig61 reproduces Figure 6.1 using the closed-form reliability models
+// fig61 reproduces Figure 6.1 using the closed-form reliability models
 // (validated against Monte Carlo in the reliability package's tests). It
 // is pure computation — no Monte Carlo — so it takes no context.
-func Fig61(cfg exhibit.Config) Fig61Result {
+func fig61(cfg exhibit.Config) Fig61Result {
 	res := Fig61Result{Lifespans: []float64{5, 6, 7}, Factors: []float64{1, 2, 4}}
 	for _, f := range res.Factors {
 		var rowS, rowA []float64

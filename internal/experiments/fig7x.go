@@ -43,12 +43,12 @@ type Fig71Result struct {
 	AvgPowerReduction, AvgIPCGain float64
 }
 
-// Fig71 reproduces Figure 7.1: DRAM power and performance improvement of
+// fig71 reproduces Figure 7.1: DRAM power and performance improvement of
 // fault-free ARCC over commercial chipkill, per mix. The per-mix simulator
 // runs fan out across the engine's workers; each run is seeded from its
 // config alone, so the figure is identical at any parallelism. A
 // cancelled ctx aborts between runs and returns mc.ErrCanceled.
-func Fig71(ctx context.Context, cfg exhibit.Config) (Fig71Result, error) {
+func fig71(ctx context.Context, cfg exhibit.Config) (Fig71Result, error) {
 	var res Fig71Result
 	mixes := workload.Mixes()
 	// Exported fields: the pair must gob-encode for shard checkpointing.
@@ -97,13 +97,13 @@ type FaultSweepResult struct {
 	Avg []float64
 }
 
-// Fig72 reproduces Figure 7.2 (power under faults).
-func Fig72(ctx context.Context, cfg exhibit.Config) (FaultSweepResult, error) {
+// fig72 reproduces Figure 7.2 (power under faults).
+func fig72(ctx context.Context, cfg exhibit.Config) (FaultSweepResult, error) {
 	return faultSweep(ctx, cfg, "power")
 }
 
-// Fig73 reproduces Figure 7.3 (performance under faults).
-func Fig73(ctx context.Context, cfg exhibit.Config) (FaultSweepResult, error) {
+// fig73 reproduces Figure 7.3 (performance under faults).
+func fig73(ctx context.Context, cfg exhibit.Config) (FaultSweepResult, error) {
 	return faultSweep(ctx, cfg, "ipc")
 }
 

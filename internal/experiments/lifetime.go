@@ -27,10 +27,10 @@ type LifetimeResult struct {
 	WorstCase [][]float64
 }
 
-// Fig74 reproduces Figure 7.4 (average power overhead of error correction
+// fig74 reproduces Figure 7.4 (average power overhead of error correction
 // vs time). Per-fault-type measured overheads come from the Fig 7.2 sweep.
-func Fig74(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
-	f72, err := Fig72(ctx, cfg)
+func fig74(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
+	f72, err := fig72(ctx, cfg)
 	if err != nil {
 		return LifetimeResult{}, err
 	}
@@ -39,9 +39,9 @@ func Fig74(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
 		measured, reliability.WorstCaseOverheads(faultmodel.ARCCChannelShape(), 2), 1.0)
 }
 
-// Fig75 reproduces Figure 7.5 (average performance overhead vs time).
-func Fig75(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
-	f73, err := Fig73(ctx, cfg)
+// fig75 reproduces Figure 7.5 (average performance overhead vs time).
+func fig75(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
+	f73, err := fig73(ctx, cfg)
 	if err != nil {
 		return LifetimeResult{}, err
 	}
@@ -50,10 +50,10 @@ func Fig75(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
 		measured, worstCasePerf(), 0.5)
 }
 
-// Fig76 reproduces Figure 7.6: the worst-case power/performance overhead of
+// fig76 reproduces Figure 7.6: the worst-case power/performance overhead of
 // ARCC applied to LOT-ECC (9-device relaxed, 18-device upgraded), where an
 // upgraded access costs 4x a relaxed one.
-func Fig76(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
+func fig76(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
 	factor := lotecc.WorstCaseUpgradedPowerFactor()
 	ov := reliability.WorstCaseOverheads(faultmodel.ARCCChannelShape(), factor)
 	res := LifetimeResult{

@@ -28,15 +28,23 @@ func register(name, title, describe string,
 			if err != nil {
 				return nil, err
 			}
-			return &exhibit.Report{
-				Exhibit: name,
-				Title:   title,
-				Meta:    exhibit.MetaFor(cfg),
-				Data:    data,
-				Tables:  tables,
-				Text:    text,
-			}, nil
+			return newReport(name, title, cfg, data, tables, text), nil
 		},
+	})
+}
+
+// registerResult registers an exhibit whose typed result projects its own
+// tables and text.
+func registerResult[R interface {
+	Tables() []exhibit.Table
+	Fprint(io.Writer)
+}](name, title, describe string, compute func(ctx context.Context, cfg exhibit.Config) (R, error)) {
+	register(name, title, describe, func(ctx context.Context, cfg exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
+		r, err := compute(ctx, cfg)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return r, r.Tables(), r.Fprint, nil
 	})
 }
 
@@ -44,153 +52,84 @@ func init() {
 	register("t7.1", "Table 7.1: Memory Configurations",
 		"evaluated memory configurations (baseline chipkill vs ARCC)",
 		func(_ context.Context, _ exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			rows := Table71()
+			rows := table71()
 			t := exhibit.Table{Name: "configurations",
 				Columns: []string{"name", "tech", "io", "channels", "ranks_per_channel", "rank_size"}}
 			for _, r := range rows {
 				t.Rows = append(t.Rows, exhibit.Row(r.Name, r.Tech, r.IO,
 					exhibit.Itoa(r.Channels), exhibit.Itoa(r.Ranks), exhibit.Itoa(r.RankSize)))
 			}
-			return rows, []exhibit.Table{t}, FprintTable71, nil
+			return rows, []exhibit.Table{t}, fprintTable71, nil
 		})
 	register("t7.2", "Table 7.2: Processor Microarchitecture",
 		"simulated core parameters",
 		func(_ context.Context, _ exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			rows := Table72()
+			rows := table72()
 			t := exhibit.Table{Name: "parameters", Columns: []string{"param", "value"}}
 			for _, r := range rows {
 				t.Rows = append(t.Rows, exhibit.Row(r.Param, r.Value))
 			}
-			return rows, []exhibit.Table{t}, FprintTable72, nil
+			return rows, []exhibit.Table{t}, fprintTable72, nil
 		})
 	register("t7.3", "Table 7.3: Workloads",
 		"the 12 multiprogrammed workload mixes",
 		func(_ context.Context, _ exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			mixes := Table73()
+			mixes := table73()
 			t := exhibit.Table{Name: "mixes",
 				Columns: []string{"mix", "core0", "core1", "core2", "core3"}}
 			for _, m := range mixes {
 				t.Rows = append(t.Rows, exhibit.Row(m.Name, m.Benchmarks[0].Name,
 					m.Benchmarks[1].Name, m.Benchmarks[2].Name, m.Benchmarks[3].Name))
 			}
-			return mixes, []exhibit.Table{t}, FprintTable73, nil
+			return mixes, []exhibit.Table{t}, fprintTable73, nil
 		})
 	register("t7.4", "Table 7.4: Fault Modeling Details",
 		"fraction of pages upgraded per fault type",
 		func(_ context.Context, _ exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			rows := Table74()
+			rows := table74()
 			t := exhibit.Table{Name: "fault_modeling",
 				Columns: []string{"fault_type", "fraction", "note"}}
 			for _, r := range rows {
 				t.Rows = append(t.Rows, exhibit.Row(r.FaultType, exhibit.Ftoa(r.Fraction), r.Note))
 			}
-			return rows, []exhibit.Table{t}, FprintTable74, nil
+			return rows, []exhibit.Table{t}, fprintTable74, nil
 		})
-	register("f3.1", "Figure 3.1: Faulty Memory vs. Time",
-		"avg fraction of 4KB pages affected by faults, per year and rate factor (Monte Carlo)",
-		func(ctx context.Context, cfg exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			r, err := Fig31(ctx, cfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return r, r.Tables(), r.Fprint, nil
-		})
-	register("f6.1", "Figure 6.1: SDCs in 1000 Machine-Years",
+	registerResult("f3.1", "Figure 3.1: Faulty Memory vs. Time",
+		"avg fraction of 4KB pages affected by faults, per year and rate factor (Monte Carlo)", fig31)
+	registerResult("f6.1", "Figure 6.1: SDCs in 1000 Machine-Years",
 		"closed-form SDC rates: commercial SCCDCD DED vs ARCC's reduced DED",
-		func(_ context.Context, cfg exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			r := Fig61(cfg)
-			return r, r.Tables(), r.Fprint, nil
-		})
-	register("f7.1", "Figure 7.1: Power and Performance Improvements",
-		"fault-free ARCC vs commercial chipkill, per mix (full-system simulation)",
-		func(ctx context.Context, cfg exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			r, err := Fig71(ctx, cfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return r, r.Tables(), r.Fprint, nil
-		})
-	register("f7.2", "Figure 7.2: Power Consumption with Fault",
-		"power under lane/device/subbank/column faults, normalized to fault-free",
-		func(ctx context.Context, cfg exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			r, err := Fig72(ctx, cfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return r, r.Tables(), r.Fprint, nil
-		})
-	register("f7.3", "Figure 7.3: Performance with Fault",
-		"IPC under lane/device/subbank/column faults, normalized to fault-free",
-		func(ctx context.Context, cfg exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			r, err := Fig73(ctx, cfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return r, r.Tables(), r.Fprint, nil
-		})
-	register("f7.4", "Figure 7.4: Power Overhead of Error Correction",
-		"lifetime average power overhead vs time, measured and worst-case",
-		func(ctx context.Context, cfg exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			r, err := Fig74(ctx, cfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return r, r.Tables(), r.Fprint, nil
-		})
-	register("f7.5", "Figure 7.5: Performance Overhead of Error Correction",
-		"lifetime average performance overhead vs time, measured and worst-case",
-		func(ctx context.Context, cfg exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			r, err := Fig75(ctx, cfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return r, r.Tables(), r.Fprint, nil
-		})
-	register("f7.6", "Figure 7.6: Overhead of ARCC applied to LOT-ECC",
-		"worst-case lifetime overhead of ARCC on LOT-ECC (4x upgraded access cost)",
-		func(ctx context.Context, cfg exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			r, err := Fig76(ctx, cfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return r, r.Tables(), r.Fprint, nil
-		})
-	register("due", "Section 6.1: DUE Rates",
+		func(_ context.Context, cfg exhibit.Config) (Fig61Result, error) { return fig61(cfg), nil })
+	registerResult("f7.1", "Figure 7.1: Power and Performance Improvements",
+		"fault-free ARCC vs commercial chipkill, per mix (full-system simulation)", fig71)
+	registerResult("f7.2", "Figure 7.2: Power Consumption with Fault",
+		"power under lane/device/subbank/column faults, normalized to fault-free", fig72)
+	registerResult("f7.3", "Figure 7.3: Performance with Fault",
+		"IPC under lane/device/subbank/column faults, normalized to fault-free", fig73)
+	registerResult("f7.4", "Figure 7.4: Power Overhead of Error Correction",
+		"lifetime average power overhead vs time, measured and worst-case", fig74)
+	registerResult("f7.5", "Figure 7.5: Performance Overhead of Error Correction",
+		"lifetime average performance overhead vs time, measured and worst-case", fig75)
+	registerResult("f7.6", "Figure 7.6: Overhead of ARCC applied to LOT-ECC",
+		"worst-case lifetime overhead of ARCC on LOT-ECC (4x upgraded access cost)", fig76)
+	registerResult("due", "Section 6.1: DUE Rates",
 		"expected DUE events per machine lifetime: SCCDCD, SCCDCD+ARCC, chip sparing",
-		func(_ context.Context, _ exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			r := DUEAnalysis()
-			return r, r.Tables(), r.Fprint, nil
-		})
+		func(context.Context, exhibit.Config) (DUEResult, error) { return dueAnalysis(), nil })
 	register("ablation-scrub", "Ablation: Scrubber Fault-Detection Coverage",
 		"4-step vs conventional scrubber across fault situations (§4.2.2)",
 		func(_ context.Context, _ exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			rows := AblationScrub()
+			rows := ablationScrub()
 			t := exhibit.Table{Name: "coverage",
 				Columns: []string{"scenario", "four_step", "conventional"}}
 			for _, r := range rows {
 				t.Rows = append(t.Rows, exhibit.Row(r.Scenario,
 					fmt.Sprintf("%v", r.FourStep), fmt.Sprintf("%v", r.Conventional)))
 			}
-			return rows, []exhibit.Table{t}, FprintAblationScrub, nil
+			return rows, []exhibit.Table{t}, fprintAblationScrub, nil
 		})
-	register("ablation-llc", "Ablation: LLC Replacement for Upgraded Pairs",
-		"shared-recency vs independent LRU under full upgrade pressure (§4.2.3)",
-		func(ctx context.Context, cfg exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			r, err := AblationLLCPolicy(ctx, cfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return r, r.Tables(), r.Fprint, nil
-		})
-	register("ablation-pairing", "Ablation: Sub-Line Pairing Design",
-		"strict-FIFO vs pointer-promotion pairing under full upgrade pressure (§4.2.4)",
-		func(ctx context.Context, cfg exhibit.Config) (any, []exhibit.Table, func(io.Writer), error) {
-			r, err := AblationPairing(ctx, cfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return r, r.Tables(), r.Fprint, nil
-		})
+	registerResult("ablation-llc", "Ablation: LLC Replacement for Upgraded Pairs",
+		"shared-recency vs independent LRU under full upgrade pressure (§4.2.3)", ablationLLCPolicy)
+	registerResult("ablation-pairing", "Ablation: Sub-Line Pairing Design",
+		"strict-FIFO vs pointer-promotion pairing under full upgrade pressure (§4.2.4)", ablationPairing)
 }
 
 // newReport assembles a report from an exhibit's typed result, its flat

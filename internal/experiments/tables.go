@@ -17,19 +17,19 @@ type Table71Row struct {
 	RankSize int
 }
 
-// Table71 returns the evaluated memory configurations.
-func Table71() []Table71Row {
+// table71 returns the evaluated memory configurations.
+func table71() []Table71Row {
 	return []Table71Row{
 		{Name: "Baseline", Tech: "DDR2", IO: "X4", Channels: 2, Ranks: 1, RankSize: 36},
 		{Name: "ARCC", Tech: "DDR2", IO: "X8", Channels: 2, Ranks: 2, RankSize: 18},
 	}
 }
 
-// FprintTable71 renders Table 7.1.
-func FprintTable71(w io.Writer) {
+// fprintTable71 renders Table 7.1.
+func fprintTable71(w io.Writer) {
 	fprintf(w, "Table 7.1: Memory Configurations\n")
 	fprintf(w, "%-10s %-6s %-4s %-5s %-11s %-9s\n", "Name", "Tech", "I/O", "Chan", "Ranks/Chan", "Rank Size")
-	for _, r := range Table71() {
+	for _, r := range table71() {
 		fprintf(w, "%-10s %-6s %-4s %-5d %-11d %-9d\n", r.Name, r.Tech, r.IO, r.Channels, r.Ranks, r.RankSize)
 	}
 }
@@ -37,8 +37,8 @@ func FprintTable71(w io.Writer) {
 // Table72Row is one processor parameter of Table 7.2.
 type Table72Row struct{ Param, Value string }
 
-// Table72 returns the simulated core parameters.
-func Table72() []Table72Row {
+// table72 returns the simulated core parameters.
+func table72() []Table72Row {
 	return []Table72Row{
 		{"SS Width", "2"},
 		{"IQ Size", "16"},
@@ -55,21 +55,21 @@ func Table72() []Table72Row {
 	}
 }
 
-// FprintTable72 renders Table 7.2.
-func FprintTable72(w io.Writer) {
+// fprintTable72 renders Table 7.2.
+func fprintTable72(w io.Writer) {
 	fprintf(w, "Table 7.2: Processor Microarchitecture\n")
-	for _, r := range Table72() {
+	for _, r := range table72() {
 		fprintf(w, "%-16s %s\n", r.Param, r.Value)
 	}
 }
 
-// Table73 returns the 12 workload mixes (Table 7.3).
-func Table73() []workload.Mix { return workload.Mixes() }
+// table73 returns the 12 workload mixes (Table 7.3).
+func table73() []workload.Mix { return workload.Mixes() }
 
-// FprintTable73 renders Table 7.3.
-func FprintTable73(w io.Writer) {
+// fprintTable73 renders Table 7.3.
+func fprintTable73(w io.Writer) {
 	fprintf(w, "Table 7.3: Workloads\n")
-	for _, m := range Table73() {
+	for _, m := range table73() {
 		fprintf(w, "%-6s %s;%s;%s;%s\n", m.Name,
 			m.Benchmarks[0].Name, m.Benchmarks[1].Name, m.Benchmarks[2].Name, m.Benchmarks[3].Name)
 	}
@@ -82,9 +82,9 @@ type Table74Row struct {
 	Note      string
 }
 
-// Table74 returns the fraction of pages upgraded per fault type, derived
+// table74 returns the fraction of pages upgraded per fault type, derived
 // from the ARCC channel shape (not hard-coded: the derivation is the test).
-func Table74() []Table74Row {
+func table74() []Table74Row {
 	shape := faultmodel.ARCCChannelShape()
 	return []Table74Row{
 		{"Lane", shape.UpgradedFraction(faultmodel.Lane), "causes both ranks per channel to be upgraded"},
@@ -94,11 +94,11 @@ func Table74() []Table74Row {
 	}
 }
 
-// FprintTable74 renders Table 7.4.
-func FprintTable74(w io.Writer) {
+// fprintTable74 renders Table 7.4.
+func fprintTable74(w io.Writer) {
 	fprintf(w, "Table 7.4: Fault Modeling Details\n")
 	fprintf(w, "%-10s %-10s %s\n", "Fault Type", "Fraction", "Note")
-	for _, r := range Table74() {
+	for _, r := range table74() {
 		fprintf(w, "%-10s %-10.6f %s\n", r.FaultType, r.Fraction, r.Note)
 	}
 }

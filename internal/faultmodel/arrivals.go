@@ -53,7 +53,7 @@ func SampleArrivalsInto(rng *rand.Rand, buf []Arrival, rates Rates, ranks, devic
 // Poisson means.
 func ExpectedArrivals(rates Rates, ranks, devicesPerRank int, years float64) float64 {
 	hours := years * HoursPerYear
-	total := float64(ranks * devicesPerRank)
+	total := float64(ranks) * float64(devicesPerRank)
 	var sum float64
 	for _, t := range Types() {
 		sum += rates[t] * 1e-9 * total * hours

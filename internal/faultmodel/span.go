@@ -21,13 +21,6 @@ func ARCCChannelShape() ChannelShape {
 	return ChannelShape{RanksPerChannel: 2, BanksPerDevice: 8, PagesPerRow: 2, TotalPages: 512 * 1024}
 }
 
-// BaselineChannelShape is the commercial SCCDCD configuration: one 36-device
-// rank per physical channel, two lockstepped channels forming the logical
-// channel of Fig 3.1 (72 devices, 2 ranks' worth of pages).
-func BaselineChannelShape() ChannelShape {
-	return ChannelShape{RanksPerChannel: 2, BanksPerDevice: 8, PagesPerRow: 2, TotalPages: 1024 * 1024}
-}
-
 func (s ChannelShape) validate() {
 	if s.RanksPerChannel <= 0 || s.BanksPerDevice <= 0 || s.PagesPerRow <= 0 || s.TotalPages <= 0 {
 		panic(fmt.Sprintf("faultmodel: invalid channel shape %+v", s))

@@ -26,8 +26,6 @@ type Timing struct {
 	CL    int // column command to first data
 	TRC   int // activate to activate, same bank
 	Burst int // data-bus cycles per 64 B line transfer
-	// TRP is precharge time, used by the open-page policy.
-	TRP int
 	// TREFI/TRFC model auto-refresh: every TREFI cycles each rank is
 	// unavailable for TRFC cycles. Zero TREFI disables refresh modeling.
 	TREFI int
@@ -57,7 +55,7 @@ func DDR2X4Timing() Timing { return Timing{TRCD: 4, CL: 4, TRC: 18, Burst: 2} }
 // 350 ns auto-refresh. Representative JEDEC speed-bin numbers — the
 // figures compare configurations, they do not certify parts.
 func DDR4Timing() Timing {
-	return Timing{TRCD: 16, CL: 16, TRC: 54, Burst: 4, TRP: 16,
+	return Timing{TRCD: 16, CL: 16, TRC: 54, Burst: 4,
 		TREFI: 9360, TRFC: 420, TCCDS: 4, TCCDL: 6}
 }
 
@@ -66,7 +64,7 @@ func DDR4Timing() Timing {
 // line in 8 bus clocks on the 40-bit subchannel, 8-bank-group spacing, and
 // fine-granularity refresh (3.9 us / ~295 ns).
 func DDR5Timing() Timing {
-	return Timing{TRCD: 39, CL: 40, TRC: 115, Burst: 8, TRP: 39,
+	return Timing{TRCD: 39, CL: 40, TRC: 115, Burst: 8,
 		TREFI: 9360, TRFC: 708, TCCDS: 8, TCCDL: 12}
 }
 
@@ -97,7 +95,6 @@ type Controller struct {
 	meter *power.Meter
 
 	bankFree [][]int64 // [channel][rank*banks] next-free cycle
-	openRow  [][]int64 // [channel][rank*banks] open row (-1: precharged); open-page only
 	busFree  []int64   // [channel]
 
 	// Bank-group column spacing state (tCCD): per channel, the start cycle
@@ -129,15 +126,10 @@ func New(cfg Config, meter *power.Meter) *Controller {
 		panic(fmt.Sprintf("memctrl: %d banks do not divide into %d groups", cfg.BanksPerRank, cfg.BankGroups))
 	}
 	banks := make([][]int64, cfg.Channels)
-	rows := make([][]int64, cfg.Channels)
 	for i := range banks {
 		banks[i] = make([]int64, cfg.RanksPerChannel*cfg.BanksPerRank)
-		rows[i] = make([]int64, cfg.RanksPerChannel*cfg.BanksPerRank)
-		for j := range rows[i] {
-			rows[i][j] = -1
-		}
 	}
-	c := &Controller{cfg: cfg, meter: meter, bankFree: banks, openRow: rows, busFree: make([]int64, cfg.Channels),
+	c := &Controller{cfg: cfg, meter: meter, bankFree: banks, busFree: make([]int64, cfg.Channels),
 		refresh: cfg.Timing.TREFI > 0 && cfg.Timing.TRFC > 0,
 		groups:  cfg.BankGroups > 1 && cfg.Timing.TCCDL > 0,
 	}
@@ -153,16 +145,12 @@ func New(cfg Config, meter *power.Meter) *Controller {
 func (c *Controller) Config() Config { return c.cfg }
 
 // Reset returns the controller to its post-New state — all banks and buses
-// free, all rows precharged, counters zeroed — reusing the backing arrays.
+// free, counters zeroed — reusing the backing arrays.
 // The attached power meter (if any) is NOT reset; callers that reuse a
 // controller across runs reset the meter alongside (sim.Scratch does).
 func (c *Controller) Reset() {
 	for i := range c.bankFree {
 		clear(c.bankFree[i])
-		rows := c.openRow[i]
-		for j := range rows {
-			rows[j] = -1
-		}
 	}
 	clear(c.busFree)
 	clear(c.lastCol)
@@ -260,75 +248,6 @@ func (c *Controller) AccessPaired(now int64, globalBank int, write bool) int64 {
 	t0 := c.Access(start, 0, globalBank, write)
 	t1 := c.Access(start, 1, globalBank, write)
 	return max64(t0, t1)
-}
-
-// AccessOpenPage books one 64 B access under an OPEN-page row-buffer
-// policy: the row stays open after the access, so a subsequent access to
-// the same row skips the activate (row hit: CL + burst), while a different
-// row pays precharge + activate (row miss). The paper's evaluated
-// configuration is closed-page (use Access); this entry point exists for
-// the row-policy ablation.
-func (c *Controller) AccessOpenPage(now int64, channel, globalBank int, row int64, write bool) int64 {
-	if channel < 0 || channel >= c.cfg.Channels {
-		panic(fmt.Sprintf("memctrl: channel %d out of range", channel))
-	}
-	if globalBank < 0 || globalBank >= c.cfg.RanksPerChannel*c.cfg.BanksPerRank {
-		panic(fmt.Sprintf("memctrl: bank %d out of range", globalBank))
-	}
-	if row < 0 {
-		panic("memctrl: negative row")
-	}
-	t := &c.cfg.Timing
-	trp := t.TRP
-	if trp == 0 {
-		trp = t.TRCD // sensible DDR2 default: tRP == tRCD
-	}
-	start := max64(now, c.bankFree[channel][globalBank])
-	if c.refresh {
-		start = c.afterRefresh(start)
-	}
-	var dataReady int64
-	if c.openRow[channel][globalBank] == row {
-		// Row hit: column access only.
-		dataReady = start + int64(t.CL)
-	} else {
-		// Row miss: precharge (if a row is open) + activate + column.
-		penalty := int64(t.TRCD + t.CL)
-		if c.openRow[channel][globalBank] >= 0 {
-			penalty += int64(trp)
-		}
-		dataReady = start + penalty
-	}
-	dataStart := max64(dataReady, c.busFree[channel])
-	if c.groups {
-		dataStart = c.applyCCD(channel, globalBank, dataStart)
-	}
-	complete := dataStart + int64(t.Burst)
-	c.busFree[channel] = complete
-	c.bankFree[channel][globalBank] = complete
-	c.openRow[channel][globalBank] = row
-	c.busBusy += int64(t.Burst)
-	c.bankBusy += complete - start
-	if complete > c.lastCompletion {
-		c.lastCompletion = complete
-	}
-	if c.meter != nil {
-		// Activates only on row misses; the row-hit stream amortises them.
-		if dataReady != start+int64(t.CL) {
-			c.meter.RecordActivate(c.cfg.DevicesPerAccess)
-		}
-		if write {
-			c.meter.RecordWrite(c.cfg.DevicesPerAccess, c.cfg.BurstBeats)
-		} else {
-			c.meter.RecordRead(c.cfg.DevicesPerAccess, c.cfg.BurstBeats)
-		}
-	}
-	if write {
-		c.writes++
-	} else {
-		c.reads++
-	}
-	return complete
 }
 
 // Stats returns read/write counts.

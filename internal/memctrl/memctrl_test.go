@@ -260,67 +260,3 @@ func TestRefreshDisabledByDefault(t *testing.T) {
 		t.Fatalf("zero-TREFI config should not model refresh (done=%d)", done)
 	}
 }
-
-func TestOpenPageRowHitsAreFast(t *testing.T) {
-	cfg := arccConfig()
-	cfg.Timing.TRP = 4
-	c := New(cfg, nil)
-	tm := cfg.Timing
-	first := c.AccessOpenPage(0, 0, 0, 5, false) // row miss (bank precharged)
-	second := c.AccessOpenPage(first, 0, 0, 5, false)
-	hitLatency := second - first
-	if hitLatency != int64(tm.CL+tm.Burst) {
-		t.Fatalf("row hit latency %d, want %d", hitLatency, tm.CL+tm.Burst)
-	}
-	third := c.AccessOpenPage(second, 0, 0, 9, false) // conflicting row
-	missLatency := third - second
-	if missLatency != int64(tm.TRP+tm.TRCD+tm.CL+tm.Burst) {
-		t.Fatalf("row-conflict latency %d, want %d", missLatency, tm.TRP+tm.TRCD+tm.CL+tm.Burst)
-	}
-}
-
-func TestOpenPageBeatsClosedPageOnRowLocality(t *testing.T) {
-	// A stream with strong row locality: open page amortises activates.
-	run := func(open bool) int64 {
-		cfg := arccConfig()
-		cfg.Timing.TRP = 4
-		c := New(cfg, nil)
-		var now int64
-		for i := 0; i < 1000; i++ {
-			row := int64(i / 50) // 50 accesses per row
-			if open {
-				now = c.AccessOpenPage(now, 0, 0, row, false)
-			} else {
-				now = c.Access(now, 0, 0, false)
-			}
-		}
-		return c.LastCompletion()
-	}
-	openDone, closedDone := run(true), run(false)
-	if openDone >= closedDone {
-		t.Fatalf("open page (%d) not faster than closed page (%d) on a row-local stream", openDone, closedDone)
-	}
-}
-
-func TestOpenPagePowerSkipsActivatesOnHits(t *testing.T) {
-	m := power.NewMeter(power.Micron512MbX8())
-	cfg := arccConfig()
-	cfg.Timing.TRP = 4
-	c := New(cfg, m)
-	c.AccessOpenPage(0, 0, 0, 1, false)   // miss: activate
-	c.AccessOpenPage(100, 0, 0, 1, false) // hit: no activate
-	act, rd, _ := m.Counts()
-	if act != 1 || rd != 2 {
-		t.Fatalf("activates/reads = %d/%d, want 1/2", act, rd)
-	}
-}
-
-func TestOpenPagePanicsOnNegativeRow(t *testing.T) {
-	c := New(arccConfig(), nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	c.AccessOpenPage(0, 0, 0, -1, false)
-}

@@ -221,18 +221,6 @@ func (m *Memory) StoreFrom(addr uint64, data []byte) {
 	}
 }
 
-// ReadLineInto is LoadInto returning the buffer, the idiom the controller's
-// line-oriented read paths use.
-func (m *Memory) ReadLineInto(addr uint64, out []byte) []byte {
-	m.LoadInto(addr, out)
-	return out
-}
-
-// WriteLine is StoreFrom under the controller's line-write name.
-func (m *Memory) WriteLine(addr uint64, data []byte) {
-	m.StoreFrom(addr, data)
-}
-
 // ReleaseIfZero releases the page containing addr back to a hole if it is
 // materialised and its content is all zero (scrub-verified-zero release).
 // It reports whether a page was released.
@@ -259,15 +247,6 @@ func (m *Memory) CompactZero() int {
 		}
 	}
 	return released
-}
-
-// ForEachPage calls fn for every materialised page in ascending page-number
-// order with the page's base byte address and content. fn must not store or
-// mutate data beyond the call, and must not call back into m.
-func (m *Memory) ForEachPage(fn func(base uint64, data []byte)) {
-	for i, pn := range m.bases {
-		fn(pn<<m.shift, m.pages[i])
-	}
 }
 
 // Reset drops every page (and the free list), returning the memory to the

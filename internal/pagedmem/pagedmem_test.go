@@ -231,29 +231,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestForEachPageAscending(t *testing.T) {
-	m := New(256)
-	for _, pn := range []uint64{9, 2, 7, 1 << 30} {
-		m.StoreFrom(pn*256, []byte{1, byte(pn)})
-	}
-	var bases []uint64
-	m.ForEachPage(func(base uint64, data []byte) {
-		bases = append(bases, base)
-		if data[0] != 1 || data[1] != byte(base/256) {
-			t.Fatalf("page %#x holds % x", base, data[:2])
-		}
-	})
-	want := []uint64{2 * 256, 7 * 256, 9 * 256, (1 << 30) * 256}
-	if len(bases) != len(want) {
-		t.Fatalf("ForEachPage visited %d pages, want %d", len(bases), len(want))
-	}
-	for i := range want {
-		if bases[i] != want[i] {
-			t.Fatalf("visit %d: base %#x, want %#x", i, bases[i], want[i])
-		}
-	}
-}
-
 func TestSpanWrapPanics(t *testing.T) {
 	m := New(64)
 	defer func() {

@@ -120,83 +120,3 @@ func TestModeString(t *testing.T) {
 		t.Fatal("unknown mode must still print")
 	}
 }
-
-func TestTLBHitMiss(t *testing.T) {
-	tbl := New(100)
-	tbl.RelaxAll()
-	tlb := NewTLB(tbl, 4)
-	if got := tlb.Lookup(7); got != Relaxed {
-		t.Fatalf("Lookup = %v", got)
-	}
-	hits, misses := tlb.Stats()
-	if hits != 0 || misses != 1 {
-		t.Fatalf("stats after first lookup: %d/%d", hits, misses)
-	}
-	tlb.Lookup(7)
-	hits, misses = tlb.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats after repeat lookup: %d/%d", hits, misses)
-	}
-}
-
-func TestTLBCachesStaleModeUntilInvalidate(t *testing.T) {
-	// The TLB deliberately caches the flag; the scrubber must invalidate
-	// after changing a page's mode. This test pins that contract.
-	tbl := New(10)
-	tbl.RelaxAll()
-	tlb := NewTLB(tbl, 4)
-	if tlb.Lookup(3) != Relaxed {
-		t.Fatal("initial lookup")
-	}
-	tbl.SetMode(3, Upgraded)
-	if tlb.Lookup(3) != Relaxed {
-		t.Fatal("TLB should still serve the cached (stale) flag")
-	}
-	tlb.Invalidate(3)
-	if tlb.Lookup(3) != Upgraded {
-		t.Fatal("after invalidate, TLB must refetch the new mode")
-	}
-}
-
-func TestTLBLRUEviction(t *testing.T) {
-	tbl := New(10)
-	tbl.RelaxAll()
-	tlb := NewTLB(tbl, 2)
-	tlb.Lookup(0) // miss
-	tlb.Lookup(1) // miss
-	tlb.Lookup(0) // hit, makes 1 the LRU
-	tlb.Lookup(2) // miss, evicts 1
-	tlb.Lookup(0) // must still hit
-	hits, misses := tlb.Stats()
-	if hits != 2 || misses != 3 {
-		t.Fatalf("stats %d/%d, want 2 hits / 3 misses", hits, misses)
-	}
-	tlb.Lookup(1) // must miss again (was evicted)
-	_, misses = tlb.Stats()
-	if misses != 4 {
-		t.Fatalf("misses = %d, want 4", misses)
-	}
-}
-
-func TestTLBInvalidateAll(t *testing.T) {
-	tbl := New(10)
-	tlb := NewTLB(tbl, 8)
-	for i := 0; i < 5; i++ {
-		tlb.Lookup(i)
-	}
-	tlb.InvalidateAll()
-	tlb.Lookup(0)
-	hits, _ := tlb.Stats()
-	if hits != 0 {
-		t.Fatal("lookup after InvalidateAll should miss")
-	}
-}
-
-func TestTLBPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTLB(_, 0) did not panic")
-		}
-	}()
-	NewTLB(New(1), 0)
-}

@@ -1,10 +1,6 @@
 package scrub
 
-import (
-	"fmt"
-
-	"arcc/internal/pagetable"
-)
+import "arcc/internal/pagetable"
 
 // SecondLevel controls whether FullScrub also applies the §5.1 second
 // upgrade: a page that is *already* upgraded and is found faulty again gets
@@ -33,45 +29,4 @@ func (s *Scrubber) applyModeTransitions(faulty []int) {
 			}
 		}
 	}
-}
-
-// Scheduler drives periodic scrubs over simulated time, the way a memory
-// controller timer would: one full scrub every interval (the paper and the
-// field study use four hours).
-type Scheduler struct {
-	scrubber      *Scrubber
-	intervalHours float64
-	elapsedHours  float64
-	nextScrubAt   float64
-}
-
-// NewScheduler wraps a scrubber with a periodic schedule.
-func NewScheduler(s *Scrubber, intervalHours float64) *Scheduler {
-	if intervalHours <= 0 {
-		panic(fmt.Sprintf("scrub: invalid scrub interval %v", intervalHours))
-	}
-	return &Scheduler{scrubber: s, intervalHours: intervalHours, nextScrubAt: intervalHours}
-}
-
-// Scrubber returns the underlying scrubber (for statistics).
-func (sc *Scheduler) Scrubber() *Scrubber { return sc.scrubber }
-
-// ElapsedHours returns the simulated time reached so far.
-func (sc *Scheduler) ElapsedHours() float64 { return sc.elapsedHours }
-
-// AdvanceTo moves simulated time forward to hours, running every scrub that
-// falls due in between. It returns the number of scrubs performed. Time
-// never moves backwards; advancing to the past is a no-op.
-func (sc *Scheduler) AdvanceTo(hours float64) int {
-	scrubs := 0
-	for sc.nextScrubAt <= hours {
-		sc.scrubber.FullScrub()
-		sc.elapsedHours = sc.nextScrubAt
-		sc.nextScrubAt += sc.intervalHours
-		scrubs++
-	}
-	if hours > sc.elapsedHours {
-		sc.elapsedHours = hours
-	}
-	return scrubs
 }

@@ -11,35 +11,6 @@ import (
 	"arcc/internal/pagetable"
 )
 
-func TestSchedulerRunsScrubsOnInterval(t *testing.T) {
-	s := New(newMem(t), FourStep)
-	sched := NewScheduler(s, 4)
-	if n := sched.AdvanceTo(3.9); n != 0 {
-		t.Fatalf("scrub before the interval: %d", n)
-	}
-	if n := sched.AdvanceTo(4.0); n != 1 {
-		t.Fatalf("AdvanceTo(4) ran %d scrubs, want 1", n)
-	}
-	if n := sched.AdvanceTo(17); n != 3 {
-		t.Fatalf("AdvanceTo(17) ran %d scrubs, want 3 (at 8, 12, 16)", n)
-	}
-	if sched.Scrubber().Stats().Scrubs != 4 {
-		t.Fatalf("total scrubs %d, want 4", sched.Scrubber().Stats().Scrubs)
-	}
-	if n := sched.AdvanceTo(10); n != 0 {
-		t.Fatal("time moved backwards")
-	}
-}
-
-func TestSchedulerPanicsOnBadInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewScheduler(New(newMem(t), FourStep), 0)
-}
-
 func TestSecondLevelRequiresFourChannels(t *testing.T) {
 	s := New(newMem(t), FourStep) // two channels
 	defer func() {
@@ -86,7 +57,12 @@ func TestLifetimeSoak(t *testing.T) {
 	mem := core.New(core.Config{Pages: 32, Channels: 2, RanksPerChannel: 2, BanksPerDevice: 8, RowsPerBank: 1})
 	mem.RelaxAll()
 	s := New(mem, FourStep)
-	sched := NewScheduler(s, 24)
+	nextScrub := 24.0
+	advanceTo := func(hours float64) {
+		for ; nextScrub <= hours; nextScrub += 24 {
+			s.FullScrub()
+		}
+	}
 	rng := rand.New(rand.NewSource(99))
 
 	// Reference content.
@@ -127,11 +103,11 @@ func TestLifetimeSoak(t *testing.T) {
 			continue // second fault in the same rank could defeat relaxed mode legally
 		}
 		used[key] = true
-		sched.AdvanceTo(a.AtHours)
+		advanceTo(a.AtHours)
 		mem.InjectFault(channel, a.Rank, faultmodel.ToDRAMFault(rng, a, geom))
 		injected++
 	}
-	sched.AdvanceTo(faultmodel.HoursPerYear)
+	advanceTo(faultmodel.HoursPerYear)
 	if injected == 0 {
 		t.Fatal("no usable faults injected")
 	}
@@ -150,7 +126,7 @@ func TestLifetimeSoak(t *testing.T) {
 
 	st := s.Stats()
 	if st.Scrubs < 300 {
-		t.Fatalf("only %d scrubs over a year of daily scrubbing; scheduler broken", st.Scrubs)
+		t.Fatalf("only %d scrubs over a year of daily scrubbing; schedule broken", st.Scrubs)
 	}
 	t.Logf("soak: %d faults injected, %d scrubs, %d pages upgraded, %d corrections, %d DUEs",
 		injected, st.Scrubs, st.PagesUpgraded, mem.Stats().Corrected, mem.Stats().DUEs)

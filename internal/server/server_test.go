@@ -481,6 +481,11 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown scenario mix", `{"scenario": {"name": "x", "mixes": ["MixNope"]}}`},
 		{"unknown scenario fault type", `{"scenario": {"name": "x", "fit_overrides": {"cosmic": 1}}}`},
 		{"nameless scenario", `{"scenario": {"trials": 10}}`},
+		// Past Scenario.Validate these once panicked, exhausted memory, or
+		// ran with a negative rate.
+		{"huge scenario rate factor", `{"scenario": {"name": "x", "rate_factor": 1e300}}`},
+		{"huge scenario lifetime", `{"scenario": {"name": "x", "years": 300000000}}`},
+		{"negative scenario FIT", `{"scenario": {"name": "x", "fit_overrides": {"bit": -5}}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

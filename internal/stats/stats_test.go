@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,21 +14,6 @@ func TestMean(t *testing.T) {
 	}
 	if Mean([]float64{5}) != 5 {
 		t.Fatal("singleton mean wrong")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("GeoMean = %v, want 2", got)
-	}
-	// Geometric mean of ratios is inversion-symmetric.
-	xs := []float64{0.5, 2, 1.25, 0.8}
-	inv := make([]float64, len(xs))
-	for i, x := range xs {
-		inv[i] = 1 / x
-	}
-	if math.Abs(GeoMean(xs)*GeoMean(inv)-1) > 1e-12 {
-		t.Fatal("geomean not inversion-symmetric")
 	}
 }
 
@@ -56,20 +42,6 @@ func TestCI95ShrinksWithSamples(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4}, 2)
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Normalize = %v", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %v, %v", lo, hi)
-	}
-}
-
 func TestMeanBounds(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -82,7 +54,7 @@ func TestMeanBounds(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		lo, hi := MinMax(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		m := Mean(xs)
 		return m >= lo-1e-9 && m <= hi+1e-9
 	}
@@ -93,12 +65,8 @@ func TestMeanBounds(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"mean empty":     func() { Mean(nil) },
-		"geomean empty":  func() { GeoMean(nil) },
-		"geomean nonpos": func() { GeoMean([]float64{1, 0}) },
-		"stddev empty":   func() { StdDev(nil) },
-		"norm zero":      func() { Normalize([]float64{1}, 0) },
-		"minmax empty":   func() { MinMax(nil) },
+		"mean empty":   func() { Mean(nil) },
+		"stddev empty": func() { StdDev(nil) },
 	} {
 		func() {
 			defer func() {

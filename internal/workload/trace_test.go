@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -248,4 +249,44 @@ func TestNewTraceSourcePanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	NewTraceSource(nil)
+}
+
+// FuzzLoadTrace feeds arbitrary bytes to the trace loader: it must either
+// return an error or yield accesses that re-encode and reload unchanged.
+func FuzzLoadTrace(f *testing.F) {
+	var valid bytes.Buffer
+	if _, err := Record(&valid, ByName("mesa").NewStream(3, 0), 4); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-1])
+	f.Add(traceMagic[:])
+	f.Add(append(traceMagic[:], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe))
+	f.Add([]byte("ARCCTRC0"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src, err := LoadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		tw, err := NewTraceWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range src.accesses {
+			if err := tw.Write(a); err != nil {
+				t.Fatalf("re-encoding %+v: %v", a, err)
+			}
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadTrace(&buf)
+		if err != nil {
+			t.Fatalf("reloading the re-encoded trace: %v", err)
+		}
+		if !slices.Equal(again.accesses, src.accesses) {
+			t.Fatal("re-encoded trace reloads differently")
+		}
+	})
 }
