@@ -180,6 +180,11 @@ const (
 	// maxYears bounds the lifetime: each Monte Carlo shard holds one value
 	// per year.
 	maxYears = 100
+	// maxGeometry bounds ranks, devices_per_rank and banks_per_device.
+	// A zero-rate scenario skips the arrivals cap below, yet the channel
+	// shape still multiplies these counts into page totals and span
+	// denominators, which must not overflow.
+	maxGeometry = 1 << 16
 	// maxExpectedArrivals bounds the mean number of fault arrivals one
 	// channel lifetime draws, bursts and rate tilting included: the
 	// per-worker arrival buffers are sized from that mean.
@@ -198,6 +203,9 @@ func (s Scenario) Validate() error {
 	case s.Ranks <= 0 || s.DevicesPerRank <= 1 || s.BanksPerDevice <= 0:
 		return fmt.Errorf("exhibit: scenario %q: invalid channel geometry (ranks=%d devices_per_rank=%d banks_per_device=%d)",
 			s.Name, s.Ranks, s.DevicesPerRank, s.BanksPerDevice)
+	case s.Ranks > maxGeometry || s.DevicesPerRank > maxGeometry || s.BanksPerDevice > maxGeometry:
+		return fmt.Errorf("exhibit: scenario %q: channel geometry past %d (ranks=%d devices_per_rank=%d banks_per_device=%d)",
+			s.Name, maxGeometry, s.Ranks, s.DevicesPerRank, s.BanksPerDevice)
 	case s.Years <= 0 || s.Trials <= 0:
 		return fmt.Errorf("exhibit: scenario %q: years and trials must be positive (got %d, %d)", s.Name, s.Years, s.Trials)
 	case s.Years > maxYears:

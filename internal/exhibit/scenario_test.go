@@ -149,6 +149,9 @@ func TestScenarioBounds(t *testing.T) {
 		{"tilt inside the cap", `{"name":"x", "rate_factor": 500, "accel": "tilt:8"}`, true},
 		{"burst past the cap", `{"name":"x", "rate_factor": 50, "burst": {"row_prob": 1, "row_mean": 4, "row_max": 100000}}`, false},
 		{"zero rates", `{"name":"x", "rate_factor": 0}`, true},
+		{"zero rates, geometry past the cap", `{"name":"x", "rate_factor": 0, "ranks": 40000000000000}`, false},
+		{"zero rates, banks past the cap", `{"name":"x", "rate_factor": 0, "banks_per_device": 4611686018427387904}`, false},
+		{"geometry at the cap", `{"name":"x", "rate_factor": 0, "ranks": 65536, "devices_per_rank": 65536, "banks_per_device": 65536}`, true},
 	}
 	for _, tc := range cases {
 		_, err := ParseScenario(strings.NewReader(tc.body))
@@ -181,6 +184,7 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add(`{"name":"x", "rate_factor": 1e300}`)
 	f.Add(`{"name":"x", "years": 300000000}`)
 	f.Add(`{"name":"x", "fit_overrides": {"bit": -5}}`)
+	f.Add(`{"name":"x", "rate_factor": 0, "ranks": 40000000000000}`)
 	examples, _ := filepath.Glob("../../examples/*/*.json")
 	if len(examples) == 0 {
 		f.Fatal("no example scenarios to seed from")
@@ -202,7 +206,7 @@ func FuzzParseScenario(f *testing.F) {
 			t.Fatalf("cost factor %v", cost)
 		}
 		s.Generation()
-		if shape := s.Shape(); shape.RanksPerChannel != s.Ranks {
+		if shape := s.Shape(); shape.RanksPerChannel != s.Ranks || shape.TotalPages <= 0 {
 			t.Fatalf("shape %+v for %d ranks", shape, s.Ranks)
 		}
 		if s.Years > maxYears {

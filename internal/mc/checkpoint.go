@@ -91,6 +91,14 @@ type checkpointable interface {
 	encoding.BinaryUnmarshaler
 }
 
+// trialChecker is implemented by accumulators whose snapshot names the
+// trials it holds (mapAcc). restore hands it the trial range [lo, hi) of
+// the shard it is restoring and skips a blob that names other trials, so
+// that shard re-runs.
+type trialChecker interface {
+	checkTrials(lo, hi int) error
+}
+
 // checkpointer tracks completed shards during a run and turns them into
 // snapshots at the configured cadence. Accumulators are kept by
 // reference until a snapshot serializes them (a completed shard's
@@ -145,6 +153,10 @@ func (c *checkpointer) restore(accs []Accumulator) (resumedTrials int) {
 		}
 		acc := c.job.NewAcc()
 		if err := acc.(checkpointable).UnmarshalBinary(blob); err != nil {
+			continue
+		}
+		lo := s * c.size
+		if tc, ok := acc.(trialChecker); ok && tc.checkTrials(lo, lo+shardTrials(s, c.size, c.trials)) != nil {
 			continue
 		}
 		accs[s] = acc

@@ -378,6 +378,68 @@ func TestMapScratchResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// mapBlob is the snapshot a map shard holding results vals for trials idx
+// writes.
+func mapBlob(t testing.TB, idx []int, vals []float64) []byte {
+	t.Helper()
+	b, err := (&mapAcc[float64]{idx: idx, vals: vals}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzMapCheckpointResume resumes a 4-trial map job of two 2-trial
+// shards from one fuzzed blob at a fuzzed shard index. The resume must
+// never panic or fail, and must equal an uninterrupted run at
+// parallelism 1 and 4 — except that a blob holding exactly the shard's
+// trials, in order, one value each, is a valid snapshot whose values
+// take the place of the shard's. The first two seeds are the blobs that
+// panicked (trial 99) and that returned [0 0 2.5 3.5] with no error
+// (shard 1's trials restored as shard 0).
+func FuzzMapCheckpointResume(f *testing.F) {
+	const n, size = 4, 2
+	mapJob := func(opts Options, cp *Checkpoint) ([]float64, error) {
+		opts.ShardSize = size
+		opts.Checkpoint = &CheckpointConfig{Resume: cp}
+		return MapScratchCtx(context.Background(), n, 3, opts,
+			func() int { return 0 },
+			func(_ *rand.Rand, i int, _ int) float64 { return float64(i) + 0.5 })
+	}
+	want, err := mapJob(Options{Parallelism: 1}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(int8(0), mapBlob(f, []int{99}, []float64{7}))
+	f.Add(int8(0), mapBlob(f, []int{2, 3}, []float64{2.5, 3.5}))
+	f.Add(int8(1), mapBlob(f, []int{2, 3}, []float64{-1, math.Inf(1)}))
+	f.Add(int8(0), mapBlob(f, []int{0, 1}, []float64{0.5}))
+	f.Add(int8(1), mapBlob(f, []int{2, 3, 4}, []float64{1, 2, 3}))
+	f.Add(int8(-1), mapBlob(f, []int{0, 1}, []float64{0.5, 1.5}))
+	f.Add(int8(0), []byte("not gob"))
+	f.Fuzz(func(t *testing.T, shard int8, blob []byte) {
+		s := int(shard)
+		expect := append([]float64(nil), want...)
+		var dec mapAcc[float64]
+		if s >= 0 && s < n/size && dec.UnmarshalBinary(blob) == nil &&
+			len(dec.idx) == size && len(dec.vals) == size && dec.idx[0] == s*size && dec.idx[1] == s*size+1 {
+			copy(expect[s*size:], dec.vals)
+		}
+		cp := &Checkpoint{Trials: n, Seed: 3, ShardSize: size, Shards: map[int][]byte{s: blob}}
+		for _, p := range []int{1, 4} {
+			got, err := mapJob(Options{Parallelism: p}, cp)
+			if err != nil {
+				t.Fatalf("parallelism %d: %v", p, err)
+			}
+			for i := range expect {
+				if math.Float64bits(got[i]) != math.Float64bits(expect[i]) {
+					t.Fatalf("parallelism %d: resumed %v, want %v", p, got, expect)
+				}
+			}
+		}
+	})
+}
+
 func TestCheckpointJSONRoundTrip(t *testing.T) {
 	// The server persists checkpoints as JSON; the blobs must survive the
 	// base64 round trip and resume bit-identically.

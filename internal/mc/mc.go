@@ -440,20 +440,47 @@ type mapAccWire[T any] struct {
 // simply skips checkpointing that shard — when T is not gob-encodable
 // (e.g. a struct with no exported fields).
 func (m *mapAcc[T]) MarshalBinary() ([]byte, error) {
+	return gobEncode(mapAccWire[T]{Idx: m.idx, Vals: m.vals})
+}
+
+// UnmarshalBinary restores a shard's trial results from MarshalBinary
+// bytes. Which trials they belong to is checked by checkTrials when the
+// engine restores the shard.
+func (m *mapAcc[T]) UnmarshalBinary(b []byte) error {
+	var w mapAccWire[T]
+	if err := gobDecode(b, &w); err != nil {
+		return err
+	}
+	m.idx, m.vals = w.Idx, w.Vals
+	return nil
+}
+
+// gobEncode and gobDecode hold the gob plumbing of mapAcc's generic
+// methods, so every instantiation calls one compiled copy.
+func gobEncode(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(mapAccWire[T]{Idx: m.idx, Vals: m.vals}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary restores a shard's trial results from MarshalBinary
-// bytes.
-func (m *mapAcc[T]) UnmarshalBinary(b []byte) error {
-	var w mapAccWire[T]
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return err
+func gobDecode(b []byte, v any) error {
+	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+}
+
+// checkTrials reports why a restored shard cannot stand for trials
+// [lo, hi): result assembly places value i at trial idx[i], so the blob
+// must hold exactly one value per trial of the range, in order. Any other
+// blob would misplace results or index past the output.
+func (m *mapAcc[T]) checkTrials(lo, hi int) error {
+	if len(m.idx) != hi-lo || len(m.vals) != len(m.idx) {
+		return fmt.Errorf("mc: map snapshot holds %d indices and %d values, want %d", len(m.idx), len(m.vals), hi-lo)
 	}
-	m.idx, m.vals = w.Idx, w.Vals
+	for i, t := range m.idx {
+		if t != lo+i {
+			return fmt.Errorf("mc: map snapshot holds trial %d where trial %d belongs", t, lo+i)
+		}
+	}
 	return nil
 }

@@ -1,9 +1,9 @@
 package mc
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -56,8 +56,8 @@ type WeightedJob struct {
 
 // WeightedSet is the result of a weighted job: one estimator per
 // dimension plus the requested quantile sketches, merged across shards
-// in shard-index order. Fields are exported for gob checkpointing;
-// treat them as read-only.
+// in shard-index order. Fields are exported so callers can read the
+// estimators directly; treat them as read-only.
 type WeightedSet struct {
 	// Dims holds one weighted estimator per observation dimension.
 	Dims []stats.Weighted
@@ -173,30 +173,144 @@ func (a *weightedAcc) Merge(other Accumulator) {
 	a.set.Merge(other.(*weightedAcc).set)
 }
 
+// weightedFormat leads every weighted-set blob. No gob stream starts
+// with it (gob opens with a message length, whose first byte is below
+// 0x80 or at least 0xF8), so a shard snapshot written in the gob image
+// earlier versions used fails on its first byte and re-runs.
+const weightedFormat = 0x81
+
 // MarshalBinary makes weighted jobs checkpointable (see
-// CheckpointConfig): gob round-trips the estimator floats bit for bit.
+// CheckpointConfig). The image is a fixed little-endian layout of
+// 64-bit words after the format byte:
+//
+//	len(Dims), then per dimension SumWX SumW SumW2 Y.Count Y.Mean Y.M2
+//	len(SketchDims), then the sketched dimensions
+//	per sketch: K, N, len(Levels), then per level its length and items
+//
+// Floats are stored as raw IEEE-754 bits, so the round trip is bit-exact
+// and equal sets encode to equal bytes. The buffer is sized exactly, so
+// encoding allocates once.
 func (a *weightedAcc) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(a.set); err != nil {
-		return nil, err
+	s := a.set
+	n := 1 + 8 + 48*len(s.Dims) + 8 + 8*len(s.SketchDims)
+	for _, sk := range s.Sketches {
+		n += 24
+		for _, lvl := range sk.Levels {
+			n += 8 + 8*len(lvl)
+		}
 	}
-	return buf.Bytes(), nil
+	le := binary.LittleEndian
+	b := append(make([]byte, 0, n), weightedFormat)
+	b = le.AppendUint64(b, uint64(len(s.Dims)))
+	for _, d := range s.Dims {
+		b = le.AppendUint64(b, math.Float64bits(d.SumWX))
+		b = le.AppendUint64(b, math.Float64bits(d.SumW))
+		b = le.AppendUint64(b, math.Float64bits(d.SumW2))
+		b = le.AppendUint64(b, uint64(d.Y.Count))
+		b = le.AppendUint64(b, math.Float64bits(d.Y.Mean))
+		b = le.AppendUint64(b, math.Float64bits(d.Y.M2))
+	}
+	b = le.AppendUint64(b, uint64(len(s.SketchDims)))
+	for _, d := range s.SketchDims {
+		b = le.AppendUint64(b, uint64(d))
+	}
+	for _, sk := range s.Sketches {
+		b = le.AppendUint64(b, uint64(sk.K))
+		b = le.AppendUint64(b, uint64(sk.N))
+		b = le.AppendUint64(b, uint64(len(sk.Levels)))
+		for _, lvl := range sk.Levels {
+			b = le.AppendUint64(b, uint64(len(lvl)))
+			for _, v := range lvl {
+				b = le.AppendUint64(b, math.Float64bits(v))
+			}
+		}
+	}
+	return b, nil
 }
 
 // UnmarshalBinary restores a shard's estimator set from MarshalBinary
-// bytes. The receiver must be fresh from the job's NewAcc: its empty set
-// is the shape the snapshot has to match (see checkShape), so a blob from
-// a job of another shape fails here and the engine re-runs its shard.
+// bytes. Every count is checked against the bytes left before anything
+// is allocated for it, and trailing bytes are an error. The receiver
+// must be fresh from the job's NewAcc: its empty set is the shape the
+// snapshot has to match (see checkShape), so a blob from a job of
+// another shape fails here and the engine re-runs its shard.
 func (a *weightedAcc) UnmarshalBinary(b []byte) error {
-	set := new(WeightedSet)
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(set); err != nil {
-		return err
+	if len(b) == 0 || b[0] != weightedFormat {
+		return errors.New("mc: weighted snapshot is not in the fixed layout")
+	}
+	r := wordReader{b: b[1:]}
+	set := &WeightedSet{Dims: make([]stats.Weighted, r.count(48))}
+	for i := range set.Dims {
+		d := &set.Dims[i]
+		d.SumWX, d.SumW, d.SumW2 = r.float(), r.float(), r.float()
+		d.Y.Count, d.Y.Mean, d.Y.M2 = int64(r.word()), r.float(), r.float()
+	}
+	// Each sketch takes a dimension word plus at least its K, N and level
+	// count.
+	if n := r.count(8 + 24); n > 0 {
+		set.SketchDims = make([]int, n)
+		for j := range set.SketchDims {
+			set.SketchDims[j] = int(r.word())
+		}
+		set.Sketches = make([]*stats.QuantileSketch, n)
+		for j := range set.Sketches {
+			sk := &stats.QuantileSketch{K: int(r.word()), N: int64(r.word())}
+			if nl := r.count(8); nl > 0 {
+				sk.Levels = make([][]float64, nl)
+			}
+			for i := range sk.Levels {
+				lvl := make([]float64, r.count(8))
+				for k := range lvl {
+					lvl[k] = r.float()
+				}
+				sk.Levels[i] = lvl
+			}
+			set.Sketches[j] = sk
+		}
+	}
+	if r.short {
+		return errors.New("mc: weighted snapshot is truncated")
+	}
+	if len(r.b) > 0 {
+		return fmt.Errorf("mc: weighted snapshot has %d trailing bytes", len(r.b))
 	}
 	if err := a.set.checkShape(set); err != nil {
 		return err
 	}
 	a.set = set
 	return nil
+}
+
+// wordReader reads little-endian 64-bit words off a snapshot. Once a read
+// runs past the end, or a count claims more elements than the remaining
+// bytes can hold, short is set and every later read yields zero, so the
+// decode loops finish without allocating for the bogus count.
+type wordReader struct {
+	b     []byte
+	short bool
+}
+
+func (r *wordReader) word() uint64 {
+	if len(r.b) < 8 {
+		r.b, r.short = nil, true
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+func (r *wordReader) float() float64 { return math.Float64frombits(r.word()) }
+
+// count reads an element count whose elements take at least size bytes
+// each.
+func (r *wordReader) count(size int) int {
+	n := r.word()
+	if n > uint64(len(r.b)/size) {
+		r.b, r.short = nil, true
+		return 0
+	}
+	return int(n)
 }
 
 // checkShape reports why o — a decoded snapshot — cannot stand in for the

@@ -1,11 +1,14 @@
 package mc
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -294,7 +297,9 @@ func snapshotWeighted(t testing.TB, job WeightedJob, shards int) *Checkpoint {
 	return snap
 }
 
-// sameSet compares two weighted sets bit for bit through their gob image.
+// sameSet compares two weighted sets bit for bit through their snapshot
+// bytes, which are canonical: equal sets encode to equal bytes (pinned by
+// TestWeightedSnapshotCanonical).
 func sameSet(t testing.TB, got, want *WeightedSet) bool {
 	t.Helper()
 	g, err := (&weightedAcc{set: got}).MarshalBinary()
@@ -308,46 +313,262 @@ func sameSet(t testing.TB, got, want *WeightedSet) bool {
 	return string(g) == string(w)
 }
 
-// TestRunWeightedResumeRejectsForeignShape: a checkpoint taken from a
-// weighted job of another shape but the same (Trials, Seed, ShardSize)
-// must be ignored shard by shard, so the resumed run re-executes those
-// shards and equals an uninterrupted run. Before the shape check, a
-// partial 2-dimension checkpoint made a 3-dimension resume panic while
-// merging, and a full one returned the 2-dimension set with no error.
-func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
-	job := shapeJob(3, 8)
-	want := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
-
-	// A snapshot of the right shape whose shard-3 sketch claims one more
-	// observation than its items weigh.
-	miscounted := snapshotWeighted(t, job, 5)
-	acc := &weightedAcc{set: newWeightedSet(job)}
-	if err := acc.UnmarshalBinary(miscounted.Shards[3]); err != nil {
+// gobWeightedBlob is a shard snapshot in the gob image earlier versions
+// wrote: one fresh gob.Encoder per set, exactly as their MarshalBinary
+// did.
+func gobWeightedBlob(t testing.TB, set *WeightedSet) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(set); err != nil {
 		t.Fatal(err)
 	}
-	acc.set.Sketches[0].N++
-	blob, err := acc.MarshalBinary()
+	return buf.Bytes()
+}
+
+// snapshotSet is a one-shard weighted set with the seven yearly
+// dimensions of a default lifetime run, from a real run; when sketched it
+// also sketches the final year at per-level capacity sketchK.
+func snapshotSet(t testing.TB, sketched bool, sketchK int) (*WeightedSet, WeightedJob) {
+	t.Helper()
+	job := WeightedJob{
+		Trials: DefaultShardSize,
+		Seed:   19,
+		Dims:   7,
+		Trial: func(rng *rand.Rand, _ int, _ any, vals []float64) float64 {
+			weightedObs(rng, vals)
+			return 0.5 + rng.Float64()
+		},
+	}
+	if sketched {
+		job.SketchDims, job.SketchK = []int{6}, sketchK
+	}
+	return runWeighted(job, Options{Parallelism: 1}), job
+}
+
+// TestWeightedSnapshotRoundTripBitExact: every word of a set survives the
+// snapshot round trip bit for bit — -0, NaN payloads, ±Inf and subnormals
+// included — and so does a sketch spread over several levels.
+func TestWeightedSnapshotRoundTripBitExact(t *testing.T) {
+	special := []float64{
+		math.Copysign(0, -1),
+		math.Float64frombits(0x7ff8_0000_0000_0123), // quiet NaN with a payload
+		math.Float64frombits(0x7ff0_0000_0000_0001), // signalling NaN
+		math.Float64frombits(0xfff8_dead_beef_0000), // negative NaN
+		math.Inf(1),
+		math.Inf(-1),
+		math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000f_ffff_ffff_ffff), // largest subnormal
+		-math.MaxFloat64,
+	}
+	set, job := snapshotSet(t, true, 4)
+	sk := set.Sketches[0]
+	if len(sk.Levels) < 3 {
+		t.Fatalf("sketch spans %d levels, want a multi-level one", len(sk.Levels))
+	}
+	k := 0
+	next := func() float64 { v := special[k%len(special)]; k++; return v }
+	for i := range set.Dims {
+		d := &set.Dims[i]
+		d.SumWX, d.SumW, d.SumW2, d.Y.Mean, d.Y.M2 = next(), next(), next(), next(), next()
+	}
+	for _, lvl := range sk.Levels {
+		for i := range lvl {
+			lvl[i] = next()
+		}
+	}
+	blob, err := (&weightedAcc{set: set}).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	miscounted.Shards[3] = blob
+	back := &weightedAcc{set: newWeightedSet(job)}
+	if err := back.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if !sameSet(t, back.set, set) {
+		t.Fatal("round trip changed the set")
+	}
+}
 
-	for name, snap := range map[string]*Checkpoint{
-		"sketch weight": miscounted,
-		"partial 2-dim": snapshotWeighted(t, shapeJob(2, 8), 2),
-		"full 2-dim":    snapshotWeighted(t, shapeJob(2, 8), 5),
-		"full other K":  snapshotWeighted(t, shapeJob(3, 16), 5),
-		"no sketch": snapshotWeighted(t, WeightedJob{Trials: 40, Seed: 5, Dims: 3,
-			Trial: func(rng *rand.Rand, _ int, _ any, vals []float64) float64 { weightedObs(rng, vals); return 1 }}, 5),
-	} {
+// TestWeightedSnapshotCanonical: equal sets encode to equal bytes — the
+// same set reached at another parallelism, a sketch level empty or nil —
+// and a set differing in one bit does not.
+func TestWeightedSnapshotCanonical(t *testing.T) {
+	job := shapeJob(3, 8)
+	a := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
+	b := runWeighted(job, Options{Parallelism: 4, ShardSize: shapeShard})
+	blobA, _ := (&weightedAcc{set: a}).MarshalBinary()
+	blobB, _ := (&weightedAcc{set: b}).MarshalBinary()
+	if !bytes.Equal(blobA, blobB) {
+		t.Fatal("equal sets encode to different bytes")
+	}
+	emptied := 0
+	for _, sk := range a.Sketches {
+		for i, lvl := range sk.Levels {
+			if len(lvl) == 0 {
+				sk.Levels[i] = nil
+				emptied++
+			}
+		}
+	}
+	if emptied == 0 {
+		t.Fatal("no empty sketch level to compare with nil")
+	}
+	if blob, _ := (&weightedAcc{set: a}).MarshalBinary(); !bytes.Equal(blob, blobA) {
+		t.Fatal("nil and empty sketch levels encode differently")
+	}
+	a.Dims[0].SumW2 = math.Float64frombits(math.Float64bits(a.Dims[0].SumW2) ^ 1)
+	if blob, _ := (&weightedAcc{set: a}).MarshalBinary(); bytes.Equal(blob, blobA) {
+		t.Fatal("sets one bit apart encode to equal bytes")
+	}
+}
+
+// TestWeightedSnapshotMarshalAllocs: the encoder sizes its buffer exactly
+// and allocates nothing else.
+func TestWeightedSnapshotMarshalAllocs(t *testing.T) {
+	for _, sketched := range []bool{false, true} {
+		set, _ := snapshotSet(t, sketched, 0)
+		acc := &weightedAcc{set: set}
+		var blob []byte
+		if n := testing.AllocsPerRun(100, func() { blob, _ = acc.MarshalBinary() }); n > 1 {
+			t.Errorf("sketched=%v: MarshalBinary made %v allocations, want at most 1", sketched, n)
+		}
+		if len(blob) != cap(blob) {
+			t.Errorf("sketched=%v: blob of %d bytes in a %d-byte buffer", sketched, len(blob), cap(blob))
+		}
+	}
+}
+
+// otherLayouts returns shard blobs that are not the fixed-layout image of
+// the real shard snapshot real: the gob image earlier versions wrote of
+// the same set, the blob cut short or with a byte appended, and one whose
+// dimension count runs past its length.
+func otherLayouts(t testing.TB, job WeightedJob, real []byte) map[string][]byte {
+	t.Helper()
+	acc := &weightedAcc{set: newWeightedSet(job)}
+	if err := acc.UnmarshalBinary(real); err != nil {
+		t.Fatal(err)
+	}
+	huge := bytes.Clone(real)
+	huge[8] = 0x7f // the high byte of the dimension count
+	return map[string][]byte{
+		"gob image":      gobWeightedBlob(t, acc.set),
+		"truncated":      real[:len(real)-1],
+		"trailing byte":  append(bytes.Clone(real), 0),
+		"huge dim count": huge,
+	}
+}
+
+// TestWeightedSnapshotRejectsOtherLayouts: no blob but the fixed-layout
+// image decodes — not a blob in another layout, and no prefix of a real
+// one.
+func TestWeightedSnapshotRejectsOtherLayouts(t *testing.T) {
+	job := shapeJob(3, 8)
+	real := snapshotWeighted(t, job, 5).Shards[1]
+	for name, blob := range otherLayouts(t, job, real) {
+		if err := (&weightedAcc{set: newWeightedSet(job)}).UnmarshalBinary(blob); err == nil {
+			t.Errorf("%s: blob decoded", name)
+		}
+	}
+	for n := range real {
+		if err := (&weightedAcc{set: newWeightedSet(job)}).UnmarshalBinary(real[:n]); err == nil {
+			t.Fatalf("the %d-byte prefix of a %d-byte blob decoded", n, len(real))
+		}
+	}
+}
+
+// BenchmarkWeightedSnapshot is one shard's checkpoint round trip on the
+// lifetime Monte Carlo's shape: seven yearly dimensions, with and without
+// a sketch of the final year (default capacity).
+func BenchmarkWeightedSnapshot(b *testing.B) {
+	for _, sketched := range []bool{false, true} {
+		name := "plain"
+		if sketched {
+			name = "final-year-sketch"
+		}
+		b.Run(name, func(b *testing.B) {
+			set, job := snapshotSet(b, sketched, 0)
+			acc := &weightedAcc{set: set}
+			dst := &weightedAcc{set: newWeightedSet(job)}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				blob, err := acc.MarshalBinary()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := dst.UnmarshalBinary(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestRunWeightedResumeRejectsForeignShape: a checkpoint taken from a
+// weighted job of another shape but the same (Trials, Seed, ShardSize),
+// or holding a blob in another layout, must be ignored shard by shard, so
+// the resumed run re-executes exactly those shards and equals an
+// uninterrupted run. Before the shape check, a partial 2-dimension
+// checkpoint made a 3-dimension resume panic while merging, and a full
+// one returned the 2-dimension set with no error.
+func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
+	job := shapeJob(3, 8)
+	var executed atomic.Int64
+	trial := job.Trial
+	job.Trial = func(rng *rand.Rand, i int, sc any, vals []float64) float64 {
+		executed.Add(1)
+		return trial(rng, i, sc, vals)
+	}
+	want := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
+	// withShard returns the job's full snapshot with shard s's blob
+	// replaced.
+	withShard := func(s int, blob []byte) *Checkpoint {
+		cp := snapshotWeighted(t, job, 5)
+		cp.Shards[s] = blob
+		return cp
+	}
+
+	// A blob of the right shape whose shard-3 sketch claims one more
+	// observation than its items weigh.
+	real := snapshotWeighted(t, job, 5).Shards
+	acc := &weightedAcc{set: newWeightedSet(job)}
+	if err := acc.UnmarshalBinary(real[3]); err != nil {
+		t.Fatal(err)
+	}
+	acc.set.Sketches[0].N++
+	miscounted, err := acc.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type resumeCase struct {
+		snap  *Checkpoint
+		rerun int // trials the resume must execute
+	}
+	const all = 5 * shapeShard
+	cases := map[string]resumeCase{
+		"sketch weight": {withShard(3, miscounted), shapeShard},
+		"partial 2-dim": {snapshotWeighted(t, shapeJob(2, 8), 2), all},
+		"full 2-dim":    {snapshotWeighted(t, shapeJob(2, 8), 5), all},
+		"full other K":  {snapshotWeighted(t, shapeJob(3, 16), 5), all},
+		"no sketch": {snapshotWeighted(t, WeightedJob{Trials: 40, Seed: 5, Dims: 3,
+			Trial: func(rng *rand.Rand, _ int, _ any, vals []float64) float64 { weightedObs(rng, vals); return 1 }}, 5), all},
+	}
+	for name, blob := range otherLayouts(t, job, real[1]) {
+		cases[name] = resumeCase{withShard(1, blob), shapeShard}
+	}
+	for name, c := range cases {
 		for _, p := range []int{1, 4} {
+			executed.Store(0)
 			got, err := RunWeightedCtx(context.Background(), job, Options{
 				Parallelism: p,
 				ShardSize:   shapeShard,
-				Checkpoint:  &CheckpointConfig{Resume: snap},
+				Checkpoint:  &CheckpointConfig{Resume: c.snap},
 			})
 			if err != nil {
 				t.Fatalf("%s, parallelism %d: %v", name, p, err)
+			}
+			if n := executed.Load(); n != int64(c.rerun) {
+				t.Errorf("%s, parallelism %d: resume ran %d trials, want %d", name, p, n, c.rerun)
 			}
 			if !sameSet(t, got, want) {
 				t.Fatalf("%s, parallelism %d: resumed set differs from an uninterrupted run", name, p)
@@ -370,6 +591,11 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 	f.Add(uint8(0x05), []byte{1, 3}, []byte("not gob"), snaps[0][:len(snaps[0])/2])
 	f.Add(uint8(0x0a), []byte{0, 255, 9}, snaps[2], snaps[4])
 	f.Add(uint8(0x00), []byte{4}, snapshotWeighted(f, shapeJob(2, 8), 5).Shards[4], []byte{})
+	real := &weightedAcc{set: newWeightedSet(job)}
+	if err := real.UnmarshalBinary(snaps[3]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0x17), []byte{3}, gobWeightedBlob(f, real.set), []byte{})
 	f.Fuzz(func(t *testing.T, keep uint8, idx, blobA, blobB []byte) {
 		cp := &Checkpoint{Trials: job.Trials, Seed: job.Seed, ShardSize: shapeShard, Shards: map[int][]byte{}}
 		for s, b := range snaps {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"arcc/internal/faultfs"
+	"arcc/internal/mc"
 	"arcc/internal/server"
 )
 
@@ -169,6 +171,72 @@ func TestCrashMidSweepResumesByteIdentical(t *testing.T) {
 	want := cliRender(t, scenario, "json", 9, 0, 1, false)
 	if !bytes.Equal(got2, want) {
 		t.Errorf("resumed report differs from an uninterrupted run:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s", got2, want)
+	}
+}
+
+// TestResumeFromGobCheckpointsRerunsShards: testdata/gob-checkpoints is
+// the state dir of a server from before weighted shards were checkpointed
+// in the fixed layout, stopped mid-job: a "ci" scenario whose first
+// engine job had checkpointed 8 shards and its second (the one with a
+// final-year sketch) 4, every blob a gob image. The engine rejects those
+// blobs, re-runs their shards, and the recovered job's report equals an
+// uninterrupted run's byte for byte.
+func TestResumeFromGobCheckpointsRerunsShards(t *testing.T) {
+	const scenario = `{"name":"gob-resume","years":3,"trials":640,"ci":true}`
+	dir := t.TempDir()
+	for _, name := range []string{"journal.jsonl", filepath.Join("checkpoints", "job-1.json")} {
+		b, err := os.ReadFile(filepath.Join("testdata", "gob-checkpoints", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The family is what it claims: two engine jobs of the scenario's
+	// shape, each blob a gob image of a full shard.
+	raw, err := os.ReadFile(filepath.Join(dir, "checkpoints", "job-1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var family map[int]*mc.Checkpoint
+	if err := json.Unmarshal(raw, &family); err != nil {
+		t.Fatal(err)
+	}
+	if len(family) != 2 {
+		t.Fatalf("fixture holds %d engine jobs, want 2", len(family))
+	}
+	for i, cp := range family {
+		if cp.Trials != 640 || cp.ShardSize != mc.DefaultShardSize || len(cp.Shards) == 0 {
+			t.Fatalf("engine job %d: checkpoint of %d trials, shard size %d, %d shards", i, cp.Trials, cp.ShardSize, len(cp.Shards))
+		}
+		for s, blob := range cp.Shards {
+			var set mc.WeightedSet
+			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&set); err != nil ||
+				len(set.Dims) != 3 || set.Dims[0].N() != mc.DefaultShardSize {
+				t.Fatalf("engine job %d shard %d: not a gob image of a full 3-year shard (%v)", i, s, err)
+			}
+		}
+	}
+
+	svc, ts := startServer(t, server.Options{Workers: 1, StateDir: dir, Logf: t.Logf})
+	defer stopServer(t, svc, ts)
+	if n := svc.Metrics().JobsRecovered; n != 1 {
+		t.Fatalf("recovered %d jobs, want 1", n)
+	}
+	if final := waitState(t, ts, "job-1", server.StateDone); !final.Recovered {
+		t.Fatal("finished job not marked recovered")
+	}
+	code, got := get(t, ts.URL+"/v1/jobs/job-1/result")
+	if code != http.StatusOK {
+		t.Fatalf("recovered result: HTTP %d: %s", code, got)
+	}
+	if want := cliRender(t, scenario, "json", 9, 0, 1, false); !bytes.Equal(got, want) {
+		t.Errorf("recovered report differs from an uninterrupted run:\n--- recovered ---\n%s\n--- uninterrupted ---\n%s", got, want)
 	}
 }
 

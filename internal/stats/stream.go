@@ -17,8 +17,8 @@ import (
 // algorithm; Merge combines two accumulators with Chan et al.'s
 // pairwise update. The zero value is an empty accumulator ready for use.
 //
-// Fields are exported so snapshots gob-encode (the Monte Carlo engine
-// checkpoints shard accumulators); treat them as read-only outside
+// Fields are exported so the Monte Carlo engine can write and restore
+// shard checkpoints word by word; treat them as read-only outside
 // Add/Merge. Note that a merged accumulator is bit-identical across runs
 // that merge in the same order, but not bit-identical to feeding every
 // observation through a single Add loop — the engine's fixed shard-order
@@ -174,7 +174,8 @@ const DefaultSketchK = 256
 // on top of the usual sketch error; the property tests bound the total
 // error empirically.
 //
-// Fields are exported for gob checkpointing; treat them as read-only.
+// Fields are exported so the Monte Carlo engine can checkpoint a sketch
+// word by word; treat them as read-only.
 // NaN observations are rejected (they have no rank).
 type QuantileSketch struct {
 	// K is the per-level capacity.
