@@ -131,3 +131,60 @@ func TestReportCodecMetaRestampable(t *testing.T) {
 		t.Errorf("restamped seed missing from JSON:\n%s", rendered)
 	}
 }
+
+// FuzzDecodeReport feeds arbitrary bytes to the result-store decoder. It
+// must never panic; every format must render an accepted report to an
+// error or to output (a text rendering captured empty renders empty);
+// and re-encoding it must give a blob that decodes and re-encodes to the
+// same bytes.
+func FuzzDecodeReport(f *testing.F) {
+	noText, noTables := codecReport(), codecReport()
+	noText.Text = nil
+	noTables.Tables = nil
+	for _, r := range []*Report{codecReport(), noText, noTables} {
+		blob, err := EncodeReport(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		r, err := DecodeReport(blob)
+		if err != nil {
+			return
+		}
+		for _, format := range Formats() {
+			ren, err := RendererFor(format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := ren.Render(&buf, r); err != nil || buf.Len() > 0 {
+				continue
+			}
+			if format == "text" {
+				var text bytes.Buffer
+				r.Text(&text)
+				if text.Len() == 0 {
+					continue
+				}
+			}
+			t.Errorf("%s rendering wrote nothing and returned no error", format)
+		}
+		blob2, err := EncodeReport(r)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded report: %v", err)
+		}
+		back, err := DecodeReport(blob2)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded report: %v\n%s", err, blob2)
+		}
+		blob3, err := EncodeReport(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob2, blob3) {
+			t.Errorf("re-encoding is not stable:\n%s\nvs\n%s", blob2, blob3)
+		}
+	})
+}

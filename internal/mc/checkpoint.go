@@ -2,6 +2,7 @@ package mc
 
 import (
 	"encoding"
+	"maps"
 	"sync"
 	"time"
 )
@@ -227,20 +228,24 @@ func (c *checkpointer) snapshotLocked() {
 type Resumer struct {
 	mu      sync.Mutex
 	next    int
-	saved   map[int]*Checkpoint
+	family  map[int]*Checkpoint // latest checkpoint of every engine job
 	every   int
 	period  time.Duration
-	persist func(jobIndex int, cp *Checkpoint)
+	persist func(family map[int]*Checkpoint)
 }
 
 // NewResumer builds a Resumer. saved holds the checkpoints of a prior
 // interrupted run keyed by engine-job sequence index (nil for a fresh
-// run); everyShards/period set the snapshot cadence of every job;
-// persist receives each job's snapshots tagged with its sequence index
-// (nil to resume without writing new checkpoints).
+// run); everyShards/period set the snapshot cadence of every job.
+// persist (nil to resume without writing new checkpoints) receives the
+// whole family after each snapshot: the latest checkpoint of every
+// engine job so far, saved ones included, keyed by sequence index, so a
+// sink that writes it as one file always leaves a consistent family.
 func NewResumer(saved map[int]*Checkpoint, everyShards int, period time.Duration,
-	persist func(jobIndex int, cp *Checkpoint)) *Resumer {
-	return &Resumer{saved: saved, every: everyShards, period: period, persist: persist}
+	persist func(family map[int]*Checkpoint)) *Resumer {
+	family := map[int]*Checkpoint{}
+	maps.Copy(family, saved)
+	return &Resumer{family: family, every: everyShards, period: period, persist: persist}
 }
 
 // JobCheckpoint hands out the checkpoint configuration for the next
@@ -249,11 +254,21 @@ func (r *Resumer) JobCheckpoint() *CheckpointConfig {
 	r.mu.Lock()
 	i := r.next
 	r.next++
-	cp := r.saved[i]
+	cp := r.family[i]
 	r.mu.Unlock()
 	cc := &CheckpointConfig{Resume: cp, EveryShards: r.every, Period: r.period}
 	if r.persist != nil {
-		cc.Sink = func(cp *Checkpoint) { r.persist(i, cp) }
+		cc.Sink = func(cp *Checkpoint) { r.record(i, cp) }
 	}
 	return cc
+}
+
+// record makes cp engine job i's latest checkpoint and persists the
+// family.
+func (r *Resumer) record(i int, cp *Checkpoint) {
+	r.mu.Lock()
+	r.family[i] = cp
+	family := maps.Clone(r.family)
+	r.mu.Unlock()
+	r.persist(family)
 }

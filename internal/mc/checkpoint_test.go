@@ -473,8 +473,8 @@ func TestResumerAlignsJobSequence(t *testing.T) {
 	wantA := run(ckJob(trials, seedA, nil), Options{Parallelism: 1}).(*ckSum)
 	wantB := run(ckJob(trials, seedB, nil), Options{Parallelism: 1}).(*ckSum)
 
-	saved := map[int]*Checkpoint{}
-	persist := func(i int, cp *Checkpoint) { saved[i] = cp }
+	var saved map[int]*Checkpoint
+	persist := func(family map[int]*Checkpoint) { saved = family }
 
 	// First attempt: job A completes, job B is cancelled after 3 shards.
 	r := NewResumer(nil, 0, 0, persist)

@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"arcc/internal/exhibit"
-	"arcc/internal/experiments"
 )
 
 // maxRequestBody bounds a job submission; scenarios are small JSON
@@ -145,22 +143,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
 		return
 	}
-	sub, status, err := s.validate(body)
+	rec, ex, err := s.validate(body)
 	if err != nil {
-		writeError(w, status, err.Error())
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	j, err := s.submit(sub)
-	switch {
-	case errors.Is(err, errServerClosed):
+	rec.ID = s.nextID()
+	j := s.newJob(rec, ex)
+	if err := s.admit(j); err != nil { // shutting down or queue full
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
-	case errors.Is(err, errQueueFull):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+	}
+	s.journalSubmit(j)
+	if j.cached { // done already; any other job is journaled when it ends
+		s.journalTerminal(j)
 	}
 	code := http.StatusAccepted
 	if j.status().State == StateDone { // cache hit: the result is ready now
@@ -169,82 +165,44 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, j.status())
 }
 
-// validate turns a request body into a ready submission or an HTTP error.
-// Everything a user can get wrong — unknown fields, unknown exhibits,
-// invalid scenarios, out-of-range knobs, bad formats — is caught here
-// with a 400, so no request reaches the panic-on-misuse library
-// boundaries (mc job construction, Scenario.Rates/CostFactor).
-func (s *Server) validate(body []byte) (submission, int, error) {
+// validate turns a request body into a checked submit record and its
+// exhibit, or an error for a 400. Everything a user can get wrong —
+// unknown fields, unknown exhibits, invalid scenarios, out-of-range
+// knobs, bad formats — is caught here, so no request reaches the
+// panic-on-misuse library boundaries (mc job construction,
+// Scenario.Rates/CostFactor). Past strict parsing, the rules are the
+// ones a replayed journal record must pass too (Server.check).
+func (s *Server) validate(body []byte) (journalRecord, exhibit.Exhibit, error) {
 	var req jobRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return submission{}, http.StatusBadRequest, fmt.Errorf("parsing job request: %w", err)
+		return journalRecord{}, exhibit.Exhibit{}, fmt.Errorf("parsing job request: %w", err)
 	}
 	if tok, err := dec.Token(); err != io.EOF {
-		return submission{}, http.StatusBadRequest, fmt.Errorf("trailing content %v after the job object", tok)
+		return journalRecord{}, exhibit.Exhibit{}, fmt.Errorf("trailing content %v after the job object", tok)
 	}
-
-	switch {
-	case req.Exhibit == "" && len(req.Scenario) == 0:
-		return submission{}, http.StatusBadRequest, errors.New("job needs exactly one of \"exhibit\" and \"scenario\"")
-	case req.Exhibit != "" && len(req.Scenario) != 0:
-		return submission{}, http.StatusBadRequest, errors.New("job sets both \"exhibit\" and \"scenario\"; pick one")
-	case req.Trials < 0:
-		return submission{}, http.StatusBadRequest, fmt.Errorf("negative trials %d", req.Trials)
-	case req.Trials > s.opts.maxTrials():
-		return submission{}, http.StatusBadRequest, fmt.Errorf("trials %d exceeds the server cap %d", req.Trials, s.opts.maxTrials())
-	case req.Parallel < 0 || req.Parallel > MaxParallel:
-		return submission{}, http.StatusBadRequest, fmt.Errorf("parallel %d outside [0, %d]", req.Parallel, MaxParallel)
+	rec := journalRecord{
+		Op:       opSubmit,
+		Exhibit:  req.Exhibit,
+		Format:   req.Format,
+		Seed:     req.Seed,
+		Trials:   req.Trials,
+		Parallel: req.Parallel,
+		Quick:    req.Quick,
 	}
-
-	format := req.Format
-	if format == "" {
-		format = "json"
-	}
-	if _, err := exhibit.RendererFor(format); err != nil {
-		return submission{}, http.StatusBadRequest, err
-	}
-
-	sub := submission{
-		format: format,
-		seed:   req.Seed,
-		trials: req.Trials,
-		par:    req.Parallel,
-		quick:  req.Quick,
-	}
-	if req.Exhibit != "" {
-		ex, ok := exhibit.Lookup(req.Exhibit)
-		if !ok {
-			return submission{}, http.StatusBadRequest,
-				fmt.Errorf("unknown exhibit %q; registered: %s", req.Exhibit, strings.Join(exhibit.Names(), ", "))
+	if len(req.Scenario) != 0 {
+		// ParseScenario overlays the request's scenario on the documented
+		// defaults and rejects unknown fields. The effective scenario
+		// rides in the record so the journal can re-create the job.
+		sc, err := exhibit.ParseScenario(bytes.NewReader(req.Scenario))
+		if err != nil {
+			return journalRecord{}, exhibit.Exhibit{}, err
 		}
-		sub.name = ex.Name
-		sub.ex = ex
-		sub.key = cacheKey(ex.Name, nil, req.Seed, req.Trials, req.Quick)
-		return sub, 0, nil
+		rec.Scenario = &sc
 	}
-
-	// ParseScenario overlays the request's scenario on the documented
-	// defaults, rejects unknown fields, and validates geometry, rates,
-	// and schemes; NewScenarioExhibit validates the workload mix names.
-	sc, err := exhibit.ParseScenario(bytes.NewReader(req.Scenario))
-	if err != nil {
-		return submission{}, http.StatusBadRequest, err
-	}
-	ex, err := experiments.NewScenarioExhibit(sc)
-	if err != nil {
-		return submission{}, http.StatusBadRequest, err
-	}
-	sub.name = ex.Name
-	sub.ex = ex
-	// The effective scenario (defaults applied) rides along so the journal
-	// can re-create the job after a crash.
-	sub.scenario = &sc
-	// The key hashes the *effective* scenario, so textually different JSON
-	// describing the same sweep dedupes.
-	sub.key = cacheKey("", &sc, req.Seed, req.Trials, req.Quick)
-	return sub, 0, nil
+	ex, err := s.check(&rec)
+	return rec, ex, err
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"arcc/internal/exhibit"
 	"arcc/internal/faultfs"
 	"arcc/internal/mc"
 	"arcc/internal/server"
@@ -388,4 +389,292 @@ func TestMaxJobDurationFailsRunawayJob(t *testing.T) {
 	if code, _ := get(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); code != http.StatusInternalServerError {
 		t.Fatalf("result of a timed-out job: HTTP %d, want 500", code)
 	}
+}
+
+// TestRecoveryRevalidatesInterruptedJobs: an interrupted journal record
+// re-enters through the checks a POST /v1/jobs body passes. A record the
+// checks reject comes back failed, runs nothing and is journaled as
+// failed; a valid record in the same journal still resumes.
+func TestRecoveryRevalidatesInterruptedJobs(t *testing.T) {
+	sc, err := exhibit.ParseScenario(strings.NewReader(tinyScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(id string, fields map[string]any) string {
+		rec := map[string]any{"op": "submit", "id": id, "key": "key-" + id, "name": "tiny", "format": "json", "scenario": sc}
+		for k, v := range fields {
+			if v == nil {
+				delete(rec, k)
+			} else {
+				rec[k] = v
+			}
+		}
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	invalid := []struct{ id, why, line string }{
+		{"job-1", "trials above the cap", record("job-1", map[string]any{"trials": 2000})},
+		{"job-2", "negative trials", record("job-2", map[string]any{"trials": -1})},
+		{"job-3", "parallel above MaxParallel", record("job-3", map[string]any{"parallel": server.MaxParallel + 1})},
+		{"job-4", "unrenderable format", record("job-4", map[string]any{"format": "xml"})},
+		{"job-5", "both exhibit and scenario", record("job-5", map[string]any{"exhibit": "t7.1"})},
+		{"job-6", "neither exhibit nor scenario", record("job-6", map[string]any{"scenario": nil})},
+	}
+	journal := record("job-7", map[string]any{"seed": 7})
+	for _, c := range invalid {
+		journal += c.line
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := server.Options{Workers: 1, StateDir: dir, MaxTrials: 1000, Logf: t.Logf}
+
+	svc, ts := startServer(t, opts)
+	for _, c := range invalid {
+		if st := getStatus(t, ts, c.id); st.State != server.StateFailed || !strings.HasPrefix(st.Error, "not recoverable: ") {
+			t.Errorf("%s (%s): state %q error %q, want failed as not recoverable", c.id, c.why, st.State, st.Error)
+		}
+	}
+	waitState(t, ts, "job-7", server.StateDone)
+	code, got := get(t, ts.URL+"/v1/jobs/job-7/result")
+	if want := cliRender(t, tinyScenario, "json", 7, 0, 0, false); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("valid record's result: HTTP %d, equal to an uninterrupted run %v", code, bytes.Equal(got, want))
+	}
+	if m := svc.Metrics(); m.JobsRun != 1 || m.JobsRecovered != 1 {
+		t.Errorf("JobsRun %d JobsRecovered %d, want 1 and 1 (the valid record only)", m.JobsRun, m.JobsRecovered)
+	}
+	stopServer(t, svc, ts)
+
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var rec struct{ Op, ID string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if rec.Op == "failed" {
+			failed[rec.ID] = true
+		}
+	}
+	for _, c := range invalid {
+		if !failed[c.id] {
+			t.Errorf("%s (%s): no failed record journaled", c.id, c.why)
+		}
+	}
+
+	// The failures are durable: a restart lists them failed and runs nothing.
+	svc2, ts2 := startServer(t, opts)
+	defer stopServer(t, svc2, ts2)
+	for _, c := range invalid {
+		if st := getStatus(t, ts2, c.id); st.State != server.StateFailed {
+			t.Errorf("%s after restart: %q, want failed", c.id, st.State)
+		}
+	}
+	if st := getStatus(t, ts2, "job-7"); st.State != server.StateDone {
+		t.Errorf("job-7 after restart: %q, want done", st.State)
+	}
+	if n := svc2.Metrics().JobsRun; n != 0 {
+		t.Errorf("restarted server ran %d jobs, want 0", n)
+	}
+}
+
+// journalOps reads a state dir's journal as (op, id) pairs in order.
+func journalOps(t *testing.T, dir string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var rec struct{ Op, ID string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		ops = append(ops, rec.Op+" "+rec.ID)
+	}
+	return ops
+}
+
+// A POST journals the terminal record only of a job it settled itself (a
+// cache hit). Here the worker finishes the job while the handler is still
+// writing the submit record, and its result file is held back: the done
+// record must wait for that file, so a crash in between re-runs the job
+// instead of leaving a done job without its result.
+func TestSubmitJournalsNoTerminalBeforeResult(t *testing.T) {
+	dir := t.TempDir()
+	fs := faultfs.Wrap(faultfs.OS())
+	svc, ts := startServer(t, server.Options{Workers: 1, StateDir: dir, FS: fs, Logf: t.Logf})
+	defer stopServer(t, svc, ts)
+
+	journal := filepath.Join(dir, "journal.jsonl")
+	results := filepath.Join(dir, "results")
+	submitSyncing, releaseSubmit := make(chan struct{}), make(chan struct{})
+	resultWriting, releaseResult := make(chan struct{}), make(chan struct{})
+	var submitOnce, resultOnce sync.Once
+	fs.SetHook(func(op faultfs.Op, path string) {
+		switch {
+		case op == faultfs.OpSync && path == journal:
+			submitOnce.Do(func() {
+				close(submitSyncing)
+				<-releaseSubmit
+			})
+		case op == faultfs.OpCreate && strings.HasPrefix(path, results):
+			resultOnce.Do(func() {
+				close(resultWriting)
+				<-releaseResult
+			})
+		}
+	})
+
+	posted := make(chan server.JobStatus)
+	go func() {
+		_, st := post(t, ts, fmt.Sprintf(`{"scenario": %s}`, tinyScenario))
+		posted <- st
+	}()
+	<-submitSyncing
+	<-resultWriting // the job is done in memory; its result file is not written
+	close(releaseSubmit)
+	st := <-posted
+	if ops := journalOps(t, dir); len(ops) != 1 || ops[0] != "submit "+st.ID {
+		t.Errorf("journal before the result file lands: %q, want only the submit record", ops)
+	}
+	close(releaseResult)
+	waitState(t, ts, st.ID, server.StateDone)
+	deadline := time.Now().Add(30 * time.Second)
+	for len(journalOps(t, dir)) < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if ops := journalOps(t, dir); len(ops) != 2 || ops[1] != "done "+st.ID {
+		t.Errorf("journal after the job: %q, want its submit and one done record", ops)
+	}
+}
+
+// Recovery widens the job queue only by the jobs it enqueues. Interrupted
+// records that end as cache hits or fail the check take no slot, so a
+// server with QueueDepth 1 still turns away the second live submission
+// while one job runs.
+func TestRecoveryQueueCountsOnlyEnqueuedJobs(t *testing.T) {
+	dir := t.TempDir()
+	opts := server.Options{Workers: 1, QueueDepth: 1, StateDir: dir, Logf: t.Logf}
+	svc, ts := startServer(t, opts)
+	_, done := post(t, ts, fmt.Sprintf(`{"scenario": %s}`, tinyScenario))
+	waitState(t, ts, done.ID, server.StateDone)
+	stopServer(t, svc, ts)
+
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub map[string]any
+	if err := json.Unmarshal([]byte(strings.SplitN(string(raw), "\n", 2)[0]), &sub); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i <= 7; i++ {
+		sub["id"] = fmt.Sprintf("job-%d", i)
+		sub["trials"] = 0 // a cache hit on the done job
+		if i%2 == 1 {
+			sub["trials"] = -1 // rejected by the check
+		}
+		b, err := json.Marshal(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(append(b, '\n')); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, ts = startServer(t, opts)
+	defer stopServer(t, svc, ts)
+	if m := svc.Metrics(); m.CacheHits != 3 || m.JobsRecovered != 0 {
+		t.Fatalf("recovery: %d cache hits, %d jobs re-enqueued, want 3 and 0", m.CacheHits, m.JobsRecovered)
+	}
+	_, running := post(t, ts, fmt.Sprintf(`{"scenario": %s}`, bigScenario))
+	waitState(t, ts, running.ID, server.StateRunning)
+	code, queued := post(t, ts, fmt.Sprintf(`{"scenario": %s, "seed": 2}`, bigScenario))
+	if code != http.StatusAccepted {
+		t.Fatalf("queued submit: HTTP %d, want 202", code)
+	}
+	code, extra := post(t, ts, fmt.Sprintf(`{"scenario": %s, "seed": 3}`, bigScenario))
+	if code != http.StatusServiceUnavailable {
+		t.Errorf("submit past QueueDepth 1: HTTP %d, want 503", code)
+		del(t, ts, extra.ID)
+	}
+	del(t, ts, queued.ID)
+	del(t, ts, running.ID)
+}
+
+// FuzzJournalReplay starts a server on an arbitrary journal next to the
+// checked-in gob checkpoint family. Recovery must not panic, every job
+// it lists must be in a valid state, and Shutdown under an expired
+// context must return.
+func FuzzJournalReplay(f *testing.F) {
+	fixture := filepath.Join("testdata", "gob-checkpoints")
+	journal, err := os.ReadFile(filepath.Join(fixture, "journal.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	checkpoints, err := os.ReadFile(filepath.Join(fixture, "checkpoints", "job-1.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(journal)
+	f.Add(append(append([]byte(nil), journal...), `{"op":"submit","id":"job-99","ke`...))
+	f.Add([]byte(`{"op":"submit","id":"job-1","exhibit":"t7.1","format":"xml","trials":2000000,"parallel":5000}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "checkpoints", "job-1.json"), checkpoints, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := server.New(server.Options{Workers: 1, StateDir: dir, Logf: func(string, ...any) {}})
+		if err != nil {
+			t.Fatalf("server.New: %v", err)
+		}
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs", nil))
+		var jobs []server.JobStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &jobs); err != nil {
+			t.Fatalf("GET /v1/jobs: HTTP %d %v", rec.Code, err)
+		}
+		for _, st := range jobs {
+			switch st.State {
+			case server.StateQueued, server.StateRunning, server.StateDone, server.StateFailed, server.StateCanceled:
+			default:
+				t.Errorf("job %s in state %q", st.ID, st.State)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		stopped := make(chan struct{})
+		go func() {
+			svc.Shutdown(ctx)
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(30 * time.Second):
+			t.Fatal("Shutdown under an expired context did not return")
+		}
+	})
 }

@@ -24,16 +24,20 @@
 // persisted as content-addressed files, and running jobs checkpoint
 // their completed Monte Carlo shards every few shards or seconds. On
 // startup the journal is replayed — tolerating a torn final record —
-// the result cache is restored, and jobs interrupted mid-run are
-// re-enqueued from their latest checkpoint. Because the engine merges
-// per-shard accumulators deterministically, a resumed sweep's report is
-// byte-identical to an uninterrupted one.
+// the result cache is restored, and jobs interrupted mid-run re-enter
+// through the same checks and admission (cache hit, coalesce, enqueue)
+// as a POST /v1/jobs, resuming from their latest checkpoint; a record
+// the checks reject comes back failed instead of running. The journal is
+// compacted to the rebuilt job table at startup only. Because the engine
+// merges per-shard accumulators deterministically, a resumed sweep's
+// report is byte-identical to an uninterrupted one.
 //
-// The package is panic-proof at its boundary: every request is validated
+// The package is panic-proof at its boundary: every job is checked
 // before it can reach a library panic path (unknown exhibits, invalid
-// scenarios, negative trial counts are HTTP 400), and both the HTTP
-// handlers and the job runner convert any residual panic into an error
-// response or a failed job instead of a dead process.
+// scenarios, negative trial counts are HTTP 400 for a request and a
+// failed job for a replayed record), and both the HTTP handlers and the
+// job runner convert any residual panic into an error response or a
+// failed job instead of a dead process.
 package server
 
 import (
@@ -135,53 +139,11 @@ const DefaultCheckpointPeriod = 2 * time.Second
 // MaxParallel caps the per-job engine worker override.
 const MaxParallel = 1024
 
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
+// defaultTo replaces a non-positive option with its default.
+func defaultTo[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
 	}
-	return o.Workers
-}
-
-func (o Options) queueDepth() int {
-	if o.QueueDepth <= 0 {
-		return DefaultQueueDepth
-	}
-	return o.QueueDepth
-}
-
-func (o Options) maxTrials() int {
-	if o.MaxTrials <= 0 {
-		return DefaultMaxTrials
-	}
-	return o.MaxTrials
-}
-
-func (o Options) maxCachedResults() int {
-	if o.MaxCachedResults <= 0 {
-		return DefaultMaxCachedResults
-	}
-	return o.MaxCachedResults
-}
-
-func (o Options) maxFinishedJobs() int {
-	if o.MaxFinishedJobs <= 0 {
-		return DefaultMaxFinishedJobs
-	}
-	return o.MaxFinishedJobs
-}
-
-func (o Options) checkpointEveryShards() int {
-	if o.CheckpointEveryShards <= 0 {
-		return DefaultCheckpointEveryShards
-	}
-	return o.CheckpointEveryShards
-}
-
-func (o Options) checkpointPeriod() time.Duration {
-	if o.CheckpointPeriod <= 0 {
-		return DefaultCheckpointPeriod
-	}
-	return o.CheckpointPeriod
 }
 
 // State is a job's lifecycle position. Transitions are
@@ -225,7 +187,7 @@ type job struct {
 	cached       bool
 	coalesced    bool // resolved by a primary rather than run
 	recovered    bool // re-enqueued from the journal after a restart
-	resumed      bool // restored checkpoints actually skipped work
+	resumed      bool // enqueued with restored checkpoints to resume from
 	userCanceled bool // DELETE, as opposed to a shutdown cancel
 	journaled    bool // terminal record written, exactly once
 	started      time.Time
@@ -273,36 +235,40 @@ type Metrics struct {
 // state first when Options.StateDir is set. Callers must Shutdown it to
 // release the workers.
 func New(opts Options) (*Server, error) {
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	defaultTo(&opts.QueueDepth, DefaultQueueDepth)
+	defaultTo(&opts.MaxTrials, DefaultMaxTrials)
+	defaultTo(&opts.MaxCachedResults, DefaultMaxCachedResults)
+	defaultTo(&opts.MaxFinishedJobs, DefaultMaxFinishedJobs)
+	defaultTo(&opts.CheckpointEveryShards, DefaultCheckpointEveryShards)
+	defaultTo(&opts.CheckpointPeriod, DefaultCheckpointPeriod)
+	if opts.FS == nil {
+		opts.FS = faultfs.OS()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:      opts,
 		baseCtx:   ctx,
 		cancelAll: cancel,
+		queue:     make(chan *job, opts.QueueDepth),
 		jobs:      map[string]*job{},
 		cache:     map[string]*exhibit.Report{},
 		inflight:  map[string]*job{},
 	}
-	var pending []*job
 	if opts.StateDir != "" {
-		fs := opts.FS
-		if fs == nil {
-			fs = faultfs.OS()
-		}
-		st, err := newStore(fs, opts.StateDir, s.logf)
+		st, err := newStore(opts.FS, opts.StateDir, s.logf)
 		if err != nil {
 			cancel()
 			return nil, err
 		}
 		s.store = st
-		pending = s.recoverState()
+		if replayed := pairRecords(st.replay()); len(replayed) > 0 {
+			s.recoverState(replayed)
+		}
 	}
-	// Size the queue to hold every recovered job on top of the configured
-	// depth, so recovery can never deadlock on its own backlog.
-	s.queue = make(chan *job, opts.queueDepth()+len(pending))
-	for _, j := range pending {
-		s.queue <- j
-	}
-	for i := 0; i < opts.workers(); i++ {
+	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
@@ -340,7 +306,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed = true
 	s.mu.Unlock()
 	if !already {
-		// Safe with respect to submit: every send on s.queue happens under
+		// Safe with respect to admit: every send on s.queue happens under
 		// s.mu after observing closed == false, and closed was just set
 		// under the same lock — so no send can follow this close.
 		close(s.queue)
@@ -364,99 +330,107 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// submission is a validated job request, ready to enqueue.
-type submission struct {
-	name     string
-	ex       exhibit.Exhibit
-	key      string
-	format   string
-	seed     int64
-	trials   int
-	par      int
-	quick    bool
-	scenario *exhibit.Scenario // the effective scenario, nil for registry exhibits
+// check is the one admission rule for a job record, whether it arrived
+// as a POST body (validate) or was replayed from the journal
+// (recoverState): exactly one of exhibit and scenario, trials within
+// [0, MaxTrials], parallel within [0, MaxParallel], a renderable format,
+// and a registered exhibit or a valid scenario. On success it fills in
+// the record's canonical name, default format and cache key and returns
+// the runnable exhibit; nothing that fails it reaches a worker.
+func (s *Server) check(rec *journalRecord) (exhibit.Exhibit, error) {
+	switch {
+	case rec.Exhibit == "" && rec.Scenario == nil:
+		return exhibit.Exhibit{}, errors.New("job needs exactly one of \"exhibit\" and \"scenario\"")
+	case rec.Exhibit != "" && rec.Scenario != nil:
+		return exhibit.Exhibit{}, errors.New("job sets both \"exhibit\" and \"scenario\"; pick one")
+	case rec.Trials < 0:
+		return exhibit.Exhibit{}, fmt.Errorf("negative trials %d", rec.Trials)
+	case rec.Trials > s.opts.MaxTrials:
+		return exhibit.Exhibit{}, fmt.Errorf("trials %d exceeds the server cap %d", rec.Trials, s.opts.MaxTrials)
+	case rec.Parallel < 0 || rec.Parallel > MaxParallel:
+		return exhibit.Exhibit{}, fmt.Errorf("parallel %d outside [0, %d]", rec.Parallel, MaxParallel)
+	}
+	if rec.Format == "" {
+		rec.Format = "json"
+	}
+	if _, err := exhibit.RendererFor(rec.Format); err != nil {
+		return exhibit.Exhibit{}, err
+	}
+	if rec.Scenario != nil {
+		// NewScenarioExhibit runs Scenario.Validate and resolves the mix
+		// names. The key hashes the *effective* scenario, so textually
+		// different JSON describing the same sweep dedupes.
+		ex, err := experiments.NewScenarioExhibit(*rec.Scenario)
+		if err != nil {
+			return exhibit.Exhibit{}, err
+		}
+		rec.Name = ex.Name
+		rec.Key = cacheKey("", rec.Scenario, rec.Seed, rec.Trials, rec.Quick)
+		return ex, nil
+	}
+	ex, ok := exhibit.Lookup(rec.Exhibit)
+	if !ok {
+		return exhibit.Exhibit{}, fmt.Errorf("unknown exhibit %q; registered: %s", rec.Exhibit, strings.Join(exhibit.Names(), ", "))
+	}
+	rec.Name = ex.Name
+	rec.Key = cacheKey(ex.Name, nil, rec.Seed, rec.Trials, rec.Quick)
+	return ex, nil
 }
 
-// record builds the journal line that re-creates this submission.
-func (sub submission) record(id string, created time.Time) journalRecord {
-	rec := journalRecord{
-		Op:       opSubmit,
-		ID:       id,
-		Key:      sub.key,
-		Name:     sub.name,
-		Format:   sub.format,
-		Seed:     sub.seed,
-		Trials:   sub.trials,
-		Parallel: sub.par,
-		Quick:    sub.quick,
-		Time:     created.UTC().Format(time.RFC3339Nano),
-	}
-	if sub.scenario != nil {
-		rec.Scenario = sub.scenario
-	} else {
-		rec.Exhibit = sub.name
-	}
-	return rec
-}
-
-// submit registers the submission as a job: served straight from the
-// result cache when an identical run already completed, attached to an
-// identical in-flight job when one is queued or running, enqueued for a
-// worker otherwise. It returns errServerClosed after Shutdown and
-// errQueueFull when the backlog bound is hit.
-func (s *Server) submit(sub submission) (*job, error) {
+// newJob builds the queued job that rec describes: its engine config,
+// progress tracker and cancelable context. ex is the exhibit check
+// returned (the zero Exhibit for a job that will never run).
+func (s *Server) newJob(rec journalRecord, ex exhibit.Exhibit) *job {
 	tracker := &exhibit.Tracker{}
-	cfg := exhibit.NewConfig(
-		exhibit.WithQuick(sub.quick),
-		exhibit.WithSeed(sub.seed),
-		exhibit.WithParallel(sub.par),
-		exhibit.WithTrials(sub.trials),
-		exhibit.WithProgress(tracker),
-	)
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	j := &job{
-		key:     sub.key,
-		name:    sub.name,
-		format:  sub.format,
-		ex:      sub.ex,
-		cfg:     cfg,
+	return &job{
+		id:     rec.ID,
+		key:    rec.Key,
+		name:   rec.Name,
+		format: rec.Format,
+		ex:     ex,
+		cfg: exhibit.NewConfig(
+			exhibit.WithQuick(rec.Quick),
+			exhibit.WithSeed(rec.Seed),
+			exhibit.WithParallel(rec.Parallel),
+			exhibit.WithTrials(rec.Trials),
+			exhibit.WithProgress(tracker),
+		),
 		tracker: tracker,
 		ctx:     ctx,
 		cancel:  cancel,
-		created: time.Now(),
+		created: parseTime(rec.Time), // now, for a record not journaled yet
+		subRec:  rec,
 		state:   StateQueued,
 	}
+}
 
+// admit registers a checked job: served straight from the result cache
+// when an identical run already completed, attached to an identical
+// in-flight job when one is queued or running, enqueued for a worker
+// otherwise. It returns errServerClosed after Shutdown and errQueueFull
+// when the backlog bound is hit. Journaling is the caller's: a POST
+// journals what it admitted, recovery compacts the journal afterwards.
+func (s *Server) admit(j *job) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		cancel()
-		return nil, errServerClosed
+		j.cancel()
+		return errServerClosed
 	}
-	s.seq++
-	j.id = fmt.Sprintf("job-%d", s.seq)
-	j.subRec = sub.record(j.id, j.created)
-	if cached, ok := s.cache[sub.key]; ok {
+	cached, hit := s.cache[j.key]
+	p, attach := s.inflight[j.key]
+	attach = attach && !p.terminal()
+	switch {
+	case hit:
 		// The engine's contract makes the result a pure function of the
 		// cache key; only the report metadata (e.g. the Parallel knob)
 		// reflects this request, so restamp it on a shallow clone.
-		r := *cached
-		r.Meta = exhibit.MetaFor(cfg)
-		j.state = StateDone
-		j.report = &r
+		j.settleDone(cached)
 		j.cached = true
-		j.started, j.finished = j.created, j.created
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.pruneJobsLocked()
-		s.mu.Unlock()
+		j.started, j.finished = j.created, time.Now()
 		s.cacheHits.Add(1)
-		cancel()
-		s.journalSubmit(j)
-		s.journalTerminal(j)
-		return j, nil
-	}
-	if p, ok := s.inflight[sub.key]; ok && !p.terminal() {
+	case attach:
 		// An identical job is already queued or running: attach to it
 		// rather than sweeping twice. The follower shares the primary's
 		// tracker (live progress) and is resolved when the primary ends.
@@ -473,34 +447,39 @@ func (s *Server) submit(sub submission) (*job, error) {
 			j.started = time.Now()
 		}
 		p.mu.Unlock()
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.pruneJobsLocked()
-		s.mu.Unlock()
 		s.jobsCoalesced.Add(1)
-		s.journalSubmit(j)
-		return j, nil
-	}
-	// The enqueue attempt happens under s.mu, for two reasons. First, it
-	// makes the closed-check and the send atomic with respect to Shutdown,
-	// which sets closed under the same lock before closing the queue — so
-	// no send can race the close. Second, a rejected job is simply never
-	// registered, so there is no rollback to race with a concurrent
-	// submission appending its own id to s.order.
-	select {
-	case s.queue <- j:
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.inflight[sub.key] = j
-		s.pruneJobsLocked()
-		s.mu.Unlock()
-		s.journalSubmit(j)
-		return j, nil
 	default:
-		s.mu.Unlock()
-		cancel()
-		return nil, errQueueFull
+		// The enqueue attempt happens under s.mu, for two reasons. First,
+		// it makes the closed-check and the send atomic with respect to
+		// Shutdown, which sets closed under the same lock before closing
+		// the queue — so no send can race the close. Second, a rejected
+		// job is simply never registered, so there is no rollback to race
+		// with a concurrent submission appending its own id to s.order.
+		j.resumed = len(j.saved) > 0
+		select {
+		case s.queue <- j:
+			s.inflight[j.key] = j
+		default:
+			s.mu.Unlock()
+			j.cancel()
+			return errQueueFull
+		}
 	}
+	s.registerLocked(j)
+	s.pruneJobsLocked()
+	s.mu.Unlock()
+	if hit {
+		j.cancel()
+	}
+	return nil
+}
+
+// nextID hands out the id of the next live submission.
+func (s *Server) nextID() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq++
+	return fmt.Sprintf("job-%d", s.seq)
 }
 
 var (
@@ -520,13 +499,27 @@ func (s *Server) journalSubmit(j *job) {
 	}
 }
 
-// journalTerminal records a job's terminal state, exactly once. Callers
-// must only invoke it after the job reached done/failed/canceled.
+// journalTerminal records a job's terminal state, exactly once; it does
+// nothing for a job that is not terminal yet.
 func (s *Server) journalTerminal(j *job) {
 	if s.store == nil {
 		return
 	}
+	rec, ok := j.takeTerminalRecord()
+	if !ok {
+		return
+	}
+	if err := s.store.append(rec); err != nil {
+		s.logf("server: journaling %s of %s: %v", rec.Op, j.id, err)
+	}
+	s.store.removeCheckpoints(j.id)
+}
+
+// takeTerminalRecord builds j's terminal journal record and marks it
+// journaled; ok is false while j is not terminal or once it was taken.
+func (j *job) takeTerminalRecord() (rec journalRecord, ok bool) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	var op string
 	switch j.state {
 	case StateDone:
@@ -535,24 +528,26 @@ func (s *Server) journalTerminal(j *job) {
 		op = opFailed
 	case StateCanceled:
 		op = opCanceled
-	default:
-		j.mu.Unlock()
-		return
 	}
-	if j.journaled {
-		j.mu.Unlock()
-		return
+	if op == "" || j.journaled {
+		return journalRecord{}, false
 	}
 	j.journaled = true
-	rec := journalRecord{Op: op, ID: j.id, Key: j.key, Cached: j.cached}
+	rec = journalRecord{Op: op, ID: j.id, Key: j.key, Cached: j.cached, Time: rfc3339(j.finished)}
 	if j.err != nil {
 		rec.Error = j.err.Error()
 	}
-	j.mu.Unlock()
-	if err := s.store.append(rec); err != nil {
-		s.logf("server: journaling %s of %s: %v", op, j.id, err)
-	}
-	s.store.removeCheckpoints(j.id)
+	return rec, true
+}
+
+// settleDone completes j with report, restamping the report's metadata
+// with j's own knobs on a shallow clone (cache hits and coalesced
+// followers share a result computed under another request's Parallel).
+func (j *job) settleDone(report *exhibit.Report) {
+	r := *report
+	r.Meta = exhibit.MetaFor(j.cfg)
+	j.state = StateDone
+	j.report = &r
 }
 
 // storeResult inserts a completed report into the result cache (and, with
@@ -575,7 +570,7 @@ func (s *Server) storeResult(key string, report *exhibit.Report) {
 	}
 	s.cache[key] = report
 	s.cacheOrder = append(s.cacheOrder, key)
-	for len(s.cache) > s.opts.maxCachedResults() {
+	for len(s.cache) > s.opts.MaxCachedResults {
 		evicted = append(evicted, s.cacheOrder[0])
 		delete(s.cache, s.cacheOrder[0])
 		s.cacheOrder = s.cacheOrder[1:]
@@ -601,7 +596,7 @@ func (s *Server) pruneJobsLocked() {
 			terminal = append(terminal, id)
 		}
 	}
-	evict := len(terminal) - s.opts.maxFinishedJobs()
+	evict := len(terminal) - s.opts.MaxFinishedJobs
 	if evict <= 0 {
 		return
 	}
@@ -691,10 +686,17 @@ func (s *Server) runJob(j *job) {
 
 	// With a state dir, thread checkpoint/resume through every engine job
 	// the exhibit runs. The Resumer sequence-indexes the engine jobs, so
-	// a resumed run's checkpoints line up with the interrupted one's.
+	// a resumed run's checkpoints line up with the interrupted one's, and
+	// hands each snapshot over as the whole family, written as one file so
+	// that replay always sees a consistent set. Write failures degrade
+	// durability, never the sweep.
 	if s.store != nil {
-		j.cfg.Resume = mc.NewResumer(j.saved,
-			s.opts.checkpointEveryShards(), s.opts.checkpointPeriod(), s.persistFunc(j))
+		j.cfg.Resume = mc.NewResumer(j.saved, s.opts.CheckpointEveryShards, s.opts.CheckpointPeriod,
+			func(family map[int]*mc.Checkpoint) {
+				if err := s.store.saveCheckpoints(j.id, family); err != nil {
+					s.logf("server: persisting checkpoint of %s: %v", j.id, err)
+				}
+			})
 	}
 
 	// A runaway job is bounded by MaxJobDuration through the same ctx
@@ -799,10 +801,7 @@ func (s *Server) resolveFollower(f *job, p *job) {
 	f.finished = time.Now()
 	switch state {
 	case StateDone:
-		r := *report
-		r.Meta = exhibit.MetaFor(f.cfg)
-		f.state = StateDone
-		f.report = &r
+		f.settleDone(report)
 	case StateFailed:
 		f.state = StateFailed
 		f.err = err
@@ -854,30 +853,6 @@ func (s *Server) cancelJob(j *job) {
 	}
 }
 
-// persistFunc builds the checkpoint sink for one job: it accumulates the
-// latest snapshot of every engine job the exhibit has run and writes the
-// whole set atomically, so replay always sees a consistent family of
-// checkpoints. Write failures degrade durability, never the sweep.
-func (s *Server) persistFunc(j *job) func(int, *mc.Checkpoint) {
-	var mu sync.Mutex
-	latest := map[int]*mc.Checkpoint{}
-	for i, cp := range j.saved {
-		latest[i] = cp
-	}
-	return func(i int, cp *mc.Checkpoint) {
-		mu.Lock()
-		latest[i] = cp
-		snap := make(map[int]*mc.Checkpoint, len(latest))
-		for k, v := range latest {
-			snap[k] = v
-		}
-		mu.Unlock()
-		if err := s.store.saveCheckpoints(j.id, snap); err != nil {
-			s.logf("server: persisting checkpoint of %s: %v", j.id, err)
-		}
-	}
-}
-
 func (s *Server) execute(ctx context.Context, j *job) (report *exhibit.Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -888,25 +863,24 @@ func (s *Server) execute(ctx context.Context, j *job) (report *exhibit.Report, e
 	return j.ex.Run(ctx, j.cfg)
 }
 
-// recoverState rebuilds the job table and result cache from the journal
-// and returns the interrupted jobs to re-enqueue, each primed with its
-// latest persisted checkpoint. Runs during New, before any worker or
-// handler exists, so it may touch server state without s.mu.
-func (s *Server) recoverState() []*job {
-	recs := s.store.replay()
-	if len(recs) == 0 {
-		return nil
-	}
-	results := s.store.loadResults()
-	checkpoints := s.store.loadCheckpoints()
+// replayedJob pairs a job's submit record with its terminal record (nil
+// for interrupted jobs).
+type replayedJob struct {
+	sub  journalRecord
+	term *journalRecord
+}
 
-	var ids []string
+// pairRecords groups replayed journal records by job, in submission
+// order: the first submit record of each id, and the first terminal
+// record that follows it.
+func pairRecords(recs []journalRecord) []*replayedJob {
+	var out []*replayedJob
 	byID := map[string]*replayedJob{}
 	for _, rec := range recs {
 		if rec.Op == opSubmit {
 			if _, dup := byID[rec.ID]; !dup && rec.ID != "" {
 				byID[rec.ID] = &replayedJob{sub: rec}
-				ids = append(ids, rec.ID)
+				out = append(out, byID[rec.ID])
 			}
 			continue
 		}
@@ -915,12 +889,24 @@ func (s *Server) recoverState() []*job {
 			rp.term = &term
 		}
 	}
+	return out
+}
+
+// recoverState rebuilds the job table and result cache from the replayed
+// journal, then compacts the journal to the rebuilt table. Terminal jobs
+// come back for listings; every interrupted one goes through the same
+// check and admit a POST does — primed with its latest persisted
+// checkpoints — or comes back failed if the check now rejects it. Runs
+// during New, before any worker or handler exists, so it may touch
+// server state without s.mu.
+func (s *Server) recoverState(replayed []*replayedJob) {
+	results := s.store.loadResults()
+	checkpoints := s.store.loadCheckpoints()
 
 	// Restore the result cache first (in journal order, respecting the
-	// FIFO bound) so interrupted duplicates of a completed sweep can be
+	// FIFO bound) so interrupted duplicates of a completed sweep are
 	// served from it below.
-	for _, id := range ids {
-		rp := byID[id]
+	for _, rp := range replayed {
 		if rp.term == nil || rp.term.Op != opDone {
 			continue
 		}
@@ -929,170 +915,109 @@ func (s *Server) recoverState() []*job {
 		}
 	}
 
-	var pending []*job
-	for _, id := range ids {
-		rp := byID[id]
-		if n := seqOf(id); n > s.seq {
+	// Rebuild every job before admitting any, so the queue can be sized
+	// to the configured depth plus one slot per sweep recovery enqueues:
+	// an interrupted job that checks out and is no cache hit, once per
+	// key (identical ones coalesce). Recovery is then never refused by
+	// its own backlog, and live submissions keep the configured bound.
+	jobs := make([]*job, len(replayed))
+	enqueue := map[string]bool{}
+	for i, rp := range replayed {
+		if n := seqOf(rp.sub.ID); n > s.seq {
 			s.seq = n
 		}
-		j := s.rebuildJob(rp, checkpoints)
-		s.jobs[id] = j
-		s.order = append(s.order, id)
+		if rp.term != nil {
+			jobs[i] = s.restoreJob(rp.sub, *rp.term)
+			continue
+		}
+		j := s.recoverJob(rp.sub, checkpoints[rp.sub.ID])
+		if _, hit := s.cache[j.key]; !hit && !j.terminal() {
+			enqueue[j.key] = true
+		}
+		jobs[i] = j
+	}
+	s.queue = make(chan *job, s.opts.QueueDepth+len(enqueue))
+	for _, j := range jobs {
 		if j.terminal() {
+			s.registerLocked(j)
 			continue
 		}
-		if p, ok := s.inflight[j.key]; ok {
-			// Interrupted duplicate of another interrupted job: re-attach
-			// instead of re-running twice, exactly like a live coalesce.
-			j.primary = p
-			j.coalesced = true
-			j.tracker = p.tracker
-			p.followers = append(p.followers, j)
-			s.jobsCoalesced.Add(1)
-			continue
+		if err := s.admit(j); err != nil {
+			// Unreachable: the server is not closed yet and the queue was
+			// sized for every job enqueued here.
+			s.logf("server: recovering %s: %v", j.id, err)
 		}
-		s.inflight[j.key] = j
-		pending = append(pending, j)
-		s.jobsRecovered.Add(1)
+		if s.inflight[j.key] == j {
+			s.jobsRecovered.Add(1)
+		}
 	}
 	s.pruneJobsLocked()
-	if len(pending) > 0 {
-		s.logf("server: recovered %d interrupted job(s) from %s", len(pending), s.opts.StateDir)
+	if n := s.jobsRecovered.Load(); n > 0 {
+		s.logf("server: recovered %d interrupted job(s) from %s", n, s.opts.StateDir)
 	}
 
 	// Compact: rewrite the journal to just the jobs still in the table,
 	// shedding pruned jobs and any torn tail.
 	var compacted []journalRecord
-	for _, id := range s.order {
-		rp := byID[id]
-		compacted = append(compacted, rp.sub)
-		if rp.term != nil {
-			compacted = append(compacted, *rp.term)
-		} else if s.jobs[id].terminal() {
-			// Terminal state decided during recovery (cache hit, dead
-			// exhibit): synthesize its record now.
-			compacted = append(compacted, s.terminalRecord(s.jobs[id]))
+	for _, j := range s.snapshotJobs() {
+		compacted = append(compacted, j.subRec)
+		if rec, ok := j.takeTerminalRecord(); ok {
+			compacted = append(compacted, rec)
 		}
 	}
 	if err := s.store.rewrite(compacted); err != nil {
 		s.logf("server: journal compaction: %v", err)
 	}
-	return pending
 }
 
-// terminalRecord snapshots j's terminal state as a journal record and
-// marks it journaled.
-func (s *Server) terminalRecord(j *job) journalRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	op := opCanceled
-	switch j.state {
-	case StateDone:
-		op = opDone
-	case StateFailed:
-		op = opFailed
-	}
-	j.journaled = true
-	rec := journalRecord{Op: op, ID: j.id, Key: j.key, Cached: j.cached}
-	if j.err != nil {
-		rec.Error = j.err.Error()
-	}
-	return rec
+// registerLocked adds j to the job table. Callers hold s.mu.
+func (s *Server) registerLocked(j *job) {
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
 }
 
-// rebuildJob turns a replayed journal pair back into a job. Terminal jobs
-// come back for listings (done ones with their persisted report when it
-// survived); interrupted jobs come back queued, primed with their saved
-// checkpoints, unless their key is already served by the restored cache.
-func (s *Server) rebuildJob(rp *replayedJob, checkpoints map[string]map[int]*mc.Checkpoint) *job {
-	sub := rp.sub
-	tracker := &exhibit.Tracker{}
-	cfg := exhibit.NewConfig(
-		exhibit.WithQuick(sub.Quick),
-		exhibit.WithSeed(sub.Seed),
-		exhibit.WithParallel(sub.Parallel),
-		exhibit.WithTrials(sub.Trials),
-		exhibit.WithProgress(tracker),
-	)
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j := &job{
-		id:      sub.ID,
-		key:     sub.Key,
-		name:    sub.Name,
-		format:  sub.Format,
-		cfg:     cfg,
-		tracker: tracker,
-		ctx:     ctx,
-		cancel:  cancel,
-		created: parseTime(sub.Time),
-		subRec:  sub,
-		state:   StateQueued,
+// recoverJob rebuilds an interrupted job from its submit record under the
+// check a POST passes, primed with its saved checkpoints, or failed as not
+// recoverable when the check rejects it.
+func (s *Server) recoverJob(sub journalRecord, saved map[int]*mc.Checkpoint) *job {
+	rec := sub
+	ex, err := s.check(&rec)
+	if err != nil {
+		rec = sub
 	}
-	if rp.term != nil {
-		j.journaled = true
-		j.finished = parseTime(rp.term.Time)
-		j.started = j.created
-		j.cached = rp.term.Cached
-		switch rp.term.Op {
-		case opDone:
-			j.state = StateDone
-			j.report = s.cache[sub.Key] // nil if the result file was lost: /result answers 410
-		case opFailed:
-			j.state = StateFailed
-			j.err = errors.New(rp.term.Error)
-		default:
-			j.state = StateCanceled
-			j.err = errors.New(rp.term.Error)
-		}
-		cancel()
-		return j
-	}
-
-	// Interrupted: first check whether an identical sweep completed (the
-	// restored cache), then rebuild the runnable exhibit.
+	j := s.newJob(rec, ex)
 	j.recovered = true
-	if cached, ok := s.cache[sub.Key]; ok {
-		r := *cached
-		r.Meta = exhibit.MetaFor(cfg)
-		j.state = StateDone
-		j.report = &r
-		j.cached = true
-		j.started, j.finished = j.created, time.Now()
-		s.cacheHits.Add(1)
-		cancel()
-		return j
-	}
-	var (
-		ex  exhibit.Exhibit
-		err error
-	)
-	if sub.Scenario != nil {
-		ex, err = experiments.NewScenarioExhibit(*sub.Scenario)
-	} else if reg, ok := exhibit.Lookup(sub.Exhibit); ok {
-		ex = reg
-	} else {
-		err = fmt.Errorf("exhibit %q is no longer registered", sub.Exhibit)
-	}
 	if err != nil {
 		j.state = StateFailed
 		j.err = fmt.Errorf("not recoverable: %w", err)
 		j.started, j.finished = j.created, time.Now()
-		cancel()
+		j.cancel()
 		return j
 	}
-	j.ex = ex
-	if cps := checkpoints[sub.ID]; len(cps) > 0 {
-		j.saved = cps
-		j.resumed = true
-	}
+	j.saved = saved
 	return j
 }
 
-// replayedJob pairs a job's submit record with its terminal record (nil
-// for interrupted jobs).
-type replayedJob struct {
-	sub  journalRecord
-	term *journalRecord
+// restoreJob rebuilds a job whose journal holds its terminal record, for
+// listings: done ones with their persisted report when it survived. Its
+// terminal record is rewritten by the startup compaction.
+func (s *Server) restoreJob(sub, term journalRecord) *job {
+	j := s.newJob(sub, exhibit.Exhibit{})
+	j.cancel()
+	j.started, j.finished = j.created, parseTime(term.Time)
+	j.cached = term.Cached
+	switch term.Op {
+	case opDone:
+		j.state = StateDone
+		j.report = s.cache[sub.Key] // nil if the result file was lost: /result answers 410
+	case opFailed:
+		j.state = StateFailed
+		j.err = errors.New(term.Error)
+	default:
+		j.state = StateCanceled
+		j.err = errors.New(term.Error)
+	}
+	return j
 }
 
 // seqOf extracts the numeric suffix of a "job-N" id, 0 when malformed.

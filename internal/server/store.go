@@ -71,12 +71,7 @@ type store struct {
 
 	mu      sync.Mutex
 	journal faultfs.File
-	appends int // records since the last rewrite, for compaction
 }
-
-// compactEvery bounds journal growth: after this many appends the journal
-// is rewritten to just the live records at the next opportunity.
-const compactEvery = 4096
 
 func newStore(fs faultfs.FS, dir string, logf func(string, ...any)) (*store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, resultsDir), filepath.Join(dir, checkpointsDir)} {
@@ -121,7 +116,6 @@ func (st *store) append(rec journalRecord) error {
 	if err := st.journal.Sync(); err != nil {
 		return fmt.Errorf("server: journal sync: %w", err)
 	}
-	st.appends++
 	return nil
 }
 
@@ -178,7 +172,6 @@ func (st *store) rewrite(recs []journalRecord) error {
 		return fmt.Errorf("server: reopen journal: %w", err)
 	}
 	st.journal = journal
-	st.appends = 0
 	return nil
 }
 
@@ -288,12 +281,4 @@ func (st *store) loadCheckpoints() map[string]map[int]*mc.Checkpoint {
 		out[strings.TrimSuffix(name, ".json")] = cps
 	}
 	return out
-}
-
-// needsCompaction reports whether enough appends accumulated to warrant a
-// rewrite.
-func (st *store) needsCompaction() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.appends >= compactEvery
 }
