@@ -128,13 +128,11 @@ func sampleBurstSize(rng *rand.Rand, mean float64, max int) int {
 // when capacity allows). A zero Burst returns arrivals untouched without
 // consuming randomness; otherwise RNG consumption is a deterministic
 // function of the primary history, so expanded experiments remain
-// bit-identical at any parallelism.
+// bit-identical at any parallelism. b must pass Validate; ExpandInto runs
+// once per trial and leaves that check to the caller's setup.
 func (b Burst) ExpandInto(rng *rand.Rand, arrivals []Arrival) []Arrival {
 	if b.IsZero() {
 		return arrivals
-	}
-	if err := b.Validate(); err != nil {
-		panic(err.Error())
 	}
 	n := len(arrivals)
 	for i := 0; i < n; i++ {

@@ -8,8 +8,8 @@ import (
 )
 
 func TestTypesCoverAll(t *testing.T) {
-	if len(Types()) != int(numTypes) {
-		t.Fatalf("Types() has %d entries, want %d", len(Types()), numTypes)
+	if len(Types()) != int(NumTypes) {
+		t.Fatalf("Types() has %d entries, want %d", len(Types()), NumTypes)
 	}
 	seen := map[Type]bool{}
 	for _, ty := range Types() {

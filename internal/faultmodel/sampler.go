@@ -30,7 +30,7 @@ type Sampler struct {
 	// nonzero rate, mean the Poisson mean of the type's count. Conditional:
 	// the types with a positive mean, which is the type's share of lambda
 	// in the categorical walk.
-	types [numTypes]typeMean
+	types [NumTypes]typeMean
 	n     int
 	// lambda is the channel-aggregated arrival mean of the unscaled
 	// process (conditional and tilted).
@@ -40,8 +40,10 @@ type Sampler struct {
 	// and the constant likelihood ratio 1 - e^{-lambda}.
 	expNegLambda, p1, weight float64
 	// Tilted: (tilt-1)·lambda and log(tilt), the two terms of the
-	// likelihood ratio e^{(tilt-1)lambda} · tilt^{-n}.
+	// likelihood ratio e^{(tilt-1)lambda} · tilt^{-n}, and tiltWeights[n]
+	// that ratio for small n (NewTiltedSampler only; nil otherwise).
 	tiltLambda, logTilt float64
+	tiltWeights         []float64
 }
 
 type proposal uint8
@@ -140,9 +142,15 @@ func (s *Sampler) initConditional(rates Rates, ranks, devicesPerRank int, years 
 // unscaled aggregated mean). tilt must be positive and finite; values
 // above 1 make faults commoner and are the useful regime. It panics on a
 // bad geometry or tilt.
+// The ratio for n < 16 is tabulated here, by SampleInto's expression;
+// the per-call SampleArrivalsTiltedInto draws one history and skips that.
 func NewTiltedSampler(rates Rates, tilt float64, ranks, devicesPerRank int, years float64) *Sampler {
 	s := new(Sampler)
 	s.initTilted(rates, tilt, ranks, devicesPerRank, years)
+	s.tiltWeights = make([]float64, 16)
+	for n := range s.tiltWeights {
+		s.tiltWeights[n] = math.Exp(s.tiltLambda - float64(n)*s.logTilt)
+	}
 	return s
 }
 
@@ -199,8 +207,10 @@ func (s *Sampler) SampleInto(rng *rand.Rand, buf []Arrival) ([]Arrival, float64)
 				out = s.place(rng, out, tm.t, n)
 			}
 		}
-		if s.mode == tiltedProposal {
-			w = math.Exp(s.tiltLambda - float64(len(out))*s.logTilt)
+		if n := len(out); n < len(s.tiltWeights) {
+			w = s.tiltWeights[n]
+		} else if s.mode == tiltedProposal {
+			w = math.Exp(s.tiltLambda - float64(n)*s.logTilt)
 		}
 	}
 	sortArrivals(out)

@@ -141,6 +141,8 @@ func refTilted(rng *rand.Rand, rates Rates, tilt float64, ranks, devicesPerRank 
 // and truncated-count inversion), inflated rates (conditional rejection
 // above λ = 30, and per-type means above 100 for the normal
 // approximation), and a table with missing, zero and negative entries.
+// Field rates keep the tilted counts inside NewTiltedSampler's weight
+// table and inflated rates take them past it.
 func TestSamplerMatchesReference(t *testing.T) {
 	odd := Rates{Bit: 40, Word: 0, Column: -3, Row: 9, Lane: 2}
 	tables := map[string]Rates{

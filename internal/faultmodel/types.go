@@ -34,7 +34,8 @@ const (
 	// channel: every rank behind the lane is affected.
 	Lane
 
-	numTypes
+	// NumTypes is the number of fault types, for tables indexed by Type.
+	NumTypes
 )
 
 // Types lists all fault types in rate-table order.

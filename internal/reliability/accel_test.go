@@ -41,46 +41,59 @@ func TestParseAccel(t *testing.T) {
 // weighted engine at unit weight) must reproduce the per-year sums path
 // bit for bit — same samplers, same burst expansion, same series math,
 // same shard-ordered additions — for both metrics, with and without
-// bursts, at any parallelism.
+// bursts, at any parallelism. Field rates on the 2×18 geometry over 7
+// years leave about 87% of the channels fault-free, which the sums path
+// skips and the CI path folds in as zero samples.
 func TestStatsAccelNoneBitIdentical(t *testing.T) {
 	shape := faultmodel.ARCCChannelShape()
-	rates := faultmodel.FieldStudyRates().Scale(4)
 	ov := WorstCaseOverheads(shape, 2.0)
 	bursts := map[string]faultmodel.Burst{
 		"no burst": {},
 		"burst":    {RowProb: 0.8, RowMean: 6, RowMax: 24, BankProb: 0.5, BankMean: 4, BankMax: 16},
 	}
-	for name, burst := range bursts {
-		for _, par := range []int{1, 4, runtime.NumCPU()} {
-			spec := testSpec(11, mc.Options{Parallelism: par}, rates, 36, 5, 700)
-			spec.Burst = burst
-			withCI := spec
-			withCI.CI = true
-			plainF, statsF := mustFaulty(t, spec, shape), mustFaulty(t, withCI, shape)
-			spec.Seed, withCI.Seed = 12, 12
-			plainO, statsO := mustOverhead(t, spec, ov, 1.0), mustOverhead(t, withCI, ov, 1.0)
-			for y := 0; y < 5; y++ {
-				if math.Float64bits(statsF.Mean[y]) != math.Float64bits(plainF.Mean[y]) {
-					t.Fatalf("%s par %d year %d: faulty-fraction CI mean %v != plain %v", name, par, y+1, statsF.Mean[y], plainF.Mean[y])
+	cases := []struct {
+		name                     string
+		rates                    faultmodel.Rates
+		devices, years, channels int
+	}{
+		{"field x4 on 2x36 over 5 years", faultmodel.FieldStudyRates().Scale(4), 36, 5, 700},
+		{"field x1 on 2x18 over 7 years", faultmodel.FieldStudyRates(), 18, 7, 2000},
+	}
+	for _, c := range cases {
+		for burstName, burst := range bursts {
+			name := c.name + ", " + burstName
+			last := c.years - 1
+			for _, par := range []int{1, 4, runtime.NumCPU()} {
+				spec := testSpec(11, mc.Options{Parallelism: par}, c.rates, c.devices, c.years, c.channels)
+				spec.Burst = burst
+				withCI := spec
+				withCI.CI = true
+				plainF, statsF := mustFaulty(t, spec, shape), mustFaulty(t, withCI, shape)
+				spec.Seed, withCI.Seed = 12, 12
+				plainO, statsO := mustOverhead(t, spec, ov, 1.0), mustOverhead(t, withCI, ov, 1.0)
+				for y := 0; y < c.years; y++ {
+					if math.Float64bits(statsF.Mean[y]) != math.Float64bits(plainF.Mean[y]) {
+						t.Fatalf("%s par %d year %d: faulty-fraction CI mean %v != plain %v", name, par, y+1, statsF.Mean[y], plainF.Mean[y])
+					}
+					if math.Float64bits(statsO.Mean[y]) != math.Float64bits(plainO.Mean[y]) {
+						t.Fatalf("%s par %d year %d: overhead CI mean %v != plain %v", name, par, y+1, statsO.Mean[y], plainO.Mean[y])
+					}
 				}
-				if math.Float64bits(statsO.Mean[y]) != math.Float64bits(plainO.Mean[y]) {
-					t.Fatalf("%s par %d year %d: overhead CI mean %v != plain %v", name, par, y+1, statsO.Mean[y], plainO.Mean[y])
+				if plainF.CI95 != nil || plainO.CI95 != nil || plainO.ESS != 0 || plainO.FinalSketch != nil {
+					t.Fatalf("%s par %d: a run without CI reported interval statistics", name, par)
 				}
-			}
-			if plainF.CI95 != nil || plainO.CI95 != nil || plainO.ESS != 0 || plainO.FinalSketch != nil {
-				t.Fatalf("%s par %d: a run without CI reported interval statistics", name, par)
-			}
-			if statsO.FinalSketch == nil || statsO.FinalSketch.N != 700 {
-				t.Fatalf("%s par %d: plain-sampling overhead run with CI should sketch the final year", name, par)
-			}
-			if statsF.FinalSketch != nil {
-				t.Fatalf("%s par %d: faulty-fraction run sketched a year nothing reads", name, par)
-			}
-			if math.Abs(statsO.ESS-700) > 1e-6 {
-				t.Fatalf("%s par %d: unit-weight ESS = %v, want 700", name, par, statsO.ESS)
-			}
-			if statsO.CI95[4] <= 0 {
-				t.Fatalf("%s par %d: final-year CI should be positive", name, par)
+				if statsO.FinalSketch == nil || statsO.FinalSketch.N != int64(c.channels) {
+					t.Fatalf("%s par %d: plain-sampling overhead run with CI should sketch the final year", name, par)
+				}
+				if statsF.FinalSketch != nil {
+					t.Fatalf("%s par %d: faulty-fraction run sketched a year nothing reads", name, par)
+				}
+				if math.Abs(statsO.ESS-float64(c.channels)) > 1e-6 {
+					t.Fatalf("%s par %d: unit-weight ESS = %v, want %d", name, par, statsO.ESS, c.channels)
+				}
+				if statsO.CI95[last] <= 0 {
+					t.Fatalf("%s par %d: final-year CI should be positive", name, par)
+				}
 			}
 		}
 	}

@@ -85,20 +85,21 @@ func newArrivalScratch(rates faultmodel.Rates, ranks, devicesPerRank int, years 
 // into series (len == years): the union bound over the faults that have
 // arrived by the end of each year, capped at 1. Fault spans are large and
 // disjointness dominates at these counts, so the cap only binds for
-// multi-fault channels with lane faults.
-func faultyPageSeries(arrivals []faultmodel.Arrival, shape faultmodel.ChannelShape, years int, series []float64) {
+// multi-fault channels with lane faults. frac holds each type's
+// ChannelShape.UpgradedFraction, computed once per run.
+func faultyPageSeries(arrivals []faultmodel.Arrival, frac [faultmodel.NumTypes]float64, years int, series []float64) {
 	idx := 0
-	frac := 0.0
+	total := 0.0
 	for y := 1; y <= years; y++ {
 		limit := float64(y) * faultmodel.HoursPerYear
 		for idx < len(arrivals) && arrivals[idx].AtHours <= limit {
-			frac += shape.UpgradedFraction(arrivals[idx].Type)
+			total += frac[arrivals[idx].Type]
 			idx++
 		}
-		if frac > 1 {
+		if total > 1 {
 			series[y-1] = 1
 		} else {
-			series[y-1] = frac
+			series[y-1] = total
 		}
 	}
 }
@@ -107,8 +108,10 @@ func faultyPageSeries(arrivals []faultmodel.Arrival, shape faultmodel.ChannelSha
 // into series (len == years): the overhead step function — additive per
 // fault from its arrival onward, capped at cap — integrated from
 // power-on through the end of each year and divided by the elapsed
-// hours.
-func overheadSeries(arrivals []faultmodel.Arrival, overhead OverheadByType, cap float64, years int, series []float64) {
+// hours. overhead tabulates the OverheadByType entries, 0 for a missing
+// type: adding +0 to current (never -0) and re-testing the cap it already
+// meets is the same as skipping the type.
+func overheadSeries(arrivals []faultmodel.Arrival, overhead [faultmodel.NumTypes]float64, cap float64, years int, series []float64) {
 	integrated := 0.0 // overhead-hours accumulated so far
 	current := 0.0
 	lastT := 0.0
@@ -119,11 +122,9 @@ func overheadSeries(arrivals []faultmodel.Arrival, overhead OverheadByType, cap 
 			arr := arrivals[idx]
 			integrated += current * (arr.AtHours - lastT)
 			lastT = arr.AtHours
-			if ov, ok := overhead[arr.Type]; ok {
-				current += ov
-				if current > cap {
-					current = cap
-				}
+			current += overhead[arr.Type]
+			if current > cap {
+				current = cap
 			}
 			idx++
 		}
@@ -171,8 +172,12 @@ type Spec struct {
 // value per year 1..s.Years; a cancelled ctx returns mc.ErrCanceled
 // within one shard boundary.
 func FaultyPageFraction(ctx context.Context, s Spec, shape faultmodel.ChannelShape) (*SeriesStats, error) {
+	var frac [faultmodel.NumTypes]float64
+	for _, t := range faultmodel.Types() {
+		frac[t] = shape.UpgradedFraction(t)
+	}
 	return s.run(ctx, false, func(arrivals []faultmodel.Arrival, series []float64) {
-		faultyPageSeries(arrivals, shape, s.Years, series)
+		faultyPageSeries(arrivals, frac, s.Years, series)
 	})
 }
 
@@ -187,8 +192,12 @@ func LifetimeOverhead(ctx context.Context, s Spec, overhead OverheadByType, cap 
 	if cap < 0 || math.IsNaN(cap) {
 		return nil, fmt.Errorf("reliability: overhead cap %v must be non-negative", cap)
 	}
+	var perType [faultmodel.NumTypes]float64
+	for _, t := range faultmodel.Types() {
+		perType[t] = overhead[t]
+	}
 	return s.run(ctx, true, func(arrivals []faultmodel.Arrival, series []float64) {
-		overheadSeries(arrivals, overhead, cap, s.Years, series)
+		overheadSeries(arrivals, perType, cap, s.Years, series)
 	})
 }
 
@@ -238,12 +247,15 @@ func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []
 	default:
 		sampler = faultmodel.NewSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
 	}
-	trial := func(rng *rand.Rand, scratch *arrivalScratch, vals []float64) float64 {
-		arrivals, w := sampler.SampleInto(rng, scratch.buf)
-		arrivals = s.Burst.ExpandInto(rng, arrivals)
+	// finish expands a sampled history under the burst model (validated
+	// and decided on once per Spec) and writes its series.
+	bursts := !s.Burst.IsZero()
+	finish := func(rng *rand.Rand, scratch *arrivalScratch, arrivals []faultmodel.Arrival, vals []float64) {
+		if bursts {
+			arrivals = s.Burst.ExpandInto(rng, arrivals)
+		}
 		scratch.buf = arrivals
 		series(arrivals, vals)
-		return w
 	}
 
 	if !s.CI && s.Accel.Mode == AccelNone {
@@ -254,7 +266,14 @@ func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []
 			NewScratch: newScratch,
 			TrialScratch: func(rng *rand.Rand, _ int, a mc.Accumulator, sc any) {
 				scratch := sc.(*arrivalScratch)
-				trial(rng, scratch, scratch.series)
+				arrivals, _ := sampler.SampleInto(rng, scratch.buf)
+				if len(arrivals) == 0 {
+					// Most channels see no fault: their series is all +0, the
+					// identity on sums that start at +0 (a sum is -0 only if
+					// both addends are), and expanding them draws nothing.
+					return
+				}
+				finish(rng, scratch, arrivals, scratch.series)
 				sums := a.(*yearSums).sums
 				for i, v := range scratch.series {
 					sums[i] += v
@@ -277,7 +296,10 @@ func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []
 		Dims:       s.Years,
 		NewScratch: newScratch,
 		Trial: func(rng *rand.Rand, _ int, sc any, vals []float64) float64 {
-			return trial(rng, sc.(*arrivalScratch), vals)
+			scratch := sc.(*arrivalScratch)
+			arrivals, w := sampler.SampleInto(rng, scratch.buf)
+			finish(rng, scratch, arrivals, vals)
+			return w
 		},
 	}
 	if sketchFinal && s.Accel.Mode == AccelNone {

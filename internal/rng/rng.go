@@ -39,18 +39,35 @@ const (
 	seedSkip = 20
 )
 
-// seedPowers[j] is seedA^(seedSkip+1+j) mod (2^31-1): the factor that
-// takes a reduced seed to the (seedSkip+1+j)-th state of the seeding LCG.
-var seedPowers [3 * rngLen]uint64
+// seedPow0/1/2[i] = seedA^(seedSkip+1+3i+k) mod (2^31-1), k = 0, 1, 2,
+// take a reduced seed to the three LCG states feedback word i is built
+// from; seedCooked is rngCooked as uint64. One array per factor lets the
+// vector kernel load four words' factors at once; seedPad rounds them up
+// to whole four-word groups with zeros.
+var seedPow0, seedPow1, seedPow2, seedCooked [seedPad]uint64
+
+// seedKernel, when set (by seed_amd64.go on CPUs with AVX2), writes words
+// [0, seedKernelWords) of the register Seed builds from the reduced seed
+// x, as Seed's Go loop would; the loop does the rest. Tests clear it to
+// run the Go loop alone.
+var seedKernel func(x uint64, vec *[rngLen]int64)
+
+const (
+	seedPad         = (rngLen + 3) &^ 3
+	seedKernelWords = rngLen &^ 3
+)
 
 func init() {
 	x := uint64(1)
 	for k := 1; k <= seedSkip; k++ {
 		x = x * seedA % int32max
 	}
-	for j := range seedPowers {
-		x = x * seedA % int32max
-		seedPowers[j] = x
+	for i := 0; i < rngLen; i++ {
+		for _, pow := range []*[seedPad]uint64{&seedPow0, &seedPow1, &seedPow2} {
+			x = x * seedA % int32max
+			pow[i] = x
+		}
+		seedCooked[i] = uint64(rngCooked[i])
 	}
 }
 
@@ -73,8 +90,8 @@ func mulMod(a, b uint64) uint64 {
 // step at a time from x[0] = seed, discards 20 states and builds feedback
 // word i from states 3i+21, 3i+22 and 3i+23. Those states are exactly
 // seed·48271^k mod (2^31-1), so Seed computes each one from a power in
-// seedPowers instead: the same integers, in independent multiplications
-// rather than one 1,841-step dependent chain.
+// seedPow0/1/2 instead: the same integers, in independent
+// multiplications rather than one 1,841-step dependent chain.
 func (r *Source) Seed(seed int64) {
 	r.tap = 0
 	r.feed = rngLen - rngTap
@@ -88,11 +105,15 @@ func (r *Source) Seed(seed int64) {
 	}
 
 	x := uint64(seed)
-	for i := range r.vec {
-		p := seedPowers[3*i : 3*i+3 : 3*i+3]
-		u := int64(mulMod(x, p[0])) << 40
-		u ^= int64(mulMod(x, p[1])) << 20
-		u ^= int64(mulMod(x, p[2]))
+	i := 0
+	if seedKernel != nil {
+		seedKernel(x, &r.vec)
+		i = seedKernelWords
+	}
+	for ; i < rngLen; i++ {
+		u := int64(mulMod(x, seedPow0[i])) << 40
+		u ^= int64(mulMod(x, seedPow1[i])) << 20
+		u ^= int64(mulMod(x, seedPow2[i]))
 		r.vec[i] = u ^ rngCooked[i]
 	}
 }

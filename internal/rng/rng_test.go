@@ -125,27 +125,48 @@ func TestRNGMatchesMathRand(t *testing.T) {
 	}
 }
 
+// forEachSeedPath calls f under each implementation of Seed: the vector
+// kernel installed at init (available only on CPUs that have it) and the
+// Go loop, forced by clearing seedKernel. It reinstalls the kernel
+// afterwards.
+func forEachSeedPath(f func(path string, available bool)) {
+	kernel := seedKernel
+	defer func() { seedKernel = kernel }()
+	f("kernel", kernel != nil)
+	seedKernel = nil
+	f("go", true)
+}
+
 // TestSeedFillsMathRandState checks the whole feedback register right
-// after Seed, over a dense run of seeds and every reduction branch: the
-// first 607 draws read each word of it exactly once.
+// after Seed, over a dense run of seeds and every reduction branch, on
+// both seeding paths: the first 607 draws read each word of it exactly
+// once.
 func TestSeedFillsMathRandState(t *testing.T) {
 	seeds := append([]int64(nil), rngSeeds...)
 	for s := int64(-1000); s <= 1000; s++ {
 		seeds = append(seeds, s*7919+3)
 	}
-	var got Source
-	for _, seed := range seeds {
-		got.Seed(seed)
-		want := rand.NewSource(seed).(rand.Source64)
-		for i := 0; i < rngLen; i++ {
-			if g, w := got.Uint64(), want.Uint64(); g != w {
-				t.Fatalf("seed %d: word %d = %#x, math/rand %#x", seed, i, g, w)
+	forEachSeedPath(func(path string, available bool) {
+		t.Run(path, func(t *testing.T) {
+			if !available {
+				t.Skip("this CPU has no vector seed kernel")
 			}
-		}
-	}
+			var got Source
+			for _, seed := range seeds {
+				got.Seed(seed)
+				want := rand.NewSource(seed).(rand.Source64)
+				for i := 0; i < rngLen; i++ {
+					if g, w := got.Uint64(), want.Uint64(); g != w {
+						t.Fatalf("seed %d: word %d = %#x, math/rand %#x", seed, i, g, w)
+					}
+				}
+			}
+		})
+	})
 }
 
-// FuzzRNGMatchesMathRand lets the fuzzer pick the seeds and the call mix.
+// FuzzRNGMatchesMathRand lets the fuzzer pick the seeds and the call mix,
+// and checks them on both seeding paths.
 func FuzzRNGMatchesMathRand(f *testing.F) {
 	f.Add(int64(1), int64(2), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(int64(-1), int64(1<<31-1), []byte{37, 40, 2, 2, 2, 0})
@@ -153,22 +174,32 @@ func FuzzRNGMatchesMathRand(f *testing.F) {
 	f.Add(int64(math.MinInt64), int64(math.MaxInt64), []byte{4, 9, 14, 19, 24, 29, 3, 8})
 	f.Add(int64(-3*(1<<31-1)), int64(-42), []byte{9, 4, 4, 14, 0, 1, 2, 3, 4})
 	f.Fuzz(func(t *testing.T, seed, reseed int64, ops []byte) {
-		checkRNGMatches(t, seed, reseed, ops)
+		forEachSeedPath(func(path string, available bool) {
+			if available {
+				t.Logf("seed path %s", path)
+				checkRNGMatches(t, seed, reseed, ops)
+			}
+		})
 	})
 }
 
 var seedSink rand.Source
 
-// BenchmarkSeed compares reseeding a Source in place with building the
-// generator the way math/rand does, rand.NewSource (which also allocates
-// the 4.9 KB state).
+// BenchmarkSeed compares reseeding a Source in place, on each seeding
+// path, with building the generator the way math/rand does,
+// rand.NewSource (which also allocates the 4.9 KB state).
 func BenchmarkSeed(b *testing.B) {
-	b.Run("Source", func(b *testing.B) {
-		b.ReportAllocs()
-		var s Source
-		for i := 0; i < b.N; i++ {
-			s.Seed(int64(i))
-		}
+	forEachSeedPath(func(path string, available bool) {
+		b.Run("Source/"+path, func(b *testing.B) {
+			if !available {
+				b.Skip("this CPU has no vector seed kernel")
+			}
+			b.ReportAllocs()
+			var s Source
+			for i := 0; i < b.N; i++ {
+				s.Seed(int64(i))
+			}
+		})
 	})
 	b.Run("rand.NewSource", func(b *testing.B) {
 		b.ReportAllocs()

@@ -569,35 +569,12 @@ func TestRecoveryQueueCountsOnlyEnqueuedJobs(t *testing.T) {
 	waitState(t, ts, done.ID, server.StateDone)
 	stopServer(t, svc, ts)
 
-	raw, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub map[string]any
-	if err := json.Unmarshal([]byte(strings.SplitN(string(raw), "\n", 2)[0]), &sub); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 2; i <= 7; i++ {
-		sub["id"] = fmt.Sprintf("job-%d", i)
+	appendInterrupted(t, dir, 6, func(i int, sub map[string]any) {
 		sub["trials"] = 0 // a cache hit on the done job
 		if i%2 == 1 {
 			sub["trials"] = -1 // rejected by the check
 		}
-		b, err := json.Marshal(sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(append(b, '\n')); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	svc, ts = startServer(t, opts)
 	defer stopServer(t, svc, ts)
@@ -613,6 +590,79 @@ func TestRecoveryQueueCountsOnlyEnqueuedJobs(t *testing.T) {
 	code, extra := post(t, ts, fmt.Sprintf(`{"scenario": %s, "seed": 3}`, bigScenario))
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("submit past QueueDepth 1: HTTP %d, want 503", code)
+		del(t, ts, extra.ID)
+	}
+	del(t, ts, queued.ID)
+	del(t, ts, running.ID)
+}
+
+// appendInterrupted appends n copies of the first submit record in dir's
+// journal, as job-2 … job-(n+1), each changed by edit(id number, record)
+// and left without a terminal record, as a crash leaves the jobs it had
+// accepted.
+func appendInterrupted(t *testing.T, dir string, n int, edit func(i int, sub map[string]any)) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub map[string]any
+	if err := json.Unmarshal([]byte(strings.SplitN(string(raw), "\n", 2)[0]), &sub); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i <= n+1; i++ {
+		sub["id"] = fmt.Sprintf("job-%d", i)
+		edit(i, sub)
+		b, err := json.Marshal(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(append(b, '\n')); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The backlog bound survives recovery: four recovered jobs enqueue past
+// QueueDepth 1, and once they have drained the second live submission
+// behind a running job is turned away again. (A queue widened by the
+// recovered jobs kept accepting four more submissions for the rest of
+// the process.)
+func TestRecoveredBacklogDrainsToQueueDepth(t *testing.T) {
+	dir := t.TempDir()
+	opts := server.Options{Workers: 1, QueueDepth: 1, StateDir: dir, Logf: t.Logf}
+	svc, ts := startServer(t, opts)
+	_, done := post(t, ts, fmt.Sprintf(`{"scenario": %s}`, tinyScenario))
+	waitState(t, ts, done.ID, server.StateDone)
+	stopServer(t, svc, ts)
+	appendInterrupted(t, dir, 4, func(i int, sub map[string]any) {
+		sub["seed"] = 100 + i // a distinct sweep, so each one runs
+	})
+
+	svc, ts = startServer(t, opts)
+	defer stopServer(t, svc, ts)
+	if m := svc.Metrics(); m.JobsRecovered != 4 {
+		t.Fatalf("recovery re-enqueued %d jobs, want 4", m.JobsRecovered)
+	}
+	for i := 2; i <= 5; i++ {
+		waitState(t, ts, fmt.Sprintf("job-%d", i), server.StateDone)
+	}
+	_, running := post(t, ts, fmt.Sprintf(`{"scenario": %s}`, bigScenario))
+	waitState(t, ts, running.ID, server.StateRunning)
+	code, queued := post(t, ts, fmt.Sprintf(`{"scenario": %s, "seed": 2}`, bigScenario))
+	if code != http.StatusAccepted {
+		t.Fatalf("queued submit: HTTP %d, want 202", code)
+	}
+	code, extra := post(t, ts, fmt.Sprintf(`{"scenario": %s, "seed": 3}`, bigScenario))
+	if code != http.StatusServiceUnavailable {
+		t.Errorf("submit past QueueDepth 1 after recovery drained: HTTP %d, want 503", code)
 		del(t, ts, extra.ID)
 	}
 	del(t, ts, queued.ID)

@@ -200,11 +200,14 @@ type Server struct {
 	opts      Options
 	baseCtx   context.Context
 	cancelAll context.CancelFunc
-	queue     chan *job
 	store     *store // nil when StateDir is unset
 	wg        sync.WaitGroup
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// queue holds the accepted jobs no worker has taken yet, oldest first;
+	// ready wakes a worker when one joins it or the server closes.
+	queue      []*job
+	ready      *sync.Cond
 	jobs       map[string]*job
 	order      []string // job ids in submission order, for listings
 	cache      map[string]*exhibit.Report
@@ -252,11 +255,11 @@ func New(opts Options) (*Server, error) {
 		opts:      opts,
 		baseCtx:   ctx,
 		cancelAll: cancel,
-		queue:     make(chan *job, opts.QueueDepth),
 		jobs:      map[string]*job{},
 		cache:     map[string]*exhibit.Report{},
 		inflight:  map[string]*job{},
 	}
+	s.ready = sync.NewCond(&s.mu)
 	if opts.StateDir != "" {
 		st, err := newStore(opts.FS, opts.StateDir, s.logf)
 		if err != nil {
@@ -302,15 +305,9 @@ func (s *Server) Metrics() Metrics {
 // record, so the next startup resumes them where they stopped.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	already := s.closed
 	s.closed = true
+	s.ready.Broadcast()
 	s.mu.Unlock()
-	if !already {
-		// Safe with respect to admit: every send on s.queue happens under
-		// s.mu after observing closed == false, and closed was just set
-		// under the same lock — so no send can follow this close.
-		close(s.queue)
-	}
 	drained := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -409,8 +406,11 @@ func (s *Server) newJob(rec journalRecord, ex exhibit.Exhibit) *job {
 // when an identical run already completed, attached to an identical
 // in-flight job when one is queued or running, enqueued for a worker
 // otherwise. It returns errServerClosed after Shutdown and errQueueFull
-// when the backlog bound is hit. Journaling is the caller's: a POST
-// journals what it admitted, recovery compacts the journal afterwards.
+// when a live submission finds QueueDepth jobs waiting; a recovered job
+// is enqueued past the bound, so recovery is never refused by its own
+// backlog, and the bound is back to QueueDepth once those jobs have been
+// taken. Journaling is the caller's: a POST journals what it admitted,
+// recovery compacts the journal afterwards.
 func (s *Server) admit(j *job) error {
 	s.mu.Lock()
 	if s.closed {
@@ -448,22 +448,18 @@ func (s *Server) admit(j *job) error {
 		}
 		p.mu.Unlock()
 		s.jobsCoalesced.Add(1)
+	case len(s.queue) >= s.opts.QueueDepth && !j.recovered:
+		// Checked under s.mu, so a rejected job is simply never
+		// registered: there is no rollback to race with a concurrent
+		// submission appending its own id to s.order.
+		s.mu.Unlock()
+		j.cancel()
+		return errQueueFull
 	default:
-		// The enqueue attempt happens under s.mu, for two reasons. First,
-		// it makes the closed-check and the send atomic with respect to
-		// Shutdown, which sets closed under the same lock before closing
-		// the queue — so no send can race the close. Second, a rejected
-		// job is simply never registered, so there is no rollback to race
-		// with a concurrent submission appending its own id to s.order.
 		j.resumed = len(j.saved) > 0
-		select {
-		case s.queue <- j:
-			s.inflight[j.key] = j
-		default:
-			s.mu.Unlock()
-			j.cancel()
-			return errQueueFull
-		}
+		s.queue = append(s.queue, j)
+		s.inflight[j.key] = j
+		s.ready.Signal()
 	}
 	s.registerLocked(j)
 	s.pruneJobsLocked()
@@ -648,9 +644,23 @@ func (s *Server) snapshotJobs() []*job {
 	return out
 }
 
+// worker runs queued jobs in order until the server is closed and the
+// queue is empty.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
+	for {
+		s.mu.Lock()
+		for len(s.queue) == 0 && !s.closed {
+			s.ready.Wait()
+		}
+		if len(s.queue) == 0 {
+			s.mu.Unlock()
+			return
+		}
+		j := s.queue[0]
+		s.queue[0] = nil
+		s.queue = s.queue[1:]
+		s.mu.Unlock()
 		s.runJob(j)
 	}
 }
@@ -915,36 +925,23 @@ func (s *Server) recoverState(replayed []*replayedJob) {
 		}
 	}
 
-	// Rebuild every job before admitting any, so the queue can be sized
-	// to the configured depth plus one slot per sweep recovery enqueues:
-	// an interrupted job that checks out and is no cache hit, once per
-	// key (identical ones coalesce). Recovery is then never refused by
-	// its own backlog, and live submissions keep the configured bound.
-	jobs := make([]*job, len(replayed))
-	enqueue := map[string]bool{}
-	for i, rp := range replayed {
+	for _, rp := range replayed {
 		if n := seqOf(rp.sub.ID); n > s.seq {
 			s.seq = n
 		}
+		var j *job
 		if rp.term != nil {
-			jobs[i] = s.restoreJob(rp.sub, *rp.term)
-			continue
+			j = s.restoreJob(rp.sub, *rp.term)
+		} else {
+			j = s.recoverJob(rp.sub, checkpoints[rp.sub.ID])
 		}
-		j := s.recoverJob(rp.sub, checkpoints[rp.sub.ID])
-		if _, hit := s.cache[j.key]; !hit && !j.terminal() {
-			enqueue[j.key] = true
-		}
-		jobs[i] = j
-	}
-	s.queue = make(chan *job, s.opts.QueueDepth+len(enqueue))
-	for _, j := range jobs {
 		if j.terminal() {
 			s.registerLocked(j)
 			continue
 		}
 		if err := s.admit(j); err != nil {
-			// Unreachable: the server is not closed yet and the queue was
-			// sized for every job enqueued here.
+			// Unreachable: the server is not closed yet and recovered
+			// jobs bypass the queue bound.
 			s.logf("server: recovering %s: %v", j.id, err)
 		}
 		if s.inflight[j.key] == j {

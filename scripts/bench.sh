@@ -56,7 +56,8 @@ run -bench='LLCMissPath' ./internal/cache/
 # The synthetic access generator on its own, per access.
 run -bench='StreamNext' ./internal/workload/
 # Reseeding the in-repo math/rand source in place (what the Monte Carlo
-# engine pays per shard) next to building one with rand.NewSource.
+# engine pays per shard), with the AVX2 kernel and with the Go loop, next
+# to building one with rand.NewSource.
 run -bench='Seed' ./internal/rng/
 # End-to-end exhibit regenerators (quick profile). A handful of iterations
 # rather than one, so the recorded ns/op is comparable across PRs instead
