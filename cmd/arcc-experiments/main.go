@@ -99,6 +99,9 @@ func run() error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
+	// One invocation may run several Fig 7.x exhibits over the same
+	// simulator grid; each distinct run is simulated once.
+	ctx = experiments.WithRunMemo(ctx)
 
 	// cfg builds per-exhibit options so each exhibit gets its own progress
 	// line state: one exhibit runs several engine jobs back to back (per

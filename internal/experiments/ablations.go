@@ -27,10 +27,13 @@ type ScrubAblationRow struct {
 	Conventional bool // fault found by the conventional scrubber
 }
 
+// ScrubAblationResult holds the rows of the scrubber coverage ablation.
+type ScrubAblationResult []ScrubAblationRow
+
 // ablationScrub compares the 4-step and conventional scrubbers' detection
 // coverage across fault situations, including the hidden stuck-at case that
 // motivates the §4.2.2 hardening. Results are functional (real codewords).
-func ablationScrub() []ScrubAblationRow {
+func ablationScrub() ScrubAblationResult {
 	type scenario struct {
 		name    string
 		fault   dram.Fault
@@ -43,7 +46,7 @@ func ablationScrub() []ScrubAblationRow {
 		{"wrong-data (decoder) fault", dram.Fault{Device: 3, Scope: dram.ScopeRow, Mode: dram.WrongData, Bank: 0, Row: 0}, 0x5A},
 		{"stuck-at-0 bank, mixed data", dram.Fault{Device: 3, Scope: dram.ScopeBank, Mode: dram.StuckAt0, Bank: 0}, 0x5A},
 	}
-	var rows []ScrubAblationRow
+	var rows ScrubAblationResult
 	for _, sc := range scenarios {
 		row := ScrubAblationRow{Scenario: sc.name}
 		for _, algo := range []scrub.Algorithm{scrub.FourStep, scrub.Conventional} {
@@ -74,13 +77,27 @@ func ablationScrub() []ScrubAblationRow {
 	return rows
 }
 
-// fprintAblationScrub renders the scrubber coverage comparison.
-func fprintAblationScrub(w io.Writer) {
+// Fprint renders the scrubber coverage comparison.
+func (rows ScrubAblationResult) Fprint(w io.Writer) {
 	fprintf(w, "Ablation: scrubber fault-detection coverage (4-step vs conventional, §4.2.2)\n")
 	fprintf(w, "%-48s %-9s %-12s\n", "Scenario", "4-step", "conventional")
-	for _, r := range ablationScrub() {
+	for _, r := range rows {
 		fprintf(w, "%-48s %-9v %-12v\n", r.Scenario, r.FourStep, r.Conventional)
 	}
+}
+
+// upgradedIPCs runs every mix with all pages upgraded under each of n
+// variants of the ARCC config (set applies variant v) and returns the
+// IPCs, variant-major. The runs fan out across the engine's workers.
+func upgradedIPCs(ctx context.Context, cfg exhibit.Config, mixes []workload.Mix, n int, set func(c *sim.Config, v int)) ([]float64, error) {
+	return mc.MapScratchCtx(ctx, n*len(mixes), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
+		func(_ *rand.Rand, i int, s *sim.Scratch) float64 {
+			c := sim.DefaultConfig(mixes[i%len(mixes)], sim.ARCC)
+			c.InstructionsPerCore = instructions(cfg)
+			c.UpgradedFraction = 1
+			set(&c, i/len(mixes))
+			return sim.RunWith(c, s).IPCSum
+		})
 }
 
 // PolicyAblationResult compares LLC replacement policies for upgraded pairs
@@ -95,9 +112,8 @@ type PolicyAblationResult struct {
 
 // ablationLLCPolicy quantifies the §4.2.3 design choice: shared-recency
 // paired replacement versus independent LRU, measured through the full
-// simulator with all pages upgraded. The (policy, mix) runs fan out
-// across the engine's workers; each run is seeded from its config alone,
-// so the ratios are identical at any parallelism, and row 0 — the
+// simulator with all pages upgraded. Each run is seeded from its config
+// alone, so the ratios are identical at any parallelism, and row 0 — the
 // shared-recency baseline divided by itself — is exactly 1.
 func ablationLLCPolicy(ctx context.Context, cfg exhibit.Config) (PolicyAblationResult, error) {
 	res := PolicyAblationResult{Policies: []string{"shared-recency", "independent-lru"}}
@@ -106,14 +122,7 @@ func ablationLLCPolicy(ctx context.Context, cfg exhibit.Config) (PolicyAblationR
 	for _, mix := range mixes {
 		res.Mixes = append(res.Mixes, mix.Name)
 	}
-	ipcs, err := mc.MapScratchCtx(ctx, len(policies)*len(mixes), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
-		func(_ *rand.Rand, i int, s *sim.Scratch) float64 {
-			c := sim.DefaultConfig(mixes[i%len(mixes)], sim.ARCC)
-			c.InstructionsPerCore = instructions(cfg)
-			c.UpgradedFraction = 1
-			c.LLCPolicy = policies[i/len(mixes)]
-			return sim.RunWith(c, s).IPCSum
-		})
+	ipcs, err := upgradedIPCs(ctx, cfg, mixes, len(policies), func(c *sim.Config, v int) { c.LLCPolicy = policies[v] })
 	if err != nil {
 		return PolicyAblationResult{}, err
 	}
@@ -153,8 +162,7 @@ type PairingAblationResult struct {
 }
 
 // ablationPairing measures the cost of the simpler strict-FIFO pairing
-// design relative to pointer promotion, under full upgrade pressure. The
-// four (mix, pairing) runs fan out across the engine's workers.
+// design relative to pointer promotion, under full upgrade pressure.
 func ablationPairing(ctx context.Context, cfg exhibit.Config) (PairingAblationResult, error) {
 	var res PairingAblationResult
 	pairings := []memctrl.Pairing{memctrl.PairFIFO, memctrl.PairPromote}
@@ -162,14 +170,7 @@ func ablationPairing(ctx context.Context, cfg exhibit.Config) (PairingAblationRe
 	for _, mix := range mixes {
 		res.Mixes = append(res.Mixes, mix.Name)
 	}
-	ipcs, err := mc.MapScratchCtx(ctx, len(pairings)*len(mixes), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
-		func(_ *rand.Rand, i int, s *sim.Scratch) float64 {
-			c := sim.DefaultConfig(mixes[i%len(mixes)], sim.ARCC)
-			c.InstructionsPerCore = instructions(cfg)
-			c.UpgradedFraction = 1
-			c.Pairing = pairings[i/len(mixes)]
-			return sim.RunWith(c, s).IPCSum
-		})
+	ipcs, err := upgradedIPCs(ctx, cfg, mixes, len(pairings), func(c *sim.Config, v int) { c.Pairing = pairings[v] })
 	if err != nil {
 		return PairingAblationResult{}, err
 	}

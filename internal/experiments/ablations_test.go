@@ -23,7 +23,7 @@ func TestAblationScrub(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	fprintAblationScrub(&buf)
+	rows.Fprint(&buf)
 	if !strings.Contains(buf.String(), "4-step") {
 		t.Fatal("printer broken")
 	}

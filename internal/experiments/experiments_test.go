@@ -44,10 +44,10 @@ func TestTables(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	fprintTable71(&buf)
-	fprintTable72(&buf)
-	fprintTable73(&buf)
-	fprintTable74(&buf)
+	table71().Fprint(&buf)
+	table72().Fprint(&buf)
+	table73().Fprint(&buf)
+	table74().Fprint(&buf)
 	out := buf.String()
 	for _, want := range []string{"Table 7.1", "Table 7.2", "Table 7.3", "Table 7.4", "ARCC", "Mix12", "Subbank"} {
 		if !strings.Contains(out, want) {
@@ -77,7 +77,7 @@ func TestFig31(t *testing.T) {
 }
 
 func TestFig61(t *testing.T) {
-	r := fig61(quick())
+	r := fig61()
 	for fi := range r.Factors {
 		for li := range r.Lifespans {
 			if r.ARCC[fi][li] <= r.SCCDCD[fi][li] {

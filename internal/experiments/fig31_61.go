@@ -70,8 +70,8 @@ type Fig61Result struct {
 
 // fig61 reproduces Figure 6.1 using the closed-form reliability models
 // (validated against Monte Carlo in the reliability package's tests). It
-// is pure computation — no Monte Carlo — so it takes no context.
-func fig61(cfg exhibit.Config) Fig61Result {
+// is pure computation — no Monte Carlo — so no run setting changes it.
+func fig61() Fig61Result {
 	res := Fig61Result{Lifespans: []float64{5, 6, 7}, Factors: []float64{1, 2, 4}}
 	for _, f := range res.Factors {
 		var rowS, rowA []float64

@@ -44,29 +44,20 @@ type Fig71Result struct {
 }
 
 // fig71 reproduces Figure 7.1: DRAM power and performance improvement of
-// fault-free ARCC over commercial chipkill, per mix. The per-mix simulator
-// runs fan out across the engine's workers; each run is seeded from its
-// config alone, so the figure is identical at any parallelism. A
-// cancelled ctx aborts between runs and returns mc.ErrCanceled.
+// fault-free ARCC over commercial chipkill, per mix. A cancelled ctx
+// aborts between runs and returns mc.ErrCanceled.
 func fig71(ctx context.Context, cfg exhibit.Config) (Fig71Result, error) {
 	var res Fig71Result
 	mixes := workload.Mixes()
-	// Exported fields: the pair must gob-encode for shard checkpointing.
-	type pair struct{ Base, Arcc sim.Result }
-	pairs, err := mc.MapScratchCtx(ctx, len(mixes), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
-		func(_ *rand.Rand, i int, s *sim.Scratch) pair {
-			return pair{
-				Base: runMix(mixes[i], sim.Baseline, 0, cfg, s),
-				Arcc: runMix(mixes[i], sim.ARCC, 0, cfg, s),
-			}
-		})
+	results, err := simulate(ctx, cfg, append(mixRuns(cfg, sim.Baseline, 0), mixRuns(cfg, sim.ARCC, 0)...))
 	if err != nil {
 		return Fig71Result{}, err
 	}
+	base, arcc := results[:len(mixes)], results[len(mixes):]
 	for i, mix := range mixes {
 		res.Mixes = append(res.Mixes, mix.Name)
-		res.PowerReduction = append(res.PowerReduction, 1-pairs[i].Arcc.PowerMW/pairs[i].Base.PowerMW)
-		res.IPCGain = append(res.IPCGain, pairs[i].Arcc.IPCSum/pairs[i].Base.IPCSum-1)
+		res.PowerReduction = append(res.PowerReduction, 1-arcc[i].PowerMW/base[i].PowerMW)
+		res.IPCGain = append(res.IPCGain, arcc[i].IPCSum/base[i].IPCSum-1)
 	}
 	res.AvgPowerReduction = stats.Mean(res.PowerReduction)
 	res.AvgIPCGain = stats.Mean(res.IPCGain)
@@ -83,10 +74,11 @@ func (r Fig71Result) Fprint(w io.Writer) {
 	fprintf(w, "%-8s %15.1f%% %11.1f%%\n", "AVG", r.AvgPowerReduction*100, r.AvgIPCGain*100)
 }
 
-// Fig72Result holds power (Fig 7.2) or IPC (Fig 7.3) under fault scenarios,
-// normalised to the fault-free run of the same mix.
+// FaultSweepResult holds one reading of the fault sweep — DRAM power
+// (Fig 7.2) or IPC (Fig 7.3) — normalised to the fault-free run of the
+// same mix.
 type FaultSweepResult struct {
-	Metric    string // "power" or "ipc"
+	Metric    string // "power" or "ipc", a key of faultMetrics
 	Mixes     []string
 	Scenarios []FaultScenario
 	// Normalized[s][m]: scenario s, mix m, value / fault-free value.
@@ -97,69 +89,72 @@ type FaultSweepResult struct {
 	Avg []float64
 }
 
+// faultMetrics are the readings of the fault sweep, keyed by
+// FaultSweepResult.Metric: the figure's heading, the value read off a
+// run, the zero-locality estimate for an upgraded-page fraction, and the
+// lifetime overhead (Figs 7.4/7.5) a normalised value stands for.
+var faultMetrics = map[string]struct {
+	title           string
+	value           func(sim.Result) float64
+	worst, overhead func(float64) float64
+}{
+	"power": {"Figure 7.2: Power Consumption of a Memory System with Fault (normalized to fault-free)",
+		func(r sim.Result) float64 { return r.PowerMW },
+		func(f float64) float64 { return 1 + f }, // upgraded accesses cost 2x
+		func(n float64) float64 { return n - 1 }},
+	"ipc": {"Figure 7.3: Performance of a Memory System with Fault (normalized to fault-free)",
+		func(r sim.Result) float64 { return r.IPCSum },
+		func(f float64) float64 { return 1 - 0.5*f }, // bandwidth bound: half bandwidth when upgraded
+		func(n float64) float64 { return 1 - n }},
+}
+
+// faultSweep simulates the grid behind Figs 7.2–7.5 once: the fault-free
+// ARCC run of every mix, then every mix under each fault scenario in turn.
+func faultSweep(ctx context.Context, cfg exhibit.Config) ([]sim.Result, error) {
+	runs := mixRuns(cfg, sim.ARCC, 0)
+	for _, sc := range FaultScenarios() {
+		runs = append(runs, mixRuns(cfg, sim.ARCC, sc.Fraction)...)
+	}
+	return simulate(ctx, cfg, runs)
+}
+
 // fig72 reproduces Figure 7.2 (power under faults).
 func fig72(ctx context.Context, cfg exhibit.Config) (FaultSweepResult, error) {
-	return faultSweep(ctx, cfg, "power")
+	return readSweep(ctx, cfg, "power")
 }
 
 // fig73 reproduces Figure 7.3 (performance under faults).
 func fig73(ctx context.Context, cfg exhibit.Config) (FaultSweepResult, error) {
-	return faultSweep(ctx, cfg, "ipc")
+	return readSweep(ctx, cfg, "ipc")
 }
 
-func faultSweep(ctx context.Context, cfg exhibit.Config, metric string) (FaultSweepResult, error) {
-	res := FaultSweepResult{Metric: metric, Scenarios: FaultScenarios()}
+// readSweep runs the fault sweep and projects it onto one metric.
+func readSweep(ctx context.Context, cfg exhibit.Config, metric string) (FaultSweepResult, error) {
+	sw, err := faultSweep(ctx, cfg)
+	if err != nil {
+		return FaultSweepResult{}, err
+	}
+	m := faultMetrics[metric]
 	mixes := workload.Mixes()
-	// Fault-free reference runs, then every (scenario, mix) cell, each a
-	// whole simulator run fanned out across the engine's workers.
-	clean, err := mc.MapScratchCtx(ctx, len(mixes), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
-		func(_ *rand.Rand, i int, s *sim.Scratch) sim.Result {
-			return runMix(mixes[i], sim.ARCC, 0, cfg, s)
-		})
-	if err != nil {
-		return FaultSweepResult{}, err
-	}
-	for i := range mixes {
-		res.Mixes = append(res.Mixes, mixes[i].Name)
-	}
-	cells, err := mc.MapScratchCtx(ctx, len(res.Scenarios)*len(mixes), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
-		func(_ *rand.Rand, i int, s *sim.Scratch) sim.Result {
-			return runMix(mixes[i%len(mixes)], sim.ARCC, res.Scenarios[i/len(mixes)].Fraction, cfg, s)
-		})
-	if err != nil {
-		return FaultSweepResult{}, err
+	res := FaultSweepResult{Metric: metric, Scenarios: FaultScenarios()}
+	for _, mix := range mixes {
+		res.Mixes = append(res.Mixes, mix.Name)
 	}
 	for s, sc := range res.Scenarios {
 		row := make([]float64, len(mixes))
 		for i := range mixes {
-			r := cells[s*len(mixes)+i]
-			if metric == "power" {
-				row[i] = r.PowerMW / clean[i].PowerMW
-			} else {
-				row[i] = r.IPCSum / clean[i].IPCSum
-			}
+			row[i] = m.value(sw[(s+1)*len(mixes)+i]) / m.value(sw[i])
 		}
 		res.Normalized = append(res.Normalized, row)
 		res.Avg = append(res.Avg, stats.Mean(row))
-		if metric == "power" {
-			// Zero locality: upgraded accesses cost 2x -> +fraction.
-			res.WorstCase = append(res.WorstCase, 1+sc.Fraction)
-		} else {
-			// Zero locality, bandwidth bound: half bandwidth on the
-			// upgraded fraction.
-			res.WorstCase = append(res.WorstCase, 1-0.5*sc.Fraction)
-		}
+		res.WorstCase = append(res.WorstCase, m.worst(sc.Fraction))
 	}
 	return res, nil
 }
 
 // Fprint renders a fault sweep.
 func (r FaultSweepResult) Fprint(w io.Writer) {
-	title := "Figure 7.2: Power Consumption of a Memory System with Fault (normalized to fault-free)"
-	if r.Metric == "ipc" {
-		title = "Figure 7.3: Performance of a Memory System with Fault (normalized to fault-free)"
-	}
-	fprintf(w, "%s\n%-10s", title, "Mix")
+	fprintf(w, "%s\n%-10s", faultMetrics[r.Metric].title, "Mix")
 	for _, sc := range r.Scenarios {
 		fprintf(w, " %16s", sc.Name)
 	}
@@ -182,11 +177,75 @@ func (r FaultSweepResult) Fprint(w io.Writer) {
 	fprintf(w, "\n")
 }
 
-// runMix runs one sim configuration against the shard's scratch.
-func runMix(mix workload.Mix, system sim.MemorySystem, upgradedFraction float64, cfg exhibit.Config, s *sim.Scratch) sim.Result {
-	c := sim.DefaultConfig(mix, system)
-	c.InstructionsPerCore = instructions(cfg)
-	c.UpgradedFraction = upgradedFraction
-	c.Seed = cfg.SeedOrDefault()
-	return sim.RunWith(c, s)
+// simRun is one Fig 7.x simulator configuration: everything its
+// sim.Result depends on, so it also keys the run memo.
+type simRun struct {
+	mix          workload.Mix
+	system       sim.MemorySystem
+	fraction     float64 // upgraded-page fraction
+	instructions int64   // per core
+	seed         int64
+}
+
+// mixRuns lists the run of every Table 7.3 mix under one memory system
+// and upgraded-page fraction.
+func mixRuns(cfg exhibit.Config, system sim.MemorySystem, fraction float64) []simRun {
+	var runs []simRun
+	for _, mix := range workload.Mixes() {
+		runs = append(runs, simRun{mix, system, fraction, instructions(cfg), cfg.SeedOrDefault()})
+	}
+	return runs
+}
+
+type runMemoKey struct{}
+
+// WithRunMemo returns a context under which the Fig 7.x exhibits simulate
+// each distinct configuration once: a run that an earlier exhibit made
+// under the same context is read back instead of simulated again. A run
+// is a pure function of its configuration, so no number changes; only
+// the repeated work goes. Install it once for an invocation that runs
+// exhibits one after another (the memo is not locked). Benchmarks and
+// server jobs run without it, so each simulates its full grid.
+func WithRunMemo(ctx context.Context) context.Context {
+	return context.WithValue(ctx, runMemoKey{}, map[simRun]sim.Result{})
+}
+
+// simulate returns the result of each run, in order. Runs the ctx's memo
+// holds are read from it; the rest fan out across the engine's workers,
+// one run per shard on the worker's reused sim.Scratch, and join the
+// memo. Each run is seeded from its configuration alone, so the results
+// are identical at any parallelism, with or without a memo.
+func simulate(ctx context.Context, cfg exhibit.Config, runs []simRun) ([]sim.Result, error) {
+	memo, ok := ctx.Value(runMemoKey{}).(map[simRun]sim.Result)
+	if !ok {
+		memo = map[simRun]sim.Result{} // this call's runs only
+	}
+	var missing []simRun
+	for _, r := range runs {
+		if _, held := memo[r]; !held {
+			missing = append(missing, r)
+		}
+	}
+	if len(missing) > 0 {
+		fresh, err := mc.MapScratchCtx(ctx, len(missing), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
+			func(_ *rand.Rand, i int, s *sim.Scratch) sim.Result {
+				r := missing[i]
+				c := sim.DefaultConfig(r.mix, r.system)
+				c.InstructionsPerCore = r.instructions
+				c.UpgradedFraction = r.fraction
+				c.Seed = r.seed
+				return sim.RunWith(c, s)
+			})
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range missing {
+			memo[r] = fresh[i]
+		}
+	}
+	out := make([]sim.Result, len(runs))
+	for i, r := range runs {
+		out[i] = memo[r]
+	}
+	return out, nil
 }

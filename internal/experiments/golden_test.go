@@ -42,9 +42,17 @@ var goldenFiles = map[string]string{
 	"ablation-pairing": "ablation_pairing_quick_seed1",
 }
 
-// renderText runs an exhibit through the registry and renders its report
-// with the text renderer.
-func renderText(t *testing.T, name string, parallel int) []byte {
+// reportGoldens lists the exhibits whose JSON and CSV reports are pinned
+// as well (testdata/<golden>.json and .csv): the simulator figures, whose
+// values both renderers print at full precision.
+var reportGoldens = map[string]bool{"f7.1": true, "f7.2": true, "f7.3": true, "f7.4": true, "f7.5": true}
+
+// renderFormats runs an exhibit through the registry once and renders its
+// report with the text renderer and, for reportGoldens, with the JSON and
+// CSV renderers too, keyed by golden file extension. The report's
+// Meta.Parallel is cleared first: it is the one field that names the
+// parallelism, so one JSON golden holds for every setting.
+func renderFormats(t *testing.T, name string, parallel int) map[string][]byte {
 	t.Helper()
 	e, ok := exhibit.Lookup(name)
 	if !ok {
@@ -55,20 +63,31 @@ func renderText(t *testing.T, name string, parallel int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := (exhibit.TextRenderer{}).Render(&buf, r); err != nil {
-		t.Fatal(err)
+	r.Meta.Parallel = 0
+	renderers := map[string]exhibit.Renderer{".golden": exhibit.TextRenderer{}}
+	if reportGoldens[name] {
+		renderers[".json"] = exhibit.JSONRenderer{}
+		renderers[".csv"] = exhibit.CSVRenderer{}
 	}
-	return buf.Bytes()
+	out := make(map[string][]byte, len(renderers))
+	for ext, renderer := range renderers {
+		var buf bytes.Buffer
+		if err := renderer.Render(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		out[ext] = buf.Bytes()
+	}
+	return out
 }
 
-// TestGoldenExhibits pins the text rendering of every registered exhibit:
-// a refactor that drifts any of the paper's numbers, or even their
-// formatting, fails here. Each exhibit renders at parallelism 1, 4, and
-// GOMAXPROCS and every rendering must match the golden byte for byte —
-// the engine's bit-identical-at-any-parallelism contract, enforced at the
-// exhibit surface. Run `go test ./internal/experiments -run Golden
-// -update` to bless an intentional change.
+// TestGoldenExhibits pins the text rendering of every registered exhibit,
+// and the JSON and CSV reports of reportGoldens: a refactor that drifts
+// any of the paper's numbers, or even their formatting, fails here. Each
+// exhibit renders at parallelism 1, 4, and GOMAXPROCS and every rendering
+// must match the golden byte for byte — the engine's
+// bit-identical-at-any-parallelism contract, enforced at the exhibit
+// surface. Run `go test ./internal/experiments -run Golden -update` to
+// bless an intentional change.
 func TestGoldenExhibits(t *testing.T) {
 	if len(goldenFiles) != len(exhibit.All()) {
 		t.Fatalf("golden map covers %d exhibits, registry has %d — add the new exhibit's golden",
@@ -81,22 +100,25 @@ func TestGoldenExhibits(t *testing.T) {
 	for _, e := range exhibit.All() {
 		golden := goldenFiles[e.Name]
 		t.Run(golden, func(t *testing.T) {
-			path := filepath.Join("testdata", golden+".golden")
 			if *updateGolden {
-				if err := os.WriteFile(path, renderText(t, e.Name, 0), 0o644); err != nil {
-					t.Fatal(err)
+				for ext, got := range renderFormats(t, e.Name, 0) {
+					if err := os.WriteFile(filepath.Join("testdata", golden+ext), got, 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
 				return
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
 			for _, par := range parallelisms {
-				got := renderText(t, e.Name, par)
-				if !bytes.Equal(got, want) {
-					t.Errorf("output drifted from %s at parallelism %d:\n--- got ---\n%s\n--- want ---\n%s",
-						path, par, got, want)
+				for ext, got := range renderFormats(t, e.Name, par) {
+					path := filepath.Join("testdata", golden+ext)
+					want, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatalf("missing golden file (run with -update to create): %v", err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("output drifted from %s at parallelism %d:\n--- got ---\n%s\n--- want ---\n%s",
+							path, par, got, want)
+					}
 				}
 			}
 		})
@@ -113,12 +135,12 @@ func TestJSONReportRoundTrip(t *testing.T) {
 		name string
 		data func() any // fresh zero holder for the typed rows
 	}{
-		{"t7.1", func() any { return &[]Table71Row{} }},
-		{"t7.4", func() any { return &[]Table74Row{} }},
+		{"t7.1", func() any { return &Table71{} }},
+		{"t7.4", func() any { return &Table74{} }},
 		{"f3.1", func() any { return &Fig31Result{} }},
 		{"f6.1", func() any { return &Fig61Result{} }},
 		{"due", func() any { return &DUEResult{} }},
-		{"ablation-scrub", func() any { return &[]ScrubAblationRow{} }},
+		{"ablation-scrub", func() any { return &ScrubAblationResult{} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

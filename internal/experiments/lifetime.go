@@ -28,26 +28,16 @@ type LifetimeResult struct {
 }
 
 // fig74 reproduces Figure 7.4 (average power overhead of error correction
-// vs time). Per-fault-type measured overheads come from the Fig 7.2 sweep.
+// vs time). With zero locality an upgraded access costs 2x the power.
 func fig74(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
-	f72, err := fig72(ctx, cfg)
-	if err != nil {
-		return LifetimeResult{}, err
-	}
-	measured := overheadsFromSweep(f72, false)
-	return lifetimeSweep(ctx, cfg, "Figure 7.4: Power Overhead of Error Correction", "power increase",
-		measured, reliability.WorstCaseOverheads(faultmodel.ARCCChannelShape(), 2), 1.0)
+	return lifetimeSweep(ctx, cfg, "power", "Figure 7.4: Power Overhead of Error Correction", "power increase", 2, 1.0)
 }
 
 // fig75 reproduces Figure 7.5 (average performance overhead vs time).
+// With zero locality an upgraded access halves the bandwidth: an overhead
+// of 0.5·f on an upgraded fraction f, which is (factor-1)·f at factor 1.5.
 func fig75(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
-	f73, err := fig73(ctx, cfg)
-	if err != nil {
-		return LifetimeResult{}, err
-	}
-	measured := overheadsFromSweep(f73, true)
-	return lifetimeSweep(ctx, cfg, "Figure 7.5: Performance Overhead of Error Correction", "performance decrease",
-		measured, worstCasePerf(), 0.5)
+	return lifetimeSweep(ctx, cfg, "ipc", "Figure 7.5: Performance Overhead of Error Correction", "performance decrease", 1.5, 0.5)
 }
 
 // fig76 reproduces Figure 7.6: the worst-case power/performance overhead of
@@ -74,37 +64,17 @@ func fig76(ctx context.Context, cfg exhibit.Config) (LifetimeResult, error) {
 	return res, nil
 }
 
-// overheadsFromSweep converts a Fig 7.2/7.3 sweep into per-fault-type
-// overheads: the average deviation from 1.0 across mixes (negated for the
-// IPC sweep, where overhead = performance decrease).
-func overheadsFromSweep(sweep FaultSweepResult, isPerf bool) reliability.OverheadByType {
+// overheadsFromSweep converts a reading of the fault sweep into
+// per-fault-type overheads: the metric's overhead at the average across
+// mixes.
+func overheadsFromSweep(sweep FaultSweepResult) reliability.OverheadByType {
+	overhead := faultMetrics[sweep.Metric].overhead
 	out := reliability.OverheadByType{}
 	for s, sc := range sweep.Scenarios {
-		ov := sweep.Avg[s] - 1
-		if isPerf {
-			ov = 1 - sweep.Avg[s]
-		}
-		if ov < 0 {
-			// Some mixes *gain* performance from upgraded-line prefetch;
-			// the lifetime overhead accounting floors per-fault overhead
-			// at zero (a fault never helps on average).
-			ov = 0
-		}
-		out[sc.Type] = ov
-	}
-	return out
-}
-
-// worstCasePerf is the Fig 7.5 worst-case input: half bandwidth on the
-// upgraded fraction.
-func worstCasePerf() reliability.OverheadByType {
-	shape := faultmodel.ARCCChannelShape()
-	out := reliability.OverheadByType{}
-	for _, t := range faultmodel.Types() {
-		if t.IsTransientScale() {
-			continue
-		}
-		out[t] = 0.5 * shape.UpgradedFraction(t)
+		// Some mixes *gain* performance from upgraded-line prefetch; the
+		// lifetime overhead accounting floors per-fault overhead at zero
+		// (a fault never helps on average).
+		out[sc.Type] = max(overhead(sweep.Avg[s]), 0)
 	}
 	return out
 }
@@ -116,8 +86,17 @@ func lifetimeSpec(cfg exhibit.Config, seed int64, rates faultmodel.Rates, device
 		Years: years, Channels: channels(cfg)}
 }
 
-func lifetimeSweep(ctx context.Context, cfg exhibit.Config, title, metric string, measured, worst reliability.OverheadByType, cap float64) (LifetimeResult, error) {
-	res := LifetimeResult{Title: title, Metric: metric, Years: 7, Factors: []float64{1, 2, 4}}
+// lifetimeSweep runs Fig 7.4 (metric "power") or Fig 7.5 ("ipc"). The
+// measured per-fault-type overheads come from the fault sweep's reading
+// of metric; the worst case charges worstFactor per upgraded access.
+func lifetimeSweep(ctx context.Context, cfg exhibit.Config, metric, title, label string, worstFactor, cap float64) (LifetimeResult, error) {
+	sweep, err := readSweep(ctx, cfg, metric)
+	if err != nil {
+		return LifetimeResult{}, err
+	}
+	measured := overheadsFromSweep(sweep)
+	worst := reliability.WorstCaseOverheads(faultmodel.ARCCChannelShape(), worstFactor)
+	res := LifetimeResult{Title: title, Metric: label, Years: 7, Factors: []float64{1, 2, 4}}
 	for fi, f := range res.Factors {
 		rates := faultmodel.FieldStudyRates().Scale(f)
 		meas, err := reliability.LifetimeOverhead(ctx,

@@ -80,7 +80,7 @@ func NewScenarioExhibit(s exhibit.Scenario) (exhibit.Exhibit, error) {
 			if err != nil {
 				return nil, err
 			}
-			return newReport(s.Name, "Scenario: "+s.Name, cfg, r, r.Tables(), r.Fprint), nil
+			return newReport(s.Name, "Scenario: "+s.Name, cfg, r), nil
 		},
 	}, nil
 }
@@ -189,26 +189,26 @@ func RunScenario(ctx context.Context, cfg exhibit.Config, s exhibit.Scenario) (S
 	// interference mix and a "trace" run when it replays a trace file.
 	// Every run shares the scenario's memory-generation, shared-LLC, and
 	// LLC-capacity axes.
-	type simRun struct {
+	type labeledRun struct {
 		label   string
 		mix     workload.Mix
 		tenants []workload.Tenant
 		trace   *workload.TraceSource
 	}
-	runs := make([]simRun, 0, len(mixes)+2)
+	runs := make([]labeledRun, 0, len(mixes)+2)
 	for _, m := range mixes {
-		runs = append(runs, simRun{label: m.Name, mix: m})
+		runs = append(runs, labeledRun{label: m.Name, mix: m})
 	}
 	if len(s.Tenants) > 0 {
 		// The mix slot is a placeholder; Tenants overrides its benchmarks.
-		runs = append(runs, simRun{label: "tenants", mix: workload.Mixes()[0], tenants: s.Tenants})
+		runs = append(runs, labeledRun{label: "tenants", mix: workload.Mixes()[0], tenants: s.Tenants})
 	}
 	if s.Trace != "" {
 		src, err := workload.LoadTraceFile(s.Trace)
 		if err != nil {
 			return ScenarioResult{}, fmt.Errorf("experiments: scenario %q: %w", s.Name, err)
 		}
-		runs = append(runs, simRun{label: "trace", mix: workload.Mixes()[0], trace: src})
+		runs = append(runs, labeledRun{label: "trace", mix: workload.Mixes()[0], trace: src})
 	}
 	if len(runs) == 0 {
 		return res, nil

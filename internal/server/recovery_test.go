@@ -109,6 +109,63 @@ func TestRestartRestoresCacheAndJobs(t *testing.T) {
 	}
 }
 
+// TestReplayPairsTerminalRecordBeforeSubmit replays a journal whose done
+// record precedes its submit — the order a POST leaves when the worker
+// finishes the job before the handler journals the submit. The job must
+// come back done, not re-run, and an identical resubmission must hit the
+// restored cache.
+func TestReplayPairsTerminalRecordBeforeSubmit(t *testing.T) {
+	dir := t.TempDir()
+	opts := server.Options{Workers: 1, StateDir: dir, Logf: t.Logf}
+	body := fmt.Sprintf(`{"scenario": %s, "seed": 5}`, tinyScenario)
+
+	svc1, ts1 := startServer(t, opts)
+	_, st := post(t, ts1, body)
+	waitState(t, ts1, st.ID, server.StateDone)
+	stopServer(t, svc1, ts1)
+
+	// Move every terminal record ahead of the submit records.
+	path := filepath.Join(dir, "journal.jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var submits, terminals []string
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if line == "" {
+			continue
+		}
+		var rec struct{ Op string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if rec.Op == "submit" {
+			submits = append(submits, line)
+		} else {
+			terminals = append(terminals, line)
+		}
+	}
+	if len(submits) != 1 || len(terminals) != 1 {
+		t.Fatalf("journal has %d submit and %d terminal records, want 1 and 1", len(submits), len(terminals))
+	}
+	if err := os.WriteFile(path, []byte(terminals[0]+submits[0]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, ts2 := startServer(t, opts)
+	defer stopServer(t, svc2, ts2)
+	if got := getStatus(t, ts2, st.ID); got.State != server.StateDone {
+		t.Fatalf("job after restart: %q, want done", got.State)
+	}
+	code, st2 := post(t, ts2, body)
+	if code != http.StatusCreated || !st2.Cached {
+		t.Fatalf("resubmit after restart: HTTP %d cached=%v, want 201 from cache", code, st2.Cached)
+	}
+	if m := svc2.Metrics(); m.JobsRun != 0 || m.JobsRecovered != 0 {
+		t.Fatalf("restarted server ran %d and recovered %d jobs, want 0 and 0", m.JobsRun, m.JobsRecovered)
+	}
+}
+
 func TestCrashMidSweepResumesByteIdentical(t *testing.T) {
 	const scenario = `{"name":"resume","trials":300000}`
 	dir := t.TempDir()

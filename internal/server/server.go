@@ -882,21 +882,23 @@ type replayedJob struct {
 
 // pairRecords groups replayed journal records by job, in submission
 // order: the first submit record of each id, and the first terminal
-// record that follows it.
+// record of that id wherever it sits in the journal. A terminal record
+// may precede its submit: a POST journals its submit after admit has
+// enqueued the job (a refused job is never journaled), so a fast worker
+// can append the job's done record first.
 func pairRecords(recs []journalRecord) []*replayedJob {
-	var out []*replayedJob
-	byID := map[string]*replayedJob{}
-	for _, rec := range recs {
-		if rec.Op == opSubmit {
-			if _, dup := byID[rec.ID]; !dup && rec.ID != "" {
-				byID[rec.ID] = &replayedJob{sub: rec}
-				out = append(out, byID[rec.ID])
-			}
-			continue
+	terms := map[string]*journalRecord{}
+	for i, rec := range recs {
+		if rec.Op != opSubmit && terms[rec.ID] == nil {
+			terms[rec.ID] = &recs[i]
 		}
-		if rp, ok := byID[rec.ID]; ok && rp.term == nil {
-			term := rec
-			rp.term = &term
+	}
+	var out []*replayedJob
+	seen := map[string]bool{}
+	for _, rec := range recs {
+		if rec.Op == opSubmit && rec.ID != "" && !seen[rec.ID] {
+			seen[rec.ID] = true
+			out = append(out, &replayedJob{sub: rec, term: terms[rec.ID]})
 		}
 	}
 	return out
