@@ -30,13 +30,15 @@
 // each exhibit computes. Interrupting the run (Ctrl-C, SIGTERM) or hitting
 // -timeout cancels the context; the engine stops within one shard.
 //
-// For scenario runs, -accel selects rare-event acceleration of the
-// lifetime Monte Carlos ("conditional" requires at least one fault per
-// trial, "tilt:F" scales the fault rates by F; both weight trials by
-// their exact likelihood ratio, so estimates stay unbiased and reach a
-// target confidence interval with far fewer trials at rare fault rates)
-// and -ci reports 95% confidence intervals and effective sample sizes
-// alongside the means.
+// With -scenario, -accel sets the scenario's accel field (rare-event
+// acceleration of the lifetime Monte Carlos: "conditional" requires at
+// least one fault per trial, "tilt:F" scales the fault rates by F; both
+// weight trials by their exact likelihood ratio, so estimates stay
+// unbiased and reach a target confidence interval with far fewer trials
+// at rare fault rates) and -ci sets its ci field (95% confidence
+// intervals and effective sample sizes alongside the means). Like -trace
+// they apply before the scenario is checked, so they pass the same bounds
+// as the file's own fields. Without -scenario they are usage errors.
 package main
 
 import (
@@ -51,7 +53,6 @@ import (
 	"arcc/internal/exhibit"
 	"arcc/internal/experiments"
 	"arcc/internal/mc"
-	"arcc/internal/reliability"
 )
 
 func main() {
@@ -71,8 +72,8 @@ func run() error {
 	seed := flag.Int64("seed", 1, "random seed")
 	parallel := flag.Int("parallel", 0, "Monte Carlo / simulation workers (0 = all CPUs, 1 = serial)")
 	trials := flag.Int("trials", 0, "override the Monte Carlo channel count (0 = profile default)")
-	accel := flag.String("accel", "", "scenario rare-event acceleration: none, conditional, or tilt:<factor>")
-	ci := flag.Bool("ci", false, "report 95% confidence intervals and effective sample size for scenario runs")
+	accel := flag.String("accel", "", "with -scenario: rare-event acceleration (none, conditional, or tilt:<factor>), overriding its accel field")
+	ci := flag.Bool("ci", false, "with -scenario: report 95% confidence intervals and effective sample size, setting its ci field")
 	progress := flag.Bool("progress", false, "report per-exhibit progress on stderr")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")
 	flag.Parse()
@@ -88,8 +89,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := reliability.ParseAccel(*accel); err != nil {
-		return err
+	if *trials < 0 {
+		return fmt.Errorf("-trials %d is negative (0 keeps the profile default)", *trials)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -112,8 +113,6 @@ func run() error {
 			exhibit.WithSeed(*seed),
 			exhibit.WithParallel(*parallel),
 			exhibit.WithTrials(*trials),
-			exhibit.WithAccel(*accel),
-			exhibit.WithCI(*ci),
 		}
 		if *progress {
 			opts = append(opts, exhibit.WithProgress(
@@ -131,14 +130,21 @@ func run() error {
 		if *trace != "" {
 			sc.Trace = *trace
 		}
+		if *accel != "" {
+			sc.Accel = *accel
+		}
+		sc.CI = sc.CI || *ci
 		ex, err := experiments.NewScenarioExhibit(sc)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w (in %s)", err, *scenario)
 		}
 		exhibits = []exhibit.Exhibit{ex}
 	} else {
-		if *trace != "" {
+		switch {
+		case *trace != "":
 			return fmt.Errorf("-trace requires -scenario (the trace drives the scenario's simulator sweep)")
+		case *accel != "" || *ci:
+			return fmt.Errorf("-accel and -ci require -scenario (no registered exhibit reads them)")
 		}
 		exhibits, err = selectExhibits(*name)
 		if err != nil {

@@ -76,7 +76,8 @@ func run() error {
 	s.DRAM = *dramGen
 	s.Width = *width
 	s.Trace = *trace
-	if err := s.Validate(); err != nil {
+	ex, err := experiments.NewScenarioExhibit(s)
+	if err != nil {
 		return err
 	}
 
@@ -95,10 +96,6 @@ func run() error {
 	}
 	cfg := exhibit.NewConfig(opts...)
 
-	ex, err := experiments.NewScenarioExhibit(s)
-	if err != nil {
-		return err
-	}
 	report, err := ex.Run(ctx, cfg)
 	if err != nil {
 		return err

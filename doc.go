@@ -36,7 +36,7 @@
 // weighted trials (internal/mc.RunWeightedCtx) through mergeable streaming
 // estimators (internal/stats: weighted moments, 95% CIs, Kish effective
 // sample size, a deterministic quantile sketch), and scenarios opt in via
-// accel/ci fields or the -accel/-ci flags. Weighted merges keep the
+// accel/ci fields, which the -accel/-ci flags set. Weighted merges keep the
 // bit-identical-at-any-parallelism contract, and the unaccelerated path
 // reproduces the legacy estimators bit for bit, so goldens never move.
 //

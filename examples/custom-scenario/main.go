@@ -23,9 +23,9 @@ import (
 )
 
 func main() {
-	// Load and validate the declarative description. Unknown fields,
-	// unknown fault types, and out-of-range values are all rejected at
-	// parse time, so a typo cannot silently run the wrong study.
+	// Load the declarative description. Unknown fields are rejected at
+	// parse time, and unknown fault types or out-of-range values when the
+	// exhibit is built, so a typo cannot silently run the wrong study.
 	path := filepath.Join("examples", "custom-scenario", "scenario.json")
 	if _, err := os.Stat(path); err != nil {
 		path = "scenario.json" // run from the example's own directory
@@ -35,8 +35,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Turn it into an exhibit and run it exactly like a paper figure:
-	// same Config, same cancellation, same report.
+	// Check it, turn it into an exhibit and run it exactly like a paper
+	// figure: same Config, same cancellation, same report.
 	ex, err := experiments.NewScenarioExhibit(sc)
 	if err != nil {
 		log.Fatal(err)

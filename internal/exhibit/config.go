@@ -20,7 +20,7 @@ func (f ProgressFunc) Update(done, total int) { f(done, total) }
 // a fixed Seed the numbers are bit-identical at any Parallel setting (the
 // engine's contract), and Quick/Trials trade precision for speed. Build
 // one with NewConfig and functional options; the zero value requests a
-// paper-scale serial-default run with seed 1.
+// paper-scale run with seed 1 on GOMAXPROCS workers.
 type Config struct {
 	// Quick trades precision for speed (shorter instruction budgets,
 	// fewer Monte Carlo channels).
@@ -34,16 +34,6 @@ type Config struct {
 	// Trials overrides the Monte Carlo channel count of the lifetime
 	// exhibits (0 keeps the profile default).
 	Trials int
-	// Accel, when non-empty, overrides the rare-event acceleration of
-	// scenario lifetime Monte Carlos: "none", "conditional", or
-	// "tilt:<factor>" (see reliability.ParseAccel). Acceleration changes
-	// which proposal the trials sample from — estimates remain unbiased
-	// for the same quantities, with far fewer trials to a given precision
-	// at rare fault rates.
-	Accel string
-	// CI requests confidence intervals and effective-sample-size
-	// reporting from scenario lifetime Monte Carlos.
-	CI bool
 	// Progress, when non-nil, receives completion counts as the
 	// exhibit's Monte Carlo trials or simulator runs finish.
 	Progress Progress
@@ -77,13 +67,6 @@ func WithParallel(workers int) Option { return func(c *Config) { c.Parallel = wo
 
 // WithTrials overrides the Monte Carlo channel count (0 = profile default).
 func WithTrials(trials int) Option { return func(c *Config) { c.Trials = trials } }
-
-// WithAccel overrides the scenario rare-event acceleration spec ("" keeps
-// the scenario's own setting).
-func WithAccel(accel string) Option { return func(c *Config) { c.Accel = accel } }
-
-// WithCI requests confidence-interval reporting from scenario runs.
-func WithCI(ci bool) Option { return func(c *Config) { c.CI = ci } }
 
 // WithProgress installs a progress sink.
 func WithProgress(p Progress) Option { return func(c *Config) { c.Progress = p } }

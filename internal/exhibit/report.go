@@ -8,18 +8,15 @@ import (
 // Meta records the run parameters that shaped a report, so a serialized
 // report is self-describing and reproducible.
 type Meta struct {
-	Seed     int64  `json:"seed"`
-	Quick    bool   `json:"quick"`
-	Trials   int    `json:"trials,omitempty"`
-	Parallel int    `json:"parallel,omitempty"`
-	Accel    string `json:"accel,omitempty"`
-	CI       bool   `json:"ci,omitempty"`
+	Seed     int64 `json:"seed"`
+	Quick    bool  `json:"quick"`
+	Trials   int   `json:"trials,omitempty"`
+	Parallel int   `json:"parallel,omitempty"`
 }
 
 // MetaFor derives the report metadata from the config an exhibit ran under.
 func MetaFor(cfg Config) Meta {
-	return Meta{Seed: cfg.SeedOrDefault(), Quick: cfg.Quick, Trials: cfg.Trials, Parallel: cfg.Parallel,
-		Accel: cfg.Accel, CI: cfg.CI}
+	return Meta{Seed: cfg.SeedOrDefault(), Quick: cfg.Quick, Trials: cfg.Trials, Parallel: cfg.Parallel}
 }
 
 // Report is the structured outcome of one exhibit run.

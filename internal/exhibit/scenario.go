@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 
 	"arcc/internal/dram"
 	"arcc/internal/faultmodel"
@@ -139,8 +140,8 @@ func DefaultScenario() Scenario {
 }
 
 // ParseScenario decodes a scenario from JSON (strictly: unknown fields are
-// errors, so typos fail loudly), overlays it on DefaultScenario, and
-// validates it.
+// errors, so typos fail loudly) and overlays it on DefaultScenario. It
+// checks nothing else: Resolve is the one place a scenario is judged.
 func ParseScenario(r io.Reader) (Scenario, error) {
 	s := DefaultScenario()
 	dec := json.NewDecoder(r)
@@ -154,13 +155,10 @@ func ParseScenario(r io.Reader) (Scenario, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return Scenario{}, fmt.Errorf("exhibit: parsing scenario: trailing content after the scenario object")
 	}
-	if err := s.Validate(); err != nil {
-		return Scenario{}, err
-	}
 	return s, nil
 }
 
-// LoadScenario reads and parses a scenario JSON file.
+// LoadScenario reads and decodes a scenario JSON file.
 func LoadScenario(path string) (Scenario, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -191,149 +189,170 @@ const (
 	maxExpectedArrivals = 1e4
 )
 
-// Validate checks every field the exhibit package can judge without the
-// workload tables; mix names are validated by the experiments layer when
-// the scenario is turned into an exhibit.
-func (s Scenario) Validate() error {
+// Plan is a checked scenario resolved into the values its runs consume.
+// Resolve builds it, so a run neither re-checks nor re-parses a field.
+type Plan struct {
+	// Scenario is the checked scenario itself.
+	Scenario Scenario
+	// Rates is the fault mix (Scenario.Rates).
+	Rates faultmodel.Rates
+	// Shape is the channel shape the geometry implies: the evaluated
+	// configuration's two-pages-per-row layout, with a total page count
+	// scaled from the ARCC channel by rank count.
+	Shape faultmodel.ChannelShape
+	// CostFactor is the upgraded-access cost factor (Scenario.CostFactor).
+	CostFactor float64
+	// Accel is the parsed rare-event acceleration spec.
+	Accel reliability.Accel
+	// Burst is the correlated-burst model; zero when the field is omitted.
+	Burst faultmodel.Burst
+	// Generation is the simulator memory generation ("" means DDR2).
+	Generation dram.Generation
+	// Baseline selects the baseline chipkill system for the simulator
+	// sweep instead of ARCC.
+	Baseline bool
+	// Mixes are the Table 7.3 mixes the scenario names, in order.
+	Mixes []workload.Mix
+}
+
+// Resolve checks every field of the scenario and resolves it into a Plan.
+// It does no file I/O: a trace file is opened when the plan runs.
+func (s Scenario) Resolve() (Plan, error) {
+	if s.Name == "" {
+		return Plan{}, fmt.Errorf("exhibit: scenario needs a name")
+	}
+	p, err := s.resolve()
+	if err != nil {
+		return Plan{}, fmt.Errorf("exhibit: scenario %q: %w", s.Name, err)
+	}
+	return p, nil
+}
+
+func (s Scenario) resolve() (Plan, error) {
 	switch {
-	case s.Name == "":
-		return fmt.Errorf("exhibit: scenario needs a name")
 	case !(s.RateFactor >= 0) || math.IsInf(s.RateFactor, 1):
-		return fmt.Errorf("exhibit: scenario %q: rate_factor %v must be finite and non-negative", s.Name, s.RateFactor)
+		return Plan{}, fmt.Errorf("rate_factor %v must be finite and non-negative", s.RateFactor)
 	case s.Ranks <= 0 || s.DevicesPerRank <= 1 || s.BanksPerDevice <= 0:
-		return fmt.Errorf("exhibit: scenario %q: invalid channel geometry (ranks=%d devices_per_rank=%d banks_per_device=%d)",
-			s.Name, s.Ranks, s.DevicesPerRank, s.BanksPerDevice)
+		return Plan{}, fmt.Errorf("invalid channel geometry (ranks=%d devices_per_rank=%d banks_per_device=%d)",
+			s.Ranks, s.DevicesPerRank, s.BanksPerDevice)
 	case s.Ranks > maxGeometry || s.DevicesPerRank > maxGeometry || s.BanksPerDevice > maxGeometry:
-		return fmt.Errorf("exhibit: scenario %q: channel geometry past %d (ranks=%d devices_per_rank=%d banks_per_device=%d)",
-			s.Name, maxGeometry, s.Ranks, s.DevicesPerRank, s.BanksPerDevice)
+		return Plan{}, fmt.Errorf("channel geometry past %d (ranks=%d devices_per_rank=%d banks_per_device=%d)",
+			maxGeometry, s.Ranks, s.DevicesPerRank, s.BanksPerDevice)
 	case s.Years <= 0 || s.Trials <= 0:
-		return fmt.Errorf("exhibit: scenario %q: years and trials must be positive (got %d, %d)", s.Name, s.Years, s.Trials)
+		return Plan{}, fmt.Errorf("years and trials must be positive (got %d, %d)", s.Years, s.Trials)
 	case s.Years > maxYears:
-		return fmt.Errorf("exhibit: scenario %q: years %d exceeds %d", s.Name, s.Years, maxYears)
+		return Plan{}, fmt.Errorf("years %d exceeds %d", s.Years, maxYears)
 	case !(s.ScrubHours > 0):
-		return fmt.Errorf("exhibit: scenario %q: scrub_hours must be positive (got %v)", s.Name, s.ScrubHours)
+		return Plan{}, fmt.Errorf("scrub_hours must be positive (got %v)", s.ScrubHours)
 	case s.UpgradeFactor < 0 || (s.UpgradeFactor > 0 && s.UpgradeFactor < 1):
-		return fmt.Errorf("exhibit: scenario %q: upgrade_factor must be >= 1 (got %v)", s.Name, s.UpgradeFactor)
+		return Plan{}, fmt.Errorf("upgrade_factor must be >= 1 (got %v)", s.UpgradeFactor)
 	case s.UpgradedFraction < 0 || s.UpgradedFraction > 1:
-		return fmt.Errorf("exhibit: scenario %q: upgraded_fraction must be in [0,1] (got %v)", s.Name, s.UpgradedFraction)
+		return Plan{}, fmt.Errorf("upgraded_fraction must be in [0,1] (got %v)", s.UpgradedFraction)
 	case s.Instructions < 0:
-		return fmt.Errorf("exhibit: scenario %q: negative instructions", s.Name)
+		return Plan{}, fmt.Errorf("negative instructions")
 	}
 	if s.UpgradeFactor == 0 {
 		if _, err := schemeFactor(s.Scheme); err != nil {
-			return fmt.Errorf("exhibit: scenario %q: %w", s.Name, err)
+			return Plan{}, err
 		}
 	}
 	if s.System != "arcc" && s.System != "baseline" {
-		return fmt.Errorf("exhibit: scenario %q: unknown system %q (have arcc, baseline)", s.Name, s.System)
+		return Plan{}, fmt.Errorf("unknown system %q (have arcc, baseline)", s.System)
 	}
 	accel, err := reliability.ParseAccel(s.Accel)
 	if err != nil {
-		return fmt.Errorf("exhibit: scenario %q: %w", s.Name, err)
+		return Plan{}, err
 	}
 	for name, fit := range s.FITOverrides {
 		if _, err := typeByName(name); err != nil {
-			return fmt.Errorf("exhibit: scenario %q: %w", s.Name, err)
+			return Plan{}, err
 		}
 		if !(fit >= 0) || math.IsInf(fit, 1) {
-			return fmt.Errorf("exhibit: scenario %q: %s FIT %v must be finite and non-negative", s.Name, name, fit)
+			return Plan{}, fmt.Errorf("%s FIT %v must be finite and non-negative", name, fit)
 		}
 	}
+	var burst faultmodel.Burst
 	if s.Burst != nil {
 		if err := s.Burst.Validate(); err != nil {
-			return fmt.Errorf("exhibit: scenario %q: %w", s.Name, err)
+			return Plan{}, err
 		}
+		burst = *s.Burst
 	}
-	arrivals := faultmodel.ExpectedArrivals(s.Rates(), s.Ranks, s.DevicesPerRank, float64(s.Years)) *
-		s.BurstOrZero().CapHintFactor()
+	rates := s.Rates()
+	arrivals := faultmodel.ExpectedArrivals(rates, s.Ranks, s.DevicesPerRank, float64(s.Years)) * burst.CapHintFactor()
 	if accel.Mode == reliability.AccelTilted {
 		arrivals *= accel.Tilt
 	}
 	if !(arrivals <= maxExpectedArrivals) {
-		return fmt.Errorf("exhibit: scenario %q: %.3g expected fault arrivals per channel lifetime exceeds %g",
-			s.Name, arrivals, float64(maxExpectedArrivals))
+		return Plan{}, fmt.Errorf("%.3g expected fault arrivals per channel lifetime exceeds %g",
+			arrivals, float64(maxExpectedArrivals))
 	}
 	gen, err := dram.ParseGeneration(s.DRAM)
 	if err != nil {
-		return fmt.Errorf("exhibit: scenario %q: %w", s.Name, err)
+		return Plan{}, err
 	}
 	switch s.Width {
 	case 0:
 	case 4, 8, 16:
 		if gen == dram.DDR2 && s.Width != 8 {
-			return fmt.Errorf("exhibit: scenario %q: the DDR2 simulator models only x8 ARCC ranks, not x%d", s.Name, s.Width)
+			return Plan{}, fmt.Errorf("the DDR2 simulator models only x8 ARCC ranks, not x%d", s.Width)
 		}
 	default:
-		return fmt.Errorf("exhibit: scenario %q: device width %d (want 4, 8, or 16)", s.Name, s.Width)
+		return Plan{}, fmt.Errorf("device width %d (want 4, 8, or 16)", s.Width)
 	}
 	if len(s.Tenants) > 0 {
 		if _, err := workload.TenantBenchmarks(s.Tenants); err != nil {
-			return fmt.Errorf("exhibit: scenario %q: %w", s.Name, err)
+			return Plan{}, err
 		}
 	}
 	if s.LLCBytes != 0 && (s.LLCBytes < 2048 || bits.OnesCount(uint(s.LLCBytes)) != 1) {
-		return fmt.Errorf("exhibit: scenario %q: llc_bytes %d must be a power of two >= 2048", s.Name, s.LLCBytes)
+		return Plan{}, fmt.Errorf("llc_bytes %d must be a power of two >= 2048", s.LLCBytes)
 	}
-	return nil
-}
-
-// BurstOrZero returns the scenario's correlated-burst model, or the zero
-// (independent-arrival) model when the field is omitted.
-func (s Scenario) BurstOrZero() faultmodel.Burst {
-	if s.Burst == nil {
-		return faultmodel.Burst{}
-	}
-	return *s.Burst
-}
-
-// Generation returns the simulator memory generation the dram field names
-// ("" means the paper's DDR2).
-func (s Scenario) Generation() dram.Generation {
-	gen, err := dram.ParseGeneration(s.DRAM)
+	mixes, err := mixesByName(s.Mixes)
 	if err != nil {
-		panic(err) // Validate rejects unknown generations first
+		return Plan{}, err
 	}
-	return gen
+	base := faultmodel.ARCCChannelShape()
+	return Plan{
+		Scenario: s,
+		Rates:    rates,
+		Shape: faultmodel.ChannelShape{
+			RanksPerChannel: s.Ranks,
+			BanksPerDevice:  s.BanksPerDevice,
+			PagesPerRow:     base.PagesPerRow,
+			TotalPages:      base.TotalPages / base.RanksPerChannel * s.Ranks,
+		},
+		CostFactor: s.CostFactor(),
+		Accel:      accel,
+		Burst:      burst,
+		Generation: gen,
+		Baseline:   s.System == "baseline",
+		Mixes:      mixes,
+	}, nil
 }
 
-// Rates resolves the scenario's fault mix: field-study FIT rates scaled by
+// Rates is the scenario's fault mix: field-study FIT rates scaled by
 // RateFactor, with FITOverrides replacing individual types afterwards
-// (overrides are absolute, not scaled).
+// (overrides are absolute, not scaled). An override naming no fault type
+// is ignored here; Resolve rejects it.
 func (s Scenario) Rates() faultmodel.Rates {
 	rates := faultmodel.FieldStudyRates().Scale(s.RateFactor)
-	for name, fit := range s.FITOverrides {
-		t, err := typeByName(name)
-		if err != nil {
-			panic(err) // Validate rejects unknown names first
+	for _, t := range faultmodel.Types() {
+		if fit, ok := s.FITOverrides[t.String()]; ok {
+			rates[t] = fit
 		}
-		rates[t] = fit
 	}
 	return rates
 }
 
-// Shape returns the channel shape the scenario's geometry implies, with
-// the evaluated configuration's two-pages-per-row layout and a total page
-// count scaled from the ARCC channel by rank count.
-func (s Scenario) Shape() faultmodel.ChannelShape {
-	base := faultmodel.ARCCChannelShape()
-	return faultmodel.ChannelShape{
-		RanksPerChannel: s.Ranks,
-		BanksPerDevice:  s.BanksPerDevice,
-		PagesPerRow:     base.PagesPerRow,
-		TotalPages:      base.TotalPages / base.RanksPerChannel * s.Ranks,
-	}
-}
-
-// CostFactor returns the upgraded-access cost factor: UpgradeFactor when
-// set, otherwise the scheme's (chipkill 2x, lotecc 4x).
+// CostFactor is the upgraded-access cost factor: UpgradeFactor when set,
+// otherwise the scheme's (chipkill 2x, lotecc 4x), and 0 for a scheme
+// Resolve rejects.
 func (s Scenario) CostFactor() float64 {
 	if s.UpgradeFactor > 0 {
 		return s.UpgradeFactor
 	}
-	f, err := schemeFactor(s.Scheme)
-	if err != nil {
-		panic(err) // Validate rejects unknown schemes first
-	}
+	f, _ := schemeFactor(s.Scheme)
 	return f
 }
 
@@ -358,4 +377,18 @@ func typeByName(name string) (faultmodel.Type, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown fault type %q", name)
+}
+
+// mixesByName resolves mix names against Table 7.3.
+func mixesByName(names []string) ([]workload.Mix, error) {
+	all := workload.Mixes()
+	out := make([]workload.Mix, 0, len(names))
+	for _, name := range names {
+		i := slices.IndexFunc(all, func(m workload.Mix) bool { return m.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown mix %q (Table 7.3 has Mix1..Mix%d)", name, len(all))
+		}
+		out = append(out, all[i])
+	}
+	return out, nil
 }

@@ -9,10 +9,21 @@ import (
 
 	"arcc/internal/dram"
 	"arcc/internal/faultmodel"
+	"arcc/internal/reliability"
 )
 
+// resolveJSON decodes a scenario body and resolves it, the path every
+// scenario file and HTTP request takes.
+func resolveJSON(body string) (Plan, error) {
+	s, err := ParseScenario(strings.NewReader(body))
+	if err != nil {
+		return Plan{}, err
+	}
+	return s.Resolve()
+}
+
 func TestParseScenario(t *testing.T) {
-	s, err := ParseScenario(strings.NewReader(`{
+	p, err := resolveJSON(`{
 		"name": "dense-channel",
 		"description": "3 ranks of 12 devices at 3x rates",
 		"rate_factor": 3,
@@ -24,10 +35,11 @@ func TestParseScenario(t *testing.T) {
 		"scheme": "lotecc",
 		"mixes": ["Mix1", "Mix7"],
 		"upgraded_fraction": 0.25
-	}`))
+	}`)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := p.Scenario
 	if s.Name != "dense-channel" || s.Ranks != 3 || s.Years != 5 {
 		t.Fatalf("fields not decoded: %+v", s)
 	}
@@ -35,17 +47,20 @@ func TestParseScenario(t *testing.T) {
 	if s.BanksPerDevice != 8 || s.ScrubHours != 4 || s.System != "arcc" {
 		t.Fatalf("defaults lost: %+v", s)
 	}
-	if got := s.CostFactor(); got != 4 {
+	if got := p.CostFactor; got != 4 {
 		t.Fatalf("lotecc cost factor = %v, want 4", got)
 	}
-	rates := s.Rates()
+	if len(p.Mixes) != 2 || p.Mixes[0].Name != "Mix1" || p.Mixes[1].Name != "Mix7" {
+		t.Fatalf("mixes not resolved: %+v", p.Mixes)
+	}
+	rates := p.Rates
 	if rates[faultmodel.Lane] != 6.0 {
 		t.Fatalf("fit override not applied: lane = %v", rates[faultmodel.Lane])
 	}
 	if want := faultmodel.FieldStudyRates()[faultmodel.Bit] * 3; rates[faultmodel.Bit] != want {
 		t.Fatalf("rate factor not applied: bit = %v, want %v", rates[faultmodel.Bit], want)
 	}
-	if shape := s.Shape(); shape.RanksPerChannel != 3 {
+	if shape := p.Shape; shape.RanksPerChannel != 3 {
 		t.Fatalf("shape ranks = %d", shape.RanksPerChannel)
 	}
 }
@@ -63,16 +78,17 @@ func TestParseScenarioRejects(t *testing.T) {
 		"sub-1 upgrade":   `{"name":"x", "upgrade_factor": 0.5}`,
 		"not json":        `{"name":`,
 		"trailing junk":   `{"name":"x"} "trials": 500`,
+		"unknown mix":     `{"name":"x", "mixes": ["Mix1", "Mix99"]}`,
 	}
 	for label, raw := range cases {
-		if _, err := ParseScenario(strings.NewReader(raw)); err == nil {
+		if _, err := resolveJSON(raw); err == nil {
 			t.Errorf("%s: accepted %s", label, raw)
 		}
 	}
 }
 
 func TestParseScenarioNewAxes(t *testing.T) {
-	s, err := ParseScenario(strings.NewReader(`{
+	p, err := resolveJSON(`{
 		"name": "axes",
 		"dram": "ddr5",
 		"width": 16,
@@ -81,11 +97,12 @@ func TestParseScenarioNewAxes(t *testing.T) {
 		"llc_bytes": 2097152,
 		"trace": "some.trc",
 		"burst": {"row_prob": 0.5, "row_mean": 4, "row_max": 16}
-	}`))
+	}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Generation() != dram.DDR5 || s.Width != 16 || !s.SharedLLC || s.LLCBytes != 2097152 {
+	s := p.Scenario
+	if p.Generation != dram.DDR5 || s.Width != 16 || !s.SharedLLC || s.LLCBytes != 2097152 {
 		t.Fatalf("axes not decoded: %+v", s)
 	}
 	if len(s.Tenants) != 1 || s.Tenants[0].Benchmark != "mcf2006" {
@@ -94,14 +111,19 @@ func TestParseScenarioNewAxes(t *testing.T) {
 	if s.Trace != "some.trc" {
 		t.Fatalf("trace not decoded: %q", s.Trace)
 	}
-	b := s.BurstOrZero()
+	b := p.Burst
 	if b.RowProb != 0.5 || b.RowMean != 4 || b.RowMax != 16 {
 		t.Fatalf("burst not decoded: %+v", b)
 	}
-	// The zero value keeps the legacy DDR2 path and a zero burst.
+	// The zero value keeps the legacy DDR2 path, a zero burst and ARCC.
 	d := DefaultScenario()
-	if d.Generation() != dram.DDR2 || !d.BurstOrZero().IsZero() {
-		t.Fatalf("defaults changed: gen %v burst %+v", d.Generation(), d.BurstOrZero())
+	d.Name = "defaults"
+	dp, err := d.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dp.Generation != dram.DDR2 || !dp.Burst.IsZero() || dp.Baseline || dp.Accel.Mode != reliability.AccelNone {
+		t.Fatalf("defaults changed: gen %v burst %+v baseline %v accel %+v", dp.Generation, dp.Burst, dp.Baseline, dp.Accel)
 	}
 }
 
@@ -119,7 +141,7 @@ func TestParseScenarioRejectsNewAxes(t *testing.T) {
 		"bad burst field": `{"name":"x", "burst": {"row_probability": 0.5}}`,
 	}
 	for label, raw := range cases {
-		if _, err := ParseScenario(strings.NewReader(raw)); err == nil {
+		if _, err := resolveJSON(raw); err == nil {
 			t.Errorf("%s: accepted %s", label, raw)
 		}
 	}
@@ -131,7 +153,7 @@ func TestLoadScenarioMissingFile(t *testing.T) {
 	}
 }
 
-// TestScenarioBounds pins the inputs Validate must reject before a run
+// TestScenarioBounds pins the inputs Resolve must reject before a run
 // sizes its buffers from them: each once crashed or silently misbehaved.
 func TestScenarioBounds(t *testing.T) {
 	cases := []struct {
@@ -154,9 +176,9 @@ func TestScenarioBounds(t *testing.T) {
 		{"geometry at the cap", `{"name":"x", "rate_factor": 0, "ranks": 65536, "devices_per_rank": 65536, "banks_per_device": 65536}`, true},
 	}
 	for _, tc := range cases {
-		_, err := ParseScenario(strings.NewReader(tc.body))
+		_, err := resolveJSON(tc.body)
 		if (err == nil) != tc.ok {
-			t.Errorf("%s: ParseScenario(%s) error = %v, want ok=%v", tc.label, tc.body, err, tc.ok)
+			t.Errorf("%s: resolving %s: error = %v, want ok=%v", tc.label, tc.body, err, tc.ok)
 		}
 	}
 	// JSON cannot carry non-finite numbers, but the Go API (and the
@@ -165,21 +187,21 @@ func TestScenarioBounds(t *testing.T) {
 		s := DefaultScenario()
 		s.Name = "x"
 		s.RateFactor = v
-		if s.Validate() == nil {
+		if _, err := s.Resolve(); err == nil {
 			t.Errorf("rate_factor %v accepted", v)
 		}
 		s = DefaultScenario()
 		s.Name = "x"
 		s.FITOverrides = map[string]float64{"row": v}
-		if s.Validate() == nil {
+		if _, err := s.Resolve(); err == nil {
 			t.Errorf("FIT override %v accepted", v)
 		}
 	}
 }
 
-// FuzzParseScenario feeds arbitrary request bodies to the scenario parser:
-// an accepted scenario must resolve without panicking and stay within the
-// bounds Validate promises.
+// FuzzParseScenario feeds arbitrary request bodies to the scenario parser
+// and resolver: neither may panic, and a resolved plan must stay within
+// the bounds Resolve promises.
 func FuzzParseScenario(f *testing.F) {
 	f.Add(`{"name":"x", "rate_factor": 1e300}`)
 	f.Add(`{"name":"x", "years": 300000000}`)
@@ -201,12 +223,25 @@ func FuzzParseScenario(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rates := s.Rates()
-		if cost := s.CostFactor(); !(cost >= 1) || math.IsInf(cost, 1) {
+		// Rates and CostFactor are pure functions, safe before resolution.
+		s.Rates()
+		s.CostFactor()
+		p, err := s.Resolve()
+		if err != nil {
+			return
+		}
+		s = p.Scenario
+		rates := p.Rates
+		if cost := p.CostFactor; !(cost >= 1) || math.IsInf(cost, 1) {
 			t.Fatalf("cost factor %v", cost)
 		}
-		s.Generation()
-		if shape := s.Shape(); shape.RanksPerChannel != s.Ranks || shape.TotalPages <= 0 {
+		if cost := s.CostFactor(); cost != p.CostFactor {
+			t.Fatalf("plan cost factor %v, scenario's %v", p.CostFactor, cost)
+		}
+		if len(p.Mixes) != len(s.Mixes) {
+			t.Fatalf("resolved %d of %d mixes", len(p.Mixes), len(s.Mixes))
+		}
+		if shape := p.Shape; shape.RanksPerChannel != s.Ranks || shape.TotalPages <= 0 {
 			t.Fatalf("shape %+v for %d ranks", shape, s.Ranks)
 		}
 		if s.Years > maxYears {

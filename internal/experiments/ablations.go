@@ -88,13 +88,15 @@ func (rows ScrubAblationResult) Fprint(w io.Writer) {
 
 // upgradedIPCs runs every mix with all pages upgraded under each of n
 // variants of the ARCC config (set applies variant v) and returns the
-// IPCs, variant-major. The runs fan out across the engine's workers.
+// IPCs, variant-major. Every run takes the root seed, and the runs fan
+// out across the engine's workers.
 func upgradedIPCs(ctx context.Context, cfg exhibit.Config, mixes []workload.Mix, n int, set func(c *sim.Config, v int)) ([]float64, error) {
 	return mc.MapScratchCtx(ctx, n*len(mixes), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
 		func(_ *rand.Rand, i int, s *sim.Scratch) float64 {
 			c := sim.DefaultConfig(mixes[i%len(mixes)], sim.ARCC)
 			c.InstructionsPerCore = instructions(cfg)
 			c.UpgradedFraction = 1
+			c.Seed = cfg.SeedOrDefault()
 			set(&c, i/len(mixes))
 			return sim.RunWith(c, s).IPCSum
 		})

@@ -2,8 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"arcc/internal/cache"
+	"arcc/internal/exhibit"
+	"arcc/internal/memctrl"
+	"arcc/internal/sim"
+	"arcc/internal/workload"
 )
 
 func TestAblationScrub(t *testing.T) {
@@ -63,5 +71,35 @@ func TestAblationPairing(t *testing.T) {
 	r.Fprint(&buf)
 	if !strings.Contains(buf.String(), "pairing") {
 		t.Fatal("printer broken")
+	}
+}
+
+// TestSimAblationsFollowSeed: the simulator ablations draw their workload
+// streams and page placement from the root seed, so another seed runs
+// other simulations. Their reported ratios can still coincide (the
+// pairing ratio is exactly 1 at every seed), so the runs' IPCs are
+// compared.
+func TestSimAblationsFollowSeed(t *testing.T) {
+	variants := map[string]func(c *sim.Config, v int){
+		"ablation-llc": func(c *sim.Config, v int) {
+			c.LLCPolicy = []cache.Policy{cache.SharedRecency, cache.IndependentLRU}[v]
+		},
+		"ablation-pairing": func(c *sim.Config, v int) {
+			c.Pairing = []memctrl.Pairing{memctrl.PairFIFO, memctrl.PairPromote}[v]
+		},
+	}
+	mixes := workload.Mixes()[:1]
+	for name, set := range variants {
+		ipcs := func(seed int64) []float64 {
+			cfg := exhibit.NewConfig(exhibit.WithQuick(true), exhibit.WithSeed(seed))
+			got, err := upgradedIPCs(context.Background(), cfg, mixes, 2, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		if one, seven := ipcs(1), ipcs(7); reflect.DeepEqual(one, seven) {
+			t.Errorf("%s: seed 7 reproduced seed 1's IPCs %v", name, one)
+		}
 	}
 }

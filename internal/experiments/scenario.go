@@ -27,8 +27,8 @@ type ScenarioResult struct {
 	Overhead []float64
 	// FaultyCI/OverheadCI are the per-year 95% confidence half-widths of
 	// the series above, and FaultyESS/OverheadESS the effective sample
-	// sizes of their Monte Carlos. Populated only when the scenario (or
-	// the run config) requests acceleration or confidence intervals.
+	// sizes of their Monte Carlos. Populated only when the scenario
+	// requests acceleration or confidence intervals.
 	FaultyCI    []float64 `json:",omitempty"`
 	OverheadCI  []float64 `json:",omitempty"`
 	FaultyESS   float64   `json:",omitempty"`
@@ -60,15 +60,13 @@ type QuantileSummary struct {
 }
 
 // NewScenarioExhibit turns a declarative scenario into a runnable
-// exhibit. It validates the parts the exhibit package cannot — the
-// workload mix names — and returns an exhibit named after the scenario.
-// The exhibit is returned, not registered: scenario names come from user
-// files and must not collide with (or shadow) the paper's exhibits.
+// exhibit named after it. The scenario is resolved here, once; the
+// exhibit's runs execute that plan. The exhibit is returned, not
+// registered: scenario names come from user files and must not collide
+// with (or shadow) the paper's exhibits.
 func NewScenarioExhibit(s exhibit.Scenario) (exhibit.Exhibit, error) {
-	if err := s.Validate(); err != nil {
-		return exhibit.Exhibit{}, err
-	}
-	if _, err := scenarioMixes(s); err != nil {
+	plan, err := s.Resolve()
+	if err != nil {
 		return exhibit.Exhibit{}, err
 	}
 	return exhibit.Exhibit{
@@ -76,7 +74,7 @@ func NewScenarioExhibit(s exhibit.Scenario) (exhibit.Exhibit, error) {
 		Title:    "Scenario: " + s.Name,
 		Describe: s.Description,
 		Run: func(ctx context.Context, cfg exhibit.Config) (*exhibit.Report, error) {
-			r, err := RunScenario(ctx, cfg, s)
+			r, err := runScenario(ctx, cfg, plan)
 			if err != nil {
 				return nil, err
 			}
@@ -85,63 +83,19 @@ func NewScenarioExhibit(s exhibit.Scenario) (exhibit.Exhibit, error) {
 	}, nil
 }
 
-// scenarioMixes resolves the scenario's mix names against Table 7.3.
-func scenarioMixes(s exhibit.Scenario) ([]workload.Mix, error) {
-	all := workload.Mixes()
-	out := make([]workload.Mix, 0, len(s.Mixes))
-	for _, name := range s.Mixes {
-		found := false
-		for _, m := range all {
-			if m.Name == name {
-				out = append(out, m)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("experiments: scenario %q: unknown mix %q (Table 7.3 has Mix1..Mix%d)",
-				s.Name, name, len(all))
-		}
-	}
-	return out, nil
-}
-
-// RunScenario computes a declarative scenario under cfg: the Monte Carlo
+// runScenario executes a resolved scenario under cfg: the Monte Carlo
 // channel count comes from cfg.Trials when set, otherwise the scenario's;
 // seeds derive from cfg's root seed, so a scenario is bit-identical at
 // any parallelism like every other exhibit.
-func RunScenario(ctx context.Context, cfg exhibit.Config, s exhibit.Scenario) (ScenarioResult, error) {
-	if err := s.Validate(); err != nil {
-		return ScenarioResult{}, err
-	}
-	mixes, err := scenarioMixes(s)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	rates := s.Rates()
-	shape := s.Shape()
-	factor := s.CostFactor()
-	trials := s.Trials
+func runScenario(ctx context.Context, cfg exhibit.Config, p exhibit.Plan) (ScenarioResult, error) {
+	s := p.Scenario
 	if cfg.Trials > 0 {
-		trials = cfg.Trials
-	} else if cfg.Quick && trials > 1_000 {
-		trials = 1_000
-	}
-	// The run config's acceleration spec overrides the scenario's; either
-	// source of "ci" turns interval reporting on.
-	accelSpec := s.Accel
-	if cfg.Accel != "" {
-		accelSpec = cfg.Accel
-	}
-	accel, err := reliability.ParseAccel(accelSpec)
-	if err != nil {
-		return ScenarioResult{}, err
+		s.Trials = cfg.Trials
+	} else if cfg.Quick && s.Trials > 1_000 {
+		s.Trials = 1_000
 	}
 	// The report embeds the *effective* parameters — what actually ran —
 	// so a serialized scenario reproduces the numbers it carries.
-	s.Trials = trials
-	s.Accel = accelSpec
-	s.CI = s.CI || cfg.CI
 	res := ScenarioResult{Scenario: s}
 
 	// Plain sampling without "ci" keeps bare per-year means; intervals,
@@ -150,15 +104,15 @@ func RunScenario(ctx context.Context, cfg exhibit.Config, s exhibit.Scenario) (S
 	spec := func(tag uint64) reliability.Spec {
 		return reliability.Spec{
 			Seed: mc.DeriveSeed(cfg.SeedOrDefault(), tag), Opts: cfg.MCOptions(),
-			Rates: rates, Burst: s.BurstOrZero(), Ranks: s.Ranks, DevicesPerRank: s.DevicesPerRank,
-			Years: s.Years, Channels: trials, Accel: accel, CI: s.CI,
+			Rates: p.Rates, Burst: p.Burst, Ranks: s.Ranks, DevicesPerRank: s.DevicesPerRank,
+			Years: s.Years, Channels: s.Trials, Accel: p.Accel, CI: s.CI,
 		}
 	}
-	fs, err := reliability.FaultyPageFraction(ctx, spec(tagScenario), shape)
+	fs, err := reliability.FaultyPageFraction(ctx, spec(tagScenario), p.Shape)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	os, err := reliability.LifetimeOverhead(ctx, spec(tagScenario+1), reliability.WorstCaseOverheads(shape, factor), factor-1)
+	os, err := reliability.LifetimeOverhead(ctx, spec(tagScenario+1), reliability.WorstCaseOverheads(p.Shape, p.CostFactor), p.CostFactor-1)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
@@ -170,19 +124,19 @@ func RunScenario(ctx context.Context, cfg exhibit.Config, s exhibit.Scenario) (S
 		}
 	}
 
-	p := reliability.Params{
-		Rates:           rates,
+	rp := reliability.Params{
+		Rates:           p.Rates,
 		RanksPerChannel: s.Ranks,
 		DevicesPerRank:  s.DevicesPerRank,
 		Geom:            reliability.RankGeom{Devices: s.DevicesPerRank, Banks: s.BanksPerDevice, Rows: 16384, Cols: 64},
 		ScrubHours:      s.ScrubHours,
 		LifeYears:       float64(s.Years),
 	}
-	res.SDCSCCDCD = reliability.SDCsPer1000MachineYears(reliability.SCCDCDExpectedSDCs(p), p.LifeYears)
-	res.SDCARCC = reliability.SDCsPer1000MachineYears(reliability.ARCCDEDExpectedSDCs(p), p.LifeYears)
-	res.DUESCCDCD = reliability.SCCDCDExpectedDUEs(p)
-	res.DUEARCC = reliability.ARCCExpectedDUEs(p)
-	res.DUESparing = reliability.SparingExpectedDUEs(p)
+	res.SDCSCCDCD = reliability.SDCsPer1000MachineYears(reliability.SCCDCDExpectedSDCs(rp), rp.LifeYears)
+	res.SDCARCC = reliability.SDCsPer1000MachineYears(reliability.ARCCDEDExpectedSDCs(rp), rp.LifeYears)
+	res.DUESCCDCD = reliability.SCCDCDExpectedDUEs(rp)
+	res.DUEARCC = reliability.ARCCExpectedDUEs(rp)
+	res.DUESparing = reliability.SparingExpectedDUEs(rp)
 
 	// The simulator sweep is a labeled run list: one run per named mix,
 	// plus a "tenants" run when the scenario declares a multi-tenant
@@ -195,8 +149,8 @@ func RunScenario(ctx context.Context, cfg exhibit.Config, s exhibit.Scenario) (S
 		tenants []workload.Tenant
 		trace   *workload.TraceSource
 	}
-	runs := make([]labeledRun, 0, len(mixes)+2)
-	for _, m := range mixes {
+	runs := make([]labeledRun, 0, len(p.Mixes)+2)
+	for _, m := range p.Mixes {
 		runs = append(runs, labeledRun{label: m.Name, mix: m})
 	}
 	if len(s.Tenants) > 0 {
@@ -214,14 +168,12 @@ func RunScenario(ctx context.Context, cfg exhibit.Config, s exhibit.Scenario) (S
 		return res, nil
 	}
 	system := sim.ARCC
-	if s.System == "baseline" {
+	if p.Baseline {
 		system = sim.Baseline
 	}
-	tech := sim.Tech{Generation: s.Generation(), Width: s.Width}
-	instr := s.Instructions
-	if instr == 0 {
-		instr = instructions(cfg)
-		s.Instructions = instr
+	tech := sim.Tech{Generation: p.Generation, Width: s.Width}
+	if s.Instructions == 0 {
+		s.Instructions = instructions(cfg)
 		res.Scenario = s
 	}
 	// Per run: a fault-free reference and the scenario run, fanned out
@@ -232,7 +184,7 @@ func RunScenario(ctx context.Context, cfg exhibit.Config, s exhibit.Scenario) (S
 		func(_ *rand.Rand, i int, scratch *sim.Scratch) pair {
 			run := func(upgraded float64) sim.Result {
 				c := sim.DefaultConfig(runs[i].mix, system)
-				c.InstructionsPerCore = instr
+				c.InstructionsPerCore = s.Instructions
 				c.UpgradedFraction = upgraded
 				c.Seed = cfg.SeedOrDefault()
 				c.Tech = tech

@@ -30,9 +30,23 @@ func testScenario() exhibit.Scenario {
 	return s
 }
 
+// runScenarioExhibit runs s the way every caller does: resolved by
+// NewScenarioExhibit, executed by the exhibit's Run.
+func runScenarioExhibit(ctx context.Context, cfg exhibit.Config, s exhibit.Scenario) (ScenarioResult, error) {
+	ex, err := NewScenarioExhibit(s)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	r, err := ex.Run(ctx, cfg)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	return r.Data.(ScenarioResult), nil
+}
+
 func TestRunScenario(t *testing.T) {
 	cfg := exhibit.NewConfig(exhibit.WithQuick(true), exhibit.WithSeed(1))
-	r, err := RunScenario(context.Background(), cfg, testScenario())
+	r, err := runScenarioExhibit(context.Background(), cfg, testScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +88,7 @@ func TestRunScenario(t *testing.T) {
 	}
 }
 
-// TestRunScenarioStats exercises the acceleration/CI threading: plain CI
+// TestRunScenarioStats exercises the scenario's accel/ci fields: plain CI
 // runs keep the legacy means bit for bit while adding intervals, ESS,
 // and tail quantiles; accelerated runs agree within their intervals and
 // carry no raw-quantile summary.
@@ -83,7 +97,7 @@ func TestRunScenarioStats(t *testing.T) {
 	base.Mixes = nil // lifetime sweep only
 
 	plainCfg := exhibit.NewConfig(exhibit.WithSeed(1))
-	plain, err := RunScenario(context.Background(), plainCfg, base)
+	plain, err := runScenarioExhibit(context.Background(), plainCfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +105,9 @@ func TestRunScenarioStats(t *testing.T) {
 		t.Fatal("plain run carries stats it was not asked for")
 	}
 
-	ciCfg := exhibit.NewConfig(exhibit.WithSeed(1), exhibit.WithCI(true))
-	withCI, err := RunScenario(context.Background(), ciCfg, base)
+	ciScen := base
+	ciScen.CI = true
+	withCI, err := runScenarioExhibit(context.Background(), plainCfg, ciScen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +130,9 @@ func TestRunScenarioStats(t *testing.T) {
 		t.Fatalf("effective scenario wrong: %+v", withCI.Scenario)
 	}
 
-	accelCfg := exhibit.NewConfig(exhibit.WithSeed(1), exhibit.WithAccel("conditional"))
-	accel, err := RunScenario(context.Background(), accelCfg, base)
+	accelScen := base
+	accelScen.Accel = "conditional"
+	accel, err := runScenarioExhibit(context.Background(), plainCfg, accelScen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +203,7 @@ func TestRunScenarioNewAxes(t *testing.T) {
 	s.Trace = trace
 
 	cfg := exhibit.NewConfig(exhibit.WithQuick(true), exhibit.WithSeed(1))
-	r, err := RunScenario(context.Background(), cfg, s)
+	r, err := runScenarioExhibit(context.Background(), cfg, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +227,7 @@ func TestRunScenarioNewAxes(t *testing.T) {
 	noBurst.Mixes = nil
 	noBurst.Tenants = nil
 	noBurst.Trace = ""
-	plain, err := RunScenario(context.Background(), cfg, noBurst)
+	plain, err := runScenarioExhibit(context.Background(), cfg, noBurst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +240,7 @@ func TestRunScenarioNewAxes(t *testing.T) {
 	// And the whole thing stays bit-identical across parallelism.
 	render := func(parallel int) string {
 		cfg := exhibit.NewConfig(exhibit.WithQuick(true), exhibit.WithParallel(parallel))
-		r, err := RunScenario(context.Background(), cfg, s)
+		r, err := runScenarioExhibit(context.Background(), cfg, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +267,7 @@ func TestRunScenarioNewAxes(t *testing.T) {
 func TestScenarioDeterministicAtAnyParallelism(t *testing.T) {
 	render := func(parallel int) string {
 		cfg := exhibit.NewConfig(exhibit.WithQuick(true), exhibit.WithParallel(parallel))
-		r, err := RunScenario(context.Background(), cfg, testScenario())
+		r, err := runScenarioExhibit(context.Background(), cfg, testScenario())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +318,7 @@ func TestExhibitCancellation(t *testing.T) {
 			t.Errorf("%s: error = %v, want mc.ErrCanceled", name, err)
 		}
 	}
-	if _, err := RunScenario(ctx, quick(), testScenario()); !errors.Is(err, mc.ErrCanceled) {
+	if _, err := runScenarioExhibit(ctx, quick(), testScenario()); !errors.Is(err, mc.ErrCanceled) {
 		t.Errorf("scenario: error = %v, want mc.ErrCanceled", err)
 	}
 }

@@ -169,9 +169,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // exhibit, or an error for a 400. Everything a user can get wrong —
 // unknown fields, unknown exhibits, invalid scenarios, out-of-range
 // knobs, bad formats — is caught here, so no request reaches the
-// panic-on-misuse library boundaries (mc job construction,
-// Scenario.Rates/CostFactor). Past strict parsing, the rules are the
-// ones a replayed journal record must pass too (Server.check).
+// panic-on-misuse library boundary of mc job construction. Past strict
+// parsing, the rules are the ones a replayed journal record must pass
+// too (Server.check), which resolves a scenario through
+// NewScenarioExhibit.
 func (s *Server) validate(body []byte) (journalRecord, exhibit.Exhibit, error) {
 	var req jobRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -193,8 +194,9 @@ func (s *Server) validate(body []byte) (journalRecord, exhibit.Exhibit, error) {
 	}
 	if len(req.Scenario) != 0 {
 		// ParseScenario overlays the request's scenario on the documented
-		// defaults and rejects unknown fields. The effective scenario
-		// rides in the record so the journal can re-create the job.
+		// defaults and rejects unknown fields; check resolves it. The
+		// effective scenario rides in the record so the journal can
+		// re-create the job.
 		sc, err := exhibit.ParseScenario(bytes.NewReader(req.Scenario))
 		if err != nil {
 			return journalRecord{}, exhibit.Exhibit{}, err

@@ -354,9 +354,9 @@ func (s *Server) check(rec *journalRecord) (exhibit.Exhibit, error) {
 		return exhibit.Exhibit{}, err
 	}
 	if rec.Scenario != nil {
-		// NewScenarioExhibit runs Scenario.Validate and resolves the mix
-		// names. The key hashes the *effective* scenario, so textually
-		// different JSON describing the same sweep dedupes.
+		// NewScenarioExhibit checks the scenario and resolves it. The key
+		// hashes the *effective* scenario, so textually different JSON
+		// describing the same sweep dedupes.
 		ex, err := experiments.NewScenarioExhibit(*rec.Scenario)
 		if err != nil {
 			return exhibit.Exhibit{}, err

@@ -481,7 +481,7 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown scenario mix", `{"scenario": {"name": "x", "mixes": ["MixNope"]}}`},
 		{"unknown scenario fault type", `{"scenario": {"name": "x", "fit_overrides": {"cosmic": 1}}}`},
 		{"nameless scenario", `{"scenario": {"trials": 10}}`},
-		// Past Scenario.Validate these once panicked, exhausted memory, or
+		// Past Scenario.Resolve these once panicked, exhausted memory, or
 		// ran with a negative rate.
 		{"huge scenario rate factor", `{"scenario": {"name": "x", "rate_factor": 1e300}}`},
 		{"huge scenario lifetime", `{"scenario": {"name": "x", "years": 300000000}}`},
