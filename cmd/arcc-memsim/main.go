@@ -49,8 +49,15 @@ func run() error {
 	replayTrace := flag.String("trace", "", "replay this recorded trace on core 0 instead of its generator")
 	flag.Parse()
 
-	if *mixIdx < 1 || *mixIdx > 12 {
+	switch {
+	case *mixIdx < 1 || *mixIdx > 12:
 		return fmt.Errorf("mix must be 1..12")
+	case !(*upgraded >= 0 && *upgraded <= 1):
+		return fmt.Errorf("upgraded fraction %v must be in [0,1]", *upgraded)
+	case *instructions <= 0:
+		return fmt.Errorf("instructions must be positive (got %d)", *instructions)
+	case *traceAccesses <= 0:
+		return fmt.Errorf("trace-accesses must be positive (got %d)", *traceAccesses)
 	}
 	var sys sim.MemorySystem
 	switch *system {

@@ -74,3 +74,28 @@ func TestDumpedTraceReplays(t *testing.T) {
 		t.Fatalf("stderr does not report the replay:\n%s", stderr)
 	}
 }
+
+// TestBadFlagsAreUsageErrors: flag values the simulator cannot run must
+// exit 1 with a one-line error before any run or file write, not reach a
+// panic or run with a meaningless value.
+func TestBadFlagsAreUsageErrors(t *testing.T) {
+	dump := filepath.Join(t.TempDir(), "never.trace")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-upgraded", "2"}, "upgraded fraction 2 must be in [0,1]"},
+		{[]string{"-upgraded", "-0.5"}, "upgraded fraction -0.5 must be in [0,1]"},
+		{[]string{"-upgraded", "NaN"}, "upgraded fraction NaN must be in [0,1]"},
+		{[]string{"-instructions", "0"}, "instructions must be positive"},
+		{[]string{"-trace-accesses", "-5", "-dump-trace", dump}, "trace-accesses must be positive"},
+	} {
+		code, stderr := runMemsim(t, tc.args...)
+		if code != 1 || strings.Contains(stderr, "panic") || !strings.Contains(stderr, "arcc-memsim: "+tc.want) {
+			t.Errorf("%v: exit code %d, stderr:\n%s", tc.args, code, stderr)
+		}
+	}
+	if _, err := os.Stat(dump); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-trace-accesses -5 still wrote %s (stat: %v)", dump, err)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"arcc/internal/faultmodel"
 	"arcc/internal/lotecc"
 	"arcc/internal/reliability"
+	"arcc/internal/sim"
 	"arcc/internal/workload"
 )
 
@@ -67,7 +68,8 @@ import (
 //
 //	  "dram":             "ddr2",  // simulator memory generation: ddr2
 //	                               // (paper's calibrated config), ddr4, ddr5
-//	  "width":            8,       // ARCC device width (bits): 4, 8, or 16
+//	  "width":            8,       // ARCC device width (bits): 8 on ddr2;
+//	                               // 4, 8, or 16 on ddr4/ddr5 (sim.NewTech)
 //
 //	  "tenants": [                 // multi-tenant interference mix: 1-4
 //	                               // tenants mapped round-robin onto the four
@@ -206,12 +208,14 @@ type Plan struct {
 	Accel reliability.Accel
 	// Burst is the correlated-burst model; zero when the field is omitted.
 	Burst faultmodel.Burst
-	// Generation is the simulator memory generation ("" means DDR2).
-	Generation dram.Generation
+	// Tech is the simulator's memory generation and ARCC device width.
+	Tech sim.Tech
 	// Baseline selects the baseline chipkill system for the simulator
 	// sweep instead of ARCC.
 	Baseline bool
-	// Mixes are the Table 7.3 mixes the scenario names, in order.
+	// Mixes are the simulator sweep's workload rows in order: the
+	// Table 7.3 mixes the scenario names, then its tenants mapped onto the
+	// four cores as a mix named "tenants" when it declares any.
 	Mixes []workload.Mix
 }
 
@@ -246,7 +250,7 @@ func (s Scenario) resolve() (Plan, error) {
 		return Plan{}, fmt.Errorf("scrub_hours must be positive (got %v)", s.ScrubHours)
 	case s.UpgradeFactor < 0 || (s.UpgradeFactor > 0 && s.UpgradeFactor < 1):
 		return Plan{}, fmt.Errorf("upgrade_factor must be >= 1 (got %v)", s.UpgradeFactor)
-	case s.UpgradedFraction < 0 || s.UpgradedFraction > 1:
+	case !(s.UpgradedFraction >= 0 && s.UpgradedFraction <= 1):
 		return Plan{}, fmt.Errorf("upgraded_fraction must be in [0,1] (got %v)", s.UpgradedFraction)
 	case s.Instructions < 0:
 		return Plan{}, fmt.Errorf("negative instructions")
@@ -291,19 +295,9 @@ func (s Scenario) resolve() (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	switch s.Width {
-	case 0:
-	case 4, 8, 16:
-		if gen == dram.DDR2 && s.Width != 8 {
-			return Plan{}, fmt.Errorf("the DDR2 simulator models only x8 ARCC ranks, not x%d", s.Width)
-		}
-	default:
-		return Plan{}, fmt.Errorf("device width %d (want 4, 8, or 16)", s.Width)
-	}
-	if len(s.Tenants) > 0 {
-		if _, err := workload.TenantBenchmarks(s.Tenants); err != nil {
-			return Plan{}, err
-		}
+	tech, err := sim.NewTech(gen, s.Width)
+	if err != nil {
+		return Plan{}, err
 	}
 	if s.LLCBytes != 0 && (s.LLCBytes < 2048 || bits.OnesCount(uint(s.LLCBytes)) != 1) {
 		return Plan{}, fmt.Errorf("llc_bytes %d must be a power of two >= 2048", s.LLCBytes)
@@ -311,6 +305,13 @@ func (s Scenario) resolve() (Plan, error) {
 	mixes, err := mixesByName(s.Mixes)
 	if err != nil {
 		return Plan{}, err
+	}
+	if len(s.Tenants) > 0 {
+		tb, err := workload.TenantBenchmarks(s.Tenants)
+		if err != nil {
+			return Plan{}, err
+		}
+		mixes = append(mixes, workload.Mix{Name: "tenants", Benchmarks: tb})
 	}
 	base := faultmodel.ARCCChannelShape()
 	return Plan{
@@ -325,7 +326,7 @@ func (s Scenario) resolve() (Plan, error) {
 		CostFactor: s.CostFactor(),
 		Accel:      accel,
 		Burst:      burst,
-		Generation: gen,
+		Tech:       tech,
 		Baseline:   s.System == "baseline",
 		Mixes:      mixes,
 	}, nil

@@ -1,15 +1,18 @@
 package exhibit
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"arcc/internal/dram"
 	"arcc/internal/faultmodel"
 	"arcc/internal/reliability"
+	"arcc/internal/sim"
 )
 
 // resolveJSON decodes a scenario body and resolves it, the path every
@@ -102,11 +105,24 @@ func TestParseScenarioNewAxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := p.Scenario
-	if p.Generation != dram.DDR5 || s.Width != 16 || !s.SharedLLC || s.LLCBytes != 2097152 {
-		t.Fatalf("axes not decoded: %+v", s)
+	ddr5x16, err := sim.NewTech(dram.DDR5, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Tech != ddr5x16 || s.Width != 16 || !s.SharedLLC || s.LLCBytes != 2097152 {
+		t.Fatalf("axes not decoded: %+v (tech %+v)", s, p.Tech)
 	}
 	if len(s.Tenants) != 1 || s.Tenants[0].Benchmark != "mcf2006" {
 		t.Fatalf("tenants not decoded: %+v", s.Tenants)
+	}
+	// One tenant occupies all four cores as the plan's "tenants" mix.
+	if len(p.Mixes) != 1 || p.Mixes[0].Name != "tenants" {
+		t.Fatalf("tenants not resolved into a mix: %+v", p.Mixes)
+	}
+	for i, b := range p.Mixes[0].Benchmarks {
+		if b.Name != "mcf2006/t0" || b.FootprintLines != 12288 {
+			t.Fatalf("tenants mix core %d runs %+v", i, b)
+		}
 	}
 	if s.Trace != "some.trc" {
 		t.Fatalf("trace not decoded: %q", s.Trace)
@@ -122,8 +138,33 @@ func TestParseScenarioNewAxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dp.Generation != dram.DDR2 || !dp.Burst.IsZero() || dp.Baseline || dp.Accel.Mode != reliability.AccelNone {
-		t.Fatalf("defaults changed: gen %v burst %+v baseline %v accel %+v", dp.Generation, dp.Burst, dp.Baseline, dp.Accel)
+	if dp.Tech != (sim.Tech{}) || !dp.Burst.IsZero() || dp.Baseline || dp.Accel.Mode != reliability.AccelNone {
+		t.Fatalf("defaults changed: tech %+v burst %+v baseline %v accel %+v", dp.Tech, dp.Burst, dp.Baseline, dp.Accel)
+	}
+}
+
+// TestScenarioTechWidths: a scenario's dram/width pair is accepted exactly
+// when sim.NewTech accepts it, and that is exactly DDR2 x8 and DDR4/DDR5
+// x4, x8 and x16 (width 0 meaning x8). The plan carries NewTech's value.
+func TestScenarioTechWidths(t *testing.T) {
+	accepted := map[dram.Generation][]int{
+		dram.DDR2: {0, 8},
+		dram.DDR4: {0, 4, 8, 16},
+		dram.DDR5: {0, 4, 8, 16},
+	}
+	for _, gen := range []dram.Generation{dram.DDR2, dram.DDR4, dram.DDR5} {
+		for _, width := range []int{0, 4, 8, 12, 16} {
+			want := slices.Contains(accepted[gen], width)
+			tech, techErr := sim.NewTech(gen, width)
+			p, err := resolveJSON(fmt.Sprintf(`{"name":"x", "dram":%q, "width":%d}`, gen, width))
+			if (techErr == nil) != want || (err == nil) != want {
+				t.Errorf("%v x%d: NewTech err %v, Resolve err %v, want accepted=%v", gen, width, techErr, err, want)
+				continue
+			}
+			if want && p.Tech != tech {
+				t.Errorf("%v x%d: plan tech %+v, NewTech %+v", gen, width, p.Tech, tech)
+			}
+		}
 	}
 }
 
@@ -238,8 +279,16 @@ func FuzzParseScenario(f *testing.F) {
 		if cost := s.CostFactor(); cost != p.CostFactor {
 			t.Fatalf("plan cost factor %v, scenario's %v", p.CostFactor, cost)
 		}
-		if len(p.Mixes) != len(s.Mixes) {
-			t.Fatalf("resolved %d of %d mixes", len(p.Mixes), len(s.Mixes))
+		// One row per named mix, then one "tenants" row if any are declared.
+		rows := len(s.Mixes)
+		if len(s.Tenants) > 0 {
+			rows++
+		}
+		if len(p.Mixes) != rows {
+			t.Fatalf("resolved %d simulator rows for %d mixes and %d tenants", len(p.Mixes), len(s.Mixes), len(s.Tenants))
+		}
+		if len(s.Tenants) > 0 && p.Mixes[rows-1].Name != "tenants" {
+			t.Fatalf("last simulator row %q, want tenants", p.Mixes[rows-1].Name)
 		}
 		if shape := p.Shape; shape.RanksPerChannel != s.Ranks || shape.TotalPages <= 0 {
 			t.Fatalf("shape %+v for %d ranks", shape, s.Ranks)

@@ -75,7 +75,7 @@ func init() {
 	registerResult("ablation-llc", "Ablation: LLC Replacement for Upgraded Pairs",
 		"shared-recency vs independent LRU under full upgrade pressure (§4.2.3)", ablationLLCPolicy)
 	registerResult("ablation-pairing", "Ablation: Sub-Line Pairing Design",
-		"strict-FIFO vs pointer-promotion pairing under full upgrade pressure (§4.2.4)", ablationPairing)
+		"strict-FIFO vs pointer-promotion pairing with half the pages upgraded (§4.2.4)", ablationPairing)
 }
 
 // newReport assembles a report from an exhibit's typed result; the

@@ -138,31 +138,24 @@ func runScenario(ctx context.Context, cfg exhibit.Config, p exhibit.Plan) (Scena
 	res.DUEARCC = reliability.ARCCExpectedDUEs(rp)
 	res.DUESparing = reliability.SparingExpectedDUEs(rp)
 
-	// The simulator sweep is a labeled run list: one run per named mix,
-	// plus a "tenants" run when the scenario declares a multi-tenant
-	// interference mix and a "trace" run when it replays a trace file.
-	// Every run shares the scenario's memory-generation, shared-LLC, and
-	// LLC-capacity axes.
+	// The simulator sweep is one run per plan mix (the named mixes, then
+	// the tenants mix), plus a "trace" run when the scenario replays a
+	// trace file. Every run shares the scenario's memory-technology,
+	// shared-LLC, and LLC-capacity axes; a run's mix names its row.
 	type labeledRun struct {
-		label   string
-		mix     workload.Mix
-		tenants []workload.Tenant
-		trace   *workload.TraceSource
+		mix   workload.Mix
+		trace *workload.TraceSource // drives all four cores when set
 	}
-	runs := make([]labeledRun, 0, len(p.Mixes)+2)
+	runs := make([]labeledRun, 0, len(p.Mixes)+1)
 	for _, m := range p.Mixes {
-		runs = append(runs, labeledRun{label: m.Name, mix: m})
-	}
-	if len(s.Tenants) > 0 {
-		// The mix slot is a placeholder; Tenants overrides its benchmarks.
-		runs = append(runs, labeledRun{label: "tenants", mix: workload.Mixes()[0], tenants: s.Tenants})
+		runs = append(runs, labeledRun{mix: m})
 	}
 	if s.Trace != "" {
 		src, err := workload.LoadTraceFile(s.Trace)
 		if err != nil {
 			return ScenarioResult{}, fmt.Errorf("experiments: scenario %q: %w", s.Name, err)
 		}
-		runs = append(runs, labeledRun{label: "trace", mix: workload.Mixes()[0], trace: src})
+		runs = append(runs, labeledRun{mix: workload.Mix{Name: "trace"}, trace: src})
 	}
 	if len(runs) == 0 {
 		return res, nil
@@ -171,7 +164,6 @@ func runScenario(ctx context.Context, cfg exhibit.Config, p exhibit.Plan) (Scena
 	if p.Baseline {
 		system = sim.Baseline
 	}
-	tech := sim.Tech{Generation: p.Generation, Width: s.Width}
 	if s.Instructions == 0 {
 		s.Instructions = instructions(cfg)
 		res.Scenario = s
@@ -187,13 +179,12 @@ func runScenario(ctx context.Context, cfg exhibit.Config, p exhibit.Plan) (Scena
 				c.InstructionsPerCore = s.Instructions
 				c.UpgradedFraction = upgraded
 				c.Seed = cfg.SeedOrDefault()
-				c.Tech = tech
-				c.CPUCyclesPerDRAMCycle = tech.CPR()
+				c.Tech = p.Tech
+				c.CPUCyclesPerDRAMCycle = p.Tech.CPR()
 				c.SharedLLC = s.SharedLLC
 				if s.LLCBytes > 0 {
 					c.LLCBytes = s.LLCBytes
 				}
-				c.Tenants = runs[i].tenants
 				if runs[i].trace != nil {
 					for core := range c.Sources {
 						c.Sources[core] = runs[i].trace.Clone()
@@ -207,7 +198,7 @@ func runScenario(ctx context.Context, cfg exhibit.Config, p exhibit.Plan) (Scena
 		return ScenarioResult{}, err
 	}
 	for i, r := range runs {
-		res.Mixes = append(res.Mixes, r.label)
+		res.Mixes = append(res.Mixes, r.mix.Name)
 		res.IPC = append(res.IPC, pairs[i].Faulted.IPCSum)
 		res.PowerMW = append(res.PowerMW, pairs[i].Faulted.PowerMW)
 		res.IPCVsClean = append(res.IPCVsClean, pairs[i].Faulted.IPCSum/pairs[i].Clean.IPCSum)

@@ -1,8 +1,15 @@
 // Package sim composes the full-system performance/power simulation used by
 // the Chapter 7 experiments: four trace-driven cores (package cpu) with
 // private LLCs (package cache) sharing a memory system (package memctrl)
-// whose per-page ECC mode follows ARCC's page table, with DDR2 power
+// whose per-page ECC mode follows ARCC's page table, with DRAM power
 // accounting (package power).
+//
+// Both memory systems are built from one per-generation table: the timing
+// preset, DRAM clock period, CPU-cycles-per-DRAM-cycle ratio, power device
+// profiles and ARCC device widths of DDR2 (the paper's calibrated
+// Table 7.1 configuration), DDR4 and DDR5, with each rank's organisation
+// read from dram.OrgFor. NewTech is the one place a generation and width
+// are checked.
 //
 // The functional data path (real codewords in simulated DRAM, package core)
 // is exercised by its own tests and the reliability experiments; this
@@ -44,97 +51,109 @@ func (m MemorySystem) String() string {
 	return "arcc"
 }
 
-// Tech selects the memory technology generation the two systems are built
-// from. The zero value is the paper's DDR2-667 evaluation (Table 7.1),
-// byte-identical to the pre-axis simulator; DDR4/DDR5 rebuild both systems
-// from the dram.OrgFor organisation tables, the memctrl generation timing
-// presets (bank groups, tCCD_L/tCCD_S), and the power generation device
-// profiles. The Baseline system always uses x4 devices — commercial
-// chipkill needs the narrow symbol — while Width sets the ARCC rank's
-// device width.
-type Tech struct {
-	Generation dram.Generation
-	// Width is the ARCC device width in bits: 4, 8, or 16. Zero means 8,
-	// the paper's choice.
-	Width int
+// generation is one row of the technology table.
+type generation struct {
+	timing memctrl.Timing
+	// nsPerCycle is the DRAM clock period in nanoseconds.
+	nsPerCycle float64
+	// cpr is the CPU-cycles-per-DRAM-cycle ratio under the paper's 3 GHz
+	// core, rounded to the nearest integer as Table 7.1 does.
+	cpr int64
+	// devices holds the power profile of each device width the generation
+	// builds: x4 for the baseline and every ARCC width.
+	devices map[int]power.DeviceParams
+	// arccWidths lists the ARCC device widths the generation models.
+	arccWidths []int
 }
 
-// normalize validates the pair and canonicalises it so equal-meaning Techs
-// compare equal (the Scratch caches controllers per Tech).
-func (t Tech) normalize() Tech {
-	if t.Generation == dram.DDR2 {
-		// The DDR2 path is the calibrated paper configuration; only the
-		// paper's x8 ARCC ranks are modelled.
-		if t.Width != 0 && t.Width != 8 {
-			panic(fmt.Sprintf("sim: DDR2 models only x8 ARCC ranks, not x%d", t.Width))
-		}
-		return Tech{}
-	}
-	if t.Width == 0 {
-		t.Width = 8
-	}
-	if _, err := dram.OrgFor(t.Generation, t.Width); err != nil {
-		panic("sim: " + err.Error())
-	}
+// generations is the technology table. DDR2-667 is the calibrated paper
+// configuration (333 MHz, auto-refresh every 7.8 us for 105 ns); its x4
+// and x8 timings are the same preset, and only x8 ARCC ranks are
+// modelled. DDR4-2400 (1.2 GHz) and DDR5-4800 (2.4 GHz) add bank groups
+// and take x4, x8 or x16 ARCC ranks.
+var generations = map[dram.Generation]generation{
+	dram.DDR2: {
+		timing:     withRefresh(memctrl.DDR2X8Timing()),
+		nsPerCycle: 3.0,
+		cpr:        9,
+		devices:    map[int]power.DeviceParams{4: power.Micron512MbX4(), 8: power.Micron512MbX8()},
+		arccWidths: []int{8},
+	},
+	dram.DDR4: {
+		timing:     memctrl.DDR4Timing(),
+		nsPerCycle: 0.833,
+		cpr:        3,
+		devices:    map[int]power.DeviceParams{4: power.DDR4x4Device(), 8: power.DDR4x8Device(), 16: power.DDR4x16Device()},
+		arccWidths: []int{4, 8, 16},
+	},
+	dram.DDR5: {
+		timing:     memctrl.DDR5Timing(),
+		nsPerCycle: 0.417,
+		cpr:        1,
+		devices:    map[int]power.DeviceParams{4: power.DDR5x4Device(), 8: power.DDR5x8Device(), 16: power.DDR5x16Device()},
+		arccWidths: []int{4, 8, 16},
+	},
+}
+
+// withRefresh adds DDR2 auto-refresh timing (tREFI 7.8 us, tRFC 105 ns at
+// 333 MHz) to a timing set.
+func withRefresh(t memctrl.Timing) memctrl.Timing {
+	t.TREFI = 2600
+	t.TRFC = 35
 	return t
 }
 
-// CPR returns the conventional CPU-cycles-per-DRAM-cycle ratio for the
-// generation under the paper's 3 GHz core: 9 for DDR2-667 (333 MHz memory
-// clock), 3 for DDR4-2400 (1.2 GHz), and 1 for DDR5-4800 (2.4 GHz) — the
-// nearest integer ratios, which is the same approximation Table 7.1 makes.
-func (t Tech) CPR() int64 {
-	switch t.normalize().Generation {
-	case dram.DDR4:
-		return 3
-	case dram.DDR5:
-		return 1
-	}
-	return 9
+// Tech is a resolved memory technology: a generation from the table and
+// the device width of the ARCC ranks built from it. The Baseline system
+// always uses x4 devices — commercial chipkill needs the narrow symbol.
+// The zero value is the paper's DDR2-667 x8 evaluation (Table 7.1), and
+// NewTech is the only other way to get a Tech.
+type Tech struct {
+	gen dram.Generation
+	// width is the ARCC device width, with x8 stored as 0 so that the zero
+	// Tech is DDR2 x8 and equal technologies compare equal (the Scratch
+	// caches its controllers per Tech).
+	width int
 }
 
-// nsPerCycle returns the DRAM clock period in nanoseconds.
-func nsPerCycle(gen dram.Generation) float64 {
-	switch gen {
-	case dram.DDR4:
-		return 0.833
-	case dram.DDR5:
-		return 0.417
+// NewTech resolves a generation and an ARCC device width in bits (0 means
+// 8, the paper's choice) into a Tech, or says why the table has no such
+// row.
+func NewTech(gen dram.Generation, width int) (Tech, error) {
+	g, ok := generations[gen]
+	if !ok {
+		return Tech{}, fmt.Errorf("sim: unknown generation %v", gen)
 	}
-	return 3.0
+	if width == 0 {
+		width = 8
+	}
+	if !slices.Contains(g.arccWidths, width) {
+		return Tech{}, fmt.Errorf("sim: %v models ARCC device widths %v, not %d", gen, g.arccWidths, width)
+	}
+	if width == 8 {
+		width = 0
+	}
+	return Tech{gen: gen, width: width}, nil
 }
 
-// deviceFor maps a generation/width pair to its power device profile.
-func deviceFor(gen dram.Generation, width int) power.DeviceParams {
-	switch gen {
-	case dram.DDR4:
-		switch width {
-		case 4:
-			return power.DDR4x4Device()
-		case 8:
-			return power.DDR4x8Device()
-		case 16:
-			return power.DDR4x16Device()
-		}
-	case dram.DDR5:
-		switch width {
-		case 4:
-			return power.DDR5x4Device()
-		case 8:
-			return power.DDR5x8Device()
-		case 16:
-			return power.DDR5x16Device()
-		}
+// arccWidth returns the ARCC device width in bits.
+func (t Tech) arccWidth() int {
+	if t.width == 0 {
+		return 8
 	}
-	panic(fmt.Sprintf("sim: no power profile for %v x%d", gen, width))
+	return t.width
 }
+
+// CPR returns the generation's CPU-cycles-per-DRAM-cycle ratio: 9 for
+// DDR2-667, 3 for DDR4-2400 and 1 for DDR5-4800.
+func (t Tech) CPR() int64 { return generations[t.gen].cpr }
 
 // Config describes one simulation run.
 type Config struct {
 	Mix    workload.Mix
 	System MemorySystem
-	// Tech selects the memory generation; the zero value is the paper's
-	// DDR2-667 configuration.
+	// Tech selects the memory technology; the zero value is the paper's
+	// DDR2-667 x8 configuration. CPUCyclesPerDRAMCycle should be its CPR.
 	Tech Tech
 	// UpgradedFraction is the fraction of pages in upgraded mode (0 for a
 	// fault-free memory; Table 7.4 fractions for the Fig 7.2/7.3 fault
@@ -161,11 +180,6 @@ type Config struct {
 	// workload.TraceSource, cloned per core). Entries left nil fall back
 	// to the mix's generator for that core.
 	Sources [4]workload.Source
-	// Tenants, when non-empty, replaces the mix's four benchmarks with a
-	// multi-tenant interference mix: 1-4 tenants mapped round-robin onto
-	// the four cores (workload.TenantBenchmarks). Ignored for cores whose
-	// Sources entry is set.
-	Tenants []workload.Tenant
 	// SharedLLC replaces the four private LLCs with one LLC of LLCBytes
 	// shared by all cores — the contention half of a multi-tenant study.
 	// LLCBytes is the total shared capacity, so a scenario comparing
@@ -207,14 +221,6 @@ type Result struct {
 // pageOf maps a line address to its 4 KB page.
 func pageOf(line uint64) uint64 { return line >> 6 }
 
-// withRefresh adds DDR2 auto-refresh timing (tREFI 7.8 us, tRFC 105 ns at
-// 333 MHz) to a timing set.
-func withRefresh(t memctrl.Timing) memctrl.Timing {
-	t.TREFI = 2600
-	t.TRFC = 35
-	return t
-}
-
 // Scratch holds the reusable working state of one simulation run: the four
 // cores and their LLC backing arrays, the memory controller and power meter
 // of the last system simulated, the reusable workload streams, and the
@@ -235,13 +241,11 @@ type Scratch struct {
 
 	// One controller+meter per memory system, so a scratch alternating
 	// between Baseline and ARCC runs (the Fig 7.1 comparison) reuses both.
-	// tech/nsPerCyc/devices record the generation each pair was built for.
-	mem      [2]*memctrl.Controller
-	meter    [2]*power.Meter
-	pairing  [2]memctrl.Pairing
-	tech     [2]Tech
-	nsPerCyc [2]float64
-	devices  [2]int
+	// pairing/tech record what each pair was built for.
+	mem     [2]*memctrl.Controller
+	meter   [2]*power.Meter
+	pairing [2]memctrl.Pairing
+	tech    [2]Tech
 
 	evs     []cache.Eviction
 	handled []uint64
@@ -259,74 +263,30 @@ func (s *Scratch) memorySystem(cfg Config) (*memctrl.Controller, *power.Meter) {
 		panic(fmt.Sprintf("sim: unknown system %d", cfg.System))
 	}
 	i := int(cfg.System)
-	tech := cfg.Tech.normalize()
-	if s.mem[i] != nil && s.pairing[i] == cfg.Pairing && s.tech[i] == tech {
+	if s.mem[i] != nil && s.pairing[i] == cfg.Pairing && s.tech[i] == cfg.Tech {
 		s.mem[i].Reset()
 		s.meter[i].Reset()
 		return s.mem[i], s.meter[i]
 	}
-	if tech == (Tech{}) {
-		// The calibrated DDR2-667 paper configuration, byte-identical to
-		// the pre-generation-axis simulator.
-		switch cfg.System {
-		case Baseline:
-			s.meter[i] = power.NewMeter(power.Micron512MbX4())
-			s.mem[i] = memctrl.New(memctrl.Config{
-				Channels: 2, RanksPerChannel: 1, BanksPerRank: 8,
-				Timing: withRefresh(memctrl.DDR2X4Timing()), DevicesPerAccess: 36, BurstBeats: 4,
-			}, s.meter[i])
-			s.devices[i] = 72
-		case ARCC:
-			s.meter[i] = power.NewMeter(power.Micron512MbX8())
-			s.mem[i] = memctrl.New(memctrl.Config{
-				Channels: 2, RanksPerChannel: 2, BanksPerRank: 8,
-				Timing: withRefresh(memctrl.DDR2X8Timing()), DevicesPerAccess: 18, BurstBeats: 4,
-				Pairing: cfg.Pairing,
-			}, s.meter[i])
-			s.devices[i] = 72
-		}
-		s.nsPerCyc[i] = nsPerCycle(dram.DDR2)
-	} else {
-		var tim memctrl.Timing
-		switch tech.Generation {
-		case dram.DDR4:
-			tim = memctrl.DDR4Timing()
-		case dram.DDR5:
-			tim = memctrl.DDR5Timing()
-		}
-		switch cfg.System {
-		case Baseline:
-			// Commercial chipkill: one rank of x4 devices per channel.
-			org, err := dram.OrgFor(tech.Generation, 4)
-			if err != nil {
-				panic("sim: " + err.Error())
-			}
-			s.meter[i] = power.NewMeter(deviceFor(tech.Generation, 4))
-			s.mem[i] = memctrl.New(memctrl.Config{
-				Channels: 2, RanksPerChannel: 1,
-				BanksPerRank: org.Banks(), BankGroups: org.BankGroups,
-				Timing: tim, DevicesPerAccess: org.DevicesPerRank,
-				BurstBeats: org.BurstClocks * 2,
-			}, s.meter[i])
-			s.devices[i] = 2 * org.DevicesPerRank
-		case ARCC:
-			org, err := dram.OrgFor(tech.Generation, tech.Width)
-			if err != nil {
-				panic("sim: " + err.Error())
-			}
-			s.meter[i] = power.NewMeter(deviceFor(tech.Generation, tech.Width))
-			s.mem[i] = memctrl.New(memctrl.Config{
-				Channels: 2, RanksPerChannel: 2,
-				BanksPerRank: org.Banks(), BankGroups: org.BankGroups,
-				Timing: tim, DevicesPerAccess: org.DevicesPerRank,
-				BurstBeats: org.BurstClocks * 2, Pairing: cfg.Pairing,
-			}, s.meter[i])
-			s.devices[i] = 2 * 2 * org.DevicesPerRank
-		}
-		s.nsPerCyc[i] = nsPerCycle(tech.Generation)
+	// Commercial chipkill is one rank of x4 devices per channel; ARCC is
+	// two ranks of the Tech's width.
+	width, ranks := 4, 1
+	if cfg.System == ARCC {
+		width, ranks = cfg.Tech.arccWidth(), 2
 	}
+	g := generations[cfg.Tech.gen]
+	// NewTech admits only table widths, and every width the table lists
+	// has an organisation (TestGenerationTable).
+	org, _ := dram.OrgFor(cfg.Tech.gen, width)
+	s.meter[i] = power.NewMeter(g.devices[width])
+	s.mem[i] = memctrl.New(memctrl.Config{
+		Channels: 2, RanksPerChannel: ranks,
+		BanksPerRank: org.Banks(), BankGroups: org.BankGroups,
+		Timing: g.timing, DevicesPerAccess: org.DevicesPerRank,
+		BurstBeats: org.BurstClocks * 2, Pairing: cfg.Pairing,
+	}, s.meter[i])
 	s.pairing[i] = cfg.Pairing
-	s.tech[i] = tech
+	s.tech[i] = cfg.Tech
 	return s.mem[i], s.meter[i]
 }
 
@@ -453,7 +413,7 @@ func RunWith(cfg Config, s *Scratch) Result {
 	if cfg.InstructionsPerCore <= 0 || cfg.LLCBytes <= 0 || cfg.LLCAssoc <= 0 || cfg.CPUCyclesPerDRAMCycle <= 0 {
 		panic(fmt.Sprintf("sim: invalid config %+v", cfg))
 	}
-	if cfg.UpgradedFraction < 0 || cfg.UpgradedFraction > 1 {
+	if !(cfg.UpgradedFraction >= 0 && cfg.UpgradedFraction <= 1) {
 		panic(fmt.Sprintf("sim: upgraded fraction %v out of range", cfg.UpgradedFraction))
 	}
 
@@ -470,17 +430,9 @@ func RunWith(cfg Config, s *Scratch) Result {
 	}
 	var states [4]coreState
 	llcs := s.resetLLCs(cfg)
-	benchmarks := cfg.Mix.Benchmarks
-	if len(cfg.Tenants) > 0 {
-		tb, err := workload.TenantBenchmarks(cfg.Tenants)
-		if err != nil {
-			panic("sim: " + err.Error())
-		}
-		benchmarks = tb
-	}
 	base := uint64(0)
 	for i := range states {
-		b := benchmarks[i]
+		b := cfg.Mix.Benchmarks[i]
 		var src workload.Source
 		if cfg.Sources[i] != nil {
 			src = cfg.Sources[i]
@@ -502,7 +454,8 @@ func RunWith(cfg Config, s *Scratch) Result {
 		base = (base + 63) &^ 63
 	}
 
-	ranksBanks := uint64(mem.Config().RanksPerChannel * mem.Config().BanksPerRank)
+	mcfg := mem.Config()
+	ranksBanks := uint64(mcfg.RanksPerChannel * mcfg.BanksPerRank)
 	cpr := cfg.CPUCyclesPerDRAMCycle
 	s.fetch = missIssuer{mem: mem, cpr: cpr, ranksBanks: ranksBanks}
 
@@ -582,11 +535,10 @@ func RunWith(cfg Config, s *Scratch) Result {
 		res.UpgradedAccessFraction = float64(upgradedFetches) / float64(demandFetches)
 	}
 
-	// The clock period and device count follow the generation the scratch
-	// built this system from (3.0 ns and 72 devices for the paper's DDR2).
-	sys := int(cfg.System)
-	elapsedNS := float64(res.ElapsedDRAMCycles) * s.nsPerCyc[sys]
+	// The clock period follows the generation and the device count the
+	// system's shape (3.0 ns and 72 devices for the paper's DDR2).
+	elapsedNS := float64(res.ElapsedDRAMCycles) * generations[cfg.Tech.gen].nsPerCycle
 	active := mem.BankUtilization(res.ElapsedDRAMCycles)
-	res.PowerMW = meter.AveragePowerMW(elapsedNS, s.devices[sys], active, 0.9)
+	res.PowerMW = meter.AveragePowerMW(elapsedNS, mcfg.Channels*mcfg.RanksPerChannel*mcfg.DevicesPerAccess, active, 0.9)
 	return res
 }
