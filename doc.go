@@ -40,11 +40,14 @@
 // bit-identical-at-any-parallelism contract, and the unaccelerated path
 // reproduces the legacy estimators bit for bit, so goldens never move.
 //
-// The decode hot path under all of this is batched: internal/gf carries
-// bit-sliced, word-parallel GF(256) kernels (eight codeword lanes per
-// uint64), internal/rs builds batch encode/syndrome/decode entry points on
-// them with an all-clean fast path, and the controller decodes each
-// burst's codewords as one batch call. The resulting per-PR perf
+// The codec hot path under all of this is one recurrence: internal/rs
+// keeps a codeword's whole division remainder (at most eight check
+// symbols) in one uint64 and advances it one symbol per table lookup.
+// Encoding runs it over the data symbols; the batch decoder runs it over
+// four codewords at a time, interleaved, and a codeword is clean iff its
+// remainder is zero, so the all-clean burst never reaches the scalar
+// decoder. The controller decodes each burst's codewords as one batch
+// call. The resulting per-PR perf
 // trajectory (BENCH_PR<N>.json, recorded by scripts/bench.sh) is enforced
 // by cmd/arcc-benchcmp, which CI runs on every push and which fails on
 // >15% ns/op regressions or new steady-state allocations.

@@ -50,9 +50,9 @@ func (c *Controller) encodeRelaxedLineInto(data, out []byte) {
 // copied through for the affected codewords.
 //
 // The stored line IS a flat batch — four beat-major codewords at stride
-// 18 — so it decodes in place as one word-parallel batch (stored is the
-// controller's read scratch, never live device state) and the data symbols
-// copy straight out: corrected for repaired codewords, raw for DUEs.
+// 18 — so it decodes in place as one batch (stored is the controller's
+// read scratch, never live device state) and the data symbols copy
+// straight out: corrected for repaired codewords, raw for DUEs.
 func (c *Controller) decodeRelaxedLineInto(stored, data []byte) (corrected int, err error) {
 	if len(stored) != storedLineBytes {
 		panic(fmt.Sprintf("core: relaxed decode with %d bytes, want %d", len(stored), storedLineBytes))
@@ -101,8 +101,8 @@ func (c *Controller) encodeUpgradedPairInto(data []byte, sparedPos int, storedX,
 //
 // The four 36-symbol codewords are gathered into the controller's flat
 // batch buffer (stride 36) and decoded together: the all-clean access —
-// every read of a fault-free pair — never leaves the word-parallel
-// syndrome sweep. After the in-place batch decode each good lane's first
+// every read of a fault-free pair — never leaves the batch remainder
+// check. After the in-place batch decode each good lane's first
 // 32 symbols hold the recovered data (the sparing scheme un-remaps its
 // spare in the batch call) and DUE lanes hold the raw gathered symbols, so
 // one uniform scatter writes the data buffer either way.

@@ -96,7 +96,7 @@ func (c *Controller) writeQuadStored(page, quad int, data []byte) {
 // decodeQuadInto decodes four stored sub-lines into the 256-byte data
 // buffer, reporting the corrected symbol count. Like the pair path, the
 // four 72-symbol codewords are gathered into the controller's flat batch
-// buffer (stride 72) and decoded word-parallel in one call; corrected
+// buffer (stride 72) and decoded as one batch call; corrected
 // lanes then hold the repaired codeword and DUE lanes the raw gathered
 // symbols, so the data scatter is uniform.
 func (c *Controller) decodeQuadInto(stored [4][]byte, data []byte) (corrected int, err error) {

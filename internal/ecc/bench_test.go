@@ -5,13 +5,14 @@ import (
 	"testing"
 )
 
-// The scheme-level decode benchmarks time DecodeBatchInto on the burst the
-// functional data path (package core) decodes on every access: four
-// codewords of the relaxed (18,16) code, the upgraded SCCDCD (36,32) code,
-// the §5.1 (72,64) code, and the sparing code with a remapped position.
-// Every iteration restores the burst from a pristine copy (the decode
-// corrects in place), so ns/op is per four-codeword burst including that
-// copy. Run with -benchmem: the paths must report zero allocs/op.
+// The scheme-level benchmarks time the bursts the functional data path
+// (package core) encodes and decodes on every access: four codewords of
+// the relaxed (18,16) code, the upgraded SCCDCD (36,32) code, the §5.1
+// (72,64) code, and (decode only) the sparing code with a remapped
+// position. Every decode iteration restores the burst from a pristine copy
+// (the decode corrects in place), so ns/op is per four-codeword burst
+// including that copy. Run with -benchmem: the paths must report zero
+// allocs/op.
 
 const benchBurst = 4
 
@@ -37,6 +38,25 @@ func benchDecodeBatch(b *testing.B, s Scheme, bad bool) {
 		}
 	}
 }
+
+// benchEncodeBurst times EncodeInto over a four-codeword burst of s, the
+// write path's per-access encode.
+func benchEncodeBurst(b *testing.B, s Scheme) {
+	r := rand.New(rand.NewSource(1))
+	n := s.TotalSymbols()
+	buf, _ := burst(r, s, benchBurst)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < benchBurst; j++ {
+			s.EncodeInto(buf[j*n : (j+1)*n])
+		}
+	}
+}
+
+func BenchmarkEncodeBurstRelaxed(b *testing.B)    { benchEncodeBurst(b, NewRelaxed()) }
+func BenchmarkEncodeBurstSCCDCD(b *testing.B)     { benchEncodeBurst(b, NewSCCDCD()) }
+func BenchmarkEncodeBurstEightCheck(b *testing.B) { benchEncodeBurst(b, NewEightCheck()) }
 
 func BenchmarkDecodeBatchIntoRelaxedClean(b *testing.B) { benchDecodeBatch(b, NewRelaxed(), false) }
 func BenchmarkDecodeBatchIntoRelaxed1Err(b *testing.B)  { benchDecodeBatch(b, NewRelaxed(), true) }

@@ -16,7 +16,10 @@
 //     channels, enabling a second upgrade level.
 //
 // All schemes use 8-bit symbols so that one symbol per beat comes from each
-// x8 device (or two beats of an x4 device), matching Table 7.1.
+// x8 device (or two beats of an x4 device), matching Table 7.1, and at most
+// eight check symbols, so every encode and every clean-read check is
+// package rs's one-word remainder recurrence: one table lookup per symbol,
+// whichever scheme.
 package ecc
 
 import (
@@ -64,9 +67,9 @@ type Scheme interface {
 	// codeword was uncorrectable. Error patterns beyond GuaranteedDetect
 	// bad symbols may silently corrupt data (SDC) — quantifying that risk
 	// is the job of package reliability. The all-clean batch — the
-	// overwhelmingly common read — is verified word-parallel without
-	// running the scalar decoder at all, and the call performs zero heap
-	// allocations in steady state.
+	// overwhelmingly common read — is verified by the code's remainder
+	// check, four codewords at a time, without running the scalar decoder
+	// at all, and the call performs zero heap allocations in steady state.
 	DecodeBatchInto(buf []byte, stride, count int, s *Scratch) (corrected int, err error)
 	// NewScratch allocates a decode workspace sized for this scheme.
 	NewScratch() *Scratch

@@ -112,11 +112,20 @@ type PolicyAblationResult struct {
 	IPCRatio [][]float64
 }
 
+// quickLLCBytes is each core's LLC in the quick LLC-policy ablation. The
+// policies differ only in which way of a full set they evict, and a quick
+// run's 150K instructions per core never fill a set of the 1 MB LLC, so
+// both policies would time alike. The quick run shrinks the LLC with its
+// instruction count (1 MB x 150K/1M, rounded down to a power of two) so
+// that upgraded pairs are evicted as at full scale.
+const quickLLCBytes = 128 << 10
+
 // ablationLLCPolicy quantifies the §4.2.3 design choice: shared-recency
 // paired replacement versus independent LRU, measured through the full
-// simulator with all pages upgraded. Each run is seeded from its config
-// alone, so the ratios are identical at any parallelism, and row 0 — the
-// shared-recency baseline divided by itself — is exactly 1.
+// simulator with all pages upgraded (on a quickLLCBytes LLC under the
+// quick profile). Each run is seeded from its config alone, so the ratios
+// are identical at any parallelism, and row 0 — the shared-recency
+// baseline divided by itself — is exactly 1.
 func ablationLLCPolicy(ctx context.Context, cfg exhibit.Config) (PolicyAblationResult, error) {
 	res := PolicyAblationResult{Policies: []string{"shared-recency", "independent-lru"}}
 	policies := []cache.Policy{cache.SharedRecency, cache.IndependentLRU}
@@ -124,7 +133,12 @@ func ablationLLCPolicy(ctx context.Context, cfg exhibit.Config) (PolicyAblationR
 	for _, mix := range mixes {
 		res.Mixes = append(res.Mixes, mix.Name)
 	}
-	ipcs, err := upgradedIPCs(ctx, cfg, mixes, 1, len(policies), func(c *sim.Config, v int) { c.LLCPolicy = policies[v] })
+	ipcs, err := upgradedIPCs(ctx, cfg, mixes, 1, len(policies), func(c *sim.Config, v int) {
+		c.LLCPolicy = policies[v]
+		if cfg.Quick {
+			c.LLCBytes = quickLLCBytes
+		}
+	})
 	if err != nil {
 		return PolicyAblationResult{}, err
 	}

@@ -42,6 +42,7 @@ func TestAblationLLCPolicy(t *testing.T) {
 	if len(r.Policies) != 2 || len(r.Mixes) != 3 {
 		t.Fatalf("shape %v/%v", r.Policies, r.Mixes)
 	}
+	measured := false
 	for mi := range r.Mixes {
 		if r.IPCRatio[0][mi] != 1.0 {
 			t.Fatalf("shared-recency baseline ratio != 1: %v", r.IPCRatio[0][mi])
@@ -51,6 +52,12 @@ func TestAblationLLCPolicy(t *testing.T) {
 		if r.IPCRatio[1][mi] > 1.05 || r.IPCRatio[1][mi] < 0.80 {
 			t.Fatalf("independent-lru ratio %v outside [0.80, 1.05]", r.IPCRatio[1][mi])
 		}
+		measured = measured || r.IPCRatio[1][mi] != 1
+	}
+	// A ratio of exactly 1 everywhere means no replacement decision the
+	// policies disagree on ever reached the simulated timing.
+	if !measured {
+		t.Fatalf("independent-lru ratios %v: the policies never differ", r.IPCRatio[1])
 	}
 	var buf bytes.Buffer
 	r.Fprint(&buf)
@@ -83,8 +90,8 @@ func TestAblationPairing(t *testing.T) {
 
 // TestSimAblationsFollowSeed: the simulator ablations draw their workload
 // streams and page placement from the root seed, so another seed runs
-// other simulations. Their reported ratios could still coincide (the quick
-// LLC-policy ratios all print as 1.000), so the runs' IPCs are compared.
+// other simulations. Their reported ratios could still coincide at three
+// decimals, so the runs' IPCs are compared.
 func TestSimAblationsFollowSeed(t *testing.T) {
 	variants := map[string]struct {
 		fraction float64

@@ -5,17 +5,16 @@
 // from GF(2^8) with the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1
 // (0x11D), the same polynomial used by most memory and storage codes.
 //
-// The package exposes scalar arithmetic (Add, Mul, Div, Inv, Pow), the
+// The package exposes scalar arithmetic (Add, Mul, Div, Inv, Pow) and the
 // few polynomial operations the Reed–Solomon codec in package rs needs
-// (PolyTrim, PolyMul, PolyEval; see poly.go), and the word-parallel batch
-// kernels of its batch syndrome sweep (see kernels_batch.go).
+// (PolyTrim, PolyMul, PolyEval; see poly.go).
 // Multiplication and division are table driven: a 255-entry exponential
 // table and a 256-entry logarithm table are built once at package
 // initialisation, and a full 256x256 (64 KB) multiplication table on top
 // of them makes Mul a single unconditional lookup. The rows of that table
 // are exposed directly (MulRow) together with the multiply-accumulate
-// kernel MulAddSlice, which the Reed–Solomon hot path — encoding, syndrome
-// computation, Chien search — is written against.
+// kernel MulAddSlice, which the Reed–Solomon codec — its packed encoder
+// table, syndrome computation, Chien search — is written against.
 package gf
 
 import "fmt"

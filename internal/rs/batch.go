@@ -1,32 +1,32 @@
 package rs
 
-import (
-	"fmt"
-
-	"arcc/internal/gf"
-)
+import "fmt"
 
 // This file implements the batch decoder: the memory controller decodes
 // every access as a batch of independent codewords under the same code (a
 // line's four beats, a pair's or quad's four wide codewords), so the batch
-// entry point amortises per-codeword overhead and runs the syndrome
-// recurrence word-parallel — eight codewords at a time, one byte lane per
-// codeword, on the bit-sliced gf kernels (gf.XtimeWord / gf.MulWord). The
-// dominant workload is the clean read: a batch whose codewords all have
-// zero syndromes completes without touching the scalar decoder at all, and
-// only the rare lanes whose syndromes come back nonzero fall back to the
-// scalar scratch decoders, one lane at a time.
+// entry point amortises per-codeword overhead and checks four codewords at
+// once: their remainder recurrences (remStep) run interleaved, so the four
+// serial chains of table lookups overlap. The dominant workload is the
+// clean read: a batch whose codewords all leave a zero remainder completes
+// without touching the scalar decoder at all, and only the rare lanes with
+// a nonzero remainder — exactly those with a nonzero syndrome — fall back
+// to the scalar scratch decoders, one lane at a time.
 //
 // Layout. The batch is a flat []byte with an explicit stride: codeword i
-// occupies buf[i*stride : i*stride+N], stride >= N. The word kernels gather
-// lanes straight out of it; the controller's per-access codewords are
-// already contiguous in its scratch.
+// occupies buf[i*stride : i*stride+N], stride >= N. The check reads lanes
+// straight out of it; the controller's per-access codewords are already
+// contiguous in its scratch.
 //
 // In-place contract. Batch decoding corrects codewords IN PLACE: clean
 // lanes are left untouched (no output copy — that is the point), corrected
 // lanes are overwritten with the repaired codeword, and lanes with
 // detected-uncorrectable patterns keep their raw content and are listed in
 // BatchResult.Bad.
+
+// batchLanes is the number of codewords whose remainders DecodeBatchFlat
+// computes together.
+const batchLanes = 4
 
 // BatchResult reports the outcome of one batch decode.
 type BatchResult struct {
@@ -45,86 +45,32 @@ type BatchResult struct {
 // fully corrected.
 func (r BatchResult) OK() bool { return len(r.Bad) == 0 }
 
-// synWords runs the word-parallel syndrome recurrence over up to gf.Lanes
-// codewords at buf[0:], stride apart, writing syndrome word i (lane l's
-// byte holding S_i of codeword l) into sw[i] and returning the OR of all
-// words — zero iff every lane is a consistent codeword. Lanes beyond lanes
-// are zero and therefore clean. The alpha^1..alpha^3 Horner steps of the
-// 2- and 4-check-symbol geometries are the fused xtime kernels (multiplying
-// by 2, 4 and 8 in one shallow step each, so the loop-carried accumulator
-// chains stay short); wider codes step through the precomputed broadcast
-// rows.
-// The symbol sweep loads eight consecutive positions per lane as one word
-// and transposes the 8x8 byte block (gf.GatherWords8), so the per-position
-// cost is a register read instead of eight scattered byte loads; only the
-// n mod 8 tail positions gather byte-wise.
-func (c *Code) synWords(buf []byte, stride, lanes int, sw []uint64) uint64 {
-	var gw [8]uint64
-	switch len(sw) {
-	case 2:
-		var s0, s1 uint64
-		p := 0
-		for ; p+8 <= c.n; p += 8 {
-			gf.GatherWords8(buf, p, stride, lanes, &gw)
-			for _, v := range gw {
-				s0 ^= v
-				s1 = gf.XtimeWord(s1) ^ v
-			}
+// remainders fills rem[:lanes] with the full-codeword remainders of the
+// lanes <= batchLanes codewords at buf[0:], stride apart. A full group runs
+// its four recurrences interleaved in one pass; a short tail group runs
+// them one lane at a time.
+func (c *Code) remainders(buf []byte, stride, lanes int, rem *[batchLanes]uint64) {
+	n := c.n
+	if lanes < batchLanes {
+		for l := 0; l < lanes; l++ {
+			rem[l] = c.remainder(buf[l*stride : l*stride+n])
 		}
-		for ; p < c.n; p++ {
-			v := gf.GatherWord(buf, p, stride, lanes)
-			s0 ^= v
-			s1 = gf.XtimeWord(s1) ^ v
-		}
-		sw[0], sw[1] = s0, s1
-		return s0 | s1
-	case 4:
-		var s0, s1, s2, s3 uint64
-		p := 0
-		for ; p+8 <= c.n; p += 8 {
-			gf.GatherWords8(buf, p, stride, lanes, &gw)
-			for _, v := range gw {
-				s0 ^= v
-				s1 = gf.XtimeWord(s1) ^ v
-				s2 = gf.Xtime2Word(s2) ^ v
-				s3 = gf.Xtime3Word(s3) ^ v
-			}
-		}
-		for ; p < c.n; p++ {
-			v := gf.GatherWord(buf, p, stride, lanes)
-			s0 ^= v
-			s1 = gf.XtimeWord(s1) ^ v
-			s2 = gf.Xtime2Word(s2) ^ v
-			s3 = gf.Xtime3Word(s3) ^ v
-		}
-		sw[0], sw[1], sw[2], sw[3] = s0, s1, s2, s3
-		return s0 | s1 | s2 | s3
-	default:
-		for i := range sw {
-			sw[i] = 0
-		}
-		step := func(v uint64) {
-			sw[0] ^= v
-			for i := 1; i < len(sw); i++ {
-				sw[i] = gf.MulWord(sw[i], &c.synBatch[i]) ^ v
-			}
-		}
-		p := 0
-		for ; p+8 <= c.n; p += 8 {
-			gf.GatherWords8(buf, p, stride, lanes, &gw)
-			for _, v := range gw {
-				step(v)
-			}
-		}
-		for ; p < c.n; p++ {
-			step(gf.GatherWord(buf, p, stride, lanes))
-		}
-		var dirty uint64
-		for _, w := range sw {
-			dirty |= w
-		}
-		return dirty
+		return
 	}
+	// One slice indexed at the four lane offsets, and the table in a
+	// local: with a slice per lane this loop needs more registers than
+	// amd64 has, and a spilled remainder lengthens its lane's dependency
+	// chain by a store-load round trip.
+	b := buf[:3*stride+n]
+	t := &c.encWord
+	var r0, r1, r2, r3 uint64
+	for p := 0; p < n; p++ {
+		r0 = remStep(t, r0, b[p])
+		r1 = remStep(t, r1, b[p+stride])
+		r2 = remStep(t, r2, b[p+2*stride])
+		r3 = remStep(t, r3, b[p+3*stride])
+	}
+	*rem = [batchLanes]uint64{r0, r1, r2, r3}
 }
 
 // DecodeBatchFlat decodes count codewords laid out in buf at the given
@@ -133,12 +79,13 @@ func (c *Code) synWords(buf []byte, stride, lanes int, sw []uint64) uint64 {
 // every codeword in the batch (the sparing use case: one dead device
 // position per rank); with no erasures this is plain bounded decoding.
 //
-// The all-clean fast path — every lane's syndromes zero, verified
-// word-parallel — touches nothing. Lanes with nonzero syndromes fall back
-// to the scalar decoder — DecodeScratch without erasures,
-// DecodeErrorsErasuresScratch with them — with that decoder's result:
-// corrected lanes are rewritten in place, detected-uncorrectable lanes keep
-// their raw content and are reported in BatchResult.Bad.
+// The all-clean fast path — every lane's remainder zero, four lanes at a
+// time — touches nothing. Lanes with a nonzero remainder, which are exactly
+// the lanes with a nonzero syndrome, fall back to the scalar decoder —
+// DecodeScratch without erasures, DecodeErrorsErasuresScratch with them —
+// with that decoder's result: corrected lanes are rewritten in place,
+// detected-uncorrectable lanes keep their raw content and are reported in
+// BatchResult.Bad.
 //
 // The bound and the erasure list are validated on every call, clean batch
 // or not, against 2*maxErrors + len(erasures) <= N-K; a violation panics.
@@ -156,17 +103,13 @@ func (c *Code) DecodeBatchFlat(buf []byte, stride, count int, erasures []int, ma
 			len(buf), (count-1)*stride+c.n, count, stride))
 	}
 	c.checkDecodeArgs(erasures, maxErrors)
-	nk := c.n - c.k
 	res := BatchResult{Bad: s.bad[:0]}
-	var sw [gf.Order]uint64
-	for base := 0; base < count; base += gf.Lanes {
-		lanes := min(gf.Lanes, count-base)
-		dirty := c.synWords(buf[base*stride:], stride, lanes, sw[:nk])
-		if dirty == 0 {
-			continue
-		}
+	var rem [batchLanes]uint64
+	for base := 0; base < count; base += batchLanes {
+		lanes := min(batchLanes, count-base)
+		c.remainders(buf[base*stride:], stride, lanes, &rem)
 		for l := 0; l < lanes; l++ {
-			if byte(dirty>>(8*l)) == 0 {
+			if rem[l] == 0 {
 				continue
 			}
 			lane := buf[(base+l)*stride : (base+l)*stride+c.n]

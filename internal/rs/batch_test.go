@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"arcc/internal/gf"
 )
 
 // batchCodes are the geometries the batch path is exercised on: the three
-// ARCC codeword shapes plus a deliberately odd one (stride tails, nk
-// outside the 2/4 specialisations).
+// ARCC codeword shapes, the longest code New accepts at the widest
+// remainder, and a deliberately odd one (nk outside 2, 4 and 8).
 func batchCodes() []*Code {
-	return []*Code{New(18, 16), New(36, 32), New(72, 64), New(255, 223), New(20, 15)}
+	return []*Code{New(18, 16), New(36, 32), New(72, 64), New(255, 247), New(20, 15)}
 }
 
 // buildBatch returns count random valid codewords, flat at the given
@@ -39,44 +37,50 @@ func corruptLanes(r *rand.Rand, cw []byte, nbad int) {
 	}
 }
 
-// TestSyndromesAndCheckBatchMatchScalar pins the batch decoder's
-// word-parallel syndrome sweep (synWords) to the scalar SyndromesInto lane
-// by lane, and its dirty word — the batch clean check — to whether any
-// lane has a nonzero syndrome.
+// TestSyndromesAndCheckBatchMatchScalar pins the batch decoder's clean
+// check to the scalar syndromes: a lane takes the scalar path (its
+// remainder is nonzero) iff SyndromesInto is nonzero, for every batch
+// count from 0 to 13 — full four-lane groups and short tails — at random
+// strides with junk gap bytes. With a zero error bound the scalar path
+// reports every dirty lane as bad, so DecodeBatchFlat must list exactly
+// the lanes with a nonzero syndrome and leave every lane as it was.
 func TestSyndromesAndCheckBatchMatchScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, c := range batchCodes() {
-		nk := c.CheckSymbols()
-		want := make([]byte, nk)
-		for lanes := 1; lanes <= gf.Lanes; lanes++ {
+		syn := make([]byte, c.CheckSymbols())
+		s := c.NewScratch()
+		for count := 0; count <= 13; count++ {
 			for trial := 0; trial < 6; trial++ {
 				stride := c.N() + r.Intn(5)
-				flat, cws := buildBatch(r, c, lanes, stride)
+				flat, cws := buildBatch(r, c, count, stride)
 				// Corrupt some lanes so both clean and dirty lanes appear.
 				for i := range cws {
 					if r.Intn(3) == 1 {
 						corruptLanes(r, cws[i], 1+r.Intn(3))
 					}
 				}
-				sw := make([]uint64, nk)
-				dirty := c.synWords(flat, stride, lanes, sw)
-				anyDirty := false
-				for l, cw := range cws {
-					c.SyndromesInto(cw, want)
-					anyDirty = anyDirty || !allZero(want)
-					for i := range want {
-						if got := byte(sw[i] >> (8 * l)); got != want[i] {
-							t.Fatalf("(%d,%d) lanes=%d: lane %d S_%d = %#x, want %#x", c.N(), c.K(), lanes, l, i, got, want[i])
+				var wantBad []int
+				var rem [batchLanes]uint64
+				for base := 0; base < count; base += batchLanes {
+					lanes := min(batchLanes, count-base)
+					c.remainders(flat[base*stride:], stride, lanes, &rem)
+					for l := 0; l < lanes; l++ {
+						dirty := !allZero(c.SyndromesInto(cws[base+l], syn))
+						if (rem[l] != 0) != dirty {
+							t.Fatalf("(%d,%d) count=%d: lane %d remainder %#x, syndromes %x", c.N(), c.K(), count, base+l, rem[l], syn)
+						}
+						if dirty {
+							wantBad = append(wantBad, base+l)
 						}
 					}
 				}
-				if (dirty != 0) != anyDirty {
-					t.Fatalf("(%d,%d) lanes=%d: dirty word %#x, want dirty=%v", c.N(), c.K(), lanes, dirty, anyDirty)
+				before := append([]byte(nil), flat...)
+				res := c.DecodeBatchFlat(flat, stride, count, nil, 0, s)
+				if res.Corrected != 0 || !equalInts(res.Bad, wantBad) {
+					t.Fatalf("(%d,%d) count=%d: detect-only batch %+v, want Bad=%v", c.N(), c.K(), count, res, wantBad)
 				}
-				for l := lanes; l < gf.Lanes; l++ {
-					if byte(dirty>>(8*l)) != 0 {
-						t.Fatalf("(%d,%d) lanes=%d: padding lane %d reads dirty", c.N(), c.K(), lanes, l)
-					}
+				if !bytes.Equal(flat, before) {
+					t.Fatalf("(%d,%d) count=%d: detect-only batch modified the buffer", c.N(), c.K(), count)
 				}
 			}
 		}

@@ -5,7 +5,7 @@
 // devices, one symbol per device, so that a whole-device failure corrupts at
 // most one symbol per codeword. This package provides the code itself:
 //
-//   - Code{N, K} describes an (N, K) code with N-K check symbols.
+//   - Code{N, K} describes an (N, K) code with N-K <= 8 check symbols.
 //   - EncodeInto recomputes a codeword's check symbols in place from its K
 //     data symbols.
 //   - DecodeBatchFlat decodes a flat batch of codewords in place, each
@@ -17,18 +17,22 @@
 // The configurations used by the ARCC evaluation are (18, 16) for relaxed
 // pages (2 check symbols: single symbol correct OR single symbol detect,
 // depending on decode policy) and (36, 32) for upgraded pages (4 check
-// symbols: single correct + double detect as in commercial SCCDCD).
+// symbols: single correct + double detect as in commercial SCCDCD), plus
+// (36, 33) for double chip sparing and (72, 64) for the eight-check code.
 //
-// DecodeBatchFlat is the decoder the memory controller runs on every read,
-// scrub and page upgrade. It checks eight codewords at a time with a
-// word-parallel syndrome sweep on package gf's bit-sliced kernels (see
-// batch.go), so an all-clean batch is verified without running the scalar
-// decoder at all. Only lanes with nonzero syndromes fall back, one at a
-// time, to the scalar decoders DecodeScratch (errors only) and
-// DecodeErrorsErasuresScratch (errors and erasures).
+// Every code has at most eight check symbols, so the whole division
+// remainder by the generator fits one uint64, one byte per check symbol.
+// EncodeInto and the clean-read check of DecodeBatchFlat share one
+// recurrence over one 256-entry table of such words (remStep): encoding
+// runs it over the data symbols, the check over the whole codeword, which
+// is consistent iff the remainder is zero. DecodeBatchFlat runs four
+// codewords' recurrences interleaved, so an all-clean batch is verified
+// without running the scalar decoder at all. Only lanes with a nonzero
+// remainder fall back, one at a time, to the scalar decoders DecodeScratch
+// (errors only) and DecodeErrorsErasuresScratch (errors and erasures).
 //
-// The codec is allocation-free: New precomputes multiplication-table rows
-// for the generator coefficients, the syndrome evaluation points, and the
+// The codec is allocation-free: New precomputes the remainder table,
+// multiplication-table rows for the syndrome evaluation points and the
 // Chien stepping constants, and a reusable Scratch workspace (NewScratch)
 // holds every buffer a decode needs.
 package rs
@@ -50,10 +54,9 @@ var ErrUncorrectable = errors.New("rs: detected uncorrectable error")
 type Code struct {
 	n, k int
 
-	// encRows[j] is the multiplication row of gen[n-k-1-j]: the feedback
-	// taps of the systematic encoder, highest coefficient first, so the
-	// encode inner loop is rem[j] ^= encRows[j][factor].
-	encRows []*[gf.Size]byte
+	// encWord[f] packs the encoder's feedback for factor f: byte j holds
+	// f*gen[n-k-1-j], the taps highest coefficient first (see remStep).
+	encWord [gf.Size]uint64
 	// synRows[i] is the multiplication row of alpha^i, the Horner step of
 	// syndrome S_i.
 	synRows []*[gf.Size]byte
@@ -74,17 +77,17 @@ type Code struct {
 	posRoot     []byte
 	posRootInv  []byte
 	posRootRows []*[gf.Size]byte
-
-	// synBatch[i] is the broadcast row of alpha^i: the word-parallel
-	// counterpart of synRows, driving the batch syndrome sweep (batch.go)
-	// eight codeword lanes at a time.
-	synBatch []gf.BroadcastRow
 }
 
-// New constructs an (n, k) code. It panics if the parameters are outside
-// 0 < k < n <= 255: code construction is configuration, not runtime input.
+// maxCheckSymbols is the widest code New accepts: N-K check symbols must
+// fit the one-word remainder of remStep.
+const maxCheckSymbols = 8
+
+// New constructs an (n, k) code. It panics unless 0 < k < n <= 255 and
+// n-k <= maxCheckSymbols: code construction is configuration, not runtime
+// input.
 func New(n, k int) *Code {
-	if k <= 0 || n <= k || n > gf.Order {
+	if k <= 0 || n <= k || n > gf.Order || n-k > maxCheckSymbols {
 		panic(fmt.Sprintf("rs: invalid code parameters (n=%d, k=%d)", n, k))
 	}
 	// g(x) = (x - alpha^0)(x - alpha^1)...(x - alpha^(n-k-1))
@@ -94,10 +97,12 @@ func New(n, k int) *Code {
 	}
 	c := &Code{n: n, k: k}
 	nk := n - k
-	c.encRows = make([]*[gf.Size]byte, nk)
 	c.synRows = make([]*[gf.Size]byte, nk)
 	for j := 0; j < nk; j++ {
-		c.encRows[j] = gf.MulRow(gen[nk-1-j])
+		row := gf.MulRow(gen[nk-1-j])
+		for f := range c.encWord {
+			c.encWord[f] |= uint64(row[f]) << (8 * j)
+		}
 		c.synRows[j] = gf.MulRow(gf.Exp(j))
 	}
 	c.stepRows = make([]*[gf.Size]byte, nk+1)
@@ -114,10 +119,6 @@ func New(n, k int) *Code {
 		c.posRoot[p] = x
 		c.posRootInv[p] = gf.Inv(x)
 		c.posRootRows[p] = gf.MulRow(x)
-	}
-	c.synBatch = make([]gf.BroadcastRow, nk)
-	for j := 0; j < nk; j++ {
-		c.synBatch[j] = gf.MulRowBatch(gf.Exp(j))
 	}
 	return c
 }
@@ -141,26 +142,36 @@ func (c *Code) EncodeInto(cw []byte) {
 	if len(cw) != c.n {
 		panic(fmt.Sprintf("rs: EncodeInto called with %d symbols, want %d", len(cw), c.n))
 	}
-	// Systematic encoding: check symbols are the remainder of
-	// data(x) * x^(n-k) divided by g(x). The message polynomial places
-	// data[0] (codeword position 0) at the highest power, so the codeword
-	// read as a polynomial is cw[0]*x^(n-1) + ... + cw[n-1]*x^0 and has the
-	// generator's roots alpha^0..alpha^(n-k-1). The generator is monic, so
-	// the division step is a table-row lookup per tap.
-	nk := c.n - c.k
-	var remBuf [gf.Order]byte
-	rem := remBuf[:nk]
-	for i := 0; i < c.k; i++ {
-		factor := cw[i] ^ rem[0]
-		copy(rem, rem[1:])
-		rem[nk-1] = 0
-		if factor != 0 {
-			for j, row := range c.encRows {
-				rem[j] ^= row[factor]
-			}
-		}
+	r := c.remainder(cw[:c.k])
+	for j := range cw[c.k:] {
+		cw[c.k+j] = byte(r >> (8 * j))
 	}
-	copy(cw[c.k:], rem)
+}
+
+// remStep is one step of the systematic encoder's division by the
+// generator g(x), over a code's encWord table t: the remainder r holds the
+// N-K remainder coefficients one per byte, the highest in byte 0. Feeding
+// symbol sym shifts the remainder up one power and subtracts the factor
+// times g, all in one table lookup (g is monic, so the factor is sym plus
+// the outgoing coefficient). The table term comes first: with the shift
+// first, the compiler spills a remainder in the four-lane loop.
+func remStep(t *[gf.Size]uint64, r uint64, sym byte) uint64 {
+	return t[sym^byte(r)] ^ r>>8
+}
+
+// remainder returns the packed remainder of syms(x)*x^(n-k) mod g(x), with
+// syms[0] the highest-power coefficient. Over the K data symbols of a
+// codeword this is its check symbols (data-first layout: the codeword read
+// as a polynomial is cw[0]*x^(n-1) + ... + cw[n-1]*x^0, with the
+// generator's roots alpha^0..alpha^(n-k-1)). Over all N symbols it is zero
+// iff every syndrome is: g(0) != 0, so cw(x)*x^(n-k) vanishes mod g iff
+// cw(x) does.
+func (c *Code) remainder(syms []byte) uint64 {
+	var r uint64
+	for _, v := range syms {
+		r = remStep(&c.encWord, r, v)
+	}
+	return r
 }
 
 // SyndromesInto computes the N-K syndromes of cw into syn, which must have

@@ -45,7 +45,7 @@ func decodeOne(c *Code, cw []byte, erasures []int, maxErrors int) (Result, error
 }
 
 func TestNewPanicsOnBadParams(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{0, 0}, {10, 10}, {10, 12}, {256, 8}, {5, 0}, {5, -1}} {
+	for _, tc := range []struct{ n, k int }{{0, 0}, {10, 10}, {10, 12}, {256, 8}, {5, 0}, {5, -1}, {255, 223}, {20, 11}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -406,6 +406,46 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 			c.EncodeInto(cw)
 			if !bytes.Equal(cw, want) {
 				t.Fatalf("(%d,%d): EncodeInto %x, definitional encode %x", c.N(), c.K(), cw, want)
+			}
+		}
+	}
+}
+
+// byteLFSREncode is the byte-at-a-time systematic encoder the packed-word
+// remainder replaced: a remainder array shifted one symbol per data
+// symbol, with one multiplication-row lookup per generator tap.
+func byteLFSREncode(c *Code, cw []byte) {
+	nk := c.CheckSymbols()
+	gen := gf.Polynomial{1}
+	for i := 0; i < nk; i++ {
+		gen = gf.PolyMul(gen, gf.Polynomial{gf.Exp(i), 1})
+	}
+	rem := make([]byte, nk)
+	for i := 0; i < c.K(); i++ {
+		factor := cw[i] ^ rem[0]
+		copy(rem, rem[1:])
+		rem[nk-1] = 0
+		for j := range rem {
+			rem[j] ^= gf.MulRow(gen[nk-1-j])[factor]
+		}
+	}
+	copy(cw[c.K():], rem)
+}
+
+// TestEncodeIntoMatchesByteLFSR pins the packed-word encoder to the
+// byte-at-a-time LFSR byte for byte, on every batch geometry plus the
+// sparing code's (36, 33), with the check region poisoned first.
+func TestEncodeIntoMatchesByteLFSR(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	for _, c := range append(batchCodes(), New(36, 33)) {
+		for trial := 0; trial < 50; trial++ {
+			got := make([]byte, c.N())
+			r.Read(got)
+			want := append([]byte(nil), got...)
+			byteLFSREncode(c, want)
+			c.EncodeInto(got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("(%d,%d): EncodeInto %x, byte LFSR %x", c.N(), c.K(), got, want)
 			}
 		}
 	}

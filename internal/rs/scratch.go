@@ -73,7 +73,7 @@ func (c *Code) NewScratch() *Scratch {
 		rootInv:   make([]byte, 0, nk+2),
 		mags:      make([]byte, nk+2),
 		positions: make([]int, 0, nk+2),
-		bad:       make([]int, 0, gf.Lanes),
+		bad:       make([]int, 0, batchLanes),
 	}
 }
 

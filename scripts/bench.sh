@@ -21,10 +21,11 @@ raw="${out%.json}.txt"
 
 run() { go test -run=xxx -benchmem -count=1 "$@" | tee -a "$raw"; }
 
-# GF/RS codec kernels and scratch decoding (PR 2's hot path), plus the
-# word-parallel batch kernels (PR 8): the batch benchmarks report ns per
-# CODEWORD, so BenchmarkDecodeBatchClean vs BenchmarkDecodeScratchClean is
-# the batch speedup on the clean read that dominates every sweep.
+# GF/RS codec kernels and scratch decoding, plus the batch decoder's
+# clean check (the packed-word remainder over four interleaved codewords):
+# the batch benchmarks report ns per CODEWORD, so BenchmarkDecodeBatchClean
+# vs BenchmarkDecodeScratchClean is the batch speedup on the clean read
+# that dominates every access.
 run -bench='MulAddSlice|EncodeInto|Syndromes|ChienSearch|DecodeScratch|DecodeBatch|DecodeErasuresScratch' \
     ./internal/gf/ ./internal/rs/
 # Fault-arrival sampling, including the conditional ("at least one
@@ -44,9 +45,9 @@ run -bench='LifetimeOverheadStatsConditional' ./internal/reliability/
 # record the footprint-proportional residency — plus first-touch page
 # materialisation cost.
 run -bench='PagedMemTerabyteSweep|PagedMemMaterialise' ./internal/pagedmem/
-# Scheme-level four-codeword decode bursts (the functional data path's
-# per-access work) and the full-system simulator steady state.
-run -bench='DecodeBatchInto|DecodeSparedBatchInto' ./internal/ecc/
+# Scheme-level four-codeword encode and decode bursts (the functional data
+# path's per-access work) and the full-system simulator steady state.
+run -bench='EncodeBurst|DecodeBatchInto|DecodeSparedBatchInto' ./internal/ecc/
 run -bench='SimRunSteadyState' ./internal/sim/
 # The simulator's LLC step on its own (Access, then InsertInto on a miss)
 # at 0%, 50% and 100% of pages upgraded, on a full cache and on a cold one
