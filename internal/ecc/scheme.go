@@ -69,7 +69,11 @@ type Scheme interface {
 	// is the job of package reliability. The all-clean batch — the
 	// overwhelmingly common read — is verified by the code's remainder
 	// check, four codewords at a time, without running the scalar decoder
-	// at all, and the call performs zero heap allocations in steady state.
+	// at all. Unless a spared device's position is erased, a codeword
+	// with exactly one bad symbol — every read of a page upgraded after a
+	// device failure — is corrected straight from that remainder, with
+	// the scalar decoder's result; only the other dirty codewords run it.
+	// The call performs zero heap allocations in steady state.
 	DecodeBatchInto(buf []byte, stride, count int, s *Scratch) (corrected int, err error)
 	// NewScratch allocates a decode workspace sized for this scheme.
 	NewScratch() *Scratch

@@ -1,6 +1,10 @@
 package rs
 
-import "fmt"
+import (
+	"fmt"
+
+	"arcc/internal/gf"
+)
 
 // This file implements the batch decoder: the memory controller decodes
 // every access as a batch of independent codewords under the same code (a
@@ -9,9 +13,13 @@ import "fmt"
 // once: their remainder recurrences (remStep) run interleaved, so the four
 // serial chains of table lookups overlap. The dominant workload is the
 // clean read: a batch whose codewords all leave a zero remainder completes
-// without touching the scalar decoder at all, and only the rare lanes with
-// a nonzero remainder — exactly those with a nonzero syndrome — fall back
-// to the scalar scratch decoders, one lane at a time.
+// without touching the scalar decoder at all. Next comes the read of a
+// page whose device has failed, one bad symbol per codeword: with no
+// erasures and a nonzero error bound, such a lane is corrected straight
+// from its remainder (correctOne), exactly as the scalar decoder would.
+// Only the remaining lanes with a nonzero remainder — exactly those with a
+// nonzero syndrome — fall back to the scalar scratch decoders, one lane at
+// a time.
 //
 // Layout. The batch is a flat []byte with an explicit stride: codeword i
 // occupies buf[i*stride : i*stride+N], stride >= N. The check reads lanes
@@ -31,8 +39,10 @@ const batchLanes = 4
 // BatchResult reports the outcome of one batch decode.
 type BatchResult struct {
 	// Corrected is the total number of symbol positions repaired across
-	// the batch (the sum of len(ErrorPositions) over the scalar decodes of
-	// the dirty lanes; clean lanes contribute zero).
+	// the batch: one per lane the one-symbol correction repaired, plus
+	// the sum of len(ErrorPositions) over the scalar decodes of the other
+	// dirty lanes; clean lanes contribute zero. The one-symbol lane counts
+	// what DecodeScratch would have reported for it.
 	Corrected int
 	// Bad lists the batch indices of codewords whose error patterns were
 	// detected but not correctable, in increasing order; their content is
@@ -81,11 +91,14 @@ func (c *Code) remainders(buf []byte, stride, lanes int, rem *[batchLanes]uint64
 //
 // The all-clean fast path — every lane's remainder zero, four lanes at a
 // time — touches nothing. Lanes with a nonzero remainder, which are exactly
-// the lanes with a nonzero syndrome, fall back to the scalar decoder —
-// DecodeScratch without erasures, DecodeErrorsErasuresScratch with them —
-// with that decoder's result: corrected lanes are rewritten in place,
-// detected-uncorrectable lanes keep their raw content and are reported in
-// BatchResult.Bad.
+// the lanes with a nonzero syndrome, are dirty. With no erasures and
+// maxErrors >= 1, a dirty lane within one symbol of a codeword has that
+// symbol corrected in place straight from its remainder (correctOne), the
+// result the scalar decoder would return. Every other dirty lane falls
+// back to the scalar decoder — DecodeScratch without erasures,
+// DecodeErrorsErasuresScratch with them — with that decoder's result:
+// corrected lanes are rewritten in place, detected-uncorrectable lanes
+// keep their raw content and are reported in BatchResult.Bad.
 //
 // The bound and the erasure list are validated on every call, clean batch
 // or not, against 2*maxErrors + len(erasures) <= N-K; a violation panics.
@@ -103,6 +116,7 @@ func (c *Code) DecodeBatchFlat(buf []byte, stride, count int, erasures []int, ma
 			len(buf), (count-1)*stride+c.n, count, stride))
 	}
 	c.checkDecodeArgs(erasures, maxErrors)
+	oneSymbol := len(erasures) == 0 && maxErrors > 0
 	res := BatchResult{Bad: s.bad[:0]}
 	var rem [batchLanes]uint64
 	for base := 0; base < count; base += batchLanes {
@@ -113,6 +127,10 @@ func (c *Code) DecodeBatchFlat(buf []byte, stride, count int, erasures []int, ma
 				continue
 			}
 			lane := buf[(base+l)*stride : (base+l)*stride+c.n]
+			if oneSymbol && c.correctOne(lane, rem[l]) {
+				res.Corrected++
+				continue
+			}
 			var r Result
 			var err error
 			if len(erasures) == 0 {
@@ -130,4 +148,48 @@ func (c *Code) DecodeBatchFlat(buf []byte, stride, count int, erasures []int, ma
 	}
 	s.bad = res.Bad[:0]
 	return res
+}
+
+// correctOne corrects lane in place when it lies within distance one of a
+// codeword, given its nonzero packed remainder r, and reports whether it
+// did. Since g(alpha^i) = 0, the syndromes follow from r alone:
+// S_i = r(alpha^i)*alpha^(-i(N-K)), so with byte j of r the coefficient of
+// x^(N-K-1-j), S_0 is the XOR of r's bytes and S_1 = sum_j r_j*alpha^-(j+1).
+// One error of magnitude e at position p has S_i = e*X^i with
+// X = alpha^(N-1-p), so it can only be e = S_0 at the p that X = S_1/S_0
+// names. The syndromes are all of that geometric form iff r equals e times
+// the remainder of a unit symbol at p: N-K syndromes determine the
+// remainder and back. Then the scalar decoder would find a degree-1
+// locator, its one root at p and the magnitude S_0, so correcting here
+// returns what it would; every other lane is left to it.
+func (c *Code) correctOne(lane []byte, r uint64) bool {
+	x := r ^ r>>32
+	x ^= x >> 16
+	x ^= x >> 8
+	s0 := byte(x)
+	var s1 byte
+	for j, row := range c.s1Rows[:c.n-c.k] {
+		s1 ^= row[byte(r>>(8*j))]
+	}
+	if s0 == 0 || s1 == 0 {
+		return false
+	}
+	logX := gf.Log(s1) - gf.Log(s0)
+	if logX < 0 {
+		logX += gf.Order
+	}
+	// X = alpha^(N-1-p): a power of N or more lies outside the shortened
+	// code.
+	p := c.n - 1 - logX
+	if p < 0 {
+		return false
+	}
+	e, w := gf.MulRow(s0), c.posRem[p]
+	for j := 0; j < c.n-c.k; j++ {
+		if byte(r>>(8*j)) != e[byte(w>>(8*j))] {
+			return false
+		}
+	}
+	lane[p] ^= s0
+	return true
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"arcc/internal/gf"
 )
 
 // batchCodes are the geometries the batch path is exercised on: the three
@@ -93,9 +95,16 @@ func TestSyndromesAndCheckBatchMatchScalar(t *testing.T) {
 func decodeScalarReference(c *Code, cws [][]byte, erasures []int, maxErrors int) (BatchResult, [][]byte) {
 	var res BatchResult
 	out := make([][]byte, len(cws))
+	s := c.NewScratch()
 	for i, cw := range cws {
 		out[i] = append([]byte(nil), cw...)
-		r, err := decodeOne(c, cw, erasures, maxErrors)
+		var r Result
+		var err error
+		if len(erasures) == 0 {
+			r, err = c.DecodeScratch(cw, maxErrors, s)
+		} else {
+			r, err = c.DecodeErrorsErasuresScratch(cw, erasures, maxErrors, s)
+		}
 		if err != nil {
 			res.Bad = append(res.Bad, i)
 			continue
@@ -154,6 +163,101 @@ func TestDecodeBatchMatchesScalar(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// checkBatchAgainstScalar lays cws out flat at the given stride, with junk
+// in the gaps, decodes them with DecodeBatchFlat (no erasures) and fails t
+// unless the result and every lane match the scalar reference.
+func checkBatchAgainstScalar(t *testing.T, c *Code, cws [][]byte, stride, maxErrors int, s *Scratch) {
+	t.Helper()
+	flat := bytes.Repeat([]byte{0xC3}, len(cws)*stride)
+	for i, cw := range cws {
+		copy(flat[i*stride:], cw)
+	}
+	wantRes, wantOut := decodeScalarReference(c, cws, nil, maxErrors)
+	gotRes := c.DecodeBatchFlat(flat, stride, len(cws), nil, maxErrors, s)
+	if gotRes.Corrected != wantRes.Corrected || !equalInts(gotRes.Bad, wantRes.Bad) {
+		t.Fatalf("(%d,%d) maxErrors=%d: batch result %+v, want %+v", c.N(), c.K(), maxErrors, gotRes, wantRes)
+	}
+	for i := range cws {
+		if !bytes.Equal(flat[i*stride:i*stride+c.N()], wantOut[i]) {
+			t.Fatalf("(%d,%d) maxErrors=%d: lane %d content mismatch", c.N(), c.K(), maxErrors, i)
+		}
+	}
+}
+
+// TestDecodeBatchOneSymbolMatchesScalar pins the batch decoder's
+// one-symbol correction (correctOne) to the scalar decoder: every single
+// error (position p, magnitude 1..255), random patterns of 2 to t+1
+// errors, detect-only lanes, and lanes whose syndromes are those of one
+// error at a power >= N, outside the shortened code, which must stay DUEs.
+func TestDecodeBatchOneSymbolMatchesScalar(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for _, c := range append(batchCodes(), New(36, 33)) {
+		n, nk, tc := c.N(), c.CheckSymbols(), c.MaxCorrectable()
+		s := c.NewScratch()
+		stride := n + 1
+		valid := func() []byte {
+			cw := make([]byte, n)
+			r.Read(cw[:c.K()])
+			c.EncodeInto(cw)
+			return cw
+		}
+		// One batch per position: 255 lanes, one per magnitude, so full
+		// four-lane groups and a three-lane tail both see every case. At
+		// the full bound too every lane must come back as it was encoded;
+		// with a zero bound (checked on a group and a tail) every lane is
+		// a DUE.
+		for p := 0; p < n; p++ {
+			orig := make([][]byte, 255)
+			cws := make([][]byte, len(orig))
+			for e := range cws {
+				orig[e] = valid()
+				cws[e] = append([]byte(nil), orig[e]...)
+				cws[e][p] ^= byte(e + 1)
+			}
+			checkBatchAgainstScalar(t, c, cws, stride, 1, s)
+			checkBatchAgainstScalar(t, c, cws[:7], stride, 0, s)
+			flat := bytes.Join(cws, nil)
+			res := c.DecodeBatchFlat(flat, n, len(cws), nil, tc, s)
+			if res.Corrected != len(cws) || !res.OK() || !bytes.Equal(flat, bytes.Join(orig, nil)) {
+				t.Fatalf("(%d,%d) position %d maxErrors=%d: single errors decoded to %+v", n, c.K(), p, tc, res)
+			}
+		}
+		for trial := 0; trial < 50; trial++ {
+			cws := make([][]byte, 4+r.Intn(6))
+			for i := range cws {
+				cws[i] = valid()
+				corruptLanes(r, cws[i], 2+r.Intn(tc))
+			}
+			for maxErrors := 0; maxErrors <= tc; maxErrors++ {
+				checkBatchAgainstScalar(t, c, cws, stride, maxErrors, s)
+			}
+		}
+		// Zero data whose check symbols are x^j mod g for j >= N: the
+		// (255, 255-(N-K)) code has the same generator, and a unit data
+		// symbol at its position 254-j encodes to exactly that remainder.
+		wide := New(gf.Order, gf.Order-nk)
+		var cws [][]byte
+		for j := n; j < gf.Order; j++ {
+			w := make([]byte, gf.Order)
+			w[gf.Order-1-j] = 1
+			wide.EncodeInto(w)
+			cw := make([]byte, n)
+			copy(cw[c.K():], w[wide.K():])
+			cws = append(cws, cw)
+		}
+		if len(cws) == 0 {
+			continue
+		}
+		for maxErrors := 0; maxErrors <= tc; maxErrors++ {
+			checkBatchAgainstScalar(t, c, cws, stride, maxErrors, s)
+			res := c.DecodeBatchFlat(bytes.Join(cws, nil), n, len(cws), nil, maxErrors, s)
+			if res.Corrected != 0 || len(res.Bad) != len(cws) {
+				t.Fatalf("(%d,%d) maxErrors=%d: errors outside the code decoded to %+v", n, c.K(), maxErrors, res)
 			}
 		}
 	}
@@ -333,6 +437,51 @@ func FuzzDecodeBatchEquivalence(f *testing.F) {
 			if !bytes.Equal(flat[i*c.N():(i+1)*c.N()], wantOut[i]) {
 				t.Fatalf("lane %d content mismatch (erasures %v, maxErrors %d)", i, erasures, maxErrors)
 			}
+		}
+	})
+}
+
+// nearCodewordCodes are the ARCC codeword geometries: relaxed (18,16),
+// upgraded SCCDCD (36,32), double chip sparing's (36,33) and the
+// eight-check (72,64).
+var nearCodewordCodes = []*Code{New(18, 16), New(36, 32), New(36, 33), New(72, 64)}
+
+// FuzzDecodeBatchNearCodeword cross-checks the batch decoder against the
+// scalar decoder on lanes within a few symbols of a codeword, where random
+// bytes almost never land: the fuzz data fills and encodes the lanes of
+// each ARCC geometry, then flips 1 to t+1 symbols per lane at fuzz-chosen
+// positions with fuzz-chosen magnitudes.
+func FuzzDecodeBatchNearCodeword(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, uint8(4), uint8(1))
+	f.Add(bytes.Repeat([]byte{0x5A, 0x11, 0xF0}, 40), uint8(9), uint8(2))
+	f.Add([]byte{0, 0, 0, 0, 0xFF}, uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, countIn, maxErrIn uint8) {
+		if len(raw) == 0 {
+			return
+		}
+		i := 0
+		next := func() byte {
+			b := raw[i%len(raw)]
+			i++
+			return b
+		}
+		count := 1 + int(countIn)%9
+		for _, c := range nearCodewordCodes {
+			tc := c.MaxCorrectable()
+			cws := make([][]byte, count)
+			for l := range cws {
+				cw := make([]byte, c.N())
+				for j := range cw[:c.K()] {
+					cw[j] = next()
+				}
+				c.EncodeInto(cw)
+				for flips := 1 + int(next())%(tc+1); flips > 0; flips-- {
+					cw[int(next())%c.N()] ^= 1 + next()%255
+				}
+				cws[l] = cw
+			}
+			maxErrors := int(maxErrIn) % (tc + 1)
+			checkBatchAgainstScalar(t, c, cws, c.N()+int(countIn)%3, maxErrors, c.NewScratch())
 		}
 	})
 }

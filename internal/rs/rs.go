@@ -27,11 +27,25 @@
 // runs it over the data symbols, the check over the whole codeword, which
 // is consistent iff the remainder is zero. DecodeBatchFlat runs four
 // codewords' recurrences interleaved, so an all-clean batch is verified
-// without running the scalar decoder at all. Only lanes with a nonzero
-// remainder fall back, one at a time, to the scalar decoders DecodeScratch
-// (errors only) and DecodeErrorsErasuresScratch (errors and erasures).
+// without running the scalar decoder at all.
 //
-// The codec is allocation-free: New precomputes the remainder table,
+// A lane with a nonzero remainder and exactly one bad symbol — every read
+// of an ARCC page upgraded after a device failure — is corrected straight
+// from that remainder when the call has no erasures and allows at least
+// one error: since g(alpha^i) = 0 the syndromes are
+// S_i = r(alpha^i)*alpha^(-i(N-K)), one error of magnitude e at position
+// p makes them e*X^i with X = alpha^(N-1-p), and they have that geometric
+// form with e = S_0 and p < N iff r is S_0 times the remainder of a unit
+// symbol at p. This is exact: Berlekamp–Massey finds a degree-1 locator
+// iff the syndromes are geometric with S_0 != 0, Chien finds its root iff
+// p < N, and Forney's magnitude is S_0, so the scalar decoder would return
+// the same bytes, count and verdict. Every other dirty lane — erasures, a
+// zero bound, two or more errors, a power X outside the shortened code —
+// falls back, one at a time, to the scalar decoders DecodeScratch (errors
+// only) and DecodeErrorsErasuresScratch (errors and erasures).
+//
+// The codec is allocation-free: New precomputes the remainder table, the
+// per-position unit remainders and S_1 rows of the one-symbol correction,
 // multiplication-table rows for the syndrome evaluation points and the
 // Chien stepping constants, and a reusable Scratch workspace (NewScratch)
 // holds every buffer a decode needs.
@@ -57,6 +71,12 @@ type Code struct {
 	// encWord[f] packs the encoder's feedback for factor f: byte j holds
 	// f*gen[n-k-1-j], the taps highest coefficient first (see remStep).
 	encWord [gf.Size]uint64
+	// posRem[p] is the packed full-codeword remainder of a unit symbol at
+	// position p, and s1Rows[j] the multiplication row of alpha^-(j+1),
+	// which maps byte j of a packed remainder to its term of S_1: the
+	// tables of the batch decoder's one-symbol correction (correctOne).
+	posRem []uint64
+	s1Rows [maxCheckSymbols]*[gf.Size]byte
 	// synRows[i] is the multiplication row of alpha^i, the Horner step of
 	// syndrome S_i.
 	synRows []*[gf.Size]byte
@@ -104,6 +124,15 @@ func New(n, k int) *Code {
 			c.encWord[f] |= uint64(row[f]) << (8 * j)
 		}
 		c.synRows[j] = gf.MulRow(gf.Exp(j))
+		c.s1Rows[j] = gf.MulRow(gf.Exp(-(j + 1)))
+	}
+	// A unit symbol at position n-1 leaves remStep(0, 1); each earlier
+	// position feeds one more zero symbol after it.
+	c.posRem = make([]uint64, n)
+	w := c.encWord[1]
+	for p := n - 1; p >= 0; p-- {
+		c.posRem[p] = w
+		w = remStep(&c.encWord, w, 0)
 	}
 	c.stepRows = make([]*[gf.Size]byte, nk+1)
 	c.chienInit = make([]byte, nk+1)

@@ -21,11 +21,12 @@ raw="${out%.json}.txt"
 
 run() { go test -run=xxx -benchmem -count=1 "$@" | tee -a "$raw"; }
 
-# GF/RS codec kernels and scratch decoding, plus the batch decoder's
-# clean check (the packed-word remainder over four interleaved codewords):
-# the batch benchmarks report ns per CODEWORD, so BenchmarkDecodeBatchClean
-# vs BenchmarkDecodeScratchClean is the batch speedup on the clean read
-# that dominates every access.
+# GF/RS codec kernels and scratch decoding, plus the batch decoder: the
+# batch benchmarks report ns per CODEWORD, so BenchmarkDecodeBatchClean vs
+# BenchmarkDecodeScratchClean is the batch speedup on the clean read that
+# dominates every access (the packed-word remainder over four interleaved
+# codewords), and BenchmarkDecodeBatch1Dirty prices a 2-error lane's
+# scalar fallback amortised over seven clean lanes.
 run -bench='MulAddSlice|EncodeInto|Syndromes|ChienSearch|DecodeScratch|DecodeBatch|DecodeErasuresScratch' \
     ./internal/gf/ ./internal/rs/
 # Fault-arrival sampling, including the conditional ("at least one
@@ -45,8 +46,14 @@ run -bench='LifetimeOverheadStatsConditional' ./internal/reliability/
 # record the footprint-proportional residency — plus first-touch page
 # materialisation cost.
 run -bench='PagedMemTerabyteSweep|PagedMemMaterialise' ./internal/pagedmem/
-# Scheme-level four-codeword encode and decode bursts (the functional data
-# path's per-access work) and the full-system simulator steady state.
+# Scheme-level four-codeword encode and decode bursts, the functional data
+# path's per-access work: DecodeBatchInto*Clean is the clean read, and
+# DecodeBatchInto*1Err, one bad symbol in every codeword, is each read of a
+# page upgraded after a device failure, corrected straight from the
+# remainder; DecodeSparedBatchInto1Err erases the spared position and has
+# one more bad symbol per codeword, so every lane still runs the scalar
+# errors-and-erasures decoder.
+# Then the full-system simulator steady state.
 run -bench='EncodeBurst|DecodeBatchInto|DecodeSparedBatchInto' ./internal/ecc/
 run -bench='SimRunSteadyState' ./internal/sim/
 # The simulator's LLC step on its own (Access, then InsertInto on a miss)
