@@ -9,8 +9,7 @@
 //
 //	arcc-server [-addr :8080] [-workers N] [-queue N] [-max-trials N]
 //	            [-max-cache N] [-max-jobs N] [-max-job-seconds N]
-//	            [-drain dur] [-state-dir dir] [-checkpoint-shards N]
-//	            [-checkpoint-seconds N]
+//	            [-drain dur] [-state-dir dir] [-checkpoint-period dur]
 //
 // API:
 //
@@ -42,21 +41,26 @@
 //	curl -s -X DELETE localhost:8080/v1/jobs/job-2
 //
 // A request that could reach a library panic path — an unknown exhibit,
-// an invalid scenario, a negative or oversized trial count, a bad format
-// — is rejected with HTTP 400 at the boundary, and residual panics in
-// handlers or jobs become error responses, never a process exit. Memory
-// stays bounded over a long run: at most -max-cache reports are cached
-// (oldest evicted) and at most -max-jobs finished jobs stay listed
-// (oldest forgotten; their ids then answer 404). -max-job-seconds bounds
-// one job's wall clock (a sweep that outlives it is canceled and marked
-// failed). On SIGINT/SIGTERM the server stops accepting work and drains
-// in-flight jobs for -drain before canceling them.
+// an invalid scenario, a negative trial count, a bad format — is
+// rejected with HTTP 400 at the boundary, and so is a job whose trials
+// (the request's override, else its scenario's own count) exceed
+// -max-trials. Residual panics in handlers or jobs become error
+// responses, never a process exit. Memory stays bounded over a long
+// run: at most -max-cache reports are cached (oldest evicted) and at
+// most -max-jobs finished jobs stay listed (oldest forgotten; their ids
+// then answer 404). -max-job-seconds bounds one job's wall clock (a
+// sweep that outlives it is canceled and marked failed). On
+// SIGINT/SIGTERM the server stops accepting work and drains in-flight
+// jobs for -drain before canceling them.
 //
 // With -state-dir the service is durable: accepted jobs land in an
 // append-only fsync'd journal, completed reports persist as
 // content-addressed files, and running jobs checkpoint their completed
-// Monte Carlo shards every -checkpoint-shards shards or
-// -checkpoint-seconds seconds. After a crash (even kill -9) or a drain
+// Monte Carlo work every -checkpoint-period (default 2s): each running
+// engine job writes its folded shards as one blob, so a checkpoint stays
+// small however long the job, a crash loses at most about one period of
+// work per engine job the job has started, and a job shorter than the
+// period writes no checkpoint at all. After a crash (even kill -9) or a drain
 // timeout, the next start replays the journal, restores the result
 // cache, and re-enqueues interrupted jobs from their latest checkpoint;
 // because the engine merges shards deterministically, the resumed
@@ -95,20 +99,18 @@ func run() error {
 	maxJobSeconds := flag.Int("max-job-seconds", 0, "per-job wall-clock cap in seconds (0 = unlimited)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline for in-flight jobs")
 	stateDir := flag.String("state-dir", "", "directory for durable state (journal, results, checkpoints); empty = in-memory only")
-	ckShards := flag.Int("checkpoint-shards", server.DefaultCheckpointEveryShards, "checkpoint a running job every N completed shards (needs -state-dir)")
-	ckSeconds := flag.Int("checkpoint-seconds", int(server.DefaultCheckpointPeriod/time.Second), "also checkpoint every N seconds (needs -state-dir)")
+	ckPeriod := flag.Duration("checkpoint-period", server.DefaultCheckpointPeriod, "checkpoint each running engine job this often; a crash loses at most about this much of its work (needs -state-dir)")
 	flag.Parse()
 
 	svc, err := server.New(server.Options{
-		Workers:               *workers,
-		QueueDepth:            *queue,
-		MaxTrials:             *maxTrials,
-		MaxCachedResults:      *maxCache,
-		MaxFinishedJobs:       *maxJobs,
-		MaxJobDuration:        time.Duration(*maxJobSeconds) * time.Second,
-		StateDir:              *stateDir,
-		CheckpointEveryShards: *ckShards,
-		CheckpointPeriod:      time.Duration(*ckSeconds) * time.Second,
+		Workers:          *workers,
+		QueueDepth:       *queue,
+		MaxTrials:        *maxTrials,
+		MaxCachedResults: *maxCache,
+		MaxFinishedJobs:  *maxJobs,
+		MaxJobDuration:   time.Duration(*maxJobSeconds) * time.Second,
+		StateDir:         *stateDir,
+		CheckpointPeriod: *ckPeriod,
 	})
 	if err != nil {
 		return err

@@ -8,14 +8,20 @@ import (
 )
 
 // A Checkpoint is the durable state of a partially executed job: the
-// serialized accumulator of every completed shard, keyed by shard index,
-// plus the job shape that makes the snapshot meaningful. Because a
-// shard's RNG stream is derived from (Seed, shard index) alone and the
-// engine always merges accumulators in shard-index order, a run resumed
-// from a checkpoint is bit-identical to an uninterrupted run of the same
-// job: the restored shards contribute exactly the accumulator states
-// they would have produced live, and the skipped work never touches the
-// remaining shards' streams.
+// serialized accumulators of its completed shards plus the job shape
+// that makes the snapshot meaningful. Because a shard's RNG stream is
+// derived from (Seed, shard index) alone and the engine always merges
+// accumulators in shard-index order, a run resumed from a checkpoint is
+// bit-identical to an uninterrupted run of the same job: the restored
+// shards contribute exactly the accumulator states they would have
+// produced live, and the skipped work never touches the remaining
+// shards' streams.
+//
+// The engine writes the shard-order fold of shards [0, Folded) as one
+// blob, Shards[0], plus one blob per shard that finished ahead of an
+// earlier one, so a snapshot's size does not grow with the shards done.
+// Folded absent, 0 or 1 is the per-shard layout, where Shards[0] is
+// shard 0 alone; checkpoints written before the fold resume as such.
 //
 // Checkpoints serialize naturally as JSON (shard blobs become base64),
 // which is how the sweep service persists them.
@@ -23,21 +29,29 @@ type Checkpoint struct {
 	Trials    int   `json:"trials"`
 	Seed      int64 `json:"seed"`
 	ShardSize int   `json:"shard_size"`
-	// Shards maps a completed shard index to its accumulator's
-	// MarshalBinary bytes.
+	// Folded is the number of shards Shards[0] covers, from shard 0 on,
+	// when it is above 1.
+	Folded int `json:"folded,omitempty"`
+	// Shards maps a shard index to its accumulator's MarshalBinary bytes;
+	// entry 0 holds the folded prefix.
 	Shards map[int][]byte `json:"shards"`
 }
 
-// Done returns the number of trials the checkpoint covers — the trials
-// of every completed shard it holds.
+// Done returns the number of trials the checkpoint covers: those of its
+// folded prefix and of every other completed shard it holds.
 func (c *Checkpoint) Done() int {
 	size := c.ShardSize
 	if size <= 0 {
 		size = DefaultShardSize
 	}
+	prefix := max(c.Folded, 1)
 	done := 0
 	for s := range c.Shards {
-		done += shardTrials(s, size, c.Trials)
+		if s == 0 {
+			done += min(prefix*size, c.Trials)
+		} else if s >= prefix {
+			done += shardTrials(s, size, c.Trials)
+		}
 	}
 	return done
 }
@@ -53,24 +67,22 @@ func (c *Checkpoint) matches(trials int, seed int64, shardSize int) bool {
 // (Options.Checkpoint). Checkpointing requires the job's accumulators to
 // implement encoding.BinaryMarshaler and encoding.BinaryUnmarshaler; a
 // job whose accumulators do not is silently run without snapshots (and a
-// shard whose accumulator fails to marshal is simply left out of them),
-// so checkpointing degrades to a plain run, never an error.
+// blob that fails to marshal is simply left out of them), so
+// checkpointing degrades to a plain run, never an error.
 type CheckpointConfig struct {
-	// Resume holds the completed-shard snapshots of a prior interrupted
-	// run of the same job. Shards present in Resume are not re-executed:
-	// their accumulators are deserialized and merged in shard order as if
-	// they had just run. A checkpoint whose (Trials, Seed, ShardSize)
-	// does not match the job — or an individual shard blob that fails to
-	// deserialize — is ignored and the corresponding work re-runs.
+	// Resume holds the snapshot of a prior interrupted run of the same
+	// job. Shards it covers are not re-executed: their accumulators are
+	// deserialized and merged in shard order as if they had just run. A
+	// checkpoint whose (Trials, Seed, ShardSize) does not match the job,
+	// or whose Folded lies outside [0, shards], is ignored; so is each
+	// blob that fails to deserialize. The work they stood for re-runs.
 	Resume *Checkpoint
-	// EveryShards emits a snapshot to Sink every EveryShards completed
-	// shards. When both EveryShards and Period are zero, every completed
-	// shard snapshots — the right default for jobs whose shards are whole
-	// simulator runs (ShardSize 1).
-	EveryShards int
-	// Period emits a snapshot when at least Period has elapsed since the
-	// previous one (checked as shards complete; an idle job does not
-	// snapshot on a timer).
+	// Period emits a snapshot to Sink when at least Period has elapsed
+	// since the previous one (checked as shards complete; an idle job
+	// does not snapshot on a timer), so a crash loses at most about one
+	// period of the job's work. Zero snapshots after every completed
+	// shard: the right default for jobs whose shards are whole simulator
+	// runs (ShardSize 1).
 	Period time.Duration
 	// Sink receives each snapshot. Calls are serialised by the engine and
 	// the Checkpoint (including its blobs) is never mutated afterwards,
@@ -93,28 +105,20 @@ type checkpointable interface {
 }
 
 // trialChecker is implemented by accumulators whose snapshot names the
-// trials it holds (mapAcc). restore hands it the trial range [lo, hi) of
-// the shard it is restoring and skips a blob that names other trials, so
-// that shard re-runs.
+// trials it holds (mapAcc). restore hands it the trial range [lo, hi) a
+// blob stands for and skips a blob that names other trials, so its
+// shards re-run.
 type trialChecker interface {
 	checkTrials(lo, hi int) error
 }
 
-// checkpointer tracks completed shards during a run and turns them into
-// snapshots at the configured cadence. Accumulators are kept by
-// reference until a snapshot serializes them (a completed shard's
-// accumulator is immutable until the final merge), so a coarse cadence
-// pays marshaling cost per snapshot, not per shard.
+// checkpointer restores a run from its Resume snapshot and turns the
+// run's fold into snapshots at the configured cadence. completed runs
+// under the fold's lock; flush takes it.
 type checkpointer struct {
-	cfg    *CheckpointConfig
-	job    Job
-	trials int
-	seed   int64
-	size   int
-
-	mu        sync.Mutex
-	pending   map[int]Accumulator // completed, not yet serialized
-	blobs     map[int][]byte      // serialized completed shards
+	cfg       *CheckpointConfig
+	job       Job
+	size      int
 	sinceSnap int
 	lastSnap  time.Time
 }
@@ -128,93 +132,108 @@ func newCheckpointer(job Job, size int, cfg *CheckpointConfig) *checkpointer {
 	if _, ok := job.NewAcc().(checkpointable); !ok {
 		return nil
 	}
-	return &checkpointer{
-		cfg:      cfg,
-		job:      job,
-		trials:   job.Trials,
-		seed:     job.Seed,
-		size:     size,
-		pending:  map[int]Accumulator{},
-		blobs:    map[int][]byte{},
-		lastSnap: time.Now(),
-	}
+	return &checkpointer{cfg: cfg, job: job, size: size, lastSnap: time.Now()}
 }
 
-// restore deserializes the resumable shards of cfg.Resume into accs and
-// returns how many trials they cover. Invalid shards are skipped — they
+// snapshots reports whether the run emits snapshots at all.
+func (c *checkpointer) snapshots() bool {
+	return c != nil && c.cfg.Sink != nil
+}
+
+// restore folds the resumable shards of cfg.Resume into f and returns how
+// many trials they cover. Invalid blobs are skipped — their shards
 // re-run.
-func (c *checkpointer) restore(accs []Accumulator) (resumedTrials int) {
+func (c *checkpointer) restore(f *fold, shards int) (resumedTrials int) {
 	r := c.cfg.Resume
-	if !r.matches(c.trials, c.seed, c.size) {
+	trials := c.job.Trials
+	if !r.matches(trials, c.job.Seed, c.size) || r.Folded < 0 || r.Folded > shards {
 		return 0
 	}
-	for s, blob := range r.Shards {
-		if s < 0 || s >= len(accs) || len(blob) == 0 {
-			continue
+	// decode returns the accumulator blob stands for, the shard-order
+	// fold of trials [lo, hi), or nil when it does not.
+	decode := func(blob []byte, lo, hi int) Accumulator {
+		if len(blob) == 0 {
+			return nil
 		}
 		acc := c.job.NewAcc()
-		if err := acc.(checkpointable).UnmarshalBinary(blob); err != nil {
+		if acc.(checkpointable).UnmarshalBinary(blob) != nil {
+			return nil
+		}
+		if tc, ok := acc.(trialChecker); ok && tc.checkTrials(lo, hi) != nil {
+			return nil
+		}
+		return acc
+	}
+	// The prefix goes in first, so the shards after it fold onto it.
+	prefix := max(r.Folded, 1)
+	hi := min(prefix*c.size, trials)
+	if acc := decode(r.Shards[0], 0, hi); acc != nil {
+		f.prefix, f.folded = acc, prefix
+		resumedTrials += hi
+	}
+	for s, blob := range r.Shards {
+		if s < prefix || s >= shards {
 			continue
 		}
 		lo := s * c.size
-		if tc, ok := acc.(trialChecker); ok && tc.checkTrials(lo, lo+shardTrials(s, c.size, c.trials)) != nil {
-			continue
+		n := shardTrials(s, c.size, trials)
+		if acc := decode(blob, lo, lo+n); acc != nil {
+			f.add(s, acc)
+			resumedTrials += n
 		}
-		accs[s] = acc
-		c.blobs[s] = blob
-		resumedTrials += shardTrials(s, c.size, c.trials)
 	}
 	return resumedTrials
 }
 
-// completed records a freshly finished shard and snapshots when the
-// cadence says so.
-func (c *checkpointer) completed(s int, acc Accumulator) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pending[s] = acc
-	c.sinceSnap++
-	every := c.cfg.EveryShards
-	if every <= 0 && c.cfg.Period <= 0 {
-		every = 1
+// completed counts a freshly folded shard and snapshots when the cadence
+// says so.
+func (c *checkpointer) completed(f *fold) {
+	if !c.snapshots() {
+		return
 	}
-	if (every > 0 && c.sinceSnap >= every) ||
-		(c.cfg.Period > 0 && time.Since(c.lastSnap) >= c.cfg.Period) {
-		c.snapshotLocked()
+	c.sinceSnap++
+	if c.cfg.Period <= 0 || time.Since(c.lastSnap) >= c.cfg.Period {
+		c.snapshot(f)
 	}
 }
 
 // flush emits a final snapshot covering every completed shard; the
 // engine calls it when a run is cancelled so nothing done is lost.
-func (c *checkpointer) flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sinceSnap > 0 {
-		c.snapshotLocked()
+func (c *checkpointer) flush(f *fold) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c.snapshots() && c.sinceSnap > 0 {
+		c.snapshot(f)
 	}
 }
 
-func (c *checkpointer) snapshotLocked() {
-	for s, acc := range c.pending {
-		delete(c.pending, s)
-		blob, err := acc.(checkpointable).MarshalBinary()
-		if err != nil || len(blob) == 0 {
-			// This shard cannot be checkpointed (e.g. a map job whose
-			// value type gob cannot encode); it will re-run on resume.
-			continue
-		}
-		c.blobs[s] = blob
-	}
+// snapshot hands the sink the fold as it stands: the prefix as one blob
+// and every shard waiting to fold as its own.
+func (c *checkpointer) snapshot(f *fold) {
 	c.sinceSnap = 0
 	c.lastSnap = time.Now()
-	if c.cfg.Sink == nil || len(c.blobs) == 0 {
-		return
+	cp := &Checkpoint{Trials: c.job.Trials, Seed: c.job.Seed, ShardSize: c.size,
+		Shards: make(map[int][]byte, 1+len(f.later))}
+	add := func(s int, acc Accumulator) bool {
+		blob, err := acc.(checkpointable).MarshalBinary()
+		if err != nil || len(blob) == 0 {
+			// This accumulator cannot be checkpointed (e.g. a map job
+			// whose value type gob cannot encode); its shards re-run on
+			// resume.
+			return false
+		}
+		cp.Shards[s] = blob
+		return true
 	}
-	shards := make(map[int][]byte, len(c.blobs))
-	for s, b := range c.blobs {
-		shards[s] = b
+	if f.folded > 0 && add(0, f.prefix) && f.folded > 1 {
+		cp.Folded = f.folded
 	}
-	c.cfg.Sink(&Checkpoint{Trials: c.trials, Seed: c.seed, ShardSize: c.size, Shards: shards})
+	for s, acc := range f.later {
+		add(s, acc)
+	}
+	if len(cp.Shards) > 0 {
+		c.cfg.Sink(cp)
+	}
 }
 
 // A Resumer coordinates checkpoint/resume across the several engine
@@ -229,23 +248,22 @@ type Resumer struct {
 	mu      sync.Mutex
 	next    int
 	family  map[int]*Checkpoint // latest checkpoint of every engine job
-	every   int
 	period  time.Duration
 	persist func(family map[int]*Checkpoint)
 }
 
 // NewResumer builds a Resumer. saved holds the checkpoints of a prior
 // interrupted run keyed by engine-job sequence index (nil for a fresh
-// run); everyShards/period set the snapshot cadence of every job.
-// persist (nil to resume without writing new checkpoints) receives the
-// whole family after each snapshot: the latest checkpoint of every
-// engine job so far, saved ones included, keyed by sequence index, so a
-// sink that writes it as one file always leaves a consistent family.
-func NewResumer(saved map[int]*Checkpoint, everyShards int, period time.Duration,
-	persist func(family map[int]*Checkpoint)) *Resumer {
+// run); period sets the snapshot cadence of every job
+// (CheckpointConfig.Period). persist (nil to resume without writing new
+// checkpoints) receives the whole family after each snapshot: the latest
+// checkpoint of every engine job so far, saved ones included, keyed by
+// sequence index, so a sink that writes it as one file always leaves a
+// consistent family.
+func NewResumer(saved map[int]*Checkpoint, period time.Duration, persist func(family map[int]*Checkpoint)) *Resumer {
 	family := map[int]*Checkpoint{}
 	maps.Copy(family, saved)
-	return &Resumer{family: family, every: everyShards, period: period, persist: persist}
+	return &Resumer{family: family, period: period, persist: persist}
 }
 
 // JobCheckpoint hands out the checkpoint configuration for the next
@@ -256,7 +274,7 @@ func (r *Resumer) JobCheckpoint() *CheckpointConfig {
 	r.next++
 	cp := r.family[i]
 	r.mu.Unlock()
-	cc := &CheckpointConfig{Resume: cp, EveryShards: r.every, Period: r.period}
+	cc := &CheckpointConfig{Resume: cp, Period: r.period}
 	if r.persist != nil {
 		cc.Sink = func(cp *Checkpoint) { r.record(i, cp) }
 	}

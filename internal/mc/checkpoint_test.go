@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"arcc/internal/rng"
 )
 
 // ckSum is sumAcc with an exact binary round trip, making jobs built on
@@ -85,6 +87,26 @@ func interrupt(t *testing.T, job Job, opts Options, resume *Checkpoint, afterSha
 		t.Fatal("no checkpoint emitted before the cancel")
 	}
 	return latest
+}
+
+// perShard returns the checkpoint of job's shards [0, n) in the
+// per-shard layout, each shard run on its own stream and marshalled
+// alone, as engines before the folded prefix wrote them.
+func perShard(t testing.TB, job Job, size, n int) *Checkpoint {
+	t.Helper()
+	w := worker{r: rand.New(new(rng.Source))}
+	if job.NewScratch != nil {
+		w.scratch = job.NewScratch()
+	}
+	cp := &Checkpoint{Trials: job.Trials, Seed: job.Seed, ShardSize: size, Shards: map[int][]byte{}}
+	for s := range n {
+		blob, err := job.runShard(s, size, w).(checkpointable).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.Shards[s] = blob
+	}
+	return cp
 }
 
 func TestCheckpointResumeBitIdentical(t *testing.T) {
@@ -213,12 +235,7 @@ func TestCheckpointMismatchIgnored(t *testing.T) {
 
 func TestCheckpointCorruptShardReruns(t *testing.T) {
 	const trials, seed = 500, 13
-	var full *Checkpoint
-	_, err := RunCtx(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 1,
-		Checkpoint: &CheckpointConfig{Sink: func(cp *Checkpoint) { full = cp }}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := perShard(t, ckJob(trials, seed, nil), DefaultShardSize, (trials+DefaultShardSize-1)/DefaultShardSize)
 	corrupt := &Checkpoint{Trials: full.Trials, Seed: full.Seed, ShardSize: full.ShardSize, Shards: map[int][]byte{}}
 	for s, b := range full.Shards {
 		corrupt.Shards[s] = b
@@ -261,27 +278,8 @@ func TestCheckpointNonMarshalableAccNeverSnapshots(t *testing.T) {
 	}
 }
 
-func TestCheckpointEveryShardsCadence(t *testing.T) {
-	const trials = 1000 // 16 shards at the default size
-	snaps := 0
-	var last *Checkpoint
-	_, err := RunCtx(context.Background(), ckJob(trials, 5, nil), Options{Parallelism: 1,
-		Checkpoint: &CheckpointConfig{EveryShards: 4, Sink: func(cp *Checkpoint) { snaps++; last = cp }}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snaps != 4 {
-		t.Errorf("EveryShards=4 over 16 shards: %d snapshots, want 4", snaps)
-	}
-	if last == nil || last.Done() != trials {
-		t.Errorf("final snapshot covers %d trials, want %d", last.Done(), trials)
-	}
-}
-
 func TestCheckpointPeriodCadence(t *testing.T) {
-	// A period far longer than the run: only completion-boundary
-	// snapshots can fire, and with EveryShards unset they must not fire
-	// per shard.
+	// A period far longer than the run: no snapshot fires.
 	snaps := 0
 	_, err := RunCtx(context.Background(), ckJob(1000, 5, nil), Options{Parallelism: 1,
 		Checkpoint: &CheckpointConfig{Period: time.Hour, Sink: func(*Checkpoint) { snaps++ }}})
@@ -313,7 +311,7 @@ func TestCheckpointFlushOnCancelCoversCompletedShards(t *testing.T) {
 		}
 	}
 	_, err := RunCtx(ctx, job, Options{Parallelism: 1,
-		Checkpoint: &CheckpointConfig{EveryShards: 100, Sink: func(cp *Checkpoint) { last = cp }}})
+		Checkpoint: &CheckpointConfig{Period: time.Hour, Sink: func(cp *Checkpoint) { last = cp }}})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
@@ -322,6 +320,97 @@ func TestCheckpointFlushOnCancelCoversCompletedShards(t *testing.T) {
 	}
 	if want := 6 * DefaultShardSize; last.Done() != want {
 		t.Errorf("flushed checkpoint covers %d trials, want %d", last.Done(), want)
+	}
+}
+
+// TestCheckpointSnapshotsStayBounded: a job of 4,096 shards snapshotting
+// after every shard. Each snapshot holds the folded prefix plus the
+// shards that finished ahead of an earlier one, never more than
+// workers+1 blobs, however long the job; the last covers every trial
+// and resumes to the uninterrupted result without running a trial.
+func TestCheckpointSnapshotsStayBounded(t *testing.T) {
+	const trials, seed = 4096 * DefaultShardSize, 31
+	want := run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
+	for _, par := range []int{1, 4} {
+		var last *Checkpoint
+		snaps, widest := 0, 0
+		_, err := RunCtx(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: par,
+			Checkpoint: &CheckpointConfig{Sink: func(cp *Checkpoint) {
+				snaps++
+				widest = max(widest, len(cp.Shards))
+				last = cp
+			}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snaps != 4096 {
+			t.Errorf("parallelism %d: %d snapshots, want one per shard", par, snaps)
+		}
+		if widest > par+1 {
+			t.Errorf("parallelism %d: a snapshot held %d blobs, want at most %d", par, widest, par+1)
+		}
+		if last.Done() != trials || last.Folded != 4096 || len(last.Shards) != 1 {
+			t.Fatalf("parallelism %d: last snapshot covers %d/%d trials, folded %d, %d blobs",
+				par, last.Done(), trials, last.Folded, len(last.Shards))
+		}
+		var executed atomic.Int64
+		acc, err := RunCtx(context.Background(), ckJob(trials, seed, &executed), Options{Parallelism: par,
+			Checkpoint: &CheckpointConfig{Resume: last}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := acc.(*ckSum); got.sum != want.sum || got.count != want.count || executed.Load() != 0 {
+			t.Errorf("parallelism %d: resumed sum %v (count %d) after %d trials, want %v (%d) after none",
+				par, got.sum, got.count, executed.Load(), want.sum, want.count)
+		}
+	}
+}
+
+// TestCheckpointFoldedResume resumes from every snapshot of a run, each a
+// prefix folded over k shards, and from that prefix under a Folded
+// value the job cannot have. A valid prefix skips exactly its k shards;
+// any other Folded makes the resume ignore the checkpoint and re-run
+// everything. Either way the result is the uninterrupted one.
+func TestCheckpointFoldedResume(t *testing.T) {
+	const trials, seed, shards = 10 * DefaultShardSize, 19, 10
+	want := run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
+	var snaps []*Checkpoint
+	_, err := RunCtx(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{Sink: func(cp *Checkpoint) { snaps = append(snaps, cp) }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != shards {
+		t.Fatalf("%d snapshots, want %d", len(snaps), shards)
+	}
+	resume := func(cp *Checkpoint, par int) (int64, *ckSum) {
+		var executed atomic.Int64
+		acc, err := RunCtx(context.Background(), ckJob(trials, seed, &executed), Options{Parallelism: par,
+			Checkpoint: &CheckpointConfig{Resume: cp}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return executed.Load(), acc.(*ckSum)
+	}
+	for i, cp := range snaps {
+		k := i + 1
+		if folded := max(cp.Folded, 1); folded != k || len(cp.Shards) != 1 || cp.Done() != k*DefaultShardSize {
+			t.Fatalf("snapshot %d: folded %d, %d blobs, %d trials", k, cp.Folded, len(cp.Shards), cp.Done())
+		}
+		for _, par := range []int{1, 4} {
+			n, got := resume(cp, par)
+			if int(n) != trials-k*DefaultShardSize || got.sum != want.sum || got.count != want.count {
+				t.Errorf("prefix of %d shards, parallelism %d: ran %d trials, sum %v (count %d); want %d, %v (%d)",
+					k, par, n, got.sum, got.count, trials-k*DefaultShardSize, want.sum, want.count)
+			}
+		}
+	}
+	for _, folded := range []int{-1, shards + 1, math.MaxInt} {
+		cp := *snaps[4]
+		cp.Folded = folded
+		if n, got := resume(&cp, 4); n != trials || got.sum != want.sum || got.count != want.count {
+			t.Errorf("folded %d: ran %d trials, sum %v; want all %d, %v", folded, n, got.sum, trials, want.sum)
+		}
 	}
 }
 
@@ -477,7 +566,7 @@ func TestResumerAlignsJobSequence(t *testing.T) {
 	persist := func(family map[int]*Checkpoint) { saved = family }
 
 	// First attempt: job A completes, job B is cancelled after 3 shards.
-	r := NewResumer(nil, 0, 0, persist)
+	r := NewResumer(nil, 0, persist)
 	if _, err := RunCtx(context.Background(), ckJob(trials, seedA, nil), Options{Parallelism: 1, Checkpoint: r.JobCheckpoint()}); err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +590,7 @@ func TestResumerAlignsJobSequence(t *testing.T) {
 
 	// Second attempt from the persisted map: the sequence indices line up.
 	var execA, execB atomic.Int64
-	r2 := NewResumer(saved, 0, 0, nil)
+	r2 := NewResumer(saved, 0, nil)
 	accA, err := RunCtx(context.Background(), ckJob(trials, seedA, &execA), Options{Parallelism: 1, Checkpoint: r2.JobCheckpoint()})
 	if err != nil {
 		t.Fatal(err)

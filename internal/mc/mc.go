@@ -6,12 +6,13 @@
 // private RNG stream whose seed is derived from the job seed and the shard
 // index alone (base ^ splitmix64(shardIndex)), and accumulates its trial
 // results into a private Accumulator. Shards are executed by a pool of
-// workers and their accumulators are merged in shard-index order once all
-// shards finish. Because the shard structure, the per-shard streams, and
-// the merge order depend only on (Trials, ShardSize, Seed) — never on the
-// worker count — a job's result is bit-identical at any parallelism,
-// including the serial Parallelism=1 special case, which runs the shards
-// inline on the calling goroutine with no pool at all. Each worker owns
+// workers and their accumulators are merged in shard-index order, each
+// as soon as every earlier shard has finished. Because the shard
+// structure, the per-shard streams, and the merge order depend only on
+// (Trials, ShardSize, Seed) — never on the worker count — a job's result
+// is bit-identical at any parallelism, including the serial
+// Parallelism=1 special case, which runs the shards inline on the
+// calling goroutine with no pool at all. Each worker owns
 // one generator and reseeds it at the start of every shard it runs, which
 // yields exactly the stream rand.New(rand.NewSource(seed)) would without
 // building one per shard.
@@ -31,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -137,12 +139,15 @@ func (o Options) shardSize() int {
 
 // RunCtx executes the job and returns the merge of all shard
 // accumulators (shard 0's accumulator after folding shards 1..n-1 into
-// it, in order). If ctx is cancelled mid-run it returns
-// (nil, ErrCanceled) within one shard boundary instead of completing the
-// fan-out; a run that completes is unaffected by a cancel that arrives
-// afterwards. A job with Options.Checkpoint set skips the shards its
-// Resume snapshot already completed and emits snapshots of newly
-// completed shards, bit-identical to an uninterrupted run.
+// it, in order). Each shard is folded in the moment every earlier shard
+// has finished, so the run holds one prefix accumulator plus the few
+// shards that finished ahead of an earlier one, not one accumulator per
+// shard. If ctx is cancelled mid-run it returns (nil, ErrCanceled) within
+// one shard boundary instead of completing the fan-out; a run that
+// completes is unaffected by a cancel that arrives afterwards. A job
+// with Options.Checkpoint set skips the shards its Resume snapshot
+// already completed and emits snapshots of its progress, bit-identical
+// to an uninterrupted run.
 func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 	if job.Trials <= 0 {
 		panic(fmt.Sprintf("mc: non-positive trial count %d", job.Trials))
@@ -158,26 +163,40 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 	}
 	size := opts.shardSize()
 	shards := (job.Trials + size - 1) / size
-	accs := make([]Accumulator, shards)
+	f := &fold{later: map[int]Accumulator{}}
 
 	// Restore completed shards from a prior interrupted run before any
-	// work is dispatched; restored slots are skipped below and their
-	// accumulators merge in shard order exactly as if they had just run.
+	// work is dispatched; restored shards are skipped below and fold in
+	// shard order exactly as if they had just run.
 	ckpt := newCheckpointer(job, size, opts.Checkpoint)
-	resumed := 0
 	if ckpt != nil {
-		resumed = ckpt.restore(accs)
+		f.done = ckpt.restore(f, shards)
 	}
+	first, restored := f.folded, maps.Clone(f.later)
 	if opts.Progress != nil {
 		// Explicit job-start signal (see Options.Progress): emitted before
 		// any worker goroutine exists, so it is ordered before every
 		// per-shard call.
 		opts.Progress(0, job.Trials)
-		if resumed > 0 {
-			opts.Progress(resumed, job.Trials)
+		if f.done > 0 {
+			opts.Progress(f.done, job.Trials)
 		}
 	}
-
+	// complete folds a finished shard, snapshots when the cadence says
+	// so and reports progress, all under f.mu, so the sink and the
+	// progress callback see the calls serialised.
+	complete := func(s int, acc Accumulator) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.add(s, acc)
+		f.done += shardTrials(s, size, job.Trials)
+		if ckpt != nil {
+			ckpt.completed(f)
+		}
+		if opts.Progress != nil {
+			opts.Progress(f.done, job.Trials)
+		}
+	}
 	newWorker := func() worker {
 		w := worker{r: rand.New(new(rng.Source))}
 		if job.NewScratch != nil {
@@ -185,70 +204,35 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 		}
 		return w
 	}
-	runShard := func(s int, w worker) {
-		// Rand.Seed rather than the source's: it also drops bytes a
-		// previous shard's Read left buffered in the Rand.
-		r := w.r
-		r.Seed(ShardSeed(job.Seed, s))
-		acc := job.NewAcc()
-		lo := s * size
-		hi := lo + size
-		if hi > job.Trials {
-			hi = job.Trials
-		}
-		if job.TrialScratch != nil {
-			for t := lo; t < hi; t++ {
-				job.TrialScratch(r, t, acc, w.scratch)
-			}
-		} else {
-			for t := lo; t < hi; t++ {
-				job.Trial(r, t, acc)
-			}
-		}
-		accs[s] = acc
-	}
 
-	toRun := shards
-	for s := 0; s < shards; s++ {
-		if accs[s] != nil {
-			toRun--
-		}
-	}
-	workers := opts.Workers()
-	if workers > toRun {
-		workers = toRun
-	}
+	workers := min(opts.Workers(), shards-first-len(restored))
 	if workers <= 1 {
 		w := newWorker()
-		done := resumed
-		for s := 0; s < shards; s++ {
-			if accs[s] != nil {
-				continue // restored from the checkpoint
+		for s := first; s < shards; s++ {
+			if _, ok := restored[s]; ok {
+				continue
 			}
 			if ctx.Err() != nil {
-				if ckpt != nil {
-					ckpt.flush()
-				}
-				return nil, ErrCanceled
+				break
 			}
-			runShard(s, w)
-			if ckpt != nil {
-				ckpt.completed(s, accs[s])
-			}
-			done += shardTrials(s, size, job.Trials)
-			if opts.Progress != nil {
-				opts.Progress(done, job.Trials)
-			}
+			complete(s, job.runShard(s, size, w))
 		}
 	} else {
 		var (
 			wg      sync.WaitGroup
-			mu      sync.Mutex
-			done    = resumed
 			shardCh = make(chan int)
 		)
+		// While snapshots are taken, no shard is handed out more than
+		// workers shards past the first unfinished one, so a snapshot
+		// holds at most workers+1 blobs however the workers are
+		// scheduled.
+		window := 0
+		if ckpt.snapshots() {
+			window = workers + 1
+			f.moved = make(chan struct{}, 1)
+		}
 		wg.Add(workers)
-		for w := 0; w < workers; w++ {
+		for range workers {
 			go func() {
 				defer wg.Done()
 				w := newWorker()
@@ -258,23 +242,21 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 					if ctx.Err() != nil {
 						continue
 					}
-					runShard(s, w)
-					if ckpt != nil {
-						ckpt.completed(s, accs[s])
-					}
-					if opts.Progress != nil {
-						mu.Lock()
-						done += shardTrials(s, size, job.Trials)
-						opts.Progress(done, job.Trials)
-						mu.Unlock()
-					}
+					complete(s, job.runShard(s, size, w))
 				}
 			}()
 		}
 	dispatch:
-		for s := 0; s < shards; s++ {
-			if accs[s] != nil {
-				continue // restored from the checkpoint
+		for s := first; s < shards; s++ {
+			if _, ok := restored[s]; ok {
+				continue
+			}
+			for window > 0 && s >= f.frontier()+window {
+				select {
+				case <-f.moved:
+				case <-ctx.Done():
+					break dispatch
+				}
 			}
 			select {
 			case shardCh <- s:
@@ -285,27 +267,66 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 		close(shardCh)
 		wg.Wait()
 	}
-	if ctx.Err() != nil {
-		// A cancel that raced the finish line loses: when every shard ran
-		// to completion the result is whole, so return it. Only a run
-		// with shards actually skipped is cancelled — and its completed
-		// shards are flushed to the checkpoint sink first, so a graceful
-		// shutdown persists everything that finished.
-		for s := 0; s < shards; s++ {
-			if accs[s] == nil {
-				if ckpt != nil {
-					ckpt.flush()
-				}
-				return nil, ErrCanceled
-			}
+	if f.folded < shards {
+		// Only a cancel leaves shards unrun; a cancel that raced the
+		// finish line loses, since every shard ran and the result is
+		// whole. The completed shards are flushed to the checkpoint sink
+		// first, so a graceful shutdown persists everything that
+		// finished.
+		if ckpt != nil {
+			ckpt.flush(f)
 		}
+		return nil, ErrCanceled
 	}
+	return f.prefix, nil
+}
 
-	out := accs[0]
-	for s := 1; s < shards; s++ {
-		out.Merge(accs[s])
+// fold is a run's result so far: prefix is the shard-order merge of
+// shards [0, folded), and later holds the completed shards past the
+// first unfinished one until every shard before them has finished. The
+// engine reads and writes it under mu.
+type fold struct {
+	mu     sync.Mutex
+	prefix Accumulator
+	folded int
+	later  map[int]Accumulator
+	done   int           // trials completed, restored ones included
+	moved  chan struct{} // signalled when folded advances, nil when nobody waits
+}
+
+// add records completed shard s and folds every shard the prefix can now
+// take, in shard order: the same Merge calls, in the same order, as
+// merging all accumulators after the run.
+func (f *fold) add(s int, acc Accumulator) {
+	if s != f.folded {
+		f.later[s] = acc
+		return
 	}
-	return out, nil
+	for {
+		if f.prefix == nil {
+			f.prefix = acc
+		} else {
+			f.prefix.Merge(acc)
+		}
+		f.folded++
+		next, ok := f.later[f.folded]
+		if !ok {
+			break
+		}
+		delete(f.later, f.folded)
+		acc = next
+	}
+	select {
+	case f.moved <- struct{}{}:
+	default:
+	}
+}
+
+// frontier returns the first shard not folded yet.
+func (f *fold) frontier() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.folded
 }
 
 // worker is what each engine worker owns for the whole run: one
@@ -314,6 +335,28 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 type worker struct {
 	r       *rand.Rand
 	scratch any
+}
+
+// runShard runs the trials of shard s on w and returns their
+// accumulator.
+func (job Job) runShard(s, size int, w worker) Accumulator {
+	// Rand.Seed rather than the source's: it also drops bytes a previous
+	// shard's Read left buffered in the Rand.
+	r := w.r
+	r.Seed(ShardSeed(job.Seed, s))
+	acc := job.NewAcc()
+	lo := s * size
+	hi := lo + shardTrials(s, size, job.Trials)
+	if job.TrialScratch != nil {
+		for t := lo; t < hi; t++ {
+			job.TrialScratch(r, t, acc, w.scratch)
+		}
+	} else {
+		for t := lo; t < hi; t++ {
+			job.Trial(r, t, acc)
+		}
+	}
+	return acc
 }
 
 // shardTrials returns how many trials shard s covers.

@@ -125,7 +125,17 @@ func RunWeightedCtx(ctx context.Context, job WeightedJob, opts Options) (*Weight
 		}
 		seen[d] = true
 	}
-	acc, err := RunCtx(ctx, Job{
+	acc, err := RunCtx(ctx, job.engineJob(), opts)
+	if err != nil {
+		return nil, err
+	}
+	return acc.(*weightedAcc).set, nil
+}
+
+// engineJob is the engine job a weighted job runs as: one weightedAcc per
+// shard, its observation buffer zeroed before every trial.
+func (job WeightedJob) engineJob() Job {
+	return Job{
 		Trials: job.Trials,
 		Seed:   job.Seed,
 		NewAcc: func() Accumulator {
@@ -140,11 +150,7 @@ func RunWeightedCtx(ctx context.Context, job WeightedJob, opts Options) (*Weight
 			w := job.Trial(rng, trial, scratch, wa.vals)
 			wa.set.add(wa.vals, w)
 		},
-	}, opts)
-	if err != nil {
-		return nil, err
 	}
-	return acc.(*weightedAcc).set, nil
 }
 
 // newWeightedSet returns the empty estimator set of one shard of job.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -190,7 +191,7 @@ func TestRunWeightedCheckpointResume(t *testing.T) {
 	_, err := RunWeightedCtx(ctx, job, Options{
 		Parallelism: 1,
 		Checkpoint: &CheckpointConfig{Sink: func(c *Checkpoint) {
-			if len(c.Shards) >= 5 {
+			if c.Done() >= 5*DefaultShardSize {
 				snap = c
 				cancel()
 			}
@@ -259,6 +260,33 @@ func BenchmarkRunWeighted(b *testing.B) {
 	}
 }
 
+// BenchmarkRunCheckpointed is a weighted job of 2,048 shards on the
+// lifetime Monte Carlo's shape (seven yearly dimensions, the last
+// sketched) that snapshots after every shard into a sink JSON-encoding
+// the checkpoint, as the sweep service's store does: what checkpointing
+// costs a long job, per job.
+func BenchmarkRunCheckpointed(b *testing.B) {
+	job := WeightedJob{
+		Trials:     2048 * DefaultShardSize,
+		Seed:       1,
+		Dims:       7,
+		SketchDims: []int{6},
+		Trial: func(rng *rand.Rand, trial int, _ any, vals []float64) float64 {
+			weightedObs(rng, vals)
+			return 1
+		},
+	}
+	sink := func(cp *Checkpoint) {
+		if _, err := json.Marshal(cp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runWeighted(job, Options{Parallelism: 1, Checkpoint: &CheckpointConfig{Sink: sink}})
+	}
+}
+
 // shapeJob is a small weighted job with a sketch: 5 shards of 8 trials.
 func shapeJob(dims int, sketchK int) WeightedJob {
 	return WeightedJob{
@@ -276,25 +304,12 @@ func shapeJob(dims int, sketchK int) WeightedJob {
 
 const shapeShard = 8
 
-// snapshotWeighted runs job with a snapshot after every shard and returns
-// the snapshot holding the first shards shards (all of them when shards
-// is the job's shard count).
+// snapshotWeighted returns the per-shard checkpoint of job's first
+// shards shards (all of them when shards is the job's shard count), each
+// shard's blob on its own.
 func snapshotWeighted(t testing.TB, job WeightedJob, shards int) *Checkpoint {
 	t.Helper()
-	var snap *Checkpoint
-	_, err := RunWeightedCtx(context.Background(), job, Options{
-		Parallelism: 1,
-		ShardSize:   shapeShard,
-		Checkpoint: &CheckpointConfig{EveryShards: 1, Sink: func(c *Checkpoint) {
-			if snap == nil && len(c.Shards) == shards {
-				snap = c
-			}
-		}},
-	})
-	if err != nil || snap == nil {
-		t.Fatalf("snapshot run: err %v, snapshot %v", err, snap)
-	}
-	return snap
+	return perShard(t, job.engineJob(), shapeShard, shards)
 }
 
 // sameSet compares two weighted sets bit for bit through their snapshot
@@ -578,44 +593,86 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 }
 
 // FuzzWeightedCheckpointResume feeds a weighted job checkpoints of its
-// own shape whose shard map and blobs the fuzzer picks. A resume must
-// never panic or fail, must give the same set at parallelism 1 and 4,
-// and must equal an uninterrupted run whenever every blob it accepts is
-// the real snapshot of that shard: keep selects which real shards go in,
-// and idx places blobA and blobB (arbitrary bytes) at arbitrary indexes.
+// own shape whose Folded value, shard map and blobs the fuzzer picks. A
+// resume must never panic or fail, must give the same set at
+// parallelism 1 and 4, and must equal the shard-order fold of what it
+// may accept: the Shards[0] blob in place of the first max(folded, 1)
+// shards and each later blob in place of its shard, wherever the blob
+// decodes, the real shard otherwise. A Folded outside [0, shards] makes
+// the resume ignore the checkpoint and equal an uninterrupted run. keep
+// selects which real blobs go in (bit 0: the real prefix of the folded
+// shards), and idx places blobA and blobB (arbitrary bytes) at arbitrary
+// indexes.
 func FuzzWeightedCheckpointResume(f *testing.F) {
+	const shards = 5
 	job := shapeJob(3, 8)
 	full := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
-	snaps := snapshotWeighted(f, job, 5).Shards
-	f.Add(uint8(0x1f), []byte{}, []byte{}, []byte{})
-	f.Add(uint8(0x05), []byte{1, 3}, []byte("not gob"), snaps[0][:len(snaps[0])/2])
-	f.Add(uint8(0x0a), []byte{0, 255, 9}, snaps[2], snaps[4])
-	f.Add(uint8(0x00), []byte{4}, snapshotWeighted(f, shapeJob(2, 8), 5).Shards[4], []byte{})
+	snaps := snapshotWeighted(f, job, shards).Shards
+	// prefixes[k] is the engine's snapshot blob of shards [0, k).
+	prefixes := [][]byte{nil}
+	_, err := RunWeightedCtx(context.Background(), job, Options{Parallelism: 1, ShardSize: shapeShard,
+		Checkpoint: &CheckpointConfig{Sink: func(c *Checkpoint) { prefixes = append(prefixes, c.Shards[0]) }}})
+	if err != nil || len(prefixes) != shards+1 {
+		f.Fatalf("snapshot run: err %v, %d prefixes", err, len(prefixes)-1)
+	}
+	f.Add(uint8(0x1f), int8(0), []byte{}, []byte{}, []byte{})
+	f.Add(uint8(0x05), int8(0), []byte{1, 3}, []byte("not gob"), snaps[0][:len(snaps[0])/2])
+	f.Add(uint8(0x0a), int8(0), []byte{0, 255, 9}, snaps[2], snaps[4])
+	f.Add(uint8(0x00), int8(0), []byte{4}, snapshotWeighted(f, shapeJob(2, 8), shards).Shards[4], []byte{})
 	real := &weightedAcc{set: newWeightedSet(job)}
 	if err := real.UnmarshalBinary(snaps[3]); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(uint8(0x17), []byte{3}, gobWeightedBlob(f, real.set), []byte{})
-	f.Fuzz(func(t *testing.T, keep uint8, idx, blobA, blobB []byte) {
-		cp := &Checkpoint{Trials: job.Trials, Seed: job.Seed, ShardSize: shapeShard, Shards: map[int][]byte{}}
-		for s, b := range snaps {
+	f.Add(uint8(0x17), int8(0), []byte{3}, gobWeightedBlob(f, real.set), []byte{})
+	f.Add(uint8(0x19), int8(3), []byte{}, []byte{}, []byte{})
+	f.Add(uint8(0x01), int8(5), []byte{}, []byte{}, []byte{})
+	f.Add(uint8(0x1f), int8(-1), []byte{0}, prefixes[2], []byte{})
+	f.Add(uint8(0x1f), int8(6), []byte{}, []byte{}, []byte{})
+	f.Add(uint8(0x10), int8(4), []byte{0, 2}, prefixes[2], snaps[2])
+	f.Add(uint8(0x00), int8(2), []byte{0}, prefixes[4], []byte{})
+	decode := func(blob []byte) *weightedAcc {
+		acc := &weightedAcc{set: newWeightedSet(job)}
+		if acc.UnmarshalBinary(blob) != nil {
+			return nil
+		}
+		return acc
+	}
+	f.Fuzz(func(t *testing.T, keep uint8, folded int8, idx, blobA, blobB []byte) {
+		prefix := max(int(folded), 1)
+		cp := &Checkpoint{Trials: job.Trials, Seed: job.Seed, ShardSize: shapeShard, Folded: int(folded), Shards: map[int][]byte{}}
+		for s := range shards {
 			if keep>>s&1 == 1 {
-				cp.Shards[s] = b
+				cp.Shards[s] = snaps[s]
+				if s == 0 && prefix <= shards {
+					cp.Shards[0] = prefixes[prefix]
+				}
 			}
 		}
-		exact := true // every blob the resume can accept is that shard's real one
 		for i, b := range idx {
 			s, blob := int(int8(b)), blobA
 			if i%2 == 1 {
 				blob = blobB
 			}
 			cp.Shards[s] = blob
-			if s >= 0 && s < len(snaps) && string(blob) != string(snaps[s]) &&
-				(&weightedAcc{set: newWeightedSet(job)}).UnmarshalBinary(blob) == nil {
-				exact = false
-			}
 		}
-		var first *WeightedSet
+		want := full
+		if folded >= 0 && int(folded) <= shards {
+			out := decode(cp.Shards[0])
+			next := prefix
+			if out == nil {
+				out, next = decode(snaps[0]), 1
+			}
+			for s := next; s < shards; s++ {
+				acc := decode(snaps[s])
+				if s >= prefix {
+					if a := decode(cp.Shards[s]); a != nil {
+						acc = a
+					}
+				}
+				out.Merge(acc)
+			}
+			want = out.set
+		}
 		for _, p := range []int{1, 4} {
 			got, err := RunWeightedCtx(context.Background(), job, Options{
 				Parallelism: p,
@@ -625,13 +682,8 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 			if err != nil {
 				t.Fatalf("parallelism %d: %v", p, err)
 			}
-			if exact && !sameSet(t, got, full) {
-				t.Fatalf("parallelism %d: resume from real snapshots differs from an uninterrupted run", p)
-			}
-			if first == nil {
-				first = got
-			} else if !sameSet(t, got, first) {
-				t.Fatal("resumed sets differ between parallelism 1 and 4")
+			if !sameSet(t, got, want) {
+				t.Fatalf("parallelism %d: resumed set differs from the fold of the blobs the resume may accept", p)
 			}
 		}
 	})

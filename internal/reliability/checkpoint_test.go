@@ -39,18 +39,38 @@ func ckSpec(opts mc.Options) Spec {
 	}
 }
 
-// recordEveryShard returns options that snapshot after every shard into
-// *last.
-func recordEveryShard(last **mc.Checkpoint) mc.Options {
-	return mc.Options{Parallelism: 1, Checkpoint: &mc.CheckpointConfig{
-		EveryShards: 1,
-		Sink:        func(c *mc.Checkpoint) { *last = c },
-	}}
+// shardBlobs returns the snapshot blob of each of the two shards of the
+// Monte Carlo that run starts with the options it is given. A snapshot
+// after every shard at parallelism 1 first holds shard 0 alone; shard 1
+// alone is the final fold of a resume that restores shard 0 as zero,
+// the blob zero.
+func shardBlobs(t testing.TB, run func(mc.Options) error, zero []byte) [2][]byte {
+	t.Helper()
+	var first, last *mc.Checkpoint
+	record := func(c *mc.Checkpoint) {
+		if first == nil {
+			first = c
+		}
+		last = c
+	}
+	if err := run(mc.Options{Parallelism: 1, Checkpoint: &mc.CheckpointConfig{Sink: record}}); err != nil {
+		t.Fatal(err)
+	}
+	if first.Folded != 0 || len(first.Shards) != 1 || last.Folded != 2 {
+		t.Fatalf("snapshots folded %d (%d blobs) then %d, want 0 (1 blob) then 2", first.Folded, len(first.Shards), last.Folded)
+	}
+	resume := &mc.Checkpoint{Trials: first.Trials, Seed: first.Seed, ShardSize: first.ShardSize, Shards: map[int][]byte{0: zero}}
+	if err := run(mc.Options{Parallelism: 1, Checkpoint: &mc.CheckpointConfig{Resume: resume, Sink: record}}); err != nil {
+		t.Fatal(err)
+	}
+	return [2][]byte{first.Shards[0], last.Shards[0]}
 }
 
 // FuzzLifetimeCheckpointResume resumes FaultyPageFraction or
 // LifetimeOverhead (metric picks) from a fuzzed blob at a fuzzed shard
-// index, at parallelism 1 and 4.
+// index under a fuzzed Folded value, at parallelism 1 and 4. Folded 0 or
+// 1 is the per-shard layout; 2 makes Shards[0] the fold of both shards;
+// any other value makes the resume ignore the checkpoint.
 func FuzzLifetimeCheckpointResume(f *testing.F) {
 	shape := faultmodel.ARCCChannelShape()
 	ov := WorstCaseOverheads(shape, 2)
@@ -58,22 +78,28 @@ func FuzzLifetimeCheckpointResume(f *testing.F) {
 		func(ctx context.Context, s Spec) (*SeriesStats, error) { return FaultyPageFraction(ctx, s, shape) },
 		func(ctx context.Context, s Spec) (*SeriesStats, error) { return LifetimeOverhead(ctx, s, ov, 1) },
 	}
+	sums := func(blob []byte) []float64 {
+		d := make([]float64, ckYears)
+		for i := range d {
+			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(blob[8*i:]))
+		}
+		return d
+	}
 	// shards[m][s] are metric m's real per-year sums of shard s.
 	shards := make([][][]float64, len(metrics))
 	var realBlobs [][]byte
 	for m, metric := range metrics {
-		var cp *mc.Checkpoint
-		got, err := metric(context.Background(), ckSpec(recordEveryShard(&cp)))
+		run := func(opts mc.Options) error {
+			_, err := metric(context.Background(), ckSpec(opts))
+			return err
+		}
+		for _, blob := range shardBlobs(f, run, make([]byte, 8*ckYears)) {
+			shards[m] = append(shards[m], sums(blob))
+			realBlobs = append(realBlobs, blob)
+		}
+		got, err := metric(context.Background(), ckSpec(mc.Options{Parallelism: 1}))
 		if err != nil {
 			f.Fatal(err)
-		}
-		for s := 0; s < ckChannels/ckShard; s++ {
-			acc := &yearSums{sums: make([]float64, ckYears)}
-			if err := acc.UnmarshalBinary(cp.Shards[s]); err != nil {
-				f.Fatal(err)
-			}
-			shards[m] = append(shards[m], acc.sums)
-			realBlobs = append(realBlobs, cp.Shards[s])
 		}
 		if got.Mean[ckYears-1] == 0 {
 			f.Fatalf("metric %d: no faults at these rates", m)
@@ -89,31 +115,37 @@ func FuzzLifetimeCheckpointResume(f *testing.F) {
 	for i := range ckYears {
 		binary.LittleEndian.PutUint64(nan[8*i:], 0x7ff8_0000_0000_0001)
 	}
-	f.Add(uint8(0), int8(0), realBlobs[0])
-	f.Add(uint8(1), int8(1), realBlobs[3])
-	f.Add(uint8(0), int8(1), realBlobs[2]) // another metric's shard
-	f.Add(uint8(1), int8(0), nan)
-	f.Add(uint8(0), int8(1), realBlobs[1][:8*ckYears-1])
-	f.Add(uint8(1), int8(2), realBlobs[0])
-	f.Add(uint8(0), int8(-1), []byte{})
-	f.Fuzz(func(t *testing.T, metric uint8, shard int8, blob []byte) {
+	f.Add(uint8(0), int8(0), int8(0), realBlobs[0])
+	f.Add(uint8(1), int8(1), int8(0), realBlobs[3])
+	f.Add(uint8(0), int8(1), int8(0), realBlobs[2]) // another metric's shard
+	f.Add(uint8(1), int8(0), int8(0), nan)
+	f.Add(uint8(0), int8(1), int8(0), realBlobs[1][:8*ckYears-1])
+	f.Add(uint8(1), int8(2), int8(0), realBlobs[0])
+	f.Add(uint8(0), int8(-1), int8(0), []byte{})
+	f.Add(uint8(0), int8(0), int8(2), realBlobs[1])
+	f.Add(uint8(1), int8(1), int8(2), realBlobs[2])
+	f.Add(uint8(0), int8(0), int8(3), nan)
+	f.Add(uint8(1), int8(0), int8(-1), realBlobs[0])
+	f.Add(uint8(0), int8(0), int8(1), nan)
+	f.Fuzz(func(t *testing.T, metric uint8, shard, folded int8, blob []byte) {
 		m, s := int(metric)%len(metrics), int(shard)
 		parts := append([][]float64(nil), shards[m]...)
-		if s >= 0 && s < len(parts) && len(blob) == 8*ckYears {
-			d := make([]float64, ckYears)
-			for i := range d {
-				d[i] = math.Float64frombits(binary.LittleEndian.Uint64(blob[8*i:]))
-			}
-			parts[s] = d
+		fold := func(i int) float64 { return parts[0][i] + parts[1][i] }
+		switch valid := len(blob) == 8*ckYears; {
+		case folded == 2 && s == 0 && valid:
+			d := sums(blob) // the fold of both shards
+			fold = func(i int) float64 { return d[i] }
+		case folded >= 0 && folded <= 1 && s >= 0 && s < len(parts) && valid:
+			parts[s] = sums(blob)
 		}
-		cp := &mc.Checkpoint{Trials: ckChannels, Seed: 7, ShardSize: ckShard, Shards: map[int][]byte{s: blob}}
+		cp := &mc.Checkpoint{Trials: ckChannels, Seed: 7, ShardSize: ckShard, Folded: int(folded), Shards: map[int][]byte{s: blob}}
 		for _, p := range []int{1, 4} {
 			got, err := metrics[m](context.Background(), ckSpec(mc.Options{Parallelism: p, Checkpoint: &mc.CheckpointConfig{Resume: cp}}))
 			if err != nil {
 				t.Fatalf("parallelism %d: %v", p, err)
 			}
 			for i, v := range got.Mean {
-				if want := (parts[0][i] + parts[1][i]) / ckChannels; math.Float64bits(v) != math.Float64bits(want) {
+				if want := fold(i) / ckChannels; math.Float64bits(v) != math.Float64bits(want) {
 					t.Fatalf("parallelism %d year %d: resumed mean %v, want %v", p, i, v, want)
 				}
 			}
@@ -132,15 +164,18 @@ func FuzzSDCCheckpointResume(f *testing.F) {
 		opts.ShardSize = size
 		return SimulateARCCDED(context.Background(), seed, opts, p, channels)
 	}
-	var cp *mc.Checkpoint
-	total, err := simulate(recordEveryShard(&cp))
+	blobs := shardBlobs(f, func(opts mc.Options) error {
+		_, err := simulate(opts)
+		return err
+	}, make([]byte, 8))
+	total, err := simulate(mc.Options{Parallelism: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
 	var counts []int
-	for s := 0; s < channels/size; s++ {
+	for _, blob := range blobs {
 		acc := &eventCount{}
-		if err := acc.UnmarshalBinary(cp.Shards[s]); err != nil {
+		if err := acc.UnmarshalBinary(blob); err != nil {
 			f.Fatal(err)
 		}
 		counts = append(counts, acc.events)
@@ -148,11 +183,11 @@ func FuzzSDCCheckpointResume(f *testing.F) {
 	if counts[0]+counts[1] != total || total == 0 {
 		f.Fatalf("shard counts %v for a total of %d events", counts, total)
 	}
-	f.Add(int8(0), cp.Shards[0])
-	f.Add(int8(1), cp.Shards[0])
+	f.Add(int8(0), blobs[0])
+	f.Add(int8(1), blobs[0])
 	f.Add(int8(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(int8(0), []byte{1, 2, 3})
-	f.Add(int8(2), cp.Shards[1])
+	f.Add(int8(2), blobs[1])
 	f.Fuzz(func(t *testing.T, shard int8, blob []byte) {
 		s := int(shard)
 		parts := append([]int(nil), counts...)

@@ -171,12 +171,11 @@ func TestCrashMidSweepResumesByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	fs := faultfs.Wrap(faultfs.OS())
 	opts := server.Options{
-		Workers:               1,
-		StateDir:              dir,
-		FS:                    fs,
-		CheckpointEveryShards: 200,
-		CheckpointPeriod:      time.Hour, // cadence purely shard-driven
-		Logf:                  t.Logf,
+		Workers:          1,
+		StateDir:         dir,
+		FS:               fs,
+		CheckpointPeriod: time.Millisecond,
+		Logf:             t.Logf,
 	}
 	svc1, ts1 := startServer(t, opts)
 
@@ -241,33 +240,10 @@ func TestCrashMidSweepResumesByteIdentical(t *testing.T) {
 // uninterrupted run's byte for byte.
 func TestResumeFromGobCheckpointsRerunsShards(t *testing.T) {
 	const scenario = `{"name":"gob-resume","years":3,"trials":640,"ci":true}`
-	dir := t.TempDir()
-	for _, name := range []string{"journal.jsonl", filepath.Join("checkpoints", "job-1.json")} {
-		b, err := os.ReadFile(filepath.Join("testdata", "gob-checkpoints", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir, family := stateFixture(t, "gob-checkpoints")
 
 	// The family is what it claims: two engine jobs of the scenario's
 	// shape, each blob a gob image of a full shard.
-	raw, err := os.ReadFile(filepath.Join(dir, "checkpoints", "job-1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var family map[int]*mc.Checkpoint
-	if err := json.Unmarshal(raw, &family); err != nil {
-		t.Fatal(err)
-	}
-	if len(family) != 2 {
-		t.Fatalf("fixture holds %d engine jobs, want 2", len(family))
-	}
 	for i, cp := range family {
 		if cp.Trials != 640 || cp.ShardSize != mc.DefaultShardSize || len(cp.Shards) == 0 {
 			t.Fatalf("engine job %d: checkpoint of %d trials, shard size %d, %d shards", i, cp.Trials, cp.ShardSize, len(cp.Shards))
@@ -288,6 +264,68 @@ func TestResumeFromGobCheckpointsRerunsShards(t *testing.T) {
 	}
 	if final := waitState(t, ts, "job-1", server.StateDone); !final.Recovered {
 		t.Fatal("finished job not marked recovered")
+	}
+	code, got := get(t, ts.URL+"/v1/jobs/job-1/result")
+	if code != http.StatusOK {
+		t.Fatalf("recovered result: HTTP %d: %s", code, got)
+	}
+	if want := cliRender(t, scenario, "json", 9, 0, 1, false); !bytes.Equal(got, want) {
+		t.Errorf("recovered report differs from an uninterrupted run:\n--- recovered ---\n%s\n--- uninterrupted ---\n%s", got, want)
+	}
+}
+
+// stateFixture copies testdata/<name>, the state dir of a server stopped
+// mid-job (its journal and job-1's checkpoint family), into a fresh
+// directory and returns it with the decoded family of two engine jobs.
+func stateFixture(t *testing.T, name string) (string, map[int]*mc.Checkpoint) {
+	t.Helper()
+	dir := t.TempDir()
+	for _, file := range []string{"journal.jsonl", filepath.Join("checkpoints", "job-1.json")} {
+		b, err := os.ReadFile(filepath.Join("testdata", name, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, file)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "checkpoints", "job-1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var family map[int]*mc.Checkpoint
+	if err := json.Unmarshal(raw, &family); err != nil {
+		t.Fatal(err)
+	}
+	if len(family) != 2 {
+		t.Fatalf("fixture holds %d engine jobs, want 2", len(family))
+	}
+	return dir, family
+}
+
+// TestResumeFromPerShardCheckpoints: testdata/per-shard-checkpoints is
+// the state dir of a server from before the engine folded shards into
+// one prefix blob, stopped mid-job: its first engine job had
+// checkpointed 40 of 47 shards and its second 8, one blob per shard. The
+// recovered job resumes from them and its report equals an
+// uninterrupted run's byte for byte.
+func TestResumeFromPerShardCheckpoints(t *testing.T) {
+	const scenario = `{"name":"per-shard-resume","years":3,"trials":3000}`
+	dir, family := stateFixture(t, "per-shard-checkpoints")
+	for i, want := range map[int]int{0: 40, 1: 8} {
+		cp := family[i]
+		if cp == nil || cp.Folded != 0 || len(cp.Shards) != want || cp.Done() != want*mc.DefaultShardSize {
+			t.Fatalf("engine job %d: not a per-shard checkpoint of %d shards: %+v", i, want, cp)
+		}
+	}
+
+	svc, ts := startServer(t, server.Options{Workers: 1, StateDir: dir, Logf: t.Logf})
+	defer stopServer(t, svc, ts)
+	if final := waitState(t, ts, "job-1", server.StateDone); !final.Recovered || !final.Resumed {
+		t.Fatalf("finished job recovered=%v resumed=%v, want both true", final.Recovered, final.Resumed)
 	}
 	code, got := get(t, ts.URL+"/v1/jobs/job-1/result")
 	if code != http.StatusOK {
@@ -336,12 +374,11 @@ func TestCheckpointWriteFaultsDoNotFailJob(t *testing.T) {
 	// Every checkpoint write fails at creation; the sweep must not care.
 	fs.AddRule(faultfs.Rule{Op: faultfs.OpCreate, PathContains: "checkpoints"})
 	_, ts := newTestServer(t, server.Options{
-		Workers:               1,
-		StateDir:              t.TempDir(),
-		FS:                    fs,
-		CheckpointEveryShards: 50,
-		CheckpointPeriod:      time.Hour,
-		Logf:                  t.Logf,
+		Workers:          1,
+		StateDir:         t.TempDir(),
+		FS:               fs,
+		CheckpointPeriod: time.Millisecond,
+		Logf:             t.Logf,
 	})
 	_, st := post(t, ts, fmt.Sprintf(`{"scenario": %s, "seed": 4, "parallel": 1}`, scenario))
 	waitState(t, ts, st.ID, server.StateDone)
@@ -351,6 +388,69 @@ func TestCheckpointWriteFaultsDoNotFailJob(t *testing.T) {
 	}
 	if want := cliRender(t, scenario, "json", 4, 0, 1, false); !bytes.Equal(got, want) {
 		t.Error("checkpoint write faults changed the report bytes")
+	}
+}
+
+// TestShortJobWritesNoCheckpoint: a job that finishes inside one
+// checkpoint period at the default cadence writes nothing under
+// checkpoints/, so a short served job pays no fsync for durability.
+func TestShortJobWritesNoCheckpoint(t *testing.T) {
+	const scenario = `{"name":"short","trials":8000}`
+	dir := t.TempDir()
+	fs := faultfs.Wrap(faultfs.OS())
+	var mu sync.Mutex
+	var touched []string
+	fs.SetHook(func(op faultfs.Op, path string) {
+		if (op == faultfs.OpCreate || op == faultfs.OpRename) && strings.HasPrefix(path, filepath.Join(dir, "checkpoints")) {
+			mu.Lock()
+			touched = append(touched, string(op)+" "+path)
+			mu.Unlock()
+		}
+	})
+	_, ts := newTestServer(t, server.Options{Workers: 1, StateDir: dir, FS: fs, Logf: t.Logf})
+	_, st := post(t, ts, fmt.Sprintf(`{"scenario": %s, "seed": 2, "parallel": 1}`, scenario))
+	waitState(t, ts, st.ID, server.StateDone)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(touched) > 0 {
+		t.Errorf("a job shorter than the checkpoint period wrote checkpoints: %v", touched)
+	}
+}
+
+// TestLongJobCheckpointStaysSmall: a job checkpointing every millisecond
+// writes one folded blob per engine job, so its checkpoint file stays
+// small however many shards it has done.
+func TestLongJobCheckpointStaysSmall(t *testing.T) {
+	const scenario = `{"name":"long","trials":300000}`
+	const bound = 16 << 10
+	dir := t.TempDir()
+	fs := faultfs.Wrap(faultfs.OS())
+	var mu sync.Mutex
+	writes, largest := 0, int64(0)
+	fs.SetHook(func(op faultfs.Op, path string) {
+		if op != faultfs.OpRename || !strings.HasPrefix(path, filepath.Join(dir, "checkpoints")) {
+			return
+		}
+		// The hook runs before the rename: the written file is still
+		// the temporary one.
+		fi, err := os.Stat(path + ".tmp")
+		mu.Lock()
+		defer mu.Unlock()
+		writes++
+		if err == nil {
+			largest = max(largest, fi.Size())
+		}
+	})
+	_, ts := newTestServer(t, server.Options{Workers: 1, StateDir: dir, FS: fs, CheckpointPeriod: time.Millisecond, Logf: t.Logf})
+	_, st := post(t, ts, fmt.Sprintf(`{"scenario": %s, "seed": 3, "parallel": 1}`, scenario))
+	waitState(t, ts, st.ID, server.StateDone)
+	mu.Lock()
+	defer mu.Unlock()
+	if writes == 0 {
+		t.Fatal("the job never wrote a checkpoint")
+	}
+	if largest > bound {
+		t.Errorf("largest of %d checkpoint files is %d bytes, want at most %d", writes, largest, bound)
 	}
 }
 
@@ -457,6 +557,8 @@ func TestRecoveryRevalidatesInterruptedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	oversized := sc
+	oversized.Trials = 2000
 	record := func(id string, fields map[string]any) string {
 		rec := map[string]any{"op": "submit", "id": id, "key": "key-" + id, "name": "tiny", "format": "json", "scenario": sc}
 		for k, v := range fields {
@@ -479,6 +581,7 @@ func TestRecoveryRevalidatesInterruptedJobs(t *testing.T) {
 		{"job-4", "unrenderable format", record("job-4", map[string]any{"format": "xml"})},
 		{"job-5", "both exhibit and scenario", record("job-5", map[string]any{"exhibit": "t7.1"})},
 		{"job-6", "neither exhibit nor scenario", record("job-6", map[string]any{"scenario": nil})},
+		{"job-8", "scenario trials above the cap", record("job-8", map[string]any{"scenario": oversized})},
 	}
 	journal := record("job-7", map[string]any{"seed": 7})
 	for _, c := range invalid {

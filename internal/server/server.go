@@ -22,7 +22,7 @@
 // With Options.StateDir set the service survives crashes: accepted jobs
 // are recorded in an append-only fsync'd journal, completed reports are
 // persisted as content-addressed files, and running jobs checkpoint
-// their completed Monte Carlo shards every few shards or seconds. On
+// their completed Monte Carlo shards every CheckpointPeriod. On
 // startup the journal is replayed — tolerating a torn final record —
 // the result cache is restored, and jobs interrupted mid-run re-enter
 // through the same checks and admission (cache hit, coalesce, enqueue)
@@ -72,7 +72,8 @@ type Options struct {
 	// <= 0 means DefaultQueueDepth. A full queue rejects submissions with
 	// 503 rather than queueing unboundedly.
 	QueueDepth int
-	// MaxTrials caps the per-job Monte Carlo channel override; <= 0 means
+	// MaxTrials caps a job's Monte Carlo channel count: the trials
+	// override when set, the scenario's own count otherwise; <= 0 means
 	// DefaultMaxTrials. Requests above the cap are 400s.
 	MaxTrials int
 	// MaxCachedResults bounds the content-addressed result cache; <= 0
@@ -95,13 +96,11 @@ type Options struct {
 	// the result cache, and running-job checkpoints are persisted under
 	// this directory and recovered on startup (see the package comment).
 	StateDir string
-	// CheckpointEveryShards snapshots a running job after this many
-	// completed engine shards; <= 0 means DefaultCheckpointEveryShards.
-	// Only meaningful with StateDir.
-	CheckpointEveryShards int
-	// CheckpointPeriod also snapshots when this much time passed since
-	// the previous snapshot; <= 0 means DefaultCheckpointPeriod. Only
-	// meaningful with StateDir.
+	// CheckpointPeriod snapshots each running engine job when this much
+	// time passed since its previous snapshot, so a crash loses at most
+	// about one period of work per engine job the job has started, and a
+	// job shorter than the period writes no checkpoint; <= 0 means
+	// DefaultCheckpointPeriod. Only meaningful with StateDir.
 	CheckpointPeriod time.Duration
 	// FS is the filesystem the durable store writes through; nil means
 	// the real one. Tests inject faults here (faultfs.Wrap).
@@ -128,11 +127,7 @@ const DefaultMaxCachedResults = 256
 // Options.MaxFinishedJobs is zero.
 const DefaultMaxFinishedJobs = 1024
 
-// DefaultCheckpointEveryShards is the shard-count checkpoint cadence when
-// Options.CheckpointEveryShards is zero.
-const DefaultCheckpointEveryShards = 64
-
-// DefaultCheckpointPeriod is the time-based checkpoint cadence when
+// DefaultCheckpointPeriod is the checkpoint cadence when
 // Options.CheckpointPeriod is zero.
 const DefaultCheckpointPeriod = 2 * time.Second
 
@@ -245,7 +240,6 @@ func New(opts Options) (*Server, error) {
 	defaultTo(&opts.MaxTrials, DefaultMaxTrials)
 	defaultTo(&opts.MaxCachedResults, DefaultMaxCachedResults)
 	defaultTo(&opts.MaxFinishedJobs, DefaultMaxFinishedJobs)
-	defaultTo(&opts.CheckpointEveryShards, DefaultCheckpointEveryShards)
 	defaultTo(&opts.CheckpointPeriod, DefaultCheckpointPeriod)
 	if opts.FS == nil {
 		opts.FS = faultfs.OS()
@@ -330,11 +324,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // check is the one admission rule for a job record, whether it arrived
 // as a POST body (validate) or was replayed from the journal
 // (recoverState): exactly one of exhibit and scenario, trials within
-// [0, MaxTrials], parallel within [0, MaxParallel], a renderable format,
-// and a registered exhibit or a valid scenario. On success it fills in
-// the record's canonical name, default format and cache key and returns
-// the runnable exhibit; nothing that fails it reaches a worker.
+// [0, MaxTrials] (the override, or a scenario's own count when there is
+// none), parallel within [0, MaxParallel], a renderable format, and a
+// registered exhibit or a valid scenario. On success it fills in the
+// record's canonical name, default format and cache key and returns the
+// runnable exhibit; nothing that fails it reaches a worker.
 func (s *Server) check(rec *journalRecord) (exhibit.Exhibit, error) {
+	trials := rec.Trials
+	if trials == 0 && rec.Scenario != nil {
+		trials = rec.Scenario.Trials
+	}
 	switch {
 	case rec.Exhibit == "" && rec.Scenario == nil:
 		return exhibit.Exhibit{}, errors.New("job needs exactly one of \"exhibit\" and \"scenario\"")
@@ -342,8 +341,8 @@ func (s *Server) check(rec *journalRecord) (exhibit.Exhibit, error) {
 		return exhibit.Exhibit{}, errors.New("job sets both \"exhibit\" and \"scenario\"; pick one")
 	case rec.Trials < 0:
 		return exhibit.Exhibit{}, fmt.Errorf("negative trials %d", rec.Trials)
-	case rec.Trials > s.opts.MaxTrials:
-		return exhibit.Exhibit{}, fmt.Errorf("trials %d exceeds the server cap %d", rec.Trials, s.opts.MaxTrials)
+	case trials > s.opts.MaxTrials:
+		return exhibit.Exhibit{}, fmt.Errorf("trials %d exceeds the server cap %d", trials, s.opts.MaxTrials)
 	case rec.Parallel < 0 || rec.Parallel > MaxParallel:
 		return exhibit.Exhibit{}, fmt.Errorf("parallel %d outside [0, %d]", rec.Parallel, MaxParallel)
 	}
@@ -701,7 +700,7 @@ func (s *Server) runJob(j *job) {
 	// that replay always sees a consistent set. Write failures degrade
 	// durability, never the sweep.
 	if s.store != nil {
-		j.cfg.Resume = mc.NewResumer(j.saved, s.opts.CheckpointEveryShards, s.opts.CheckpointPeriod,
+		j.cfg.Resume = mc.NewResumer(j.saved, s.opts.CheckpointPeriod,
 			func(family map[int]*mc.Checkpoint) {
 				if err := s.store.saveCheckpoints(j.id, family); err != nil {
 					s.logf("server: persisting checkpoint of %s: %v", j.id, err)

@@ -461,7 +461,9 @@ func TestCancelMidRun(t *testing.T) {
 }
 
 func TestRequestValidation(t *testing.T) {
-	_, ts := newTestServer(t, server.Options{Workers: 1, MaxTrials: 1000})
+	// The cap is a scenario's default trial count, so the scenario cases
+	// below reach the scenario checks.
+	_, ts := newTestServer(t, server.Options{Workers: 1, MaxTrials: 10_000})
 	cases := []struct {
 		name, body string
 	}{
@@ -470,7 +472,8 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown exhibit", `{"exhibit": "nope"}`},
 		{"unknown field", `{"exhibit": "t7.1", "bogus": 1}`},
 		{"negative trials", `{"exhibit": "t7.1", "trials": -1}`},
-		{"oversized trials", `{"exhibit": "t7.1", "trials": 1001}`},
+		{"oversized trials", `{"exhibit": "t7.1", "trials": 10001}`},
+		{"oversized scenario trials", `{"scenario": {"name": "x", "trials": 10001}}`},
 		{"negative parallel", `{"exhibit": "t7.1", "parallel": -2}`},
 		{"oversized parallel", `{"exhibit": "t7.1", "parallel": 1000000}`},
 		{"bad format", `{"exhibit": "t7.1", "format": "xml"}`},

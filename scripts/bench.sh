@@ -36,9 +36,11 @@ run -bench='SampleArrivals|SamplerSampleInto' ./internal/faultmodel/
 # Streaming estimators and the weighted MC path (PR 9): per-observation
 # accumulator costs, the weighted engine overhead, one weighted shard's
 # checkpoint round trip (seven years, with and without a final-year
-# sketch), and the conditional rare-event lifetime sweep end to end.
+# sketch), a 2,048-shard weighted job snapshotting after every shard into
+# a JSON-encoding sink (what checkpointing costs a long served job), and
+# the conditional rare-event lifetime sweep end to end.
 run -bench='WelfordAdd|WeightedAdd|QuantileSketch' ./internal/stats/
-run -bench='RunWeighted|WeightedSnapshot' ./internal/mc/
+run -bench='RunWeighted|WeightedSnapshot|RunCheckpointed' ./internal/mc/
 run -bench='LifetimeOverheadStatsConditional' ./internal/reliability/
 # The paged sparse memory core (PR 10): a terabyte-span line sweep over
 # lazily materialised pages — ns/op and B/op gate the zero-alloc

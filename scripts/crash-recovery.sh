@@ -3,9 +3,10 @@
 # resumed report is byte-identical to an uninterrupted run.
 #
 # Builds cmd/arcc-server and cmd/arcc-experiments, starts the server with
-# a -state-dir and an aggressive checkpoint cadence, submits a serial
-# multi-million-trial scenario sweep, waits for the first checkpoint file
-# to land, and SIGKILLs the process — no drain, no flush, the real crash.
+# a -state-dir, a 100ms checkpoint period and a trial cap raised to the
+# job's 2M trials, submits a serial multi-million-trial scenario sweep,
+# waits for the first checkpoint file to land, and SIGKILLs the process
+# — no drain, no flush, the real crash.
 # A second server on the same state dir must replay the journal, re-enqueue
 # the interrupted job from its checkpoint, and finish it; the fetched
 # report is then compared byte for byte against what the arcc-experiments
@@ -43,7 +44,7 @@ wait_healthy() {
 
 start_server() {
     "$work/arcc-server" -addr "127.0.0.1:${port}" -workers 1 \
-        -state-dir "$state" -checkpoint-shards 200 -checkpoint-seconds 1 &
+        -state-dir "$state" -checkpoint-period 100ms -max-trials 2000000 &
     server_pid=$!
     wait_healthy
 }
@@ -74,8 +75,11 @@ echo "killed mid-sweep with $(wc -c < "$state/checkpoints/$id.json") bytes of ch
 echo "== second server: recover, resume, compare =="
 start_server
 
+# Recovered alone would also pass a recovery that dropped the checkpoint
+# and re-ran from scratch; resumed says it restarted from the checkpoint.
 status=$(curl -fsS "$base/jobs/$id")
 printf '%s' "$status" | grep -q '"recovered": true' || { echo "job not recovered: $status"; exit 1; }
+printf '%s' "$status" | grep -q '"resumed": true' || { echo "job not resumed from its checkpoint: $status"; exit 1; }
 
 result="$work/resumed.json"
 code=""
