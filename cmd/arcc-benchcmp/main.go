@@ -1,7 +1,9 @@
 // Command arcc-benchcmp is the CLI for the performance-trajectory gate:
 // it compares two benchmark files recorded by scripts/bench.sh and exits
 // nonzero when the newer one regresses the hot path (>15% ns/op slowdown
-// by default, or a zero-alloc benchmark starting to allocate).
+// by default, or a zero-alloc benchmark starting to allocate). The report
+// opens with the host each file was recorded on, read from the raw .txt
+// beside it, and says when the two differ.
 //
 // Usage:
 //
@@ -56,6 +58,8 @@ func main() {
 	}
 
 	rep := benchcmp.Compare(oldPts, newPts, benchcmp.Options{Threshold: *threshold, Exclude: excludeRe})
+	rep.OldHost = benchcmp.LoadHost(flag.Arg(0), oldPts)
+	rep.NewHost = benchcmp.LoadHost(flag.Arg(1), newPts)
 	if err := rep.Write(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "arcc-benchcmp: %v\n", err)
 		os.Exit(2)

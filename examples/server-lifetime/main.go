@@ -10,22 +10,24 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
 
 	"arcc/internal/exhibit"
 	"arcc/internal/experiments"
 	"arcc/internal/faultmodel"
+	"arcc/internal/rng"
 )
 
 func main() {
 	const years = 7
-	rng := rand.New(rand.NewSource(2026))
+	var src rng.Source
+	src.Seed(2026)
 	shape := faultmodel.ARCCChannelShape()
 	rates := faultmodel.FieldStudyRates()
 
 	// One concrete server: sample a single channel's fault history.
 	fmt.Println("one server's fault history (72 devices, 7 years):")
-	arrivals := faultmodel.SampleArrivals(rng, rates.Scale(20), 2, 36, years) // 20x rates so the story has events
+	sampler := faultmodel.NewSampler(rates.Scale(20), 2, 36, years) // 20x rates so the story has events
+	arrivals, _ := sampler.SampleInto(&src, nil)
 	if len(arrivals) == 0 {
 		fmt.Println("  (no faults)")
 	}

@@ -15,6 +15,11 @@
 // are too noisy to gate on) are reported but never fail the gate, as are
 // benchmarks that only one file contains. cmd/arcc-benchcmp is the CLI
 // wrapper CI runs on every push.
+//
+// The report opens with the host each file was recorded on (LoadHost):
+// ns/op compares code only between files from the same kind of machine,
+// so when the hosts differ the report says so, and its deltas mix the
+// code's change with the hosts' speed.
 package benchcmp
 
 import (
@@ -24,6 +29,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -120,6 +126,65 @@ const DefaultExcludePattern = `^BenchmarkFig`
 type Report struct {
 	Rows      []Row
 	Threshold float64
+	// OldHost and NewHost, when set, are the hosts the two files were
+	// recorded on; Write prints them first.
+	OldHost, NewHost Host
+}
+
+// Host is the machine a benchmark file was recorded on, as far as the
+// files tell: the cpu: line go test prints into the raw text bench.sh
+// keeps beside the JSON, and GOMAXPROCS from the -N suffix go test
+// appends to benchmark names (it appends none at GOMAXPROCS 1).
+type Host struct {
+	CPU   string // "" when unknown
+	Procs int    // 0 when unknown
+}
+
+// LoadHost returns the host of the benchmark file at path, whose points
+// are pts: the first cpu: line of the sibling .txt (path with .json
+// replaced), and the GOMAXPROCS suffix of the first point name that has
+// one, or 1 when none has. A missing or unreadable .txt leaves the CPU
+// unknown; it does not fail the comparison, which needs only the JSON.
+func LoadHost(path string, pts []Point) Host {
+	var h Host
+	if raw, err := os.ReadFile(strings.TrimSuffix(path, ".json") + ".txt"); err == nil {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
+				h.CPU = strings.TrimSpace(cpu)
+				break
+			}
+		}
+	}
+	if len(pts) > 0 {
+		h.Procs = 1
+	}
+	for _, p := range pts {
+		if c := canonical(p.Name); c != p.Name {
+			if n, err := strconv.Atoi(p.Name[len(c)+1:]); err == nil {
+				h.Procs = n
+				break
+			}
+		}
+	}
+	return h
+}
+
+func (h Host) String() string {
+	cpu, procs := h.CPU, "?"
+	if cpu == "" {
+		cpu = "unknown cpu"
+	}
+	if h.Procs > 0 {
+		procs = strconv.Itoa(h.Procs)
+	}
+	return fmt.Sprintf("%s, GOMAXPROCS %s", cpu, procs)
+}
+
+// differs reports whether h and o are known to be different hosts: a
+// field unknown on either side is no evidence either way.
+func (h Host) differs(o Host) bool {
+	return (h.CPU != "" && o.CPU != "" && h.CPU != o.CPU) ||
+		(h.Procs > 0 && o.Procs > 0 && h.Procs != o.Procs)
 }
 
 // Failed reports whether any row regressed.
@@ -222,8 +287,18 @@ func allocsRegressed(op, np *Point) bool {
 }
 
 // Write renders the report as an aligned text table with a one-line
-// verdict at the end.
+// verdict at the end, after the two hosts when they are set and a
+// "hosts differ" line when they are known to differ.
 func (r *Report) Write(w io.Writer) error {
+	if r.OldHost != (Host{}) || r.NewHost != (Host{}) {
+		header := fmt.Sprintf("old host: %v\nnew host: %v\n", r.OldHost, r.NewHost)
+		if r.OldHost.differs(r.NewHost) {
+			header += "benchcmp: hosts differ: ns/op deltas include the hosts' speed difference, not only the code's\n"
+		}
+		if _, err := io.WriteString(w, header); err != nil {
+			return err
+		}
+	}
 	for _, row := range r.Rows {
 		line := fmt.Sprintf("%-44s %-10s", row.Name, row.Verdict)
 		switch row.Verdict {

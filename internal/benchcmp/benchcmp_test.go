@@ -2,6 +2,8 @@ package benchcmp
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -191,5 +193,66 @@ func TestWriteReport(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "PASS") {
 		t.Fatalf("clean report does not say PASS:\n%s", buf.String())
+	}
+}
+
+// TestHostStamp reads each file's host from the raw .txt beside it and
+// the GOMAXPROCS suffix of its names, prints both hosts first and adds
+// one "hosts differ" line only when they are known to differ, without
+// touching the verdict.
+func TestHostStamp(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, txt string) string {
+		t.Helper()
+		path := filepath.Join(dir, name+".json")
+		if txt != "" {
+			if err := os.WriteFile(filepath.Join(dir, name+".txt"), []byte(txt), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return path
+	}
+	const header = "goos: linux\ngoarch: amd64\npkg: arcc/internal/gf\n"
+	slow := write("slow", header+"cpu: Intel(R) Xeon(R) Processor @ 2.10GHz\nBenchmarkA \t 10\t 100 ns/op\n")
+	fast := write("fast", header+"cpu: Intel(R) Xeon(R) Processor\nBenchmarkA-2 \t 10\t 100 ns/op\n")
+	bare := write("bare", "")
+	serial := []Point{point("BenchmarkA", 100, 0)}
+	parallel := []Point{point("BenchmarkA-2", 100, 0)}
+
+	for _, tc := range []struct {
+		name        string
+		old, new    Host
+		wantOld     string
+		wantNew     string
+		wantDiffers bool
+	}{
+		{"cpu and procs differ", LoadHost(slow, serial), LoadHost(fast, parallel),
+			"Intel(R) Xeon(R) Processor @ 2.10GHz, GOMAXPROCS 1", "Intel(R) Xeon(R) Processor, GOMAXPROCS 2", true},
+		{"same host", LoadHost(fast, parallel), LoadHost(fast, parallel),
+			"Intel(R) Xeon(R) Processor, GOMAXPROCS 2", "Intel(R) Xeon(R) Processor, GOMAXPROCS 2", false},
+		{"procs differ", LoadHost(fast, serial), LoadHost(fast, parallel),
+			"Intel(R) Xeon(R) Processor, GOMAXPROCS 1", "Intel(R) Xeon(R) Processor, GOMAXPROCS 2", true},
+		{"no raw text", LoadHost(bare, parallel), LoadHost(fast, parallel),
+			"unknown cpu, GOMAXPROCS 2", "Intel(R) Xeon(R) Processor, GOMAXPROCS 2", false},
+	} {
+		rep := Compare(serial, parallel, Options{})
+		rep.OldHost, rep.NewHost = tc.old, tc.new
+		var buf bytes.Buffer
+		if err := rep.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(buf.String(), "\n")
+		if lines[0] != "old host: "+tc.wantOld || lines[1] != "new host: "+tc.wantNew {
+			t.Errorf("%s: header\n%s\nwant hosts %q and %q", tc.name, buf.String(), tc.wantOld, tc.wantNew)
+		}
+		if got := strings.Count(buf.String(), "hosts differ"); got != map[bool]int{false: 0, true: 1}[tc.wantDiffers] {
+			t.Errorf("%s: %d \"hosts differ\" lines, want differ=%v:\n%s", tc.name, got, tc.wantDiffers, buf.String())
+		}
+		if rep.Failed() || !strings.Contains(buf.String(), "benchcmp: PASS") {
+			t.Errorf("%s: the host stamp changed the verdict:\n%s", tc.name, buf.String())
+		}
+	}
+	if h := LoadHost(bare, nil); h != (Host{}) {
+		t.Errorf("empty file without raw text: host %+v, want unknown", h)
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"io"
-	"math/rand"
 
 	"arcc/internal/cache"
 	"arcc/internal/core"
@@ -11,6 +10,7 @@ import (
 	"arcc/internal/exhibit"
 	"arcc/internal/mc"
 	"arcc/internal/memctrl"
+	"arcc/internal/rng"
 	"arcc/internal/scrub"
 	"arcc/internal/sim"
 	"arcc/internal/workload"
@@ -92,7 +92,7 @@ func (rows ScrubAblationResult) Fprint(w io.Writer) {
 // runs fan out across the engine's workers.
 func upgradedIPCs(ctx context.Context, cfg exhibit.Config, mixes []workload.Mix, fraction float64, n int, set func(c *sim.Config, v int)) ([]float64, error) {
 	return mc.MapScratchCtx(ctx, n*len(mixes), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
-		func(_ *rand.Rand, i int, s *sim.Scratch) float64 {
+		func(_ *rng.Source, i int, s *sim.Scratch) float64 {
 			c := sim.DefaultConfig(mixes[i%len(mixes)], sim.ARCC)
 			c.InstructionsPerCore = instructions(cfg)
 			c.UpgradedFraction = fraction

@@ -3,11 +3,11 @@ package experiments
 import (
 	"context"
 	"io"
-	"math/rand"
 
 	"arcc/internal/exhibit"
 	"arcc/internal/faultmodel"
 	"arcc/internal/mc"
+	"arcc/internal/rng"
 	"arcc/internal/sim"
 	"arcc/internal/stats"
 	"arcc/internal/workload"
@@ -228,7 +228,7 @@ func simulate(ctx context.Context, cfg exhibit.Config, runs []simRun) ([]sim.Res
 	}
 	if len(missing) > 0 {
 		fresh, err := mc.MapScratchCtx(ctx, len(missing), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
-			func(_ *rand.Rand, i int, s *sim.Scratch) sim.Result {
+			func(_ *rng.Source, i int, s *sim.Scratch) sim.Result {
 				r := missing[i]
 				c := sim.DefaultConfig(r.mix, r.system)
 				c.InstructionsPerCore = r.instructions

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"arcc/internal/exhibit"
 	"arcc/internal/mc"
 	"arcc/internal/reliability"
+	"arcc/internal/rng"
 	"arcc/internal/sim"
 	"arcc/internal/workload"
 )
@@ -173,7 +173,7 @@ func runScenario(ctx context.Context, cfg exhibit.Config, p exhibit.Plan) (Scena
 	// Exported fields: the pair must gob-encode for shard checkpointing.
 	type pair struct{ Clean, Faulted sim.Result }
 	pairs, err := mc.MapScratchCtx(ctx, len(runs), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
-		func(_ *rand.Rand, i int, scratch *sim.Scratch) pair {
+		func(_ *rng.Source, i int, scratch *sim.Scratch) pair {
 			run := func(upgraded float64) sim.Result {
 				c := sim.DefaultConfig(runs[i].mix, system)
 				c.InstructionsPerCore = s.Instructions

@@ -1,6 +1,9 @@
 package faultmodel
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // Arrival is one fault event in a simulated channel lifetime.
 type Arrival struct {
@@ -16,40 +19,84 @@ type Arrival struct {
 	Device int
 }
 
-// SampleArrivals draws the fault history of one channel over a lifespan:
-// for each fault type, a Poisson-distributed number of faults with the
-// type's FIT rate aggregated over all devices, placed uniformly in time and
-// on uniformly chosen devices. Results are sorted by arrival time. The
-// returned slice is freshly allocated, pre-sized to the expected arrival
-// count; Monte Carlo loops should call SampleArrivalsInto with a reused
-// buffer instead.
+// SampleArrivalsInto draws the fault history of one channel over a
+// lifespan into buf's capacity: for each fault type, a Poisson-distributed
+// number of faults with the type's FIT rate aggregated over all devices,
+// placed uniformly in time and on uniformly chosen devices. buf's
+// contents are ignored, its backing array is reused, and the filled
+// slice, sorted by arrival time, is returned (reallocated only if the
+// draw outgrows the capacity; a nil buf allocates). With an adequately
+// sized buffer — see ArrivalCapHint — it performs no heap allocations. It
+// panics on a non-positive geometry or a negative lifespan.
+//
+// SampleArrivalsInto and the other per-call samplers are the reference
+// implementation of the arrival process: each call looks every rate up
+// and computes each type's mean and e^{-mean} itself, and every uniform
+// comes from rng's Float64 and Intn. Monte Carlo loops over one process
+// build a Sampler once instead (NewSampler), which draws the same
+// histories from an rng.Source seeded alike (TestSamplerMatchesReference).
 //
 // Every experiment passes its own seeded rng, so lifetimes are reproducible.
-func SampleArrivals(rng *rand.Rand, rates Rates, ranks, devicesPerRank int, years float64) []Arrival {
-	if ranks <= 0 || devicesPerRank <= 0 || years < 0 {
-		panic("faultmodel: invalid sampling parameters")
-	}
-	buf := make([]Arrival, 0, ArrivalCapHint(rates, ranks, devicesPerRank, years))
-	return SampleArrivalsInto(rng, buf, rates, ranks, devicesPerRank, years)
-}
-
-// SampleArrivalsInto is SampleArrivals drawing into buf's capacity: buf's
-// contents are ignored, its backing array is reused, and the filled,
-// sorted slice is returned (reallocated only if the draw outgrows the
-// capacity). With an adequately sized buffer — see ArrivalCapHint — the
-// steady state performs zero heap allocations. The RNG consumption is
-// identical to SampleArrivals, so the two are interchangeable mid-stream.
-// It builds a Sampler per call; Monte Carlo loops over one process build
-// it once with NewSampler instead.
 func SampleArrivalsInto(rng *rand.Rand, buf []Arrival, rates Rates, ranks, devicesPerRank int, years float64) []Arrival {
-	var s Sampler
-	s.initPlain(rates, ranks, devicesPerRank, years)
-	out, _ := s.SampleInto(rng, buf)
+	checkGeometry(ranks, devicesPerRank, years)
+	hours := years * HoursPerYear
+	totalDevices := ranks * devicesPerRank
+	out := buf[:0]
+	for _, t := range Types() {
+		rate, ok := rates[t]
+		if !ok || rate == 0 {
+			continue
+		}
+		lambda := rate * 1e-9 * float64(totalDevices) * hours
+		n := refPoisson(rng, lambda)
+		for i := 0; i < n; i++ {
+			out = refPlace(rng, out, t, hours, ranks, devicesPerRank)
+		}
+	}
+	sortArrivals(out)
 	return out
 }
 
+// refPoisson draws from a Poisson distribution with mean lambda by
+// Knuth's method, with a normal approximation above a mean of 100.
+func refPoisson(rng *rand.Rand, lambda float64) int {
+	if lambda <= 0 {
+		return 0
+	}
+	if lambda > 100 {
+		n := int(math.Round(lambda + math.Sqrt(lambda)*rng.NormFloat64()))
+		if n < 0 {
+			return 0
+		}
+		return n
+	}
+	l := math.Exp(-lambda)
+	k, p := 0, 1.0
+	for {
+		p *= rng.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+	}
+}
+
+// refPlace appends one arrival of type t at a uniform time and position.
+func refPlace(rng *rand.Rand, out []Arrival, t Type, hours float64, ranks, devicesPerRank int) []Arrival {
+	a := Arrival{
+		AtHours: rng.Float64() * hours,
+		Type:    t,
+		Rank:    rng.Intn(ranks),
+		Device:  rng.Intn(devicesPerRank),
+	}
+	if t == Lane {
+		a.Rank = -1
+	}
+	return append(out, a)
+}
+
 // ExpectedArrivals returns the mean of the total arrival count
-// SampleArrivals draws: the sum over fault types of the channel-aggregated
+// SampleArrivalsInto draws: the sum over fault types of the channel-aggregated
 // Poisson means.
 func ExpectedArrivals(rates Rates, ranks, devicesPerRank int, years float64) float64 {
 	hours := years * HoursPerYear

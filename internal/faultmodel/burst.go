@@ -3,7 +3,6 @@ package faultmodel
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Correlated fault bursts. The field studies the rate table comes from
@@ -101,7 +100,7 @@ func BurstSizePMF(mean float64, max int) []float64 {
 
 // sampleBurstSize draws from BurstSizePMF(mean, max) by inverse CDF,
 // consuming exactly one uniform variate.
-func sampleBurstSize(rng *rand.Rand, mean float64, max int) int {
+func sampleBurstSize(rng Uniform, mean float64, max int) int {
 	q := 1 - 1/mean
 	if q <= 0 {
 		rng.Float64() // keep RNG consumption independent of mean
@@ -120,6 +119,13 @@ func sampleBurstSize(rng *rand.Rand, mean float64, max int) int {
 	return max
 }
 
+// Uniform is the generator ExpandInto draws from: Float64 returns a
+// uniform value in [0, 1). A lifetime trial passes its *rng.Source, and
+// a *rand.Rand serves as well.
+type Uniform interface {
+	Float64() float64
+}
+
 // ExpandInto applies the burst model to a sorted arrival history in place:
 // each row (column) primary spawns, with probability RowProb (BankProb), a
 // burst of K-1 secondaries — arrivals with the same time, rank, and device,
@@ -130,7 +136,7 @@ func sampleBurstSize(rng *rand.Rand, mean float64, max int) int {
 // function of the primary history, so expanded experiments remain
 // bit-identical at any parallelism. b must pass Validate; ExpandInto runs
 // once per trial and leaves that check to the caller's setup.
-func (b Burst) ExpandInto(rng *rand.Rand, arrivals []Arrival) []Arrival {
+func (b Burst) ExpandInto(rng Uniform, arrivals []Arrival) []Arrival {
 	if b.IsZero() {
 		return arrivals
 	}

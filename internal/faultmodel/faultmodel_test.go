@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"arcc/internal/rng"
 )
 
 func TestTypesCoverAll(t *testing.T) {
@@ -144,8 +146,8 @@ func TestIsTransientScale(t *testing.T) {
 
 func TestSampleArrivalsDeterministic(t *testing.T) {
 	r := FieldStudyRates().Scale(100) // high rate so arrivals exist
-	a1 := SampleArrivals(rand.New(rand.NewSource(42)), r, 2, 18, 7)
-	a2 := SampleArrivals(rand.New(rand.NewSource(42)), r, 2, 18, 7)
+	a1 := SampleArrivalsInto(rand.New(rand.NewSource(42)), nil, r, 2, 18, 7)
+	a2 := SampleArrivalsInto(rand.New(rand.NewSource(42)), nil, r, 2, 18, 7)
 	if len(a1) != len(a2) {
 		t.Fatalf("same seed, different arrival counts: %d vs %d", len(a1), len(a2))
 	}
@@ -159,7 +161,7 @@ func TestSampleArrivalsDeterministic(t *testing.T) {
 func TestSampleArrivalsSortedAndInRange(t *testing.T) {
 	r := FieldStudyRates().Scale(200)
 	rng := rand.New(rand.NewSource(7))
-	arr := SampleArrivals(rng, r, 2, 18, 7)
+	arr := SampleArrivalsInto(rng, nil, r, 2, 18, 7)
 	if len(arr) == 0 {
 		t.Fatal("no arrivals at 200x rates over 7 years; sampling broken")
 	}
@@ -193,7 +195,7 @@ func TestSampleArrivalsMeanMatchesExpectation(t *testing.T) {
 	const years = 7.0
 	counts := map[Type]int{}
 	for i := 0; i < channels; i++ {
-		for _, a := range SampleArrivals(rng, rates, 2, 18, years) {
+		for _, a := range SampleArrivalsInto(rng, nil, rates, 2, 18, years) {
 			counts[a.Type]++
 		}
 	}
@@ -211,16 +213,18 @@ func TestSampleArrivalsMeanMatchesExpectation(t *testing.T) {
 }
 
 func TestPoissonSmallAndLargeLambda(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	if got := poisson(rng, 0, 1); got != 0 {
+	src := new(rng.Source)
+	src.Seed(5)
+	if got := poisson(src, 0, 1, zeroThreshold(1)); got != 0 {
 		t.Fatalf("poisson(0) = %d", got)
 	}
 	// Large-lambda path: mean within 5% over many draws.
 	const lambda = 500.0
 	var sum float64
 	const draws = 2000
+	expNeg := math.Exp(-lambda)
 	for i := 0; i < draws; i++ {
-		sum += float64(poisson(rng, lambda, math.Exp(-lambda)))
+		sum += float64(poisson(src, lambda, expNeg, zeroThreshold(expNeg)))
 	}
 	mean := sum / draws
 	if math.Abs(mean-lambda)/lambda > 0.05 {
@@ -237,10 +241,10 @@ func TestSampleArrivalsPanicsOnBadArgs(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("SampleArrivals(%+v) did not panic", args)
+					t.Errorf("SampleArrivalsInto(%+v) did not panic", args)
 				}
 			}()
-			SampleArrivals(rng, FieldStudyRates(), args.ranks, args.dev, args.years)
+			SampleArrivalsInto(rng, nil, FieldStudyRates(), args.ranks, args.dev, args.years)
 		}()
 	}
 }

@@ -11,7 +11,7 @@ import (
 // tail statistics the lifetime figures are after. The samplers in this
 // file draw from a *proposal* arrival process under which faults are
 // common and return, alongside the trajectory, its exact likelihood ratio
-// against the unconditioned Poisson process SampleArrivals draws from.
+// against the unconditioned Poisson process SampleArrivalsInto draws from.
 // Estimators weight each trial by that ratio and stay unbiased (see
 // DESIGN.md "Rare-event acceleration" for the derivation).
 //
@@ -27,7 +27,7 @@ import (
 //     ratios multiplied out; arrival times and device positions are
 //     uniform under both processes and cancel.
 
-// PNoArrivals returns the probability that SampleArrivals draws an empty
+// PNoArrivals returns the probability that SampleArrivalsInto draws an empty
 // history: e^{-λ} with λ the channel-aggregated arrival mean.
 func PNoArrivals(rates Rates, ranks, devicesPerRank int, years float64) float64 {
 	return math.Exp(-ExpectedArrivals(rates, ranks, devicesPerRank, years))
@@ -37,13 +37,59 @@ func PNoArrivals(rates Rates, ranks, devicesPerRank int, years float64) float64 
 // least one arrival in the lifespan into buf's capacity (contents
 // ignored, backing array reused), returning the sorted trajectory and its
 // likelihood ratio 1 - e^{-λ} against the unconditioned process. It
-// panics when the aggregated rate is zero (conditioning on an impossible
-// event). It builds a Sampler per call; Monte Carlo loops over one
-// process build it once with NewConditionalSampler instead.
+// panics on a bad geometry and when the aggregated rate is zero
+// (conditioning on an impossible event). Like SampleArrivalsInto it is a
+// per-call reference sampler; Monte Carlo loops over one process build
+// NewConditionalSampler once instead.
 func SampleArrivalsConditionalInto(rng *rand.Rand, buf []Arrival, rates Rates, ranks, devicesPerRank int, years float64) ([]Arrival, float64) {
-	var s Sampler
-	s.initConditional(rates, ranks, devicesPerRank, years)
-	return s.SampleInto(rng, buf)
+	checkGeometry(ranks, devicesPerRank, years)
+	hours := years * HoursPerYear
+	perDevice := 1e-9 * float64(ranks*devicesPerRank) * hours
+	var lts [NumTypes]float64
+	var lambda float64
+	for _, t := range Types() {
+		lts[t] = rates[t] * perDevice
+		lambda += lts[t]
+	}
+	checkConditional(lambda)
+	var n int
+	if lambda > 30 {
+		for n == 0 {
+			n = refPoisson(rng, lambda)
+		}
+	} else {
+		u := rng.Float64()
+		p := lambda / math.Expm1(lambda)
+		cdf := p
+		n = 1
+		for u > cdf {
+			n++
+			p *= lambda / float64(n)
+			cdf += p
+			if p == 0 {
+				break
+			}
+		}
+	}
+	out := buf[:0]
+	for i := 0; i < n; i++ {
+		u := rng.Float64() * lambda
+		var typ Type
+		for _, t := range Types() {
+			lt := lts[t]
+			if lt <= 0 {
+				continue
+			}
+			typ = t
+			if u < lt {
+				break
+			}
+			u -= lt
+		}
+		out = refPlace(rng, out, typ, hours, ranks, devicesPerRank)
+	}
+	sortArrivals(out)
+	return out, -math.Expm1(-lambda)
 }
 
 // SampleArrivalsTiltedInto draws a fault history under rates scaled by
@@ -51,10 +97,28 @@ func SampleArrivalsConditionalInto(rng *rand.Rand, buf []Arrival, rates Rates, r
 // returns the sorted trajectory with its likelihood ratio
 // e^{(tilt-1)λ} · tilt^{-n} against the unscaled process (λ the unscaled
 // aggregated mean, n the trajectory's arrival count). tilt must be
-// positive and finite. It builds a Sampler per call; Monte Carlo loops
-// over one process build it once with NewTiltedSampler instead.
+// positive and finite. Like SampleArrivalsInto it is a per-call
+// reference sampler; Monte Carlo loops over one process build
+// NewTiltedSampler once instead.
 func SampleArrivalsTiltedInto(rng *rand.Rand, buf []Arrival, rates Rates, tilt float64, ranks, devicesPerRank int, years float64) ([]Arrival, float64) {
-	var s Sampler
-	s.initTilted(rates, tilt, ranks, devicesPerRank, years)
-	return s.SampleInto(rng, buf)
+	checkGeometry(ranks, devicesPerRank, years)
+	checkTilt(tilt)
+	hours := years * HoursPerYear
+	perDevice := 1e-9 * float64(ranks*devicesPerRank) * hours
+	out := buf[:0]
+	var lambda float64
+	for _, t := range Types() {
+		rate, ok := rates[t]
+		if !ok || rate == 0 {
+			continue
+		}
+		lt := rate * perDevice
+		lambda += lt
+		n := refPoisson(rng, lt*tilt)
+		for i := 0; i < n; i++ {
+			out = refPlace(rng, out, t, hours, ranks, devicesPerRank)
+		}
+	}
+	sortArrivals(out)
+	return out, math.Exp((tilt-1)*lambda - float64(len(out))*math.Log(tilt))
 }

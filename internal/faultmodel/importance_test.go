@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"arcc/internal/rng"
 )
 
 // rareRates scales the field-study mix down so that a 7-year lifetime has
@@ -178,12 +180,15 @@ func TestTiltedUnbiasedMean(t *testing.T) {
 }
 
 func TestZeroTruncatedPoissonLaw(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
+	src := new(rng.Source)
+	src.Seed(6)
 	for _, lambda := range []float64{0.01, 0.5, 3, 40} {
 		const trials = 50_000
 		var sum float64
+		expNeg := math.Exp(-lambda)
+		zeroMax := zeroThreshold(expNeg)
 		for i := 0; i < trials; i++ {
-			n := zeroTruncatedPoisson(rng, lambda, math.Exp(-lambda), lambda/math.Expm1(lambda))
+			n := zeroTruncatedPoisson(src, lambda, expNeg, zeroMax, lambda/math.Expm1(lambda))
 			if n < 1 {
 				t.Fatalf("lambda %v: drew %d < 1", lambda, n)
 			}

@@ -2,7 +2,8 @@ package faultmodel
 
 import (
 	"math"
-	"math/rand"
+
+	"arcc/internal/rng"
 )
 
 // A Sampler draws the fault histories of one fixed arrival process — a
@@ -11,17 +12,25 @@ import (
 // arrival (NewConditionalSampler), or with every rate scaled by a tilt
 // factor (NewTiltedSampler). Everything that depends only on the process
 // is computed once by the constructor: the nonzero-rate types in
-// rate-table order with each type's Poisson mean and e^{-mean}, and the
-// truncated-count and likelihood-ratio constants of the importance
-// proposals. A lifetime Monte Carlo builds one Sampler per run, so its
-// trials pay only for their draws, not for map lookups and exponentials
-// that cannot change between trials.
+// rate-table order with each type's Poisson mean, e^{-mean} and zero
+// threshold, and the truncated-count and likelihood-ratio constants of
+// the importance proposals. A lifetime Monte Carlo builds one Sampler per
+// run, so its trials pay only for their draws, not for map lookups and
+// exponentials that cannot change between trials.
+//
+// The zero threshold makes the common trial cheap: at field rates most
+// channels draw no fault at all, and a type's count is 0 exactly when
+// the first uniform of Knuth's product is at most e^{-mean}. Float64 is
+// a monotone function of the Int63 it divides by 2^63, so that test is
+// one integer compare of the raw draw against the largest Int63 whose
+// Float64 is at most e^{-mean} (zeroThreshold), found by evaluating that
+// very comparison: it is exact, not an approximation of it.
 //
 // Each constant is computed by the same floating-point expression the
-// per-call SampleArrivals*Into functions always used, and SampleInto
-// consumes the rng exactly as they did, so a Sampler reproduces them bit
-// for bit (TestSamplerMatchesReference). A Sampler is read-only after
-// construction and safe for concurrent use.
+// per-call SampleArrivals*Into functions use, and SampleInto consumes an
+// rng.Source exactly as they consume a *rand.Rand over the same seed, so
+// a Sampler reproduces them bit for bit (TestSamplerMatchesReference). A
+// Sampler is read-only after construction and safe for concurrent use.
 type Sampler struct {
 	mode           proposal
 	ranks, devices int
@@ -35,13 +44,15 @@ type Sampler struct {
 	// lambda is the channel-aggregated arrival mean of the unscaled
 	// process (conditional and tilted).
 	lambda float64
-	// Conditional: e^{-lambda} for the rejection path at lambda > 30,
-	// P(N=1 | N>=1) = lambda/(e^lambda - 1) for inversion at lambda <= 30,
-	// and the constant likelihood ratio 1 - e^{-lambda}.
+	// Conditional: e^{-lambda} and its zero threshold for the rejection
+	// path at lambda > 30, P(N=1 | N>=1) = lambda/(e^lambda - 1) for
+	// inversion at lambda <= 30, and the constant likelihood ratio
+	// 1 - e^{-lambda}.
 	expNegLambda, p1, weight float64
+	zeroMaxLambda            int64
 	// Tilted: (tilt-1)·lambda and log(tilt), the two terms of the
 	// likelihood ratio e^{(tilt-1)lambda} · tilt^{-n}, and tiltWeights[n]
-	// that ratio for small n (NewTiltedSampler only; nil otherwise).
+	// that ratio for small n (nil for the other proposals).
 	tiltLambda, logTilt float64
 	tiltWeights         []float64
 }
@@ -59,21 +70,29 @@ type typeMean struct {
 	t      Type
 	mean   float64
 	expNeg float64 // e^{-mean}; unused by the conditional proposal
+	// knuth is set when poisson draws the count by Knuth's method
+	// (0 < mean <= 100), and then a first draw at most zeroMax =
+	// zeroThreshold(expNeg) is a count of 0. Unused by the conditional
+	// proposal.
+	knuth   bool
+	zeroMax int64
 }
 
-// init sets the fields every proposal shares. The per-call
-// SampleArrivals*Into wrappers build their Sampler on the stack through
-// the init methods, so they pay for no copy of it.
-func (s *Sampler) init(mode proposal, ranks, devicesPerRank int, years float64) {
-	if ranks <= 0 || devicesPerRank <= 0 || years < 0 {
-		panic("faultmodel: invalid sampling parameters")
-	}
-	s.mode, s.ranks, s.devices, s.hours = mode, ranks, devicesPerRank, years*HoursPerYear
+func newSampler(mode proposal, ranks, devicesPerRank int, years float64) *Sampler {
+	checkGeometry(ranks, devicesPerRank, years)
+	return &Sampler{mode: mode, ranks: ranks, devices: devicesPerRank, hours: years * HoursPerYear}
 }
 
 func (s *Sampler) add(t Type, mean, expNeg float64) {
-	s.types[s.n] = typeMean{t: t, mean: mean, expNeg: expNeg}
+	s.types[s.n] = typeMean{t: t, mean: mean, expNeg: expNeg, knuth: mean > 0 && mean <= 100, zeroMax: zeroThreshold(expNeg)}
 	s.n++
+}
+
+// checkGeometry panics on a geometry or lifespan no channel can have.
+func checkGeometry(ranks, devicesPerRank int, years float64) {
+	if ranks <= 0 || devicesPerRank <= 0 || years < 0 {
+		panic("faultmodel: invalid sampling parameters")
+	}
 }
 
 // NewSampler returns the plain sampler of the process: for each fault
@@ -82,13 +101,7 @@ func (s *Sampler) add(t Type, mean, expNeg float64) {
 // chosen devices. Every trajectory has weight 1. It panics on a
 // non-positive geometry or a negative lifespan.
 func NewSampler(rates Rates, ranks, devicesPerRank int, years float64) *Sampler {
-	s := new(Sampler)
-	s.initPlain(rates, ranks, devicesPerRank, years)
-	return s
-}
-
-func (s *Sampler) initPlain(rates Rates, ranks, devicesPerRank int, years float64) {
-	s.init(plainProposal, ranks, devicesPerRank, years)
+	s := newSampler(plainProposal, ranks, devicesPerRank, years)
 	totalDevices := ranks * devicesPerRank
 	for _, t := range Types() {
 		rate, ok := rates[t]
@@ -98,6 +111,7 @@ func (s *Sampler) initPlain(rates Rates, ranks, devicesPerRank int, years float6
 		lambda := rate * 1e-9 * float64(totalDevices) * s.hours
 		s.add(t, lambda, math.Exp(-lambda))
 	}
+	return s
 }
 
 // NewConditionalSampler returns the sampler of the process conditioned on
@@ -110,13 +124,7 @@ func (s *Sampler) initPlain(rates Rates, ranks, devicesPerRank int, years float6
 // panics on a bad geometry and when the aggregated rate is zero
 // (conditioning on an impossible event).
 func NewConditionalSampler(rates Rates, ranks, devicesPerRank int, years float64) *Sampler {
-	s := new(Sampler)
-	s.initConditional(rates, ranks, devicesPerRank, years)
-	return s
-}
-
-func (s *Sampler) initConditional(rates Rates, ranks, devicesPerRank int, years float64) {
-	s.init(conditionalProposal, ranks, devicesPerRank, years)
+	s := newSampler(conditionalProposal, ranks, devicesPerRank, years)
 	perDevice := 1e-9 * float64(ranks*devicesPerRank) * s.hours
 	for _, t := range Types() {
 		lt := rates[t] * perDevice
@@ -125,15 +133,22 @@ func (s *Sampler) initConditional(rates Rates, ranks, devicesPerRank int, years 
 			s.add(t, lt, 0)
 		}
 	}
-	if s.lambda <= 0 {
-		panic("faultmodel: conditional sampling of a zero-rate arrival process")
-	}
+	checkConditional(s.lambda)
 	if s.lambda > 30 {
 		s.expNegLambda = math.Exp(-s.lambda)
+		s.zeroMaxLambda = zeroThreshold(s.expNegLambda)
 	} else {
 		s.p1 = s.lambda / math.Expm1(s.lambda)
 	}
 	s.weight = -math.Expm1(-s.lambda) // 1 - e^{-λ}, accurate for small λ
+	return s
+}
+
+// checkConditional panics when there is no arrival to condition on.
+func checkConditional(lambda float64) {
+	if lambda <= 0 {
+		panic("faultmodel: conditional sampling of a zero-rate arrival process")
+	}
 }
 
 // NewTiltedSampler returns the sampler of the process with every rate
@@ -141,24 +156,11 @@ func (s *Sampler) initConditional(rates Rates, ranks, devicesPerRank int, years 
 // ratio e^{(tilt-1)λ} · tilt^{-n} against the unscaled process (λ the
 // unscaled aggregated mean). tilt must be positive and finite; values
 // above 1 make faults commoner and are the useful regime. It panics on a
-// bad geometry or tilt.
-// The ratio for n < 16 is tabulated here, by SampleInto's expression;
-// the per-call SampleArrivalsTiltedInto draws one history and skips that.
+// bad geometry or tilt. The ratio for n < 16 is tabulated here, by
+// SampleInto's expression.
 func NewTiltedSampler(rates Rates, tilt float64, ranks, devicesPerRank int, years float64) *Sampler {
-	s := new(Sampler)
-	s.initTilted(rates, tilt, ranks, devicesPerRank, years)
-	s.tiltWeights = make([]float64, 16)
-	for n := range s.tiltWeights {
-		s.tiltWeights[n] = math.Exp(s.tiltLambda - float64(n)*s.logTilt)
-	}
-	return s
-}
-
-func (s *Sampler) initTilted(rates Rates, tilt float64, ranks, devicesPerRank int, years float64) {
-	s.init(tiltedProposal, ranks, devicesPerRank, years)
-	if tilt <= 0 || math.IsNaN(tilt) || math.IsInf(tilt, 0) {
-		panic("faultmodel: tilt factor must be positive and finite")
-	}
+	s := newSampler(tiltedProposal, ranks, devicesPerRank, years)
+	checkTilt(tilt)
 	perDevice := 1e-9 * float64(ranks*devicesPerRank) * s.hours
 	for _, t := range Types() {
 		rate, ok := rates[t]
@@ -172,6 +174,18 @@ func (s *Sampler) initTilted(rates Rates, tilt float64, ranks, devicesPerRank in
 	}
 	s.tiltLambda = (tilt - 1) * s.lambda
 	s.logTilt = math.Log(tilt)
+	s.tiltWeights = make([]float64, 16)
+	for n := range s.tiltWeights {
+		s.tiltWeights[n] = math.Exp(s.tiltLambda - float64(n)*s.logTilt)
+	}
+	return s
+}
+
+// checkTilt panics on a tilt factor that is not a likelihood scale.
+func checkTilt(tilt float64) {
+	if tilt <= 0 || math.IsNaN(tilt) || math.IsInf(tilt, 0) {
+		panic("faultmodel: tilt factor must be positive and finite")
+	}
 }
 
 // SampleInto draws one history into buf's capacity — buf's contents are
@@ -180,16 +194,16 @@ func (s *Sampler) initTilted(rates Rates, tilt float64, ranks, devicesPerRank in
 // capacity) — together with its likelihood ratio against the plain
 // process (1 for the plain sampler). With an adequately sized buffer (see
 // ArrivalCapHint) it performs no heap allocations.
-func (s *Sampler) SampleInto(rng *rand.Rand, buf []Arrival) ([]Arrival, float64) {
+func (s *Sampler) SampleInto(src *rng.Source, buf []Arrival) ([]Arrival, float64) {
 	out := buf[:0]
 	w := 1.0
 	if s.mode == conditionalProposal {
-		n := zeroTruncatedPoisson(rng, s.lambda, s.expNegLambda, s.p1)
+		n := zeroTruncatedPoisson(src, s.lambda, s.expNegLambda, s.zeroMaxLambda, s.p1)
 		for i := 0; i < n; i++ {
 			// Inverse-CDF walk over the per-type means; u lands past the
 			// last bucket only through float rounding, in which case the
 			// last type absorbs it.
-			u := rng.Float64() * s.lambda
+			u := src.Float64() * s.lambda
 			var typ Type
 			for _, tm := range s.types[:s.n] {
 				typ = tm.t
@@ -198,13 +212,22 @@ func (s *Sampler) SampleInto(rng *rand.Rand, buf []Arrival) ([]Arrival, float64)
 				}
 				u -= tm.mean
 			}
-			out = s.place(rng, out, typ, 1)
+			out = s.place(src, out, typ, 1)
 		}
 		w = s.weight
 	} else {
-		for _, tm := range s.types[:s.n] {
-			if n := poisson(rng, tm.mean, tm.expNeg); n > 0 {
-				out = s.place(rng, out, tm.t, n)
+		for i := range s.types[:s.n] {
+			// poisson, with the test for a count of 0 in line: one draw
+			// and one compare per type of a trial that draws no fault.
+			tm := &s.types[i]
+			n := 0
+			if !tm.knuth {
+				n = poisson(src, tm.mean, tm.expNeg, tm.zeroMax)
+			} else if x := src.Int63(); x > tm.zeroMax {
+				n = knuthPastZero(src, x, tm.expNeg)
+			}
+			if n > 0 {
+				out = s.place(src, out, tm.t, n)
 			}
 		}
 		if n := len(out); n < len(s.tiltWeights) {
@@ -218,13 +241,13 @@ func (s *Sampler) SampleInto(rng *rand.Rand, buf []Arrival) ([]Arrival, float64)
 }
 
 // place appends n arrivals of type t at uniform times and positions.
-func (s *Sampler) place(rng *rand.Rand, out []Arrival, t Type, n int) []Arrival {
+func (s *Sampler) place(src *rng.Source, out []Arrival, t Type, n int) []Arrival {
 	for i := 0; i < n; i++ {
 		a := Arrival{
-			AtHours: rng.Float64() * s.hours,
+			AtHours: src.Float64() * s.hours,
 			Type:    t,
-			Rank:    rng.Intn(s.ranks),
-			Device:  rng.Intn(s.devices),
+			Rank:    src.Intn(s.ranks),
+			Device:  src.Intn(s.devices),
 		}
 		if t == Lane {
 			a.Rank = -1
@@ -235,23 +258,44 @@ func (s *Sampler) place(rng *rand.Rand, out []Arrival, t Type, n int) []Arrival 
 }
 
 // poisson draws from a Poisson distribution with mean lambda, given
-// expNeg = e^{-lambda}. Knuth's method is exact and fast for the small
-// lambdas (< 1) these simulations use; a normal approximation covers the
-// large-lambda tail defensively.
-func poisson(rng *rand.Rand, lambda, expNeg float64) int {
+// expNeg = e^{-lambda} and zeroMax = zeroThreshold(expNeg). Knuth's
+// method is exact and fast for the small lambdas (< 1) these simulations
+// use, and its first draw alone decides a count of 0: one compare with
+// zeroMax. A normal approximation covers the large-lambda tail
+// defensively, and a lambda <= 0 draws nothing.
+func poisson(src *rng.Source, lambda, expNeg float64, zeroMax int64) int {
 	if lambda <= 0 {
 		return 0
 	}
 	if lambda > 100 {
-		n := int(math.Round(lambda + math.Sqrt(lambda)*rng.NormFloat64()))
+		n := int(math.Round(lambda + math.Sqrt(lambda)*src.NormFloat64()))
 		if n < 0 {
 			return 0
 		}
 		return n
 	}
-	k, p := 0, 1.0
+	x := src.Int63()
+	if x <= zeroMax {
+		return 0
+	}
+	return knuthPastZero(src, x, expNeg)
+}
+
+// knuthPastZero finishes Knuth's method for a Poisson count with
+// e^{-mean} = expNeg whose first draw x is above the zero threshold. The
+// product continues from x's Float64. A draw above the threshold can
+// round up to 1, which Float64 resamples; the resampled uniform is then
+// the first factor, and may still make the count 0.
+func knuthPastZero(src *rng.Source, x int64, expNeg float64) int {
+	p := float64(x) / (1 << 63)
+	if p == 1 {
+		if p = src.Float64(); p <= expNeg {
+			return 0
+		}
+	}
+	k := 1
 	for {
-		p *= rng.Float64()
+		p *= src.Float64()
 		if p <= expNeg {
 			return k
 		}
@@ -259,22 +303,43 @@ func poisson(rng *rand.Rand, lambda, expNeg float64) int {
 	}
 }
 
+// zeroThreshold returns the largest Int63 draw x that Float64 returns as
+// float64(x)/2^63 (the draws that round up to 1 it resamples) with that
+// value at most expNeg, or -1 when there is none (expNeg NaN). Float64 is
+// non-decreasing in x, so Knuth's first product is at most e^{-mean}, a
+// count of 0, exactly when the draw is at most the threshold. The binary
+// search evaluates that very comparison on every candidate, so the
+// threshold is exact.
+func zeroThreshold(expNeg float64) int64 {
+	lo, hi := int64(-1), int64(math.MaxInt64)
+	for lo < hi {
+		mid := lo + int64((uint64(hi-lo)+1)/2) // in (lo, hi], without overflow
+		if f := float64(mid) / (1 << 63); f != 1 && f <= expNeg {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
 // zeroTruncatedPoisson draws from a Poisson(lambda) conditioned on a
-// nonzero outcome, given expNeg = e^{-lambda} (used when lambda > 30) and
-// p1 = lambda/(e^lambda - 1) (used otherwise). Small lambdas — the
-// rare-fault regime this sampler exists for — use exact inversion on the
-// truncated pmf; large lambdas fall back to rejection, where the zero
-// outcome is vanishingly rare and the expected number of redraws is
+// nonzero outcome, given expNeg = e^{-lambda} and zeroMax =
+// zeroThreshold(expNeg) (used when lambda > 30) and p1 =
+// lambda/(e^lambda - 1) (used otherwise). Small lambdas — the rare-fault
+// regime this sampler exists for — use exact inversion on the truncated
+// pmf; large lambdas fall back to rejection, where the zero outcome is
+// vanishingly rare and the expected number of redraws is
 // 1/(1-e^{-λ}) ≈ 1.
-func zeroTruncatedPoisson(rng *rand.Rand, lambda, expNeg, p1 float64) int {
+func zeroTruncatedPoisson(src *rng.Source, lambda, expNeg float64, zeroMax int64, p1 float64) int {
 	if lambda > 30 {
 		for {
-			if n := poisson(rng, lambda, expNeg); n > 0 {
+			if n := poisson(src, lambda, expNeg, zeroMax); n > 0 {
 				return n
 			}
 		}
 	}
-	u := rng.Float64()
+	u := src.Float64()
 	p := p1 // P(N=1 | N>=1)
 	cdf := p
 	k := 1

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"arcc/internal/rng"
 )
 
 // slowJob builds a job whose trials block on a gate channel after
@@ -161,7 +163,7 @@ func TestMapCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := MapScratchCtx(ctx, 100, 1, Options{}, func() *int { return new(int) },
-		func(*rand.Rand, int, *int) int { return 0 }); !errors.Is(err, ErrCanceled) {
+		func(*rng.Source, int, *int) int { return 0 }); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("MapScratchCtx error = %v, want ErrCanceled", err)
 	}
 }

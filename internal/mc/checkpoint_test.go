@@ -94,10 +94,7 @@ func interrupt(t *testing.T, job Job, opts Options, resume *Checkpoint, afterSha
 // alone, as engines before the folded prefix wrote them.
 func perShard(t testing.TB, job Job, size, n int) *Checkpoint {
 	t.Helper()
-	w := worker{r: rand.New(new(rng.Source))}
-	if job.NewScratch != nil {
-		w.scratch = job.NewScratch()
-	}
+	w := job.newWorker()
 	cp := &Checkpoint{Trials: job.Trials, Seed: job.Seed, ShardSize: size, Shards: map[int][]byte{}}
 	for s := range n {
 		blob, err := job.runShard(s, size, w).(checkpointable).MarshalBinary()
@@ -422,11 +419,11 @@ func TestMapScratchResumeBitIdentical(t *testing.T) {
 	run := func(opts Options, executed *atomic.Int64) ([]cell, error) {
 		return MapScratchCtx(context.Background(), 40, 21, opts,
 			func() int { return 0 },
-			func(rng *rand.Rand, i int, _ int) cell {
+			func(src *rng.Source, i int, _ int) cell {
 				if executed != nil {
 					executed.Add(1)
 				}
-				return cell{V: rng.Float64() * float64(i+1)}
+				return cell{V: src.Float64() * float64(i+1)}
 			})
 	}
 	want, err := run(Options{ShardSize: 1, Parallelism: 1}, nil)
@@ -447,7 +444,7 @@ func TestMapScratchResumeBitIdentical(t *testing.T) {
 	}}}
 	_, err = MapScratchCtx(ctx, 40, 21, opts,
 		func() int { return 0 },
-		func(rng *rand.Rand, i int, _ int) cell { return cell{V: rng.Float64() * float64(i+1)} })
+		func(src *rng.Source, i int, _ int) cell { return cell{V: src.Float64() * float64(i+1)} })
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
@@ -493,7 +490,7 @@ func FuzzMapCheckpointResume(f *testing.F) {
 		opts.Checkpoint = &CheckpointConfig{Resume: cp}
 		return MapScratchCtx(context.Background(), n, 3, opts,
 			func() int { return 0 },
-			func(_ *rand.Rand, i int, _ int) float64 { return float64(i) + 0.5 })
+			func(_ *rng.Source, i int, _ int) float64 { return float64(i) + 0.5 })
 	}
 	want, err := mapJob(Options{Parallelism: 1}, nil)
 	if err != nil {

@@ -13,9 +13,13 @@
 // is bit-identical at any parallelism, including the serial
 // Parallelism=1 special case, which runs the shards inline on the
 // calling goroutine with no pool at all. Each worker owns
-// one generator and reseeds it at the start of every shard it runs, which
-// yields exactly the stream rand.New(rand.NewSource(seed)) would without
-// building one per shard.
+// one generator, an rng.Source, and reseeds it at the start of every
+// shard it runs, which yields exactly the stream
+// rand.New(rand.NewSource(seed)) would without building one per shard.
+// Trials draw from that Source directly (TrialScratch, weighted trials,
+// MapScratchCtx), so every draw is a concrete call the compiler can
+// inline; only the plain Job.Trial receives a *rand.Rand, wrapped once
+// per worker around the same Source.
 //
 // Jobs whose trials need working buffers (fault-arrival histories, decode
 // workspaces, whole simulator-run state) set NewScratch/TrialScratch: the
@@ -51,10 +55,13 @@ var ErrCanceled = errors.New("mc: run canceled")
 // is zero. Small enough to load-balance thousands of cheap trials across a
 // pool, large enough to amortise the per-shard setup: reseeding the
 // worker's generator, which writes all 607 words of its state (about
-// 0.85 µs with rng's AVX2 kernel, some 13 ns per trial at this size;
-// about 3 µs with its Go loop), and one NewAcc. The value cannot
-// change without changing every seeded result: the shard size fixes which
-// stream each trial draws from.
+// 1.1 µs with rng's AVX2 kernel, some 17 ns per trial at this size; about
+// 3.6 µs with its Go loop), and one NewAcc. That is a third of what a
+// plain field-rate lifetime trial spends drawing its faults from the
+// Source (about 50 ns on a 72-device channel, BenchmarkSamplerSampleInto),
+// most of whose draws are the one compare of an empty fault type. The
+// value cannot change without changing every seeded result: the shard
+// size fixes which stream each trial draws from.
 const DefaultShardSize = 64
 
 // Accumulator collects the results of the trials of one shard. One
@@ -79,7 +86,8 @@ type Job struct {
 	// NewAcc allocates an empty per-shard accumulator.
 	NewAcc func() Accumulator
 	// Trial runs trial number trial (0-based, global across shards) using
-	// the shard's rng and records its result in acc.
+	// the shard's stream, through a *rand.Rand over the worker's Source,
+	// and records its result in acc.
 	Trial func(rng *rand.Rand, trial int, acc Accumulator)
 	// NewScratch, optional, allocates a scratch workspace. It is created
 	// once per worker and handed to every TrialScratch call that worker
@@ -91,10 +99,12 @@ type Job struct {
 	// bit-identical-at-any-parallelism contract is preserved regardless of
 	// which shards share a workspace.
 	NewScratch func() any
-	// TrialScratch is Trial with the shard's scratch workspace. Set it
-	// (instead of Trial) together with NewScratch for allocation-free
-	// trial loops; scratch is nil when NewScratch is.
-	TrialScratch func(rng *rand.Rand, trial int, acc Accumulator, scratch any)
+	// TrialScratch is Trial drawing from the worker's rng.Source itself,
+	// reseeded to the shard's stream, with the shard's scratch workspace.
+	// Set it (instead of Trial), with NewScratch for allocation-free trial
+	// loops; scratch is nil when NewScratch is. The Source produces the
+	// values a *rand.Rand over it would, method for method.
+	TrialScratch func(src *rng.Source, trial int, acc Accumulator, scratch any)
 }
 
 // Options tunes how a job executes without affecting its result.
@@ -197,17 +207,9 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 			opts.Progress(f.done, job.Trials)
 		}
 	}
-	newWorker := func() worker {
-		w := worker{r: rand.New(new(rng.Source))}
-		if job.NewScratch != nil {
-			w.scratch = job.NewScratch()
-		}
-		return w
-	}
-
 	workers := min(opts.Workers(), shards-first-len(restored))
 	if workers <= 1 {
-		w := newWorker()
+		w := job.newWorker()
 		for s := first; s < shards; s++ {
 			if _, ok := restored[s]; ok {
 				continue
@@ -235,7 +237,7 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 		for range workers {
 			go func() {
 				defer wg.Done()
-				w := newWorker()
+				w := job.newWorker()
 				for s := range shardCh {
 					// Drain without working once the run is cancelled, so
 					// the dispatcher never blocks and the pool exits.
@@ -330,11 +332,23 @@ func (f *fold) frontier() int {
 }
 
 // worker is what each engine worker owns for the whole run: one
-// generator, reseeded at every shard it executes, and the job's scratch
-// workspace.
+// generator, reseeded at every shard it executes, with the *rand.Rand
+// over it that Job.Trial takes, and the job's scratch workspace.
 type worker struct {
+	src     *rng.Source
 	r       *rand.Rand
 	scratch any
+}
+
+// newWorker returns a worker's generator and, when the job has one, its
+// scratch workspace.
+func (job Job) newWorker() worker {
+	src := new(rng.Source)
+	w := worker{src: src, r: rand.New(src)}
+	if job.NewScratch != nil {
+		w.scratch = job.NewScratch()
+	}
+	return w
 }
 
 // runShard runs the trials of shard s on w and returns their
@@ -342,18 +356,17 @@ type worker struct {
 func (job Job) runShard(s, size int, w worker) Accumulator {
 	// Rand.Seed rather than the source's: it also drops bytes a previous
 	// shard's Read left buffered in the Rand.
-	r := w.r
-	r.Seed(ShardSeed(job.Seed, s))
+	w.r.Seed(ShardSeed(job.Seed, s))
 	acc := job.NewAcc()
 	lo := s * size
 	hi := lo + shardTrials(s, size, job.Trials)
 	if job.TrialScratch != nil {
 		for t := lo; t < hi; t++ {
-			job.TrialScratch(r, t, acc, w.scratch)
+			job.TrialScratch(w.src, t, acc, w.scratch)
 		}
 	} else {
 		for t := lo; t < hi; t++ {
-			job.Trial(r, t, acc)
+			job.Trial(w.r, t, acc)
 		}
 	}
 	return acc
@@ -421,8 +434,8 @@ func NewProgressPrinter(w io.Writer, label string) func(done, total int) {
 
 // MapScratchCtx runs n trials and returns their results in trial order:
 // a wrapper over RunCtx for jobs whose trials each produce one
-// independent value (e.g. one simulator run per mix). The per-trial rng
-// comes from the trial's shard stream as usual. newScratch runs once per
+// independent value (e.g. one simulator run per mix). f draws from the
+// worker's rng.Source, reseeded to the trial's shard stream as usual. newScratch runs once per
 // worker and its result is threaded through every trial that worker
 // executes, mirroring Job.NewScratch/TrialScratch; like Job scratch, the
 // workspace must carry capacity only — a trial must not read state a
@@ -431,7 +444,7 @@ func NewProgressPrinter(w io.Writer, label string) func(done, total int) {
 // so consecutive simulator runs on a worker reuse one world's backing
 // arrays. A cancelled context returns (nil, ErrCanceled) within one
 // shard boundary.
-func MapScratchCtx[T, S any](ctx context.Context, n int, seed int64, opts Options, newScratch func() S, f func(rng *rand.Rand, trial int, scratch S) T) ([]T, error) {
+func MapScratchCtx[T, S any](ctx context.Context, n int, seed int64, opts Options, newScratch func() S, f func(src *rng.Source, trial int, scratch S) T) ([]T, error) {
 	size := opts.shardSize()
 	if size > n {
 		size = n
@@ -443,10 +456,10 @@ func MapScratchCtx[T, S any](ctx context.Context, n int, seed int64, opts Option
 			return &mapAcc[T]{idx: make([]int, 0, size), vals: make([]T, 0, size)}
 		},
 		NewScratch: func() any { return newScratch() },
-		TrialScratch: func(rng *rand.Rand, trial int, a Accumulator, scratch any) {
+		TrialScratch: func(src *rng.Source, trial int, a Accumulator, scratch any) {
 			ma := a.(*mapAcc[T])
 			ma.idx = append(ma.idx, trial)
-			ma.vals = append(ma.vals, f(rng, trial, scratch.(S)))
+			ma.vals = append(ma.vals, f(src, trial, scratch.(S)))
 		},
 	}, opts)
 	if err != nil {

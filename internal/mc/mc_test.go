@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"arcc/internal/rng"
 )
 
 // sumAcc is a float accumulator whose merge is order-sensitive enough to
@@ -42,9 +44,9 @@ func runWeighted(job WeightedJob, opts Options) *WeightedSet {
 
 // mapTrials is MapScratchCtx without a scratch workspace, under a
 // background context.
-func mapTrials[T any](n int, seed int64, opts Options, f func(rng *rand.Rand, trial int) T) []T {
+func mapTrials[T any](n int, seed int64, opts Options, f func(src *rng.Source, trial int) T) []T {
 	out, err := MapScratchCtx(context.Background(), n, seed, opts, func() struct{} { return struct{}{} },
-		func(rng *rand.Rand, trial int, _ struct{}) T { return f(rng, trial) })
+		func(src *rng.Source, trial int, _ struct{}) T { return f(src, trial) })
 	if err != nil {
 		panic(err)
 	}
@@ -125,22 +127,36 @@ func TestShardSeedsDecorrelated(t *testing.T) {
 // TestShardStreamsMatchMathRand pins the per-shard stream contract the
 // engine's reseeded per-worker generator must keep: every shard draws
 // exactly what rand.New(rand.NewSource(ShardSeed(seed, s))) draws, at any
-// parallelism, even when the previous shard on the worker left bytes of
-// a Read buffered in the shared *rand.Rand.
+// parallelism, both through the *rand.Rand a plain Job.Trial gets, even
+// when the previous shard on the worker left bytes of a Read buffered in
+// it, and from the rng.Source the other trial functions get.
 func TestShardStreamsMatchMathRand(t *testing.T) {
 	const trials, size, seed = 200, 8, -77
 	type draw struct {
-		f float64
-		n int
-		b [3]byte
-		u uint64
+		f    float64
+		n    int
+		b    [3]byte
+		u    uint64
+		norm float64
 	}
 	for _, p := range []int{1, 3} {
-		got := mapTrials(trials, seed, Options{Parallelism: p, ShardSize: size}, func(rng *rand.Rand, trial int) draw {
+		opts := Options{Parallelism: p, ShardSize: size}
+		viaRand := make([]draw, trials)
+		run(Job{
+			Trials: trials,
+			Seed:   seed,
+			NewAcc: func() Accumulator { return nopAcc{} },
+			Trial: func(r *rand.Rand, trial int, _ Accumulator) {
+				d := &viaRand[trial]
+				d.f, d.n = r.Float64(), r.Intn(1000)
+				r.Read(d.b[:])
+				d.u = r.Uint64()
+			},
+		}, opts)
+		viaSource := mapTrials(trials, seed, opts, func(src *rng.Source, trial int) draw {
 			var d draw
-			d.f, d.n = rng.Float64(), rng.Intn(1000)
-			rng.Read(d.b[:])
-			d.u = rng.Uint64()
+			d.f, d.n = src.Float64(), src.Intn(1000)
+			d.u, d.norm = src.Uint64(), src.NormFloat64()
 			return d
 		})
 		for s := 0; s < trials/size; s++ {
@@ -150,8 +166,17 @@ func TestShardStreamsMatchMathRand(t *testing.T) {
 				d.f, d.n = want.Float64(), want.Intn(1000)
 				want.Read(d.b[:])
 				d.u = want.Uint64()
-				if got[trial] != d {
-					t.Fatalf("parallelism %d, trial %d: drew %+v, math/rand %+v", p, trial, got[trial], d)
+				if viaRand[trial] != d {
+					t.Fatalf("parallelism %d, trial %d: drew %+v through the Rand, math/rand %+v", p, trial, viaRand[trial], d)
+				}
+			}
+			want.Seed(ShardSeed(seed, s))
+			for trial := s * size; trial < (s+1)*size; trial++ {
+				var d draw
+				d.f, d.n = want.Float64(), want.Intn(1000)
+				d.u, d.norm = want.Uint64(), want.NormFloat64()
+				if viaSource[trial] != d {
+					t.Fatalf("parallelism %d, trial %d: drew %+v from the Source, math/rand %+v", p, trial, viaSource[trial], d)
 				}
 			}
 		}
@@ -210,12 +235,12 @@ func TestProgressMonotoneAndComplete(t *testing.T) {
 }
 
 func TestMapOrdersResultsByTrial(t *testing.T) {
-	want := mapTrials(257, 3, Options{Parallelism: 1}, func(rng *rand.Rand, trial int) float64 {
-		return float64(trial) + rng.Float64()
+	want := mapTrials(257, 3, Options{Parallelism: 1}, func(src *rng.Source, trial int) float64 {
+		return float64(trial) + src.Float64()
 	})
 	for _, par := range []int{4, runtime.NumCPU()} {
-		got := mapTrials(257, 3, Options{Parallelism: par}, func(rng *rand.Rand, trial int) float64 {
-			return float64(trial) + rng.Float64()
+		got := mapTrials(257, 3, Options{Parallelism: par}, func(src *rng.Source, trial int) float64 {
+			return float64(trial) + src.Float64()
 		})
 		for i := range want {
 			if got[i] != want[i] {
@@ -241,12 +266,12 @@ func scratchJob(trials int, seed int64) Job {
 		NewScratch: func() any {
 			return &buf{vals: make([]float64, 0, 8)}
 		},
-		TrialScratch: func(rng *rand.Rand, trial int, acc Accumulator, scratch any) {
+		TrialScratch: func(src *rng.Source, trial int, acc Accumulator, scratch any) {
 			a := acc.(*sumAcc)
 			b := scratch.(*buf)
 			b.vals = b.vals[:0]
 			for i := 0; i < 1+trial%4; i++ {
-				b.vals = append(b.vals, rng.Float64())
+				b.vals = append(b.vals, src.Float64())
 			}
 			for _, v := range b.vals {
 				a.sum += v * float64(trial%7+1)
@@ -286,7 +311,7 @@ func TestNewScratchCalledOncePerWorker(t *testing.T) {
 				mu.Unlock()
 				return new(int)
 			},
-			TrialScratch: func(_ *rand.Rand, _ int, acc Accumulator, scratch any) {
+			TrialScratch: func(_ *rng.Source, _ int, acc Accumulator, scratch any) {
 				*(scratch.(*int))++ // panics if scratch were nil
 				acc.(*sumAcc).count++
 			},
@@ -307,7 +332,7 @@ func TestTrialScratchWithoutNewScratchGetsNil(t *testing.T) {
 		Trials: 10,
 		Seed:   1,
 		NewAcc: func() Accumulator { return &sumAcc{} },
-		TrialScratch: func(_ *rand.Rand, _ int, acc Accumulator, scratch any) {
+		TrialScratch: func(_ *rng.Source, _ int, acc Accumulator, scratch any) {
 			if scratch != nil {
 				t.Errorf("scratch = %v, want nil without NewScratch", scratch)
 			}
@@ -370,7 +395,7 @@ func TestRunPanicsOnBadJob(t *testing.T) {
 		"no trial":  {Trials: 1, NewAcc: func() Accumulator { return &sumAcc{} }},
 		"both trial fns": {Trials: 1, NewAcc: func() Accumulator { return &sumAcc{} },
 			Trial:        func(*rand.Rand, int, Accumulator) {},
-			TrialScratch: func(*rand.Rand, int, Accumulator, any) {}},
+			TrialScratch: func(*rng.Source, int, Accumulator, any) {}},
 		"scratch without trialscratch": {Trials: 1, NewAcc: func() Accumulator { return &sumAcc{} },
 			Trial:      func(*rand.Rand, int, Accumulator) {},
 			NewScratch: func() any { return nil }},
@@ -391,13 +416,13 @@ func TestRunPanicsOnBadJob(t *testing.T) {
 // threaded through that worker's trials, at any parallelism.
 func TestMapScratchMatchesMap(t *testing.T) {
 	const n, seed = 103, int64(5)
-	f := func(rng *rand.Rand, trial int) float64 { return rng.Float64() + float64(trial) }
+	f := func(r interface{ Float64() float64 }, trial int) float64 { return r.Float64() + float64(trial) }
 	want := make([]float64, n)
 	for trial := range want {
 		if trial%8 == 0 {
-			rng := rand.New(rand.NewSource(ShardSeed(seed, trial/8)))
+			r := rand.New(rand.NewSource(ShardSeed(seed, trial/8)))
 			for t := trial; t < trial+8 && t < n; t++ {
-				want[t] = f(rng, t)
+				want[t] = f(r, t)
 			}
 		}
 	}
@@ -412,9 +437,9 @@ func TestMapScratchMatchesMap(t *testing.T) {
 				s := make([]int, 0, 8)
 				return &s
 			},
-			func(rng *rand.Rand, trial int, s *[]int) float64 {
+			func(src *rng.Source, trial int, s *[]int) float64 {
 				*s = append(*s, trial) // scratch carries capacity; contents unused
-				return f(rng, trial)
+				return f(src, trial)
 			})
 		if err != nil {
 			t.Fatal(err)

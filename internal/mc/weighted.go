@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
+	"arcc/internal/rng"
 	"arcc/internal/stats"
 )
 
@@ -45,13 +45,14 @@ type WeightedJob struct {
 	// NewScratch, optional, allocates a per-worker scratch workspace with
 	// the same capacity-only contract as Job.NewScratch.
 	NewScratch func() any
-	// Trial runs trial number trial (0-based, global across shards): it
-	// writes one observation per dimension into vals (zeroed by the
-	// engine before every call, len == Dims) and returns the trial's
-	// likelihood ratio against the target distribution — 1 for plain
-	// sampling. The weight must be finite and non-negative. scratch is
-	// nil when NewScratch is.
-	Trial func(rng *rand.Rand, trial int, scratch any, vals []float64) float64
+	// Trial runs trial number trial (0-based, global across shards),
+	// drawing from the worker's rng.Source reseeded to the shard's stream
+	// as Job.TrialScratch does: it writes one observation per dimension
+	// into vals (zeroed by the engine before every call, len == Dims) and
+	// returns the trial's likelihood ratio against the target
+	// distribution — 1 for plain sampling. The weight must be finite and
+	// non-negative. scratch is nil when NewScratch is.
+	Trial func(src *rng.Source, trial int, scratch any, vals []float64) float64
 }
 
 // WeightedSet is the result of a weighted job: one estimator per
@@ -142,12 +143,12 @@ func (job WeightedJob) engineJob() Job {
 			return &weightedAcc{set: newWeightedSet(job), vals: make([]float64, job.Dims)}
 		},
 		NewScratch: job.NewScratch,
-		TrialScratch: func(rng *rand.Rand, trial int, a Accumulator, scratch any) {
+		TrialScratch: func(src *rng.Source, trial int, a Accumulator, scratch any) {
 			wa := a.(*weightedAcc)
 			for i := range wa.vals {
 				wa.vals[i] = 0
 			}
-			w := job.Trial(rng, trial, scratch, wa.vals)
+			w := job.Trial(src, trial, scratch, wa.vals)
 			wa.set.add(wa.vals, w)
 		},
 	}

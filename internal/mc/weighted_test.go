@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"arcc/internal/rng"
 )
 
 // legacySumAcc mirrors the sum-and-divide accumulators the plain
@@ -29,11 +31,12 @@ func (a *legacySumAcc) Merge(other Accumulator) {
 	a.count += o.count
 }
 
-// weightedObs fills vals deterministically from the trial's rng stream,
-// the same way for both engines under test.
-func weightedObs(rng *rand.Rand, vals []float64) {
+// weightedObs fills vals deterministically from the trial's stream, the
+// same way for both engines under test: a weighted trial's rng.Source
+// and a plain trial's *rand.Rand over the same shard stream.
+func weightedObs(r interface{ Float64() float64 }, vals []float64) {
 	for i := range vals {
-		vals[i] = rng.Float64() * float64(i+1)
+		vals[i] = r.Float64() * float64(i+1)
 	}
 }
 
@@ -47,8 +50,8 @@ func TestRunWeightedAllOnesBitIdentical(t *testing.T) {
 		Trials: trials,
 		Seed:   42,
 		Dims:   dims,
-		Trial: func(rng *rand.Rand, trial int, _ any, vals []float64) float64 {
-			weightedObs(rng, vals)
+		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+			weightedObs(src, vals)
 			return 1
 		},
 	}, Options{Parallelism: 4})
@@ -92,9 +95,9 @@ func TestRunWeightedParallelismDeterminism(t *testing.T) {
 		Dims:       2,
 		SketchDims: []int{1},
 		SketchK:    64,
-		Trial: func(rng *rand.Rand, trial int, _ any, vals []float64) float64 {
-			weightedObs(rng, vals)
-			return 0.5 + rng.Float64()
+		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+			weightedObs(src, vals)
+			return 0.5 + src.Float64()
 		},
 	}
 	base := runWeighted(job, Options{Parallelism: 1})
@@ -112,9 +115,9 @@ func TestRunWeightedSketch(t *testing.T) {
 		Seed:       3,
 		Dims:       2,
 		SketchDims: []int{0},
-		Trial: func(rng *rand.Rand, trial int, _ any, vals []float64) float64 {
-			vals[0] = rng.Float64()
-			vals[1] = rng.NormFloat64()
+		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+			vals[0] = src.Float64()
+			vals[1] = src.NormFloat64()
 			return 1
 		},
 	}, Options{})
@@ -140,10 +143,10 @@ func TestRunWeightedScratch(t *testing.T) {
 		Seed:       9,
 		Dims:       1,
 		NewScratch: func() any { return &ws{buf: make([]float64, 8)} },
-		Trial: func(rng *rand.Rand, trial int, scratch any, vals []float64) float64 {
+		Trial: func(src *rng.Source, trial int, scratch any, vals []float64) float64 {
 			s := scratch.(*ws)
 			for i := range s.buf {
-				s.buf[i] = rng.Float64()
+				s.buf[i] = src.Float64()
 			}
 			vals[0] = s.buf[3]
 			return 1
@@ -160,8 +163,8 @@ func TestRunWeightedCancel(t *testing.T) {
 	_, err := RunWeightedCtx(ctx, WeightedJob{
 		Trials: 100,
 		Dims:   1,
-		Trial: func(rng *rand.Rand, trial int, _ any, vals []float64) float64 {
-			vals[0] = rng.Float64()
+		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+			vals[0] = src.Float64()
 			return 1
 		},
 	}, Options{})
@@ -179,9 +182,9 @@ func TestRunWeightedCheckpointResume(t *testing.T) {
 		Dims:       2,
 		SketchDims: []int{0},
 		SketchK:    32,
-		Trial: func(rng *rand.Rand, trial int, _ any, vals []float64) float64 {
-			weightedObs(rng, vals)
-			return 1 + rng.Float64()
+		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+			weightedObs(src, vals)
+			return 1 + src.Float64()
 		},
 	}
 	full := runWeighted(job, Options{Parallelism: 1})
@@ -217,8 +220,8 @@ func TestRunWeightedCheckpointResume(t *testing.T) {
 }
 
 func TestRunWeightedPanics(t *testing.T) {
-	ok := func(rng *rand.Rand, trial int, _ any, vals []float64) float64 {
-		vals[0] = rng.Float64()
+	ok := func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+		vals[0] = src.Float64()
 		return 1
 	}
 	for name, f := range map[string]func(){
@@ -227,10 +230,10 @@ func TestRunWeightedPanics(t *testing.T) {
 		"sketch dim oob": func() { runWeighted(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{1}, Trial: ok}, Options{}) },
 		"sketch dim dup": func() { runWeighted(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{0, 0}, Trial: ok}, Options{}) },
 		"negative weight": func() {
-			runWeighted(WeightedJob{Trials: 1, Dims: 1, Trial: func(*rand.Rand, int, any, []float64) float64 { return -1 }}, Options{})
+			runWeighted(WeightedJob{Trials: 1, Dims: 1, Trial: func(*rng.Source, int, any, []float64) float64 { return -1 }}, Options{})
 		},
 		"nan weight": func() {
-			runWeighted(WeightedJob{Trials: 1, Dims: 1, Trial: func(*rand.Rand, int, any, []float64) float64 { return math.NaN() }}, Options{})
+			runWeighted(WeightedJob{Trials: 1, Dims: 1, Trial: func(*rng.Source, int, any, []float64) float64 { return math.NaN() }}, Options{})
 		},
 	} {
 		func() {
@@ -249,8 +252,8 @@ func BenchmarkRunWeighted(b *testing.B) {
 		Trials: 10_000,
 		Seed:   1,
 		Dims:   8,
-		Trial: func(rng *rand.Rand, trial int, _ any, vals []float64) float64 {
-			weightedObs(rng, vals)
+		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+			weightedObs(src, vals)
 			return 1
 		},
 	}
@@ -271,8 +274,8 @@ func BenchmarkRunCheckpointed(b *testing.B) {
 		Seed:       1,
 		Dims:       7,
 		SketchDims: []int{6},
-		Trial: func(rng *rand.Rand, trial int, _ any, vals []float64) float64 {
-			weightedObs(rng, vals)
+		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+			weightedObs(src, vals)
 			return 1
 		},
 	}
@@ -295,9 +298,9 @@ func shapeJob(dims int, sketchK int) WeightedJob {
 		Dims:       dims,
 		SketchDims: []int{dims - 1},
 		SketchK:    sketchK,
-		Trial: func(rng *rand.Rand, trial int, _ any, vals []float64) float64 {
-			weightedObs(rng, vals)
-			return 0.5 + rng.Float64()
+		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+			weightedObs(src, vals)
+			return 0.5 + src.Float64()
 		},
 	}
 }
@@ -349,9 +352,9 @@ func snapshotSet(t testing.TB, sketched bool, sketchK int) (*WeightedSet, Weight
 		Trials: DefaultShardSize,
 		Seed:   19,
 		Dims:   7,
-		Trial: func(rng *rand.Rand, _ int, _ any, vals []float64) float64 {
-			weightedObs(rng, vals)
-			return 0.5 + rng.Float64()
+		Trial: func(src *rng.Source, _ int, _ any, vals []float64) float64 {
+			weightedObs(src, vals)
+			return 0.5 + src.Float64()
 		},
 	}
 	if sketched {
@@ -529,9 +532,9 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 	job := shapeJob(3, 8)
 	var executed atomic.Int64
 	trial := job.Trial
-	job.Trial = func(rng *rand.Rand, i int, sc any, vals []float64) float64 {
+	job.Trial = func(src *rng.Source, i int, sc any, vals []float64) float64 {
 		executed.Add(1)
-		return trial(rng, i, sc, vals)
+		return trial(src, i, sc, vals)
 	}
 	want := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
 	// withShard returns the job's full snapshot with shard s's blob
@@ -566,7 +569,7 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 		"full 2-dim":    {snapshotWeighted(t, shapeJob(2, 8), 5), all},
 		"full other K":  {snapshotWeighted(t, shapeJob(3, 16), 5), all},
 		"no sketch": {snapshotWeighted(t, WeightedJob{Trials: 40, Seed: 5, Dims: 3,
-			Trial: func(rng *rand.Rand, _ int, _ any, vals []float64) float64 { weightedObs(rng, vals); return 1 }}, 5), all},
+			Trial: func(src *rng.Source, _ int, _ any, vals []float64) float64 { weightedObs(src, vals); return 1 }}, 5), all},
 	}
 	for name, blob := range otherLayouts(t, job, real[1]) {
 		cases[name] = resumeCase{withShard(1, blob), shapeShard}

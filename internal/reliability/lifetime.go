@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"arcc/internal/faultmodel"
 	"arcc/internal/mc"
+	"arcc/internal/rng"
 )
 
 // yearSums accumulates per-year sums over the Monte Carlo channels of one
@@ -250,9 +250,9 @@ func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []
 	// finish expands a sampled history under the burst model (validated
 	// and decided on once per Spec) and writes its series.
 	bursts := !s.Burst.IsZero()
-	finish := func(rng *rand.Rand, scratch *arrivalScratch, arrivals []faultmodel.Arrival, vals []float64) {
+	finish := func(src *rng.Source, scratch *arrivalScratch, arrivals []faultmodel.Arrival, vals []float64) {
 		if bursts {
-			arrivals = s.Burst.ExpandInto(rng, arrivals)
+			arrivals = s.Burst.ExpandInto(src, arrivals)
 		}
 		scratch.buf = arrivals
 		series(arrivals, vals)
@@ -264,16 +264,16 @@ func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []
 			Seed:       s.Seed,
 			NewAcc:     newYearSums(s.Years),
 			NewScratch: newScratch,
-			TrialScratch: func(rng *rand.Rand, _ int, a mc.Accumulator, sc any) {
+			TrialScratch: func(src *rng.Source, _ int, a mc.Accumulator, sc any) {
 				scratch := sc.(*arrivalScratch)
-				arrivals, _ := sampler.SampleInto(rng, scratch.buf)
+				arrivals, _ := sampler.SampleInto(src, scratch.buf)
 				if len(arrivals) == 0 {
 					// Most channels see no fault: their series is all +0, the
 					// identity on sums that start at +0 (a sum is -0 only if
 					// both addends are), and expanding them draws nothing.
 					return
 				}
-				finish(rng, scratch, arrivals, scratch.series)
+				finish(src, scratch, arrivals, scratch.series)
 				sums := a.(*yearSums).sums
 				for i, v := range scratch.series {
 					sums[i] += v
@@ -295,10 +295,10 @@ func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []
 		Seed:       s.Seed,
 		Dims:       s.Years,
 		NewScratch: newScratch,
-		Trial: func(rng *rand.Rand, _ int, sc any, vals []float64) float64 {
+		Trial: func(src *rng.Source, _ int, sc any, vals []float64) float64 {
 			scratch := sc.(*arrivalScratch)
-			arrivals, w := sampler.SampleInto(rng, scratch.buf)
-			finish(rng, scratch, arrivals, vals)
+			arrivals, w := sampler.SampleInto(src, scratch.buf)
+			finish(src, scratch, arrivals, vals)
 			return w
 		},
 	}

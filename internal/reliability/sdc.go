@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 
 	"arcc/internal/faultmodel"
 	"arcc/internal/mc"
+	"arcc/internal/rng"
 )
 
 // Params configures the SDC models.
@@ -173,10 +173,10 @@ func SimulateARCCDED(ctx context.Context, seed int64, opts mc.Options, p Params,
 		Seed:       seed,
 		NewAcc:     func() mc.Accumulator { return &eventCount{} },
 		NewScratch: newArrivalScratch(p.Rates, p.RanksPerChannel, p.DevicesPerRank, p.LifeYears, 1),
-		TrialScratch: func(rng *rand.Rand, _ int, a mc.Accumulator, sc any) {
+		TrialScratch: func(src *rng.Source, _ int, a mc.Accumulator, sc any) {
 			ec := a.(*eventCount)
 			scratch := sc.(*arrivalScratch)
-			arrivals, _ := sampler.SampleInto(rng, scratch.buf)
+			arrivals, _ := sampler.SampleInto(src, scratch.buf)
 			scratch.buf = arrivals
 			for i, first := range arrivals {
 				// The first fault is exposed until the end of its scrub
@@ -187,7 +187,7 @@ func SimulateARCCDED(ctx context.Context, seed int64, opts mc.Options, p Params,
 					if second.AtHours >= detectAt {
 						break
 					}
-					if threatens(p.Geom, first, second) && rng.Float64() < p.Geom.OverlapProb(first.Type, second.Type) {
+					if threatens(p.Geom, first, second) && src.Float64() < p.Geom.OverlapProb(first.Type, second.Type) {
 						ec.events++
 					}
 				}

@@ -3,16 +3,19 @@
 // license that can be found in the LICENSE file.
 
 // Package rng is math/rand's default generator — the lagged-Fibonacci
-// rngSource of rand.NewSource with the Float64, Int63n and ExpFloat64 of
-// rand.Rand — ported so that callers can hold it by value and call
-// concrete methods the compiler can inline, and reseed it without
-// allocating. It produces math/rand's value stream bit for bit
+// rngSource of rand.NewSource with the Float64, Int63n, Intn, ExpFloat64
+// and NormFloat64 of rand.Rand — ported so that callers can hold it by
+// value and call concrete methods the compiler can inline, and reseed it
+// without allocating. It produces math/rand's value stream bit for bit
 // (TestRNGMatchesMathRand), so every result generated through it is
 // unchanged.
 //
-// Source implements rand.Source64: the synthetic access streams call it
-// directly, and the Monte Carlo engine wraps one per worker in a
-// *rand.Rand and reseeds it for every shard.
+// Source implements rand.Source64. The synthetic access streams call it
+// directly, and the Monte Carlo engine owns one per worker, reseeds it
+// for every shard and hands it to the trials itself, so a trial's draws
+// are direct calls rather than calls through rand.Rand's Source
+// interface. Only the engine's plain Job.Trial still receives a
+// *rand.Rand, wrapped around the same Source.
 package rng
 
 import "math"
@@ -31,6 +34,7 @@ const (
 	rngMask  = 1<<63 - 1
 	int32max = 1<<31 - 1
 	re       = 7.69711747013104972 // start of the exponential ziggurat's tail
+	rn       = 3.442619855899      // start of the normal ziggurat's tail
 
 	// seedA is the multiplier of math/rand's seeding LCG
 	// x[n+1] = seedA·x[n] mod (2^31-1); seedSkip is the number of its
@@ -176,6 +180,27 @@ func (r *Source) Int63n(n int64) int64 {
 	return v % n
 }
 
+// Intn returns a non-negative pseudo-random number in [0, n), by
+// rand.Rand's Int31n for n < 2^31 and Int63n above. It panics if n <= 0.
+func (r *Source) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n > int32max {
+		return int(r.Int63n(int64(n)))
+	}
+	m := int32(n)
+	if m&(m-1) == 0 { // n is power of two, can mask
+		return int(int32(r.Int63()>>32) & (m - 1))
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	v := int32(r.Int63() >> 32)
+	for v > max {
+		v = int32(r.Int63() >> 32)
+	}
+	return int(v % m)
+}
+
 // ExpFloat64 returns an exponentially distributed float64 with rate 1, by
 // the ziggurat method of Marsaglia and Tsang (2000).
 func (r *Source) ExpFloat64() float64 {
@@ -193,4 +218,40 @@ func (r *Source) ExpFloat64() float64 {
 			return x
 		}
 	}
+}
+
+// NormFloat64 returns a standard normally distributed float64, by the
+// ziggurat method of Marsaglia and Tsang (2000).
+func (r *Source) NormFloat64() float64 {
+	for {
+		j := int32(uint32(r.Int63() >> 31)) // possibly negative
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] {
+			return x
+		}
+		if i == 0 {
+			for {
+				x = -math.Log(r.Float64()) * (1.0 / rn)
+				y := -math.Log(r.Float64())
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return rn + x
+			}
+			return -rn - x
+		}
+		if fn[i]+float32(r.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x
+		}
+	}
+}
+
+func absInt32(i int32) uint32 {
+	if i < 0 {
+		return uint32(-i)
+	}
+	return uint32(i)
 }

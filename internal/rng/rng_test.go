@@ -26,10 +26,19 @@ var rngBounds = []int64{
 	1 << 62, 1<<62 + 1, 1<<62 + 1<<61, math.MaxInt64,
 }
 
+// intnBounds are Intn arguments: 1, powers of two (the masking path), odd
+// values, MaxInt32 (the largest that takes Int31n) and values above it,
+// which take Int63n.
+var intnBounds = []int{
+	1, 2, 1 << 10, 1 << 30, 3, 7, 36, 52429, 1<<31 - 3,
+	math.MaxInt32, math.MaxInt32 + 1, 1<<31 + 1, 1<<40 + 3, math.MaxInt64,
+}
+
 // checkRNGMatches drives two pairs of generators under the same seeds,
 // with a re-seed of every generator midway, from the bytes of ops:
 //
-//   - the port's own Float64, Int63n and ExpFloat64 against math/rand's;
+//   - the port's own Float64, Int63n, ExpFloat64, Intn and NormFloat64
+//     against math/rand's;
 //   - a *rand.Rand over the port against one over rand.NewSource, through
 //     the Rand methods the Monte Carlo trials use (Uint64 takes the
 //     Source64 path), including a Read that leaves a partial buffer
@@ -50,7 +59,7 @@ func checkRNGMatches(t testing.TB, seed, reseed int64, ops []byte) {
 			wrapped.Seed(reseed)
 			wrappedWant.Seed(reseed)
 		}
-		switch op % 3 {
+		switch op % 6 {
 		case 0:
 			if g, w := got.Float64(), want.Float64(); g != w {
 				t.Fatalf("seed %d op %d: Float64 = %v, math/rand %v", seed, i, g, w)
@@ -63,6 +72,15 @@ func checkRNGMatches(t testing.TB, seed, reseed int64, ops []byte) {
 		case 2:
 			if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
 				t.Fatalf("seed %d op %d: ExpFloat64 = %v, math/rand %v", seed, i, g, w)
+			}
+		case 3, 4:
+			n := intnBounds[int(op/6)%len(intnBounds)]
+			if g, w := got.Intn(n), want.Intn(n); g != w {
+				t.Fatalf("seed %d op %d: Intn(%d) = %d, math/rand %d", seed, i, n, g, w)
+			}
+		case 5:
+			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
+				t.Fatalf("seed %d op %d: NormFloat64 = %v, math/rand %v", seed, i, g, w)
 			}
 		}
 		switch op % 5 {
@@ -95,8 +113,8 @@ func checkRNGMatches(t testing.TB, seed, reseed int64, ops []byte) {
 }
 
 // TestRNGMatchesMathRand pins the port to math/rand bit for bit over many
-// seeds, every Int63n path and enough ExpFloat64 draws to reach the
-// ziggurat's tail and wedge branches.
+// seeds, every Int63n and Intn path and enough ExpFloat64 and NormFloat64
+// draws to reach each ziggurat's tail and wedge branches.
 func TestRNGMatchesMathRand(t *testing.T) {
 	src := rand.New(rand.NewSource(1))
 	ops := make([]byte, 20000)
@@ -122,6 +140,24 @@ func TestRNGMatchesMathRand(t *testing.T) {
 	}
 	if tail == 0 {
 		t.Fatal("no ExpFloat64 draw reached the tail")
+	}
+
+	// Likewise NormFloat64's base strip (j's low 7 bits 0 and
+	// |j| >= kn[0], about 1 draw in 1,750) returns values beyond ±rn.
+	got.Seed(6)
+	want.Seed(6)
+	tail = 0
+	for i := 0; i < 200000; i++ {
+		g, w := got.NormFloat64(), want.NormFloat64()
+		if g != w {
+			t.Fatalf("NormFloat64 draw %d = %v, math/rand %v", i, g, w)
+		}
+		if math.Abs(g) > rn {
+			tail++
+		}
+	}
+	if tail == 0 {
+		t.Fatal("no NormFloat64 draw reached the tail")
 	}
 }
 
@@ -173,6 +209,7 @@ func FuzzRNGMatchesMathRand(f *testing.F) {
 	f.Add(int64(1<<31), int64(0), []byte{34, 37, 40, 1, 0, 2})
 	f.Add(int64(math.MinInt64), int64(math.MaxInt64), []byte{4, 9, 14, 19, 24, 29, 3, 8})
 	f.Add(int64(-3*(1<<31-1)), int64(-42), []byte{9, 4, 4, 14, 0, 1, 2, 3, 4})
+	f.Add(int64(7), int64(8), []byte{3, 5, 9, 11, 63, 65, 81, 83, 5, 5})
 	f.Fuzz(func(t *testing.T, seed, reseed int64, ops []byte) {
 		forEachSeedPath(func(path string, available bool) {
 			if available {

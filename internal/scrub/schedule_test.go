@@ -82,7 +82,7 @@ func TestLifetimeSoak(t *testing.T) {
 	// most one device-scale fault per (channel, rank) to stay within the
 	// relaxed mode's single-symbol guarantee between scrubs.
 	rates := faultmodel.FieldStudyRates().Scale(100000)
-	arrivals := faultmodel.SampleArrivals(rng, rates, 2, 18, 1)
+	arrivals := faultmodel.SampleArrivalsInto(rng, nil, rates, 2, 18, 1)
 	if len(arrivals) == 0 {
 		t.Fatal("soak needs at least one arrival; raise the rate factor")
 	}

@@ -30,9 +30,11 @@ run() { go test -run=xxx -benchmem -count=1 "$@" | tee -a "$raw"; }
 run -bench='MulAddSlice|EncodeInto|Syndromes|ChienSearch|DecodeScratch|DecodeBatch|DecodeErasuresScratch' \
     ./internal/gf/ ./internal/rs/
 # Fault-arrival sampling, including the conditional ("at least one
-# fault") and rate-tilted importance samplers (PR 9), per call and from
-# a Sampler built once per process.
-run -bench='SampleArrivals|SamplerSampleInto' ./internal/faultmodel/
+# fault") and rate-tilted importance samplers: per call through the
+# reference samplers on a *rand.Rand, and from a Sampler built once per
+# process on the rng.Source a Monte Carlo trial draws from, in each
+# proposal (SamplerSampleInto, ...Conditional, ...Tilted).
+run -bench='SampleArrivals|SamplerSampleInto(Conditional|Tilted)?$' ./internal/faultmodel/
 # Streaming estimators and the weighted MC path (PR 9): per-observation
 # accumulator costs, the weighted engine overhead, one weighted shard's
 # checkpoint round trip (seven years, with and without a final-year
