@@ -1,17 +1,13 @@
 package core
 
 import (
-	"fmt"
-
 	"arcc/internal/pagetable"
 )
 
 // UpgradePage raises page from relaxed to upgraded mode (§4.2.1): every
 // line of the page is read out (correcting errors on the way), adjacent
 // line pairs are joined into 128 B upgraded lines, and the page is written
-// back in the stronger layout. Only this page is touched. The page payload
-// is staged in the controller's whole-page scratch, so the transition does
-// not allocate.
+// back in the stronger layout. Only this page is touched.
 //
 // When the upgraded code is double chip sparing and the relaxed reads
 // corrected a consistent symbol position (a dead device), that position is
@@ -22,53 +18,72 @@ import (
 // lose the upgrade just because one word was unrecoverable, but the caller
 // is told data was lost.
 func (c *Controller) UpgradePage(page int) error {
-	if c.table.Mode(page) != pagetable.Relaxed {
-		panic(fmt.Sprintf("core: UpgradePage on %v page %d", c.table.Mode(page), page))
-	}
+	c.mustBe("UpgradePage", page, pagetable.Relaxed)
+	c.stats.PageUpgrades++
+	return c.restripe(page, pagetable.Upgraded)
+}
 
-	// Read out all 64 lines in relaxed form, tracking corrected positions:
-	// positionHits identifies which upgraded-codeword positions were
-	// repaired so sparing can remap a consistently-failing device. Data
-	// from an even channel occupies positions 0..15 of the upgraded
-	// codeword, from an odd channel 16..31. Each line decodes in place on
-	// the read path's own batch decode; a data symbol whose byte the decode
-	// changed is a repaired position (the decoder never reports a
-	// zero-magnitude correction, and DUE codewords stay raw).
+// RelaxPage drops page from upgraded to relaxed mode — the boot-time scrub
+// applies this to every fault-free page. The page content is decoded in
+// upgraded form and re-encoded per-line in relaxed form.
+func (c *Controller) RelaxPage(page int) error {
+	c.mustBe("RelaxPage", page, pagetable.Upgraded)
+	return c.restripe(page, pagetable.Relaxed)
+}
+
+// UpgradePageToStrong raises an Upgraded page to Upgraded8 (§5.1): the
+// page's pairs are read out (correcting what the 4-check code still can),
+// re-encoded as four-channel quads with eight check symbols, and written
+// back. Requires a four-channel controller.
+func (c *Controller) UpgradePageToStrong(page int) error {
+	if !c.SupportsStrongUpgrade() {
+		panic("core: Upgraded8 mode requires a four-channel configuration (§5.1)")
+	}
+	c.mustBe("UpgradePageToStrong", page, pagetable.Upgraded)
+	c.stats.StrongUpgrades++
+	return c.restripe(page, pagetable.Upgraded8)
+}
+
+// restripe moves page to mode to: every group is read in the page's current
+// width (correcting what the old code can) into the whole-page scratch,
+// the mode flips, and every group is encoded and written in the new width,
+// so the transition does not allocate. A DUE on the way is returned after
+// the page is rewritten with the raw content.
+//
+// Leaving relaxed mode under the sparing code, it also votes on the spare:
+// each relaxed line whose decode repaired something is read raw again, and
+// each data symbol the decode changed counts for its position in the
+// upgraded codeword (data from an even channel occupies positions 0..15,
+// from an odd one 16..31; the decoder never reports a zero-magnitude
+// correction, and DUE codewords stay raw). The most frequently repaired
+// position, if any, is remapped to the spare.
+func (c *Controller) restripe(page int, to pagetable.Mode) error {
+	from := c.stripeOf(page)
+	vote := c.sparing != nil && from.w == 1
+	clear(c.scr.posHits[:])
 	var readErr error
-	positionHits := &c.scr.posHits
-	clear(positionHits[:])
-	pageData := c.scr.page
-	for line := 0; line < LinesPerPage; line++ {
-		ch, slot := c.channelOf(line)
-		rank, addr := c.addrOf(page, slot)
-		c.stats.SubLineAccesses++
-		stored := c.channels[ch][rank].ReadLineInto(addr, c.scr.stored[0])
-		raw := c.scr.stored[1]
-		copy(raw, stored)
-		corrected, err := c.decodeRelaxedLineInto(stored, pageData[line*LineBytes:(line+1)*LineBytes])
-		c.noteOutcome(corrected, err)
+	for g := 0; g < LinesPerPage/from.w; g++ {
+		batch, corrected, err := c.readGroup(page, g, from)
 		if err != nil {
 			readErr = err
 		}
-		if corrected == 0 {
-			continue
-		}
-		hits := positionHits[16*(ch%2):]
-		for cw := 0; cw < codewordsPerLine; cw++ {
-			for pos := 0; pos < dataPerCodeword; pos++ {
-				if stored[cw*18+pos] != raw[cw*18+pos] {
-					hits[pos]++
+		payload(batch, from.w, 0, c.scr.page[g*from.w*LineBytes:(g+1)*from.w*LineBytes])
+		if vote && corrected > 0 {
+			raw := c.RawReadInto(page, g, c.scr.stored[1])
+			hits := c.scr.posHits[16*(g%2):]
+			for cw := 0; cw < codewordsPerLine; cw++ {
+				for pos := 0; pos < dataPerCodeword; pos++ {
+					if batch[cw*18+pos] != raw[cw*18+pos] {
+						hits[pos]++
+					}
 				}
 			}
 		}
 	}
-
-	// Choose a spare remap target: the most frequently corrected data
-	// position, if the sparing scheme is in use.
-	if c.sparing != nil {
-		best := 0
-		spared := -1
-		for pos, n := range positionHits {
+	delete(c.sparedPos, page)
+	if vote {
+		best, spared := 0, -1
+		for pos, n := range c.scr.posHits {
 			if n > best {
 				best, spared = n, pos
 			}
@@ -77,40 +92,10 @@ func (c *Controller) UpgradePage(page int) error {
 			c.sparedPos[page] = int32(spared)
 		}
 	}
-
-	// Flip the mode first so writePairStored encodes in upgraded form.
-	c.table.SetMode(page, pagetable.Upgraded)
-	c.stats.PageUpgrades++
-
-	for pair := 0; pair < LinesPerPage/2; pair++ {
-		c.writePairStored(page, pair, pageData[pair*2*LineBytes:(pair+1)*2*LineBytes])
-	}
-	return readErr
-}
-
-// RelaxPage drops page from upgraded to relaxed mode — the boot-time scrub
-// applies this to every fault-free page. The page content is decoded in
-// upgraded form and re-encoded per-line in relaxed form, staged in the
-// controller's whole-page scratch.
-func (c *Controller) RelaxPage(page int) error {
-	if c.table.Mode(page) != pagetable.Upgraded {
-		panic(fmt.Sprintf("core: RelaxPage on %v page %d", c.table.Mode(page), page))
-	}
-	var readErr error
-	pageData := c.scr.page
-	for pair := 0; pair < LinesPerPage/2; pair++ {
-		if err := c.readPairInto(page, pair, pageData[pair*2*LineBytes:(pair+1)*2*LineBytes]); err != nil {
-			readErr = err
-		}
-	}
-	c.table.SetMode(page, pagetable.Relaxed)
-	delete(c.sparedPos, page)
-	for line := 0; line < LinesPerPage; line++ {
-		ch, slot := c.channelOf(line)
-		rank, addr := c.addrOf(page, slot)
-		c.stats.SubLineAccesses++
-		c.encodeRelaxedLineInto(pageData[line*LineBytes:(line+1)*LineBytes], c.scr.stored[0])
-		c.channels[ch][rank].WriteLine(addr, c.scr.stored[0])
+	c.table.SetMode(page, to)
+	s := &c.stripes[to]
+	for g := 0; g < LinesPerPage/s.w; g++ {
+		c.writeGroup(page, g, s, c.scr.page[g*s.w*LineBytes:(g+1)*s.w*LineBytes])
 	}
 	return readErr
 }
