@@ -1,7 +1,8 @@
 // Command arcc-benchcmp is the CLI for the performance-trajectory gate:
-// it compares two benchmark files recorded by scripts/bench.sh and exits
-// nonzero when the newer one regresses the hot path (>15% ns/op slowdown
-// by default, or a zero-alloc benchmark starting to allocate). The report
+// it compares two benchmark files recorded by scripts/bench.sh, each
+// benchmark on the median of its samples, and exits nonzero when the
+// newer one regresses the hot path (>15% ns/op slowdown by default, or a
+// zero-alloc benchmark starting to allocate). The report
 // opens with the host each file was recorded on, read from the raw .txt
 // beside it, and says when the two differ.
 //

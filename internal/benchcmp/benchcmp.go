@@ -3,9 +3,12 @@
 // scripts/bench.sh (the BENCH_PR<N>.json points checked in per PR) and
 // decides whether the newer one regresses the hot path.
 //
-// A comparison fails when any benchmark present in both files either
+// A file may hold several samples of one benchmark (bench.sh runs
+// -count=5); each benchmark is compared on the median of its samples, so
+// one noisy sample neither fails nor hides a change. A comparison fails
+// when any benchmark present in both files either
 //
-//   - slows down by more than the ns/op threshold (default 15%), or
+//   - slows down in median by more than the ns/op threshold (default 15%), or
 //   - starts allocating: allocs/op was zero in the old file and is nonzero
 //     in the new one, which means a steady-state path lost its
 //     scratch-reuse discipline.
@@ -93,7 +96,8 @@ const (
 
 // Row is the comparison of one benchmark name.
 type Row struct {
-	Name    string
+	Name string
+	// Old and New hold the medians of the name's samples in each file.
 	Old     *Point // nil when Added
 	New     *Point // nil when Removed
 	Verdict Verdict
@@ -228,14 +232,7 @@ func Compare(oldPts, newPts []Point, opts Options) *Report {
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	oldBy := make(map[string]*Point, len(oldPts))
-	for i := range oldPts {
-		oldBy[canonical(oldPts[i].Name)] = &oldPts[i]
-	}
-	newBy := make(map[string]*Point, len(newPts))
-	for i := range newPts {
-		newBy[canonical(newPts[i].Name)] = &newPts[i]
-	}
+	oldBy, newBy := medians(oldPts), medians(newPts)
 	names := make([]string, 0, len(oldBy)+len(newBy))
 	for n := range oldBy {
 		names = append(names, n)
@@ -279,6 +276,47 @@ func Compare(oldPts, newPts []Point, opts Options) *Report {
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep
+}
+
+// medians groups pts by canonical name and returns, per name, one point
+// whose metrics are the medians of that name's samples (the mean of the
+// middle two for an even count); its Name and Iterations are the first
+// sample's.
+func medians(pts []Point) map[string]*Point {
+	samples := make(map[string][]Point, len(pts))
+	for _, p := range pts {
+		n := canonical(p.Name)
+		samples[n] = append(samples[n], p)
+	}
+	out := make(map[string]*Point, len(samples))
+	for n, ps := range samples {
+		m := ps[0]
+		m.NsPerOp = median(ps, func(p Point) *float64 { return p.NsPerOp })
+		m.BytesPerOp = median(ps, func(p Point) *float64 { return p.BytesPerOp })
+		m.AllocsPerOp = median(ps, func(p Point) *float64 { return p.AllocsPerOp })
+		out[n] = &m
+	}
+	return out
+}
+
+// median returns the median of metric over the samples that report it,
+// or nil when none does.
+func median(ps []Point, metric func(Point) *float64) *float64 {
+	var v []float64
+	for _, p := range ps {
+		if x := metric(p); x != nil {
+			v = append(v, *x)
+		}
+	}
+	if len(v) == 0 {
+		return nil
+	}
+	sort.Float64s(v)
+	m := v[len(v)/2]
+	if len(v)%2 == 0 {
+		m = (v[len(v)/2-1] + m) / 2
+	}
+	return &m
 }
 
 func allocsRegressed(op, np *Point) bool {

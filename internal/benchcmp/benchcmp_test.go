@@ -54,6 +54,36 @@ func TestInjectedRegressionFails(t *testing.T) {
 	}
 }
 
+// TestMedianOfSamples: each benchmark is gated on the median of its
+// samples, not on whichever sample the file lists last. A +30% last
+// sample over steady ones passes; a median that moved +30% fails even
+// when the last sample alone is back at the old speed.
+func TestMedianOfSamples(t *testing.T) {
+	oldPts := []Point{
+		point("BenchmarkA-2", 100, 0), point("BenchmarkA-2", 104, 0), point("BenchmarkA-2", 98, 0),
+		point("BenchmarkB-2", 100, 0), point("BenchmarkB-2", 101, 0), point("BenchmarkB-2", 99, 0),
+	}
+	newPts := []Point{
+		point("BenchmarkA-2", 101, 0), point("BenchmarkA-2", 99, 0), point("BenchmarkA-2", 130, 0),
+		point("BenchmarkB-2", 131, 0), point("BenchmarkB-2", 129, 0), point("BenchmarkB-2", 100, 0),
+	}
+	rep := Compare(oldPts, newPts, Options{})
+	if row := verdictOf(t, rep, "BenchmarkA"); row.Verdict != OK || *row.New.NsPerOp != 101 {
+		t.Errorf("noisy last sample: verdict %s, new median %v; want ok at 101", row.Verdict, *row.New.NsPerOp)
+	}
+	row := verdictOf(t, rep, "BenchmarkB")
+	if row.Verdict != Regression {
+		t.Fatalf("median +29%%: verdict %s, want %s", row.Verdict, Regression)
+	}
+	if *row.Old.NsPerOp != 100 || *row.New.NsPerOp != 129 {
+		t.Errorf("medians %v -> %v, want 100 -> 129", *row.Old.NsPerOp, *row.New.NsPerOp)
+	}
+	if got := *median([]Point{point("X", 10, 0), point("X", 40, 0), point("X", 20, 0), point("X", 30, 0)},
+		func(p Point) *float64 { return p.NsPerOp }); got != 25 {
+		t.Errorf("even-count median = %v, want 25", got)
+	}
+}
+
 // TestWithinThresholdPasses: noise-level movement in both directions stays
 // green.
 func TestWithinThresholdPasses(t *testing.T) {

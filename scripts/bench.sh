@@ -4,8 +4,10 @@
 #
 # Usage: scripts/bench.sh [output.json]
 #
-# Writes one JSON array with an object per benchmark — {name, iterations,
-# ns_per_op, bytes_per_op, allocs_per_op} — plus the raw `go test -bench`
+# Each benchmark runs five times (-count=5). Writes one JSON array with an
+# object per sample — {name, iterations, ns_per_op, bytes_per_op,
+# allocs_per_op}, so a name repeats once per sample and arcc-benchcmp
+# gates on each benchmark's median — plus the raw `go test -bench`
 # text alongside it (same path, .txt). The output name comes from the
 # first argument, then $BENCH_OUT, then BENCH_dev.json: the trajectory
 # points checked in per PR are named BENCH_PR<N>.json (CI passes the PR
@@ -19,7 +21,7 @@ out="${1:-${BENCH_OUT:-BENCH_dev.json}}"
 raw="${out%.json}.txt"
 : >"$raw"
 
-run() { go test -run=xxx -benchmem -count=1 "$@" | tee -a "$raw"; }
+run() { go test -run=xxx -benchmem -count=5 "$@" | tee -a "$raw"; }
 
 # GF/RS codec kernels and scratch decoding, plus the batch decoder: the
 # batch benchmarks report ns per CODEWORD, so BenchmarkDecodeBatchClean vs
@@ -57,8 +59,13 @@ run -bench='PagedMemTerabyteSweep|PagedMemMaterialise' ./internal/pagedmem/
 # remainder; DecodeSparedBatchInto1Err erases the spared position and has
 # one more bad symbol per codeword, so every lane still runs the scalar
 # errors-and-erasures decoder.
-# Then the full-system simulator steady state.
 run -bench='EncodeBurst|DecodeBatchInto|DecodeSparedBatchInto' ./internal/ecc/
+# One line access through the controller's group path in each page mode
+# (relaxed, upgraded, upgraded8): a fault-free read, a fault-free write
+# (read-modify-write above one channel), and a correction of a dead
+# device written back; the core layer between ecc and pagedmem.
+run -bench='ControllerAccess' ./internal/core/
+# The full-system simulator steady state.
 run -bench='SimRunSteadyState' ./internal/sim/
 # The simulator's LLC step on its own (Access, then InsertInto on a miss)
 # at 0%, 50% and 100% of pages upgraded, on a full cache and on a cold one
@@ -72,8 +79,8 @@ run -bench='StreamNext' ./internal/workload/
 # to building one with rand.NewSource.
 run -bench='Seed' ./internal/rng/
 # End-to-end exhibit regenerators (quick profile). A handful of iterations
-# rather than one, so the recorded ns/op is comparable across PRs instead
-# of a single noisy wall-time sample.
+# per sample rather than one, so each recorded ns/op is comparable across
+# PRs instead of a single noisy wall-time sample.
 run -bench='Fig71|Fig72|Fig73|Fig74' -benchtime=3x .
 
 awk '
