@@ -27,7 +27,6 @@ func main() {
 	})
 	mem.RelaxAll()
 	scrubber := scrub.New(mem, scrub.FourStep)
-	scrubber.SetSecondLevel(true)
 
 	// A working set on page 4.
 	page := 4

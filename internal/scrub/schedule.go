@@ -2,18 +2,10 @@ package scrub
 
 import "arcc/internal/pagetable"
 
-// SecondLevel controls whether FullScrub also applies the §5.1 second
-// upgrade: a page that is *already* upgraded and is found faulty again gets
-// promoted to the 8-check Upgraded8 mode (four-channel controllers only).
-func (s *Scrubber) SetSecondLevel(enable bool) {
-	if enable && !s.mem.SupportsStrongUpgrade() {
-		panic("scrub: second-level upgrades require a four-channel controller")
-	}
-	s.secondLevel = enable
-}
-
 // applyModeTransitions performs the end-of-scrub upgrades for the pages
-// found faulty.
+// found faulty: a relaxed page is upgraded, and on a four-channel
+// controller an upgraded page found faulty again gets the §5.1 second
+// upgrade to the 8-check Upgraded8 mode.
 func (s *Scrubber) applyModeTransitions(faulty []int) {
 	for _, page := range faulty {
 		switch s.mem.PageMode(page) {
@@ -23,7 +15,7 @@ func (s *Scrubber) applyModeTransitions(faulty []int) {
 			_ = s.mem.UpgradePage(page)
 			s.stats.PagesUpgraded++
 		case pagetable.Upgraded:
-			if s.secondLevel {
+			if s.mem.SupportsStrongUpgrade() {
 				_ = s.mem.UpgradePageToStrong(page)
 				s.stats.PagesUpgraded++
 			}

@@ -11,23 +11,13 @@ import (
 	"arcc/internal/pagetable"
 )
 
-func TestSecondLevelRequiresFourChannels(t *testing.T) {
-	s := New(newMem(t), FourStep) // two channels
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	s.SetSecondLevel(true)
-}
-
 func TestSecondLevelUpgradeOnRepeatFault(t *testing.T) {
 	// First scrub: fault -> pages upgrade to 4-check mode. Second fault in
-	// another channel, next scrub: pages promote to 8-check mode (§5.1).
+	// another channel, next scrub: pages promote to 8-check mode (§5.1),
+	// which a four-channel controller always applies.
 	mem := core.New(core.Config{Pages: 32, Channels: 4, RanksPerChannel: 2, BanksPerDevice: 8, RowsPerBank: 2})
 	mem.RelaxAll()
 	s := New(mem, FourStep)
-	s.SetSecondLevel(true)
 
 	mem.InjectFault(0, 0, dram.Fault{Device: 4, Scope: dram.ScopeDevice, Mode: dram.StuckAt1})
 	s.FullScrub()

@@ -38,9 +38,8 @@ const (
 
 // Scrubber drives periodic scrubs over an ARCC controller.
 type Scrubber struct {
-	mem         *core.Controller
-	algo        Algorithm
-	secondLevel bool // §5.1: promote faulty upgraded pages to Upgraded8
+	mem  *core.Controller
+	algo Algorithm
 
 	// Pattern-test working buffers, allocated once: the all-zeros and
 	// all-ones patterns plus the set-aside original content and read-back
