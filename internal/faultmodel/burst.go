@@ -21,11 +21,11 @@ import (
 //
 //	P(K = k) = q^(k-1) (1-q) / (1 - q^Max)
 //
-// The pmf is exported (BurstSizePMF) because the likelihood must be exact:
-// the rare-event accelerated estimators weight trials by the likelihood
-// ratio of the *primary* arrival process only, which stays correct because
-// expansion is drawn from the identical conditional law under the nominal
-// and every proposal process — the burst factors cancel in the ratio.
+// The accelerated estimators need no burst pmf: they weight trials by the
+// likelihood ratio of the *primary* arrival process only, which stays
+// exact because expansion is drawn from the identical conditional law
+// under the nominal and every proposal process — the burst factors cancel
+// in the ratio. The burst-law tests hold the pmf as their reference.
 //
 // The zero value disables bursting and consumes no randomness, so every
 // unaccelerated experiment is bit-identical with and without the feature
@@ -76,30 +76,9 @@ func (b Burst) Validate() error {
 	return check("bank", b.BankProb, b.BankMean, b.BankMax)
 }
 
-// BurstSizePMF returns the truncated-geometric burst-size law on 1..max:
-// out[k-1] = P(K = k) with q = 1 - 1/mean. mean must be >= 1, max >= 1.
-func BurstSizePMF(mean float64, max int) []float64 {
-	if mean < 1 || max < 1 {
-		panic(fmt.Sprintf("faultmodel: invalid burst-size law (mean=%v max=%d)", mean, max))
-	}
-	out := make([]float64, max)
-	q := 1 - 1/mean
-	if q == 0 {
-		out[0] = 1
-		return out
-	}
-	// Unnormalised geometric weights, then divide by 1 - q^max.
-	norm := 1 - math.Pow(q, float64(max))
-	w := 1 - q
-	for k := 0; k < max; k++ {
-		out[k] = w / norm
-		w *= q
-	}
-	return out
-}
-
-// sampleBurstSize draws from BurstSizePMF(mean, max) by inverse CDF,
-// consuming exactly one uniform variate.
+// sampleBurstSize draws from the truncated-geometric burst-size law on
+// 1..max with q = 1 - 1/mean by inverse CDF, consuming exactly one uniform
+// variate.
 func sampleBurstSize(rng Uniform, mean float64, max int) int {
 	q := 1 - 1/mean
 	if q <= 0 {

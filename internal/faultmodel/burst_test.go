@@ -6,6 +6,26 @@ import (
 	"testing"
 )
 
+// burstSizePMF is the reference burst-size law, truncated geometric on
+// 1..max: out[k-1] = P(K = k) with q = 1 - 1/mean, for mean >= 1 and
+// max >= 1.
+func burstSizePMF(mean float64, max int) []float64 {
+	out := make([]float64, max)
+	q := 1 - 1/mean
+	if q == 0 {
+		out[0] = 1
+		return out
+	}
+	// Unnormalised geometric weights, then divide by 1 - q^max.
+	norm := 1 - math.Pow(q, float64(max))
+	w := 1 - q
+	for k := 0; k < max; k++ {
+		out[k] = w / norm
+		w *= q
+	}
+	return out
+}
+
 func TestBurstValidate(t *testing.T) {
 	good := []Burst{
 		{},
@@ -37,7 +57,7 @@ func TestBurstSizePMFIsALaw(t *testing.T) {
 		mean float64
 		max  int
 	}{{1, 5}, {2, 8}, {3, 16}, {10, 4}} {
-		pmf := BurstSizePMF(tc.mean, tc.max)
+		pmf := burstSizePMF(tc.mean, tc.max)
 		sum := 0.0
 		for k, p := range pmf {
 			if p < 0 || p > 1 {
@@ -58,7 +78,7 @@ func TestBurstSizePMFIsALaw(t *testing.T) {
 			}
 		}
 	}
-	if p := BurstSizePMF(1, 5); p[0] != 1 {
+	if p := burstSizePMF(1, 5); p[0] != 1 {
 		t.Fatalf("mean 1 must be a point mass at 1, got %v", p)
 	}
 }
@@ -66,7 +86,7 @@ func TestBurstSizePMFIsALaw(t *testing.T) {
 func TestSampleBurstSizeMatchesPMF(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const mean, max, n = 2.5, 6, 200_000
-	pmf := BurstSizePMF(mean, max)
+	pmf := burstSizePMF(mean, max)
 	counts := make([]int, max)
 	for i := 0; i < n; i++ {
 		k := sampleBurstSize(rng, mean, max)
@@ -103,7 +123,7 @@ func TestExpandIntoLaw(t *testing.T) {
 	// expanded length is 1 + p*(E[K]-1) with E[K] from the truncated pmf.
 	const p, mean, max = 0.4, 2.0, 5
 	b := Burst{RowProb: p, RowMean: mean, RowMax: max}
-	pmf := BurstSizePMF(mean, max)
+	pmf := burstSizePMF(mean, max)
 	ek := 0.0
 	for k, q := range pmf {
 		ek += float64(k+1) * q

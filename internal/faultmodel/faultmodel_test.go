@@ -72,15 +72,6 @@ func TestScaleNegativePanics(t *testing.T) {
 	FieldStudyRates().Scale(-1)
 }
 
-func TestExpectedFaults(t *testing.T) {
-	r := Rates{Device: 1000} // 1000 FIT
-	// 1000 FIT x 1e-9 x 100 devices x 1 year(8766h) = 0.8766 faults.
-	got := r.ExpectedFaults(Device, 100, 1)
-	if math.Abs(got-0.8766) > 1e-9 {
-		t.Fatalf("ExpectedFaults = %v, want 0.8766", got)
-	}
-}
-
 func TestUpgradedFractionMatchesTable74(t *testing.T) {
 	// Table 7.4: lane 100%, device 1/2, subbank 1/16, column 1/32.
 	s := ARCCChannelShape()
@@ -200,7 +191,7 @@ func TestSampleArrivalsMeanMatchesExpectation(t *testing.T) {
 		}
 	}
 	for _, ty := range Types() {
-		want := rates.ExpectedFaults(ty, 36, years) * channels
+		want := rates[ty] * 1e-9 * 36 * years * HoursPerYear * channels
 		got := float64(counts[ty])
 		if want < 100 {
 			continue // too few samples for a tight bound

@@ -27,12 +27,6 @@ import (
 //     ratios multiplied out; arrival times and device positions are
 //     uniform under both processes and cancel.
 
-// PNoArrivals returns the probability that SampleArrivalsInto draws an empty
-// history: e^{-λ} with λ the channel-aggregated arrival mean.
-func PNoArrivals(rates Rates, ranks, devicesPerRank int, years float64) float64 {
-	return math.Exp(-ExpectedArrivals(rates, ranks, devicesPerRank, years))
-}
-
 // SampleArrivalsConditionalInto draws a fault history conditioned on at
 // least one arrival in the lifespan into buf's capacity (contents
 // ignored, backing array reused), returning the sorted trajectory and its

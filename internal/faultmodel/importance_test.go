@@ -13,18 +13,6 @@ import (
 // importance samplers exist for.
 func rareRates() Rates { return FieldStudyRates().Scale(0.05) }
 
-func TestPNoArrivals(t *testing.T) {
-	rates := FieldStudyRates()
-	p0 := PNoArrivals(rates, 2, 18, 7)
-	want := math.Exp(-ExpectedArrivals(rates, 2, 18, 7))
-	if math.Abs(p0-want) > 1e-15 {
-		t.Fatalf("PNoArrivals = %v, want %v", p0, want)
-	}
-	if p0 <= 0 || p0 >= 1 {
-		t.Fatalf("PNoArrivals = %v outside (0,1)", p0)
-	}
-}
-
 func TestConditionalAlwaysNonEmptySortedAndWeighted(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rates := rareRates()

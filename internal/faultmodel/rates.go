@@ -47,9 +47,3 @@ func (r Rates) Total() float64 {
 
 // HoursPerYear is the average number of hours in a year (365.25 days).
 const HoursPerYear = 8766.0
-
-// ExpectedFaults returns the expected number of faults of type t across
-// devices devices over years of operation.
-func (r Rates) ExpectedFaults(t Type, devices int, years float64) float64 {
-	return r[t] * 1e-9 * float64(devices) * years * HoursPerYear
-}

@@ -24,7 +24,13 @@ import (
 // a monotone function of the Int63 it divides by 2^63, so that test is
 // one integer compare of the raw draw against the largest Int63 whose
 // Float64 is at most e^{-mean} (zeroThreshold), found by evaluating that
-// very comparison: it is exact, not an approximation of it.
+// very comparison: it is exact, not an approximation of it. The
+// thresholds sit in one array, and each run of consecutive Knuth types
+// (0 < mean <= 100; at field rates, all seven) draws its first uniforms
+// in one rng.Source.Int63sAtMost call, which stops at the first type
+// whose draw is above its threshold; that type continues Knuth's product
+// from the draw, and the run resumes after it. An empty plain trial is
+// one such call.
 //
 // Each constant is computed by the same floating-point expression the
 // per-call SampleArrivals*Into functions use, and SampleInto consumes an
@@ -41,6 +47,11 @@ type Sampler struct {
 	// in the categorical walk.
 	types [NumTypes]typeMean
 	n     int
+	// zeroMax[:n] are the types' zero thresholds, zeroThreshold(expNeg),
+	// in one array so that a run of Knuth types hands its thresholds to
+	// rng.Source.Int63sAtMost as one slice. Unused by the conditional
+	// proposal.
+	zeroMax [NumTypes]int64
 	// lambda is the channel-aggregated arrival mean of the unscaled
 	// process (conditional and tilted).
 	lambda float64
@@ -70,12 +81,12 @@ type typeMean struct {
 	t      Type
 	mean   float64
 	expNeg float64 // e^{-mean}; unused by the conditional proposal
-	// knuth is set when poisson draws the count by Knuth's method
-	// (0 < mean <= 100), and then a first draw at most zeroMax =
-	// zeroThreshold(expNeg) is a count of 0. Unused by the conditional
-	// proposal.
-	knuth   bool
-	zeroMax int64
+	// runEnd is 0 unless poisson draws the count by Knuth's method
+	// (0 < mean <= 100), where a first draw at most the type's zero
+	// threshold is a count of 0. It is then one past the last type of the
+	// run of consecutive Knuth types that holds this one. Unused by the
+	// conditional proposal.
+	runEnd int
 }
 
 func newSampler(mode proposal, ranks, devicesPerRank int, years float64) *Sampler {
@@ -84,8 +95,17 @@ func newSampler(mode proposal, ranks, devicesPerRank int, years float64) *Sample
 }
 
 func (s *Sampler) add(t Type, mean, expNeg float64) {
-	s.types[s.n] = typeMean{t: t, mean: mean, expNeg: expNeg, knuth: mean > 0 && mean <= 100, zeroMax: zeroThreshold(expNeg)}
+	i := s.n
+	s.types[i] = typeMean{t: t, mean: mean, expNeg: expNeg}
+	s.zeroMax[i] = zeroThreshold(expNeg)
 	s.n++
+	if mean > 0 && mean <= 100 {
+		// A Knuth type ends its run, extending the run before it if any.
+		s.types[i].runEnd = i + 1
+		for j := i - 1; j >= 0 && s.types[j].runEnd == i; j-- {
+			s.types[j].runEnd = i + 1
+		}
+	}
 }
 
 // checkGeometry panics on a geometry or lifespan no channel can have.
@@ -216,19 +236,28 @@ func (s *Sampler) SampleInto(src *rng.Source, buf []Arrival) ([]Arrival, float64
 		}
 		w = s.weight
 	} else {
-		for i := range s.types[:s.n] {
-			// poisson, with the test for a count of 0 in line: one draw
-			// and one compare per type of a trial that draws no fault.
+		for i := 0; i < s.n; {
 			tm := &s.types[i]
 			n := 0
-			if !tm.knuth {
-				n = poisson(src, tm.mean, tm.expNeg, tm.zeroMax)
-			} else if x := src.Int63(); x > tm.zeroMax {
+			if tm.runEnd == 0 {
+				n = poisson(src, tm.mean, tm.expNeg, s.zeroMax[i])
+			} else {
+				// poisson for the rest of the run, with the test for a
+				// count of 0 in one call: its types draw 0 up to the
+				// first whose draw is above its zero threshold, which
+				// continues Knuth's product from that draw.
+				end := tm.runEnd
+				k, x := src.Int63sAtMost(s.zeroMax[i:end])
+				if i += k; i == end {
+					continue
+				}
+				tm = &s.types[i]
 				n = knuthPastZero(src, x, tm.expNeg)
 			}
 			if n > 0 {
 				out = s.place(src, out, tm.t, n)
 			}
+			i++
 		}
 		if n := len(out); n < len(s.tiltWeights) {
 			w = s.tiltWeights[n]

@@ -14,10 +14,12 @@ import (
 // that reach every count path: rare and field rates (Knuth draws and
 // truncated-count inversion), inflated rates (conditional rejection
 // above λ = 30, and per-type means above 100 for the normal
-// approximation), and a table with missing, zero and negative entries.
-// Field rates keep the tilted counts inside NewTiltedSampler's weight
-// table and inflated rates take them past it. It also pins every zero
-// threshold the samplers hold.
+// approximation), a table with missing, zero and negative entries, and
+// one whose Column mean passes 100 between Knuth types, so a run of
+// Knuth types ends before it and another starts after it. Field rates
+// keep the tilted counts inside NewTiltedSampler's weight table and
+// inflated rates take them past it. It also pins every zero threshold
+// and Knuth run the samplers hold.
 func TestSamplerMatchesReference(t *testing.T) {
 	odd := Rates{Bit: 40, Word: 0, Column: -3, Row: 9, Lane: 2}
 	tables := map[string]Rates{
@@ -27,6 +29,7 @@ func TestSamplerMatchesReference(t *testing.T) {
 		"x300":     FieldStudyRates().Scale(300),
 		"odd":      odd,
 		"odd-x300": odd.Scale(300),
+		"split":    {Bit: 40, Word: 0, Column: 68000, Row: 9, Bank: 20, Lane: 2},
 	}
 	geoms := []struct {
 		ranks, devices int
@@ -82,6 +85,10 @@ func FuzzSamplerMatchesReference(f *testing.F) {
 	f.Add(int64(6), uint8(0x03), 22700.0, 300.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(2), uint8(36), 7.0, uint8(2), 0.99)
 	f.Add(int64(7), uint8(0x7f), 1e-12, 1e-15, 2e-13, 1e-12, 1e-12, 1e-12, 1e-12, uint8(1), uint8(1), 1.0, uint8(0), 1.0)
 	f.Add(int64(8), uint8(0x7f), 4000.0, 1200.0, 2400.0, 3600.0, 4000.0, 1200.0, 800.0, uint8(2), uint8(18), 7.0, uint8(1), 1.0)
+	// A Column mean of 177 (2×36 devices, 7 years) between Knuth types,
+	// and a zero Device rate, plain and tilted.
+	f.Add(int64(9), uint8(0x7f), 40.0, 1.0, 40000.0, 9.0, 20.0, 0.0, 2.0, uint8(1), uint8(35), 7.0, uint8(0), 1.0)
+	f.Add(int64(10), uint8(0x7f), 40.0, 1.0, 40000.0, 9.0, 20.0, 0.0, 2.0, uint8(1), uint8(35), 7.0, uint8(2), 1.5)
 	f.Fuzz(func(t *testing.T, seed int64, present uint8, bit, word, column, row, bank, device, lane float64,
 		ranks, devices uint8, years float64, mode uint8, tilt float64) {
 		r, d := int(ranks%8)+1, int(devices%72)+1
@@ -165,7 +172,10 @@ func checkSamplerDraws(t testing.TB, what string, s *Sampler, seed int64, trials
 // the largest Int63 draw whose Float64 (float64(x)/2^63, a draw that
 // rounds up to 1 being resampled) is at most the threshold's e^{-mean}.
 // So zeroMax itself maps to a value below 1 and at most expNeg, and
-// zeroMax+1 maps above expNeg or rounds up to 1.
+// zeroMax+1 maps above expNeg or rounds up to 1. It also pins each
+// type's runEnd: 0 for a type poisson does not draw by Knuth's method,
+// and otherwise the end of the longest run of consecutive Knuth types
+// that holds it.
 func checkZeroThresholds(t testing.TB, what string, s *Sampler) {
 	t.Helper()
 	check := func(label string, expNeg float64, zeroMax int64) {
@@ -186,8 +196,17 @@ func checkZeroThresholds(t testing.TB, what string, s *Sampler) {
 		}
 		return
 	}
-	for _, tm := range s.types[:s.n] {
-		check(tm.t.String(), tm.expNeg, tm.zeroMax)
+	knuth := func(i int) bool { return s.types[i].mean > 0 && s.types[i].mean <= 100 }
+	for i, tm := range s.types[:s.n] {
+		check(tm.t.String(), tm.expNeg, s.zeroMax[i])
+		end := 0
+		if knuth(i) {
+			for end = i + 1; end < s.n && knuth(end); end++ {
+			}
+		}
+		if tm.runEnd != end {
+			t.Fatalf("%s %v: run ends at %d, want %d", what, tm.t, tm.runEnd, end)
+		}
 	}
 }
 

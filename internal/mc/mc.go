@@ -54,13 +54,14 @@ var ErrCanceled = errors.New("mc: run canceled")
 // DefaultShardSize is the number of trials per shard when Options.ShardSize
 // is zero. Small enough to load-balance thousands of cheap trials across a
 // pool, large enough to amortise the per-shard setup: reseeding the
-// worker's generator, which writes all 607 words of its state (about
-// 1.1 µs with rng's AVX2 kernel, some 17 ns per trial at this size; about
-// 3.6 µs with its Go loop), and one NewAcc. That is a third of what a
-// plain field-rate lifetime trial spends drawing its faults from the
-// Source (about 50 ns on a 72-device channel, BenchmarkSamplerSampleInto),
-// most of whose draws are the one compare of an empty fault type. The
-// value cannot change without changing every seeded result: the shard
+// worker's generator, which writes all 607 words of its state, and one
+// NewAcc. The reseed takes about 0.5 µs with rng's AVX-512 kernel (some
+// 8 ns per trial at this size), 0.9–1 µs with its AVX2 kernel and 3 µs
+// with its Go loop. A plain field-rate lifetime trial spends about 47 ns
+// drawing its faults from the Source (72-device channel,
+// BenchmarkSamplerSampleInto); when it draws none, that is one
+// Int63sAtMost call over the zero thresholds of its run of fault types.
+// The value cannot change without changing every seeded result: the shard
 // size fixes which stream each trial draws from.
 const DefaultShardSize = 64
 

@@ -46,19 +46,22 @@ const (
 // seedPow0/1/2[i] = seedA^(seedSkip+1+3i+k) mod (2^31-1), k = 0, 1, 2,
 // take a reduced seed to the three LCG states feedback word i is built
 // from; seedCooked is rngCooked as uint64. One array per factor lets the
-// vector kernel load four words' factors at once; seedPad rounds them up
-// to whole four-word groups with zeros.
+// vector kernels load four or eight words' factors at once; seedPad
+// rounds them up to whole eight-word groups with zeros.
 var seedPow0, seedPow1, seedPow2, seedCooked [seedPad]uint64
 
-// seedKernel, when set (by seed_amd64.go on CPUs with AVX2), writes words
-// [0, seedKernelWords) of the register Seed builds from the reduced seed
-// x, as Seed's Go loop would; the loop does the rest. Tests clear it to
-// run the Go loop alone.
+// seedKernel, when set (by seed_amd64.go on CPUs with AVX-512F or AVX2),
+// writes words [0, seedKernelWords) of the register Seed builds from the
+// reduced seed x, as Seed's Go loop would; the loop does the rest. Tests
+// clear it to run the Go loop alone.
 var seedKernel func(x uint64, vec *[rngLen]int64)
 
 const (
-	seedPad         = (rngLen + 3) &^ 3
+	seedPad         = (rngLen + 7) &^ 7
 	seedKernelWords = rngLen &^ 3
+	// seedZMMWords is the words the 8-lane kernel writes in whole
+	// groups; it finishes with a masked group of four.
+	seedZMMWords = rngLen &^ 7
 )
 
 func init() {
@@ -135,6 +138,37 @@ func (r *Source) Int63() int64 {
 	x := r.vec[r.feed] + r.vec[r.tap]
 	r.vec[r.feed] = x
 	return x & rngMask
+}
+
+// Int63sAtMost draws Int63 values in turn, comparing the i-th with
+// bound[i], and stops after the first draw above its bound. It returns n,
+// the number of draws at most their bounds, and, when n < len(bound), the
+// draw above bound[n] that ended the run (above is -1 otherwise). The
+// stream advances exactly as min(n+1, len(bound)) Int63 calls would. When
+// none of the draws can wrap tap or feed, the loop skips Int63's two wrap
+// checks per draw; otherwise it calls Int63.
+func (r *Source) Int63sAtMost(bound []int64) (n int, above int64) {
+	tap, feed := r.tap, r.feed
+	if tap < len(bound) || feed < len(bound) {
+		for i, b := range bound {
+			if x := r.Int63(); x > b {
+				return i, x
+			}
+		}
+		return len(bound), -1
+	}
+	for i, b := range bound {
+		tap--
+		feed--
+		x := r.vec[feed] + r.vec[tap]
+		r.vec[feed] = x
+		if x &= rngMask; x > b {
+			r.tap, r.feed = tap, feed
+			return i, x
+		}
+	}
+	r.tap, r.feed = tap, feed
+	return len(bound), -1
 }
 
 // Uint64 returns a pseudo-random 64-bit value, the full feedback word

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,11 +35,17 @@ var intnBounds = []int{
 	math.MaxInt32, math.MaxInt32 + 1, 1<<31 + 1, 1<<40 + 3, math.MaxInt64,
 }
 
+// atMostBounds are Int63sAtMost bounds: -1 (every draw is above it), 0,
+// MaxInt64 (no draw is) and values that stop about 1/8, 1/2 and 7/8 of
+// all draws.
+var atMostBounds = []int64{-1, 0, math.MaxInt64, 7 << 60, 1 << 62, 1 << 60}
+
 // checkRNGMatches drives two pairs of generators under the same seeds,
 // with a re-seed of every generator midway, from the bytes of ops:
 //
-//   - the port's own Float64, Int63n, ExpFloat64, Intn and NormFloat64
-//     against math/rand's;
+//   - the port's own Float64, Int63n, ExpFloat64, Intn, NormFloat64 and
+//     Int63sAtMost against math/rand's (Int63sAtMost against as many
+//     Int63 calls as it makes draws);
 //   - a *rand.Rand over the port against one over rand.NewSource, through
 //     the Rand methods the Monte Carlo trials use (Uint64 takes the
 //     Source64 path), including a Read that leaves a partial buffer
@@ -59,7 +66,7 @@ func checkRNGMatches(t testing.TB, seed, reseed int64, ops []byte) {
 			wrapped.Seed(reseed)
 			wrappedWant.Seed(reseed)
 		}
-		switch op % 6 {
+		switch op % 7 {
 		case 0:
 			if g, w := got.Float64(), want.Float64(); g != w {
 				t.Fatalf("seed %d op %d: Float64 = %v, math/rand %v", seed, i, g, w)
@@ -81,6 +88,15 @@ func checkRNGMatches(t testing.TB, seed, reseed int64, ops []byte) {
 		case 5:
 			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
 				t.Fatalf("seed %d op %d: NormFloat64 = %v, math/rand %v", seed, i, g, w)
+			}
+		case 6:
+			bound := make([]int64, int(op/7)%9)
+			for j := range bound {
+				bound[j] = atMostBounds[(int(op)+j)%len(atMostBounds)]
+			}
+			n, above := got.Int63sAtMost(bound)
+			if err := checkAtMost(bound, n, above, want.Int63); err != "" {
+				t.Fatalf("seed %d op %d: Int63sAtMost(%v): %s", seed, i, bound, err)
 			}
 		}
 		switch op % 5 {
@@ -161,21 +177,100 @@ func TestRNGMatchesMathRand(t *testing.T) {
 	}
 }
 
+// checkAtMost checks Int63sAtMost's result n, above for bound against
+// the draws of int63, a generator in the state Int63sAtMost started from,
+// and returns what is wrong, or "" when nothing is. It makes as many
+// draws as Int63sAtMost should have made.
+func checkAtMost(bound []int64, n int, above int64, int63 func() int64) string {
+	if n < 0 || n > len(bound) {
+		return fmt.Sprintf("n = %d outside [0, %d]", n, len(bound))
+	}
+	for j := 0; j < n; j++ {
+		if w := int63(); w > bound[j] {
+			return fmt.Sprintf("n = %d, but draw %d = %d is above its bound", n, j, w)
+		}
+	}
+	if n == len(bound) {
+		if above != -1 {
+			return fmt.Sprintf("no draw above its bound, but above = %d", above)
+		}
+		return ""
+	}
+	if w := int63(); w != above || w <= bound[n] {
+		return fmt.Sprintf("n = %d, above = %d; draw %d = %d", n, above, n, w)
+	}
+	return ""
+}
+
+// TestInt63sAtMostMatchesInt63 starts Int63sAtMost from every register
+// position — after 0 to 606 draws from Seed, so tap and feed each take
+// every value and each bound length wraps them at every offset — with
+// bound lengths 0 to 8: all -1 (stop at the first draw), all MaxInt64
+// (never stop), MaxInt64 but for one -1 at each index, and random. The
+// result must match sequential Int63 calls, and so must the whole state
+// it leaves.
+func TestInt63sAtMostMatchesInt63(t *testing.T) {
+	var base Source
+	base.Seed(17)
+	pick := rand.New(rand.NewSource(3))
+	var bounds [][]int64
+	for l := 0; l <= 8; l++ {
+		low, high := make([]int64, l), make([]int64, l)
+		for j := range low {
+			low[j], high[j] = -1, math.MaxInt64
+		}
+		bounds = append(bounds, low, high)
+		for k := 0; k < l; k++ {
+			stop := append([]int64(nil), high...)
+			stop[k] = -1
+			bounds = append(bounds, stop)
+		}
+		for r := 0; r < 3; r++ {
+			random := make([]int64, l)
+			for j := range random {
+				random[j] = pick.Int63()
+			}
+			bounds = append(bounds, random)
+		}
+	}
+	for pos := 0; pos < rngLen; pos++ {
+		for _, bound := range bounds {
+			got, want := base, base
+			n, above := got.Int63sAtMost(bound)
+			if err := checkAtMost(bound, n, above, want.Int63); err != "" {
+				t.Fatalf("after %d draws, Int63sAtMost(%v): %s", pos, bound, err)
+			}
+			if got != want {
+				t.Fatalf("after %d draws, Int63sAtMost(%v) left tap %d feed %d, Int63 tap %d feed %d (or another word)",
+					pos, bound, got.tap, got.feed, want.tap, want.feed)
+			}
+		}
+		base.Int63()
+	}
+}
+
+// avx2SeedKernel is the AVX2 kernel on amd64 CPUs that have AVX2 (set by
+// seed_amd64_test.go), nil elsewhere.
+var avx2SeedKernel func(x uint64, vec *[rngLen]int64)
+
 // forEachSeedPath calls f under each implementation of Seed: the vector
-// kernel installed at init (available only on CPUs that have it) and the
-// Go loop, forced by clearing seedKernel. It reinstalls the kernel
-// afterwards.
+// kernel installed at init (AVX-512 or AVX2, available only on CPUs that
+// have one), the AVX2 kernel again (the fallback of CPUs without
+// AVX-512), and the Go loop, forced by clearing seedKernel. It
+// reinstalls the kernel afterwards.
 func forEachSeedPath(f func(path string, available bool)) {
 	kernel := seedKernel
 	defer func() { seedKernel = kernel }()
 	f("kernel", kernel != nil)
+	seedKernel = avx2SeedKernel
+	f("avx2", avx2SeedKernel != nil)
 	seedKernel = nil
 	f("go", true)
 }
 
 // TestSeedFillsMathRandState checks the whole feedback register right
 // after Seed, over a dense run of seeds and every reduction branch, on
-// both seeding paths: the first 607 draws read each word of it exactly
+// every seeding path: the first 607 draws read each word of it exactly
 // once.
 func TestSeedFillsMathRandState(t *testing.T) {
 	seeds := append([]int64(nil), rngSeeds...)
@@ -185,7 +280,7 @@ func TestSeedFillsMathRandState(t *testing.T) {
 	forEachSeedPath(func(path string, available bool) {
 		t.Run(path, func(t *testing.T) {
 			if !available {
-				t.Skip("this CPU has no vector seed kernel")
+				t.Skip("this CPU has no such seed kernel")
 			}
 			var got Source
 			for _, seed := range seeds {
@@ -202,7 +297,7 @@ func TestSeedFillsMathRandState(t *testing.T) {
 }
 
 // FuzzRNGMatchesMathRand lets the fuzzer pick the seeds and the call mix,
-// and checks them on both seeding paths.
+// and checks them on every seeding path.
 func FuzzRNGMatchesMathRand(f *testing.F) {
 	f.Add(int64(1), int64(2), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(int64(-1), int64(1<<31-1), []byte{37, 40, 2, 2, 2, 0})
@@ -210,6 +305,8 @@ func FuzzRNGMatchesMathRand(f *testing.F) {
 	f.Add(int64(math.MinInt64), int64(math.MaxInt64), []byte{4, 9, 14, 19, 24, 29, 3, 8})
 	f.Add(int64(-3*(1<<31-1)), int64(-42), []byte{9, 4, 4, 14, 0, 1, 2, 3, 4})
 	f.Add(int64(7), int64(8), []byte{3, 5, 9, 11, 63, 65, 81, 83, 5, 5})
+	// Int63sAtMost over bound lengths 0 to 8.
+	f.Add(int64(11), int64(12), []byte{6, 13, 20, 27, 34, 41, 48, 55, 62, 69, 76, 83, 90})
 	f.Fuzz(func(t *testing.T, seed, reseed int64, ops []byte) {
 		forEachSeedPath(func(path string, available bool) {
 			if available {
@@ -223,13 +320,14 @@ func FuzzRNGMatchesMathRand(f *testing.F) {
 var seedSink rand.Source
 
 // BenchmarkSeed compares reseeding a Source in place, on each seeding
-// path, with building the generator the way math/rand does,
-// rand.NewSource (which also allocates the 4.9 KB state).
+// path (the installed kernel, the AVX2 kernel and the Go loop), with
+// building the generator the way math/rand does, rand.NewSource (which
+// also allocates the 4.9 KB state).
 func BenchmarkSeed(b *testing.B) {
 	forEachSeedPath(func(path string, available bool) {
 		b.Run("Source/"+path, func(b *testing.B) {
 			if !available {
-				b.Skip("this CPU has no vector seed kernel")
+				b.Skip("this CPU has no such seed kernel")
 			}
 			b.ReportAllocs()
 			var s Source
@@ -244,4 +342,23 @@ func BenchmarkSeed(b *testing.B) {
 			seedSink = rand.NewSource(int64(i))
 		}
 	})
+}
+
+var atMostSink int
+
+// BenchmarkInt63sAtMost draws what a plain field-rate lifetime trial
+// draws for its seven fault types: seven bounds, each of which a draw
+// exceeds one time in 128.
+func BenchmarkInt63sAtMost(b *testing.B) {
+	bound := make([]int64, 7)
+	for j := range bound {
+		bound[j] = math.MaxInt64 - 1<<56
+	}
+	var s Source
+	s.Seed(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n, _ := s.Int63sAtMost(bound)
+		atMostSink += n
+	}
 }

@@ -49,6 +49,59 @@ loop:
 	VZEROUPPER
 	RET
 
+// FOLDZ is FOLD on ZMM registers.
+#define FOLDZ(R, T, MASK) \
+	VPANDQ MASK, R, T \
+	VPSRLQ $31, R, R  \
+	VPADDQ T, R, R
+
+// COMBINEZ computes the eight words of vec from offset CX of the tables
+// into Z4, as in seedAVX2.
+#define COMBINEZ \
+	VPMULUDQ (R8)(CX*8), Z0, Z2  \
+	VPMULUDQ (R9)(CX*8), Z0, Z3  \
+	VPMULUDQ (R10)(CX*8), Z0, Z4 \
+	FOLDZ(Z2, Z5, Z1)            \
+	FOLDZ(Z3, Z6, Z1)            \
+	FOLDZ(Z4, Z7, Z1)            \
+	FOLDZ(Z2, Z5, Z1)            \
+	FOLDZ(Z3, Z6, Z1)            \
+	FOLDZ(Z4, Z7, Z1)            \
+	VPSLLQ   $40, Z2, Z2         \
+	VPSLLQ   $20, Z3, Z3         \
+	VPXORQ   Z2, Z3, Z3          \
+	VPXORQ   Z3, Z4, Z4          \
+	VPXORQ   (R11)(CX*8), Z4, Z4
+
+// func seedAVX512(x uint64, vec *[rngLen]int64)
+//
+// seedAVX2 eight words at a time: words [0, seedZMMWords) in whole
+// groups, then one group whose store is masked to its low four words, so
+// it ends at seedKernelWords. Its loads read the tables' padding, and no
+// store passes the register's end.
+TEXT ·seedAVX512(SB), NOSPLIT, $0-16
+	VPBROADCASTQ x+0(FP), Z0
+	MOVQ         vec+8(FP), DI
+	MOVQ         $0x7fffffff, AX
+	VPBROADCASTQ AX, Z1
+	LEAQ         ·seedPow0(SB), R8
+	LEAQ         ·seedPow1(SB), R9
+	LEAQ         ·seedPow2(SB), R10
+	LEAQ         ·seedCooked(SB), R11
+	XORQ         CX, CX
+loopz:
+	COMBINEZ
+	VMOVDQU64 Z4, (DI)(CX*8)
+	ADDQ      $8, CX
+	CMPQ      CX, $const_seedZMMWords
+	JLT       loopz
+	COMBINEZ
+	MOVL      $0x0f, AX
+	KMOVW     AX, K1
+	VMOVDQU64 Z4, K1, (DI)(CX*8)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

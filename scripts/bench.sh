@@ -75,9 +75,11 @@ run -bench='LLCMissPath' ./internal/cache/
 # The synthetic access generator on its own, per access.
 run -bench='StreamNext' ./internal/workload/
 # Reseeding the in-repo math/rand source in place (what the Monte Carlo
-# engine pays per shard), with the AVX2 kernel and with the Go loop, next
-# to building one with rand.NewSource.
-run -bench='Seed' ./internal/rng/
+# engine pays per shard) on each of its three paths — the installed kernel
+# (AVX-512 where the CPU has it), the AVX2 kernel and the Go loop — next
+# to building one with rand.NewSource; and Int63sAtMost over seven bounds,
+# an empty lifetime trial's draws.
+run -bench='Seed|Int63sAtMost' ./internal/rng/
 # End-to-end exhibit regenerators (quick profile). A handful of iterations
 # per sample rather than one, so each recorded ns/op is comparable across
 # PRs instead of a single noisy wall-time sample.
