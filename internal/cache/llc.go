@@ -175,12 +175,6 @@ func (c *LLC) Access(addr uint64, write bool) bool {
 	return false
 }
 
-// Contains reports residency without touching recency or statistics.
-func (c *LLC) Contains(addr uint64) bool {
-	_, base, key := c.locate(addr)
-	return c.lookup(base, key) >= 0
-}
-
 // InsertInto fills addr after a miss. For upgraded lines both sub-lines
 // (addr&^1 and addr|1) are inserted — the memory returned the whole 128 B
 // line. write marks the *requested* line dirty. The evictions (at most

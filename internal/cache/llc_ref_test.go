@@ -103,8 +103,8 @@ func (c *refLLC) Access(addr uint64, write bool) bool {
 	return false
 }
 
-// Contains reports residency without touching recency or statistics.
-func (c *refLLC) Contains(addr uint64) bool {
+// contains reports residency without touching recency or statistics.
+func (c *refLLC) contains(addr uint64) bool {
 	set := c.sets[c.setIndex(addr)]
 	tag := c.tagOf(addr)
 	for i := range set {
@@ -248,7 +248,7 @@ var diffGeometries = [...]struct{ size, assoc int }{
 // difference in a hit, an eviction list, residency, or any Stats counter.
 // Operation byte b0 selects the kind: 0 resets both caches mid-stream,
 // b0&7 == 1 is a bare InsertInto with no preceding Access (re-inserting a
-// resident line, possibly relaxed as upgraded), b0&7 == 2 probes Contains,
+// resident line, possibly relaxed as upgraded), b0&7 == 2 probes contains,
 // and every other value is the simulator's Access-then-InsertInto-on-miss.
 // b0&16 is the write bit; b1:b2 picks the line from a span four times the
 // cache's capacity.
@@ -281,8 +281,8 @@ func checkLLCMatchesReference(t testing.TB, policy Policy, size, assoc, pages in
 			wantEvs = want.InsertInto(addr, upgraded, write, wantEvs[:0])
 			op = "bare insert"
 		case b0&7 == 2:
-			if g, w := got.Contains(addr), want.Contains(addr); g != w {
-				t.Fatalf("op %d: Contains(%d) = %v, reference %v", n/3, addr, g, w)
+			if g, w := got.contains(addr), want.contains(addr); g != w {
+				t.Fatalf("op %d: contains(%d) = %v, reference %v", n/3, addr, g, w)
 			}
 			op = "contains"
 		default:
@@ -309,8 +309,8 @@ func checkLLCMatchesReference(t testing.TB, policy Policy, size, assoc, pages in
 		}
 	}
 	for addr := uint64(0); addr < span; addr++ {
-		if g, w := got.Contains(addr), want.Contains(addr); g != w {
-			t.Fatalf("end of stream: Contains(%d) = %v, reference %v", addr, g, w)
+		if g, w := got.contains(addr), want.contains(addr); g != w {
+			t.Fatalf("end of stream: contains(%d) = %v, reference %v", addr, g, w)
 		}
 	}
 	checkLLCInvariants(t, got)

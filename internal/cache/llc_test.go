@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// contains reports residency without touching recency or statistics.
+func (c *LLC) contains(addr uint64) bool {
+	_, base, key := c.locate(addr)
+	return c.lookup(base, key) >= 0
+}
+
 func newSmall(policy Policy) *LLC {
 	// 8 KB, 2-way: 64 sets — small enough to force evictions quickly.
 	return New(8*1024, 2, policy)
@@ -56,7 +62,7 @@ func TestLRUEviction(t *testing.T) {
 	if len(ev) != 1 || ev[0].Addr != b {
 		t.Fatalf("evictions = %+v, want [b=64]", ev)
 	}
-	if !c.Contains(a) || c.Contains(b) || !c.Contains(d) {
+	if !c.contains(a) || c.contains(b) || !c.contains(d) {
 		t.Fatal("wrong resident set after eviction")
 	}
 }
@@ -78,7 +84,7 @@ func TestDirtyEvictionCountsWriteback(t *testing.T) {
 func TestUpgradedInsertBringsBothSubLines(t *testing.T) {
 	c := newSmall(SharedRecency)
 	c.InsertInto(10, true, false, nil)
-	if !c.Contains(10) || !c.Contains(11) {
+	if !c.contains(10) || !c.contains(11) {
 		t.Fatal("upgraded insert must fill both sub-lines")
 	}
 	// Sub-lines land in adjacent sets.
@@ -113,7 +119,7 @@ func TestUpgradedPairEvictsTogether(t *testing.T) {
 	if sawPair != 2 {
 		t.Fatalf("evicting one sub-line evicted %d pair members, want 2 (%+v)", sawPair, ev)
 	}
-	if c.Contains(11) {
+	if c.contains(11) {
 		t.Fatal("partner sub-line still resident after pair eviction")
 	}
 }
@@ -161,7 +167,7 @@ func TestPartnerReinsertIsIdempotent(t *testing.T) {
 	c := newSmall(SharedRecency)
 	c.InsertInto(20, true, false, nil)
 	c.InsertInto(21, true, true, nil) // partner already resident; must not duplicate
-	if !c.Contains(20) || !c.Contains(21) {
+	if !c.contains(20) || !c.contains(21) {
 		t.Fatal("pair should be resident")
 	}
 	// Count resident copies of 21's key in its set.
@@ -309,7 +315,7 @@ func TestReset(t *testing.T) {
 		if used.Access(a, w) != fresh.Access(a, w) {
 			t.Fatalf("access %d diverged after Reset", i)
 		}
-		if !fresh.Contains(a) {
+		if !fresh.contains(a) {
 			wantEv := fresh.InsertInto(a, i%2 == 0, w, nil)
 			gotEv := used.InsertInto(a, i%2 == 0, w, nil)
 			if len(wantEv) != len(gotEv) {

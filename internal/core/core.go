@@ -216,9 +216,6 @@ func New(cfg Config) *Controller {
 // Pages returns the number of physical pages.
 func (c *Controller) Pages() int { return c.cfg.Pages }
 
-// Channels returns the channel count (2 or 4).
-func (c *Controller) Channels() int { return c.numChannels }
-
 // SupportsStrongUpgrade reports whether the §5.1 Upgraded8 mode is
 // available (it needs four channels to stripe eight check symbols).
 func (c *Controller) SupportsStrongUpgrade() bool { return c.numChannels == 4 }

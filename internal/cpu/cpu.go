@@ -66,14 +66,6 @@ func (c *Core) Now() int64 { return c.time }
 // Instructions returns the committed instruction count.
 func (c *Core) Instructions() int64 { return c.instructions }
 
-// IPC returns committed instructions per cycle so far.
-func (c *Core) IPC() float64 {
-	if c.time == 0 {
-		return 0
-	}
-	return float64(c.instructions) / float64(c.time)
-}
-
 // AdvanceCompute retires gap instructions at peak width.
 func (c *Core) AdvanceCompute(gap int) {
 	if gap < 0 {
@@ -141,9 +133,6 @@ func (c *Core) Drain() {
 		c.outstanding = c.outstanding[:0]
 	}
 }
-
-// OutstandingMisses returns the number of in-flight misses.
-func (c *Core) OutstandingMisses() int { return len(c.outstanding) }
 
 func (c *Core) retire() {
 	i := 0

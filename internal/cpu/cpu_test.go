@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// ipc returns committed instructions per cycle so far.
+func ipc(c *Core) float64 {
+	if c.Now() == 0 {
+		return 0
+	}
+	return float64(c.Instructions()) / float64(c.Now())
+}
+
 func TestNewPanicsOnBadConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{WidthIPC: 0, MLP: 4, HitLatency: 10},
@@ -27,8 +35,8 @@ func TestComputeOnlyIPCApproachesPeak(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.AdvanceCompute(100)
 	}
-	if ipc := c.IPC(); ipc < 1.9 || ipc > 2.0 {
-		t.Fatalf("compute-only IPC = %v, want ~2 (peak width)", ipc)
+	if got := ipc(c); got < 1.9 || got > 2.0 {
+		t.Fatalf("compute-only IPC = %v, want ~2 (peak width)", got)
 	}
 }
 
@@ -40,10 +48,10 @@ func TestHitsSlowButDoNotStall(t *testing.T) {
 		withHits.NoteHit()
 		without.AdvanceCompute(50)
 	}
-	if withHits.IPC() >= without.IPC() {
+	if ipc(withHits) >= ipc(without) {
 		t.Fatal("hit latency should cost some IPC")
 	}
-	if withHits.IPC() < without.IPC()/2 {
+	if ipc(withHits) < ipc(without)/2 {
 		t.Fatal("hits cost too much; they are not misses")
 	}
 }
@@ -77,8 +85,8 @@ func TestWindowFullStalls(t *testing.T) {
 	issue := &fixedIssuer{lat: 1000}
 	c.IssueMissTo(issue)
 	c.IssueMissTo(issue)
-	if c.OutstandingMisses() != 2 {
-		t.Fatalf("outstanding = %d, want 2", c.OutstandingMisses())
+	if len(c.outstanding) != 2 {
+		t.Fatalf("outstanding = %d, want 2", len(c.outstanding))
 	}
 	before := c.Now()
 	c.IssueMissTo(issue) // must stall until the first completes
@@ -93,8 +101,8 @@ func TestRetireFreesWindow(t *testing.T) {
 	c := New(cfg)
 	c.IssueMissTo(&fixedIssuer{lat: 100})
 	c.AdvanceCompute(1000) // plenty of time for the miss to retire
-	if c.OutstandingMisses() != 0 {
-		t.Fatalf("outstanding = %d after retirement window", c.OutstandingMisses())
+	if len(c.outstanding) != 0 {
+		t.Fatalf("outstanding = %d after retirement window", len(c.outstanding))
 	}
 }
 
@@ -102,7 +110,7 @@ func TestDrain(t *testing.T) {
 	c := New(DefaultConfig())
 	c.IssueMissTo(&fixedIssuer{lat: 500})
 	c.Drain()
-	if c.OutstandingMisses() != 0 {
+	if len(c.outstanding) != 0 {
 		t.Fatal("Drain left misses outstanding")
 	}
 	if c.Now() < 500 {
@@ -139,7 +147,7 @@ func TestMemoryLatencySensitivity(t *testing.T) {
 			c.IssueMissTo(&fixedIssuer{lat: lat})
 		}
 		c.Drain()
-		return c.IPC()
+		return ipc(c)
 	}
 	fast, slow := run(150), run(300)
 	if slow >= fast {
@@ -204,8 +212,8 @@ func TestReset(t *testing.T) {
 		c.IssueMissTo(iss)
 	}
 	c.Reset()
-	if c.Now() != 0 || c.Instructions() != 0 || c.OutstandingMisses() != 0 {
-		t.Fatalf("Reset left state: now %d, instr %d, misses %d", c.Now(), c.Instructions(), c.OutstandingMisses())
+	if c.Now() != 0 || c.Instructions() != 0 || len(c.outstanding) != 0 {
+		t.Fatalf("Reset left state: now %d, instr %d, misses %d", c.Now(), c.Instructions(), len(c.outstanding))
 	}
 	fresh := New(DefaultConfig())
 	for i := 0; i < 10; i++ {

@@ -132,15 +132,10 @@ func (r *Rank) WriteLine(a Addr, data []byte) {
 	r.mem.StoreFrom(r.geom.flat(a)*r.lineBytes, data)
 }
 
-// ReadLine fetches a line with all applicable fault corruption applied.
-// Symbol s of beat b sits at offset b*DevicesPerRank + s and comes from
-// device s.
-func (r *Rank) ReadLine(a Addr) []byte {
-	return r.ReadLineInto(a, make([]byte, r.geom.LineBytes()))
-}
-
-// ReadLineInto is ReadLine with a caller-owned buffer of LineBytes() bytes,
-// which is overwritten and returned; it performs no heap allocations.
+// ReadLineInto fetches a line with all applicable fault corruption applied
+// into out, a caller-owned buffer of LineBytes() bytes, which is
+// overwritten and returned; it performs no heap allocations. Symbol s of
+// beat b sits at offset b*DevicesPerRank + s and comes from device s.
 func (r *Rank) ReadLineInto(a Addr, out []byte) []byte {
 	r.geom.validate(a)
 	if len(out) != r.geom.LineBytes() {

@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// readLine reads a line into a fresh buffer.
+func readLine(r *Rank, a Addr) []byte {
+	return r.ReadLineInto(a, make([]byte, r.geom.LineBytes()))
+}
+
 func testGeom() Geometry {
 	return Geometry{
 		DevicesPerRank: 18,
@@ -34,7 +39,7 @@ func TestNewRankPanicsOnBadGeometry(t *testing.T) {
 
 func TestUnwrittenLinesReadZero(t *testing.T) {
 	r := NewRank(testGeom())
-	line := r.ReadLine(Addr{Bank: 3, Row: 10, Col: 5})
+	line := readLine(r, Addr{Bank: 3, Row: 10, Col: 5})
 	for _, b := range line {
 		if b != 0 {
 			t.Fatal("unwritten line is not zero")
@@ -50,7 +55,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		data := make([]byte, 72)
 		rng.Read(data)
 		r.WriteLine(a, data)
-		if got := r.ReadLine(a); !bytes.Equal(got, data) {
+		if got := readLine(r, a); !bytes.Equal(got, data) {
 			t.Fatalf("round trip mismatch at %+v", a)
 		}
 	}
@@ -63,7 +68,7 @@ func TestWriteLineCopiesData(t *testing.T) {
 	a := Addr{}
 	r.WriteLine(a, data)
 	data[0] = 0x00 // caller mutates its buffer afterwards
-	if got := r.ReadLine(a); got[0] != 0x42 {
+	if got := readLine(r, a); got[0] != 0x42 {
 		t.Fatal("WriteLine aliased the caller's buffer")
 	}
 }
@@ -93,7 +98,7 @@ func TestValidatePanicsOutOfRange(t *testing.T) {
 					t.Errorf("address %+v did not panic", a)
 				}
 			}()
-			r.ReadLine(a)
+			readLine(r, a)
 		}()
 	}
 }
@@ -107,7 +112,7 @@ func TestDeviceFaultCorruptsOnlyItsSymbols(t *testing.T) {
 	}
 	r.WriteLine(a, data)
 	r.InjectFault(Fault{Device: 7, Scope: ScopeDevice, Mode: StuckAt0})
-	got := r.ReadLine(a)
+	got := readLine(r, a)
 	for beat := 0; beat < 4; beat++ {
 		for dev := 0; dev < 18; dev++ {
 			idx := beat*18 + dev
@@ -126,7 +131,7 @@ func TestStuckAt1Fault(t *testing.T) {
 	r := NewRank(testGeom())
 	a := Addr{}
 	r.InjectFault(Fault{Device: 0, Scope: ScopeDevice, Mode: StuckAt1})
-	got := r.ReadLine(a)
+	got := readLine(r, a)
 	for beat := 0; beat < 4; beat++ {
 		if got[beat*18] != 0xFF {
 			t.Fatalf("beat %d: stuck-at-1 device read %#x", beat, got[beat*18])
@@ -140,14 +145,14 @@ func TestBitFaultFlipsSingleBit(t *testing.T) {
 	data := make([]byte, 72)
 	r.WriteLine(a, data)
 	r.InjectFault(Fault{Device: 4, Scope: ScopeBit, Mode: StuckAt1, Bank: 2, Row: 5, Col: 9, Bit: 3})
-	got := r.ReadLine(a)
+	got := readLine(r, a)
 	for beat := 0; beat < 4; beat++ {
 		if got[beat*18+4] != 1<<3 {
 			t.Fatalf("beat %d: bit fault produced %#x, want %#x", beat, got[beat*18+4], 1<<3)
 		}
 	}
 	// A different address in the same bank is untouched.
-	other := r.ReadLine(Addr{Bank: 2, Row: 5, Col: 10})
+	other := readLine(r, Addr{Bank: 2, Row: 5, Col: 10})
 	for _, b := range other {
 		if b != 0 {
 			t.Fatal("bit fault leaked to another column")
@@ -186,12 +191,12 @@ func TestScopeCoverage(t *testing.T) {
 		r := NewRank(testGeom())
 		r.InjectFault(tc.fault)
 		for _, a := range tc.hit {
-			if got := r.ReadLine(a); got[0] != 0xFF {
+			if got := readLine(r, a); got[0] != 0xFF {
 				t.Errorf("%v fault missed address %+v", tc.fault.Scope, a)
 			}
 		}
 		for _, a := range tc.miss {
-			if got := r.ReadLine(a); got[0] != 0x00 {
+			if got := readLine(r, a); got[0] != 0x00 {
 				t.Errorf("%v fault hit address %+v it should not cover", tc.fault.Scope, a)
 			}
 		}
@@ -207,8 +212,8 @@ func TestWrongDataFaultIsDeterministicAndWrong(t *testing.T) {
 	}
 	r.WriteLine(a, data)
 	r.InjectFault(Fault{Device: 3, Scope: ScopeDevice, Mode: WrongData})
-	first := r.ReadLine(a)
-	second := r.ReadLine(a)
+	first := readLine(r, a)
+	second := readLine(r, a)
 	if !bytes.Equal(first, second) {
 		t.Fatal("WrongData fault is not deterministic across reads")
 	}
@@ -236,7 +241,7 @@ func TestMultipleFaultsAccumulate(t *testing.T) {
 	}
 	a := Addr{}
 	r.WriteLine(a, data)
-	got := r.ReadLine(a)
+	got := readLine(r, a)
 	for i := range got {
 		want := byte(0x77)
 		switch i % 18 {
@@ -294,7 +299,7 @@ func TestStuckFaultHiddenUntilRead(t *testing.T) {
 
 	zeros := make([]byte, 72)
 	r.WriteLine(a, zeros)
-	if got := r.ReadLine(a); !bytes.Equal(got, zeros) {
+	if got := readLine(r, a); !bytes.Equal(got, zeros) {
 		t.Fatal("stuck-at-0 visible while holding zeros; should be hidden")
 	}
 
@@ -303,7 +308,7 @@ func TestStuckFaultHiddenUntilRead(t *testing.T) {
 		ones[i] = 0xFF
 	}
 	r.WriteLine(a, ones)
-	got := r.ReadLine(a)
+	got := readLine(r, a)
 	if got[5] != 0x00 {
 		t.Fatal("stuck-at-0 did not corrupt the all-ones pattern")
 	}

@@ -1,20 +1,29 @@
 package dram
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestGeometryOverflowRejected is the regression test for the flat-address
 // widening fix: geometries whose flat line or byte address space overflows
 // uint64 must be rejected at construction, not silently wrap in flat().
 func TestGeometryOverflowRejected(t *testing.T) {
-	overflowing := []Geometry{
+	// The sizes are held as int64 so the table compiles for 32-bit
+	// targets, where a case with a size above math.MaxInt is skipped.
+	overflowing := []struct{ banks, rows, cols int64 }{
 		// banks * rows alone overflows.
-		{DevicesPerRank: 18, BanksPerDevice: 1 << 32, RowsPerBank: 1 << 33, ColsPerRow: 2, BeatsPerLine: 4},
+		{1 << 32, 1 << 33, 2},
 		// banks * rows * cols overflows.
-		{DevicesPerRank: 18, BanksPerDevice: 1 << 22, RowsPerBank: 1 << 22, ColsPerRow: 1 << 22, BeatsPerLine: 4},
+		{1 << 22, 1 << 22, 1 << 22},
 		// The line count fits but the byte address space does not.
-		{DevicesPerRank: 18, BanksPerDevice: 1 << 20, RowsPerBank: 1 << 20, ColsPerRow: 1 << 19, BeatsPerLine: 4},
+		{1 << 20, 1 << 20, 1 << 19},
 	}
-	for i, g := range overflowing {
+	for i, c := range overflowing {
+		if max(c.banks, c.rows, c.cols) > math.MaxInt {
+			continue
+		}
+		g := Geometry{DevicesPerRank: 18, BanksPerDevice: int(c.banks), RowsPerBank: int(c.rows), ColsPerRow: int(c.cols), BeatsPerLine: 4}
 		if _, err := g.TotalBytes(); err == nil {
 			t.Errorf("case %d: TotalBytes accepted overflowing geometry %+v", i, g)
 		}
@@ -63,7 +72,7 @@ func TestRankResidencyProportionalToTouch(t *testing.T) {
 	// Scatter 1000 lines across the full bank/row space.
 	const writes = 1000
 	for i := 0; i < writes; i++ {
-		a := Addr{Bank: i % 32, Row: (i * 2654435761) % (1 << 21), Col: i % (1 << 8)}
+		a := Addr{Bank: i % 32, Row: int(int64(i) * 2654435761 % (1 << 21)), Col: i % (1 << 8)}
 		r.WriteLine(a, line)
 	}
 	// Each 72-byte line touches at most 2 backing pages.
@@ -90,7 +99,7 @@ func TestRankResidencyProportionalToTouch(t *testing.T) {
 	// Zeroing the written lines and compacting releases everything.
 	clear(line)
 	for i := 0; i < writes; i++ {
-		a := Addr{Bank: i % 32, Row: (i * 2654435761) % (1 << 21), Col: i % (1 << 8)}
+		a := Addr{Bank: i % 32, Row: int(int64(i) * 2654435761 % (1 << 21)), Col: i % (1 << 8)}
 		r.WriteLine(a, line)
 	}
 	r.CompactZero()

@@ -228,7 +228,7 @@ func TestDecodeSparedBatchMixedLanes(t *testing.T) {
 		wantData := make([][]byte, lanes)
 		wantCorrected := 0
 		for i := range wantBad {
-			res, err := ref.DecodeErrorsErasuresScratch(raw[i*36:(i+1)*36], []int{sparedPos}, 1, refScr)
+			res, err := ref.DecodeScratch(raw[i*36:(i+1)*36], []int{sparedPos}, 1, refScr)
 			if err != nil {
 				wantBad[i] = true
 				continue

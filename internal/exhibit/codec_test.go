@@ -43,7 +43,7 @@ func codecReport() *Report {
 func renderAll(t *testing.T, r *Report) map[string]string {
 	t.Helper()
 	out := map[string]string{}
-	for _, format := range Formats() {
+	for _, format := range formats {
 		ren, err := RendererFor(format)
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestReportCodecRendersByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := renderAll(t, back)
-	for _, format := range Formats() {
+	for _, format := range formats {
 		if got[format] != want[format] {
 			t.Errorf("%s rendering changed across the codec:\n--- live ---\n%s\n--- decoded ---\n%s",
 				format, want[format], got[format])
@@ -153,7 +153,7 @@ func FuzzDecodeReport(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, format := range Formats() {
+		for _, format := range formats {
 			ren, err := RendererFor(format)
 			if err != nil {
 				t.Fatal(err)

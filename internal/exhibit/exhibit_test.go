@@ -9,6 +9,9 @@ import (
 	"testing"
 )
 
+// formats lists the renderer names RendererFor accepts.
+var formats = []string{"text", "json", "csv"}
+
 func testExhibit(name string) Exhibit {
 	return Exhibit{
 		Name:  name,
@@ -135,9 +138,9 @@ func TestRenderers(t *testing.T) {
 	if _, err := RendererFor("yaml"); err == nil {
 		t.Fatal("unknown format accepted")
 	}
-	for _, f := range Formats() {
+	for _, f := range formats {
 		if _, err := RendererFor(f); err != nil {
-			t.Errorf("advertised format %q not accepted: %v", f, err)
+			t.Errorf("format %q not accepted: %v", f, err)
 		}
 	}
 }

@@ -12,9 +12,6 @@ type Renderer interface {
 	Render(w io.Writer, r *Report) error
 }
 
-// Formats lists the renderer names RendererFor accepts.
-func Formats() []string { return []string{"text", "json", "csv"} }
-
 // RendererFor maps a format name (text, json, csv) to its renderer.
 func RendererFor(format string) (Renderer, error) {
 	switch format {

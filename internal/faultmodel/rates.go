@@ -36,14 +36,5 @@ func (r Rates) Scale(factor float64) Rates {
 	return out
 }
 
-// Total returns the summed FIT rate across all fault types.
-func (r Rates) Total() float64 {
-	var sum float64
-	for _, v := range r {
-		sum += v
-	}
-	return sum
-}
-
 // HoursPerYear is the average number of hours in a year (365.25 days).
 const HoursPerYear = 8766.0

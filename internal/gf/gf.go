@@ -5,9 +5,10 @@
 // from GF(2^8) with the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1
 // (0x11D), the same polynomial used by most memory and storage codes.
 //
-// The package exposes scalar arithmetic (Add, Mul, Div, Inv, Pow) and the
-// few polynomial operations the Reed–Solomon codec in package rs needs
-// (PolyTrim, PolyMul, PolyEval; see poly.go).
+// Addition and subtraction are both XOR. The package exposes the rest of
+// the scalar arithmetic (Mul, Div, Inv, Exp, Log) and the few polynomial
+// operations the Reed–Solomon codec in package rs needs (PolyTrim, PolyMul,
+// PolyEval; see poly.go).
 // Multiplication and division are table driven: a 255-entry exponential
 // table and a 256-entry logarithm table are built once at package
 // initialisation, and a full 256x256 (64 KB) multiplication table on top
@@ -63,12 +64,6 @@ func init() {
 	}
 }
 
-// Add returns a + b in GF(2^8). Addition and subtraction coincide (XOR).
-func Add(a, b Elem) Elem { return a ^ b }
-
-// Sub returns a - b in GF(2^8), identical to Add.
-func Sub(a, b Elem) Elem { return a ^ b }
-
 // Mul returns a * b in GF(2^8): a single unconditional table lookup.
 func Mul(a, b Elem) Elem { return mulTable[a][b] }
 
@@ -112,19 +107,4 @@ func Log(a Elem) int {
 		panic("gf: log of zero")
 	}
 	return int(logTable[a])
-}
-
-// Pow returns a raised to the power n. Pow(0, 0) is defined as 1.
-func Pow(a Elem, n int) Elem {
-	if n == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	e := (int(logTable[a]) * n) % Order
-	if e < 0 {
-		e += Order
-	}
-	return expTable[e]
 }

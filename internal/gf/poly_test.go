@@ -58,7 +58,7 @@ func TestPolyEvalHorner(t *testing.T) {
 	p := Polynomial{3, 2, 1}
 	for x := 0; x < Size; x++ {
 		e := Elem(x)
-		want := Add(Add(3, Mul(2, e)), Mul(e, e))
+		want := 3 ^ Mul(2, e) ^ Mul(e, e)
 		if got := PolyEval(p, e); got != want {
 			t.Fatalf("PolyEval(p, %d) = %d, want %d", x, got, want)
 		}

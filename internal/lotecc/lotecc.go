@@ -70,21 +70,6 @@ func New(cfg Config) *Scheme {
 	}
 }
 
-// Config returns the layout.
-func (s *Scheme) Config() Config { return s.cfg }
-
-// DataDevices returns the number of devices holding line data.
-func (s *Scheme) DataDevices() int { return s.dataDevices }
-
-// DevicesPerRank returns the rank size: data + parity (+ spare for the
-// 18-device layout).
-func (s *Scheme) DevicesPerRank() int {
-	if s.cfg == NineDevice {
-		return 9
-	}
-	return 18
-}
-
 // Line is one encoded LOT-ECC line: per-device data shares, per-device
 // checksums, and the parity share.
 type Line struct {

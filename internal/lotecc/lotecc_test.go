@@ -13,13 +13,23 @@ func randLine(r *rand.Rand) []byte {
 }
 
 func TestGeometry(t *testing.T) {
-	nine := New(NineDevice)
-	if nine.DataDevices() != 8 || nine.DevicesPerRank() != 9 {
-		t.Fatalf("nine-device geometry wrong: %d data, %d rank", nine.DataDevices(), nine.DevicesPerRank())
-	}
-	eighteen := New(EighteenDevice)
-	if eighteen.DataDevices() != 16 || eighteen.DevicesPerRank() != 18 {
-		t.Fatalf("18-device geometry wrong")
+	line := make([]byte, LineBytes)
+	for _, tc := range []struct {
+		cfg         Config
+		dataDevices int
+	}{{NineDevice, 8}, {EighteenDevice, 16}} {
+		l := New(tc.cfg).Encode(line)
+		if len(l.Shares) != tc.dataDevices || len(l.Checksums) != tc.dataDevices {
+			t.Fatalf("cfg %d: %d shares, %d checksums, want %d data devices", tc.cfg, len(l.Shares), len(l.Checksums), tc.dataDevices)
+		}
+		for _, sh := range l.Shares {
+			if len(sh) != LineBytes/tc.dataDevices {
+				t.Fatalf("cfg %d: share of %d bytes, want %d", tc.cfg, len(sh), LineBytes/tc.dataDevices)
+			}
+		}
+		if len(l.Parity) != LineBytes/tc.dataDevices {
+			t.Fatalf("cfg %d: parity share of %d bytes, want %d", tc.cfg, len(l.Parity), LineBytes/tc.dataDevices)
+		}
 	}
 }
 
@@ -53,7 +63,7 @@ func TestSingleDeviceFailureRecovered(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, cfg := range []Config{NineDevice, EighteenDevice} {
 		s := New(cfg)
-		for dev := 0; dev < s.DataDevices(); dev++ {
+		for dev := 0; dev < s.dataDevices; dev++ {
 			want := randLine(r)
 			l := s.Encode(want)
 			// Stuck-at-1 device output: data wrong, checksum unchanged in

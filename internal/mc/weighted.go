@@ -39,9 +39,8 @@ type WeightedJob struct {
 	// sketch. Sketches record the unweighted values, so their quantiles
 	// are meaningful only when every trial weight is 1 — callers running
 	// accelerated (weighted) jobs should leave this empty.
+	// Sketches have stats.DefaultSketchK items per level.
 	SketchDims []int
-	// SketchK is the per-level sketch capacity (0 = stats.DefaultSketchK).
-	SketchK int
 	// NewScratch, optional, allocates a per-worker scratch workspace with
 	// the same capacity-only contract as Job.NewScratch.
 	NewScratch func() any
@@ -161,7 +160,7 @@ func newWeightedSet(job WeightedJob) *WeightedSet {
 		set.SketchDims = append([]int(nil), job.SketchDims...)
 		set.Sketches = make([]*stats.QuantileSketch, len(job.SketchDims))
 		for j := range set.Sketches {
-			set.Sketches[j] = stats.NewQuantileSketch(job.SketchK)
+			set.Sketches[j] = stats.NewQuantileSketch(0)
 		}
 	}
 	return set

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"arcc/internal/rng"
+	"arcc/internal/stats"
 )
 
 // legacySumAcc mirrors the sum-and-divide accumulators the plain
@@ -77,8 +78,8 @@ func TestRunWeightedAllOnesBitIdentical(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("dim %d: weighted mean %v != legacy mean %v (bitwise)", i, got, want)
 		}
-		if set.Dims[i].N() != trials {
-			t.Fatalf("dim %d: N = %d, want %d", i, set.Dims[i].N(), trials)
+		if set.Dims[i].Y.Count != trials {
+			t.Fatalf("dim %d: N = %d, want %d", i, set.Dims[i].Y.Count, trials)
 		}
 		if ess := set.Dims[i].ESS(); math.Abs(ess-trials) > 1e-6 {
 			t.Fatalf("dim %d: unit-weight ESS = %v, want %d", i, ess, trials)
@@ -94,7 +95,6 @@ func TestRunWeightedParallelismDeterminism(t *testing.T) {
 		Seed:       7,
 		Dims:       2,
 		SketchDims: []int{1},
-		SketchK:    64,
 		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
 			weightedObs(src, vals)
 			return 0.5 + src.Float64()
@@ -152,8 +152,8 @@ func TestRunWeightedScratch(t *testing.T) {
 			return 1
 		},
 	}, Options{Parallelism: 4})
-	if set.Dims[0].N() != 500 {
-		t.Fatalf("N = %d", set.Dims[0].N())
+	if set.Dims[0].Y.Count != 500 {
+		t.Fatalf("N = %d", set.Dims[0].Y.Count)
 	}
 }
 
@@ -181,7 +181,6 @@ func TestRunWeightedCheckpointResume(t *testing.T) {
 		Seed:       11,
 		Dims:       2,
 		SketchDims: []int{0},
-		SketchK:    32,
 		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
 			weightedObs(src, vals)
 			return 1 + src.Float64()
@@ -290,14 +289,15 @@ func BenchmarkRunCheckpointed(b *testing.B) {
 	}
 }
 
-// shapeJob is a small weighted job with a sketch: 5 shards of 8 trials.
-func shapeJob(dims int, sketchK int) WeightedJob {
+// shapeJob is a small weighted job with a sketch: 5 shards of shapeShard
+// trials, enough for the merged sketch to span several levels, one of them
+// empty.
+func shapeJob(dims int) WeightedJob {
 	return WeightedJob{
-		Trials:     40,
+		Trials:     5 * shapeShard,
 		Seed:       5,
 		Dims:       dims,
 		SketchDims: []int{dims - 1},
-		SketchK:    sketchK,
 		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
 			weightedObs(src, vals)
 			return 0.5 + src.Float64()
@@ -305,7 +305,7 @@ func shapeJob(dims int, sketchK int) WeightedJob {
 	}
 }
 
-const shapeShard = 8
+const shapeShard = 128
 
 // snapshotWeighted returns the per-shard checkpoint of job's first
 // shards shards (all of them when shards is the job's shard count), each
@@ -343,13 +343,13 @@ func gobWeightedBlob(t testing.TB, set *WeightedSet) []byte {
 	return buf.Bytes()
 }
 
-// snapshotSet is a one-shard weighted set with the seven yearly
-// dimensions of a default lifetime run, from a real run; when sketched it
-// also sketches the final year at per-level capacity sketchK.
-func snapshotSet(t testing.TB, sketched bool, sketchK int) (*WeightedSet, WeightedJob) {
+// snapshotSet is a weighted set with the seven yearly dimensions of a
+// default lifetime run, from a real run of trials trials; when sketched it
+// also sketches the final year.
+func snapshotSet(t testing.TB, sketched bool, trials int) (*WeightedSet, WeightedJob) {
 	t.Helper()
 	job := WeightedJob{
-		Trials: DefaultShardSize,
+		Trials: trials,
 		Seed:   19,
 		Dims:   7,
 		Trial: func(src *rng.Source, _ int, _ any, vals []float64) float64 {
@@ -358,7 +358,7 @@ func snapshotSet(t testing.TB, sketched bool, sketchK int) (*WeightedSet, Weight
 		},
 	}
 	if sketched {
-		job.SketchDims, job.SketchK = []int{6}, sketchK
+		job.SketchDims = []int{6}
 	}
 	return runWeighted(job, Options{Parallelism: 1}), job
 }
@@ -378,7 +378,7 @@ func TestWeightedSnapshotRoundTripBitExact(t *testing.T) {
 		math.Float64frombits(0x000f_ffff_ffff_ffff), // largest subnormal
 		-math.MaxFloat64,
 	}
-	set, job := snapshotSet(t, true, 4)
+	set, job := snapshotSet(t, true, 8*stats.DefaultSketchK)
 	sk := set.Sketches[0]
 	if len(sk.Levels) < 3 {
 		t.Fatalf("sketch spans %d levels, want a multi-level one", len(sk.Levels))
@@ -411,7 +411,7 @@ func TestWeightedSnapshotRoundTripBitExact(t *testing.T) {
 // same set reached at another parallelism, a sketch level empty or nil —
 // and a set differing in one bit does not.
 func TestWeightedSnapshotCanonical(t *testing.T) {
-	job := shapeJob(3, 8)
+	job := shapeJob(3)
 	a := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
 	b := runWeighted(job, Options{Parallelism: 4, ShardSize: shapeShard})
 	blobA, _ := (&weightedAcc{set: a}).MarshalBinary()
@@ -444,7 +444,7 @@ func TestWeightedSnapshotCanonical(t *testing.T) {
 // and allocates nothing else.
 func TestWeightedSnapshotMarshalAllocs(t *testing.T) {
 	for _, sketched := range []bool{false, true} {
-		set, _ := snapshotSet(t, sketched, 0)
+		set, _ := snapshotSet(t, sketched, DefaultShardSize)
 		acc := &weightedAcc{set: set}
 		var blob []byte
 		if n := testing.AllocsPerRun(100, func() { blob, _ = acc.MarshalBinary() }); n > 1 {
@@ -480,7 +480,7 @@ func otherLayouts(t testing.TB, job WeightedJob, real []byte) map[string][]byte 
 // image decodes — not a blob in another layout, and no prefix of a real
 // one.
 func TestWeightedSnapshotRejectsOtherLayouts(t *testing.T) {
-	job := shapeJob(3, 8)
+	job := shapeJob(3)
 	real := snapshotWeighted(t, job, 5).Shards[1]
 	for name, blob := range otherLayouts(t, job, real) {
 		if err := (&weightedAcc{set: newWeightedSet(job)}).UnmarshalBinary(blob); err == nil {
@@ -504,7 +504,7 @@ func BenchmarkWeightedSnapshot(b *testing.B) {
 			name = "final-year-sketch"
 		}
 		b.Run(name, func(b *testing.B) {
-			set, job := snapshotSet(b, sketched, 0)
+			set, job := snapshotSet(b, sketched, DefaultShardSize)
 			acc := &weightedAcc{set: set}
 			dst := &weightedAcc{set: newWeightedSet(job)}
 			b.ReportAllocs()
@@ -529,7 +529,7 @@ func BenchmarkWeightedSnapshot(b *testing.B) {
 // checkpoint made a 3-dimension resume panic while merging, and a full
 // one returned the 2-dimension set with no error.
 func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
-	job := shapeJob(3, 8)
+	job := shapeJob(3)
 	var executed atomic.Int64
 	trial := job.Trial
 	job.Trial = func(src *rng.Source, i int, sc any, vals []float64) float64 {
@@ -543,6 +543,22 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 		cp := snapshotWeighted(t, job, 5)
 		cp.Shards[s] = blob
 		return cp
+	}
+
+	// The full snapshot with every sketch's capacity rewritten: the image
+	// of a job that sketches at another resolution.
+	otherK := snapshotWeighted(t, job, 5)
+	for sh, blob := range otherK.Shards {
+		acc := &weightedAcc{set: newWeightedSet(job)}
+		if err := acc.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		acc.set.Sketches[0].K /= 2
+		b, err := acc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		otherK.Shards[sh] = b
 	}
 
 	// A blob of the right shape whose shard-3 sketch claims one more
@@ -565,10 +581,10 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 	const all = 5 * shapeShard
 	cases := map[string]resumeCase{
 		"sketch weight": {withShard(3, miscounted), shapeShard},
-		"partial 2-dim": {snapshotWeighted(t, shapeJob(2, 8), 2), all},
-		"full 2-dim":    {snapshotWeighted(t, shapeJob(2, 8), 5), all},
-		"full other K":  {snapshotWeighted(t, shapeJob(3, 16), 5), all},
-		"no sketch": {snapshotWeighted(t, WeightedJob{Trials: 40, Seed: 5, Dims: 3,
+		"partial 2-dim": {snapshotWeighted(t, shapeJob(2), 2), all},
+		"full 2-dim":    {snapshotWeighted(t, shapeJob(2), 5), all},
+		"full other K":  {otherK, all},
+		"no sketch": {snapshotWeighted(t, WeightedJob{Trials: job.Trials, Seed: 5, Dims: 3,
 			Trial: func(src *rng.Source, _ int, _ any, vals []float64) float64 { weightedObs(src, vals); return 1 }}, 5), all},
 	}
 	for name, blob := range otherLayouts(t, job, real[1]) {
@@ -608,7 +624,7 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 // indexes.
 func FuzzWeightedCheckpointResume(f *testing.F) {
 	const shards = 5
-	job := shapeJob(3, 8)
+	job := shapeJob(3)
 	full := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
 	snaps := snapshotWeighted(f, job, shards).Shards
 	// prefixes[k] is the engine's snapshot blob of shards [0, k).
@@ -621,7 +637,7 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 	f.Add(uint8(0x1f), int8(0), []byte{}, []byte{}, []byte{})
 	f.Add(uint8(0x05), int8(0), []byte{1, 3}, []byte("not gob"), snaps[0][:len(snaps[0])/2])
 	f.Add(uint8(0x0a), int8(0), []byte{0, 255, 9}, snaps[2], snaps[4])
-	f.Add(uint8(0x00), int8(0), []byte{4}, snapshotWeighted(f, shapeJob(2, 8), shards).Shards[4], []byte{})
+	f.Add(uint8(0x00), int8(0), []byte{4}, snapshotWeighted(f, shapeJob(2), shards).Shards[4], []byte{})
 	real := &weightedAcc{set: newWeightedSet(job)}
 	if err := real.UnmarshalBinary(snaps[3]); err != nil {
 		f.Fatal(err)

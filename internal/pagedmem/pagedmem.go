@@ -18,18 +18,15 @@
 // never allocate. Writes materialise a page only when they would make it
 // differ from a hole: storing all-zero bytes over a hole is a no-op, so
 // sweeping zero-fill passes over pristine memory cost nothing. Pages whose
-// content has returned to all-zero can be released back to holes —
-// individually (ReleaseIfZero) or in bulk (CompactZero), which is what the
-// scrubber calls after a verified pass so that pattern-tested-but-untouched
-// memory does not stay resident.
+// content has returned to all-zero are released back to holes in bulk
+// (CompactZero), which is what the scrubber calls after a verified pass so
+// that pattern-tested-but-untouched memory does not stay resident.
 //
 // # Accounting
 //
-// ResidentPages/ResidentBytes report the currently materialised footprint,
-// HighWaterPages its historical maximum, and TouchedPages the cumulative
-// number of page materialisations (a page released and later re-written
-// counts again). Tests pin "resident memory proportional to touched pages"
-// against these numbers.
+// ResidentPages/ResidentBytes report the currently materialised footprint.
+// Tests pin "resident memory proportional to touched pages" against these
+// numbers.
 //
 // # Allocation contract
 //
@@ -61,9 +58,7 @@ type Memory struct {
 	pages [][]byte // parallel backing buffers, len == pageBytes each
 	free  [][]byte // released buffers kept for reuse (bounded)
 
-	hint      int   // last hit index in bases: accelerates sequential runs
-	touched   int64 // cumulative page materialisations
-	highWater int   // max len(bases) ever observed
+	hint int // last hit index in bases: accelerates sequential runs
 }
 
 // New creates an empty memory with the given page size, which must be a
@@ -79,22 +74,11 @@ func New(pageBytes int) *Memory {
 	}
 }
 
-// PageBytes returns the page size.
-func (m *Memory) PageBytes() int { return m.pageBytes }
-
 // ResidentPages returns the number of currently materialised pages.
 func (m *Memory) ResidentPages() int { return len(m.bases) }
 
 // ResidentBytes returns the bytes held by materialised pages.
 func (m *Memory) ResidentBytes() int64 { return int64(len(m.bases)) * int64(m.pageBytes) }
-
-// TouchedPages returns the cumulative number of page materialisations. A
-// page that is released and later re-written counts once per
-// materialisation.
-func (m *Memory) TouchedPages() int64 { return m.touched }
-
-// HighWaterPages returns the maximum resident page count ever observed.
-func (m *Memory) HighWaterPages() int { return m.highWater }
 
 // find binary-searches the page table for page number pn. It returns the
 // index holding pn and true, or the insertion index and false. A one-entry
@@ -139,10 +123,6 @@ func (m *Memory) materialise(pn uint64, i int) []byte {
 	m.bases[i] = pn
 	m.pages[i] = buf
 	m.hint = i
-	m.touched++
-	if len(m.bases) > m.highWater {
-		m.highWater = len(m.bases)
-	}
 	return buf
 }
 
@@ -221,18 +201,6 @@ func (m *Memory) StoreFrom(addr uint64, data []byte) {
 	}
 }
 
-// ReleaseIfZero releases the page containing addr back to a hole if it is
-// materialised and its content is all zero (scrub-verified-zero release).
-// It reports whether a page was released.
-func (m *Memory) ReleaseIfZero(addr uint64) bool {
-	i, ok := m.find(addr >> m.shift)
-	if !ok || !allZero(m.pages[i]) {
-		return false
-	}
-	m.release(i)
-	return true
-}
-
 // CompactZero scans the page table and releases every all-zero page,
 // returning the number released. The scrubber calls it after a full
 // verified pass so memory it only pattern-tested does not stay resident.
@@ -247,17 +215,6 @@ func (m *Memory) CompactZero() int {
 		}
 	}
 	return released
-}
-
-// Reset drops every page (and the free list), returning the memory to the
-// pristine all-holes state. Accounting restarts from zero.
-func (m *Memory) Reset() {
-	m.bases = nil
-	m.pages = nil
-	m.free = nil
-	m.hint = 0
-	m.touched = 0
-	m.highWater = 0
 }
 
 // allZero reports whether b contains only zero bytes, eight bytes at a

@@ -18,8 +18,8 @@ func TestNewValidatesPageSize(t *testing.T) {
 		}()
 	}
 	for _, good := range []int{64, 128, 4096, 1 << 20} {
-		if m := New(good); m.PageBytes() != good {
-			t.Errorf("PageBytes() = %d, want %d", m.PageBytes(), good)
+		if m := New(good); m.pageBytes != good {
+			t.Errorf("page size = %d, want %d", m.pageBytes, good)
 		}
 	}
 }
@@ -36,8 +36,8 @@ func TestHolesReadZeroWithoutAllocating(t *testing.T) {
 			t.Fatalf("hole read byte %d = %#x, want 0", i, b)
 		}
 	}
-	if m.ResidentPages() != 0 || m.TouchedPages() != 0 {
-		t.Fatalf("hole read materialised pages: resident %d touched %d", m.ResidentPages(), m.TouchedPages())
+	if m.ResidentPages() != 0 {
+		t.Fatalf("hole read materialised %d pages", m.ResidentPages())
 	}
 }
 
@@ -104,14 +104,12 @@ func TestDifferentialAgainstDenseReference(t *testing.T) {
 			if !bytes.Equal(buf, ref[addr:int(addr)+n]) {
 				t.Fatalf("op %d: load mismatch at %#x+%d", op, addr, n)
 			}
-		default: // release a page if it has gone all-zero
-			page := addr &^ uint64(pageBytes-1)
-			want := allZero(ref[page : page+pageBytes])
-			got := m.ReleaseIfZero(addr)
-			// Release succeeds iff the page is resident AND zero; a zero
-			// hole page is already released, so only assert the negative.
-			if got && !want {
-				t.Fatalf("op %d: released non-zero page %#x", op, page)
+		default: // release the pages that have gone all-zero
+			m.CompactZero()
+			for i := range m.bases {
+				if allZero(m.pages[i]) {
+					t.Fatalf("op %d: all-zero page %#x survived CompactZero", op, m.bases[i])
+				}
 			}
 		}
 		if op%997 == 0 {
@@ -152,9 +150,8 @@ func TestAccounting(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		m.StoreFrom(uint64(i)<<41, one)
 	}
-	if m.ResidentPages() != 8 || m.TouchedPages() != 8 || m.HighWaterPages() != 8 {
-		t.Fatalf("resident %d touched %d highwater %d, want 8/8/8",
-			m.ResidentPages(), m.TouchedPages(), m.HighWaterPages())
+	if m.ResidentPages() != 8 {
+		t.Fatalf("resident %d, want 8", m.ResidentPages())
 	}
 	if m.ResidentBytes() != 8*4096 {
 		t.Fatalf("ResidentBytes() = %d, want %d", m.ResidentBytes(), 8*4096)
@@ -166,17 +163,13 @@ func TestAccounting(t *testing.T) {
 	if n := m.CompactZero(); n != 2 {
 		t.Fatalf("CompactZero released %d pages, want 2", n)
 	}
-	if m.ResidentPages() != 6 || m.HighWaterPages() != 8 {
-		t.Fatalf("after release: resident %d highwater %d, want 6/8", m.ResidentPages(), m.HighWaterPages())
+	if m.ResidentPages() != 6 {
+		t.Fatalf("after release: resident %d, want 6", m.ResidentPages())
 	}
-	// Re-touching a released page counts as a new materialisation.
+	// Re-touching a released page materialises it again.
 	m.StoreFrom(0<<41, one)
-	if m.ResidentPages() != 7 || m.TouchedPages() != 9 {
-		t.Fatalf("after re-touch: resident %d touched %d, want 7/9", m.ResidentPages(), m.TouchedPages())
-	}
-	m.Reset()
-	if m.ResidentPages() != 0 || m.TouchedPages() != 0 || m.HighWaterPages() != 0 || m.ResidentBytes() != 0 {
-		t.Fatal("Reset did not clear accounting")
+	if m.ResidentPages() != 7 || m.ResidentBytes() != 7*4096 {
+		t.Fatalf("after re-touch: resident %d pages, %d bytes, want 7 pages", m.ResidentPages(), m.ResidentBytes())
 	}
 }
 
@@ -185,14 +178,14 @@ func TestReleasedBuffersAreReused(t *testing.T) {
 	one := []byte{1}
 	m.StoreFrom(0, one)
 	m.StoreFrom(0, []byte{0})
-	if !m.ReleaseIfZero(0) {
+	if m.CompactZero() != 1 {
 		t.Fatal("zeroed page did not release")
 	}
 	// Re-materialising must come from the free list, not the heap.
 	allocs := testing.AllocsPerRun(1, func() {
 		m.StoreFrom(0, one)
 		m.StoreFrom(0, []byte{0})
-		m.ReleaseIfZero(0)
+		m.CompactZero()
 	})
 	if allocs != 0 {
 		t.Fatalf("release/re-touch cycle allocates %v times per run, want 0", allocs)

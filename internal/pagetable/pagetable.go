@@ -62,13 +62,6 @@ func New(numPages int) *Table {
 	return t
 }
 
-// Len returns the number of pages.
-func (t *Table) Len() int { return t.numPages }
-
-// Exceptions returns the number of pages whose mode differs from the
-// current default — the table's resident footprint.
-func (t *Table) Exceptions() int { return len(t.except) }
-
 // Mode returns the current strength of page.
 func (t *Table) Mode(page int) Mode {
 	t.check(page)
@@ -95,20 +88,6 @@ func (t *Table) SetMode(page int, m Mode) {
 	} else {
 		t.except[page] = m
 	}
-}
-
-// Upgrade raises the strength of page by one level (Relaxed -> Upgraded ->
-// Upgraded8) and reports the new mode. Upgrading an Upgraded8 page is a
-// no-op: there is no stronger level.
-func (t *Table) Upgrade(page int) Mode {
-	t.check(page)
-	switch t.Mode(page) {
-	case Relaxed:
-		t.SetMode(page, Upgraded)
-	case Upgraded:
-		t.SetMode(page, Upgraded8)
-	}
-	return t.Mode(page)
 }
 
 // RelaxAll sets every page to Relaxed — the action of the first boot-time

@@ -7,9 +7,6 @@ import (
 
 func TestNewStartsUpgraded(t *testing.T) {
 	tbl := New(100)
-	if tbl.Len() != 100 {
-		t.Fatalf("Len = %d", tbl.Len())
-	}
 	for i := 0; i < 100; i++ {
 		if tbl.Mode(i) != Upgraded {
 			t.Fatalf("page %d starts in %v, want upgraded (boot state)", i, tbl.Mode(i))
@@ -35,9 +32,7 @@ func TestRelaxAllThenUpgrade(t *testing.T) {
 	if tbl.Count(Relaxed) != 10 || tbl.UpgradedFraction() != 0 {
 		t.Fatal("RelaxAll did not relax everything")
 	}
-	if got := tbl.Upgrade(3); got != Upgraded {
-		t.Fatalf("Upgrade returned %v, want upgraded", got)
-	}
+	tbl.SetMode(3, Upgraded)
 	if tbl.Mode(3) != Upgraded || tbl.Count(Upgraded) != 1 || tbl.Count(Relaxed) != 9 {
 		t.Fatal("counts wrong after one upgrade")
 	}
@@ -46,20 +41,24 @@ func TestRelaxAllThenUpgrade(t *testing.T) {
 	}
 }
 
+// TestUpgradeLevels walks one page through both upgrade levels of a
+// terabyte-scale table (2^28 pages of 4 KB) and checks that the sparse
+// representation holds only the page that diverged from the default.
 func TestUpgradeLevels(t *testing.T) {
-	tbl := New(4)
+	tbl := New(1 << 28)
 	tbl.RelaxAll()
-	if got := tbl.Upgrade(0); got != Upgraded {
-		t.Fatalf("first upgrade -> %v", got)
+	for _, m := range []Mode{Upgraded, Upgraded8} {
+		tbl.SetMode(1<<27, m)
+		if tbl.Mode(1<<27) != m || tbl.Count(m) != 1 || tbl.Count(Relaxed) != 1<<28-1 {
+			t.Fatalf("counts wrong at %v", m)
+		}
+		if len(tbl.except) != 1 {
+			t.Fatalf("%d exceptions after upgrading one page, want 1", len(tbl.except))
+		}
 	}
-	if got := tbl.Upgrade(0); got != Upgraded8 {
-		t.Fatalf("second upgrade -> %v", got)
-	}
-	if got := tbl.Upgrade(0); got != Upgraded8 {
-		t.Fatalf("third upgrade -> %v, want to stay at upgraded8", got)
-	}
-	if tbl.Count(Upgraded8) != 1 {
-		t.Fatal("upgraded8 count wrong")
+	tbl.SetMode(1<<27, Relaxed)
+	if len(tbl.except) != 0 || tbl.Count(Relaxed) != 1<<28 {
+		t.Fatalf("relaxing the page back left %d exceptions", len(tbl.except))
 	}
 }
 
@@ -81,7 +80,7 @@ func TestCountsAlwaysSumToLen(t *testing.T) {
 		case 0:
 			tbl.SetMode(page, Mode(rng.Intn(3)))
 		case 1:
-			tbl.Upgrade(page)
+			tbl.SetMode(page, min(tbl.Mode(page)+1, Upgraded8))
 		case 2:
 			if rng.Intn(100) == 0 {
 				tbl.RelaxAll()

@@ -33,9 +33,6 @@ func NewMeter(params DeviceParams) *Meter {
 	return &Meter{params: params, actEnergy: params.ActivateEnergy(), burstBeats: -1}
 }
 
-// Params returns the device parameters the meter uses.
-func (m *Meter) Params() DeviceParams { return m.params }
-
 // RecordActivate charges one activate+precharge pair on each of devices.
 func (m *Meter) RecordActivate(devices int) {
 	m.checkDevices(devices)

@@ -69,7 +69,7 @@ func TestMeterAccumulation(t *testing.T) {
 	if a != 1 || r != 1 || w != 1 {
 		t.Fatalf("counts = %d/%d/%d, want 1/1/1", a, r, w)
 	}
-	p := m.Params()
+	p := m.params
 	want := 18 * (p.ActivateEnergy() + p.ReadBurstEnergy(4) + p.WriteBurstEnergy(4))
 	if math.Abs(m.OperationEnergyNJ()-want) > 1e-9 {
 		t.Fatalf("energy = %v, want %v", m.OperationEnergyNJ(), want)
@@ -101,7 +101,7 @@ func TestAveragePowerIncludesBackground(t *testing.T) {
 	m := NewMeter(Micron512MbX8())
 	// No operations at all: average power must equal pure background.
 	got := m.AveragePowerMW(1e9, 72, 0, 0)
-	want := 72 * m.Params().BackgroundPower(0, 0)
+	want := 72 * m.params.BackgroundPower(0, 0)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("idle power = %v, want background %v", got, want)
 	}

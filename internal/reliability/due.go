@@ -82,17 +82,3 @@ func ARCCExpectedDUEs(p Params) float64 {
 	}
 	return due
 }
-
-// SparingDUEReductionFactor returns the ratio of SCCDCD's DUE rate to
-// double chip sparing's — the model-level counterpart of the 17x reduction
-// the paper cites from field data [4]. The analytic ratio is T_life/T_scrub
-// shaped and therefore much larger than 17; the field number folds in
-// service actions the model does not represent, so callers should treat
-// this as "sparing removes nearly all DUEs", not as a calibrated constant.
-func SparingDUEReductionFactor(p Params) float64 {
-	sparing := SparingExpectedDUEs(p)
-	if sparing == 0 {
-		return 0
-	}
-	return SCCDCDExpectedDUEs(p) / sparing
-}

@@ -22,7 +22,7 @@ func TestSparingDUEsFarBelowSCCDCD(t *testing.T) {
 	if sparing >= sccdcd {
 		t.Fatal("sparing must reduce the DUE rate")
 	}
-	factor := SparingDUEReductionFactor(p)
+	factor := sccdcd / sparing
 	// The paper cites a 17x field-measured reduction; the pure race model
 	// is far more optimistic. Require at least an order of magnitude.
 	if factor < 17 {

@@ -28,10 +28,6 @@ type RankGeom struct {
 	Cols    int // line-columns per row
 }
 
-// DefaultRankGeom matches the evaluated DDR2 ranks: 8 banks, 16K rows, 64
-// line-columns per row.
-func DefaultRankGeom() RankGeom { return RankGeom{Devices: 18, Banks: 8, Rows: 16384, Cols: 64} }
-
 func (g RankGeom) validate() {
 	if g.Devices <= 1 || g.Banks <= 0 || g.Rows <= 0 || g.Cols <= 0 {
 		panic(fmt.Sprintf("reliability: invalid rank geometry %+v", g))

@@ -9,8 +9,12 @@ import (
 	"arcc/internal/mc"
 )
 
+// relaxedRankGeom matches the evaluated DDR2 ranks of a relaxed page: 18
+// devices, 8 banks, 16K rows, 64 line-columns per row.
+var relaxedRankGeom = RankGeom{Devices: 18, Banks: 8, Rows: 16384, Cols: 64}
+
 func TestOverlapProbBasics(t *testing.T) {
-	g := DefaultRankGeom()
+	g := relaxedRankGeom
 	cases := []struct {
 		a, b faultmodel.Type
 		want float64
@@ -36,7 +40,7 @@ func TestOverlapProbBasics(t *testing.T) {
 }
 
 func TestOverlapProbBounds(t *testing.T) {
-	g := DefaultRankGeom()
+	g := relaxedRankGeom
 	for _, a := range faultmodel.Types() {
 		for _, b := range faultmodel.Types() {
 			p := g.OverlapProb(a, b)
@@ -48,7 +52,7 @@ func TestOverlapProbBounds(t *testing.T) {
 }
 
 func TestPairThreatProb(t *testing.T) {
-	g := DefaultRankGeom()
+	g := relaxedRankGeom
 	// Device-device in a 2-rank channel: same rank (1/2) x different
 	// device (17/18) x overlap (1).
 	got := g.PairThreatProb(faultmodel.Device, faultmodel.Device, 2)
@@ -253,7 +257,7 @@ func TestPanicsOnBadArguments(t *testing.T) {
 	shape := faultmodel.ARCCChannelShape()
 	for name, f := range map[string]func(){
 		"bad geom":      func() { RankGeom{}.OverlapProb(faultmodel.Bit, faultmodel.Bit) },
-		"bad ranks":     func() { DefaultRankGeom().PairThreatProb(faultmodel.Bit, faultmodel.Bit, 0) },
+		"bad ranks":     func() { relaxedRankGeom.PairThreatProb(faultmodel.Bit, faultmodel.Bit, 0) },
 		"bad params":    func() { ARCCDEDExpectedSDCs(Params{}) },
 		"bad channels":  func() { SimulateARCCDED(context.Background(), 5, mc.Options{}, DefaultParams(), 0) },
 		"worst-case <1": func() { WorstCaseOverheads(shape, 0.5) },

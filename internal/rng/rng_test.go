@@ -29,8 +29,9 @@ var rngBounds = []int64{
 
 // intnBounds are Intn arguments: 1, powers of two (the masking path), odd
 // values, MaxInt32 (the largest that takes Int31n) and values above it,
-// which take Int63n.
-var intnBounds = []int{
+// which take Int63n. They are held as int64 so the list compiles for 32-bit
+// targets, where the bounds above math.MaxInt are skipped.
+var intnBounds = []int64{
 	1, 2, 1 << 10, 1 << 30, 3, 7, 36, 52429, 1<<31 - 3,
 	math.MaxInt32, math.MaxInt32 + 1, 1<<31 + 1, 1<<40 + 3, math.MaxInt64,
 }
@@ -81,7 +82,11 @@ func checkRNGMatches(t testing.TB, seed, reseed int64, ops []byte) {
 				t.Fatalf("seed %d op %d: ExpFloat64 = %v, math/rand %v", seed, i, g, w)
 			}
 		case 3, 4:
-			n := intnBounds[int(op/6)%len(intnBounds)]
+			n64 := intnBounds[int(op/6)%len(intnBounds)]
+			if n64 > math.MaxInt {
+				continue
+			}
+			n := int(n64)
 			if g, w := got.Intn(n), want.Intn(n); g != w {
 				t.Fatalf("seed %d op %d: Intn(%d) = %d, math/rand %d", seed, i, n, g, w)
 			}

@@ -95,8 +95,7 @@ func (c *Code) remainders(buf []byte, stride, lanes int, rem *[batchLanes]uint64
 // maxErrors >= 1, a dirty lane within one symbol of a codeword has that
 // symbol corrected in place straight from its remainder (correctOne), the
 // result the scalar decoder would return. Every other dirty lane falls
-// back to the scalar decoder — DecodeScratch without erasures,
-// DecodeErrorsErasuresScratch with them — with that decoder's result:
+// back to the scalar decoder, DecodeScratch, with that decoder's result:
 // corrected lanes are rewritten in place, detected-uncorrectable lanes
 // keep their raw content and are reported in BatchResult.Bad.
 //
@@ -131,13 +130,7 @@ func (c *Code) DecodeBatchFlat(buf []byte, stride, count int, erasures []int, ma
 				res.Corrected++
 				continue
 			}
-			var r Result
-			var err error
-			if len(erasures) == 0 {
-				r, err = c.DecodeScratch(lane, maxErrors, s)
-			} else {
-				r, err = c.DecodeErrorsErasuresScratch(lane, erasures, maxErrors, s)
-			}
+			r, err := c.DecodeScratch(lane, erasures, maxErrors, s)
 			if err != nil {
 				res.Bad = append(res.Bad, base+l)
 				continue

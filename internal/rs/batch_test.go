@@ -89,22 +89,16 @@ func TestSyndromesAndCheckBatchMatchScalar(t *testing.T) {
 	}
 }
 
-// decodeScalarReference applies the per-codeword scalar decoder — the
-// erasure decoder when erasures are given — with the batch path's in-place
-// semantics: corrected lanes rewritten, DUE lanes left raw and listed.
+// decodeScalarReference applies the per-codeword scalar decoder with the
+// batch path's in-place semantics: corrected lanes rewritten, DUE lanes left
+// raw and listed.
 func decodeScalarReference(c *Code, cws [][]byte, erasures []int, maxErrors int) (BatchResult, [][]byte) {
 	var res BatchResult
 	out := make([][]byte, len(cws))
 	s := c.NewScratch()
 	for i, cw := range cws {
 		out[i] = append([]byte(nil), cw...)
-		var r Result
-		var err error
-		if len(erasures) == 0 {
-			r, err = c.DecodeScratch(cw, maxErrors, s)
-		} else {
-			r, err = c.DecodeErrorsErasuresScratch(cw, erasures, maxErrors, s)
-		}
+		r, err := c.DecodeScratch(cw, erasures, maxErrors, s)
 		if err != nil {
 			res.Bad = append(res.Bad, i)
 			continue
@@ -116,9 +110,8 @@ func decodeScalarReference(c *Code, cws [][]byte, erasures []int, maxErrors int)
 }
 
 // TestDecodeBatchMatchesScalar checks DecodeBatchFlat lane by lane against
-// the scalar decoders, with no erasure (DecodeScratch) and with one erasure
-// shared by the batch (DecodeErrorsErasuresScratch), at the largest error
-// bound the distance limit allows.
+// the scalar decoder, with no erasure and with one erasure shared by the
+// batch, at the largest error bound the distance limit allows.
 func TestDecodeBatchMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, c := range batchCodes() {
@@ -197,7 +190,7 @@ func checkBatchAgainstScalar(t *testing.T, c *Code, cws [][]byte, stride, maxErr
 func TestDecodeBatchOneSymbolMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for _, c := range append(batchCodes(), New(36, 33)) {
-		n, nk, tc := c.N(), c.CheckSymbols(), c.MaxCorrectable()
+		n, nk, tc := c.N(), c.CheckSymbols(), c.CheckSymbols()/2
 		s := c.NewScratch()
 		stride := n + 1
 		valid := func() []byte {
@@ -306,7 +299,7 @@ func TestDecodeErasuresFastPathMatchesErrors(t *testing.T) {
 		for _, p := range erasures {
 			cw[p] ^= byte(r.Intn(256)) // may be a zero flip: erased-but-right
 		}
-		res, err := c.DecodeErrorsErasuresScratch(cw, erasures, 0, s)
+		res, err := c.DecodeScratch(cw, erasures, 0, s)
 		if err != nil {
 			t.Fatalf("trial %d: erasure decode failed: %v (erasures %v)", trial, err, erasures)
 		}
@@ -351,7 +344,7 @@ func TestBatchAllocs(t *testing.T) {
 	s := c.NewScratch()
 
 	copy(flat, dirty)
-	c.DecodeBatchFlat(flat, c.N(), count, nil, c.MaxCorrectable(), s) // warm up s.bad
+	c.DecodeBatchFlat(flat, c.N(), count, nil, c.CheckSymbols()/2, s) // warm up s.bad
 
 	cases := []struct {
 		name      string
@@ -359,8 +352,8 @@ func TestBatchAllocs(t *testing.T) {
 		erasures  []int
 		maxErrors int
 	}{
-		{"DecodeBatchFlat/clean", clean, nil, c.MaxCorrectable()},
-		{"DecodeBatchFlat/dirty", dirty, nil, c.MaxCorrectable()},
+		{"DecodeBatchFlat/clean", clean, nil, c.CheckSymbols() / 2},
+		{"DecodeBatchFlat/dirty", dirty, nil, c.CheckSymbols() / 2},
 		{"DecodeBatchFlat/dirty+erasure", erased, erasures, 1},
 	}
 	for _, tc := range cases {
@@ -376,7 +369,7 @@ func TestBatchAllocs(t *testing.T) {
 
 // TestDecodeBatchRejectsBadArgsOnCleanBatch pins that the error bound and
 // the erasure list are validated on every call: an all-clean batch never
-// reaches the scalar decoders, and must still reject what a dirty batch
+// reaches the scalar decoder, and must still reject what a dirty batch
 // would.
 func TestDecodeBatchRejectsBadArgsOnCleanBatch(t *testing.T) {
 	c := New(36, 32)
@@ -400,7 +393,7 @@ func TestDecodeBatchRejectsBadArgsOnCleanBatch(t *testing.T) {
 }
 
 // FuzzDecodeBatchEquivalence feeds arbitrary bytes as a batch buffer and
-// cross-checks the batch decoder against the scalar decoders lane by lane,
+// cross-checks the batch decoder against the scalar decoder lane by lane,
 // with no erasure or with one erased position shared by the batch.
 func FuzzDecodeBatchEquivalence(f *testing.F) {
 	f.Add([]byte{0}, uint8(3), uint8(2), uint8(36))
@@ -467,7 +460,7 @@ func FuzzDecodeBatchNearCodeword(f *testing.F) {
 		}
 		count := 1 + int(countIn)%9
 		for _, c := range nearCodewordCodes {
-			tc := c.MaxCorrectable()
+			tc := c.CheckSymbols() / 2
 			cws := make([][]byte, count)
 			for l := range cws {
 				cw := make([]byte, c.N())

@@ -70,7 +70,7 @@ func benchmarkDecodeScratch(b *testing.B, flips ...int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecodeScratch(cw, c.MaxCorrectable(), s); err != nil {
+		if _, err := c.DecodeScratch(cw, nil, c.CheckSymbols()/2, s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func benchmarkDecodeBatch(b *testing.B, lanes int, flips map[int][]int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += lanes {
-		res := c.DecodeBatchFlat(buf, c.N(), lanes, nil, c.MaxCorrectable(), s)
+		res := c.DecodeBatchFlat(buf, c.N(), lanes, nil, c.CheckSymbols()/2, s)
 		if !res.OK() {
 			b.Fatal("batch decode failed")
 		}
@@ -142,7 +142,7 @@ func BenchmarkDecodeErasuresScratch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecodeErrorsErasuresScratch(cw, erasures, 0, s); err != nil {
+		if _, err := c.DecodeScratch(cw, erasures, 0, s); err != nil {
 			b.Fatal(err)
 		}
 	}

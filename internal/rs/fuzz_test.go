@@ -33,7 +33,7 @@ var fuzzCodes = []*Code{New(18, 16), New(36, 32)}
 // FuzzRSRoundTrip checks, for both ARCC code geometries, the two
 // guarantees memory controllers rely on:
 //
-//   - a codeword corrupted in at most t = MaxCorrectable symbols decodes
+//   - a codeword corrupted in at most t = floor((N-K)/2) symbols decodes
 //     back to the original, reporting exactly the corrupted positions;
 //   - under bounded decoding with bound b, any corruption of e symbols
 //     with b < e <= N-K-b is flagged ErrUncorrectable (a DUE) — never
@@ -57,10 +57,10 @@ func FuzzRSRoundTrip(f *testing.F) {
 			clean := encode(code, msg)
 
 			// Correctable band: e <= t errors round-trip.
-			e := rng.Intn(code.MaxCorrectable() + 1)
+			e := rng.Intn(code.CheckSymbols()/2 + 1)
 			cw := append([]byte(nil), clean...)
 			want := corrupt(rng, cw, e)
-			res, err := decodeOne(code, cw, nil, code.MaxCorrectable())
+			res, err := decodeOne(code, cw, nil, code.CheckSymbols()/2)
 			if err != nil {
 				t.Fatalf("(%d,%d): %d <= t errors not corrected: %v", code.N(), code.K(), e, err)
 			}
@@ -80,7 +80,7 @@ func FuzzRSRoundTrip(f *testing.F) {
 			// errors must be a DUE. Use the strongest policy bound the
 			// code offers (b = t-1; for the relaxed code that is b = 0,
 			// detect-only).
-			b := code.MaxCorrectable() - 1
+			b := code.CheckSymbols()/2 - 1
 			lo, hi := b+1, code.CheckSymbols()-b
 			e2 := lo + rng.Intn(hi-lo+1)
 			cw2 := append([]byte(nil), clean...)
@@ -114,16 +114,16 @@ func TestRSCorruptionPropertyTable(t *testing.T) {
 			rng.Read(msg)
 			clean := encode(code, msg)
 
-			for e := 0; e <= code.MaxCorrectable(); e++ {
+			for e := 0; e <= code.CheckSymbols()/2; e++ {
 				cw := append([]byte(nil), clean...)
 				corrupt(rng, cw, e)
-				res, err := decodeOne(code, cw, nil, code.MaxCorrectable())
+				res, err := decodeOne(code, cw, nil, code.CheckSymbols()/2)
 				if err != nil || !bytes.Equal(res.Corrected, clean) {
 					t.Fatalf("(%d,%d) trial %d: %d errors not corrected (%v)", code.N(), code.K(), trial, e, err)
 				}
 			}
 
-			b := code.MaxCorrectable() - 1
+			b := code.CheckSymbols()/2 - 1
 			for e := b + 1; e <= code.CheckSymbols()-b; e++ {
 				cw := append([]byte(nil), clean...)
 				corrupt(rng, cw, e)

@@ -41,8 +41,8 @@
 // p < N, and Forney's magnitude is S_0, so the scalar decoder would return
 // the same bytes, count and verdict. Every other dirty lane — erasures, a
 // zero bound, two or more errors, a power X outside the shortened code —
-// falls back, one at a time, to the scalar decoders DecodeScratch (errors
-// only) and DecodeErrorsErasuresScratch (errors and erasures).
+// falls back, one at a time, to the one scalar decoder, DecodeScratch,
+// which corrects errors and, when given any, erasures.
 //
 // The codec is allocation-free: New precomputes the remainder table, the
 // per-position unit remainders and S_1 rows of the one-symbol correction,
@@ -160,10 +160,6 @@ func (c *Code) K() int { return c.k }
 
 // CheckSymbols returns the number of check symbols per codeword, N-K.
 func (c *Code) CheckSymbols() int { return c.n - c.k }
-
-// MaxCorrectable returns the number of symbol errors the code can correct
-// with errors-only decoding, floor((N-K)/2).
-func (c *Code) MaxCorrectable() int { return (c.n - c.k) / 2 }
 
 // EncodeInto recomputes the check symbols of cw (length N) in place from its
 // first K data symbols. It performs no heap allocations.

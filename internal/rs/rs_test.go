@@ -33,15 +33,10 @@ func encode(c *Code, data []byte) []byte {
 	return cw
 }
 
-// decodeOne runs the scalar decoder the batch path falls back to —
-// DecodeScratch without erasures, DecodeErrorsErasuresScratch with them —
-// on a fresh Scratch, so the Result stays valid after the call.
+// decodeOne runs the scalar decoder the batch path falls back to on a fresh
+// Scratch, so the Result stays valid after the call.
 func decodeOne(c *Code, cw []byte, erasures []int, maxErrors int) (Result, error) {
-	s := c.NewScratch()
-	if len(erasures) == 0 {
-		return c.DecodeScratch(cw, maxErrors, s)
-	}
-	return c.DecodeErrorsErasuresScratch(cw, erasures, maxErrors, s)
+	return c.DecodeScratch(cw, erasures, maxErrors, c.NewScratch())
 }
 
 func TestNewPanicsOnBadParams(t *testing.T) {
@@ -59,8 +54,8 @@ func TestNewPanicsOnBadParams(t *testing.T) {
 
 func TestCodeAccessors(t *testing.T) {
 	c := New(36, 32)
-	if c.N() != 36 || c.K() != 32 || c.CheckSymbols() != 4 || c.MaxCorrectable() != 2 {
-		t.Fatalf("accessors: N=%d K=%d check=%d t=%d", c.N(), c.K(), c.CheckSymbols(), c.MaxCorrectable())
+	if c.N() != 36 || c.K() != 32 || c.CheckSymbols() != 4 {
+		t.Fatalf("accessors: N=%d K=%d check=%d", c.N(), c.K(), c.CheckSymbols())
 	}
 }
 
@@ -106,7 +101,7 @@ func TestDecodeCleanCodeword(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, c := range codesUnderTest() {
 		cw := encode(c, randData(r, c.K()))
-		res, err := decodeOne(c, cw, nil, c.MaxCorrectable())
+		res, err := decodeOne(c, cw, nil, c.CheckSymbols()/2)
 		if err != nil {
 			t.Fatalf("(%d,%d): decode of clean codeword failed: %v", c.N(), c.K(), err)
 		}
@@ -128,7 +123,7 @@ func TestDecodeCorrectsSingleErrorEveryPositionEveryValue(t *testing.T) {
 			bad := make([]byte, len(cw))
 			copy(bad, cw)
 			bad[pos] ^= delta
-			res, err := decodeOne(c, bad, nil, c.MaxCorrectable())
+			res, err := decodeOne(c, bad, nil, c.CheckSymbols()/2)
 			if err != nil {
 				t.Fatalf("pos %d delta %#x: %v", pos, delta, err)
 			}
@@ -145,7 +140,7 @@ func TestDecodeCorrectsSingleErrorEveryPositionEveryValue(t *testing.T) {
 func TestDecodeCorrectsUpToT(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, c := range codesUnderTest() {
-		tMax := c.MaxCorrectable()
+		tMax := c.CheckSymbols() / 2
 		for errs := 1; errs <= tMax; errs++ {
 			for trial := 0; trial < 200; trial++ {
 				cw := encode(c, randData(r, c.K()))
@@ -155,7 +150,7 @@ func TestDecodeCorrectsUpToT(t *testing.T) {
 				for _, p := range positions {
 					bad[p] ^= byte(1 + r.Intn(255))
 				}
-				res, err := decodeOne(c, bad, nil, c.MaxCorrectable())
+				res, err := decodeOne(c, bad, nil, c.CheckSymbols()/2)
 				if err != nil {
 					t.Fatalf("(%d,%d) %d errors: %v", c.N(), c.K(), errs, err)
 				}
@@ -207,7 +202,7 @@ func TestRelaxedCodeDoubleErrorMayMiscorrect(t *testing.T) {
 		for _, p := range positions {
 			bad[p] ^= byte(1 + r.Intn(255))
 		}
-		res, err := decodeOne(c, bad, nil, c.MaxCorrectable())
+		res, err := decodeOne(c, bad, nil, c.CheckSymbols()/2)
 		switch {
 		case err == ErrUncorrectable:
 			detected++
@@ -251,7 +246,7 @@ func TestDecodeBoundedPanicsOutOfRange(t *testing.T) {
 					t.Errorf("DecodeScratch(bound=%d) did not panic", bound)
 				}
 			}()
-			c.DecodeScratch(cw, bound, c.NewScratch())
+			c.DecodeScratch(cw, nil, bound, c.NewScratch())
 		}()
 	}
 }
@@ -336,7 +331,7 @@ func TestDecodeErasuresPanicsOnBadPositions(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("DecodeErrorsErasuresScratch(%v) did not panic", bad)
+					t.Errorf("DecodeScratch(%v) did not panic", bad)
 				}
 			}()
 			decodeOne(c, cw, bad, 0)

@@ -22,10 +22,10 @@ type Result struct {
 // that steady-state decoding performs zero heap allocations.
 //
 // A Scratch belongs to one decode call at a time: it is not safe for
-// concurrent use, and the Result returned by DecodeScratch /
-// DecodeErrorsErasuresScratch aliases the scratch's buffers, valid only
-// until the next call that reuses the Scratch. Callers that need the result
-// to outlive the scratch must copy it.
+// concurrent use, and the Result returned by DecodeScratch aliases the
+// scratch's buffers, valid only until the next call that reuses the
+// Scratch. Callers that need the result to outlive the scratch must copy
+// it.
 type Scratch struct {
 	out    []byte // corrected codeword, length N
 	syn    []byte // syndromes, length N-K
@@ -77,67 +77,22 @@ func (c *Code) NewScratch() *Scratch {
 	}
 }
 
-// DecodeScratch corrects at most maxErrors symbol errors in cw using the
-// workspace s, with zero heap allocations. It returns ErrUncorrectable when
-// the error pattern is detected but exceeds the bound. The input is not
-// modified. The returned Result aliases s's buffers and is valid until s's
-// next use.
+// DecodeScratch corrects the erased positions (erasures, nil for none) and
+// additionally up to maxErrors unknown-position errors in cw using the
+// workspace s, with zero heap allocations, subject to the distance bound
+// 2*maxErrors + len(erasures) <= N-K. It returns ErrUncorrectable when the
+// error pattern is detected but exceeds the bound; more erasures than check
+// symbols return ErrUncorrectable too. The input is not modified. The
+// returned Result aliases s's buffers and is valid until s's next use.
 //
-// maxErrors must not exceed MaxCorrectable. Memory controllers use the
-// bound to implement policy: commercial SCCDCD decodes its 4-check-symbol
-// code with a bound of one error so that the residual check capacity
-// guarantees detection of a second bad symbol.
-func (c *Code) DecodeScratch(cw []byte, maxErrors int, s *Scratch) (Result, error) {
+// Memory controllers use the bound to implement policy: commercial SCCDCD
+// decodes its 4-check-symbol code with no erasures and a bound of one error,
+// so that the residual check capacity guarantees detection of a second bad
+// symbol; double chip sparing, once a failed device has been identified,
+// erases its symbol position and corrects one more.
+func (c *Code) DecodeScratch(cw []byte, erasures []int, maxErrors int, s *Scratch) (Result, error) {
 	if len(cw) != c.n {
 		panic(fmt.Sprintf("rs: DecodeScratch called with %d symbols, want %d", len(cw), c.n))
-	}
-	c.checkDecodeArgs(nil, maxErrors)
-	out := s.out
-	copy(out, cw)
-
-	syn := c.SyndromesInto(cw, s.syn)
-	if allZero(syn) {
-		return Result{Corrected: out}, nil
-	}
-	if maxErrors == 0 {
-		return Result{}, ErrUncorrectable
-	}
-
-	sigma := berlekampMasseyInto(syn, s)
-	deg := len(sigma) - 1 // sigma is trimmed, so this is its degree
-	if deg < 1 || deg > maxErrors {
-		return Result{}, ErrUncorrectable
-	}
-	positions, roots, rootInv := c.chienInto(sigma, s)
-	if len(positions) != deg {
-		// The locator polynomial does not split into distinct roots inside
-		// the codeword: more errors than the code can locate.
-		return Result{}, ErrUncorrectable
-	}
-	mags := c.forneyInto(syn, sigma, roots, rootInv, s)
-	for i, pos := range positions {
-		if mags[i] == 0 {
-			return Result{}, ErrUncorrectable
-		}
-		out[pos] ^= mags[i]
-	}
-	if !checkCorrected(syn, roots, mags, s.modSyn) {
-		return Result{}, ErrUncorrectable
-	}
-	return Result{Corrected: out, ErrorPositions: positions}, nil
-}
-
-// DecodeErrorsErasuresScratch corrects the erased positions (erasures) and
-// additionally up to maxErrors unknown-position errors using the workspace
-// s, with zero heap allocations, subject to the distance bound
-// 2*maxErrors + len(erasures) <= N-K. Double chip sparing decodes this way
-// once a failed device has been identified: the device's symbol position is
-// erased and reconstructed. More erasures than check symbols return
-// ErrUncorrectable. The input is not modified. The returned Result aliases
-// s's buffers and is valid until s's next use.
-func (c *Code) DecodeErrorsErasuresScratch(cw []byte, erasures []int, maxErrors int, s *Scratch) (Result, error) {
-	if len(cw) != c.n {
-		panic(fmt.Sprintf("rs: DecodeErrorsErasuresScratch called with %d symbols, want %d", len(cw), c.n))
 	}
 	if len(erasures) > c.n-c.k {
 		return Result{}, ErrUncorrectable
@@ -154,7 +109,9 @@ func (c *Code) DecodeErrorsErasuresScratch(cw []byte, erasures []int, maxErrors 
 	// Erasure locator Gamma(x) = prod over erasures of (1 + X_j x), where
 	// X_j = alpha^(n-1-pos) is the locator of codeword position pos. Built
 	// in place, one multiply-accumulate sweep per erasure, off the
-	// precomputed per-position locator rows.
+	// precomputed per-position locator rows. With no erasures Gamma = 1,
+	// and the modified syndromes and the combined locator below are the
+	// syndromes and Sigma themselves.
 	gamma := s.gamma[:1]
 	gamma[0] = 1
 	for _, pos := range erasures {
@@ -167,11 +124,12 @@ func (c *Code) DecodeErrorsErasuresScratch(cw []byte, erasures []int, maxErrors 
 	}
 
 	// Modified syndromes Xi(x) = [S(x) * Gamma(x)] mod x^(n-k).
-	modSyn := s.modSyn
-	for i := range modSyn {
-		modSyn[i] = 0
+	modSyn := syn
+	if len(erasures) > 0 {
+		modSyn = s.modSyn
+		clear(modSyn)
+		mulAddTruncated(modSyn, syn, gamma)
 	}
-	mulAddTruncated(modSyn, syn, gamma)
 
 	// With e erasures, only the modified syndromes at indices e..nk-1 obey
 	// the error-locator LFSR recurrence, so Berlekamp–Massey runs on that
@@ -185,23 +143,21 @@ func (c *Code) DecodeErrorsErasuresScratch(cw []byte, erasures []int, maxErrors 
 		if len(sigma)-1 > maxErrors {
 			return Result{}, ErrUncorrectable
 		}
-
-		// Combined locator Psi(x) = Sigma(x) * Gamma(x); its roots cover
-		// both unknown error positions and erased positions.
-		psi := s.psi[:len(sigma)+len(gamma)-1]
-		for i := range psi {
-			psi[i] = 0
+		locator = sigma
+		if len(erasures) > 0 {
+			// Combined locator Psi(x) = Sigma(x) * Gamma(x); its roots
+			// cover both unknown error positions and erased positions.
+			psi := s.psi[:len(sigma)+len(gamma)-1]
+			clear(psi)
+			for i, v := range sigma {
+				gf.MulAddSlice(psi[i:i+len(gamma)], gamma, v)
+			}
+			locator = gf.PolyTrim(psi)
 		}
-		for i, v := range sigma {
-			gf.MulAddSlice(psi[i:i+len(gamma)], gamma, v)
-		}
-		psi = gf.PolyTrim(psi)
-
-		positions, roots, rootInv = c.chienInto(psi, s)
-		if len(positions) != len(psi)-1 {
+		positions, roots, rootInv = c.chienInto(locator, s)
+		if len(positions) != len(locator)-1 {
 			return Result{}, ErrUncorrectable
 		}
-		locator = psi
 	} else {
 		if !allZero(modSyn[len(erasures):]) {
 			return Result{}, ErrUncorrectable
@@ -252,7 +208,7 @@ func (c *Code) DecodeErrorsErasuresScratch(cw []byte, erasures []int, maxErrors 
 // checkDecodeArgs panics on a decode bound no decoder of this code accepts:
 // a negative maxErrors, a bound beyond the distance limit
 // 2*maxErrors + len(erasures) <= N-K (for errors only, maxErrors <=
-// MaxCorrectable), or an erasure position out of range or repeated. These
+// floor((N-K)/2)), or an erasure position out of range or repeated. These
 // are caller bugs, not error patterns, so they panic instead of returning
 // ErrUncorrectable.
 func (c *Code) checkDecodeArgs(erasures []int, maxErrors int) {

@@ -24,10 +24,10 @@ func TestDecodeScratchMatchesWrappers(t *testing.T) {
 			for _, p := range r.Perm(c.N())[:errs] {
 				bad[p] ^= byte(1 + r.Intn(255))
 			}
-			maxErrors := r.Intn(c.MaxCorrectable() + 1)
+			maxErrors := r.Intn(c.CheckSymbols()/2 + 1)
 
 			want, wantErr := decodeOne(c, bad, nil, maxErrors)
-			got, gotErr := c.DecodeScratch(bad, maxErrors, s)
+			got, gotErr := c.DecodeScratch(bad, nil, maxErrors, s)
 			if wantErr != gotErr {
 				t.Fatalf("(%d,%d) trial %d: reused-scratch err %v, fresh-scratch err %v", c.N(), c.K(), trial, gotErr, wantErr)
 			}
@@ -42,10 +42,10 @@ func TestDecodeScratchMatchesWrappers(t *testing.T) {
 	}
 }
 
-// TestDecodeErrorsErasuresScratchMatchesWrapper is the erasure-path twin of
+// TestDecodeScratchWithErasuresMatchesWrapper is the erasure-path twin of
 // the test above, interleaving erasure decodes with error decodes on the
 // same Scratch.
-func TestDecodeErrorsErasuresScratchMatchesWrapper(t *testing.T) {
+func TestDecodeScratchWithErasuresMatchesWrapper(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for _, c := range codesUnderTest() {
 		s := c.NewScratch()
@@ -70,14 +70,14 @@ func TestDecodeErrorsErasuresScratchMatchesWrapper(t *testing.T) {
 			}
 
 			fresh := c.NewScratch()
-			want, wantErr := c.DecodeErrorsErasuresScratch(bad, erasures, maxErrors, fresh)
-			got, gotErr := c.DecodeErrorsErasuresScratch(bad, erasures, maxErrors, s)
+			want, wantErr := c.DecodeScratch(bad, erasures, maxErrors, fresh)
+			got, gotErr := c.DecodeScratch(bad, erasures, maxErrors, s)
 			if wantErr != gotErr {
 				t.Fatalf("(%d,%d) trial %d: reused-scratch err %v, fresh-scratch err %v", c.N(), c.K(), trial, gotErr, wantErr)
 			}
 			if gotErr != nil {
 				// Interleave an error-only decode to stress scratch reuse.
-				c.DecodeScratch(cw, c.MaxCorrectable(), s)
+				c.DecodeScratch(cw, nil, c.CheckSymbols()/2, s)
 				continue
 			}
 			if !bytes.Equal(got.Corrected, want.Corrected) || !equalInts(got.ErrorPositions, want.ErrorPositions) {
@@ -142,22 +142,22 @@ func TestScratchEntryPointsZeroAllocations(t *testing.T) {
 		{"EncodeInto", func() { c.EncodeInto(cw) }},
 		{"SyndromesInto", func() { c.SyndromesInto(cw, syn) }},
 		{"DecodeScratch/clean", func() {
-			if _, err := c.DecodeScratch(cw, 2, s); err != nil {
+			if _, err := c.DecodeScratch(cw, nil, 2, s); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"DecodeScratch/1err", func() {
-			if _, err := c.DecodeScratch(oneErr, 2, s); err != nil {
+			if _, err := c.DecodeScratch(oneErr, nil, 2, s); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"DecodeScratch/2err", func() {
-			if _, err := c.DecodeScratch(twoErr, 2, s); err != nil {
+			if _, err := c.DecodeScratch(twoErr, nil, 2, s); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"DecodeErrorsErasuresScratch", func() {
-			if _, err := c.DecodeErrorsErasuresScratch(twoErr, []int{3, 17}, 1, s); err != nil {
+		{"DecodeScratch/erasures", func() {
+			if _, err := c.DecodeScratch(twoErr, []int{3, 17}, 1, s); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -180,14 +180,14 @@ func TestScratchResultAliasing(t *testing.T) {
 	cwB := encode(c, randData(r, c.K()))
 	s := c.NewScratch()
 
-	resA, err := c.DecodeScratch(cwA, 2, s)
+	resA, err := c.DecodeScratch(cwA, nil, 2, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(resA.Corrected, cwA) {
 		t.Fatal("first scratch decode wrong")
 	}
-	if _, err := c.DecodeScratch(cwB, 2, s); err != nil {
+	if _, err := c.DecodeScratch(cwB, nil, 2, s); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(resA.Corrected, cwB) {

@@ -251,7 +251,7 @@ func TestResumeFromGobCheckpointsRerunsShards(t *testing.T) {
 		for s, blob := range cp.Shards {
 			var set mc.WeightedSet
 			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&set); err != nil ||
-				len(set.Dims) != 3 || set.Dims[0].N() != mc.DefaultShardSize {
+				len(set.Dims) != 3 || set.Dims[0].Y.Count != mc.DefaultShardSize {
 				t.Fatalf("engine job %d shard %d: not a gob image of a full 3-year shard (%v)", i, s, err)
 			}
 		}

@@ -119,9 +119,6 @@ func (e *Weighted) Merge(o Weighted) {
 	e.Y.Merge(o.Y)
 }
 
-// N returns the number of trials folded in.
-func (e Weighted) N() int64 { return e.Y.Count }
-
 // Mean returns the unbiased importance-sampling estimate of E[f(X)]: the
 // plain mean of w*x. It panics on an empty estimator, mirroring Mean.
 func (e Weighted) Mean() float64 {
@@ -131,23 +128,13 @@ func (e Weighted) Mean() float64 {
 	return e.SumWX / float64(e.Y.Count)
 }
 
-// NormalizedMean returns the self-normalized estimate Σwx/Σw — the
-// conventional weighted mean, which estimates E[f(X)] only up to the
-// normalization of the weights. It panics when no weight has been seen.
-func (e Weighted) NormalizedMean() float64 {
-	if e.SumW == 0 {
-		panic("stats: normalized mean with zero total weight")
-	}
-	return e.SumWX / e.SumW
-}
-
 // CI95 returns the half-width of the 95% confidence interval of Mean;
 // zero below two trials.
 func (e Weighted) CI95() float64 { return e.Y.CI95() }
 
 // ESS returns Kish's effective sample size (Σw)²/Σw² — how many plain
 // trials the weighted sample is worth. Zero for an empty estimator; equal
-// to N when all weights are equal.
+// to the trial count when all weights are equal.
 func (e Weighted) ESS() float64 {
 	if e.SumW2 == 0 {
 		return 0

@@ -68,8 +68,7 @@ func (t *TraceWriter) Flush() error { return t.w.Flush() }
 
 // TraceReader replays accesses from an io.Reader.
 type TraceReader struct {
-	r     *bufio.Reader
-	count int64
+	r *bufio.Reader
 }
 
 // NewTraceReader validates the header and returns a reader.
@@ -94,7 +93,6 @@ func (t *TraceReader) Next() (Access, error) {
 		}
 		return Access{}, fmt.Errorf("%w: truncated record", ErrBadTrace)
 	}
-	t.count++
 	// Decode the gap through int64: on 32-bit platforms int(uint32) can
 	// overflow into a negative gap, which the stream contract forbids.
 	gap := int64(binary.LittleEndian.Uint32(rec[8:12]))
@@ -112,21 +110,15 @@ func (t *TraceReader) Next() (Access, error) {
 // 32-bit targets, where a trace gap above it cannot be represented).
 const maxInt = int(^uint(0) >> 1)
 
-// Count returns the number of records read so far.
-func (t *TraceReader) Count() int64 { return t.count }
-
 // TraceSource replays a fully-loaded trace as a Source. Unlike the
 // streaming TraceReader it holds the whole trace in memory, which buys the
-// two properties multi-shard replay needs: deterministic rewind (Rewind
-// returns the cursor to the first access, so every run over the source
-// sees the identical sequence) and cheap clones (Clone shares the loaded
-// access slice and gets an independent cursor, so each simulator core —
-// and each Monte Carlo shard — replays the same trace without re-reading
-// or re-decoding the file).
+// property multi-shard replay needs: cheap clones (Clone shares the loaded
+// access slice and gets an independent cursor at the first access, so each
+// simulator core — and each Monte Carlo shard — replays the identical
+// sequence without re-reading or re-decoding the file).
 type TraceSource struct {
 	accesses []Access // shared with clones; immutable after load
 	pos      int
-	wrapped  bool
 }
 
 // NewTraceSource wraps a loaded access sequence.
@@ -164,22 +156,14 @@ func LoadTraceFile(path string) (*TraceSource, error) {
 }
 
 // Next implements Source. Past the end of the trace it wraps to the
-// beginning (Wrapped reports that it did).
+// beginning.
 func (t *TraceSource) Next() Access {
 	a := t.accesses[t.pos]
 	t.pos++
 	if t.pos == len(t.accesses) {
 		t.pos = 0
-		t.wrapped = true
 	}
 	return a
-}
-
-// Rewind returns the cursor to the first access, so the next run over the
-// source replays the identical sequence.
-func (t *TraceSource) Rewind() {
-	t.pos = 0
-	t.wrapped = false
 }
 
 // Clone returns an independent cursor over the same loaded trace. Clones
@@ -191,10 +175,6 @@ func (t *TraceSource) Clone() *TraceSource {
 
 // Len returns the number of accesses in the trace.
 func (t *TraceSource) Len() int { return len(t.accesses) }
-
-// Wrapped reports whether replay has passed the end of the trace at least
-// once since the last Rewind.
-func (t *TraceSource) Wrapped() bool { return t.wrapped }
 
 var _ Source = (*TraceSource)(nil)
 

@@ -92,9 +92,6 @@ func (s *Stream) Reset(b Benchmark, seed int64, base uint64) {
 	s.gapM = 1000 / b.APKI
 }
 
-// Name returns the benchmark name.
-func (s *Stream) Name() string { return s.b.Name }
-
 // Next produces the next access.
 func (s *Stream) Next() Access {
 	b := &s.b
