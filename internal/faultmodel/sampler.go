@@ -13,10 +13,11 @@ import (
 // factor (NewTiltedSampler). Everything that depends only on the process
 // is computed once by the constructor: the nonzero-rate types in
 // rate-table order with each type's Poisson mean, e^{-mean} and zero
-// threshold, and the truncated-count and likelihood-ratio constants of
-// the importance proposals. A lifetime Monte Carlo builds one Sampler per
-// run, so its trials pay only for their draws, not for map lookups and
-// exponentials that cannot change between trials.
+// threshold, the rejection bounds of the rank and device draws, and the
+// truncated-count and likelihood-ratio constants of the importance
+// proposals. A lifetime Monte Carlo builds one Sampler per run, so its
+// trials pay only for their draws, not for map lookups, exponentials and
+// divisions that cannot change between trials.
 //
 // The zero threshold makes the common trial cheap: at field rates most
 // channels draw no fault at all, and a type's count is 0 exactly when
@@ -38,9 +39,11 @@ import (
 // a Sampler reproduces them bit for bit (TestSamplerMatchesReference). A
 // Sampler is read-only after construction and safe for concurrent use.
 type Sampler struct {
-	mode           proposal
-	ranks, devices int
-	hours          float64
+	mode proposal
+	// rank and device are the ranges of an arrival's rank and device,
+	// with their Intn rejection bounds.
+	rank, device rng.Bound
+	hours        float64
 	// types[:n] are the sampled types. Plain and tilted: the types with a
 	// nonzero rate, mean the Poisson mean of the type's count. Conditional:
 	// the types with a positive mean, which is the type's share of lambda
@@ -91,7 +94,7 @@ type typeMean struct {
 
 func newSampler(mode proposal, ranks, devicesPerRank int, years float64) *Sampler {
 	checkGeometry(ranks, devicesPerRank, years)
-	return &Sampler{mode: mode, ranks: ranks, devices: devicesPerRank, hours: years * HoursPerYear}
+	return &Sampler{mode: mode, rank: rng.NewBound(ranks), device: rng.NewBound(devicesPerRank), hours: years * HoursPerYear}
 }
 
 func (s *Sampler) add(t Type, mean, expNeg float64) {
@@ -275,8 +278,8 @@ func (s *Sampler) place(src *rng.Source, out []Arrival, t Type, n int) []Arrival
 		a := Arrival{
 			AtHours: src.Float64() * s.hours,
 			Type:    t,
-			Rank:    src.Intn(s.ranks),
-			Device:  src.Intn(s.devices),
+			Rank:    src.Below(s.rank),
+			Device:  src.Below(s.device),
 		}
 		if t == Lane {
 			a.Rank = -1

@@ -27,6 +27,12 @@
 // every trial that worker executes, so the steady-state trial loop
 // allocates nothing. A scratch carries capacity, never state, which keeps
 // results independent of how shards are distributed over workers.
+//
+// Weighted jobs (RunWeightedCtx) fold each trial's observation vector and
+// likelihood ratio into a per-shard WeightedSet: the unbiased mean, CI
+// and effective sample size of every dimension, with the trial count, Σw
+// and Σw² that all dimensions share kept once. The observation vector is
+// a per-worker buffer that every trial overwrites in full.
 package mc
 
 import (

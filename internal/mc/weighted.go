@@ -16,13 +16,20 @@ import (
 // likelihood ratio. A trial fills a vector of per-dimension observations
 // (e.g. one faulty-page fraction per lifetime year) and returns its
 // weight against the target distribution; the engine folds every
-// dimension into a stats.Weighted estimator, so the result carries the
-// unbiased weighted mean, a confidence interval, and the effective
-// sample size — in O(Dims) memory regardless of the trial count.
-// Plain (unaccelerated) sampling is the weight-1 special case, and
-// stats.Weighted keeps its weighted sum as a plain running sum, so a
-// weights-all-one job reproduces a legacy sum-and-divide accumulator bit
-// for bit: same additions, same shard-order merge.
+// dimension into the estimator a stats.Weighted would hold, so the
+// result carries the unbiased weighted mean, a confidence interval, and
+// the effective sample size — in O(Dims) memory regardless of the trial
+// count. Plain (unaccelerated) sampling is the weight-1 special case,
+// and the weighted sum is a plain running sum, so a weights-all-one job
+// reproduces a legacy sum-and-divide accumulator bit for bit: same
+// additions, same shard-order merge.
+//
+// The trial count, Σw and Σw² are the same for every dimension, so a
+// WeightedSet keeps them once; per dimension it keeps only Σw·x and the
+// Welford mean and M2 of y = w·x. Its add and Merge perform, for every
+// dimension, the float operations stats.Weighted's would, in the same
+// order, so Dim(i) equals the stats.Weighted fed the same trials bit for
+// bit (TestWeightedSetMatchesStatsWeighted).
 
 // WeightedJob describes one weighted Monte Carlo computation.
 type WeightedJob struct {
@@ -46,62 +53,118 @@ type WeightedJob struct {
 	NewScratch func() any
 	// Trial runs trial number trial (0-based, global across shards),
 	// drawing from the worker's rng.Source reseeded to the shard's stream
-	// as Job.TrialScratch does: it writes one observation per dimension
-	// into vals (zeroed by the engine before every call, len == Dims) and
-	// returns the trial's likelihood ratio against the target
-	// distribution — 1 for plain sampling. The weight must be finite and
-	// non-negative. scratch is nil when NewScratch is.
+	// as Job.TrialScratch does: it writes one observation into every
+	// dimension of vals (len == Dims) and returns the trial's likelihood
+	// ratio against the target distribution — 1 for plain sampling. vals
+	// is the worker's buffer and still holds what its previous trial
+	// wrote: the engine does not clear it, so a trial that skips a
+	// dimension makes the result depend on how shards fall on workers.
+	// The weight must be finite and non-negative. scratch is nil when
+	// NewScratch is.
 	Trial func(src *rng.Source, trial int, scratch any, vals []float64) float64
 }
 
-// WeightedSet is the result of a weighted job: one estimator per
-// dimension plus the requested quantile sketches, merged across shards
-// in shard-index order. Fields are exported so callers can read the
-// estimators directly; treat them as read-only.
+// WeightedSet is the result of a weighted job: one weighted estimator
+// per dimension plus the requested quantile sketches, merged across
+// shards in shard-index order. Read it through Dim and Sketch.
 type WeightedSet struct {
-	// Dims holds one weighted estimator per observation dimension.
-	Dims []stats.Weighted
-	// SketchDims and Sketches mirror WeightedJob.SketchDims: Sketches[j]
-	// summarises dimension SketchDims[j].
-	SketchDims []int
-	Sketches   []*stats.QuantileSketch
+	// n is the number of trials folded in, and sumW and sumW2 are their
+	// Σw and Σw²: the Y.Count, SumW and SumW2 of every dimension.
+	n           int64
+	sumW, sumW2 float64
+	// dims holds each dimension's own sums.
+	dims []weightedDim
+	// sketchDims and sketches mirror WeightedJob.SketchDims: sketches[j]
+	// summarises dimension sketchDims[j].
+	sketchDims []int
+	sketches   []*stats.QuantileSketch
+}
+
+// weightedDim is what a dimension of a WeightedSet does not share with
+// the others: Σw·x, and the Welford mean and M2 of y = w·x.
+type weightedDim struct {
+	sumWX, mean, m2 float64
+}
+
+// Dim returns the estimator of dimension i.
+func (s *WeightedSet) Dim(i int) stats.Weighted {
+	d := &s.dims[i]
+	return stats.Weighted{
+		SumWX: d.sumWX,
+		SumW:  s.sumW,
+		SumW2: s.sumW2,
+		Y:     stats.Welford{Count: s.n, Mean: d.mean, M2: d.m2},
+	}
 }
 
 // Sketch returns the quantile sketch of dimension dim, or nil when the
 // job did not request one for it.
 func (s *WeightedSet) Sketch(dim int) *stats.QuantileSketch {
-	for j, d := range s.SketchDims {
+	for j, d := range s.sketchDims {
 		if d == dim {
-			return s.Sketches[j]
+			return s.sketches[j]
 		}
 	}
 	return nil
 }
 
-// Merge folds another set into the receiver, dimension by dimension.
-// Like every streaming merge the result depends on the merge order; the
-// engine always merges in shard-index order.
+// Merge folds another set into the receiver: stats.Weighted.Merge for
+// every dimension. Like every streaming merge the result depends on the
+// merge order; the engine always merges in shard-index order.
 func (s *WeightedSet) Merge(o *WeightedSet) {
-	if len(o.Dims) != len(s.Dims) || len(o.Sketches) != len(s.Sketches) {
+	if len(o.dims) != len(s.dims) || len(o.sketches) != len(s.sketches) {
 		panic("mc: merging weighted sets of different shape")
 	}
-	for i := range s.Dims {
-		s.Dims[i].Merge(o.Dims[i])
+	s.sumW += o.sumW
+	s.sumW2 += o.sumW2
+	for i := range s.dims {
+		s.dims[i].sumWX += o.dims[i].sumWX
 	}
-	for j := range s.Sketches {
-		s.Sketches[j].Merge(o.Sketches[j])
+	// Welford.Merge, with the counts converted once.
+	switch {
+	case o.n == 0:
+	case s.n == 0:
+		for i := range s.dims {
+			s.dims[i].mean, s.dims[i].m2 = o.dims[i].mean, o.dims[i].m2
+		}
+	default:
+		n1, n2 := float64(s.n), float64(o.n)
+		n := n1 + n2
+		for i := range s.dims {
+			d, od := &s.dims[i], &o.dims[i]
+			dm := od.mean - d.mean
+			d.mean += dm * n2 / n
+			d.m2 += od.m2 + dm*dm*n1*n2/n
+		}
+	}
+	s.n += o.n
+	for j := range s.sketches {
+		s.sketches[j].Merge(o.sketches[j])
 	}
 }
 
+// add folds one trial into the set: stats.Weighted.Add(vals[i], w) for
+// every dimension i, with the shared sums and the count's conversion
+// done once.
 func (s *WeightedSet) add(vals []float64, w float64) {
 	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		panic(fmt.Sprintf("mc: trial weight %v is not a likelihood ratio", w))
 	}
-	for i := range s.Dims {
-		s.Dims[i].Add(vals[i], w)
+	s.n++
+	n := float64(s.n)
+	s.sumW += w
+	s.sumW2 += w * w
+	vals = vals[:len(s.dims)]
+	for i := range s.dims {
+		d := &s.dims[i]
+		y := w * vals[i]
+		d.sumWX += y
+		dy := y - d.mean
+		d.mean += dy / n
+		d.m2 += dy * (y - d.mean)
 	}
-	for j, d := range s.SketchDims {
-		s.Sketches[j].Add(vals[d])
+	for j, d := range s.sketchDims {
+		s.sketches[j].Add(vals[d])
 	}
 }
 
@@ -129,54 +192,62 @@ func RunWeightedCtx(ctx context.Context, job WeightedJob, opts Options) (*Weight
 	if err != nil {
 		return nil, err
 	}
-	return acc.(*weightedAcc).set, nil
+	return &acc.(*weightedAcc).set, nil
 }
 
 // engineJob is the engine job a weighted job runs as: one weightedAcc per
-// shard, its observation buffer zeroed before every trial.
+// shard, and per worker the job's scratch together with the observation
+// buffer its trials write.
 func (job WeightedJob) engineJob() Job {
 	return Job{
 		Trials: job.Trials,
 		Seed:   job.Seed,
-		NewAcc: func() Accumulator {
-			return &weightedAcc{set: newWeightedSet(job), vals: make([]float64, job.Dims)}
-		},
-		NewScratch: job.NewScratch,
-		TrialScratch: func(src *rng.Source, trial int, a Accumulator, scratch any) {
-			wa := a.(*weightedAcc)
-			for i := range wa.vals {
-				wa.vals[i] = 0
+		NewAcc: func() Accumulator { return job.newAcc() },
+		NewScratch: func() any {
+			ws := &weightedScratch{vals: make([]float64, job.Dims)}
+			if job.NewScratch != nil {
+				ws.job = job.NewScratch()
 			}
-			w := job.Trial(src, trial, scratch, wa.vals)
-			wa.set.add(wa.vals, w)
+			return ws
+		},
+		TrialScratch: func(src *rng.Source, trial int, a Accumulator, scratch any) {
+			ws := scratch.(*weightedScratch)
+			w := job.Trial(src, trial, ws.job, ws.vals)
+			a.(*weightedAcc).set.add(ws.vals, w)
 		},
 	}
 }
 
-// newWeightedSet returns the empty estimator set of one shard of job.
-func newWeightedSet(job WeightedJob) *WeightedSet {
-	set := &WeightedSet{Dims: make([]stats.Weighted, job.Dims)}
-	if len(job.SketchDims) > 0 {
-		set.SketchDims = append([]int(nil), job.SketchDims...)
-		set.Sketches = make([]*stats.QuantileSketch, len(job.SketchDims))
-		for j := range set.Sketches {
-			set.Sketches[j] = stats.NewQuantileSketch(0)
-		}
-	}
-	return set
-}
-
-// weightedAcc is the per-shard accumulator of a weighted job: the
-// estimator set plus the shard's reusable observation buffer (capacity
-// only — zeroed before every trial — so it is excluded from Merge and
-// from the checkpoint image).
-type weightedAcc struct {
-	set  *WeightedSet
+// weightedScratch is a weighted job's per-worker workspace: the job's own
+// scratch and the observation buffer, which carries capacity only
+// (every trial overwrites it), so it is no part of a shard's result.
+type weightedScratch struct {
+	job  any
 	vals []float64
 }
 
+// newAcc returns the empty accumulator of one shard of job.
+func (job WeightedJob) newAcc() *weightedAcc {
+	a := &weightedAcc{set: WeightedSet{dims: make([]weightedDim, job.Dims)}}
+	if len(job.SketchDims) > 0 {
+		s := &a.set
+		s.sketchDims = append([]int(nil), job.SketchDims...)
+		s.sketches = make([]*stats.QuantileSketch, len(job.SketchDims))
+		for j := range s.sketches {
+			s.sketches[j] = stats.NewQuantileSketch(0)
+		}
+	}
+	return a
+}
+
+// weightedAcc is the per-shard accumulator of a weighted job; the set is
+// held by value, so a shard's accumulator and set are one allocation.
+type weightedAcc struct {
+	set WeightedSet
+}
+
 func (a *weightedAcc) Merge(other Accumulator) {
-	a.set.Merge(other.(*weightedAcc).set)
+	a.set.Merge(&other.(*weightedAcc).set)
 }
 
 // weightedFormat leads every weighted-set blob. No gob stream starts
@@ -197,9 +268,9 @@ const weightedFormat = 0x81
 // and equal sets encode to equal bytes. The buffer is sized exactly, so
 // encoding allocates once.
 func (a *weightedAcc) MarshalBinary() ([]byte, error) {
-	s := a.set
-	n := 1 + 8 + 48*len(s.Dims) + 8 + 8*len(s.SketchDims)
-	for _, sk := range s.Sketches {
+	s := &a.set
+	n := 1 + 8 + 48*len(s.dims) + 8 + 8*len(s.sketchDims)
+	for _, sk := range s.sketches {
 		n += 24
 		for _, lvl := range sk.Levels {
 			n += 8 + 8*len(lvl)
@@ -207,20 +278,20 @@ func (a *weightedAcc) MarshalBinary() ([]byte, error) {
 	}
 	le := binary.LittleEndian
 	b := append(make([]byte, 0, n), weightedFormat)
-	b = le.AppendUint64(b, uint64(len(s.Dims)))
-	for _, d := range s.Dims {
-		b = le.AppendUint64(b, math.Float64bits(d.SumWX))
-		b = le.AppendUint64(b, math.Float64bits(d.SumW))
-		b = le.AppendUint64(b, math.Float64bits(d.SumW2))
-		b = le.AppendUint64(b, uint64(d.Y.Count))
-		b = le.AppendUint64(b, math.Float64bits(d.Y.Mean))
-		b = le.AppendUint64(b, math.Float64bits(d.Y.M2))
+	b = le.AppendUint64(b, uint64(len(s.dims)))
+	for _, d := range s.dims {
+		b = le.AppendUint64(b, math.Float64bits(d.sumWX))
+		b = le.AppendUint64(b, math.Float64bits(s.sumW))
+		b = le.AppendUint64(b, math.Float64bits(s.sumW2))
+		b = le.AppendUint64(b, uint64(s.n))
+		b = le.AppendUint64(b, math.Float64bits(d.mean))
+		b = le.AppendUint64(b, math.Float64bits(d.m2))
 	}
-	b = le.AppendUint64(b, uint64(len(s.SketchDims)))
-	for _, d := range s.SketchDims {
+	b = le.AppendUint64(b, uint64(len(s.sketchDims)))
+	for _, d := range s.sketchDims {
 		b = le.AppendUint64(b, uint64(d))
 	}
-	for _, sk := range s.Sketches {
+	for _, sk := range s.sketches {
 		b = le.AppendUint64(b, uint64(sk.K))
 		b = le.AppendUint64(b, uint64(sk.N))
 		b = le.AppendUint64(b, uint64(len(sk.Levels)))
@@ -236,30 +307,39 @@ func (a *weightedAcc) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a shard's estimator set from MarshalBinary
 // bytes. Every count is checked against the bytes left before anything
-// is allocated for it, and trailing bytes are an error. The receiver
-// must be fresh from the job's NewAcc: its empty set is the shape the
-// snapshot has to match (see checkShape), so a blob from a job of
-// another shape fails here and the engine re-runs its shard.
+// is allocated for it, and trailing bytes are an error. The dimensions
+// must agree bit for bit on the trial count, Σw and Σw², which a set
+// holds once. The receiver must be fresh from the job's NewAcc: its
+// empty set is the shape the snapshot has to match (see checkShape), so
+// a blob from a job of another shape fails here and the engine re-runs
+// its shard.
 func (a *weightedAcc) UnmarshalBinary(b []byte) error {
 	if len(b) == 0 || b[0] != weightedFormat {
 		return errors.New("mc: weighted snapshot is not in the fixed layout")
 	}
 	r := wordReader{b: b[1:]}
-	set := &WeightedSet{Dims: make([]stats.Weighted, r.count(48))}
-	for i := range set.Dims {
-		d := &set.Dims[i]
-		d.SumWX, d.SumW, d.SumW2 = r.float(), r.float(), r.float()
-		d.Y.Count, d.Y.Mean, d.Y.M2 = int64(r.word()), r.float(), r.float()
+	set := WeightedSet{dims: make([]weightedDim, r.count(48))}
+	disagree := false
+	for i := range set.dims {
+		d := &set.dims[i]
+		d.sumWX = r.float()
+		sumW, sumW2, n := r.word(), r.word(), r.word()
+		d.mean, d.m2 = r.float(), r.float()
+		if i == 0 {
+			set.sumW, set.sumW2, set.n = math.Float64frombits(sumW), math.Float64frombits(sumW2), int64(n)
+		} else if sumW != math.Float64bits(set.sumW) || sumW2 != math.Float64bits(set.sumW2) || n != uint64(set.n) {
+			disagree = true
+		}
 	}
 	// Each sketch takes a dimension word plus at least its K, N and level
 	// count.
 	if n := r.count(8 + 24); n > 0 {
-		set.SketchDims = make([]int, n)
-		for j := range set.SketchDims {
-			set.SketchDims[j] = int(r.word())
+		set.sketchDims = make([]int, n)
+		for j := range set.sketchDims {
+			set.sketchDims[j] = int(r.word())
 		}
-		set.Sketches = make([]*stats.QuantileSketch, n)
-		for j := range set.Sketches {
+		set.sketches = make([]*stats.QuantileSketch, n)
+		for j := range set.sketches {
 			sk := &stats.QuantileSketch{K: int(r.word()), N: int64(r.word())}
 			if nl := r.count(8); nl > 0 {
 				sk.Levels = make([][]float64, nl)
@@ -271,7 +351,7 @@ func (a *weightedAcc) UnmarshalBinary(b []byte) error {
 				}
 				sk.Levels[i] = lvl
 			}
-			set.Sketches[j] = sk
+			set.sketches[j] = sk
 		}
 	}
 	if r.short {
@@ -280,7 +360,10 @@ func (a *weightedAcc) UnmarshalBinary(b []byte) error {
 	if len(r.b) > 0 {
 		return fmt.Errorf("mc: weighted snapshot has %d trailing bytes", len(r.b))
 	}
-	if err := a.set.checkShape(set); err != nil {
+	if disagree {
+		return errors.New("mc: weighted snapshot dimensions disagree on the trial count, Σw or Σw²")
+	}
+	if err := a.set.checkShape(&set); err != nil {
 		return err
 	}
 	a.set = set
@@ -326,14 +409,14 @@ func (r *wordReader) count(size int) int {
 // shape), or a sketch whose items do not weigh its observation count
 // (its quantiles would be meaningless).
 func (s *WeightedSet) checkShape(o *WeightedSet) error {
-	if len(o.Dims) != len(s.Dims) {
-		return fmt.Errorf("mc: weighted snapshot has %d dimensions, want %d", len(o.Dims), len(s.Dims))
+	if len(o.dims) != len(s.dims) {
+		return fmt.Errorf("mc: weighted snapshot has %d dimensions, want %d", len(o.dims), len(s.dims))
 	}
-	if !slices.Equal(o.SketchDims, s.SketchDims) || len(o.Sketches) != len(s.Sketches) {
-		return fmt.Errorf("mc: weighted snapshot sketches dimensions %v, want %v", o.SketchDims, s.SketchDims)
+	if !slices.Equal(o.sketchDims, s.sketchDims) || len(o.sketches) != len(s.sketches) {
+		return fmt.Errorf("mc: weighted snapshot sketches dimensions %v, want %v", o.sketchDims, s.sketchDims)
 	}
-	for j, sk := range o.Sketches {
-		if sk == nil || sk.K != s.Sketches[j].K {
+	for j, sk := range o.sketches {
+		if sk == nil || sk.K != s.sketches[j].K {
 			return fmt.Errorf("mc: weighted snapshot sketch %d is missing or has another capacity", j)
 		}
 		// Level i items weigh 2^i each; together they must weigh N.

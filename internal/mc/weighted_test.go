@@ -3,12 +3,14 @@ package mc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -74,14 +76,14 @@ func TestRunWeightedAllOnesBitIdentical(t *testing.T) {
 
 	for i := 0; i < dims; i++ {
 		want := acc.sums[i] / float64(acc.count)
-		got := set.Dims[i].Mean()
+		got := set.Dim(i).Mean()
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("dim %d: weighted mean %v != legacy mean %v (bitwise)", i, got, want)
 		}
-		if set.Dims[i].Y.Count != trials {
-			t.Fatalf("dim %d: N = %d, want %d", i, set.Dims[i].Y.Count, trials)
+		if set.Dim(i).Y.Count != trials {
+			t.Fatalf("dim %d: N = %d, want %d", i, set.Dim(i).Y.Count, trials)
 		}
-		if ess := set.Dims[i].ESS(); math.Abs(ess-trials) > 1e-6 {
+		if ess := set.Dim(i).ESS(); math.Abs(ess-trials) > 1e-6 {
 			t.Fatalf("dim %d: unit-weight ESS = %v, want %d", i, ess, trials)
 		}
 	}
@@ -152,8 +154,8 @@ func TestRunWeightedScratch(t *testing.T) {
 			return 1
 		},
 	}, Options{Parallelism: 4})
-	if set.Dims[0].Y.Count != 500 {
-		t.Fatalf("N = %d", set.Dims[0].Y.Count)
+	if set.Dim(0).Y.Count != 500 {
+		t.Fatalf("N = %d", set.Dim(0).Y.Count)
 	}
 }
 
@@ -215,6 +217,194 @@ func TestRunWeightedCheckpointResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full, resumed) {
 		t.Fatal("resumed run differs from uninterrupted run")
+	}
+}
+
+// perDimBlob is the fixed-layout snapshot of the per-dimension
+// estimators dims with no sketch, spelled out word by word from the
+// layout table on MarshalBinary.
+func perDimBlob(dims []stats.Weighted) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint64([]byte{weightedFormat}, uint64(len(dims)))
+	for _, d := range dims {
+		for _, v := range []float64{d.SumWX, d.SumW, d.SumW2} {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
+		b = le.AppendUint64(b, uint64(d.Y.Count))
+		b = le.AppendUint64(b, math.Float64bits(d.Y.Mean))
+		b = le.AppendUint64(b, math.Float64bits(d.Y.M2))
+	}
+	return le.AppendUint64(b, 0)
+}
+
+// sameWeighted reports whether two estimators agree bit for bit.
+func sameWeighted(a, b stats.Weighted) bool {
+	bits := math.Float64bits
+	return bits(a.SumWX) == bits(b.SumWX) && bits(a.SumW) == bits(b.SumW) && bits(a.SumW2) == bits(b.SumW2) &&
+		a.Y.Count == b.Y.Count && bits(a.Y.Mean) == bits(b.Y.Mean) && bits(a.Y.M2) == bits(b.Y.M2)
+}
+
+// TestWeightedSetMatchesStatsWeighted: a WeightedSet holds the count, Σw
+// and Σw² once, yet every dimension must equal the stats.Weighted fed the
+// same trials bit for bit — through add with weights 0, 1 and random ones,
+// with and without weights of 1e300 (whose square overflows, and whose
+// moments soon do), through shard-order merges of 1–64 trials per shard
+// into an empty set and into a filled one, and in its snapshot, whose
+// bytes stay the per-dimension layout.
+func TestWeightedSetMatchesStatsWeighted(t *testing.T) {
+	for _, huge := range []bool{false, true} {
+		checkWeightedSet(t, huge)
+	}
+}
+
+func checkWeightedSet(t *testing.T, huge bool) {
+	const dims = 7
+	r := rand.New(rand.NewSource(3))
+	weight := func() float64 {
+		switch r.Intn(5) {
+		case 0:
+			return 0
+		case 1:
+			return 1
+		case 2:
+			if huge {
+				return 1e300
+			}
+		}
+		return r.ExpFloat64()
+	}
+	// shard feeds trials random trials to a fresh set and to one
+	// stats.Weighted per dimension.
+	shard := func(trials int) (*WeightedSet, []stats.Weighted) {
+		set := &(WeightedJob{Dims: dims}).newAcc().set
+		ref := make([]stats.Weighted, dims)
+		vals := make([]float64, dims)
+		for range trials {
+			w := weight()
+			for i := range vals {
+				switch r.Intn(4) {
+				case 0:
+					vals[i] = 0
+				case 1:
+					vals[i] = -r.Float64()
+				default:
+					vals[i] = r.Float64() * float64(i+1)
+				}
+				ref[i].Add(vals[i], w)
+			}
+			set.add(vals, w)
+		}
+		return set, ref
+	}
+	check := func(what string, set *WeightedSet, ref []stats.Weighted) {
+		t.Helper()
+		if len(set.dims) != len(ref) {
+			t.Fatalf("%s: %d dimensions, want %d", what, len(set.dims), len(ref))
+		}
+		for i := range ref {
+			if got := set.Dim(i); !sameWeighted(got, ref[i]) {
+				t.Fatalf("%s (huge weights %v): dimension %d = %+v, stats.Weighted %+v", what, huge, i, got, ref[i])
+			}
+		}
+		blob, err := (&weightedAcc{set: *set}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := perDimBlob(ref); !bytes.Equal(blob, want) {
+			t.Fatalf("%s: snapshot is not the per-dimension layout", what)
+		}
+	}
+
+	set, ref := shard(1000)
+	check("add", set, ref)
+	if math.IsInf(ref[0].SumW2, 1) != huge || math.IsInf(ref[0].Y.M2, 1) != huge {
+		t.Fatalf("huge weights %v: Σw² = %v, M2 = %v", huge, ref[0].SumW2, ref[0].Y.M2)
+	}
+	for _, into := range []string{"empty", "filled"} {
+		set, ref := shard(0)
+		if into == "filled" {
+			set, ref = shard(40)
+		}
+		for k := range 50 {
+			o, oref := shard(1 + r.Intn(64))
+			if k == 7 {
+				o, oref = shard(0)
+			}
+			set.Merge(o)
+			for i := range ref {
+				ref[i].Merge(oref[i])
+			}
+			check("merge into "+into, set, ref)
+		}
+	}
+}
+
+// TestWeightedSnapshotRejectsDisagreeingDimensions: a blob in the
+// per-dimension layout whose dimensions disagree on the trial count, Σw
+// or Σw² has no WeightedSet to stand for, so it does not decode.
+func TestWeightedSnapshotRejectsDisagreeingDimensions(t *testing.T) {
+	job := WeightedJob{Dims: 3}
+	set, _ := snapshotSet(t, false, 100)
+	base := legacy(set).Dims[:3]
+	for name, edit := range map[string]func(*stats.Weighted){
+		"count": func(d *stats.Weighted) { d.Y.Count++ },
+		"Σw":    func(d *stats.Weighted) { d.SumW = math.Nextafter(d.SumW, 0) },
+		"Σw²":   func(d *stats.Weighted) { d.SumW2 = math.Copysign(d.SumW2, -1) },
+	} {
+		dims := slices.Clone(base)
+		if err := job.newAcc().UnmarshalBinary(perDimBlob(dims)); err != nil {
+			t.Fatalf("%s: the agreeing blob does not decode: %v", name, err)
+		}
+		edit(&dims[2])
+		if err := job.newAcc().UnmarshalBinary(perDimBlob(dims)); err == nil {
+			t.Errorf("%s: a blob whose dimensions disagree decoded", name)
+		}
+	}
+}
+
+// disagreeingBlob is shard s's snapshot of shapeJob(3) with its last
+// dimension claiming one trial more than the others.
+func disagreeingBlob(t testing.TB, snaps map[int][]byte, s int) []byte {
+	t.Helper()
+	acc := shapeJob(3).newAcc()
+	if err := acc.UnmarshalBinary(snaps[s]); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := acc.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The count word of dimension 2: format byte, dimension count, two
+	// 48-byte dimensions, then SumWX, SumW, SumW2.
+	at := 1 + 8 + 2*48 + 3*8
+	binary.LittleEndian.PutUint64(blob[at:], binary.LittleEndian.Uint64(blob[at:])+1)
+	return blob
+}
+
+// TestRunWeightedAllocationsIndependentOfShardSize pins the weighted
+// engine's allocations: a trial allocates nothing, so a run of 16 shards
+// allocates the same at 1 and at 64 trials per shard, and a shard
+// allocates only its accumulator, in two allocations (the accumulator
+// with its set, and the dimensions), not an observation buffer.
+func TestRunWeightedAllocationsIndependentOfShardSize(t *testing.T) {
+	allocs := func(shards, size int) float64 {
+		job := WeightedJob{
+			Trials: shards * size,
+			Seed:   1,
+			Dims:   7,
+			Trial: func(src *rng.Source, _ int, _ any, vals []float64) float64 {
+				weightedObs(src, vals)
+				return 0.5 + src.Float64()
+			},
+		}
+		return testing.AllocsPerRun(20, func() { runWeighted(job, Options{Parallelism: 1, ShardSize: size}) })
+	}
+	small, large := allocs(16, 1), allocs(16, 64)
+	if small != large {
+		t.Fatalf("16 shards of 64 trials allocate %v, of 1 trial %v: allocations grow with the trials per shard", large, small)
+	}
+	if perShard := (allocs(32, 64) - large) / 16; perShard != 2 {
+		t.Fatalf("a shard allocates %v times, want 2", perShard)
 	}
 }
 
@@ -320,15 +510,33 @@ func snapshotWeighted(t testing.TB, job WeightedJob, shards int) *Checkpoint {
 // TestWeightedSnapshotCanonical).
 func sameSet(t testing.TB, got, want *WeightedSet) bool {
 	t.Helper()
-	g, err := (&weightedAcc{set: got}).MarshalBinary()
+	g, err := (&weightedAcc{set: *got}).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := (&weightedAcc{set: want}).MarshalBinary()
+	w, err := (&weightedAcc{set: *want}).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(g) == string(w)
+}
+
+// legacySet is the per-dimension layout a WeightedSet had before the
+// dimensions shared their count, Σw and Σw²: the layout earlier versions
+// gob-encoded and the fixed-layout blob still spells out.
+type legacySet struct {
+	Dims       []stats.Weighted
+	SketchDims []int
+	Sketches   []*stats.QuantileSketch
+}
+
+// legacy returns set in the per-dimension layout.
+func legacy(set *WeightedSet) legacySet {
+	l := legacySet{SketchDims: set.sketchDims, Sketches: set.sketches}
+	for i := range set.dims {
+		l.Dims = append(l.Dims, set.Dim(i))
+	}
+	return l
 }
 
 // gobWeightedBlob is a shard snapshot in the gob image earlier versions
@@ -337,7 +545,7 @@ func sameSet(t testing.TB, got, want *WeightedSet) bool {
 func gobWeightedBlob(t testing.TB, set *WeightedSet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(set); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(legacy(set)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -379,30 +587,31 @@ func TestWeightedSnapshotRoundTripBitExact(t *testing.T) {
 		-math.MaxFloat64,
 	}
 	set, job := snapshotSet(t, true, 8*stats.DefaultSketchK)
-	sk := set.Sketches[0]
+	sk := set.sketches[0]
 	if len(sk.Levels) < 3 {
 		t.Fatalf("sketch spans %d levels, want a multi-level one", len(sk.Levels))
 	}
 	k := 0
 	next := func() float64 { v := special[k%len(special)]; k++; return v }
-	for i := range set.Dims {
-		d := &set.Dims[i]
-		d.SumWX, d.SumW, d.SumW2, d.Y.Mean, d.Y.M2 = next(), next(), next(), next(), next()
+	set.sumW, set.sumW2 = next(), next()
+	for i := range set.dims {
+		d := &set.dims[i]
+		d.sumWX, d.mean, d.m2 = next(), next(), next()
 	}
 	for _, lvl := range sk.Levels {
 		for i := range lvl {
 			lvl[i] = next()
 		}
 	}
-	blob, err := (&weightedAcc{set: set}).MarshalBinary()
+	blob, err := (&weightedAcc{set: *set}).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := &weightedAcc{set: newWeightedSet(job)}
+	back := job.newAcc()
 	if err := back.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if !sameSet(t, back.set, set) {
+	if !sameSet(t, &back.set, set) {
 		t.Fatal("round trip changed the set")
 	}
 }
@@ -414,13 +623,13 @@ func TestWeightedSnapshotCanonical(t *testing.T) {
 	job := shapeJob(3)
 	a := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
 	b := runWeighted(job, Options{Parallelism: 4, ShardSize: shapeShard})
-	blobA, _ := (&weightedAcc{set: a}).MarshalBinary()
-	blobB, _ := (&weightedAcc{set: b}).MarshalBinary()
+	blobA, _ := (&weightedAcc{set: *a}).MarshalBinary()
+	blobB, _ := (&weightedAcc{set: *b}).MarshalBinary()
 	if !bytes.Equal(blobA, blobB) {
 		t.Fatal("equal sets encode to different bytes")
 	}
 	emptied := 0
-	for _, sk := range a.Sketches {
+	for _, sk := range a.sketches {
 		for i, lvl := range sk.Levels {
 			if len(lvl) == 0 {
 				sk.Levels[i] = nil
@@ -431,11 +640,11 @@ func TestWeightedSnapshotCanonical(t *testing.T) {
 	if emptied == 0 {
 		t.Fatal("no empty sketch level to compare with nil")
 	}
-	if blob, _ := (&weightedAcc{set: a}).MarshalBinary(); !bytes.Equal(blob, blobA) {
+	if blob, _ := (&weightedAcc{set: *a}).MarshalBinary(); !bytes.Equal(blob, blobA) {
 		t.Fatal("nil and empty sketch levels encode differently")
 	}
-	a.Dims[0].SumW2 = math.Float64frombits(math.Float64bits(a.Dims[0].SumW2) ^ 1)
-	if blob, _ := (&weightedAcc{set: a}).MarshalBinary(); bytes.Equal(blob, blobA) {
+	a.sumW2 = math.Float64frombits(math.Float64bits(a.sumW2) ^ 1)
+	if blob, _ := (&weightedAcc{set: *a}).MarshalBinary(); bytes.Equal(blob, blobA) {
 		t.Fatal("sets one bit apart encode to equal bytes")
 	}
 }
@@ -445,7 +654,7 @@ func TestWeightedSnapshotCanonical(t *testing.T) {
 func TestWeightedSnapshotMarshalAllocs(t *testing.T) {
 	for _, sketched := range []bool{false, true} {
 		set, _ := snapshotSet(t, sketched, DefaultShardSize)
-		acc := &weightedAcc{set: set}
+		acc := &weightedAcc{set: *set}
 		var blob []byte
 		if n := testing.AllocsPerRun(100, func() { blob, _ = acc.MarshalBinary() }); n > 1 {
 			t.Errorf("sketched=%v: MarshalBinary made %v allocations, want at most 1", sketched, n)
@@ -462,14 +671,14 @@ func TestWeightedSnapshotMarshalAllocs(t *testing.T) {
 // dimension count runs past its length.
 func otherLayouts(t testing.TB, job WeightedJob, real []byte) map[string][]byte {
 	t.Helper()
-	acc := &weightedAcc{set: newWeightedSet(job)}
+	acc := job.newAcc()
 	if err := acc.UnmarshalBinary(real); err != nil {
 		t.Fatal(err)
 	}
 	huge := bytes.Clone(real)
 	huge[8] = 0x7f // the high byte of the dimension count
 	return map[string][]byte{
-		"gob image":      gobWeightedBlob(t, acc.set),
+		"gob image":      gobWeightedBlob(t, &acc.set),
 		"truncated":      real[:len(real)-1],
 		"trailing byte":  append(bytes.Clone(real), 0),
 		"huge dim count": huge,
@@ -483,12 +692,12 @@ func TestWeightedSnapshotRejectsOtherLayouts(t *testing.T) {
 	job := shapeJob(3)
 	real := snapshotWeighted(t, job, 5).Shards[1]
 	for name, blob := range otherLayouts(t, job, real) {
-		if err := (&weightedAcc{set: newWeightedSet(job)}).UnmarshalBinary(blob); err == nil {
+		if err := (job.newAcc()).UnmarshalBinary(blob); err == nil {
 			t.Errorf("%s: blob decoded", name)
 		}
 	}
 	for n := range real {
-		if err := (&weightedAcc{set: newWeightedSet(job)}).UnmarshalBinary(real[:n]); err == nil {
+		if err := (job.newAcc()).UnmarshalBinary(real[:n]); err == nil {
 			t.Fatalf("the %d-byte prefix of a %d-byte blob decoded", n, len(real))
 		}
 	}
@@ -505,8 +714,8 @@ func BenchmarkWeightedSnapshot(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			set, job := snapshotSet(b, sketched, DefaultShardSize)
-			acc := &weightedAcc{set: set}
-			dst := &weightedAcc{set: newWeightedSet(job)}
+			acc := &weightedAcc{set: *set}
+			dst := job.newAcc()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				blob, err := acc.MarshalBinary()
@@ -549,11 +758,11 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 	// of a job that sketches at another resolution.
 	otherK := snapshotWeighted(t, job, 5)
 	for sh, blob := range otherK.Shards {
-		acc := &weightedAcc{set: newWeightedSet(job)}
+		acc := job.newAcc()
 		if err := acc.UnmarshalBinary(blob); err != nil {
 			t.Fatal(err)
 		}
-		acc.set.Sketches[0].K /= 2
+		acc.set.sketches[0].K /= 2
 		b, err := acc.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -564,11 +773,11 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 	// A blob of the right shape whose shard-3 sketch claims one more
 	// observation than its items weigh.
 	real := snapshotWeighted(t, job, 5).Shards
-	acc := &weightedAcc{set: newWeightedSet(job)}
+	acc := job.newAcc()
 	if err := acc.UnmarshalBinary(real[3]); err != nil {
 		t.Fatal(err)
 	}
-	acc.set.Sketches[0].N++
+	acc.set.sketches[0].N++
 	miscounted, err := acc.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -638,19 +847,20 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 	f.Add(uint8(0x05), int8(0), []byte{1, 3}, []byte("not gob"), snaps[0][:len(snaps[0])/2])
 	f.Add(uint8(0x0a), int8(0), []byte{0, 255, 9}, snaps[2], snaps[4])
 	f.Add(uint8(0x00), int8(0), []byte{4}, snapshotWeighted(f, shapeJob(2), shards).Shards[4], []byte{})
-	real := &weightedAcc{set: newWeightedSet(job)}
+	real := job.newAcc()
 	if err := real.UnmarshalBinary(snaps[3]); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(uint8(0x17), int8(0), []byte{3}, gobWeightedBlob(f, real.set), []byte{})
+	f.Add(uint8(0x17), int8(0), []byte{3}, gobWeightedBlob(f, &real.set), []byte{})
 	f.Add(uint8(0x19), int8(3), []byte{}, []byte{}, []byte{})
 	f.Add(uint8(0x01), int8(5), []byte{}, []byte{}, []byte{})
 	f.Add(uint8(0x1f), int8(-1), []byte{0}, prefixes[2], []byte{})
 	f.Add(uint8(0x1f), int8(6), []byte{}, []byte{}, []byte{})
 	f.Add(uint8(0x10), int8(4), []byte{0, 2}, prefixes[2], snaps[2])
 	f.Add(uint8(0x00), int8(2), []byte{0}, prefixes[4], []byte{})
+	f.Add(uint8(0x1f), int8(0), []byte{2}, disagreeingBlob(f, snaps, 2), []byte{})
 	decode := func(blob []byte) *weightedAcc {
-		acc := &weightedAcc{set: newWeightedSet(job)}
+		acc := job.newAcc()
 		if acc.UnmarshalBinary(blob) != nil {
 			return nil
 		}
@@ -690,7 +900,7 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 				}
 				out.Merge(acc)
 			}
-			want = out.set
+			want = &out.set
 		}
 		for _, p := range []int{1, 4} {
 			got, err := RunWeightedCtx(context.Background(), job, Options{

@@ -208,3 +208,19 @@ func BenchmarkLifetimeOverheadStatsConditional(b *testing.B) {
 		mustOverhead(b, spec, ov, 3.0)
 	}
 }
+
+// BenchmarkLifetimeOverheadStatsTilted is the same sweep under tilted
+// sampling at tilt 8, the proposal of perfbench's "tilt" scenario: every
+// rate scaled by 8, so a trial draws and places several arrivals and
+// weighs its history by the tabulated likelihood ratio.
+func BenchmarkLifetimeOverheadStatsTilted(b *testing.B) {
+	shape := faultmodel.ARCCChannelShape()
+	ov := WorstCaseOverheads(shape, 2.0)
+	rates := faultmodel.FieldStudyRates().Scale(0.05)
+	spec := testSpec(1, mc.Options{Parallelism: 1}, rates, 18, 7, 2000)
+	spec.Accel = Accel{Mode: AccelTilted, Tilt: 8}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mustOverhead(b, spec, ov, 3.0)
+	}
+}

@@ -87,7 +87,7 @@ func newArrivalScratch(rates faultmodel.Rates, ranks, devicesPerRank int, years 
 // disjointness dominates at these counts, so the cap only binds for
 // multi-fault channels with lane faults. frac holds each type's
 // ChannelShape.UpgradedFraction, computed once per run.
-func faultyPageSeries(arrivals []faultmodel.Arrival, frac [faultmodel.NumTypes]float64, years int, series []float64) {
+func faultyPageSeries(arrivals []faultmodel.Arrival, frac *[faultmodel.NumTypes]float64, years int, series []float64) {
 	idx := 0
 	total := 0.0
 	for y := 1; y <= years; y++ {
@@ -111,7 +111,7 @@ func faultyPageSeries(arrivals []faultmodel.Arrival, frac [faultmodel.NumTypes]f
 // hours. overhead tabulates the OverheadByType entries, 0 for a missing
 // type: adding +0 to current (never -0) and re-testing the cap it already
 // meets is the same as skipping the type.
-func overheadSeries(arrivals []faultmodel.Arrival, overhead [faultmodel.NumTypes]float64, cap float64, years int, series []float64) {
+func overheadSeries(arrivals []faultmodel.Arrival, overhead *[faultmodel.NumTypes]float64, cap float64, years int, series []float64) {
 	integrated := 0.0 // overhead-hours accumulated so far
 	current := 0.0
 	lastT := 0.0
@@ -172,13 +172,11 @@ type Spec struct {
 // value per year 1..s.Years; a cancelled ctx returns mc.ErrCanceled
 // within one shard boundary.
 func FaultyPageFraction(ctx context.Context, s Spec, shape faultmodel.ChannelShape) (*SeriesStats, error) {
-	var frac [faultmodel.NumTypes]float64
+	var m metric
 	for _, t := range faultmodel.Types() {
-		frac[t] = shape.UpgradedFraction(t)
+		m.perType[t] = shape.UpgradedFraction(t)
 	}
-	return s.run(ctx, false, func(arrivals []faultmodel.Arrival, series []float64) {
-		faultyPageSeries(arrivals, frac, s.Years, series)
-	})
+	return s.run(ctx, &m)
 }
 
 // LifetimeOverhead reproduces the Fig 7.4/7.5 methodology: each channel
@@ -192,13 +190,30 @@ func LifetimeOverhead(ctx context.Context, s Spec, overhead OverheadByType, cap 
 	if cap < 0 || math.IsNaN(cap) {
 		return nil, fmt.Errorf("reliability: overhead cap %v must be non-negative", cap)
 	}
-	var perType [faultmodel.NumTypes]float64
+	m := metric{overhead: true, cap: cap}
 	for _, t := range faultmodel.Types() {
-		perType[t] = overhead[t]
+		m.perType[t] = overhead[t]
 	}
-	return s.run(ctx, true, func(arrivals []faultmodel.Arrival, series []float64) {
-		overheadSeries(arrivals, perType, cap, s.Years, series)
-	})
+	return s.run(ctx, &m)
+}
+
+// metric selects the per-year series a lifetime Monte Carlo writes —
+// faultyPageSeries, or overheadSeries when overhead is set — with its
+// per-run inputs: each type's ChannelShape.UpgradedFraction or
+// OverheadByType entry, and the overhead cap.
+type metric struct {
+	overhead bool
+	perType  [faultmodel.NumTypes]float64
+	cap      float64
+}
+
+// write writes one channel's series into series (len == years).
+func (m *metric) write(arrivals []faultmodel.Arrival, years int, series []float64) {
+	if m.overhead {
+		overheadSeries(arrivals, &m.perType, m.cap, years, series)
+	} else {
+		faultyPageSeries(arrivals, &m.perType, years, series)
+	}
 }
 
 func (s Spec) validate() error {
@@ -219,14 +234,14 @@ func (s Spec) validate() error {
 
 // run is the one lifetime Monte Carlo behind both metrics. Every trial
 // draws an arrival history under the accel's proposal, expands it under
-// the burst model, and writes its per-year series; the trial weight is
+// the burst model, and writes m's per-year series; the trial weight is
 // the likelihood ratio of the primary arrival process alone, which stays
 // exact under expansion because bursts are drawn from the same
 // conditional law under the nominal and proposal processes. Plain
 // sampling without CI folds the series into per-year sums; everything
-// else runs the weighted engine, sketching the final year when
-// sketchFinal is set and every weight is 1.
-func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []faultmodel.Arrival, series []float64)) (*SeriesStats, error) {
+// else runs the weighted engine, sketching the final year of the
+// overhead when every weight is 1.
+func (s Spec) run(ctx context.Context, m *metric) (*SeriesStats, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
@@ -255,7 +270,7 @@ func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []
 			arrivals = s.Burst.ExpandInto(src, arrivals)
 		}
 		scratch.buf = arrivals
-		series(arrivals, vals)
+		m.write(arrivals, s.Years, vals)
 	}
 
 	if !s.CI && s.Accel.Mode == AccelNone {
@@ -302,7 +317,7 @@ func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []
 			return w
 		},
 	}
-	if sketchFinal && s.Accel.Mode == AccelNone {
+	if m.overhead && s.Accel.Mode == AccelNone {
 		// Raw per-channel quantiles are only meaningful when every trial
 		// weight is 1.
 		job.SketchDims = []int{s.Years - 1}
@@ -314,14 +329,14 @@ func (s Spec) run(ctx context.Context, sketchFinal bool, series func(arrivals []
 	out := &SeriesStats{
 		Mean:        make([]float64, s.Years),
 		CI95:        make([]float64, s.Years),
-		ESS:         set.Dims[s.Years-1].ESS(),
+		ESS:         set.Dim(s.Years - 1).ESS(),
 		Trials:      s.Channels,
 		Accel:       s.Accel,
 		FinalSketch: set.Sketch(s.Years - 1),
 	}
 	for i := range out.Mean {
-		out.Mean[i] = set.Dims[i].Mean()
-		out.CI95[i] = set.Dims[i].CI95()
+		out.Mean[i] = set.Dim(i).Mean()
+		out.CI95[i] = set.Dim(i).CI95()
 	}
 	return out, nil
 }

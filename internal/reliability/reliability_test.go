@@ -7,6 +7,7 @@ import (
 
 	"arcc/internal/faultmodel"
 	"arcc/internal/mc"
+	"arcc/internal/rng"
 )
 
 // relaxedRankGeom matches the evaluated DDR2 ranks of a relaxed page: 18
@@ -194,6 +195,52 @@ func TestLifetimeOverheadRespectsCap(t *testing.T) {
 	spec.CI = true
 	if got := mustOverhead(t, spec, ov, 0); got.Mean[2] != 0 || got.CI95[2] != 0 {
 		t.Fatalf("zero-cap overhead %v ± %v, want exactly 0", got.Mean[2], got.CI95[2])
+	}
+}
+
+// TestSeriesWritersFillEveryYear pins what lets the weighted engine skip
+// clearing a trial's observation vector: faultyPageSeries and
+// overheadSeries write every year slot and never read one. Over empty,
+// single-fault and many-fault histories, and horizons shorter than the
+// sampled lifespan, a buffer full of NaN comes out with no NaN left and
+// bit for bit what a zeroed buffer does.
+func TestSeriesWritersFillEveryYear(t *testing.T) {
+	shape := faultmodel.ARCCChannelShape()
+	var m [2]metric
+	m[1] = metric{overhead: true, cap: 0.5}
+	for _, typ := range faultmodel.Types() {
+		m[0].perType[typ] = shape.UpgradedFraction(typ)
+		m[1].perType[typ] = 0.1
+	}
+	var src rng.Source
+	src.Seed(5)
+	rates := faultmodel.FieldStudyRates()
+	histories := [][]faultmodel.Arrival{nil}
+	for _, tilt := range []float64{1, 30, 3000} {
+		sampler := faultmodel.NewTiltedSampler(rates, tilt, 2, 18, 7)
+		for range 20 {
+			arrivals, _ := sampler.SampleInto(&src, nil)
+			histories = append(histories, arrivals)
+		}
+	}
+	for _, arrivals := range histories {
+		for _, years := range []int{1, 3, 7} {
+			for _, mt := range m {
+				zeroed := make([]float64, years)
+				mt.write(arrivals, years, zeroed)
+				filled := make([]float64, years)
+				for i := range filled {
+					filled[i] = math.NaN()
+				}
+				mt.write(arrivals, years, filled)
+				for i, v := range filled {
+					if math.Float64bits(v) != math.Float64bits(zeroed[i]) {
+						t.Fatalf("overhead=%v, %d arrivals, %d years: year %d reads %v from a NaN buffer, %v from a zeroed one",
+							mt.overhead, len(arrivals), years, i+1, v, zeroed[i])
+					}
+				}
+			}
+		}
 	}
 }
 

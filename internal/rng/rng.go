@@ -216,20 +216,46 @@ func (r *Source) Int63n(n int64) int64 {
 
 // Intn returns a non-negative pseudo-random number in [0, n), by
 // rand.Rand's Int31n for n < 2^31 and Int63n above. It panics if n <= 0.
-func (r *Source) Intn(n int) int {
+func (r *Source) Intn(n int) int { return r.Below(NewBound(n)) }
+
+// Bound is the range [0, n) of an Intn draw together with its rejection
+// bound, so a caller drawing from one range many times computes the
+// bound once (NewBound) and draws with Below.
+type Bound struct {
+	n int
+	// max is the largest accepted 31-bit draw, or -1 when n is a power of
+	// two, whose draws are masked. Unused above 2^31-1, where Below is
+	// Int63n.
+	max int32
+}
+
+// NewBound returns the bound of Intn(n). It panics if n <= 0.
+func NewBound(n int) Bound {
 	if n <= 0 {
 		panic("invalid argument to Intn")
 	}
 	if n > int32max {
-		return int(r.Int63n(int64(n)))
+		return Bound{n: n}
 	}
 	m := int32(n)
 	if m&(m-1) == 0 { // n is power of two, can mask
-		return int(int32(r.Int63()>>32) & (m - 1))
+		return Bound{n: n, max: -1}
 	}
-	max := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	return Bound{n: n, max: int32((1 << 31) - 1 - (1<<31)%uint32(m))}
+}
+
+// Below returns Intn(n) for b = NewBound(n): the same value, advancing
+// the stream by the same draws.
+func (r *Source) Below(b Bound) int {
+	if b.n > int32max {
+		return int(r.Int63n(int64(b.n)))
+	}
+	m := int32(b.n)
 	v := int32(r.Int63() >> 32)
-	for v > max {
+	if b.max < 0 {
+		return int(v & (m - 1))
+	}
+	for v > b.max {
 		v = int32(r.Int63() >> 32)
 	}
 	return int(v % m)

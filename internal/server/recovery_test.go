@@ -19,6 +19,7 @@ import (
 	"arcc/internal/faultfs"
 	"arcc/internal/mc"
 	"arcc/internal/server"
+	"arcc/internal/stats"
 )
 
 // startServer is newTestServer without the automatic cleanup: restart
@@ -249,7 +250,8 @@ func TestResumeFromGobCheckpointsRerunsShards(t *testing.T) {
 			t.Fatalf("engine job %d: checkpoint of %d trials, shard size %d, %d shards", i, cp.Trials, cp.ShardSize, len(cp.Shards))
 		}
 		for s, blob := range cp.Shards {
-			var set mc.WeightedSet
+			// The per-dimension layout earlier versions gob-encoded.
+			var set struct{ Dims []stats.Weighted }
 			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&set); err != nil ||
 				len(set.Dims) != 3 || set.Dims[0].Y.Count != mc.DefaultShardSize {
 				t.Fatalf("engine job %d shard %d: not a gob image of a full 3-year shard (%v)", i, s, err)
