@@ -9,7 +9,6 @@ import (
 	"os"
 	"slices"
 
-	"arcc/internal/dram"
 	"arcc/internal/faultmodel"
 	"arcc/internal/lotecc"
 	"arcc/internal/reliability"
@@ -64,12 +63,12 @@ import (
 //	                                        // simulator sweep
 //	  "system":           "arcc",  // or "baseline"
 //	  "upgraded_fraction": 0.25,   // fraction of pages upgraded in sim runs
-//	  "instructions":     0,       // per core; 0 = profile default
+//	  "instructions":     0,       // per core, <= 1e8; 0 = profile default
 //
 //	  "dram":             "ddr2",  // simulator memory generation: ddr2
 //	                               // (paper's calibrated config), ddr4, ddr5
 //	  "width":            8,       // ARCC device width (bits): 8 on ddr2;
-//	                               // 4, 8, or 16 on ddr4/ddr5 (sim.NewTech)
+//	                               // 4, 8, or 16 on ddr4/ddr5 (sim.ParseTech)
 //
 //	  "tenants": [                 // multi-tenant interference mix: 1-4
 //	                               // tenants mapped round-robin onto the four
@@ -78,7 +77,8 @@ import (
 //	    {"benchmark": "swim"}
 //	  ],
 //	  "shared_llc":       false,   // one shared LLC instead of four private
-//	  "llc_bytes":        0,       // LLC capacity (0 = 1 MB; power of two)
+//	  "llc_bytes":        0,       // LLC capacity (0 = 1 MB; power of two
+//	                               // from 2 KB to 64 MB)
 //
 //	  "trace":            ""       // trace file (workload.TraceWriter format)
 //	                               // replayed on all four cores; adds a
@@ -175,7 +175,7 @@ func LoadScenario(path string) (Scenario, error) {
 }
 
 // Scenario bounds. Every exhibit stays far inside them; past them a run
-// would exhaust memory before its first trial completes.
+// would exhaust memory or hold its worker past any deadline.
 const (
 	// maxYears bounds the lifetime: each Monte Carlo shard holds one value
 	// per year.
@@ -189,6 +189,14 @@ const (
 	// channel lifetime draws, bursts and rate tilting included: the
 	// per-worker arrival buffers are sized from that mean.
 	maxExpectedArrivals = 1e4
+	// maxLLCBytes bounds llc_bytes, 64x the paper's 1 MB LLC: cache.New
+	// allocates each LLC up front, up to four of them per run, and a Go
+	// out-of-memory failure is fatal, so a served run could not recover.
+	maxLLCBytes = 1 << 26
+	// maxInstructions bounds instructions, 100x the paper's 1M per core:
+	// a simulator run takes no context, so neither a cancel nor a job
+	// deadline can stop one once it starts.
+	maxInstructions = 100_000_000
 )
 
 // Plan is a checked scenario resolved into the values its runs consume.
@@ -252,8 +260,8 @@ func (s Scenario) resolve() (Plan, error) {
 		return Plan{}, fmt.Errorf("upgrade_factor must be >= 1 (got %v)", s.UpgradeFactor)
 	case !(s.UpgradedFraction >= 0 && s.UpgradedFraction <= 1):
 		return Plan{}, fmt.Errorf("upgraded_fraction must be in [0,1] (got %v)", s.UpgradedFraction)
-	case s.Instructions < 0:
-		return Plan{}, fmt.Errorf("negative instructions")
+	case s.Instructions < 0 || s.Instructions > maxInstructions:
+		return Plan{}, fmt.Errorf("instructions %d must be in [0, %d]", s.Instructions, maxInstructions)
 	}
 	if s.UpgradeFactor == 0 {
 		if _, err := schemeFactor(s.Scheme); err != nil {
@@ -291,16 +299,12 @@ func (s Scenario) resolve() (Plan, error) {
 		return Plan{}, fmt.Errorf("%.3g expected fault arrivals per channel lifetime exceeds %g",
 			arrivals, float64(maxExpectedArrivals))
 	}
-	gen, err := dram.ParseGeneration(s.DRAM)
+	tech, err := sim.ParseTech(s.DRAM, s.Width)
 	if err != nil {
 		return Plan{}, err
 	}
-	tech, err := sim.NewTech(gen, s.Width)
-	if err != nil {
-		return Plan{}, err
-	}
-	if s.LLCBytes != 0 && (s.LLCBytes < 2048 || bits.OnesCount(uint(s.LLCBytes)) != 1) {
-		return Plan{}, fmt.Errorf("llc_bytes %d must be a power of two >= 2048", s.LLCBytes)
+	if s.LLCBytes != 0 && (s.LLCBytes < 2048 || s.LLCBytes > maxLLCBytes || bits.OnesCount(uint(s.LLCBytes)) != 1) {
+		return Plan{}, fmt.Errorf("llc_bytes %d must be a power of two in [2048, %d]", s.LLCBytes, maxLLCBytes)
 	}
 	mixes, err := mixesByName(s.Mixes)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"arcc/internal/dram"
 	"arcc/internal/faultmodel"
 	"arcc/internal/reliability"
 	"arcc/internal/sim"
@@ -105,7 +104,7 @@ func TestParseScenarioNewAxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := p.Scenario
-	ddr5x16, err := sim.NewTech(dram.DDR5, 16)
+	ddr5x16, err := sim.ParseTech("ddr5", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,25 +143,25 @@ func TestParseScenarioNewAxes(t *testing.T) {
 }
 
 // TestScenarioTechWidths: a scenario's dram/width pair is accepted exactly
-// when sim.NewTech accepts it, and that is exactly DDR2 x8 and DDR4/DDR5
-// x4, x8 and x16 (width 0 meaning x8). The plan carries NewTech's value.
+// when sim.ParseTech accepts it, and that is exactly DDR2 x8 and DDR4/DDR5
+// x4, x8 and x16 (width 0 meaning x8). The plan carries ParseTech's value.
 func TestScenarioTechWidths(t *testing.T) {
-	accepted := map[dram.Generation][]int{
-		dram.DDR2: {0, 8},
-		dram.DDR4: {0, 4, 8, 16},
-		dram.DDR5: {0, 4, 8, 16},
+	accepted := map[string][]int{
+		"ddr2": {0, 8},
+		"ddr4": {0, 4, 8, 16},
+		"ddr5": {0, 4, 8, 16},
 	}
-	for _, gen := range []dram.Generation{dram.DDR2, dram.DDR4, dram.DDR5} {
+	for _, gen := range []string{"ddr2", "ddr4", "ddr5"} {
 		for _, width := range []int{0, 4, 8, 12, 16} {
 			want := slices.Contains(accepted[gen], width)
-			tech, techErr := sim.NewTech(gen, width)
+			tech, techErr := sim.ParseTech(gen, width)
 			p, err := resolveJSON(fmt.Sprintf(`{"name":"x", "dram":%q, "width":%d}`, gen, width))
 			if (techErr == nil) != want || (err == nil) != want {
-				t.Errorf("%v x%d: NewTech err %v, Resolve err %v, want accepted=%v", gen, width, techErr, err, want)
+				t.Errorf("%s x%d: ParseTech err %v, Resolve err %v, want accepted=%v", gen, width, techErr, err, want)
 				continue
 			}
 			if want && p.Tech != tech {
-				t.Errorf("%v x%d: plan tech %+v, NewTech %+v", gen, width, p.Tech, tech)
+				t.Errorf("%s x%d: plan tech %+v, ParseTech %+v", gen, width, p.Tech, tech)
 			}
 		}
 	}
@@ -170,16 +169,18 @@ func TestScenarioTechWidths(t *testing.T) {
 
 func TestParseScenarioRejectsNewAxes(t *testing.T) {
 	cases := map[string]string{
-		"bad generation":  `{"name":"x", "dram": "ddr6"}`,
-		"bad width":       `{"name":"x", "dram": "ddr4", "width": 12}`,
-		"ddr2 narrow":     `{"name":"x", "width": 4}`,
-		"unknown tenant":  `{"name":"x", "tenants": [{"benchmark": "nope"}]}`,
-		"negative lines":  `{"name":"x", "tenants": [{"benchmark": "mesa", "footprint_lines": -1}]}`,
-		"llc not pow2":    `{"name":"x", "llc_bytes": 3000000}`,
-		"llc too small":   `{"name":"x", "llc_bytes": 1024}`,
-		"bad burst prob":  `{"name":"x", "burst": {"row_prob": 2}}`,
-		"bad burst max":   `{"name":"x", "burst": {"row_prob": 0.5, "row_mean": 4, "row_max": 1}}`,
-		"bad burst field": `{"name":"x", "burst": {"row_probability": 0.5}}`,
+		"bad generation":        `{"name":"x", "dram": "ddr6"}`,
+		"bad width":             `{"name":"x", "dram": "ddr4", "width": 12}`,
+		"ddr2 narrow":           `{"name":"x", "width": 4}`,
+		"unknown tenant":        `{"name":"x", "tenants": [{"benchmark": "nope"}]}`,
+		"negative lines":        `{"name":"x", "tenants": [{"benchmark": "mesa", "footprint_lines": -1}]}`,
+		"llc not pow2":          `{"name":"x", "llc_bytes": 3000000}`,
+		"llc too small":         `{"name":"x", "llc_bytes": 1024}`,
+		"llc too large":         `{"name":"x", "mixes": ["Mix1"], "llc_bytes": 134217728}`,
+		"instructions too many": `{"name":"x", "mixes": ["Mix1"], "instructions": 100000001}`,
+		"bad burst prob":        `{"name":"x", "burst": {"row_prob": 2}}`,
+		"bad burst max":         `{"name":"x", "burst": {"row_prob": 0.5, "row_mean": 4, "row_max": 1}}`,
+		"bad burst field":       `{"name":"x", "burst": {"row_probability": 0.5}}`,
 	}
 	for label, raw := range cases {
 		if _, err := resolveJSON(raw); err == nil {
@@ -214,6 +215,8 @@ func TestScenarioBounds(t *testing.T) {
 		{"zero rates", `{"name":"x", "rate_factor": 0}`, true},
 		{"zero rates, geometry past the cap", `{"name":"x", "rate_factor": 0, "ranks": 40000000000000}`, false},
 		{"zero rates, banks past the cap", `{"name":"x", "rate_factor": 0, "banks_per_device": 4611686018427387904}`, false},
+		{"llc at the cap", `{"name":"x", "mixes": ["Mix1"], "llc_bytes": 67108864}`, true},
+		{"instructions at the cap", `{"name":"x", "mixes": ["Mix1"], "instructions": 100000000}`, true},
 		{"geometry at the cap", `{"name":"x", "rate_factor": 0, "ranks": 65536, "devices_per_rank": 65536, "banks_per_device": 65536}`, true},
 	}
 	for _, tc := range cases {

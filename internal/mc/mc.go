@@ -61,14 +61,16 @@ var ErrCanceled = errors.New("mc: run canceled")
 // is zero. Small enough to load-balance thousands of cheap trials across a
 // pool, large enough to amortise the per-shard setup: reseeding the
 // worker's generator, which writes all 607 words of its state, and one
-// NewAcc. The reseed takes about 0.5 µs with rng's AVX-512 kernel (some
-// 8 ns per trial at this size), 0.9–1 µs with its AVX2 kernel and 3 µs
-// with its Go loop. A plain field-rate lifetime trial spends about 47 ns
-// drawing its faults from the Source (72-device channel,
-// BenchmarkSamplerSampleInto); when it draws none, that is one
-// Int63sAtMost call over the zero thresholds of its run of fault types.
-// The value cannot change without changing every seeded result: the shard
-// size fixes which stream each trial draws from.
+// NewAcc. In a tight loop the reseed takes about 0.5 µs with rng's
+// AVX-512 kernel (some 8 ns per trial at this size), 0.9–1 µs with its
+// AVX2 kernel and 3 µs with its Go loop. Inside a tilted lifetime sweep an
+// AVX-512 reseed costs about 1.1 µs (some 17 ns per trial), 10.6% of the
+// sweep (CPU profile of BenchmarkLifetimeOverheadStatsTilted). A plain
+// field-rate lifetime trial spends about 47 ns drawing its faults from the
+// Source (72-device channel, BenchmarkSamplerSampleInto); when it draws
+// none, that is one Int63sAtMost call over the zero thresholds of its run
+// of fault types. The value cannot change without changing every seeded
+// result: the shard size fixes which stream each trial draws from.
 const DefaultShardSize = 64
 
 // Accumulator collects the results of the trials of one shard. One

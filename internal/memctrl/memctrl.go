@@ -20,7 +20,7 @@ import (
 	"arcc/internal/power"
 )
 
-// Timing holds DDR2 command timings in DRAM clock cycles.
+// Timing holds a memory generation's command timings in DRAM cycles.
 type Timing struct {
 	TRCD  int // activate to column command
 	CL    int // column command to first data

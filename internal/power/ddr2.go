@@ -32,8 +32,6 @@ type DeviceParams struct {
 	TRAS float64 // activate-to-precharge, ns
 	TRFC float64 // refresh cycle time, ns
 	TREF float64 // average refresh interval, ns (64 ms / 8192 rows)
-	// Burst.
-	BurstLen int // beats per column access
 }
 
 // Micron512MbX4 is a DDR2-667 512 Mb x4 device (baseline config, Table 7.1).
@@ -44,7 +42,6 @@ func Micron512MbX4() DeviceParams {
 		IDD4R: 115, IDD4W: 125, IDD5: 230,
 		VDD: 1.8,
 		TCK: 3.0, TRC: 55, TRAS: 40, TRFC: 105, TREF: 7812.5,
-		BurstLen: 8, // x4 devices need BL8 to fill a 64 B line from 36 devices... see memctrl
 	}
 }
 
@@ -57,7 +54,6 @@ func Micron512MbX8() DeviceParams {
 		IDD4R: 125, IDD4W: 135, IDD5: 230,
 		VDD: 1.8,
 		TCK: 3.0, TRC: 55, TRAS: 40, TRFC: 105, TREF: 7812.5,
-		BurstLen: 4,
 	}
 }
 

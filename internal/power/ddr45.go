@@ -15,7 +15,6 @@ func DDR4x8Device() DeviceParams {
 		IDD4R: 150, IDD4W: 145, IDD5: 190,
 		VDD: 1.2,
 		TCK: 0.833, TRC: 45.3, TRAS: 32, TRFC: 350, TREF: 7812.5,
-		BurstLen: 8,
 	}
 }
 
@@ -45,7 +44,6 @@ func DDR5x8Device() DeviceParams {
 		IDD4R: 170, IDD4W: 160, IDD5: 175,
 		VDD: 1.1,
 		TCK: 0.417, TRC: 48, TRAS: 32, TRFC: 295, TREF: 3906.25,
-		BurstLen: 16,
 	}
 }
 

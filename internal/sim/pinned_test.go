@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"arcc/internal/cache"
-	"arcc/internal/dram"
 	"arcc/internal/memctrl"
 	"arcc/internal/workload"
 )
@@ -36,7 +35,7 @@ func TestRunResultsPinned(t *testing.T) {
 		cfg.UpgradedFraction = frac
 		return cfg
 	}
-	withTech := func(cfg Config, gen dram.Generation, width int) Config {
+	withTech := func(cfg Config, gen string, width int) Config {
 		tech := mustTech(t, gen, width)
 		cfg.Tech = tech
 		cfg.CPUCyclesPerDRAMCycle = tech.CPR()
@@ -51,11 +50,11 @@ func TestRunResultsPinned(t *testing.T) {
 		{"ddr2-arcc-f0.5", base(3, ARCC, 0.5), "c6eab3baf79d9c49bf1758ff40d65d5bd9ebb6ded50f1fdc4a9fc6c1b72f2eac"},
 		{"ddr2-arcc-f1", base(7, ARCC, 1), "db25db03a90e664b119dcc59641a4dc5faeaca46e470e020b83d9cc51682e441"},
 		{"ddr2-baseline", base(5, Baseline, 0), "5ea354ccc96428fea62179158c5124b38fceb7fb26b317e89ffce1ef7edeeb3d"},
-		{"ddr4-arcc-x8-f0.5", withTech(base(1, ARCC, 0.5), dram.DDR4, 0), "18a8c01d5a29ff5bf8fbea68f89626510db5e3cf3f7ce9bbe77478ca668ea8a5"},
-		{"ddr4-baseline", withTech(base(1, Baseline, 0), dram.DDR4, 0), "154fbd58c610b50669cf7739f7bcef176ca34836656176b41a88d55f887c9981"},
-		{"ddr5-arcc-x4-f0.5", withTech(base(2, ARCC, 0.5), dram.DDR5, 4), "0d1422a0bcb641970e770e66fd56d6197d90bef16ad07a6f683dbf9b58a79328"},
-		{"ddr5-arcc-x16-f1", withTech(base(4, ARCC, 1), dram.DDR5, 16), "dc2a2ee3a10e54324a9a56820d4e1aa5c13ce84defef930a799550b77e860865"},
-		{"ddr5-baseline", withTech(base(2, Baseline, 0), dram.DDR5, 0), "77265e469c645b75f6f40ab01cebad333cdb7141500ad656bb8366baac9be8cb"},
+		{"ddr4-arcc-x8-f0.5", withTech(base(1, ARCC, 0.5), "ddr4", 0), "18a8c01d5a29ff5bf8fbea68f89626510db5e3cf3f7ce9bbe77478ca668ea8a5"},
+		{"ddr4-baseline", withTech(base(1, Baseline, 0), "ddr4", 0), "154fbd58c610b50669cf7739f7bcef176ca34836656176b41a88d55f887c9981"},
+		{"ddr5-arcc-x4-f0.5", withTech(base(2, ARCC, 0.5), "ddr5", 4), "0d1422a0bcb641970e770e66fd56d6197d90bef16ad07a6f683dbf9b58a79328"},
+		{"ddr5-arcc-x16-f1", withTech(base(4, ARCC, 1), "ddr5", 16), "dc2a2ee3a10e54324a9a56820d4e1aa5c13ce84defef930a799550b77e860865"},
+		{"ddr5-baseline", withTech(base(2, Baseline, 0), "ddr5", 0), "77265e469c645b75f6f40ab01cebad333cdb7141500ad656bb8366baac9be8cb"},
 		{"shared-llc-f0.5", func() Config {
 			cfg := base(6, ARCC, 0.5)
 			cfg.SharedLLC = true
@@ -78,7 +77,7 @@ func TestRunResultsPinned(t *testing.T) {
 			return cfg
 		}(), "ee27e8a19b8882dd7ab18ad89fcd2fee7e2ea57e64741cd7904376583ff941dc"},
 		{"small-llc-ddr4-fifo-lru-f0.5", func() Config {
-			cfg := withTech(base(3, ARCC, 0.5), dram.DDR4, 16)
+			cfg := withTech(base(3, ARCC, 0.5), "ddr4", 16)
 			cfg.LLCBytes, cfg.LLCAssoc = 128<<10, 4
 			cfg.Pairing = memctrl.PairFIFO
 			cfg.LLCPolicy = cache.IndependentLRU

@@ -4,12 +4,13 @@
 // whose per-page ECC mode follows ARCC's page table, with DRAM power
 // accounting (package power).
 //
-// Both memory systems are built from one per-generation table: the timing
-// preset, DRAM clock period, CPU-cycles-per-DRAM-cycle ratio, power device
-// profiles and ARCC device widths of DDR2 (the paper's calibrated
-// Table 7.1 configuration), DDR4 and DDR5, with each rank's organisation
-// read from dram.OrgFor. NewTech is the one place a generation and width
-// are checked.
+// Both memory systems are built from one technology table, the only place
+// a (generation, device width) row is stated: the timing preset,
+// CPU-cycles-per-DRAM-cycle ratio and bank and burst shape of DDR2 (the
+// paper's calibrated Table 7.1 configuration), DDR4 and DDR5, and per
+// device width the devices one access touches, the power profile (whose
+// clock period is the generation's) and whether ARCC ranks may use it.
+// ParseTech is the one place a generation and width are checked.
 //
 // The functional data path (real codewords in simulated DRAM, package core)
 // is exercised by its own tests and the reliability experiments; this
@@ -18,13 +19,14 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"arcc/internal/cache"
 	"arcc/internal/cpu"
-	"arcc/internal/dram"
 	"arcc/internal/memctrl"
 	"arcc/internal/power"
 	"arcc/internal/workload"
@@ -53,45 +55,67 @@ func (m MemorySystem) String() string {
 
 // generation is one row of the technology table.
 type generation struct {
+	name   string
 	timing memctrl.Timing
-	// nsPerCycle is the DRAM clock period in nanoseconds.
-	nsPerCycle float64
 	// cpr is the CPU-cycles-per-DRAM-cycle ratio under the paper's 3 GHz
 	// core, rounded to the nearest integer as Table 7.1 does.
-	cpr int64
-	// devices holds the power profile of each device width the generation
-	// builds: x4 for the baseline and every ARCC width.
-	devices map[int]power.DeviceParams
-	// arccWidths lists the ARCC device widths the generation models.
-	arccWidths []int
+	cpr                       int64
+	bankGroups, banksPerGroup int
+	// burstClocks is the bus clocks one line burst occupies (burst length
+	// / 2, data moving on both edges).
+	burstClocks int
+	// widths holds each device width the generation builds: x4 for the
+	// baseline, plus every ARCC width.
+	widths map[int]widthRow
 }
 
-// generations is the technology table. DDR2-667 is the calibrated paper
-// configuration (333 MHz, auto-refresh every 7.8 us for 105 ns); its x4
-// and x8 timings are the same preset, and only x8 ARCC ranks are
-// modelled. DDR4-2400 (1.2 GHz) and DDR5-4800 (2.4 GHz) add bank groups
-// and take x4, x8 or x16 ARCC ranks.
-var generations = map[dram.Generation]generation{
-	dram.DDR2: {
-		timing:     withRefresh(memctrl.DDR2X8Timing()),
-		nsPerCycle: 3.0,
-		cpr:        9,
-		devices:    map[int]power.DeviceParams{4: power.Micron512MbX4(), 8: power.Micron512MbX8()},
-		arccWidths: []int{8},
+// widthRow is one device width of a generation.
+type widthRow struct {
+	// devices is the device count one relaxed-mode ECC access touches:
+	// the generation's access bus divided by the width, rounded up.
+	devices int
+	// power is the device profile; its TCK is the DRAM clock period.
+	power power.DeviceParams
+	// arcc says whether ARCC ranks may use the width.
+	arcc bool
+}
+
+// generations is the technology table, the one place a (generation,
+// device width) row is stated. Index 0 is DDR2, so the zero Tech is the
+// paper's configuration.
+//   - DDR2-667 is the calibrated Table 7.1 configuration: 8 flat banks,
+//     BL4, auto-refresh, one timing preset for x4 and x8, x8 ARCC ranks
+//     only. Accesses use the paper's ganged 144-bit channel.
+//   - DDR4-2400 has 4 bank groups x 4 banks and BL8; accesses use the
+//     72-bit ECC DIMM bus (one x16 lane half-used).
+//   - DDR5-4800 has 8 bank groups x 4 banks and BL16; accesses use one
+//     40-bit ECC subchannel.
+var generations = [...]generation{
+	{
+		name: "ddr2", timing: withRefresh(memctrl.DDR2X8Timing()), cpr: 9,
+		bankGroups: 1, banksPerGroup: 8, burstClocks: 2,
+		widths: map[int]widthRow{
+			4: {36, power.Micron512MbX4(), false},
+			8: {18, power.Micron512MbX8(), true},
+		},
 	},
-	dram.DDR4: {
-		timing:     memctrl.DDR4Timing(),
-		nsPerCycle: 0.833,
-		cpr:        3,
-		devices:    map[int]power.DeviceParams{4: power.DDR4x4Device(), 8: power.DDR4x8Device(), 16: power.DDR4x16Device()},
-		arccWidths: []int{4, 8, 16},
+	{
+		name: "ddr4", timing: memctrl.DDR4Timing(), cpr: 3,
+		bankGroups: 4, banksPerGroup: 4, burstClocks: 4,
+		widths: map[int]widthRow{
+			4:  {18, power.DDR4x4Device(), true},
+			8:  {9, power.DDR4x8Device(), true},
+			16: {5, power.DDR4x16Device(), true},
+		},
 	},
-	dram.DDR5: {
-		timing:     memctrl.DDR5Timing(),
-		nsPerCycle: 0.417,
-		cpr:        1,
-		devices:    map[int]power.DeviceParams{4: power.DDR5x4Device(), 8: power.DDR5x8Device(), 16: power.DDR5x16Device()},
-		arccWidths: []int{4, 8, 16},
+	{
+		name: "ddr5", timing: memctrl.DDR5Timing(), cpr: 1,
+		bankGroups: 8, banksPerGroup: 4, burstClocks: 8,
+		widths: map[int]widthRow{
+			4:  {10, power.DDR5x4Device(), true},
+			8:  {5, power.DDR5x8Device(), true},
+			16: {3, power.DDR5x16Device(), true},
+		},
 	},
 }
 
@@ -107,28 +131,29 @@ func withRefresh(t memctrl.Timing) memctrl.Timing {
 // the device width of the ARCC ranks built from it. The Baseline system
 // always uses x4 devices — commercial chipkill needs the narrow symbol.
 // The zero value is the paper's DDR2-667 x8 evaluation (Table 7.1), and
-// NewTech is the only other way to get a Tech.
+// ParseTech is the only other way to get a Tech.
 type Tech struct {
-	gen dram.Generation
+	// gen indexes generations.
+	gen int
 	// width is the ARCC device width, with x8 stored as 0 so that the zero
 	// Tech is DDR2 x8 and equal technologies compare equal (the Scratch
 	// caches its controllers per Tech).
 	width int
 }
 
-// NewTech resolves a generation and an ARCC device width in bits (0 means
-// 8, the paper's choice) into a Tech, or says why the table has no such
-// row.
-func NewTech(gen dram.Generation, width int) (Tech, error) {
-	g, ok := generations[gen]
-	if !ok {
-		return Tech{}, fmt.Errorf("sim: unknown generation %v", gen)
+// ParseTech resolves a generation name ("ddr2", "ddr4" or "ddr5",
+// case-insensitive; "" means ddr2) and an ARCC device width in bits (0
+// means 8, the paper's choice) into a Tech, or says why the table has no
+// such row.
+func ParseTech(name string, width int) (Tech, error) {
+	key := cmp.Or(strings.ToLower(strings.TrimSpace(name)), "ddr2")
+	gen := slices.IndexFunc(generations[:], func(g generation) bool { return g.name == key })
+	if gen < 0 {
+		return Tech{}, fmt.Errorf("sim: unknown generation %q (want ddr2, ddr4, or ddr5)", name)
 	}
-	if width == 0 {
-		width = 8
-	}
-	if !slices.Contains(g.arccWidths, width) {
-		return Tech{}, fmt.Errorf("sim: %v models ARCC device widths %v, not %d", gen, g.arccWidths, width)
+	width = cmp.Or(width, 8)
+	if !generations[gen].widths[width].arcc {
+		return Tech{}, fmt.Errorf("sim: %s has no ARCC ranks of %d-bit devices", key, width)
 	}
 	if width == 8 {
 		width = 0
@@ -137,12 +162,7 @@ func NewTech(gen dram.Generation, width int) (Tech, error) {
 }
 
 // arccWidth returns the ARCC device width in bits.
-func (t Tech) arccWidth() int {
-	if t.width == 0 {
-		return 8
-	}
-	return t.width
-}
+func (t Tech) arccWidth() int { return cmp.Or(t.width, 8) }
 
 // CPR returns the generation's CPU-cycles-per-DRAM-cycle ratio: 9 for
 // DDR2-667, 3 for DDR4-2400 and 1 for DDR5-4800.
@@ -274,16 +294,14 @@ func (s *Scratch) memorySystem(cfg Config) (*memctrl.Controller, *power.Meter) {
 	if cfg.System == ARCC {
 		width, ranks = cfg.Tech.arccWidth(), 2
 	}
-	g := generations[cfg.Tech.gen]
-	// NewTech admits only table widths, and every width the table lists
-	// has an organisation (TestGenerationTable).
-	org, _ := dram.OrgFor(cfg.Tech.gen, width)
-	s.meter[i] = power.NewMeter(g.devices[width])
+	g := &generations[cfg.Tech.gen]
+	r := g.widths[width]
+	s.meter[i] = power.NewMeter(r.power)
 	s.mem[i] = memctrl.New(memctrl.Config{
 		Channels: 2, RanksPerChannel: ranks,
-		BanksPerRank: org.Banks(), BankGroups: org.BankGroups,
-		Timing: g.timing, DevicesPerAccess: org.DevicesPerRank,
-		BurstBeats: org.BurstClocks * 2, Pairing: cfg.Pairing,
+		BanksPerRank: g.bankGroups * g.banksPerGroup, BankGroups: g.bankGroups,
+		Timing: g.timing, DevicesPerAccess: r.devices,
+		BurstBeats: g.burstClocks * 2, Pairing: cfg.Pairing,
 	}, s.meter[i])
 	s.pairing[i] = cfg.Pairing
 	s.tech[i] = cfg.Tech
@@ -535,9 +553,10 @@ func RunWith(cfg Config, s *Scratch) Result {
 		res.UpgradedAccessFraction = float64(upgradedFetches) / float64(demandFetches)
 	}
 
-	// The clock period follows the generation and the device count the
-	// system's shape (3.0 ns and 72 devices for the paper's DDR2).
-	elapsedNS := float64(res.ElapsedDRAMCycles) * generations[cfg.Tech.gen].nsPerCycle
+	// The clock period is the generation's device TCK, which every width of
+	// a row shares, and the device count follows the system's shape (3.0 ns
+	// and 72 devices for the paper's DDR2).
+	elapsedNS := float64(res.ElapsedDRAMCycles) * generations[cfg.Tech.gen].widths[4].power.TCK
 	active := mem.BankUtilization(res.ElapsedDRAMCycles)
 	res.PowerMW = meter.AveragePowerMW(elapsedNS, mcfg.Channels*mcfg.RanksPerChannel*mcfg.DevicesPerAccess, active, 0.9)
 	return res

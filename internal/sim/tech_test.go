@@ -5,14 +5,13 @@ import (
 	"slices"
 	"testing"
 
-	"arcc/internal/dram"
 	"arcc/internal/workload"
 )
 
 // mustTech resolves a generation and width the table is known to hold.
-func mustTech(t testing.TB, gen dram.Generation, width int) Tech {
+func mustTech(t testing.TB, gen string, width int) Tech {
 	t.Helper()
-	tech, err := NewTech(gen, width)
+	tech, err := ParseTech(gen, width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +30,9 @@ func techConfig(system MemorySystem, tech Tech) Config {
 func TestTechAxisDeterministicAndDistinct(t *testing.T) {
 	ddr2 := Run(techConfig(ARCC, Tech{}))
 	for _, tc := range []struct {
-		gen   dram.Generation
+		gen   string
 		width int
-	}{{dram.DDR4, 0}, {dram.DDR4, 16}, {dram.DDR5, 0}, {dram.DDR5, 4}} {
+	}{{"ddr4", 0}, {"ddr4", 16}, {"ddr5", 0}, {"ddr5", 4}} {
 		tech := mustTech(t, tc.gen, tc.width)
 		a := Run(techConfig(ARCC, tech))
 		b := Run(techConfig(ARCC, tech))
@@ -55,16 +54,16 @@ func TestTechZeroValueMatchesLegacyDDR2(t *testing.T) {
 	// keyed on tech, not just system).
 	s := NewScratch()
 	ref := RunWith(techConfig(ARCC, Tech{}), s)
-	RunWith(techConfig(ARCC, mustTech(t, dram.DDR5, 0)), s)
+	RunWith(techConfig(ARCC, mustTech(t, "ddr5", 0)), s)
 	again := RunWith(techConfig(ARCC, Tech{}), s)
 	if ref != again {
 		t.Fatalf("legacy DDR2 result changed after a DDR5 run on the same scratch:\n%+v\n%+v", ref, again)
 	}
 	// DDR2 x8 and DDR2 with the default width are the zero Tech.
 	for _, width := range []int{0, 8} {
-		tech := mustTech(t, dram.DDR2, width)
+		tech := mustTech(t, "ddr2", width)
 		if tech != (Tech{}) {
-			t.Fatalf("NewTech(DDR2, %d) = %#v, want the zero Tech", width, tech)
+			t.Fatalf("ParseTech(ddr2, %d) = %#v, want the zero Tech", width, tech)
 		}
 		if w8 := Run(techConfig(ARCC, tech)); w8 != ref {
 			t.Fatalf("DDR2 x%d differs from zero Tech:\n%+v\n%+v", width, w8, ref)
@@ -72,48 +71,111 @@ func TestTechZeroValueMatchesLegacyDDR2(t *testing.T) {
 	}
 }
 
-// TestTechRejectsUnsupported: NewTech accepts exactly DDR2 x8 and DDR4/DDR5
-// x4, x8 and x16 (width 0 meaning x8), and nothing else.
+// TestTechRejectsUnsupported: ParseTech accepts exactly DDR2 x8 and
+// DDR4/DDR5 x4, x8 and x16 (width 0 meaning x8), names trimmed and in any
+// case ("" meaning ddr2), and nothing else.
 func TestTechRejectsUnsupported(t *testing.T) {
-	accepted := map[dram.Generation][]int{
-		dram.DDR2: {0, 8},
-		dram.DDR4: {0, 4, 8, 16},
-		dram.DDR5: {0, 4, 8, 16},
+	accepted := map[string][]int{
+		"ddr2": {0, 8},
+		"ddr4": {0, 4, 8, 16},
+		"ddr5": {0, 4, 8, 16},
 	}
-	for _, gen := range []dram.Generation{dram.DDR2, dram.DDR4, dram.DDR5, dram.Generation(7)} {
+	names := map[string]string{
+		"": "ddr2", "ddr2": "ddr2", "DDR4": "ddr4", " ddr5 ": "ddr5", "ddr3": "", "lpddr5": "",
+	}
+	for name, gen := range names {
 		for _, width := range []int{-8, 0, 4, 8, 12, 16, 32} {
 			want := slices.Contains(accepted[gen], width)
-			if _, err := NewTech(gen, width); (err == nil) != want {
-				t.Errorf("NewTech(%v, %d): err %v, want accepted=%v", gen, width, err, want)
+			tech, err := ParseTech(name, width)
+			if (err == nil) != want {
+				t.Errorf("ParseTech(%q, %d): err %v, want accepted=%v", name, width, err, want)
+				continue
+			}
+			if want && generations[tech.gen].name != gen {
+				t.Errorf("ParseTech(%q, %d) resolved to %s, want %s", name, width, generations[tech.gen].name, gen)
 			}
 		}
 	}
 }
 
-// TestGenerationTable: every width a table row builds — x4 for the
-// baseline and each ARCC width — has a dram organisation and a power
-// profile, which memorySystem relies on.
+// TestGenerationTable: every row of the technology table has a distinct
+// name, builds the x4 baseline and at least one ARCC width, and gives each
+// width a powered device profile on the row's one clock and enough
+// devices, and no more, to cover the access bus the x4 row spans.
 func TestGenerationTable(t *testing.T) {
-	for gen, g := range generations {
-		for _, width := range append([]int{4}, g.arccWidths...) {
-			if _, err := dram.OrgFor(gen, width); err != nil {
-				t.Errorf("%v x%d: %v", gen, width, err)
+	seen := map[string]bool{}
+	for _, g := range generations {
+		if g.name == "" || seen[g.name] {
+			t.Errorf("row name %q is empty or repeated", g.name)
+		}
+		seen[g.name] = true
+		base, ok := g.widths[4]
+		if !ok {
+			t.Errorf("%s: no x4 width for the baseline", g.name)
+			continue
+		}
+		bus, arcc := base.devices*4, false
+		for width, r := range g.widths {
+			arcc = arcc || r.arcc
+			if want := (bus + width - 1) / width; r.devices != want {
+				t.Errorf("%s x%d: %d devices, want %d to cover a %d-bit bus", g.name, width, r.devices, want, bus)
 			}
-			if _, ok := g.devices[width]; !ok {
-				t.Errorf("%v x%d: no power profile", gen, width)
+			if r.power.TCK != base.power.TCK || r.power.TCK <= 0 || r.power.VDD <= 0 || r.power.IDD4R <= 0 {
+				t.Errorf("%s x%d: power profile %+v off the row's %.3f ns clock or unpowered", g.name, width, r.power, base.power.TCK)
 			}
+		}
+		if !arcc {
+			t.Errorf("%s: no ARCC width", g.name)
+		}
+		if g.cpr <= 0 || g.bankGroups <= 0 || g.banksPerGroup <= 0 || g.burstClocks <= 0 {
+			t.Errorf("%s: degenerate row %+v", g.name, g)
+		}
+	}
+	if !generations[0].widths[8].arcc {
+		t.Error("row 0 has no x8 ARCC width, so the zero Tech names no row")
+	}
+}
+
+// TestTechShapes pins the controller every built (tech, system) pair gets:
+// the baseline is one x4 rank per channel and ARCC two ranks of the
+// Tech's width.
+func TestTechShapes(t *testing.T) {
+	cases := []struct {
+		gen                                  string
+		width                                int
+		system                               MemorySystem
+		ranks, devices, banks, groups, beats int
+	}{
+		{"ddr2", 8, ARCC, 2, 18, 8, 1, 4},
+		{"ddr2", 8, Baseline, 1, 36, 8, 1, 4},
+		{"ddr4", 4, ARCC, 2, 18, 16, 4, 8},
+		{"ddr4", 8, ARCC, 2, 9, 16, 4, 8},
+		{"ddr4", 16, ARCC, 2, 5, 16, 4, 8},
+		{"ddr4", 8, Baseline, 1, 18, 16, 4, 8},
+		{"ddr5", 4, ARCC, 2, 10, 32, 8, 16},
+		{"ddr5", 8, ARCC, 2, 5, 32, 8, 16},
+		{"ddr5", 16, ARCC, 2, 3, 32, 8, 16},
+		{"ddr5", 8, Baseline, 1, 10, 32, 8, 16},
+	}
+	for _, c := range cases {
+		mem, _ := NewScratch().memorySystem(techConfig(c.system, mustTech(t, c.gen, c.width)))
+		got := mem.Config()
+		if got.Channels != 2 || got.RanksPerChannel != c.ranks || got.DevicesPerAccess != c.devices ||
+			got.BanksPerRank != c.banks || got.BankGroups != c.groups || got.BurstBeats != c.beats {
+			t.Errorf("%s x%d %v: controller %+v, want %d ranks, %d devices, %d banks in %d groups, %d beats",
+				c.gen, c.width, c.system, got, c.ranks, c.devices, c.banks, c.groups, c.beats)
 		}
 	}
 }
 
 func TestTechCPR(t *testing.T) {
 	for _, tc := range []struct {
-		gen  dram.Generation
+		gen  string
 		want int64
 	}{
-		{dram.DDR2, 9},
-		{dram.DDR4, 3},
-		{dram.DDR5, 1},
+		{"ddr2", 9},
+		{"ddr4", 3},
+		{"ddr5", 1},
 	} {
 		if got := mustTech(t, tc.gen, 0).CPR(); got != tc.want {
 			t.Errorf("%v: CPR = %d, want %d", tc.gen, got, tc.want)
@@ -124,7 +186,7 @@ func TestTechCPR(t *testing.T) {
 func TestDDR5ARCCStillSavesPower(t *testing.T) {
 	// The paper's mechanism — relaxed accesses touch fewer devices — must
 	// survive the generation change, not just the DDR2 calibration.
-	ddr5 := mustTech(t, dram.DDR5, 0)
+	ddr5 := mustTech(t, "ddr5", 0)
 	arcc := Run(techConfig(ARCC, ddr5))
 	base := Run(techConfig(Baseline, ddr5))
 	if arcc.PowerMW >= base.PowerMW {
