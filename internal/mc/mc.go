@@ -16,23 +16,26 @@
 // one generator, an rng.Source, and reseeds it at the start of every
 // shard it runs, which yields exactly the stream
 // rand.New(rand.NewSource(seed)) would without building one per shard.
-// Trials draw from that Source directly (TrialScratch, weighted trials,
-// MapScratchCtx), so every draw is a concrete call the compiler can
-// inline; only the plain Job.Trial receives a *rand.Rand, wrapped once
-// per worker around the same Source.
+// The engine calls a job once per shard, not once per trial: Job.Shard,
+// a weighted job's Shard and MapScratchCtx's loop run the shard's trials
+// themselves, drawing from that Source directly, so every draw is a
+// concrete call the compiler can inline and a trial costs no indirect
+// call. Only the plain Job.Trial is called per trial, with a *rand.Rand
+// wrapped once per worker around the same Source.
 //
 // Jobs whose trials need working buffers (fault-arrival histories, decode
-// workspaces, whole simulator-run state) set NewScratch/TrialScratch: the
-// engine creates one scratch workspace per worker and threads it through
-// every trial that worker executes, so the steady-state trial loop
-// allocates nothing. A scratch carries capacity, never state, which keeps
-// results independent of how shards are distributed over workers.
+// workspaces, whole simulator-run state) set NewScratch: the engine
+// creates one scratch workspace per worker and hands it to every shard
+// that worker executes, so the steady-state trial loop allocates
+// nothing. A scratch carries capacity, never state, which keeps results
+// independent of how shards are distributed over workers.
 //
 // Weighted jobs (RunWeightedCtx) fold each trial's observation vector and
-// likelihood ratio into a per-shard WeightedSet: the unbiased mean, CI
-// and effective sample size of every dimension, with the trial count, Σw
-// and Σw² that all dimensions share kept once. The observation vector is
-// a per-worker buffer that every trial overwrites in full.
+// likelihood ratio into a per-shard WeightedSet (WeightedSet.Add): the
+// unbiased mean, CI and effective sample size of every dimension, with
+// the trial count, Σw and Σw² that all dimensions share kept once. The
+// observation vector lives in the job's own scratch, and every trial
+// overwrites it in full.
 package mc
 
 import (
@@ -60,8 +63,10 @@ var ErrCanceled = errors.New("mc: run canceled")
 // DefaultShardSize is the number of trials per shard when Options.ShardSize
 // is zero. Small enough to load-balance thousands of cheap trials across a
 // pool, large enough to amortise the per-shard setup: reseeding the
-// worker's generator, which writes all 607 words of its state, and one
-// NewAcc. In a tight loop the reseed takes about 0.5 µs with rng's
+// worker's generator, which writes all 607 words of its state, one
+// NewAcc, and the one call of the job's Shard, whose type assertions on
+// the accumulator and scratch are paid per shard, not per trial. In a
+// tight loop the reseed takes about 0.5 µs with rng's
 // AVX-512 kernel (some 8 ns per trial at this size), 0.9–1 µs with its
 // AVX2 kernel and 3 µs with its Go loop. Inside a tilted lifetime sweep an
 // AVX-512 reseed costs about 1.1 µs (some 17 ns per trial), 10.6% of the
@@ -85,7 +90,7 @@ type Accumulator interface {
 }
 
 // Job describes one Monte Carlo computation. Exactly one of Trial and
-// TrialScratch must be set.
+// Shard must be set.
 type Job struct {
 	// Trials is the total number of trials to run. Must be positive.
 	Trials int
@@ -99,7 +104,7 @@ type Job struct {
 	// and records its result in acc.
 	Trial func(rng *rand.Rand, trial int, acc Accumulator)
 	// NewScratch, optional, allocates a scratch workspace. It is created
-	// once per worker and handed to every TrialScratch call that worker
+	// once per worker and handed to every Shard call that worker
 	// executes, so per-trial working buffers (fault-arrival histories,
 	// decode workspaces, whole simulator-run state) are reused across all
 	// the shards a worker drains instead of reallocated per trial or per
@@ -108,12 +113,15 @@ type Job struct {
 	// bit-identical-at-any-parallelism contract is preserved regardless of
 	// which shards share a workspace.
 	NewScratch func() any
-	// TrialScratch is Trial drawing from the worker's rng.Source itself,
-	// reseeded to the shard's stream, with the shard's scratch workspace.
-	// Set it (instead of Trial), with NewScratch for allocation-free trial
-	// loops; scratch is nil when NewScratch is. The Source produces the
-	// values a *rand.Rand over it would, method for method.
-	TrialScratch func(src *rng.Source, trial int, acc Accumulator, scratch any)
+	// Shard runs trials lo..hi-1 (0-based, global across shards) of one
+	// shard in order, drawing from the worker's rng.Source itself,
+	// reseeded to the shard's stream, and records their results in the
+	// shard's acc. It is called once per shard, so its trial loop makes
+	// no indirect call per trial. Set it (instead of Trial), with
+	// NewScratch for allocation-free trial loops; scratch is nil when
+	// NewScratch is. The Source produces the values a *rand.Rand over it
+	// would, method for method.
+	Shard func(src *rng.Source, lo, hi int, acc Accumulator, scratch any)
 }
 
 // Options tunes how a job executes without affecting its result.
@@ -174,11 +182,11 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 	if job.NewAcc == nil {
 		panic("mc: job needs NewAcc")
 	}
-	if (job.Trial == nil) == (job.TrialScratch == nil) {
-		panic("mc: job needs exactly one of Trial and TrialScratch")
+	if (job.Trial == nil) == (job.Shard == nil) {
+		panic("mc: job needs exactly one of Trial and Shard")
 	}
-	if job.NewScratch != nil && job.TrialScratch == nil {
-		panic("mc: NewScratch requires TrialScratch")
+	if job.NewScratch != nil && job.Shard == nil {
+		panic("mc: NewScratch requires Shard")
 	}
 	size := opts.shardSize()
 	shards := (job.Trials + size - 1) / size
@@ -369,10 +377,8 @@ func (job Job) runShard(s, size int, w worker) Accumulator {
 	acc := job.NewAcc()
 	lo := s * size
 	hi := lo + shardTrials(s, size, job.Trials)
-	if job.TrialScratch != nil {
-		for t := lo; t < hi; t++ {
-			job.TrialScratch(w.src, t, acc, w.scratch)
-		}
+	if job.Shard != nil {
+		job.Shard(w.src, lo, hi, acc, w.scratch)
 	} else {
 		for t := lo; t < hi; t++ {
 			job.Trial(w.r, t, acc)
@@ -446,7 +452,7 @@ func NewProgressPrinter(w io.Writer, label string) func(done, total int) {
 // independent value (e.g. one simulator run per mix). f draws from the
 // worker's rng.Source, reseeded to the trial's shard stream as usual. newScratch runs once per
 // worker and its result is threaded through every trial that worker
-// executes, mirroring Job.NewScratch/TrialScratch; like Job scratch, the
+// executes, mirroring Job.NewScratch; like Job scratch, the
 // workspace must carry capacity only — a trial must not read state a
 // previous trial left behind — so results stay bit-identical at any
 // parallelism. The Fig 7.1-7.3 fan-outs thread a sim.Scratch this way,
@@ -465,10 +471,12 @@ func MapScratchCtx[T, S any](ctx context.Context, n int, seed int64, opts Option
 			return &mapAcc[T]{idx: make([]int, 0, size), vals: make([]T, 0, size)}
 		},
 		NewScratch: func() any { return newScratch() },
-		TrialScratch: func(src *rng.Source, trial int, a Accumulator, scratch any) {
-			ma := a.(*mapAcc[T])
-			ma.idx = append(ma.idx, trial)
-			ma.vals = append(ma.vals, f(src, trial, scratch.(S)))
+		Shard: func(src *rng.Source, lo, hi int, a Accumulator, scratch any) {
+			ma, sc := a.(*mapAcc[T]), scratch.(S)
+			for trial := lo; trial < hi; trial++ {
+				ma.idx = append(ma.idx, trial)
+				ma.vals = append(ma.vals, f(src, trial, sc))
+			}
 		},
 	}, opts)
 	if err != nil {

@@ -53,6 +53,17 @@ func mapTrials[T any](n int, seed int64, opts Options, f func(src *rng.Source, t
 	return out
 }
 
+// perTrial adapts a per-trial function to Job.Shard: the shard's trials
+// run in order, each with the shard's accumulator and the worker's
+// scratch.
+func perTrial(trial func(src *rng.Source, trial int, acc Accumulator, scratch any)) func(*rng.Source, int, int, Accumulator, any) {
+	return func(src *rng.Source, lo, hi int, acc Accumulator, scratch any) {
+		for t := lo; t < hi; t++ {
+			trial(src, t, acc, scratch)
+		}
+	}
+}
+
 func sumJob(trials int, seed int64) Job {
 	return Job{
 		Trials: trials,
@@ -266,7 +277,7 @@ func scratchJob(trials int, seed int64) Job {
 		NewScratch: func() any {
 			return &buf{vals: make([]float64, 0, 8)}
 		},
-		TrialScratch: func(src *rng.Source, trial int, acc Accumulator, scratch any) {
+		Shard: perTrial(func(src *rng.Source, trial int, acc Accumulator, scratch any) {
 			a := acc.(*sumAcc)
 			b := scratch.(*buf)
 			b.vals = b.vals[:0]
@@ -277,11 +288,11 @@ func scratchJob(trials int, seed int64) Job {
 				a.sum += v * float64(trial%7+1)
 			}
 			a.count++
-		},
+		}),
 	}
 }
 
-func TestTrialScratchMatchesTrialAcrossParallelism(t *testing.T) {
+func TestShardMatchesTrialAcrossParallelism(t *testing.T) {
 	want := run(scratchJob(1000, 42), Options{Parallelism: 1}).(*sumAcc)
 	if want.sum == 0 {
 		t.Fatal("degenerate sum")
@@ -311,10 +322,10 @@ func TestNewScratchCalledOncePerWorker(t *testing.T) {
 				mu.Unlock()
 				return new(int)
 			},
-			TrialScratch: func(_ *rng.Source, _ int, acc Accumulator, scratch any) {
+			Shard: perTrial(func(_ *rng.Source, _ int, acc Accumulator, scratch any) {
 				*(scratch.(*int))++ // panics if scratch were nil
 				acc.(*sumAcc).count++
-			},
+			}),
 		}
 		run(job, Options{Parallelism: par, ShardSize: 10})
 		// One workspace per worker — the shards a worker drains share it.
@@ -327,17 +338,17 @@ func TestNewScratchCalledOncePerWorker(t *testing.T) {
 	}
 }
 
-func TestTrialScratchWithoutNewScratchGetsNil(t *testing.T) {
+func TestShardWithoutNewScratchGetsNil(t *testing.T) {
 	job := Job{
 		Trials: 10,
 		Seed:   1,
 		NewAcc: func() Accumulator { return &sumAcc{} },
-		TrialScratch: func(_ *rng.Source, _ int, acc Accumulator, scratch any) {
+		Shard: perTrial(func(_ *rng.Source, _ int, acc Accumulator, scratch any) {
 			if scratch != nil {
 				t.Errorf("scratch = %v, want nil without NewScratch", scratch)
 			}
 			acc.(*sumAcc).count++
-		},
+		}),
 	}
 	if acc := run(job, Options{}).(*sumAcc); acc.count != 10 {
 		t.Fatalf("ran %d trials, want 10", acc.count)
@@ -394,9 +405,9 @@ func TestRunPanicsOnBadJob(t *testing.T) {
 		"no newacc": {Trials: 1, Trial: func(*rand.Rand, int, Accumulator) {}},
 		"no trial":  {Trials: 1, NewAcc: func() Accumulator { return &sumAcc{} }},
 		"both trial fns": {Trials: 1, NewAcc: func() Accumulator { return &sumAcc{} },
-			Trial:        func(*rand.Rand, int, Accumulator) {},
-			TrialScratch: func(*rng.Source, int, Accumulator, any) {}},
-		"scratch without trialscratch": {Trials: 1, NewAcc: func() Accumulator { return &sumAcc{} },
+			Trial: func(*rand.Rand, int, Accumulator) {},
+			Shard: func(*rng.Source, int, int, Accumulator, any) {}},
+		"scratch without shard": {Trials: 1, NewAcc: func() Accumulator { return &sumAcc{} },
 			Trial:      func(*rand.Rand, int, Accumulator) {},
 			NewScratch: func() any { return nil }},
 	} {

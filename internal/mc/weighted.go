@@ -14,19 +14,19 @@ import (
 
 // Weighted jobs: Monte Carlo whose trials carry an importance-sampling
 // likelihood ratio. A trial fills a vector of per-dimension observations
-// (e.g. one faulty-page fraction per lifetime year) and returns its
-// weight against the target distribution; the engine folds every
-// dimension into the estimator a stats.Weighted would hold, so the
-// result carries the unbiased weighted mean, a confidence interval, and
-// the effective sample size — in O(Dims) memory regardless of the trial
-// count. Plain (unaccelerated) sampling is the weight-1 special case,
-// and the weighted sum is a plain running sum, so a weights-all-one job
-// reproduces a legacy sum-and-divide accumulator bit for bit: same
-// additions, same shard-order merge.
+// (e.g. one faulty-page fraction per lifetime year) and adds it, with its
+// weight against the target distribution, to the shard's WeightedSet,
+// which folds every dimension into the estimator a stats.Weighted would
+// hold, so the result carries the unbiased weighted mean, a confidence
+// interval, and the effective sample size — in O(Dims) memory regardless
+// of the trial count. Plain (unaccelerated) sampling is the weight-1
+// special case, and the weighted sum is a plain running sum, so a
+// weights-all-one job reproduces a legacy sum-and-divide accumulator bit
+// for bit: same additions, same shard-order merge.
 //
 // The trial count, Σw and Σw² are the same for every dimension, so a
 // WeightedSet keeps them once; per dimension it keeps only Σw·x and the
-// Welford mean and M2 of y = w·x. Its add and Merge perform, for every
+// Welford mean and M2 of y = w·x. Its Add and Merge perform, for every
 // dimension, the float operations stats.Weighted's would, in the same
 // order, so Dim(i) equals the stats.Weighted fed the same trials bit for
 // bit (TestWeightedSetMatchesStatsWeighted).
@@ -49,19 +49,20 @@ type WeightedJob struct {
 	// Sketches have stats.DefaultSketchK items per level.
 	SketchDims []int
 	// NewScratch, optional, allocates a per-worker scratch workspace with
-	// the same capacity-only contract as Job.NewScratch.
+	// the same capacity-only contract as Job.NewScratch. It is where a
+	// job keeps its observation buffer.
 	NewScratch func() any
-	// Trial runs trial number trial (0-based, global across shards),
-	// drawing from the worker's rng.Source reseeded to the shard's stream
-	// as Job.TrialScratch does: it writes one observation into every
-	// dimension of vals (len == Dims) and returns the trial's likelihood
-	// ratio against the target distribution — 1 for plain sampling. vals
-	// is the worker's buffer and still holds what its previous trial
-	// wrote: the engine does not clear it, so a trial that skips a
-	// dimension makes the result depend on how shards fall on workers.
-	// The weight must be finite and non-negative. scratch is nil when
-	// NewScratch is.
-	Trial func(src *rng.Source, trial int, scratch any, vals []float64) float64
+	// Shard runs trials lo..hi-1 (0-based, global across shards) of one
+	// shard in order, drawing from the worker's rng.Source reseeded to
+	// the shard's stream as Job.Shard does, and calls set.Add once per
+	// trial, in trial order, with one observation for every dimension
+	// (len == Dims) and the trial's likelihood ratio against the target
+	// distribution — 1 for plain sampling. An observation buffer kept in
+	// scratch still holds what the worker's previous trial wrote, so a
+	// trial must write every dimension: one that skips a dimension makes
+	// the result depend on how shards fall on workers. scratch is nil
+	// when NewScratch is.
+	Shard func(src *rng.Source, lo, hi int, scratch any, set *WeightedSet)
 }
 
 // WeightedSet is the result of a weighted job: one weighted estimator
@@ -143,10 +144,11 @@ func (s *WeightedSet) Merge(o *WeightedSet) {
 	}
 }
 
-// add folds one trial into the set: stats.Weighted.Add(vals[i], w) for
+// Add folds one trial into the set: stats.Weighted.Add(vals[i], w) for
 // every dimension i, with the shared sums and the count's conversion
-// done once.
-func (s *WeightedSet) add(vals []float64, w float64) {
+// done once. vals holds at least one value per dimension. It panics when
+// w is negative, NaN or infinite: the weight must be a likelihood ratio.
+func (s *WeightedSet) Add(vals []float64, w float64) {
 	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		panic(fmt.Sprintf("mc: trial weight %v is not a likelihood ratio", w))
 	}
@@ -175,8 +177,8 @@ func RunWeightedCtx(ctx context.Context, job WeightedJob, opts Options) (*Weight
 	if job.Dims <= 0 {
 		panic(fmt.Sprintf("mc: non-positive dimension count %d", job.Dims))
 	}
-	if job.Trial == nil {
-		panic("mc: weighted job needs Trial")
+	if job.Shard == nil {
+		panic("mc: weighted job needs Shard")
 	}
 	seen := make(map[int]bool, len(job.SketchDims))
 	for _, d := range job.SketchDims {
@@ -196,34 +198,17 @@ func RunWeightedCtx(ctx context.Context, job WeightedJob, opts Options) (*Weight
 }
 
 // engineJob is the engine job a weighted job runs as: one weightedAcc per
-// shard, and per worker the job's scratch together with the observation
-// buffer its trials write.
+// shard, and per worker the job's own scratch.
 func (job WeightedJob) engineJob() Job {
 	return Job{
-		Trials: job.Trials,
-		Seed:   job.Seed,
-		NewAcc: func() Accumulator { return job.newAcc() },
-		NewScratch: func() any {
-			ws := &weightedScratch{vals: make([]float64, job.Dims)}
-			if job.NewScratch != nil {
-				ws.job = job.NewScratch()
-			}
-			return ws
-		},
-		TrialScratch: func(src *rng.Source, trial int, a Accumulator, scratch any) {
-			ws := scratch.(*weightedScratch)
-			w := job.Trial(src, trial, ws.job, ws.vals)
-			a.(*weightedAcc).set.add(ws.vals, w)
+		Trials:     job.Trials,
+		Seed:       job.Seed,
+		NewAcc:     func() Accumulator { return job.newAcc() },
+		NewScratch: job.NewScratch,
+		Shard: func(src *rng.Source, lo, hi int, a Accumulator, scratch any) {
+			job.Shard(src, lo, hi, scratch, &a.(*weightedAcc).set)
 		},
 	}
-}
-
-// weightedScratch is a weighted job's per-worker workspace: the job's own
-// scratch and the observation buffer, which carries capacity only
-// (every trial overwrites it), so it is no part of a shard's result.
-type weightedScratch struct {
-	job  any
-	vals []float64
 }
 
 // newAcc returns the empty accumulator of one shard of job.

@@ -43,21 +43,52 @@ func weightedObs(r interface{ Float64() float64 }, vals []float64) {
 	}
 }
 
+// withTrial returns job with a Shard that runs trial once per trial of
+// the shard, in order, and adds the observations it writes with the
+// weight it returns: the per-trial form these tests state their jobs in.
+// The observation buffer sits in a per-worker scratch beside the one
+// job.NewScratch makes, which trial receives (nil when job.NewScratch
+// is).
+func withTrial(job WeightedJob, trial func(src *rng.Source, trial int, scratch any, vals []float64) float64) WeightedJob {
+	dims, newScratch := job.Dims, job.NewScratch
+	job.NewScratch = func() any {
+		ts := &trialScratch{vals: make([]float64, dims)}
+		if newScratch != nil {
+			ts.job = newScratch()
+		}
+		return ts
+	}
+	job.Shard = func(src *rng.Source, lo, hi int, scratch any, set *WeightedSet) {
+		ts := scratch.(*trialScratch)
+		for t := lo; t < hi; t++ {
+			w := trial(src, t, ts.job, ts.vals)
+			set.Add(ts.vals, w)
+		}
+	}
+	return job
+}
+
+// trialScratch is withTrial's per-worker workspace: the job's own
+// scratch and the observation buffer.
+type trialScratch struct {
+	job  any
+	vals []float64
+}
+
 // TestRunWeightedAllOnesBitIdentical is the weights-all-one equivalence
 // property: a weighted job whose every trial returns weight 1 must
 // reproduce the legacy sum-and-divide accumulator bit for bit — same
 // additions in the same shard order, then one division.
 func TestRunWeightedAllOnesBitIdentical(t *testing.T) {
 	const dims, trials = 3, 1000
-	set := runWeighted(WeightedJob{
+	set := runWeighted(withTrial(WeightedJob{
 		Trials: trials,
 		Seed:   42,
 		Dims:   dims,
-		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
-			weightedObs(src, vals)
-			return 1
-		},
-	}, Options{Parallelism: 4})
+	}, func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+		weightedObs(src, vals)
+		return 1
+	}), Options{Parallelism: 4})
 
 	acc := run(Job{
 		Trials: trials,
@@ -92,16 +123,15 @@ func TestRunWeightedAllOnesBitIdentical(t *testing.T) {
 // TestRunWeightedParallelismDeterminism: the full result — estimators
 // and sketches — must be identical at any worker count.
 func TestRunWeightedParallelismDeterminism(t *testing.T) {
-	job := WeightedJob{
+	job := withTrial(WeightedJob{
 		Trials:     2000,
 		Seed:       7,
 		Dims:       2,
 		SketchDims: []int{1},
-		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
-			weightedObs(src, vals)
-			return 0.5 + src.Float64()
-		},
-	}
+	}, func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+		weightedObs(src, vals)
+		return 0.5 + src.Float64()
+	})
 	base := runWeighted(job, Options{Parallelism: 1})
 	for _, p := range []int{4, runtime.GOMAXPROCS(0)} {
 		got := runWeighted(job, Options{Parallelism: p})
@@ -112,17 +142,16 @@ func TestRunWeightedParallelismDeterminism(t *testing.T) {
 }
 
 func TestRunWeightedSketch(t *testing.T) {
-	set := runWeighted(WeightedJob{
+	set := runWeighted(withTrial(WeightedJob{
 		Trials:     5000,
 		Seed:       3,
 		Dims:       2,
 		SketchDims: []int{0},
-		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
-			vals[0] = src.Float64()
-			vals[1] = src.NormFloat64()
-			return 1
-		},
-	}, Options{})
+	}, func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+		vals[0] = src.Float64()
+		vals[1] = src.NormFloat64()
+		return 1
+	}), Options{})
 	sk := set.Sketch(0)
 	if sk == nil {
 		t.Fatal("requested sketch missing")
@@ -140,20 +169,19 @@ func TestRunWeightedSketch(t *testing.T) {
 
 func TestRunWeightedScratch(t *testing.T) {
 	type ws struct{ buf []float64 }
-	set := runWeighted(WeightedJob{
+	set := runWeighted(withTrial(WeightedJob{
 		Trials:     500,
 		Seed:       9,
 		Dims:       1,
 		NewScratch: func() any { return &ws{buf: make([]float64, 8)} },
-		Trial: func(src *rng.Source, trial int, scratch any, vals []float64) float64 {
-			s := scratch.(*ws)
-			for i := range s.buf {
-				s.buf[i] = src.Float64()
-			}
-			vals[0] = s.buf[3]
-			return 1
-		},
-	}, Options{Parallelism: 4})
+	}, func(src *rng.Source, trial int, scratch any, vals []float64) float64 {
+		s := scratch.(*ws)
+		for i := range s.buf {
+			s.buf[i] = src.Float64()
+		}
+		vals[0] = s.buf[3]
+		return 1
+	}), Options{Parallelism: 4})
 	if set.Dim(0).Y.Count != 500 {
 		t.Fatalf("N = %d", set.Dim(0).Y.Count)
 	}
@@ -162,14 +190,13 @@ func TestRunWeightedScratch(t *testing.T) {
 func TestRunWeightedCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunWeightedCtx(ctx, WeightedJob{
+	_, err := RunWeightedCtx(ctx, withTrial(WeightedJob{
 		Trials: 100,
 		Dims:   1,
-		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
-			vals[0] = src.Float64()
-			return 1
-		},
-	}, Options{})
+	}, func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+		vals[0] = src.Float64()
+		return 1
+	}), Options{})
 	if err != ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -178,16 +205,15 @@ func TestRunWeightedCancel(t *testing.T) {
 // TestRunWeightedCheckpointResume: a weighted run resumed from a
 // mid-run snapshot must be bit-identical to an uninterrupted run.
 func TestRunWeightedCheckpointResume(t *testing.T) {
-	job := WeightedJob{
+	job := withTrial(WeightedJob{
 		Trials:     1000,
 		Seed:       11,
 		Dims:       2,
 		SketchDims: []int{0},
-		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
-			weightedObs(src, vals)
-			return 1 + src.Float64()
-		},
-	}
+	}, func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+		weightedObs(src, vals)
+		return 1 + src.Float64()
+	})
 	full := runWeighted(job, Options{Parallelism: 1})
 
 	var snap *Checkpoint
@@ -292,7 +318,7 @@ func checkWeightedSet(t *testing.T, huge bool) {
 				}
 				ref[i].Add(vals[i], w)
 			}
-			set.add(vals, w)
+			set.Add(vals, w)
 		}
 		return set, ref
 	}
@@ -388,15 +414,14 @@ func disagreeingBlob(t testing.TB, snaps map[int][]byte, s int) []byte {
 // with its set, and the dimensions), not an observation buffer.
 func TestRunWeightedAllocationsIndependentOfShardSize(t *testing.T) {
 	allocs := func(shards, size int) float64 {
-		job := WeightedJob{
+		job := withTrial(WeightedJob{
 			Trials: shards * size,
 			Seed:   1,
 			Dims:   7,
-			Trial: func(src *rng.Source, _ int, _ any, vals []float64) float64 {
-				weightedObs(src, vals)
-				return 0.5 + src.Float64()
-			},
-		}
+		}, func(src *rng.Source, _ int, _ any, vals []float64) float64 {
+			weightedObs(src, vals)
+			return 0.5 + src.Float64()
+		})
 		return testing.AllocsPerRun(20, func() { runWeighted(job, Options{Parallelism: 1, ShardSize: size}) })
 	}
 	small, large := allocs(16, 1), allocs(16, 64)
@@ -414,15 +439,17 @@ func TestRunWeightedPanics(t *testing.T) {
 		return 1
 	}
 	for name, f := range map[string]func(){
-		"zero dims":      func() { runWeighted(WeightedJob{Trials: 1, Dims: 0, Trial: ok}, Options{}) },
-		"nil trial":      func() { runWeighted(WeightedJob{Trials: 1, Dims: 1}, Options{}) },
-		"sketch dim oob": func() { runWeighted(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{1}, Trial: ok}, Options{}) },
-		"sketch dim dup": func() { runWeighted(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{0, 0}, Trial: ok}, Options{}) },
+		"zero dims":      func() { runWeighted(withTrial(WeightedJob{Trials: 1, Dims: 0}, ok), Options{}) },
+		"nil shard":      func() { runWeighted(WeightedJob{Trials: 1, Dims: 1}, Options{}) },
+		"sketch dim oob": func() { runWeighted(withTrial(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{1}}, ok), Options{}) },
+		"sketch dim dup": func() {
+			runWeighted(withTrial(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{0, 0}}, ok), Options{})
+		},
 		"negative weight": func() {
-			runWeighted(WeightedJob{Trials: 1, Dims: 1, Trial: func(*rng.Source, int, any, []float64) float64 { return -1 }}, Options{})
+			runWeighted(withTrial(WeightedJob{Trials: 1, Dims: 1}, func(*rng.Source, int, any, []float64) float64 { return -1 }), Options{})
 		},
 		"nan weight": func() {
-			runWeighted(WeightedJob{Trials: 1, Dims: 1, Trial: func(*rng.Source, int, any, []float64) float64 { return math.NaN() }}, Options{})
+			runWeighted(withTrial(WeightedJob{Trials: 1, Dims: 1}, func(*rng.Source, int, any, []float64) float64 { return math.NaN() }), Options{})
 		},
 	} {
 		func() {
@@ -437,15 +464,14 @@ func TestRunWeightedPanics(t *testing.T) {
 }
 
 func BenchmarkRunWeighted(b *testing.B) {
-	job := WeightedJob{
+	job := withTrial(WeightedJob{
 		Trials: 10_000,
 		Seed:   1,
 		Dims:   8,
-		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
-			weightedObs(src, vals)
-			return 1
-		},
-	}
+	}, func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+		weightedObs(src, vals)
+		return 1
+	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		runWeighted(job, Options{Parallelism: 4})
@@ -458,16 +484,15 @@ func BenchmarkRunWeighted(b *testing.B) {
 // the checkpoint, as the sweep service's store does: what checkpointing
 // costs a long job, per job.
 func BenchmarkRunCheckpointed(b *testing.B) {
-	job := WeightedJob{
+	job := withTrial(WeightedJob{
 		Trials:     2048 * DefaultShardSize,
 		Seed:       1,
 		Dims:       7,
 		SketchDims: []int{6},
-		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
-			weightedObs(src, vals)
-			return 1
-		},
-	}
+	}, func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+		weightedObs(src, vals)
+		return 1
+	})
 	sink := func(cp *Checkpoint) {
 		if _, err := json.Marshal(cp); err != nil {
 			b.Fatal(err)
@@ -483,16 +508,15 @@ func BenchmarkRunCheckpointed(b *testing.B) {
 // trials, enough for the merged sketch to span several levels, one of them
 // empty.
 func shapeJob(dims int) WeightedJob {
-	return WeightedJob{
+	return withTrial(WeightedJob{
 		Trials:     5 * shapeShard,
 		Seed:       5,
 		Dims:       dims,
 		SketchDims: []int{dims - 1},
-		Trial: func(src *rng.Source, trial int, _ any, vals []float64) float64 {
-			weightedObs(src, vals)
-			return 0.5 + src.Float64()
-		},
-	}
+	}, func(src *rng.Source, trial int, _ any, vals []float64) float64 {
+		weightedObs(src, vals)
+		return 0.5 + src.Float64()
+	})
 }
 
 const shapeShard = 128
@@ -556,15 +580,14 @@ func gobWeightedBlob(t testing.TB, set *WeightedSet) []byte {
 // also sketches the final year.
 func snapshotSet(t testing.TB, sketched bool, trials int) (*WeightedSet, WeightedJob) {
 	t.Helper()
-	job := WeightedJob{
+	job := withTrial(WeightedJob{
 		Trials: trials,
 		Seed:   19,
 		Dims:   7,
-		Trial: func(src *rng.Source, _ int, _ any, vals []float64) float64 {
-			weightedObs(src, vals)
-			return 0.5 + src.Float64()
-		},
-	}
+	}, func(src *rng.Source, _ int, _ any, vals []float64) float64 {
+		weightedObs(src, vals)
+		return 0.5 + src.Float64()
+	})
 	if sketched {
 		job.SketchDims = []int{6}
 	}
@@ -740,10 +763,10 @@ func BenchmarkWeightedSnapshot(b *testing.B) {
 func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 	job := shapeJob(3)
 	var executed atomic.Int64
-	trial := job.Trial
-	job.Trial = func(src *rng.Source, i int, sc any, vals []float64) float64 {
-		executed.Add(1)
-		return trial(src, i, sc, vals)
+	shard := job.Shard
+	job.Shard = func(src *rng.Source, lo, hi int, sc any, set *WeightedSet) {
+		executed.Add(int64(hi - lo))
+		shard(src, lo, hi, sc, set)
 	}
 	want := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
 	// withShard returns the job's full snapshot with shard s's blob
@@ -793,8 +816,8 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 		"partial 2-dim": {snapshotWeighted(t, shapeJob(2), 2), all},
 		"full 2-dim":    {snapshotWeighted(t, shapeJob(2), 5), all},
 		"full other K":  {otherK, all},
-		"no sketch": {snapshotWeighted(t, WeightedJob{Trials: job.Trials, Seed: 5, Dims: 3,
-			Trial: func(src *rng.Source, _ int, _ any, vals []float64) float64 { weightedObs(src, vals); return 1 }}, 5), all},
+		"no sketch": {snapshotWeighted(t, withTrial(WeightedJob{Trials: job.Trials, Seed: 5, Dims: 3},
+			func(src *rng.Source, _ int, _ any, vals []float64) float64 { weightedObs(src, vals); return 1 }), 5), all},
 	}
 	for name, blob := range otherLayouts(t, job, real[1]) {
 		cases[name] = resumeCase{withShard(1, blob), shapeShard}

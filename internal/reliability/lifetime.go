@@ -53,18 +53,19 @@ func (a *yearSums) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-// arrivalScratch is the per-shard workspace of the lifetime Monte Carlos:
-// one fault-arrival buffer plus one per-year series buffer, reused by
-// every trial of a shard. Both only carry capacity between trials —
-// Sampler.SampleInto overwrites the arrival buffer from scratch and the
-// series helpers overwrite every year slot — so reuse cannot leak state
-// across trials.
+// arrivalScratch is the per-worker workspace of the lifetime Monte
+// Carlos: one fault-arrival buffer plus one per-year series buffer, which
+// a weighted run also adds to its WeightedSet as the trial's
+// observations, reused by every trial of every shard the worker runs.
+// Both only carry capacity between trials — Sampler.SampleInto
+// overwrites the arrival buffer from scratch and the series writers
+// overwrite every year slot — so reuse cannot leak state across trials.
 type arrivalScratch struct {
 	buf    []faultmodel.Arrival
 	series []float64
 }
 
-// newArrivalScratch sizes the per-shard buffer for the channel geometry so
+// newArrivalScratch sizes the per-worker buffers for the channel geometry so
 // the steady state samples without reallocating. tiltHint scales the
 // arrival capacity for rate-tilted sampling (1 for plain sampling).
 func newArrivalScratch(rates faultmodel.Rates, ranks, devicesPerRank int, years float64, tiltHint float64) func() any {
@@ -81,43 +82,56 @@ func newArrivalScratch(rates faultmodel.Rates, ranks, devicesPerRank int, years 
 	}
 }
 
+// yearEnds returns the hour each of years years ends: ends[y] is
+// (y+1)·HoursPerYear, the product the series writers compare arrival
+// times against, computed once per run instead of once per trial.
+func yearEnds(years int) []float64 {
+	ends := make([]float64, years)
+	for y := range ends {
+		ends[y] = float64(y+1) * faultmodel.HoursPerYear
+	}
+	return ends
+}
+
 // faultyPageSeries writes one channel's per-year faulty-page fraction
-// into series (len == years): the union bound over the faults that have
-// arrived by the end of each year, capped at 1. Fault spans are large and
-// disjointness dominates at these counts, so the cap only binds for
-// multi-fault channels with lane faults. frac holds each type's
-// ChannelShape.UpgradedFraction, computed once per run.
-func faultyPageSeries(arrivals []faultmodel.Arrival, frac *[faultmodel.NumTypes]float64, years int, series []float64) {
+// into series (len == len(ends)): the union bound over the faults that
+// have arrived by the end of each year, capped at 1. Fault spans are
+// large and disjointness dominates at these counts, so the cap only
+// binds for multi-fault channels with lane faults. frac holds each
+// type's ChannelShape.UpgradedFraction, computed once per run, and ends
+// the yearEnds of the run.
+func faultyPageSeries(arrivals []faultmodel.Arrival, frac *[faultmodel.NumTypes]float64, ends, series []float64) {
+	series = series[:len(ends)]
 	idx := 0
 	total := 0.0
-	for y := 1; y <= years; y++ {
-		limit := float64(y) * faultmodel.HoursPerYear
+	for y, limit := range ends {
 		for idx < len(arrivals) && arrivals[idx].AtHours <= limit {
 			total += frac[arrivals[idx].Type]
 			idx++
 		}
 		if total > 1 {
-			series[y-1] = 1
+			series[y] = 1
 		} else {
-			series[y-1] = total
+			series[y] = total
 		}
 	}
 }
 
 // overheadSeries writes one channel's per-year time-averaged overhead
-// into series (len == years): the overhead step function — additive per
-// fault from its arrival onward, capped at cap — integrated from
+// into series (len == len(ends)): the overhead step function — additive
+// per fault from its arrival onward, capped at cap — integrated from
 // power-on through the end of each year and divided by the elapsed
 // hours. overhead tabulates the OverheadByType entries, 0 for a missing
 // type: adding +0 to current (never -0) and re-testing the cap it already
-// meets is the same as skipping the type.
-func overheadSeries(arrivals []faultmodel.Arrival, overhead *[faultmodel.NumTypes]float64, cap float64, years int, series []float64) {
+// meets is the same as skipping the type. ends is the yearEnds of the
+// run.
+func overheadSeries(arrivals []faultmodel.Arrival, overhead *[faultmodel.NumTypes]float64, cap float64, ends, series []float64) {
+	series = series[:len(ends)]
 	integrated := 0.0 // overhead-hours accumulated so far
 	current := 0.0
 	lastT := 0.0
 	idx := 0
-	for y := 1; y <= years; y++ {
-		limit := float64(y) * faultmodel.HoursPerYear
+	for y, limit := range ends {
 		for idx < len(arrivals) && arrivals[idx].AtHours <= limit {
 			arr := arrivals[idx]
 			integrated += current * (arr.AtHours - lastT)
@@ -130,7 +144,7 @@ func overheadSeries(arrivals []faultmodel.Arrival, overhead *[faultmodel.NumType
 		}
 		integrated += current * (limit - lastT)
 		lastT = limit
-		series[y-1] = integrated / limit
+		series[y] = integrated / limit
 	}
 }
 
@@ -176,7 +190,7 @@ func FaultyPageFraction(ctx context.Context, s Spec, shape faultmodel.ChannelSha
 	for _, t := range faultmodel.Types() {
 		m.perType[t] = shape.UpgradedFraction(t)
 	}
-	return s.run(ctx, &m)
+	return s.run(ctx, m)
 }
 
 // LifetimeOverhead reproduces the Fig 7.4/7.5 methodology: each channel
@@ -194,7 +208,7 @@ func LifetimeOverhead(ctx context.Context, s Spec, overhead OverheadByType, cap 
 	for _, t := range faultmodel.Types() {
 		m.perType[t] = overhead[t]
 	}
-	return s.run(ctx, &m)
+	return s.run(ctx, m)
 }
 
 // metric selects the per-year series a lifetime Monte Carlo writes —
@@ -207,12 +221,30 @@ type metric struct {
 	cap      float64
 }
 
-// write writes one channel's series into series (len == years).
-func (m *metric) write(arrivals []faultmodel.Arrival, years int, series []float64) {
-	if m.overhead {
-		overheadSeries(arrivals, &m.perType, m.cap, years, series)
+// lifetimeRun is what every trial of one lifetime Monte Carlo shares,
+// fixed once per run: the sampler of the accel's proposal, the burst
+// model (validated, and whether it is the zero model decided, once per
+// Spec), the metric and the yearEnds of the Spec's lifespan.
+type lifetimeRun struct {
+	metric
+	sampler *faultmodel.Sampler
+	burst   faultmodel.Burst
+	bursts  bool
+	ends    []float64
+}
+
+// series expands a sampled history under the burst model, keeps it as
+// the scratch's arrival buffer, and writes its per-year series of the
+// run's metric into the scratch's series buffer.
+func (r *lifetimeRun) series(src *rng.Source, scratch *arrivalScratch, arrivals []faultmodel.Arrival) {
+	if r.bursts {
+		arrivals = r.burst.ExpandInto(src, arrivals)
+	}
+	scratch.buf = arrivals
+	if r.overhead {
+		overheadSeries(arrivals, &r.perType, r.cap, r.ends, scratch.series)
 	} else {
-		faultyPageSeries(arrivals, &m.perType, years, series)
+		faultyPageSeries(arrivals, &r.perType, r.ends, scratch.series)
 	}
 }
 
@@ -240,8 +272,10 @@ func (s Spec) validate() error {
 // conditional law under the nominal and proposal processes. Plain
 // sampling without CI folds the series into per-year sums; everything
 // else runs the weighted engine, sketching the final year of the
-// overhead when every weight is 1.
-func (s Spec) run(ctx context.Context, m *metric) (*SeriesStats, error) {
+// overhead when every weight is 1. The engine calls each shard once, and
+// the shard runs its trials in one loop over the run's concrete sampler,
+// burst model and series writer.
+func (s Spec) run(ctx context.Context, m metric) (*SeriesStats, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
@@ -251,26 +285,16 @@ func (s Spec) run(ctx context.Context, m *metric) (*SeriesStats, error) {
 		tiltHint *= s.Accel.Tilt
 	}
 	newScratch := newArrivalScratch(s.Rates, s.Ranks, s.DevicesPerRank, years, tiltHint)
+	r := &lifetimeRun{metric: m, burst: s.Burst, bursts: !s.Burst.IsZero(), ends: yearEnds(s.Years)}
 	// One sampler for the whole run: the per-type means and exponentials
 	// depend only on the Spec, never on the trial.
-	var sampler *faultmodel.Sampler
 	switch s.Accel.Mode {
 	case AccelConditional:
-		sampler = faultmodel.NewConditionalSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
+		r.sampler = faultmodel.NewConditionalSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
 	case AccelTilted:
-		sampler = faultmodel.NewTiltedSampler(s.Rates, s.Accel.Tilt, s.Ranks, s.DevicesPerRank, years)
+		r.sampler = faultmodel.NewTiltedSampler(s.Rates, s.Accel.Tilt, s.Ranks, s.DevicesPerRank, years)
 	default:
-		sampler = faultmodel.NewSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
-	}
-	// finish expands a sampled history under the burst model (validated
-	// and decided on once per Spec) and writes its series.
-	bursts := !s.Burst.IsZero()
-	finish := func(src *rng.Source, scratch *arrivalScratch, arrivals []faultmodel.Arrival, vals []float64) {
-		if bursts {
-			arrivals = s.Burst.ExpandInto(src, arrivals)
-		}
-		scratch.buf = arrivals
-		m.write(arrivals, s.Years, vals)
+		r.sampler = faultmodel.NewSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
 	}
 
 	if !s.CI && s.Accel.Mode == AccelNone {
@@ -279,19 +303,21 @@ func (s Spec) run(ctx context.Context, m *metric) (*SeriesStats, error) {
 			Seed:       s.Seed,
 			NewAcc:     newYearSums(s.Years),
 			NewScratch: newScratch,
-			TrialScratch: func(src *rng.Source, _ int, a mc.Accumulator, sc any) {
-				scratch := sc.(*arrivalScratch)
-				arrivals, _ := sampler.SampleInto(src, scratch.buf)
-				if len(arrivals) == 0 {
-					// Most channels see no fault: their series is all +0, the
-					// identity on sums that start at +0 (a sum is -0 only if
-					// both addends are), and expanding them draws nothing.
-					return
-				}
-				finish(src, scratch, arrivals, scratch.series)
-				sums := a.(*yearSums).sums
-				for i, v := range scratch.series {
-					sums[i] += v
+			Shard: func(src *rng.Source, lo, hi int, a mc.Accumulator, sc any) {
+				scratch, sums := sc.(*arrivalScratch), a.(*yearSums).sums
+				for range hi - lo {
+					arrivals, _ := r.sampler.SampleInto(src, scratch.buf)
+					if len(arrivals) == 0 {
+						// Most channels see no fault: their series is all +0,
+						// the identity on sums that start at +0 (a sum is -0
+						// only if both addends are), and expanding them draws
+						// nothing.
+						continue
+					}
+					r.series(src, scratch, arrivals)
+					for i, v := range scratch.series {
+						sums[i] += v
+					}
 				}
 			},
 		}, s.Opts)
@@ -310,14 +336,16 @@ func (s Spec) run(ctx context.Context, m *metric) (*SeriesStats, error) {
 		Seed:       s.Seed,
 		Dims:       s.Years,
 		NewScratch: newScratch,
-		Trial: func(src *rng.Source, _ int, sc any, vals []float64) float64 {
+		Shard: func(src *rng.Source, lo, hi int, sc any, set *mc.WeightedSet) {
 			scratch := sc.(*arrivalScratch)
-			arrivals, w := sampler.SampleInto(src, scratch.buf)
-			finish(src, scratch, arrivals, vals)
-			return w
+			for range hi - lo {
+				arrivals, w := r.sampler.SampleInto(src, scratch.buf)
+				r.series(src, scratch, arrivals)
+				set.Add(scratch.series, w)
+			}
 		},
 	}
-	if m.overhead && s.Accel.Mode == AccelNone {
+	if r.overhead && s.Accel.Mode == AccelNone {
 		// Raw per-channel quantiles are only meaningful when every trial
 		// weight is 1.
 		job.SketchDims = []int{s.Years - 1}

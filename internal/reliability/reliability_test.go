@@ -203,7 +203,8 @@ func TestLifetimeOverheadRespectsCap(t *testing.T) {
 // overheadSeries write every year slot and never read one. Over empty,
 // single-fault and many-fault histories, and horizons shorter than the
 // sampled lifespan, a buffer full of NaN comes out with no NaN left and
-// bit for bit what a zeroed buffer does.
+// bit for bit what a zeroed buffer does, which is what the per-trial
+// reference writer (refWrite) writes.
 func TestSeriesWritersFillEveryYear(t *testing.T) {
 	shape := faultmodel.ARCCChannelShape()
 	var m [2]metric
@@ -226,17 +227,21 @@ func TestSeriesWritersFillEveryYear(t *testing.T) {
 	for _, arrivals := range histories {
 		for _, years := range []int{1, 3, 7} {
 			for _, mt := range m {
+				// The burst-free run writes the series without drawing.
+				r := &lifetimeRun{metric: mt, ends: yearEnds(years)}
 				zeroed := make([]float64, years)
-				mt.write(arrivals, years, zeroed)
+				r.series(nil, &arrivalScratch{series: zeroed}, arrivals)
 				filled := make([]float64, years)
 				for i := range filled {
 					filled[i] = math.NaN()
 				}
-				mt.write(arrivals, years, filled)
+				r.series(nil, &arrivalScratch{series: filled}, arrivals)
+				ref := make([]float64, years)
+				mt.refWrite(arrivals, years, ref)
 				for i, v := range filled {
-					if math.Float64bits(v) != math.Float64bits(zeroed[i]) {
-						t.Fatalf("overhead=%v, %d arrivals, %d years: year %d reads %v from a NaN buffer, %v from a zeroed one",
-							mt.overhead, len(arrivals), years, i+1, v, zeroed[i])
+					if math.Float64bits(v) != math.Float64bits(zeroed[i]) || math.Float64bits(v) != math.Float64bits(ref[i]) {
+						t.Fatalf("overhead=%v, %d arrivals, %d years: year %d reads %v from a NaN buffer, %v from a zeroed one, %v from the reference",
+							mt.overhead, len(arrivals), years, i+1, v, zeroed[i], ref[i])
 					}
 				}
 			}

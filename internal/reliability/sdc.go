@@ -173,22 +173,23 @@ func SimulateARCCDED(ctx context.Context, seed int64, opts mc.Options, p Params,
 		Seed:       seed,
 		NewAcc:     func() mc.Accumulator { return &eventCount{} },
 		NewScratch: newArrivalScratch(p.Rates, p.RanksPerChannel, p.DevicesPerRank, p.LifeYears, 1),
-		TrialScratch: func(src *rng.Source, _ int, a mc.Accumulator, sc any) {
-			ec := a.(*eventCount)
-			scratch := sc.(*arrivalScratch)
-			arrivals, _ := sampler.SampleInto(src, scratch.buf)
-			scratch.buf = arrivals
-			for i, first := range arrivals {
-				// The first fault is exposed until the end of its scrub
-				// interval.
-				detectAt := (float64(int(first.AtHours/p.ScrubHours)) + 1) * p.ScrubHours
-				for j := i + 1; j < len(arrivals); j++ {
-					second := arrivals[j]
-					if second.AtHours >= detectAt {
-						break
-					}
-					if threatens(p.Geom, first, second) && src.Float64() < p.Geom.OverlapProb(first.Type, second.Type) {
-						ec.events++
+		Shard: func(src *rng.Source, lo, hi int, a mc.Accumulator, sc any) {
+			ec, scratch := a.(*eventCount), sc.(*arrivalScratch)
+			for range hi - lo {
+				arrivals, _ := sampler.SampleInto(src, scratch.buf)
+				scratch.buf = arrivals
+				for i, first := range arrivals {
+					// The first fault is exposed until the end of its
+					// scrub interval.
+					detectAt := (float64(int(first.AtHours/p.ScrubHours)) + 1) * p.ScrubHours
+					for j := i + 1; j < len(arrivals); j++ {
+						second := arrivals[j]
+						if second.AtHours >= detectAt {
+							break
+						}
+						if threatens(p.Geom, first, second) && src.Float64() < p.Geom.OverlapProb(first.Type, second.Type) {
+							ec.events++
+						}
 					}
 				}
 			}

@@ -154,10 +154,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	s.journalSubmit(j)
-	if j.cached { // done already; any other job is journaled when it ends
-		s.journalTerminal(j)
-	}
+	s.journalSubmit(j) // with the done record of a cache hit; any other job is journaled when it ends
 	code := http.StatusAccepted
 	if j.status().State == StateDone { // cache hit: the result is ready now
 		code = http.StatusCreated

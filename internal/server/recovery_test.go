@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -889,4 +890,149 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal("Shutdown under an expired context did not return")
 		}
 	})
+}
+
+// TestRestartKeepsJobTimes: a restart replays a job's created and
+// finished times from the journal as they were, for a job that ran and
+// for a cache hit: each record keeps the time its job stamped it with,
+// not the time it was appended.
+func TestRestartKeepsJobTimes(t *testing.T) {
+	dir := t.TempDir()
+	opts := server.Options{Workers: 1, StateDir: dir, Logf: t.Logf}
+	body := fmt.Sprintf(`{"scenario": %s, "seed": 4}`, tinyScenario)
+
+	svc1, ts1 := startServer(t, opts)
+	_, ran := post(t, ts1, body)
+	ran = waitState(t, ts1, ran.ID, server.StateDone)
+	// The result reaches the cache before the done record is journaled,
+	// and a job reads done a moment before either.
+	deadline := time.Now().Add(30 * time.Second)
+	for !slices.Contains(journalOps(t, dir), "done "+ran.ID) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	code, hit := post(t, ts1, body)
+	if code != http.StatusCreated || !hit.Cached {
+		t.Fatalf("resubmission: HTTP %d cached=%v, want 201 from cache", code, hit.Cached)
+	}
+	// Shutdown drains the worker, so the done record of the job that ran
+	// is journaled before the restart.
+	stopServer(t, svc1, ts1)
+	svc2, ts2 := startServer(t, opts)
+	defer stopServer(t, svc2, ts2)
+	for _, before := range []server.JobStatus{ran, hit} {
+		after := getStatus(t, ts2, before.ID)
+		if before.Created == "" || before.Finished == "" {
+			t.Fatalf("%s before the restart: created %q, finished %q", before.ID, before.Created, before.Finished)
+		}
+		if after.Created != before.Created || after.Finished != before.Finished {
+			t.Errorf("%s: created %q, finished %q after the restart; %q and %q before", before.ID,
+				after.Created, after.Finished, before.Created, before.Finished)
+		}
+	}
+}
+
+// TestServedJobFilesystemCalls counts the store's filesystem calls: a
+// job that wrote no checkpoint removes nothing under checkpoints/, and a
+// cache-hit POST journals its submit and done records in one write and
+// one fsync. A job whose checkpoint file exists still removes it when it
+// ends: one that saved checkpoints, and a recovered one whose file
+// recovery found, whether or not it decoded.
+func TestServedJobFilesystemCalls(t *testing.T) {
+	type tally struct{ writes, syncs, removes, ckptRemoves int }
+	counter := func(fs *faultfs.Faulty, dir string) func() tally {
+		var mu sync.Mutex
+		var n tally
+		fs.SetHook(func(op faultfs.Op, path string) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch op {
+			case faultfs.OpWrite:
+				n.writes++
+			case faultfs.OpSync:
+				n.syncs++
+			case faultfs.OpRemove:
+				n.removes++
+				if strings.HasPrefix(path, filepath.Join(dir, "checkpoints")) {
+					n.ckptRemoves++
+				}
+			}
+		})
+		return func() tally {
+			mu.Lock()
+			defer mu.Unlock()
+			out := n
+			n = tally{}
+			return out
+		}
+	}
+	noCheckpoint := func(t *testing.T, dir string) {
+		t.Helper()
+		entries, err := os.ReadDir(filepath.Join(dir, "checkpoints"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) > 0 {
+			t.Errorf("checkpoint files left after the jobs ended: %v", entries)
+		}
+	}
+
+	t.Run("fresh and cache hit", func(t *testing.T) {
+		dir := t.TempDir()
+		fs := faultfs.Wrap(faultfs.OS())
+		opts := server.Options{Workers: 1, StateDir: dir, FS: fs, Logf: t.Logf}
+		body := fmt.Sprintf(`{"scenario": %s}`, tinyScenario)
+		svc1, ts1 := startServer(t, opts)
+		take := counter(fs, dir)
+		_, st := post(t, ts1, body)
+		waitState(t, ts1, st.ID, server.StateDone)
+		stopServer(t, svc1, ts1) // drains the worker's result file and done record
+		if n := take(); n.ckptRemoves != 0 {
+			t.Errorf("a job that wrote no checkpoint removed %d files under checkpoints/", n.ckptRemoves)
+		}
+
+		svc2, ts2 := startServer(t, opts)
+		defer stopServer(t, svc2, ts2)
+		take()
+		code, hit := post(t, ts2, body)
+		if code != http.StatusCreated || !hit.Cached {
+			t.Fatalf("resubmission: HTTP %d cached=%v, want 201 from cache", code, hit.Cached)
+		}
+		if n := take(); n.writes != 1 || n.syncs != 1 || n.removes != 0 {
+			t.Errorf("a cache-hit POST made %d writes, %d syncs and %d removes, want 1, 1 and 0", n.writes, n.syncs, n.removes)
+		}
+		if ops := journalOps(t, dir); len(ops) != 4 || ops[2] != "submit "+hit.ID || ops[3] != "done "+hit.ID {
+			t.Errorf("journal %q, want both jobs' submit and done records", ops)
+		}
+	})
+
+	t.Run("saved checkpoints", func(t *testing.T) {
+		dir := t.TempDir()
+		fs := faultfs.Wrap(faultfs.OS())
+		svc, ts := startServer(t, server.Options{Workers: 1, StateDir: dir, FS: fs, CheckpointPeriod: time.Millisecond, Logf: t.Logf})
+		take := counter(fs, dir)
+		_, st := post(t, ts, `{"scenario": {"name":"long","trials":300000}, "parallel": 1}`)
+		waitState(t, ts, st.ID, server.StateDone)
+		stopServer(t, svc, ts)
+		if n := take(); n.ckptRemoves != 1 {
+			t.Errorf("a job that saved checkpoints removed %d files under checkpoints/, want 1", n.ckptRemoves)
+		}
+		noCheckpoint(t, dir)
+	})
+
+	for _, garbled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recovered, garbled %v", garbled), func(t *testing.T) {
+			dir, _ := stateFixture(t, "per-shard-checkpoints")
+			if garbled {
+				if err := os.WriteFile(filepath.Join(dir, "checkpoints", "job-1.json"), []byte("{not json"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			svc, ts := startServer(t, server.Options{Workers: 1, StateDir: dir, Logf: t.Logf})
+			if final := waitState(t, ts, "job-1", server.StateDone); final.Resumed == garbled {
+				t.Errorf("recovered job resumed=%v, want %v", final.Resumed, !garbled)
+			}
+			stopServer(t, svc, ts)
+			noCheckpoint(t, dir)
+		})
+	}
 }

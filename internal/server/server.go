@@ -170,6 +170,9 @@ type job struct {
 	created time.Time
 	subRec  journalRecord          // the journal record that re-creates this job
 	saved   map[int]*mc.Checkpoint // checkpoints restored at recovery, nil otherwise
+	// checkpointed is set once checkpoints/<id>.json may exist: the job
+	// saved a checkpoint in this process, or recovery found the file.
+	checkpointed atomic.Bool
 
 	// coalescing links, guarded by the server's mu (lock order s.mu → j.mu).
 	primary   *job   // the running job this one attached to, nil otherwise
@@ -375,10 +378,14 @@ func (s *Server) check(rec *journalRecord) (exhibit.Exhibit, error) {
 
 // newJob builds the queued job that rec describes: its engine config,
 // progress tracker and cancelable context. ex is the exhibit check
-// returned (the zero Exhibit for a job that will never run).
+// returned (the zero Exhibit for a job that will never run). A record
+// not journaled yet is stamped with the job's creation time, so the
+// journal replays the same created time after a restart.
 func (s *Server) newJob(rec journalRecord, ex exhibit.Exhibit) *job {
 	tracker := &exhibit.Tracker{}
 	ctx, cancel := context.WithCancel(s.baseCtx)
+	created := parseTime(rec.Time) // now, for a record not journaled yet
+	rec.Time = rfc3339(created)
 	return &job{
 		id:     rec.ID,
 		key:    rec.Key,
@@ -395,7 +402,7 @@ func (s *Server) newJob(rec journalRecord, ex exhibit.Exhibit) *job {
 		tracker: tracker,
 		ctx:     ctx,
 		cancel:  cancel,
-		created: parseTime(rec.Time), // now, for a record not journaled yet
+		created: created,
 		subRec:  rec,
 		state:   StateQueued,
 	}
@@ -482,19 +489,29 @@ var (
 	errQueueFull    = errors.New("job queue is full")
 )
 
-// journalSubmit records an accepted job. A journal failure degrades
-// durability, not availability: the job still runs, it just would not be
-// recovered after a crash.
+// journalSubmit records an accepted job. A cache hit is done already,
+// so its terminal record goes in the same append: one write and one
+// fsync, and a torn tail that keeps only the submit line replays as an
+// interrupted job. A journal failure degrades durability, not
+// availability: the job still runs, it just would not be recovered after
+// a crash.
 func (s *Server) journalSubmit(j *job) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.append(j.subRec); err != nil {
+	recs := []journalRecord{j.subRec}
+	if j.cached {
+		if rec, ok := j.takeTerminalRecord(); ok {
+			recs = append(recs, rec)
+		}
+	}
+	if err := s.store.append(recs...); err != nil {
 		s.logf("server: journaling submit of %s: %v", j.id, err)
 	}
 }
 
-// journalTerminal records a job's terminal state, exactly once; it does
+// journalTerminal records a job's terminal state, exactly once, and
+// removes the job's checkpoint file when it may have one; it does
 // nothing for a job that is not terminal yet.
 func (s *Server) journalTerminal(j *job) {
 	if s.store == nil {
@@ -507,7 +524,9 @@ func (s *Server) journalTerminal(j *job) {
 	if err := s.store.append(rec); err != nil {
 		s.logf("server: journaling %s of %s: %v", rec.Op, j.id, err)
 	}
-	s.store.removeCheckpoints(j.id)
+	if j.checkpointed.Load() {
+		s.store.removeCheckpoints(j.id)
+	}
 }
 
 // takeTerminalRecord builds j's terminal journal record and marks it
@@ -702,6 +721,7 @@ func (s *Server) runJob(j *job) {
 	if s.store != nil {
 		j.cfg.Resume = mc.NewResumer(j.saved, s.opts.CheckpointPeriod,
 			func(family map[int]*mc.Checkpoint) {
+				j.checkpointed.Store(true)
 				if err := s.store.saveCheckpoints(j.id, family); err != nil {
 					s.logf("server: persisting checkpoint of %s: %v", j.id, err)
 				}
@@ -934,7 +954,9 @@ func (s *Server) recoverState(replayed []*replayedJob) {
 		if rp.term != nil {
 			j = s.restoreJob(rp.sub, *rp.term)
 		} else {
-			j = s.recoverJob(rp.sub, checkpoints[rp.sub.ID])
+			saved, found := checkpoints[rp.sub.ID]
+			j = s.recoverJob(rp.sub, saved)
+			j.checkpointed.Store(found)
 		}
 		if j.terminal() {
 			s.registerLocked(j)

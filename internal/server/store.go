@@ -95,16 +95,23 @@ func (st *store) close() {
 	}
 }
 
-// append journals one record: a single line, written in one call and
-// fsync'd, so a crash can tear at most the final record — which replay
-// tolerates.
-func (st *store) append(rec journalRecord) error {
-	rec.Time = time.Now().UTC().Format(time.RFC3339Nano)
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("server: journal marshal: %w", err)
+// append journals records: one line each, written in one call and
+// fsync'd once, so a crash can tear at most the final record — which
+// replay tolerates. A record whose Time is unset is stamped with the
+// append time; a set one is kept.
+func (st *store) append(recs ...journalRecord) error {
+	now := time.Now().UTC().Format(time.RFC3339Nano)
+	var line []byte
+	for _, rec := range recs {
+		if rec.Time == "" {
+			rec.Time = now
+		}
+		b, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("server: journal marshal: %w", err)
+		}
+		line = append(append(line, b...), '\n')
 	}
-	line = append(line, '\n')
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.journal == nil {
@@ -257,7 +264,8 @@ func (st *store) removeCheckpoints(id string) {
 }
 
 // loadCheckpoints reads every job's persisted checkpoints, keyed by job
-// id. Undecodable files are skipped — the job re-runs from scratch.
+// id. An unreadable or undecodable file maps its id to nil — the job
+// re-runs from scratch, and its file is removed when the job ends.
 func (st *store) loadCheckpoints() map[string]map[int]*mc.Checkpoint {
 	entries, err := st.fs.ReadDir(filepath.Join(st.dir, checkpointsDir))
 	if err != nil {
@@ -269,6 +277,8 @@ func (st *store) loadCheckpoints() map[string]map[int]*mc.Checkpoint {
 		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".tmp") {
 			continue
 		}
+		id := strings.TrimSuffix(name, ".json")
+		out[id] = nil
 		blob, err := st.fs.ReadFile(filepath.Join(st.dir, checkpointsDir, name))
 		if err != nil {
 			continue
@@ -278,7 +288,7 @@ func (st *store) loadCheckpoints() map[string]map[int]*mc.Checkpoint {
 			st.logf("server: skipping undecodable checkpoints %s: %v", name, err)
 			continue
 		}
-		out[strings.TrimSuffix(name, ".json")] = cps
+		out[id] = cps
 	}
 	return out
 }

@@ -42,10 +42,12 @@ run -bench='SampleArrivals|SamplerSampleInto(Conditional|Tilted)?$' ./internal/f
 # checkpoint round trip (seven years, with and without a final-year
 # sketch), a 2,048-shard weighted job snapshotting after every shard into
 # a JSON-encoding sink (what checkpointing costs a long served job), and
-# the conditional and tilted rare-event lifetime sweeps end to end.
+# the lifetime sweeps end to end: the conditional and tilted rare-event
+# ones, and the plain-sampling serial sweep (20,000 channels through the
+# plain shard loop into per-year sums).
 run -bench='WelfordAdd|WeightedAdd|QuantileSketch' ./internal/stats/
 run -bench='RunWeighted|WeightedSnapshot|RunCheckpointed' ./internal/mc/
-run -bench='LifetimeOverheadStats(Conditional|Tilted)' ./internal/reliability/
+run -bench='LifetimeOverheadStats(Conditional|Tilted)|LifetimeOverheadSerial' ./internal/reliability/
 # The paged sparse memory core (PR 10): a terabyte-span line sweep over
 # lazily materialised pages — ns/op and B/op gate the zero-alloc
 # steady-state contract, and the bytes-resident/pages-resident metrics
