@@ -154,7 +154,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	s.journalSubmit(j) // with the done record of a cache hit; any other job is journaled when it ends
+	s.journal(j, true) // with the terminal record of a job already settled, such as a cache hit
 	code := http.StatusAccepted
 	if j.status().State == StateDone { // cache hit: the result is ready now
 		code = http.StatusCreated

@@ -10,9 +10,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -336,6 +336,25 @@ func TestResumeFromPerShardCheckpoints(t *testing.T) {
 	}
 	if want := cliRender(t, scenario, "json", 9, 0, 1, false); !bytes.Equal(got, want) {
 		t.Errorf("recovered report differs from an uninterrupted run:\n--- recovered ---\n%s\n--- uninterrupted ---\n%s", got, want)
+	}
+}
+
+// TestRecoveryRemovesRejectedJobsCheckpoint: a recovered job the check
+// now rejects (the fixture's 3000 trials against a cap of 10) comes back
+// failed, and its checkpoint file is gone after that first restart
+// rather than lingering across every later one.
+func TestRecoveryRemovesRejectedJobsCheckpoint(t *testing.T) {
+	dir, _ := stateFixture(t, "per-shard-checkpoints")
+	opts := server.Options{Workers: 1, StateDir: dir, MaxTrials: 10, Logf: t.Logf}
+	for restart := 1; restart <= 2; restart++ {
+		svc, ts := startServer(t, opts)
+		if st := getStatus(t, ts, "job-1"); st.State != server.StateFailed {
+			t.Errorf("restart %d: job-1 %q, want failed", restart, st.State)
+		}
+		stopServer(t, svc, ts)
+		if _, err := os.Stat(filepath.Join(dir, "checkpoints", "job-1.json")); !os.IsNotExist(err) {
+			t.Fatalf("restart %d: checkpoints/job-1.json of the failed job still there (stat: %v)", restart, err)
+		}
 	}
 }
 
@@ -892,10 +911,10 @@ func FuzzJournalReplay(f *testing.F) {
 	})
 }
 
-// TestRestartKeepsJobTimes: a restart replays a job's created and
-// finished times from the journal as they were, for a job that ran and
-// for a cache hit: each record keeps the time its job stamped it with,
-// not the time it was appended.
+// TestRestartKeepsJobTimes: a restart replays a job's created, started
+// and finished times from the journal as they were, for a job that ran
+// and for a cache hit: each record keeps the times its job stamped it
+// with, not the time it was appended.
 func TestRestartKeepsJobTimes(t *testing.T) {
 	dir := t.TempDir()
 	opts := server.Options{Workers: 1, StateDir: dir, Logf: t.Logf}
@@ -904,12 +923,6 @@ func TestRestartKeepsJobTimes(t *testing.T) {
 	svc1, ts1 := startServer(t, opts)
 	_, ran := post(t, ts1, body)
 	ran = waitState(t, ts1, ran.ID, server.StateDone)
-	// The result reaches the cache before the done record is journaled,
-	// and a job reads done a moment before either.
-	deadline := time.Now().Add(30 * time.Second)
-	for !slices.Contains(journalOps(t, dir), "done "+ran.ID) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
 	code, hit := post(t, ts1, body)
 	if code != http.StatusCreated || !hit.Cached {
 		t.Fatalf("resubmission: HTTP %d cached=%v, want 201 from cache", code, hit.Cached)
@@ -921,12 +934,12 @@ func TestRestartKeepsJobTimes(t *testing.T) {
 	defer stopServer(t, svc2, ts2)
 	for _, before := range []server.JobStatus{ran, hit} {
 		after := getStatus(t, ts2, before.ID)
-		if before.Created == "" || before.Finished == "" {
-			t.Fatalf("%s before the restart: created %q, finished %q", before.ID, before.Created, before.Finished)
+		if before.Created == "" || before.Started == "" || before.Finished == "" {
+			t.Fatalf("%s before the restart: created %q, started %q, finished %q", before.ID, before.Created, before.Started, before.Finished)
 		}
-		if after.Created != before.Created || after.Finished != before.Finished {
-			t.Errorf("%s: created %q, finished %q after the restart; %q and %q before", before.ID,
-				after.Created, after.Finished, before.Created, before.Finished)
+		if after.Created != before.Created || after.Started != before.Started || after.Finished != before.Finished {
+			t.Errorf("%s: created %q, started %q, finished %q after the restart; %q, %q and %q before", before.ID,
+				after.Created, after.Started, after.Finished, before.Created, before.Started, before.Finished)
 		}
 	}
 }
@@ -1034,5 +1047,189 @@ func TestServedJobFilesystemCalls(t *testing.T) {
 			stopServer(t, svc, ts)
 			noCheckpoint(t, dir)
 		})
+	}
+}
+
+// The crash-point sweep's jobs: a job that runs to done and is then
+// resubmitted as a cache hit, one DELETEd mid-run, and one a shutdown
+// interrupts. Each is five shards of about a millisecond, so it
+// checkpoints at a 1 ms period but writes at most a few checkpoints,
+// which keeps the sweep's op count small.
+const (
+	crashDone     = `{"scenario": {"name":"crash-done","trials":320,"rate_factor":500}, "seed": 1, "parallel": 1}`
+	crashDeleted  = `{"scenario": {"name":"crash-deleted","trials":320,"rate_factor":500}, "seed": 2, "parallel": 1}`
+	crashShutdown = `{"scenario": {"name":"crash-shutdown","trials":320,"rate_factor":500}, "seed": 3, "parallel": 1}`
+)
+
+// crashRun is one pass of the crash-point sweep's served sequence, on a
+// state dir whose filesystem may fail from some op on.
+type crashRun struct {
+	t   *testing.T
+	svc *server.Server
+	ts  *httptest.Server
+	ops atomic.Int64 // filesystem ops since the sequence started
+
+	mu      sync.Mutex
+	pauseID string        // the job to hold at its first checkpoint write
+	paused  chan struct{} // the held job reached that write
+	resume  chan struct{} // lets it go on
+}
+
+// hook counts every filesystem op, and holds the job pauseAt named at its
+// first checkpoint write, so that a step can act while it runs.
+func (r *crashRun) hook(op faultfs.Op, path string) {
+	r.ops.Add(1)
+	r.mu.Lock()
+	hold := r.pauseID != "" && op == faultfs.OpCreate && filepath.Base(path) == r.pauseID+".json.tmp"
+	if hold {
+		r.pauseID = ""
+	}
+	r.mu.Unlock()
+	if hold {
+		r.paused <- struct{}{}
+		select {
+		case <-r.resume:
+		case <-time.After(60 * time.Second):
+		}
+	}
+}
+
+// pauseAt posts body, the next job, and returns once it is held at its
+// first checkpoint write.
+func (r *crashRun) pauseAt(id, body string) {
+	r.t.Helper()
+	r.mu.Lock()
+	r.pauseID = id
+	r.mu.Unlock()
+	if _, st := post(r.t, r.ts, body); st.ID != id {
+		r.t.Fatalf("posted job %q, want %s", st.ID, id)
+	}
+	select {
+	case <-r.paused:
+	case <-time.After(60 * time.Second):
+		r.t.Fatalf("%s never wrote a checkpoint", id)
+	}
+}
+
+// TestCrashPointSweep runs one served sequence — a job that checkpoints,
+// its cache-hit resubmission, a DELETE mid-run, a shutdown that
+// interrupts a running job — once per filesystem op index i, with op i
+// and every later op failing: a crash at op i. The sweep stops at the
+// first i the sequence never reaches, so it covers every op index even
+// though checkpoint timing varies the count. After each crash a server
+// restarted on the surviving files with a working filesystem must replay
+// the journal; a job restored terminal keeps its state and its created,
+// started and finished times, and a done one its result; every
+// interrupted job resumes to the report of an uncrashed run; and once
+// all jobs are terminal, no checkpoint file is left.
+func TestCrashPointSweep(t *testing.T) {
+	want := map[string][]byte{}
+	for _, body := range []string{crashDone, crashDeleted, crashShutdown} {
+		var req struct {
+			Scenario json.RawMessage
+			Seed     int64
+		}
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := exhibit.ParseScenario(bytes.NewReader(req.Scenario))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[sc.Name] = cliRender(t, string(req.Scenario), "json", req.Seed, 0, 1, false)
+	}
+	steps := []struct {
+		name string
+		step func(r *crashRun)
+	}{
+		{"submit a job that checkpoints", func(r *crashRun) {
+			_, st := post(t, r.ts, crashDone)
+			waitState(t, r.ts, st.ID, server.StateDone)
+		}},
+		{"resubmit it as a cache hit", func(r *crashRun) {
+			if code, st := post(t, r.ts, crashDone); code != http.StatusCreated || !st.Cached {
+				t.Fatalf("resubmission: HTTP %d cached=%v, want 201 from cache", code, st.Cached)
+			}
+		}},
+		{"DELETE a running job", func(r *crashRun) {
+			r.pauseAt("job-3", crashDeleted)
+			del(t, r.ts, "job-3")
+			r.resume <- struct{}{}
+			waitState(t, r.ts, "job-3", server.StateCanceled)
+		}},
+		{"shut down while a job runs", func(r *crashRun) {
+			r.pauseAt("job-4", crashShutdown)
+			stopped := make(chan struct{})
+			go func() {
+				defer close(stopped)
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				r.svc.Shutdown(ctx)
+			}()
+			for code, _ := get(t, r.ts.URL+"/v1/healthz"); code != http.StatusServiceUnavailable; code, _ = get(t, r.ts.URL+"/v1/healthz") {
+				time.Sleep(time.Millisecond)
+			}
+			r.resume <- struct{}{}
+			<-stopped
+		}},
+	}
+
+	for i := 0; ; i++ {
+		dir := t.TempDir()
+		fs := faultfs.Wrap(faultfs.OS())
+		r := &crashRun{t: t, paused: make(chan struct{}), resume: make(chan struct{})}
+		r.svc, r.ts = startServer(t, server.Options{Workers: 1, StateDir: dir, FS: fs,
+			CheckpointPeriod: time.Millisecond, Logf: func(string, ...any) {}})
+		fs.SetHook(r.hook)
+		fs.AddRule(faultfs.Rule{After: i})
+		for _, s := range steps {
+			s.step(r)
+		}
+		before := map[string]server.JobStatus{}
+		for _, id := range []string{"job-1", "job-2", "job-3", "job-4"} {
+			before[id] = getStatus(t, r.ts, id)
+		}
+		r.ts.Close()
+		ops := r.ops.Load()
+
+		svc, ts := startServer(t, server.Options{Workers: 1, StateDir: dir, Logf: t.Logf})
+		_, list := get(t, ts.URL+"/v1/jobs")
+		var replayed []server.JobStatus
+		if err := json.Unmarshal(list, &replayed); err != nil {
+			t.Fatalf("crash at op %d: listing after the restart: %v", i, err)
+		}
+		if ops <= int64(i) && len(replayed) != len(before) {
+			t.Errorf("uncrashed run: %d jobs after the restart, want %d", len(replayed), len(before))
+		}
+		for _, st := range replayed {
+			b, ok := before[st.ID]
+			switch {
+			case !ok:
+				t.Errorf("crash at op %d: unknown job %s after the restart", i, st.ID)
+			case st.Recovered:
+				waitState(t, ts, st.ID, server.StateDone)
+				if code, got := get(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); code != http.StatusOK || !bytes.Equal(got, want[st.Exhibit]) {
+					t.Errorf("crash at op %d: resumed %s: HTTP %d, equal to an uncrashed run %v", i, st.ID, code, bytes.Equal(got, want[st.Exhibit]))
+				}
+			case st.State != b.State || st.Created != b.Created || st.Started != b.Started || st.Finished != b.Finished:
+				t.Errorf("crash at op %d: %s after the restart: %s, created %q, started %q, finished %q; before: %s, %q, %q, %q",
+					i, st.ID, st.State, st.Created, st.Started, st.Finished, b.State, b.Created, b.Started, b.Finished)
+			case st.State == server.StateDone:
+				if code, _ := get(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); code != http.StatusOK {
+					t.Errorf("crash at op %d: result of restored %s: HTTP %d, want 200", i, st.ID, code)
+				}
+			}
+		}
+		stopServer(t, svc, ts)
+		if left, err := os.ReadDir(filepath.Join(dir, "checkpoints")); err != nil || len(left) > 0 {
+			t.Errorf("crash at op %d: checkpoint files left once every job ended: %v (%v)", i, left, err)
+		}
+		if ops <= int64(i) {
+			t.Logf("the sequence makes %d filesystem ops; a crash at each was recovered", ops)
+			return
+		}
+		if t.Failed() {
+			return
+		}
 	}
 }

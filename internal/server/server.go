@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -173,23 +174,26 @@ type job struct {
 	// checkpointed is set once checkpoints/<id>.json may exist: the job
 	// saved a checkpoint in this process, or recovery found the file.
 	checkpointed atomic.Bool
+	userCanceled atomic.Bool // DELETE, as opposed to a shutdown cancel
 
 	// coalescing links, guarded by the server's mu (lock order s.mu → j.mu).
 	primary   *job   // the running job this one attached to, nil otherwise
 	followers []*job // jobs attached to this one
 
-	mu           sync.Mutex
-	state        State
-	err          error
-	report       *exhibit.Report
-	cached       bool
-	coalesced    bool // resolved by a primary rather than run
-	recovered    bool // re-enqueued from the journal after a restart
-	resumed      bool // enqueued with restored checkpoints to resume from
-	userCanceled bool // DELETE, as opposed to a shutdown cancel
-	journaled    bool // terminal record written, exactly once
-	started      time.Time
-	finished     time.Time
+	mu        sync.Mutex
+	state     State
+	err       error
+	report    *exhibit.Report
+	cached    bool
+	coalesced bool // resolved by a primary rather than run
+	recovered bool // re-enqueued from the journal after a restart
+	resumed   bool // enqueued with restored checkpoints to resume from
+	started   time.Time
+	finished  time.Time
+	// submitted is set once the submit record is taken for the journal;
+	// term is the terminal record settle readied and no one took yet.
+	submitted bool
+	term      *journalRecord
 }
 
 // Server owns the job table, the result cache, and the worker pool. Create
@@ -209,8 +213,9 @@ type Server struct {
 	jobs       map[string]*job
 	order      []string // job ids in submission order, for listings
 	cache      map[string]*exhibit.Report
-	cacheOrder []string        // cache keys in insertion order, for FIFO eviction
-	inflight   map[string]*job // key → primary job queued or running
+	cacheOrder []string                 // cache keys in insertion order, for FIFO eviction
+	saving     map[string]chan struct{} // key → closed once its new result file is written
+	inflight   map[string]*job          // key → primary job queued or running
 	closed     bool
 	seq        uint64
 
@@ -255,6 +260,7 @@ func New(opts Options) (*Server, error) {
 		jobs:      map[string]*job{},
 		cache:     map[string]*exhibit.Report{},
 		inflight:  map[string]*job{},
+		saving:    map[string]chan struct{}{},
 	}
 	s.ready = sync.NewCond(&s.mu)
 	if opts.StateDir != "" {
@@ -426,23 +432,22 @@ func (s *Server) admit(j *job) error {
 	}
 	cached, hit := s.cache[j.key]
 	p, attach := s.inflight[j.key]
-	attach = attach && !p.terminal()
 	switch {
 	case hit:
 		// The engine's contract makes the result a pure function of the
-		// cache key; only the report metadata (e.g. the Parallel knob)
-		// reflects this request, so restamp it on a shallow clone.
-		j.settleDone(cached)
-		j.cached = true
-		j.started, j.finished = j.created, time.Now()
+		// cache key, so the job is done at once. It is settled before it
+		// is registered, so no one sees it queued; settle takes s.mu.
+		s.mu.Unlock()
+		j.cached, j.started = true, j.created
 		s.cacheHits.Add(1)
+		s.settle(j, outcome{state: StateDone, report: cached})
+		s.mu.Lock()
 	case attach:
 		// An identical job is already queued or running: attach to it
 		// rather than sweeping twice. The follower shares the primary's
-		// tracker (live progress) and is resolved when the primary ends.
-		// This cannot race the primary's completion: finishJob snapshots
-		// followers under the same s.mu, so an attach either lands before
-		// that snapshot or observes p.terminal() above.
+		// tracker (live progress) and is settled when the primary ends.
+		// This cannot race the primary's settle, which leaves s.inflight
+		// and takes its followers under the same s.mu.
 		j.primary = p
 		j.coalesced = true
 		j.tracker = p.tracker
@@ -470,9 +475,6 @@ func (s *Server) admit(j *job) error {
 	s.registerLocked(j)
 	s.pruneJobsLocked()
 	s.mu.Unlock()
-	if hit {
-		j.cancel()
-	}
 	return nil
 }
 
@@ -489,98 +491,150 @@ var (
 	errQueueFull    = errors.New("job queue is full")
 )
 
-// journalSubmit records an accepted job. A cache hit is done already,
-// so its terminal record goes in the same append: one write and one
-// fsync, and a torn tail that keeps only the submit line replays as an
-// interrupted job. A journal failure degrades durability, not
-// availability: the job still runs, it just would not be recovered after
-// a crash.
-func (s *Server) journalSubmit(j *job) {
-	if s.store == nil {
-		return
-	}
-	recs := []journalRecord{j.subRec}
-	if j.cached {
-		if rec, ok := j.takeTerminalRecord(); ok {
-			recs = append(recs, rec)
-		}
-	}
-	if err := s.store.append(recs...); err != nil {
-		s.logf("server: journaling submit of %s: %v", j.id, err)
-	}
+// outcome is how a job ends: its terminal state, with the report of a
+// done job (nil for a restored one whose result file was lost) or the
+// error of any other.
+type outcome struct {
+	state  State
+	err    error
+	report *exhibit.Report
+	// interrupted marks a job a shutdown stopped: it gets no terminal
+	// record, keeps its checkpoint file and its followers, and so the
+	// next startup resumes them all.
+	interrupted bool
 }
 
-// journalTerminal records a job's terminal state, exactly once, and
-// removes the job's checkpoint file when it may have one; it does
-// nothing for a job that is not terminal yet.
-func (s *Server) journalTerminal(j *job) {
-	if s.store == nil {
+// settle is the one transition into a terminal state, whichever way a
+// job ends: it ran, a shutdown interrupted it, its primary ended, a
+// DELETE, a cache hit, a recovered record the check rejects, or a
+// restored terminal record. In order, it
+//  1. puts a fresh report in the result cache, so a job never reads done
+//     while an identical resubmission would still miss the cache;
+//  2. flips the state and leaves s.inflight, once: a job already terminal
+//     is left as it is. Steps 1 and 2 hold s.mu → j.mu;
+//  3. cancels the job's context;
+//  4. writes the fresh report's result file, then the terminal journal
+//     record, so replay never sees a done job without its result (a
+//     cache hit on a report whose file is still being written waits for
+//     it);
+//  5. removes the job's checkpoint file;
+//  6. settles the followers from the job's outcome.
+//
+// An interrupted job stops after step 3.
+func (s *Server) settle(j *job, o outcome) {
+	s.mu.Lock()
+	j.mu.Lock()
+	if j.terminalLocked() {
+		j.mu.Unlock()
+		s.mu.Unlock()
 		return
 	}
-	rec, ok := j.takeTerminalRecord()
-	if !ok {
+	var evicted []string
+	fresh := false
+	if o.state == StateDone && o.report != nil {
+		evicted, fresh = s.cacheResultLocked(j.key, o.report)
+	}
+	saving := s.saving[j.key]
+	if fresh && s.store != nil {
+		saving = make(chan struct{})
+		s.saving[j.key] = saving
+	}
+	if s.inflight[j.key] == j {
+		delete(s.inflight, j.key)
+	}
+	j.state, j.err = o.state, o.err
+	if o.report != nil {
+		// Cache hits and followers share a report computed under another
+		// request's knobs: restamp the metadata on a shallow clone.
+		r := *o.report
+		r.Meta = exhibit.MetaFor(j.cfg)
+		j.report = &r
+	}
+	if j.finished.IsZero() { // a restored job keeps its journaled time
+		j.finished = time.Now()
+	}
+	// The journal ops are named after the terminal states.
+	rec := journalRecord{Op: string(o.state), ID: j.id, Key: j.key, Cached: j.cached,
+		Time: rfc3339(j.finished), Started: rfc3339(j.started)}
+	if o.err != nil {
+		rec.Error = o.err.Error()
+	}
+	var followers []*job
+	if !o.interrupted {
+		followers, j.followers = j.followers, nil
+	}
+	j.mu.Unlock()
+	s.mu.Unlock()
+	j.cancel()
+	if o.interrupted {
 		return
 	}
-	if err := s.store.append(rec); err != nil {
-		s.logf("server: journaling %s of %s: %v", rec.Op, j.id, err)
+
+	if fresh && s.store != nil {
+		s.saveResult(j.key, o.report, evicted, saving)
+	} else if saving != nil {
+		<-saving
 	}
+	j.mu.Lock()
+	j.term = &rec
+	j.mu.Unlock()
+	s.journal(j, false)
 	if j.checkpointed.Load() {
 		s.store.removeCheckpoints(j.id)
 	}
+
+	fo := outcome{state: o.state, err: o.err, report: o.report}
+	if o.state == StateCanceled {
+		fo.err = errors.New("canceled with the job it had coalesced onto")
+	}
+	for _, f := range followers {
+		s.settle(f, fo)
+	}
 }
 
-// takeTerminalRecord builds j's terminal journal record and marks it
-// journaled; ok is false while j is not terminal or once it was taken.
-func (j *job) takeTerminalRecord() (rec journalRecord, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var op string
-	switch j.state {
-	case StateDone:
-		op = opDone
-	case StateFailed:
-		op = opFailed
-	case StateCanceled:
-		op = opCanceled
+// journal appends the records of j that the journal lacks: its submit
+// record when submit is set, and its terminal record once settle readied
+// it. A journal failure degrades durability, not availability: the job
+// still runs, it just would not be recovered after a crash.
+func (s *Server) journal(j *job, submit bool) {
+	if s.store == nil {
+		return
 	}
-	if op == "" || j.journaled {
-		return journalRecord{}, false
-	}
-	j.journaled = true
-	rec = journalRecord{Op: op, ID: j.id, Key: j.key, Cached: j.cached, Time: rfc3339(j.finished)}
-	if j.err != nil {
-		rec.Error = j.err.Error()
-	}
-	return rec, true
-}
-
-// settleDone completes j with report, restamping the report's metadata
-// with j's own knobs on a shallow clone (cache hits and coalesced
-// followers share a result computed under another request's Parallel).
-func (j *job) settleDone(report *exhibit.Report) {
-	r := *report
-	r.Meta = exhibit.MetaFor(j.cfg)
-	j.state = StateDone
-	j.report = &r
-}
-
-// storeResult inserts a completed report into the result cache (and, with
-// a state dir, onto disk), evicting the oldest entries (FIFO) past the
-// retention bound. A persistence failure is logged, never fatal: the
-// in-memory cache still serves the result for this process's lifetime.
-func (s *Server) storeResult(key string, report *exhibit.Report) {
-	if s.store != nil {
-		if blob, err := exhibit.EncodeReport(report); err != nil {
-			s.logf("server: encoding result %s: %v", key, err)
-		} else if err := s.store.saveResult(key, blob); err != nil {
-			s.logf("server: persisting result %s: %v", key, err)
+	if recs := j.takeRecords(submit); len(recs) > 0 {
+		if err := s.store.append(recs...); err != nil {
+			s.logf("server: journaling %s: %v", j.id, err)
 		}
 	}
-	var evicted []string
-	s.mu.Lock()
+}
+
+// takeRecords takes j's submit record when submit is set, then its
+// terminal record if settle readied it — but only once the submit record
+// was taken, by this call or an earlier one. Whoever journals the submit
+// (a POST, or recovery's compaction) thus also journals the terminal
+// record of a job settled before it, in the same write: a cache hit
+// costs one fsync, and a torn tail that keeps only the submit line
+// replays as an interrupted job.
+func (j *job) takeRecords(submit bool) []journalRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var recs []journalRecord
+	if submit {
+		j.submitted = true
+		recs = append(recs, j.subRec)
+	}
+	if j.submitted && j.term != nil {
+		recs = append(recs, *j.term)
+		j.term = nil
+	}
+	return recs
+}
+
+// cacheResultLocked puts a report in the in-memory result cache, evicting
+// the oldest entries (FIFO) past the retention bound. It reports whether
+// the key was new, and the evicted keys. Callers hold s.mu.
+func (s *Server) cacheResultLocked(key string, report *exhibit.Report) (evicted []string, added bool) {
 	if _, dup := s.cache[key]; dup {
-		s.mu.Unlock()
-		return
+		return nil, false
 	}
 	s.cache[key] = report
 	s.cacheOrder = append(s.cacheOrder, key)
@@ -589,11 +643,27 @@ func (s *Server) storeResult(key string, report *exhibit.Report) {
 		delete(s.cache, s.cacheOrder[0])
 		s.cacheOrder = s.cacheOrder[1:]
 	}
+	return evicted, true
+}
+
+// saveResult persists a report the cache just took, closes saved once
+// the file is written, and removes the files of the results the cache
+// evicted. A persistence failure is logged, never fatal: the in-memory
+// cache still serves the result for this process's lifetime.
+func (s *Server) saveResult(key string, report *exhibit.Report, evicted []string, saved chan struct{}) {
+	if blob, err := exhibit.EncodeReport(report); err != nil {
+		s.logf("server: encoding result %s: %v", key, err)
+	} else if err := s.store.saveResult(key, blob); err != nil {
+		s.logf("server: persisting result %s: %v", key, err)
+	}
+	s.mu.Lock()
+	if s.saving[key] == saved {
+		delete(s.saving, key)
+	}
 	s.mu.Unlock()
-	if s.store != nil {
-		for _, old := range evicted {
-			s.store.removeResult(old)
-		}
+	close(saved)
+	for _, old := range evicted {
+		s.store.removeResult(old)
 	}
 }
 
@@ -601,8 +671,7 @@ func (s *Server) storeResult(key string, report *exhibit.Report) {
 // bound, so the job table does not grow without bound in a long-running
 // service. Queued and running jobs are never pruned. Callers hold s.mu;
 // the per-job state reads take j.mu, so the lock order is always
-// s.mu → j.mu (runJob publishes results without holding j.mu across the
-// cache write for exactly this reason).
+// s.mu → j.mu.
 func (s *Server) pruneJobsLocked() {
 	var terminal []string
 	for _, id := range s.order {
@@ -689,22 +758,14 @@ func (s *Server) worker() {
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	if j.state != StateQueued || j.ctx.Err() != nil {
-		if j.terminalLocked() {
-			// Canceled via DELETE while waiting for a worker: cancelJob
-			// already did the bookkeeping.
-			j.mu.Unlock()
-			j.cancel()
-			return
-		}
-		// Shutdown-canceled while waiting for a worker: terminal in this
-		// process, but no terminal journal record — the job re-enqueues
-		// on the next startup.
-		j.state = StateCanceled
-		j.err = mc.ErrCanceled
-		j.finished = time.Now()
+		// Canceled while waiting for a worker. A DELETE settles the job
+		// itself; a shutdown interrupts it, to re-enqueue on the next
+		// startup.
+		interrupted := j.state == StateQueued && !j.userCanceled.Load()
 		j.mu.Unlock()
-		j.cancel()
-		s.finishJob(j, true)
+		if interrupted {
+			s.settle(j, outcome{state: StateCanceled, err: mc.ErrCanceled, interrupted: true})
+		}
 		return
 	}
 	j.state = StateRunning
@@ -740,64 +801,20 @@ func (s *Server) runJob(j *job) {
 	timedOut := errors.Is(runCtx.Err(), context.DeadlineExceeded) && j.ctx.Err() == nil
 	cancelRun()
 
-	var shutdownInterrupted bool
-	j.mu.Lock()
-	j.finished = time.Now()
+	o := outcome{state: StateDone, report: report}
 	switch {
 	case err == nil:
-		j.state = StateDone
-		j.report = report
 	case timedOut:
-		j.state = StateFailed
-		j.err = fmt.Errorf("job exceeded the server's max duration %s", s.opts.MaxJobDuration)
+		o = outcome{state: StateFailed, err: fmt.Errorf("job exceeded the server's max duration %s", s.opts.MaxJobDuration)}
 	case errors.Is(err, mc.ErrCanceled) || j.ctx.Err() != nil:
-		j.state = StateCanceled
-		j.err = mc.ErrCanceled
-		// A cancel that came from Shutdown (not DELETE) leaves no
-		// terminal record: the job is interrupted, not finished, and the
-		// next startup resumes it from its flushed checkpoint.
-		shutdownInterrupted = !j.userCanceled && s.baseCtx.Err() != nil
+		// A cancel that came from Shutdown (not DELETE) interrupts the
+		// job: the next startup resumes it from its flushed checkpoint.
+		o = outcome{state: StateCanceled, err: mc.ErrCanceled,
+			interrupted: !j.userCanceled.Load() && s.baseCtx.Err() != nil}
 	default:
-		j.state = StateFailed
-		j.err = err
+		o = outcome{state: StateFailed, err: err}
 	}
-	j.mu.Unlock()
-	if err == nil {
-		// Published after j.mu is released: the cache write takes s.mu, and
-		// the prune path nests j.mu inside s.mu, so holding j.mu here would
-		// invert the lock order. The result file lands before the "done"
-		// journal record, so replay never sees a done job without its
-		// result.
-		s.storeResult(j.key, report)
-	}
-	j.cancel()
-	s.finishJob(j, shutdownInterrupted)
-}
-
-// finishJob does the server-side bookkeeping once j is terminal: drop the
-// in-flight key, journal the outcome (unless a shutdown interrupted the
-// job, which must stay non-terminal in the journal to be resumed), and
-// resolve coalesced followers. Shutdown-interrupted jobs keep their
-// followers unresolved too — each holds its own non-terminal journal
-// record and re-attaches on recovery.
-func (s *Server) finishJob(j *job, shutdownInterrupted bool) {
-	s.mu.Lock()
-	if s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
-	}
-	var followers []*job
-	if !shutdownInterrupted {
-		followers = j.followers
-		j.followers = nil
-	}
-	s.mu.Unlock()
-	if shutdownInterrupted {
-		return
-	}
-	s.journalTerminal(j)
-	for _, f := range followers {
-		s.resolveFollower(f, j)
-	}
+	s.settle(j, o)
 }
 
 // followersRunning flips j's followers to running alongside it.
@@ -815,70 +832,30 @@ func (s *Server) followersRunning(j *job) {
 	}
 }
 
-// resolveFollower settles a coalesced job from its primary's outcome: a
-// restamped copy of the report on success, the primary's failure or
-// cancellation otherwise (canceling a primary cancels its followers).
-func (s *Server) resolveFollower(f *job, p *job) {
-	p.mu.Lock()
-	state, err, report := p.state, p.err, p.report
-	p.mu.Unlock()
-	f.mu.Lock()
-	if f.terminalLocked() { // canceled and detached concurrently
-		f.mu.Unlock()
-		return
-	}
-	f.finished = time.Now()
-	switch state {
-	case StateDone:
-		f.settleDone(report)
-	case StateFailed:
-		f.state = StateFailed
-		f.err = err
-	default:
-		f.state = StateCanceled
-		f.err = errors.New("canceled with the job it had coalesced onto")
-	}
-	f.mu.Unlock()
-	f.cancel()
-	s.journalTerminal(f)
-}
-
 // cancelJob is the DELETE path: marks the cancel as user-initiated (so it
 // journals a terminal record instead of resuming on restart), detaches a
-// coalesced follower from its primary, settles a still-queued job
-// immediately, and cancels the job context either way.
+// coalesced follower from its primary, cancels the job context (the
+// engine stops within one shard, and a running primary's worker then
+// settles it) and settles a follower or a still-queued job at once.
+// Terminal jobs are untouched: cancel after done just reports the status.
 func (s *Server) cancelJob(j *job) {
 	s.mu.Lock()
 	p := j.primary
 	if p != nil {
-		kept := p.followers[:0]
-		for _, f := range p.followers {
-			if f != j {
-				kept = append(kept, f)
-			}
-		}
-		p.followers = kept
+		p.followers = slices.DeleteFunc(p.followers, func(f *job) bool { return f == j })
 	}
 	s.mu.Unlock()
 
+	j.userCanceled.Store(true)
 	j.mu.Lock()
-	j.userCanceled = true
-	settle := j.state == StateQueued || (p != nil && !j.terminalLocked())
-	if settle {
-		j.state = StateCanceled
-		j.err = errors.New("canceled before start")
-		if p != nil {
-			j.err = errors.New("canceled (detached from the job it had coalesced onto)")
-		}
-		j.finished = time.Now()
-	}
+	j.cancel() // under j.mu, so a worker that has not started j never will
+	queued := j.state == StateQueued
 	j.mu.Unlock()
-	// Cancel the job context (the engine stops within one shard); a
-	// running primary then reaches finishJob through its worker. Terminal
-	// states are untouched — cancel after done just reports the status.
-	j.cancel()
-	if settle {
-		s.finishJob(j, false)
+	switch {
+	case p != nil:
+		s.settle(j, outcome{state: StateCanceled, err: errors.New("canceled (detached from the job it had coalesced onto)")})
+	case queued:
+		s.settle(j, outcome{state: StateCanceled, err: errors.New("canceled before start")})
 	}
 }
 
@@ -935,14 +912,18 @@ func (s *Server) recoverState(replayed []*replayedJob) {
 	checkpoints := s.store.loadCheckpoints()
 
 	// Restore the result cache first (in journal order, respecting the
-	// FIFO bound) so interrupted duplicates of a completed sweep are
-	// served from it below.
+	// FIFO bound) from the result files of done and interrupted jobs, so
+	// an interrupted job whose result landed before the crash, or a
+	// duplicate of a completed sweep, is served from it below.
 	for _, rp := range replayed {
-		if rp.term == nil || rp.term.Op != opDone {
+		if rp.term != nil && rp.term.Op != opDone {
 			continue
 		}
 		if report, ok := results[rp.sub.Key]; ok {
-			s.storeResult(rp.sub.Key, report)
+			evicted, _ := s.cacheResultLocked(rp.sub.Key, report)
+			for _, old := range evicted {
+				s.store.removeResult(old)
+			}
 		}
 	}
 
@@ -954,9 +935,7 @@ func (s *Server) recoverState(replayed []*replayedJob) {
 		if rp.term != nil {
 			j = s.restoreJob(rp.sub, *rp.term)
 		} else {
-			saved, found := checkpoints[rp.sub.ID]
-			j = s.recoverJob(rp.sub, saved)
-			j.checkpointed.Store(found)
+			j = s.recoverJob(rp.sub, checkpoints[rp.sub.ID])
 		}
 		if j.terminal() {
 			s.registerLocked(j)
@@ -977,16 +956,24 @@ func (s *Server) recoverState(replayed []*replayedJob) {
 	}
 
 	// Compact: rewrite the journal to just the jobs still in the table,
-	// shedding pruned jobs and any torn tail.
+	// shedding pruned jobs and any torn tail. Each job's submit record is
+	// taken here, with the terminal record of a job recovery settled.
 	var compacted []journalRecord
 	for _, j := range s.snapshotJobs() {
-		compacted = append(compacted, j.subRec)
-		if rec, ok := j.takeTerminalRecord(); ok {
-			compacted = append(compacted, rec)
-		}
+		compacted = append(compacted, j.takeRecords(true)...)
 	}
 	if err := s.store.rewrite(compacted); err != nil {
 		s.logf("server: journal compaction: %v", err)
+	}
+
+	// Only a job recovery re-enqueued keeps its checkpoint file, to be
+	// removed when it settles; the terminal, pruned and unknown jobs' go.
+	for id := range checkpoints {
+		if j := s.jobs[id]; j != nil && !j.terminal() {
+			j.checkpointed.Store(true)
+		} else {
+			s.store.removeCheckpoints(id)
+		}
 	}
 }
 
@@ -1008,10 +995,8 @@ func (s *Server) recoverJob(sub journalRecord, saved map[int]*mc.Checkpoint) *jo
 	j := s.newJob(rec, ex)
 	j.recovered = true
 	if err != nil {
-		j.state = StateFailed
-		j.err = fmt.Errorf("not recoverable: %w", err)
-		j.started, j.finished = j.created, time.Now()
-		j.cancel()
+		j.started = j.created
+		s.settle(j, outcome{state: StateFailed, err: fmt.Errorf("not recoverable: %w", err)})
 		return j
 	}
 	j.saved = saved
@@ -1020,22 +1005,24 @@ func (s *Server) recoverJob(sub journalRecord, saved map[int]*mc.Checkpoint) *jo
 
 // restoreJob rebuilds a job whose journal holds its terminal record, for
 // listings: done ones with their persisted report when it survived. Its
-// terminal record is rewritten by the startup compaction.
+// times are the journaled ones; a terminal record written before records
+// carried the start time gives its created time. The startup compaction
+// rewrites its records.
 func (s *Server) restoreJob(sub, term journalRecord) *job {
 	j := s.newJob(sub, exhibit.Exhibit{})
-	j.cancel()
-	j.started, j.finished = j.created, parseTime(term.Time)
 	j.cached = term.Cached
+	j.started, j.finished = j.created, parseTime(term.Time)
+	if term.Started != "" {
+		j.started = parseTime(term.Started)
+	}
 	switch term.Op {
 	case opDone:
-		j.state = StateDone
-		j.report = s.cache[sub.Key] // nil if the result file was lost: /result answers 410
+		// The report is nil if the result file was lost: /result answers 410.
+		s.settle(j, outcome{state: StateDone, report: s.cache[sub.Key]})
 	case opFailed:
-		j.state = StateFailed
-		j.err = errors.New(term.Error)
+		s.settle(j, outcome{state: StateFailed, err: errors.New(term.Error)})
 	default:
-		j.state = StateCanceled
-		j.err = errors.New(term.Error)
+		s.settle(j, outcome{state: StateCanceled, err: errors.New(term.Error)})
 	}
 	return j
 }

@@ -389,6 +389,26 @@ func TestDuplicateSubmissionsHitCache(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterDoneHitsCache: a job reads done only once its report
+// is in the result cache, so a client that polls a fresh job until done
+// and resubmits it at once is served from the cache (201), every time,
+// instead of running the sweep again (202).
+func TestResubmitAfterDoneHitsCache(t *testing.T) {
+	const tries = 1000
+	svc, ts := newTestServer(t, server.Options{Workers: 1, StateDir: t.TempDir(), Logf: t.Logf})
+	for seed := 1; seed <= tries; seed++ {
+		body := fmt.Sprintf(`{"scenario": %s, "seed": %d}`, tinyScenario, seed)
+		_, st := post(t, ts, body)
+		waitState(t, ts, st.ID, server.StateDone)
+		if code, hit := post(t, ts, body); code != http.StatusCreated || !hit.Cached {
+			t.Fatalf("try %d: resubmission right after done: HTTP %d cached=%v, want 201 from cache", seed, code, hit.Cached)
+		}
+	}
+	if m := svc.Metrics(); m.JobsRun != tries || m.CacheHits != tries {
+		t.Errorf("%d jobs run and %d cache hits, want %d and %d", m.JobsRun, m.CacheHits, tries, tries)
+	}
+}
+
 func TestCancelMidRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	svc, ts := newTestServer(t, server.Options{Workers: 1})

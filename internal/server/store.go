@@ -34,7 +34,10 @@ const (
 // "submit" record when accepted and exactly one terminal record ("done",
 // "failed", "canceled") when it ends — except when the process dies or a
 // shutdown interrupts it, which is precisely how replay tells interrupted
-// jobs (re-enqueue from their latest checkpoint) from finished ones.
+// jobs (re-enqueue from their latest checkpoint) from finished ones. Time
+// is when the job was created (submit) or finished (terminal); a terminal
+// record also carries Started, which records written before it was added
+// lack, and a job that never started has none.
 type journalRecord struct {
 	Op       string            `json:"op"`
 	ID       string            `json:"id"`
@@ -50,6 +53,7 @@ type journalRecord struct {
 	Cached   bool              `json:"cached,omitempty"`
 	Error    string            `json:"error,omitempty"`
 	Time     string            `json:"time,omitempty"`
+	Started  string            `json:"started,omitempty"`
 }
 
 // The journal operations.
@@ -265,7 +269,8 @@ func (st *store) removeCheckpoints(id string) {
 
 // loadCheckpoints reads every job's persisted checkpoints, keyed by job
 // id. An unreadable or undecodable file maps its id to nil — the job
-// re-runs from scratch, and its file is removed when the job ends.
+// re-runs from scratch, and its file is removed when the job ends. A
+// temporary file is what a crash mid-write left; it is removed.
 func (st *store) loadCheckpoints() map[string]map[int]*mc.Checkpoint {
 	entries, err := st.fs.ReadDir(filepath.Join(st.dir, checkpointsDir))
 	if err != nil {
@@ -274,7 +279,10 @@ func (st *store) loadCheckpoints() map[string]map[int]*mc.Checkpoint {
 	out := map[string]map[int]*mc.Checkpoint{}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".tmp") {
+		if !e.IsDir() && strings.HasSuffix(name, ".tmp") {
+			st.fs.Remove(filepath.Join(st.dir, checkpointsDir, name))
+		}
+		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
 		id := strings.TrimSuffix(name, ".json")

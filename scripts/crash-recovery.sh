@@ -13,6 +13,13 @@
 # CLI produces for the same scenario with no server and no crash. Any
 # divergence — a lost shard, a double-merged accumulator, a reordered
 # merge — fails the diff.
+# The second server is SIGKILLed too, the moment the resumed job's result
+# is served: the job then reads done in memory while its result file,
+# terminal journal record and checkpoint removal may still be on their
+# way to disk. A third server on the same state dir must bring the job
+# back done — restored from its journal record, or settled again from its
+# result file or checkpoint — with the same bytes, and leave no
+# checkpoint file behind.
 #
 # Usage: scripts/crash-recovery.sh [port]
 set -euo pipefail
@@ -28,8 +35,13 @@ trap '[ -n "$server_pid" ] && kill -9 "$server_pid" 2>/dev/null || true; rm -rf 
 go build -o "$work/arcc-server" ./cmd/arcc-server
 go build -o "$work/arcc-experiments" ./cmd/arcc-experiments
 
+# The raised rate factor makes each trial sample more arrivals, so the
+# sweep runs for most of a second and its checkpoint file is on disk long
+# enough for the poll below to see it on a fast machine too; at field
+# rates it ran for about 0.2 s and the poll missed the file in about one
+# run in three.
 cat > "$work/scenario.json" <<'EOF'
-{"name": "crash-recovery", "trials": 2000000}
+{"name": "crash-recovery", "trials": 2000000, "rate_factor": 10}
 EOF
 
 wait_healthy() {
@@ -92,6 +104,9 @@ for _ in $(seq 1 600); do
     esac
 done
 [ "$code" = 200 ] || { echo "resumed job never completed (last HTTP $code)"; exit 1; }
+kill -9 "$server_pid"
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
 
 "$work/arcc-experiments" -scenario "$work/scenario.json" -format json \
     -seed 9 -parallel 1 > "$work/uninterrupted.json"
@@ -100,6 +115,30 @@ if ! diff -u "$work/uninterrupted.json" "$result"; then
     echo "FAIL: resumed report differs from an uninterrupted run"
     exit 1
 fi
-kill "$server_pid" 2>/dev/null || true
+
+echo "== third server: restart after a kill -9 at done, compare again =="
+start_server
+again="$work/again.json"
+for _ in $(seq 1 600); do
+    code=$(curl -sS -o "$again" -w '%{http_code}' "$base/jobs/$id/result")
+    case "$code" in
+        200) break ;;
+        202) sleep 0.2 ;;
+        *) echo "job failed after the second restart with HTTP $code:"; cat "$again"; exit 1 ;;
+    esac
+done
+[ "$code" = 200 ] || { echo "job never done after the second restart (last HTTP $code)"; exit 1; }
+status=$(curl -fsS "$base/jobs/$id")
+printf '%s' "$status" | grep -q '"state": "done"' || { echo "job not done after the second restart: $status"; exit 1; }
+if ! diff -u "$work/uninterrupted.json" "$again"; then
+    echo "FAIL: report after the second restart differs from an uninterrupted run"
+    exit 1
+fi
+kill "$server_pid"
+wait "$server_pid" 2>/dev/null || true
 server_pid=""
-echo "crash recovery OK: resumed report is byte-identical"
+if [ -n "$(ls -A "$state/checkpoints")" ]; then
+    echo "FAIL: checkpoint files left once the job ended: $(ls -A "$state/checkpoints")"
+    exit 1
+fi
+echo "crash recovery OK: resumed report is byte-identical, and again after a kill -9 at done"
