@@ -8,9 +8,7 @@ import (
 	"arcc/internal/core"
 	"arcc/internal/dram"
 	"arcc/internal/exhibit"
-	"arcc/internal/mc"
 	"arcc/internal/memctrl"
-	"arcc/internal/rng"
 	"arcc/internal/scrub"
 	"arcc/internal/sim"
 	"arcc/internal/workload"
@@ -86,22 +84,6 @@ func (rows ScrubAblationResult) Fprint(w io.Writer) {
 	}
 }
 
-// upgradedIPCs runs every mix with the given fraction of pages upgraded
-// under each of n variants of the ARCC config (set applies variant v) and
-// returns the IPCs, variant-major. Every run takes the root seed, and the
-// runs fan out across the engine's workers.
-func upgradedIPCs(ctx context.Context, cfg exhibit.Config, mixes []workload.Mix, fraction float64, n int, set func(c *sim.Config, v int)) ([]float64, error) {
-	return mc.MapScratchCtx(ctx, n*len(mixes), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
-		func(_ *rng.Source, i int, s *sim.Scratch) float64 {
-			c := sim.DefaultConfig(mixes[i%len(mixes)], sim.ARCC)
-			c.InstructionsPerCore = instructions(cfg)
-			c.UpgradedFraction = fraction
-			c.Seed = cfg.SeedOrDefault()
-			set(&c, i/len(mixes))
-			return sim.RunWith(c, s).IPCSum
-		})
-}
-
 // PolicyAblationResult compares LLC replacement policies for upgraded pairs
 // under heavy upgrade pressure.
 type PolicyAblationResult struct {
@@ -133,19 +115,22 @@ func ablationLLCPolicy(ctx context.Context, cfg exhibit.Config) (PolicyAblationR
 	for _, mix := range mixes {
 		res.Mixes = append(res.Mixes, mix.Name)
 	}
-	ipcs, err := upgradedIPCs(ctx, cfg, mixes, 1, len(policies), func(c *sim.Config, v int) {
-		c.LLCPolicy = policies[v]
+	var runs []simRun
+	for _, policy := range policies {
+		r := simRun{system: sim.ARCC, fraction: 1, policy: policy}
 		if cfg.Quick {
-			c.LLCBytes = quickLLCBytes
+			r.llcBytes = quickLLCBytes
 		}
-	})
+		runs = append(runs, mixRuns(cfg, mixes, r)...)
+	}
+	results, err := simulate(ctx, cfg, runs)
 	if err != nil {
 		return PolicyAblationResult{}, err
 	}
 	for pi := range policies {
 		row := make([]float64, len(mixes))
 		for mi := range mixes {
-			row[mi] = ipcs[pi*len(mixes)+mi] / ipcs[mi] // vs the shared-recency run of the same mix
+			row[mi] = results[pi*len(mixes)+mi].IPCSum / results[mi].IPCSum // vs the shared-recency run of the same mix
 		}
 		res.IPCRatio = append(res.IPCRatio, row)
 	}
@@ -189,12 +174,16 @@ func ablationPairing(ctx context.Context, cfg exhibit.Config) (PairingAblationRe
 	for _, mix := range mixes {
 		res.Mixes = append(res.Mixes, mix.Name)
 	}
-	ipcs, err := upgradedIPCs(ctx, cfg, mixes, 0.5, len(pairings), func(c *sim.Config, v int) { c.Pairing = pairings[v] })
+	var runs []simRun
+	for _, pairing := range pairings {
+		runs = append(runs, mixRuns(cfg, mixes, simRun{system: sim.ARCC, fraction: 0.5, pairing: pairing})...)
+	}
+	results, err := simulate(ctx, cfg, runs)
 	if err != nil {
 		return PairingAblationResult{}, err
 	}
 	for mi := range mixes {
-		res.FIFORatio = append(res.FIFORatio, ipcs[mi]/ipcs[len(mixes)+mi])
+		res.FIFORatio = append(res.FIFORatio, results[mi].IPCSum/results[len(mixes)+mi].IPCSum)
 	}
 	return res, nil
 }

@@ -93,26 +93,33 @@ func TestAblationPairing(t *testing.T) {
 // other simulations. Their reported ratios could still coincide at three
 // decimals, so the runs' IPCs are compared.
 func TestSimAblationsFollowSeed(t *testing.T) {
-	variants := map[string]struct {
-		fraction float64
-		set      func(c *sim.Config, v int)
-	}{
-		"ablation-llc": {1, func(c *sim.Config, v int) {
-			c.LLCPolicy = []cache.Policy{cache.SharedRecency, cache.IndependentLRU}[v]
-		}},
-		"ablation-pairing": {0.5, func(c *sim.Config, v int) {
-			c.Pairing = []memctrl.Pairing{memctrl.PairFIFO, memctrl.PairPromote}[v]
-		}},
+	variants := map[string][]simRun{
+		"ablation-llc": {
+			{system: sim.ARCC, fraction: 1, policy: cache.SharedRecency},
+			{system: sim.ARCC, fraction: 1, policy: cache.IndependentLRU},
+		},
+		"ablation-pairing": {
+			{system: sim.ARCC, fraction: 0.5, pairing: memctrl.PairFIFO},
+			{system: sim.ARCC, fraction: 0.5, pairing: memctrl.PairPromote},
+		},
 	}
 	mixes := workload.Mixes()[:1]
-	for name, ab := range variants {
+	for name, variant := range variants {
 		ipcs := func(seed int64) []float64 {
 			cfg := exhibit.NewConfig(exhibit.WithQuick(true), exhibit.WithSeed(seed))
-			got, err := upgradedIPCs(context.Background(), cfg, mixes, ab.fraction, 2, ab.set)
+			var runs []simRun
+			for _, r := range variant {
+				runs = append(runs, mixRuns(cfg, mixes, r)...)
+			}
+			results, err := simulate(context.Background(), cfg, runs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return got
+			var out []float64
+			for _, r := range results {
+				out = append(out, r.IPCSum)
+			}
+			return out
 		}
 		if one, seven := ipcs(1), ipcs(7); reflect.DeepEqual(one, seven) {
 			t.Errorf("%s: seed 7 reproduced seed 1's IPCs %v", name, one)

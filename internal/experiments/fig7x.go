@@ -4,9 +4,11 @@ import (
 	"context"
 	"io"
 
+	"arcc/internal/cache"
 	"arcc/internal/exhibit"
 	"arcc/internal/faultmodel"
 	"arcc/internal/mc"
+	"arcc/internal/memctrl"
 	"arcc/internal/rng"
 	"arcc/internal/sim"
 	"arcc/internal/stats"
@@ -49,7 +51,7 @@ type Fig71Result struct {
 func fig71(ctx context.Context, cfg exhibit.Config) (Fig71Result, error) {
 	var res Fig71Result
 	mixes := workload.Mixes()
-	results, err := simulate(ctx, cfg, append(mixRuns(cfg, sim.Baseline, 0), mixRuns(cfg, sim.ARCC, 0)...))
+	results, err := simulate(ctx, cfg, append(mixRuns(cfg, mixes, simRun{system: sim.Baseline}), mixRuns(cfg, mixes, simRun{system: sim.ARCC})...))
 	if err != nil {
 		return Fig71Result{}, err
 	}
@@ -111,9 +113,9 @@ var faultMetrics = map[string]struct {
 // faultSweep simulates the grid behind Figs 7.2–7.5 once: the fault-free
 // ARCC run of every mix, then every mix under each fault scenario in turn.
 func faultSweep(ctx context.Context, cfg exhibit.Config) ([]sim.Result, error) {
-	runs := mixRuns(cfg, sim.ARCC, 0)
+	runs := mixRuns(cfg, workload.Mixes(), simRun{system: sim.ARCC})
 	for _, sc := range FaultScenarios() {
-		runs = append(runs, mixRuns(cfg, sim.ARCC, sc.Fraction)...)
+		runs = append(runs, mixRuns(cfg, workload.Mixes(), simRun{system: sim.ARCC, fraction: sc.Fraction})...)
 	}
 	return simulate(ctx, cfg, runs)
 }
@@ -177,29 +179,60 @@ func (r FaultSweepResult) Fprint(w io.Writer) {
 	fprintf(w, "\n")
 }
 
-// simRun is one Fig 7.x simulator configuration: everything its
-// sim.Result depends on, so it also keys the run memo.
+// simRun is one simulator configuration: everything its sim.Result
+// depends on, so it also keys the run memo. A zero field keeps the
+// Table 7.1/7.2 value of sim.DefaultConfig.
 type simRun struct {
 	mix          workload.Mix
 	system       sim.MemorySystem
 	fraction     float64 // upgraded-page fraction
 	instructions int64   // per core
 	seed         int64
+	tech         sim.Tech
+	llcBytes     int
+	sharedLLC    bool
+	policy       cache.Policy
+	pairing      memctrl.Pairing
+	trace        *workload.TraceSource // drives all four cores when set
 }
 
-// mixRuns lists the run of every Table 7.3 mix under one memory system
-// and upgraded-page fraction.
-func mixRuns(cfg exhibit.Config, system sim.MemorySystem, fraction float64) []simRun {
-	var runs []simRun
-	for _, mix := range workload.Mixes() {
-		runs = append(runs, simRun{mix, system, fraction, instructions(cfg), cfg.SeedOrDefault()})
+// config builds the run's simulator configuration.
+func (r simRun) config() sim.Config {
+	c := sim.DefaultConfig(r.mix, r.system)
+	c.InstructionsPerCore = r.instructions
+	c.UpgradedFraction = r.fraction
+	c.Seed = r.seed
+	c.Tech = r.tech
+	c.CPUCyclesPerDRAMCycle = r.tech.CPR()
+	if r.llcBytes > 0 {
+		c.LLCBytes = r.llcBytes
+	}
+	c.SharedLLC = r.sharedLLC
+	c.LLCPolicy = r.policy
+	c.Pairing = r.pairing
+	if r.trace != nil {
+		for core := range c.Sources {
+			c.Sources[core] = r.trace.Clone()
+		}
+	}
+	return c
+}
+
+// mixRuns lists run r once per mix, at the profile's instruction count
+// and the root seed.
+func mixRuns(cfg exhibit.Config, mixes []workload.Mix, r simRun) []simRun {
+	r.instructions, r.seed = instructions(cfg), cfg.SeedOrDefault()
+	runs := make([]simRun, len(mixes))
+	for i, mix := range mixes {
+		r.mix = mix
+		runs[i] = r
 	}
 	return runs
 }
 
 type runMemoKey struct{}
 
-// WithRunMemo returns a context under which the Fig 7.x exhibits simulate
+// WithRunMemo returns a context under which the simulator exhibits simulate
 // each distinct configuration once: a run that an earlier exhibit made
 // under the same context is read back instead of simulated again. A run
 // is a pure function of its configuration, so no number changes; only
@@ -229,12 +262,7 @@ func simulate(ctx context.Context, cfg exhibit.Config, runs []simRun) ([]sim.Res
 	if len(missing) > 0 {
 		fresh, err := mc.MapScratchCtx(ctx, len(missing), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
 			func(_ *rng.Source, i int, s *sim.Scratch) sim.Result {
-				r := missing[i]
-				c := sim.DefaultConfig(r.mix, r.system)
-				c.InstructionsPerCore = r.instructions
-				c.UpgradedFraction = r.fraction
-				c.Seed = r.seed
-				return sim.RunWith(c, s)
+				return sim.RunWith(missing[i].config(), s)
 			})
 		if err != nil {
 			return nil, err

@@ -47,17 +47,22 @@ var goldenFiles = map[string]string{
 // values both renderers print at full precision.
 var reportGoldens = map[string]bool{"f7.1": true, "f7.2": true, "f7.3": true, "f7.4": true, "f7.5": true}
 
-// renderFormats runs an exhibit through the registry once and renders its
-// report with the text renderer and, for reportGoldens, with the JSON and
-// CSV renderers too, keyed by golden file extension. The report's
-// Meta.Parallel is cleared first: it is the one field that names the
-// parallelism, so one JSON golden holds for every setting.
-func renderFormats(t *testing.T, name string, parallel int) map[string][]byte {
+// scenarioGoldens maps example scenarios to the golden files of their
+// text, JSON and CSV reports under the quick profile at seed 1: the
+// simulator axes (memory technology, shared LLC, tenants, trace replay)
+// that no registered exhibit reaches.
+var scenarioGoldens = map[string]string{
+	"ddr5-multitenant.json": "scenario_ddr5_multitenant_quick_seed1",
+	"trace-replay.json":     "scenario_trace_replay_quick_seed1",
+}
+
+// renderFormats runs an exhibit once and renders its report with the
+// text renderer and, when reports is set, with the JSON and CSV renderers
+// too, keyed by golden file extension. The report's Meta.Parallel is
+// cleared first: it is the one field that names the parallelism, so one
+// JSON golden holds for every setting.
+func renderFormats(t *testing.T, e exhibit.Exhibit, reports bool, parallel int) map[string][]byte {
 	t.Helper()
-	e, ok := exhibit.Lookup(name)
-	if !ok {
-		t.Fatalf("exhibit %q not registered", name)
-	}
 	cfg := exhibit.NewConfig(exhibit.WithQuick(true), exhibit.WithSeed(1), exhibit.WithParallel(parallel))
 	r, err := e.Run(context.Background(), cfg)
 	if err != nil {
@@ -65,7 +70,7 @@ func renderFormats(t *testing.T, name string, parallel int) map[string][]byte {
 	}
 	r.Meta.Parallel = 0
 	renderers := map[string]exhibit.Renderer{".golden": exhibit.TextRenderer{}}
-	if reportGoldens[name] {
+	if reports {
 		renderers[".json"] = exhibit.JSONRenderer{}
 		renderers[".csv"] = exhibit.CSVRenderer{}
 	}
@@ -93,35 +98,70 @@ func TestGoldenExhibits(t *testing.T) {
 		t.Fatalf("golden map covers %d exhibits, registry has %d — add the new exhibit's golden",
 			len(goldenFiles), len(exhibit.All()))
 	}
+	for _, e := range exhibit.All() {
+		golden := goldenFiles[e.Name]
+		t.Run(golden, func(t *testing.T) {
+			checkGolden(t, filepath.Join("testdata", golden), func(par int) map[string][]byte {
+				return renderFormats(t, e, reportGoldens[e.Name], par)
+			})
+		})
+	}
+}
+
+// TestGoldenScenarios pins the reports of scenarioGoldens as
+// TestGoldenExhibits pins the exhibits'. It runs from the repository
+// root, against which a scenario's trace path is resolved.
+func TestGoldenScenarios(t *testing.T) {
+	testdata, err := filepath.Abs("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(filepath.Join("..", ".."))
+	for file, golden := range scenarioGoldens {
+		t.Run(golden, func(t *testing.T) {
+			s, err := exhibit.LoadScenario(filepath.Join("examples", "scenarios", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewScenarioExhibit(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, filepath.Join(testdata, golden), func(par int) map[string][]byte {
+				return renderFormats(t, e, true, par)
+			})
+		})
+	}
+}
+
+// checkGolden compares render's output at parallelism 1, 4 and
+// GOMAXPROCS (GOMAXPROCS alone under -short) with the golden files at
+// base plus each extension, or rewrites them under -update.
+func checkGolden(t *testing.T, base string, render func(parallel int) map[string][]byte) {
+	t.Helper()
+	if *updateGolden {
+		for ext, got := range render(0) {
+			if err := os.WriteFile(base+ext, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
 	parallelisms := []int{1, 4, runtime.NumCPU()}
 	if testing.Short() {
 		parallelisms = []int{runtime.NumCPU()}
 	}
-	for _, e := range exhibit.All() {
-		golden := goldenFiles[e.Name]
-		t.Run(golden, func(t *testing.T) {
-			if *updateGolden {
-				for ext, got := range renderFormats(t, e.Name, 0) {
-					if err := os.WriteFile(filepath.Join("testdata", golden+ext), got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return
+	for _, par := range parallelisms {
+		for ext, got := range render(par) {
+			want, err := os.ReadFile(base + ext)
+			if err != nil {
+				t.Fatalf("missing golden file (run with -update to create): %v", err)
 			}
-			for _, par := range parallelisms {
-				for ext, got := range renderFormats(t, e.Name, par) {
-					path := filepath.Join("testdata", golden+ext)
-					want, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatalf("missing golden file (run with -update to create): %v", err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("output drifted from %s at parallelism %d:\n--- got ---\n%s\n--- want ---\n%s",
-							path, par, got, want)
-					}
-				}
+			if !bytes.Equal(got, want) {
+				t.Errorf("output drifted from %s at parallelism %d:\n--- got ---\n%s\n--- want ---\n%s",
+					base+ext, par, got, want)
 			}
-		})
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"arcc/internal/exhibit"
 	"arcc/internal/mc"
 	"arcc/internal/reliability"
-	"arcc/internal/rng"
 	"arcc/internal/sim"
 	"arcc/internal/workload"
 )
@@ -138,26 +137,22 @@ func runScenario(ctx context.Context, cfg exhibit.Config, p exhibit.Plan) (Scena
 	res.DUEARCC = reliability.ARCCExpectedDUEs(rp)
 	res.DUESparing = reliability.SparingExpectedDUEs(rp)
 
-	// The simulator sweep is one run per plan mix (the named mixes, then
-	// the tenants mix), plus a "trace" run when the scenario replays a
-	// trace file. Every run shares the scenario's memory-technology,
-	// shared-LLC, and LLC-capacity axes; a run's mix names its row.
-	type labeledRun struct {
-		mix   workload.Mix
-		trace *workload.TraceSource // drives all four cores when set
-	}
-	runs := make([]labeledRun, 0, len(p.Mixes)+1)
+	// The simulator sweep is one row per plan mix (the named mixes, then
+	// the tenants mix), plus a "trace" row when the scenario replays a
+	// trace file. Every row shares the scenario's memory-technology,
+	// shared-LLC, and LLC-capacity axes; a row's mix names it.
+	rows := make([]simRun, 0, len(p.Mixes)+1)
 	for _, m := range p.Mixes {
-		runs = append(runs, labeledRun{mix: m})
+		rows = append(rows, simRun{mix: m})
 	}
 	if s.Trace != "" {
 		src, err := workload.LoadTraceFile(s.Trace)
 		if err != nil {
 			return ScenarioResult{}, fmt.Errorf("experiments: scenario %q: %w", s.Name, err)
 		}
-		runs = append(runs, labeledRun{mix: workload.Mix{Name: "trace"}, trace: src})
+		rows = append(rows, simRun{mix: workload.Mix{Name: "trace"}, trace: src})
 	}
-	if len(runs) == 0 {
+	if len(rows) == 0 {
 		return res, nil
 	}
 	system := sim.ARCC
@@ -168,41 +163,27 @@ func runScenario(ctx context.Context, cfg exhibit.Config, p exhibit.Plan) (Scena
 		s.Instructions = instructions(cfg)
 		res.Scenario = s
 	}
-	// Per run: a fault-free reference and the scenario run, fanned out
-	// across the engine's workers (one simulator run per shard).
-	// Exported fields: the pair must gob-encode for shard checkpointing.
-	type pair struct{ Clean, Faulted sim.Result }
-	pairs, err := mc.MapScratchCtx(ctx, len(runs), cfg.SeedOrDefault(), cfg.SimOptions(), sim.NewScratch,
-		func(_ *rng.Source, i int, scratch *sim.Scratch) pair {
-			run := func(upgraded float64) sim.Result {
-				c := sim.DefaultConfig(runs[i].mix, system)
-				c.InstructionsPerCore = s.Instructions
-				c.UpgradedFraction = upgraded
-				c.Seed = cfg.SeedOrDefault()
-				c.Tech = p.Tech
-				c.CPUCyclesPerDRAMCycle = p.Tech.CPR()
-				c.SharedLLC = s.SharedLLC
-				if s.LLCBytes > 0 {
-					c.LLCBytes = s.LLCBytes
-				}
-				if runs[i].trace != nil {
-					for core := range c.Sources {
-						c.Sources[core] = runs[i].trace.Clone()
-					}
-				}
-				return sim.RunWith(c, scratch)
-			}
-			return pair{Clean: run(0), Faulted: run(s.UpgradedFraction)}
-		})
+	// Every row runs fault-free for reference, then with the scenario's
+	// upgraded fraction.
+	runs := make([]simRun, 0, 2*len(rows))
+	for _, fraction := range []float64{0, s.UpgradedFraction} {
+		for _, r := range rows {
+			r.system, r.fraction, r.instructions, r.seed = system, fraction, s.Instructions, cfg.SeedOrDefault()
+			r.tech, r.llcBytes, r.sharedLLC = p.Tech, s.LLCBytes, s.SharedLLC
+			runs = append(runs, r)
+		}
+	}
+	results, err := simulate(ctx, cfg, runs)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	for i, r := range runs {
+	clean, faulted := results[:len(rows)], results[len(rows):]
+	for i, r := range rows {
 		res.Mixes = append(res.Mixes, r.mix.Name)
-		res.IPC = append(res.IPC, pairs[i].Faulted.IPCSum)
-		res.PowerMW = append(res.PowerMW, pairs[i].Faulted.PowerMW)
-		res.IPCVsClean = append(res.IPCVsClean, pairs[i].Faulted.IPCSum/pairs[i].Clean.IPCSum)
-		res.PowerVsClean = append(res.PowerVsClean, pairs[i].Faulted.PowerMW/pairs[i].Clean.PowerMW)
+		res.IPC = append(res.IPC, faulted[i].IPCSum)
+		res.PowerMW = append(res.PowerMW, faulted[i].PowerMW)
+		res.IPCVsClean = append(res.IPCVsClean, faulted[i].IPCSum/clean[i].IPCSum)
+		res.PowerVsClean = append(res.PowerVsClean, faulted[i].PowerMW/clean[i].PowerMW)
 	}
 	return res, nil
 }

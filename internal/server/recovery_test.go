@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1050,6 +1051,96 @@ func TestServedJobFilesystemCalls(t *testing.T) {
 	}
 }
 
+// readCounter counts the files read under one directory.
+type readCounter struct {
+	faultfs.FS
+	dir   string
+	reads atomic.Int64
+}
+
+func (r *readCounter) ReadFile(path string) ([]byte, error) {
+	if strings.HasPrefix(path, r.dir+string(filepath.Separator)) {
+		r.reads.Add(1)
+	}
+	return r.FS.ReadFile(path)
+}
+
+// stateFiles lists the files under the state dir's sub directory, and
+// fails the test on any temporary file left anywhere in the state dir.
+func stateFiles(t *testing.T, dir, sub string) []string {
+	t.Helper()
+	var names []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil || d.IsDir():
+		case strings.HasSuffix(path, ".tmp"):
+			t.Errorf("temporary file %s left in the state dir", path)
+		case filepath.Dir(path) == filepath.Join(dir, sub):
+			names = append(names, strings.TrimSuffix(d.Name(), ".json"))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestRecoveryKeepsOnlyCachedResults: a result file lives only as long as
+// the compacted journal refers to it. With one finished job retained, the
+// first restart still restores all four done jobs' results into the cache
+// (it prunes after), and the next ones keep only the retained job's. Each
+// startup reads only the result files a replayed job names, removes the
+// temporary and unknown files, and leaves results/ holding exactly the
+// cached keys. An undecodable file never fails startup: unnamed, it is
+// just removed; named, its job comes back done without a result.
+func TestRecoveryKeepsOnlyCachedResults(t *testing.T) {
+	dir := t.TempDir()
+	results := filepath.Join(dir, "results")
+	fs := &readCounter{FS: faultfs.OS(), dir: results}
+	opts := server.Options{Workers: 1, StateDir: dir, MaxFinishedJobs: 1, FS: fs, Logf: t.Logf}
+	svc, ts := startServer(t, opts)
+	for seed := 1; seed <= 4; seed++ {
+		_, st := post(t, ts, fmt.Sprintf(`{"scenario": %s, "seed": %d}`, tinyScenario, seed))
+		waitState(t, ts, st.ID, server.StateDone)
+	}
+	stopServer(t, svc, ts)
+	for name, body := range map[string]string{"stray.json.tmp": "torn", "bad.json": "not json"} {
+		if err := os.WriteFile(filepath.Join(results, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for restart, want := range []int{4, 1, 1, 0} {
+		if restart == 3 {
+			// Garble the one file the journal still names.
+			if err := os.WriteFile(filepath.Join(results, stateFiles(t, dir, "results")[0]+".json"), []byte("{not json"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.reads.Store(0)
+		svc, ts := startServer(t, opts)
+		if n := fs.reads.Load(); n != int64(max(want, 1)) {
+			t.Errorf("restart %d read %d result files, want %d", restart+1, n, max(want, 1))
+		}
+		names, keys := stateFiles(t, dir, "results"), svc.CachedKeys()
+		if len(keys) != want || !slices.Equal(names, keys) {
+			t.Errorf("restart %d: results/ holds %q, the cache %q; want %d the same", restart+1, names, keys, want)
+		}
+		wantCode := http.StatusOK
+		if want == 0 {
+			wantCode = http.StatusGone
+		}
+		if st := getStatus(t, ts, "job-4"); st.State != server.StateDone {
+			t.Errorf("restart %d: job-4 %s, want done", restart+1, st.State)
+		}
+		if code, _ := get(t, ts.URL+"/v1/jobs/job-4/result"); code != wantCode {
+			t.Errorf("restart %d: result of job-4: HTTP %d, want %d", restart+1, code, wantCode)
+		}
+		stopServer(t, svc, ts)
+	}
+}
+
 // The crash-point sweep's jobs: a job that runs to done and is then
 // resubmitted as a cache hit, one DELETEd mid-run, and one a shutdown
 // interrupts. Each is five shards of about a millisecond, so it
@@ -1121,7 +1212,8 @@ func (r *crashRun) pauseAt(id, body string) {
 // the journal; a job restored terminal keeps its state and its created,
 // started and finished times, and a done one its result; every
 // interrupted job resumes to the report of an uncrashed run; and once
-// all jobs are terminal, no checkpoint file is left.
+// all jobs are terminal, no checkpoint or temporary file is left, and
+// results/ holds exactly the keys the result cache serves.
 func TestCrashPointSweep(t *testing.T) {
 	want := map[string][]byte{}
 	for _, body := range []string{crashDone, crashDeleted, crashShutdown} {
@@ -1221,8 +1313,11 @@ func TestCrashPointSweep(t *testing.T) {
 			}
 		}
 		stopServer(t, svc, ts)
-		if left, err := os.ReadDir(filepath.Join(dir, "checkpoints")); err != nil || len(left) > 0 {
-			t.Errorf("crash at op %d: checkpoint files left once every job ended: %v (%v)", i, left, err)
+		if left := stateFiles(t, dir, "checkpoints"); len(left) > 0 {
+			t.Errorf("crash at op %d: checkpoint files left once every job ended: %q", i, left)
+		}
+		if names, keys := stateFiles(t, dir, "results"), svc.CachedKeys(); !slices.Equal(names, keys) {
+			t.Errorf("crash at op %d: results/ holds %q once every job ended, the cache %q", i, names, keys)
 		}
 		if ops <= int64(i) {
 			t.Logf("the sequence makes %d filesystem ops; a crash at each was recovered", ops)

@@ -467,7 +467,6 @@ func (s *Server) admit(j *job) error {
 		j.cancel()
 		return errQueueFull
 	default:
-		j.resumed = len(j.saved) > 0
 		s.queue = append(s.queue, j)
 		s.inflight[j.key] = j
 		s.ready.Signal()
@@ -580,7 +579,7 @@ func (s *Server) settle(j *job, o outcome) {
 	j.mu.Unlock()
 	s.journal(j, false)
 	if j.checkpointed.Load() {
-		s.store.removeCheckpoints(j.id)
+		s.store.remove(checkpointsDir, j.id)
 	}
 
 	fo := outcome{state: o.state, err: o.err, report: o.report}
@@ -653,7 +652,7 @@ func (s *Server) cacheResultLocked(key string, report *exhibit.Report) (evicted 
 func (s *Server) saveResult(key string, report *exhibit.Report, evicted []string, saved chan struct{}) {
 	if blob, err := exhibit.EncodeReport(report); err != nil {
 		s.logf("server: encoding result %s: %v", key, err)
-	} else if err := s.store.saveResult(key, blob); err != nil {
+	} else if err := s.store.put(resultsDir, key, blob); err != nil {
 		s.logf("server: persisting result %s: %v", key, err)
 	}
 	s.mu.Lock()
@@ -663,7 +662,7 @@ func (s *Server) saveResult(key string, report *exhibit.Report, evicted []string
 	s.mu.Unlock()
 	close(saved)
 	for _, old := range evicted {
-		s.store.removeResult(old)
+		s.store.remove(resultsDir, old)
 	}
 }
 
@@ -783,7 +782,11 @@ func (s *Server) runJob(j *job) {
 		j.cfg.Resume = mc.NewResumer(j.saved, s.opts.CheckpointPeriod,
 			func(family map[int]*mc.Checkpoint) {
 				j.checkpointed.Store(true)
-				if err := s.store.saveCheckpoints(j.id, family); err != nil {
+				blob, err := json.Marshal(family)
+				if err == nil {
+					err = s.store.put(checkpointsDir, j.id, blob)
+				}
+				if err != nil {
 					s.logf("server: persisting checkpoint of %s: %v", j.id, err)
 				}
 			})
@@ -904,26 +907,26 @@ func pairRecords(recs []journalRecord) []*replayedJob {
 // journal, then compacts the journal to the rebuilt table. Terminal jobs
 // come back for listings; every interrupted one goes through the same
 // check and admit a POST does — primed with its latest persisted
-// checkpoints — or comes back failed if the check now rejects it. Runs
-// during New, before any worker or handler exists, so it may touch
-// server state without s.mu.
+// checkpoints when it is enqueued — or comes back failed if the check
+// now rejects it. A result or checkpoint file is decoded only when a
+// replayed job refers to it, and removed once the compacted journal no
+// longer does. Runs during New, before any worker or handler exists, so
+// it may touch server state without s.mu.
 func (s *Server) recoverState(replayed []*replayedJob) {
-	results := s.store.loadResults()
-	checkpoints := s.store.loadCheckpoints()
+	results := s.store.names(resultsDir)
+	checkpoints := s.store.names(checkpointsDir)
 
 	// Restore the result cache first (in journal order, respecting the
 	// FIFO bound) from the result files of done and interrupted jobs, so
 	// an interrupted job whose result landed before the crash, or a
 	// duplicate of a completed sweep, is served from it below.
 	for _, rp := range replayed {
-		if rp.term != nil && rp.term.Op != opDone {
+		key := rp.sub.Key
+		if _, held := s.cache[key]; held || !results[key] || rp.term != nil && rp.term.Op != opDone {
 			continue
 		}
-		if report, ok := results[rp.sub.Key]; ok {
-			evicted, _ := s.cacheResultLocked(rp.sub.Key, report)
-			for _, old := range evicted {
-				s.store.removeResult(old)
-			}
+		if report := load(s, resultsDir, key, exhibit.DecodeReport); report != nil {
+			s.cacheResultLocked(key, report)
 		}
 	}
 
@@ -935,7 +938,7 @@ func (s *Server) recoverState(replayed []*replayedJob) {
 		if rp.term != nil {
 			j = s.restoreJob(rp.sub, *rp.term)
 		} else {
-			j = s.recoverJob(rp.sub, checkpoints[rp.sub.ID])
+			j = s.recoverJob(rp.sub)
 		}
 		if j.terminal() {
 			s.registerLocked(j)
@@ -948,6 +951,16 @@ func (s *Server) recoverState(replayed []*replayedJob) {
 		}
 		if s.inflight[j.key] == j {
 			s.jobsRecovered.Add(1)
+			if checkpoints[j.id] {
+				// The file goes when the job settles, whether or not it
+				// decodes: one that does not re-runs the job from scratch.
+				j.checkpointed.Store(true)
+				j.saved = load(s, checkpointsDir, j.id, func(blob []byte) (cps map[int]*mc.Checkpoint, err error) {
+					err = json.Unmarshal(blob, &cps)
+					return
+				})
+				j.resumed = len(j.saved) > 0
+			}
 		}
 	}
 	s.pruneJobsLocked()
@@ -966,15 +979,34 @@ func (s *Server) recoverState(replayed []*replayedJob) {
 		s.logf("server: journal compaction: %v", err)
 	}
 
-	// Only a job recovery re-enqueued keeps its checkpoint file, to be
-	// removed when it settles; the terminal, pruned and unknown jobs' go.
-	for id := range checkpoints {
-		if j := s.jobs[id]; j != nil && !j.terminal() {
-			j.checkpointed.Store(true)
-		} else {
-			s.store.removeCheckpoints(id)
+	// Only the cached results and the re-enqueued jobs' checkpoints stay;
+	// the evicted, pruned, undecodable and unknown files go.
+	for key := range results {
+		if _, held := s.cache[key]; !held {
+			s.store.remove(resultsDir, key)
 		}
 	}
+	for id := range checkpoints {
+		if j := s.jobs[id]; j == nil || !j.checkpointed.Load() {
+			s.store.remove(checkpointsDir, id)
+		}
+	}
+}
+
+// load decodes the kind file called name. A file that does not read or
+// decode is logged and skipped as the zero T: losing it costs a re-run,
+// not a failed startup.
+func load[T any](s *Server, kind, name string, decode func([]byte) (T, error)) T {
+	blob, err := s.store.fs.ReadFile(s.store.path(kind, name))
+	if err == nil {
+		var v T
+		if v, err = decode(blob); err == nil {
+			return v
+		}
+	}
+	s.logf("server: skipping unreadable %s/%s: %v", kind, name, err)
+	var zero T
+	return zero
 }
 
 // registerLocked adds j to the job table. Callers hold s.mu.
@@ -984,9 +1016,9 @@ func (s *Server) registerLocked(j *job) {
 }
 
 // recoverJob rebuilds an interrupted job from its submit record under the
-// check a POST passes, primed with its saved checkpoints, or failed as not
-// recoverable when the check rejects it.
-func (s *Server) recoverJob(sub journalRecord, saved map[int]*mc.Checkpoint) *job {
+// check a POST passes, or failed as not recoverable when the check rejects
+// it.
+func (s *Server) recoverJob(sub journalRecord) *job {
 	rec := sub
 	ex, err := s.check(&rec)
 	if err != nil {
@@ -997,9 +1029,7 @@ func (s *Server) recoverJob(sub journalRecord, saved map[int]*mc.Checkpoint) *jo
 	if err != nil {
 		j.started = j.created
 		s.settle(j, outcome{state: StateFailed, err: fmt.Errorf("not recoverable: %w", err)})
-		return j
 	}
-	j.saved = saved
 	return j
 }
 

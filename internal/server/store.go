@@ -10,7 +10,6 @@ import (
 
 	"arcc/internal/exhibit"
 	"arcc/internal/faultfs"
-	"arcc/internal/mc"
 )
 
 // The durable store's on-disk layout under Options.StateDir:
@@ -22,6 +21,9 @@ import (
 //	checkpoints/<id>.json   a running job's engine checkpoints, keyed by
 //	                        engine-job sequence index, written atomically
 //
+// The store knows these files only as blobs by kind and name; the server
+// encodes and decodes them. A result or checkpoint file lives only as
+// long as the compacted journal refers to it: startup removes the rest.
 // Every mutation goes through a faultfs.FS, so tests inject write/sync/
 // rename failures and torn appends deterministically.
 const (
@@ -215,88 +217,36 @@ func (st *store) writeFileAtomic(path string, blob []byte) error {
 	return nil
 }
 
-// saveResult persists an encoded report under its content-addressed key.
-func (st *store) saveResult(key string, blob []byte) error {
-	return st.writeFileAtomic(filepath.Join(st.dir, resultsDir, key+".json"), blob)
+// put lands blob as <kind>/<name>.json, atomically.
+func (st *store) put(kind, name string, blob []byte) error {
+	return st.writeFileAtomic(st.path(kind, name), blob)
 }
 
-func (st *store) removeResult(key string) {
-	st.fs.Remove(filepath.Join(st.dir, resultsDir, key+".json"))
+func (st *store) remove(kind, name string) {
+	st.fs.Remove(st.path(kind, name))
 }
 
-// loadResults decodes every persisted report, keyed by cache key. A file
-// that fails to decode is skipped (and logged): losing one cached result
-// costs a re-run, not a failed startup.
-func (st *store) loadResults() map[string]*exhibit.Report {
-	entries, err := st.fs.ReadDir(filepath.Join(st.dir, resultsDir))
+func (st *store) path(kind, name string) string {
+	return filepath.Join(st.dir, kind, name+".json")
+}
+
+// names lists the files under kind by name, without reading them, and
+// removes the temporary files a crash mid-write left.
+func (st *store) names(kind string) map[string]bool {
+	entries, err := st.fs.ReadDir(filepath.Join(st.dir, kind))
 	if err != nil {
 		return nil
 	}
-	out := map[string]*exhibit.Report{}
+	out := map[string]bool{}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".tmp") {
-			continue
+		switch {
+		case e.IsDir():
+		case strings.HasSuffix(name, ".tmp"):
+			st.fs.Remove(filepath.Join(st.dir, kind, name))
+		case strings.HasSuffix(name, ".json"):
+			out[strings.TrimSuffix(name, ".json")] = true
 		}
-		blob, err := st.fs.ReadFile(filepath.Join(st.dir, resultsDir, name))
-		if err != nil {
-			continue
-		}
-		report, err := exhibit.DecodeReport(blob)
-		if err != nil {
-			st.logf("server: skipping undecodable result %s: %v", name, err)
-			continue
-		}
-		out[strings.TrimSuffix(name, ".json")] = report
-	}
-	return out
-}
-
-// saveCheckpoints persists a job's engine checkpoints (all engine jobs
-// the exhibit has run so far, keyed by sequence index) in one atomic
-// write, so replay sees a consistent set.
-func (st *store) saveCheckpoints(id string, cps map[int]*mc.Checkpoint) error {
-	blob, err := json.Marshal(cps)
-	if err != nil {
-		return fmt.Errorf("server: checkpoint marshal: %w", err)
-	}
-	return st.writeFileAtomic(filepath.Join(st.dir, checkpointsDir, id+".json"), blob)
-}
-
-func (st *store) removeCheckpoints(id string) {
-	st.fs.Remove(filepath.Join(st.dir, checkpointsDir, id+".json"))
-}
-
-// loadCheckpoints reads every job's persisted checkpoints, keyed by job
-// id. An unreadable or undecodable file maps its id to nil — the job
-// re-runs from scratch, and its file is removed when the job ends. A
-// temporary file is what a crash mid-write left; it is removed.
-func (st *store) loadCheckpoints() map[string]map[int]*mc.Checkpoint {
-	entries, err := st.fs.ReadDir(filepath.Join(st.dir, checkpointsDir))
-	if err != nil {
-		return nil
-	}
-	out := map[string]map[int]*mc.Checkpoint{}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".tmp") {
-			st.fs.Remove(filepath.Join(st.dir, checkpointsDir, name))
-		}
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		id := strings.TrimSuffix(name, ".json")
-		out[id] = nil
-		blob, err := st.fs.ReadFile(filepath.Join(st.dir, checkpointsDir, name))
-		if err != nil {
-			continue
-		}
-		var cps map[int]*mc.Checkpoint
-		if err := json.Unmarshal(blob, &cps); err != nil {
-			st.logf("server: skipping undecodable checkpoints %s: %v", name, err)
-			continue
-		}
-		out[id] = cps
 	}
 	return out
 }

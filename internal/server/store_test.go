@@ -155,21 +155,3 @@ func TestAppendSurfacesSyncFault(t *testing.T) {
 		t.Fatalf("append after the fault cleared: %v", err)
 	}
 }
-
-func TestLoadResultsSkipsUndecodable(t *testing.T) {
-	st := testStore(t, faultfs.OS())
-	if err := st.saveResult("bad", []byte("not json")); err != nil {
-		t.Fatal(err)
-	}
-	good := []byte(`{"exhibit":"x","title":"X","meta":{"seed":1,"quick":false,"trials":0,"parallel":0},"data":{"v":1}}`)
-	if err := st.saveResult("good", good); err != nil {
-		t.Fatal(err)
-	}
-	out := st.loadResults()
-	if _, ok := out["bad"]; ok {
-		t.Error("undecodable result survived the load")
-	}
-	if r, ok := out["good"]; !ok || r.Exhibit != "x" {
-		t.Errorf("good result not loaded: %+v", out)
-	}
-}

@@ -19,7 +19,7 @@
 # way to disk. A third server on the same state dir must bring the job
 # back done — restored from its journal record, or settled again from its
 # result file or checkpoint — with the same bytes, and leave no
-# checkpoint file behind.
+# checkpoint or temporary file behind and exactly the job's result file.
 #
 # Usage: scripts/crash-recovery.sh [port]
 set -euo pipefail
@@ -139,6 +139,15 @@ wait "$server_pid" 2>/dev/null || true
 server_pid=""
 if [ -n "$(ls -A "$state/checkpoints")" ]; then
     echo "FAIL: checkpoint files left once the job ended: $(ls -A "$state/checkpoints")"
+    exit 1
+fi
+results=$(find "$state/results" -name '*.json' | wc -l)
+if [ "$results" != 1 ]; then
+    echo "FAIL: $results result files once the job ended, want its one: $(ls -A "$state/results")"
+    exit 1
+fi
+if [ -n "$(find "$state" -name '*.tmp')" ]; then
+    echo "FAIL: temporary files left in the state dir: $(find "$state" -name '*.tmp')"
     exit 1
 fi
 echo "crash recovery OK: resumed report is byte-identical, and again after a kill -9 at done"
