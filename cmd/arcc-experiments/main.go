@@ -115,8 +115,7 @@ func run() error {
 			exhibit.WithTrials(*trials),
 		}
 		if *progress {
-			opts = append(opts, exhibit.WithProgress(
-				exhibit.ProgressFunc(mc.NewProgressPrinter(os.Stderr, key))))
+			opts = append(opts, exhibit.WithProgress(mc.NewProgressPrinter(os.Stderr, key)))
 		}
 		return exhibit.NewConfig(opts...)
 	}

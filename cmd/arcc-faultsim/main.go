@@ -91,8 +91,7 @@ func run() error {
 
 	opts := []exhibit.Option{exhibit.WithSeed(*seed), exhibit.WithParallel(*parallel)}
 	if *progress {
-		opts = append(opts, exhibit.WithProgress(
-			exhibit.ProgressFunc(mc.NewProgressPrinter(os.Stderr, "  mc"))))
+		opts = append(opts, exhibit.WithProgress(mc.NewProgressPrinter(os.Stderr, "  mc")))
 	}
 	cfg := exhibit.NewConfig(opts...)
 

@@ -33,8 +33,8 @@
 // Lifetime sweeps can be accelerated for rare-event regimes: the fault
 // model offers conditional ("at least one fault") and rate-tilted
 // importance samplers with closed-form likelihood ratios, the engine runs
-// weighted trials (internal/mc.RunWeightedCtx) through mergeable streaming
-// estimators (internal/stats: weighted moments, 95% CIs, Kish effective
+// weighted trials (an internal/mc.Job accumulating into mc.NewWeightedSet)
+// through mergeable streaming estimators (internal/stats: weighted moments, 95% CIs, Kish effective
 // sample size, a deterministic quantile sketch), and scenarios opt in via
 // accel/ci fields, which the -accel/-ci flags set. Weighted merges keep the
 // bit-identical-at-any-parallelism contract, and the unaccelerated path

@@ -2,20 +2,6 @@ package exhibit
 
 import "arcc/internal/mc"
 
-// Progress receives completion counts as an exhibit's Monte Carlo trials
-// or simulator runs finish. Implementations must tolerate being reused
-// across the several engine jobs one exhibit may run back to back (per
-// rate factor, per sweep); done resets between jobs.
-type Progress interface {
-	Update(done, total int)
-}
-
-// ProgressFunc adapts a plain function to the Progress interface.
-type ProgressFunc func(done, total int)
-
-// Update implements Progress.
-func (f ProgressFunc) Update(done, total int) { f(done, total) }
-
 // Config tunes how an exhibit runs without changing what it computes: for
 // a fixed Seed the numbers are bit-identical at any Parallel setting (the
 // engine's contract), and Quick/Trials trade precision for speed. Build
@@ -35,8 +21,12 @@ type Config struct {
 	// exhibits (0 keeps the profile default).
 	Trials int
 	// Progress, when non-nil, receives completion counts as the
-	// exhibit's Monte Carlo trials or simulator runs finish.
-	Progress Progress
+	// exhibit's Monte Carlo trials or simulator runs finish: it is the
+	// mc.Options.Progress of every engine job the exhibit runs. It must
+	// tolerate being reused across the several engine jobs one exhibit
+	// may run back to back (per rate factor, per sweep); done resets
+	// between jobs.
+	Progress func(done, total int)
 	// Resume, when non-nil, threads shard-level checkpoint/resume through
 	// every engine job the exhibit runs (see mc.Resumer). Like Parallel it
 	// cannot change the numbers: a resumed run is bit-identical to an
@@ -68,8 +58,8 @@ func WithParallel(workers int) Option { return func(c *Config) { c.Parallel = wo
 // WithTrials overrides the Monte Carlo channel count (0 = profile default).
 func WithTrials(trials int) Option { return func(c *Config) { c.Trials = trials } }
 
-// WithProgress installs a progress sink.
-func WithProgress(p Progress) Option { return func(c *Config) { c.Progress = p } }
+// WithProgress installs a progress callback.
+func WithProgress(p func(done, total int)) Option { return func(c *Config) { c.Progress = p } }
 
 // SeedOrDefault returns the effective root seed: Seed, or 1 when unset.
 func (c Config) SeedOrDefault() int64 {
@@ -82,20 +72,13 @@ func (c Config) SeedOrDefault() int64 {
 // MCOptions returns the engine options for channel-sharded Monte Carlo
 // jobs (default shard size).
 func (c Config) MCOptions() mc.Options {
-	return mc.Options{Parallelism: c.Parallel, Progress: c.progressFunc(), Checkpoint: c.jobCheckpoint()}
+	return mc.Options{Parallelism: c.Parallel, Progress: c.Progress, Checkpoint: c.jobCheckpoint()}
 }
 
 // SimOptions returns the engine options for fan-outs whose trials are
 // whole simulator runs: one run per shard.
 func (c Config) SimOptions() mc.Options {
-	return mc.Options{Parallelism: c.Parallel, ShardSize: 1, Progress: c.progressFunc(), Checkpoint: c.jobCheckpoint()}
-}
-
-func (c Config) progressFunc() func(done, total int) {
-	if c.Progress == nil {
-		return nil
-	}
-	return c.Progress.Update
+	return mc.Options{Parallelism: c.Parallel, ShardSize: 1, Progress: c.Progress, Checkpoint: c.jobCheckpoint()}
 }
 
 // jobCheckpoint assigns the next engine-job sequence index of the Resume

@@ -64,7 +64,7 @@ func TestConfigOptions(t *testing.T) {
 		WithSeed(42),
 		WithParallel(3),
 		WithTrials(500),
-		WithProgress(ProgressFunc(func(done, total int) { calls++ })),
+		WithProgress(func(done, total int) { calls++ }),
 	)
 	if !cfg.Quick || cfg.Seed != 42 || cfg.Parallel != 3 || cfg.Trials != 500 {
 		t.Fatalf("options not applied: %+v", cfg)

@@ -2,7 +2,8 @@ package exhibit
 
 import "sync"
 
-// Tracker is a concurrency-safe Progress sink that remembers the most
+// Tracker is a concurrency-safe progress sink, installed as
+// Config.Progress through its Update method, that remembers the most
 // recent completion counts, so a concurrent observer (a status endpoint,
 // a TUI) can poll an exhibit's progress while it runs. One exhibit may
 // run several engine jobs back to back (per rate factor, per sweep); the
@@ -16,7 +17,7 @@ type Tracker struct {
 	lastDone    int
 }
 
-// Update implements Progress. The engine serialises calls per job, but a
+// Update records one progress call. The engine serialises calls per job, but a
 // Tracker may be read concurrently from other goroutines, so it locks.
 func (t *Tracker) Update(done, total int) {
 	t.mu.Lock()

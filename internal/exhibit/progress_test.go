@@ -53,10 +53,11 @@ func TestTrackerCountsSameSizedBackToBackJobs(t *testing.T) {
 	}
 }
 
+// TestTrackerIsAProgress: a Tracker's Update installed as Config.Progress
+// is the progress callback of the exhibit's engine jobs.
 func TestTrackerIsAProgress(t *testing.T) {
 	var tr Tracker
-	var p Progress = &tr
-	p.Update(7, 10)
+	NewConfig(WithProgress(tr.Update)).MCOptions().Progress(7, 10)
 	if d, total := tr.Snapshot(); d != 7 || total != 10 {
 		t.Fatalf("snapshot %d/%d", d, total)
 	}

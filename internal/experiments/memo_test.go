@@ -17,13 +17,13 @@ func startedTrials(t *testing.T, ctx context.Context, name string) (*exhibit.Rep
 	t.Helper()
 	var mu sync.Mutex
 	started := 0
-	progress := exhibit.ProgressFunc(func(done, total int) {
+	progress := func(done, total int) {
 		if done == 0 { // a job's start signal
 			mu.Lock()
 			started += total
 			mu.Unlock()
 		}
-	})
+	}
 	e, _ := exhibit.Lookup(name)
 	r, err := e.Run(ctx, exhibit.NewConfig(exhibit.WithQuick(true), exhibit.WithProgress(progress)))
 	if err != nil {

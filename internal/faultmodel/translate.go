@@ -2,7 +2,6 @@ package faultmodel
 
 import (
 	"fmt"
-	"math/rand"
 
 	"arcc/internal/dram"
 )
@@ -11,12 +10,14 @@ import (
 // overlay for the functional DRAM model, choosing the faulty circuitry
 // coordinates uniformly within the geometry. Lane arrivals must be expanded
 // by the caller (inject the returned fault into every rank of the channel);
-// the returned fault carries the arrival's device position.
+// the returned fault carries the arrival's device position. rng is any
+// generator with Intn's contract: a *rand.Rand, or an rng.Source, which
+// draws the same values from the same seed.
 //
 // Corruption mode: stuck-at faults for the storage-array scopes, and
 // wrong-data (address-decoder) behaviour for row/column faults, mirroring
 // the failure-mode discussion in Ch. 2.
-func ToDRAMFault(rng *rand.Rand, a Arrival, g dram.Geometry) dram.Fault {
+func ToDRAMFault(rng interface{ Intn(n int) int }, a Arrival, g dram.Geometry) dram.Fault {
 	f := dram.Fault{Device: a.Device}
 	if a.Device < 0 || a.Device >= g.DevicesPerRank {
 		panic(fmt.Sprintf("faultmodel: arrival device %d outside geometry", a.Device))
@@ -58,7 +59,7 @@ func ToDRAMFault(rng *rand.Rand, a Arrival, g dram.Geometry) dram.Fault {
 	return f
 }
 
-func stuckMode(rng *rand.Rand) dram.Mode {
+func stuckMode(rng interface{ Intn(n int) int }) dram.Mode {
 	if rng.Intn(2) == 0 {
 		return dram.StuckAt0
 	}

@@ -16,12 +16,12 @@
 // one generator, an rng.Source, and reseeds it at the start of every
 // shard it runs, which yields exactly the stream
 // rand.New(rand.NewSource(seed)) would without building one per shard.
-// The engine calls a job once per shard, not once per trial: Job.Shard,
-// a weighted job's Shard and MapScratchCtx's loop run the shard's trials
-// themselves, drawing from that Source directly, so every draw is a
-// concrete call the compiler can inline and a trial costs no indirect
-// call. Only the plain Job.Trial is called per trial, with a *rand.Rand
-// wrapped once per worker around the same Source.
+// The engine calls a job once per shard, not once per trial: Job.Shard
+// and MapScratchCtx's loop run the shard's trials themselves, drawing
+// from that Source directly, so every draw is a concrete call the
+// compiler can inline and a trial costs no indirect call. Only the plain
+// Job.Trial is called per trial, with a *rand.Rand wrapped once per
+// worker around the same Source.
 //
 // Jobs whose trials need working buffers (fault-arrival histories, decode
 // workspaces, whole simulator-run state) set NewScratch: the engine
@@ -30,12 +30,15 @@
 // nothing. A scratch carries capacity, never state, which keeps results
 // independent of how shards are distributed over workers.
 //
-// Weighted jobs (RunWeightedCtx) fold each trial's observation vector and
-// likelihood ratio into a per-shard WeightedSet (WeightedSet.Add): the
-// unbiased mean, CI and effective sample size of every dimension, with
-// the trial count, Σw and Σw² that all dimensions share kept once. The
-// observation vector lives in the job's own scratch, and every trial
-// overwrites it in full.
+// There are two ways to run: RunCtx runs a Job, and MapScratchCtx, a
+// wrapper over it, returns one value per trial in trial order. A
+// weighted job is a plain Job whose NewAcc returns NewWeightedSet: its
+// Shard folds each trial's observation vector and likelihood ratio into
+// the shard's WeightedSet (WeightedSet.Add), which holds the unbiased
+// mean, CI and effective sample size of every dimension, with the trial
+// count, Σw and Σw² that all dimensions share kept once. The observation
+// vector lives in the job's own scratch, and every trial overwrites it
+// in full.
 package mc
 
 import (
@@ -53,11 +56,11 @@ import (
 	"arcc/internal/rng"
 )
 
-// ErrCanceled is the sentinel RunCtx (and the RunWeightedCtx/MapScratchCtx
-// wrappers) return when the context is cancelled before the job
-// completes. The engine stops within one shard boundary of the cancel: no
-// new shard starts once the context is done, in-flight shards finish, and
-// every worker goroutine exits before RunCtx returns.
+// ErrCanceled is the sentinel RunCtx (and the MapScratchCtx wrapper)
+// returns when the context is cancelled before the job completes. The
+// engine stops within one shard boundary of the cancel: no new shard
+// starts once the context is done, in-flight shards finish, and every
+// worker goroutine exits before RunCtx returns.
 var ErrCanceled = errors.New("mc: run canceled")
 
 // DefaultShardSize is the number of trials per shard when Options.ShardSize

@@ -33,9 +33,9 @@ func run(job Job, opts Options) Accumulator {
 	return acc
 }
 
-// runWeighted is RunWeightedCtx under a background context.
-func runWeighted(job WeightedJob, opts Options) *WeightedSet {
-	set, err := RunWeightedCtx(context.Background(), job, opts)
+// runWeighted is runWeightedCtx under a background context.
+func runWeighted(job weightedJob, opts Options) *WeightedSet {
+	set, err := runWeightedCtx(context.Background(), job, opts)
 	if err != nil {
 		panic(err)
 	}

@@ -1,26 +1,25 @@
 package mc
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 
-	"arcc/internal/rng"
 	"arcc/internal/stats"
 )
 
-// Weighted jobs: Monte Carlo whose trials carry an importance-sampling
-// likelihood ratio. A trial fills a vector of per-dimension observations
-// (e.g. one faulty-page fraction per lifetime year) and adds it, with its
-// weight against the target distribution, to the shard's WeightedSet,
-// which folds every dimension into the estimator a stats.Weighted would
-// hold, so the result carries the unbiased weighted mean, a confidence
-// interval, and the effective sample size — in O(Dims) memory regardless
-// of the trial count. Plain (unaccelerated) sampling is the weight-1
-// special case, and the weighted sum is a plain running sum, so a
+// Weighted Monte Carlo: trials that carry an importance-sampling
+// likelihood ratio. A weighted job is an ordinary Job whose NewAcc returns
+// NewWeightedSet: its Shard fills a vector of per-dimension observations
+// per trial (e.g. one faulty-page fraction per lifetime year) and adds it,
+// with the trial's weight against the target distribution, to the shard's
+// set, which folds every dimension into the estimator a stats.Weighted
+// would hold, so the result carries the unbiased weighted mean, a
+// confidence interval, and the effective sample size — in O(Dims) memory
+// regardless of the trial count. Plain (unaccelerated) sampling is the
+// weight-1 special case, and the weighted sum is a plain running sum, so a
 // weights-all-one job reproduces a legacy sum-and-divide accumulator bit
 // for bit: same additions, same shard-order merge.
 //
@@ -31,43 +30,10 @@ import (
 // order, so Dim(i) equals the stats.Weighted fed the same trials bit for
 // bit (TestWeightedSetMatchesStatsWeighted).
 
-// WeightedJob describes one weighted Monte Carlo computation.
-type WeightedJob struct {
-	// Trials is the total number of trials to run. Must be positive.
-	Trials int
-	// Seed is the base seed; shard i draws from a stream seeded with
-	// Seed ^ splitmix64(i), exactly as in Job.
-	Seed int64
-	// Dims is the length of the observation vector each trial fills.
-	// Must be positive.
-	Dims int
-	// SketchDims lists the dimensions (indexes < Dims, no duplicates)
-	// whose raw observations are additionally folded into a quantile
-	// sketch. Sketches record the unweighted values, so their quantiles
-	// are meaningful only when every trial weight is 1 — callers running
-	// accelerated (weighted) jobs should leave this empty.
-	// Sketches have stats.DefaultSketchK items per level.
-	SketchDims []int
-	// NewScratch, optional, allocates a per-worker scratch workspace with
-	// the same capacity-only contract as Job.NewScratch. It is where a
-	// job keeps its observation buffer.
-	NewScratch func() any
-	// Shard runs trials lo..hi-1 (0-based, global across shards) of one
-	// shard in order, drawing from the worker's rng.Source reseeded to
-	// the shard's stream as Job.Shard does, and calls set.Add once per
-	// trial, in trial order, with one observation for every dimension
-	// (len == Dims) and the trial's likelihood ratio against the target
-	// distribution — 1 for plain sampling. An observation buffer kept in
-	// scratch still holds what the worker's previous trial wrote, so a
-	// trial must write every dimension: one that skips a dimension makes
-	// the result depend on how shards fall on workers. scratch is nil
-	// when NewScratch is.
-	Shard func(src *rng.Source, lo, hi int, scratch any, set *WeightedSet)
-}
-
-// WeightedSet is the result of a weighted job: one weighted estimator
-// per dimension plus the requested quantile sketches, merged across
-// shards in shard-index order. Read it through Dim and Sketch.
+// WeightedSet is the accumulator of a weighted job: one weighted
+// estimator per dimension plus the requested quantile sketches, merged
+// across shards in shard-index order. Build each shard's with
+// NewWeightedSet and read the result through Dim and Sketch.
 type WeightedSet struct {
 	// n is the number of trials folded in, and sumW and sumW2 are their
 	// Σw and Σw²: the Y.Count, SumW and SumW2 of every dimension.
@@ -75,10 +41,41 @@ type WeightedSet struct {
 	sumW, sumW2 float64
 	// dims holds each dimension's own sums.
 	dims []weightedDim
-	// sketchDims and sketches mirror WeightedJob.SketchDims: sketches[j]
-	// summarises dimension sketchDims[j].
+	// sketchDims and sketches mirror NewWeightedSet's sketchDims:
+	// sketches[j] summarises dimension sketchDims[j].
 	sketchDims []int
 	sketches   []*stats.QuantileSketch
+}
+
+// NewWeightedSet returns one shard's empty set of dims dimensions. The
+// raw observations of each of sketchDims (indexes < dims, no duplicates)
+// are also folded into a quantile sketch of stats.DefaultSketchK items
+// per level. Sketches record the unweighted values, so their quantiles
+// are meaningful only when every trial weight is 1: accelerated
+// (weighted) jobs should sketch nothing. It panics on a non-positive
+// dims and on a sketch dimension out of range or repeated.
+func NewWeightedSet(dims int, sketchDims ...int) *WeightedSet {
+	if dims <= 0 {
+		panic(fmt.Sprintf("mc: non-positive dimension count %d", dims))
+	}
+	s := &WeightedSet{dims: make([]weightedDim, dims)}
+	if len(sketchDims) == 0 {
+		return s
+	}
+	for j, d := range sketchDims {
+		if d < 0 || d >= dims {
+			panic(fmt.Sprintf("mc: sketch dimension %d outside [0, %d)", d, dims))
+		}
+		if slices.Contains(sketchDims[:j], d) {
+			panic(fmt.Sprintf("mc: duplicate sketch dimension %d", d))
+		}
+	}
+	s.sketchDims = slices.Clone(sketchDims)
+	s.sketches = make([]*stats.QuantileSketch, len(sketchDims))
+	for j := range s.sketches {
+		s.sketches[j] = stats.NewQuantileSketch(0)
+	}
+	return s
 }
 
 // weightedDim is what a dimension of a WeightedSet does not share with
@@ -109,10 +106,12 @@ func (s *WeightedSet) Sketch(dim int) *stats.QuantileSketch {
 	return nil
 }
 
-// Merge folds another set into the receiver: stats.Weighted.Merge for
-// every dimension. Like every streaming merge the result depends on the
-// merge order; the engine always merges in shard-index order.
-func (s *WeightedSet) Merge(o *WeightedSet) {
+// Merge folds another set, the accumulator of a later shard, into the
+// receiver: stats.Weighted.Merge for every dimension. Like every
+// streaming merge the result depends on the merge order; the engine
+// always merges in shard-index order.
+func (s *WeightedSet) Merge(other Accumulator) {
+	o := other.(*WeightedSet)
 	if len(o.dims) != len(s.dims) || len(o.sketches) != len(s.sketches) {
 		panic("mc: merging weighted sets of different shape")
 	}
@@ -170,71 +169,6 @@ func (s *WeightedSet) Add(vals []float64, w float64) {
 	}
 }
 
-// RunWeightedCtx executes the job and returns the shard-order merge of
-// all per-shard estimator sets; a cancelled context returns
-// (nil, ErrCanceled) within one shard boundary.
-func RunWeightedCtx(ctx context.Context, job WeightedJob, opts Options) (*WeightedSet, error) {
-	if job.Dims <= 0 {
-		panic(fmt.Sprintf("mc: non-positive dimension count %d", job.Dims))
-	}
-	if job.Shard == nil {
-		panic("mc: weighted job needs Shard")
-	}
-	seen := make(map[int]bool, len(job.SketchDims))
-	for _, d := range job.SketchDims {
-		if d < 0 || d >= job.Dims {
-			panic(fmt.Sprintf("mc: sketch dimension %d outside [0, %d)", d, job.Dims))
-		}
-		if seen[d] {
-			panic(fmt.Sprintf("mc: duplicate sketch dimension %d", d))
-		}
-		seen[d] = true
-	}
-	acc, err := RunCtx(ctx, job.engineJob(), opts)
-	if err != nil {
-		return nil, err
-	}
-	return &acc.(*weightedAcc).set, nil
-}
-
-// engineJob is the engine job a weighted job runs as: one weightedAcc per
-// shard, and per worker the job's own scratch.
-func (job WeightedJob) engineJob() Job {
-	return Job{
-		Trials:     job.Trials,
-		Seed:       job.Seed,
-		NewAcc:     func() Accumulator { return job.newAcc() },
-		NewScratch: job.NewScratch,
-		Shard: func(src *rng.Source, lo, hi int, a Accumulator, scratch any) {
-			job.Shard(src, lo, hi, scratch, &a.(*weightedAcc).set)
-		},
-	}
-}
-
-// newAcc returns the empty accumulator of one shard of job.
-func (job WeightedJob) newAcc() *weightedAcc {
-	a := &weightedAcc{set: WeightedSet{dims: make([]weightedDim, job.Dims)}}
-	if len(job.SketchDims) > 0 {
-		s := &a.set
-		s.sketchDims = append([]int(nil), job.SketchDims...)
-		s.sketches = make([]*stats.QuantileSketch, len(job.SketchDims))
-		for j := range s.sketches {
-			s.sketches[j] = stats.NewQuantileSketch(0)
-		}
-	}
-	return a
-}
-
-// weightedAcc is the per-shard accumulator of a weighted job; the set is
-// held by value, so a shard's accumulator and set are one allocation.
-type weightedAcc struct {
-	set WeightedSet
-}
-
-func (a *weightedAcc) Merge(other Accumulator) {
-	a.set.Merge(&other.(*weightedAcc).set)
-}
-
 // weightedFormat leads every weighted-set blob. No gob stream starts
 // with it (gob opens with a message length, whose first byte is below
 // 0x80 or at least 0xF8), so a shard snapshot written in the gob image
@@ -252,8 +186,7 @@ const weightedFormat = 0x81
 // Floats are stored as raw IEEE-754 bits, so the round trip is bit-exact
 // and equal sets encode to equal bytes. The buffer is sized exactly, so
 // encoding allocates once.
-func (a *weightedAcc) MarshalBinary() ([]byte, error) {
-	s := &a.set
+func (s *WeightedSet) MarshalBinary() ([]byte, error) {
 	n := 1 + 8 + 48*len(s.dims) + 8 + 8*len(s.sketchDims)
 	for _, sk := range s.sketches {
 		n += 24
@@ -294,11 +227,11 @@ func (a *weightedAcc) MarshalBinary() ([]byte, error) {
 // bytes. Every count is checked against the bytes left before anything
 // is allocated for it, and trailing bytes are an error. The dimensions
 // must agree bit for bit on the trial count, Σw and Σw², which a set
-// holds once. The receiver must be fresh from the job's NewAcc: its
-// empty set is the shape the snapshot has to match (see checkShape), so
-// a blob from a job of another shape fails here and the engine re-runs
-// its shard.
-func (a *weightedAcc) UnmarshalBinary(b []byte) error {
+// holds once. The receiver must be fresh from NewWeightedSet: its empty
+// set is the shape the snapshot has to match (see checkShape), so a blob
+// from a job of another shape fails here and the engine re-runs its
+// shard.
+func (s *WeightedSet) UnmarshalBinary(b []byte) error {
 	if len(b) == 0 || b[0] != weightedFormat {
 		return errors.New("mc: weighted snapshot is not in the fixed layout")
 	}
@@ -348,10 +281,10 @@ func (a *weightedAcc) UnmarshalBinary(b []byte) error {
 	if disagree {
 		return errors.New("mc: weighted snapshot dimensions disagree on the trial count, Σw or Σw²")
 	}
-	if err := a.set.checkShape(&set); err != nil {
+	if err := s.checkShape(&set); err != nil {
 		return err
 	}
-	a.set = set
+	*s = set
 	return nil
 }
 

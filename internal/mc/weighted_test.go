@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -43,13 +45,53 @@ func weightedObs(r interface{ Float64() float64 }, vals []float64) {
 	}
 }
 
+// weightedJob is a weighted job in the form these tests state it: the
+// Job that engine returns runs Trials trials on NewWeightedSet(Dims,
+// SketchDims...) accumulators, and Shard adds each trial to the shard's
+// set.
+type weightedJob struct {
+	Trials     int
+	Seed       int64
+	Dims       int
+	SketchDims []int
+	NewScratch func() any
+	Shard      func(src *rng.Source, lo, hi int, scratch any, set *WeightedSet)
+}
+
+// newSet returns the empty set of one shard of job.
+func (job weightedJob) newSet() *WeightedSet {
+	return NewWeightedSet(job.Dims, job.SketchDims...)
+}
+
+// engine returns the engine job job runs as.
+func (job weightedJob) engine() Job {
+	return Job{
+		Trials:     job.Trials,
+		Seed:       job.Seed,
+		NewAcc:     func() Accumulator { return job.newSet() },
+		NewScratch: job.NewScratch,
+		Shard: func(src *rng.Source, lo, hi int, acc Accumulator, scratch any) {
+			job.Shard(src, lo, hi, scratch, acc.(*WeightedSet))
+		},
+	}
+}
+
+// runWeightedCtx runs job through RunCtx and returns its merged set.
+func runWeightedCtx(ctx context.Context, job weightedJob, opts Options) (*WeightedSet, error) {
+	acc, err := RunCtx(ctx, job.engine(), opts)
+	if err != nil {
+		return nil, err
+	}
+	return acc.(*WeightedSet), nil
+}
+
 // withTrial returns job with a Shard that runs trial once per trial of
 // the shard, in order, and adds the observations it writes with the
 // weight it returns: the per-trial form these tests state their jobs in.
 // The observation buffer sits in a per-worker scratch beside the one
 // job.NewScratch makes, which trial receives (nil when job.NewScratch
 // is).
-func withTrial(job WeightedJob, trial func(src *rng.Source, trial int, scratch any, vals []float64) float64) WeightedJob {
+func withTrial(job weightedJob, trial func(src *rng.Source, trial int, scratch any, vals []float64) float64) weightedJob {
 	dims, newScratch := job.Dims, job.NewScratch
 	job.NewScratch = func() any {
 		ts := &trialScratch{vals: make([]float64, dims)}
@@ -81,7 +123,7 @@ type trialScratch struct {
 // additions in the same shard order, then one division.
 func TestRunWeightedAllOnesBitIdentical(t *testing.T) {
 	const dims, trials = 3, 1000
-	set := runWeighted(withTrial(WeightedJob{
+	set := runWeighted(withTrial(weightedJob{
 		Trials: trials,
 		Seed:   42,
 		Dims:   dims,
@@ -123,7 +165,7 @@ func TestRunWeightedAllOnesBitIdentical(t *testing.T) {
 // TestRunWeightedParallelismDeterminism: the full result — estimators
 // and sketches — must be identical at any worker count.
 func TestRunWeightedParallelismDeterminism(t *testing.T) {
-	job := withTrial(WeightedJob{
+	job := withTrial(weightedJob{
 		Trials:     2000,
 		Seed:       7,
 		Dims:       2,
@@ -142,7 +184,7 @@ func TestRunWeightedParallelismDeterminism(t *testing.T) {
 }
 
 func TestRunWeightedSketch(t *testing.T) {
-	set := runWeighted(withTrial(WeightedJob{
+	set := runWeighted(withTrial(weightedJob{
 		Trials:     5000,
 		Seed:       3,
 		Dims:       2,
@@ -169,7 +211,7 @@ func TestRunWeightedSketch(t *testing.T) {
 
 func TestRunWeightedScratch(t *testing.T) {
 	type ws struct{ buf []float64 }
-	set := runWeighted(withTrial(WeightedJob{
+	set := runWeighted(withTrial(weightedJob{
 		Trials:     500,
 		Seed:       9,
 		Dims:       1,
@@ -190,7 +232,7 @@ func TestRunWeightedScratch(t *testing.T) {
 func TestRunWeightedCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunWeightedCtx(ctx, withTrial(WeightedJob{
+	_, err := runWeightedCtx(ctx, withTrial(weightedJob{
 		Trials: 100,
 		Dims:   1,
 	}, func(src *rng.Source, trial int, _ any, vals []float64) float64 {
@@ -205,7 +247,7 @@ func TestRunWeightedCancel(t *testing.T) {
 // TestRunWeightedCheckpointResume: a weighted run resumed from a
 // mid-run snapshot must be bit-identical to an uninterrupted run.
 func TestRunWeightedCheckpointResume(t *testing.T) {
-	job := withTrial(WeightedJob{
+	job := withTrial(weightedJob{
 		Trials:     1000,
 		Seed:       11,
 		Dims:       2,
@@ -218,7 +260,7 @@ func TestRunWeightedCheckpointResume(t *testing.T) {
 
 	var snap *Checkpoint
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := RunWeightedCtx(ctx, job, Options{
+	_, err := runWeightedCtx(ctx, job, Options{
 		Parallelism: 1,
 		Checkpoint: &CheckpointConfig{Sink: func(c *Checkpoint) {
 			if c.Done() >= 5*DefaultShardSize {
@@ -234,7 +276,7 @@ func TestRunWeightedCheckpointResume(t *testing.T) {
 		t.Fatal("no snapshot captured before cancel")
 	}
 
-	resumed, err := RunWeightedCtx(context.Background(), job, Options{
+	resumed, err := runWeightedCtx(context.Background(), job, Options{
 		Parallelism: 1,
 		Checkpoint:  &CheckpointConfig{Resume: snap},
 	})
@@ -302,7 +344,7 @@ func checkWeightedSet(t *testing.T, huge bool) {
 	// shard feeds trials random trials to a fresh set and to one
 	// stats.Weighted per dimension.
 	shard := func(trials int) (*WeightedSet, []stats.Weighted) {
-		set := &(WeightedJob{Dims: dims}).newAcc().set
+		set := NewWeightedSet(dims)
 		ref := make([]stats.Weighted, dims)
 		vals := make([]float64, dims)
 		for range trials {
@@ -332,7 +374,7 @@ func checkWeightedSet(t *testing.T, huge bool) {
 				t.Fatalf("%s (huge weights %v): dimension %d = %+v, stats.Weighted %+v", what, huge, i, got, ref[i])
 			}
 		}
-		blob, err := (&weightedAcc{set: *set}).MarshalBinary()
+		blob, err := set.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +411,7 @@ func checkWeightedSet(t *testing.T, huge bool) {
 // per-dimension layout whose dimensions disagree on the trial count, Σw
 // or Σw² has no WeightedSet to stand for, so it does not decode.
 func TestWeightedSnapshotRejectsDisagreeingDimensions(t *testing.T) {
-	job := WeightedJob{Dims: 3}
+	job := weightedJob{Dims: 3}
 	set, _ := snapshotSet(t, false, 100)
 	base := legacy(set).Dims[:3]
 	for name, edit := range map[string]func(*stats.Weighted){
@@ -378,11 +420,11 @@ func TestWeightedSnapshotRejectsDisagreeingDimensions(t *testing.T) {
 		"Σw²":   func(d *stats.Weighted) { d.SumW2 = math.Copysign(d.SumW2, -1) },
 	} {
 		dims := slices.Clone(base)
-		if err := job.newAcc().UnmarshalBinary(perDimBlob(dims)); err != nil {
+		if err := job.newSet().UnmarshalBinary(perDimBlob(dims)); err != nil {
 			t.Fatalf("%s: the agreeing blob does not decode: %v", name, err)
 		}
 		edit(&dims[2])
-		if err := job.newAcc().UnmarshalBinary(perDimBlob(dims)); err == nil {
+		if err := job.newSet().UnmarshalBinary(perDimBlob(dims)); err == nil {
 			t.Errorf("%s: a blob whose dimensions disagree decoded", name)
 		}
 	}
@@ -392,7 +434,7 @@ func TestWeightedSnapshotRejectsDisagreeingDimensions(t *testing.T) {
 // dimension claiming one trial more than the others.
 func disagreeingBlob(t testing.TB, snaps map[int][]byte, s int) []byte {
 	t.Helper()
-	acc := shapeJob(3).newAcc()
+	acc := shapeJob(3).newSet()
 	if err := acc.UnmarshalBinary(snaps[s]); err != nil {
 		t.Fatal(err)
 	}
@@ -410,11 +452,11 @@ func disagreeingBlob(t testing.TB, snaps map[int][]byte, s int) []byte {
 // TestRunWeightedAllocationsIndependentOfShardSize pins the weighted
 // engine's allocations: a trial allocates nothing, so a run of 16 shards
 // allocates the same at 1 and at 64 trials per shard, and a shard
-// allocates only its accumulator, in two allocations (the accumulator
-// with its set, and the dimensions), not an observation buffer.
+// allocates only its accumulator, in two allocations (the set and its
+// dimensions), not an observation buffer.
 func TestRunWeightedAllocationsIndependentOfShardSize(t *testing.T) {
 	allocs := func(shards, size int) float64 {
-		job := withTrial(WeightedJob{
+		job := withTrial(weightedJob{
 			Trials: shards * size,
 			Seed:   1,
 			Dims:   7,
@@ -433,24 +475,16 @@ func TestRunWeightedAllocationsIndependentOfShardSize(t *testing.T) {
 	}
 }
 
-func TestRunWeightedPanics(t *testing.T) {
-	ok := func(src *rng.Source, trial int, _ any, vals []float64) float64 {
-		vals[0] = src.Float64()
-		return 1
-	}
+// TestNewWeightedSetPanics: NewWeightedSet panics on a shape no job can
+// have, and Add on a weight that is no likelihood ratio.
+func TestNewWeightedSetPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"zero dims":      func() { runWeighted(withTrial(WeightedJob{Trials: 1, Dims: 0}, ok), Options{}) },
-		"nil shard":      func() { runWeighted(WeightedJob{Trials: 1, Dims: 1}, Options{}) },
-		"sketch dim oob": func() { runWeighted(withTrial(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{1}}, ok), Options{}) },
-		"sketch dim dup": func() {
-			runWeighted(withTrial(WeightedJob{Trials: 1, Dims: 1, SketchDims: []int{0, 0}}, ok), Options{})
-		},
-		"negative weight": func() {
-			runWeighted(withTrial(WeightedJob{Trials: 1, Dims: 1}, func(*rng.Source, int, any, []float64) float64 { return -1 }), Options{})
-		},
-		"nan weight": func() {
-			runWeighted(withTrial(WeightedJob{Trials: 1, Dims: 1}, func(*rng.Source, int, any, []float64) float64 { return math.NaN() }), Options{})
-		},
+		"zero dims":       func() { NewWeightedSet(0) },
+		"sketch dim oob":  func() { NewWeightedSet(1, 1) },
+		"sketch dim neg":  func() { NewWeightedSet(2, -1) },
+		"sketch dim dup":  func() { NewWeightedSet(2, 1, 0, 1) },
+		"negative weight": func() { NewWeightedSet(1).Add([]float64{0}, -1) },
+		"nan weight":      func() { NewWeightedSet(1).Add([]float64{0}, math.NaN()) },
 	} {
 		func() {
 			defer func() {
@@ -463,8 +497,82 @@ func TestRunWeightedPanics(t *testing.T) {
 	}
 }
 
+// pinnedBlob is a shard snapshot of a two-dimension set sketching
+// dimension 1, after 259 trials (trial i observes (i mod 17)/4 and i/8
+// with weight 1 + (i mod 3)/2), so its sketch spans two levels: 3 items
+// on level 0 and 128 on level 1. It was written by the encoder of the
+// release whose weighted jobs had their own job type, and so is the
+// layout of the checkpoints that release's served jobs left on disk.
+const pinnedBlob = `
+8102000000000000000000000000f98740000000000040784000000000008483
+400301000000000000224b3c41eab10740b419a274ce7b9140000000003073b8
+40000000000040784000000000008483400301000000000000ab712ff0af2a38
+40f0af1a774a0bf0400100000000000000010000000000000000010000000000
+0003010000000000000200000000000000030000000000000000000000000040
+40000000000010404000000000002040408000000000000000000000000000c0
+3f000000000000d83f000000000000e43f000000000000ec3f000000000000f2
+3f000000000000f63f000000000000fa3f000000000000fe3f00000000000001
+4000000000000003400000000000000540000000000000074000000000000009
+400000000000000b400000000000000d400000000000000f4000000000008010
+4000000000008011400000000000801240000000000080134000000000008014
+4000000000008015400000000000801640000000000080174000000000008018
+4000000000008019400000000000801a400000000000801b400000000000801c
+400000000000801d400000000000801e400000000000801f4000000000004020
+400000000000c0204000000000004021400000000000c0214000000000004022
+400000000000c0224000000000004023400000000000c0234000000000004024
+400000000000c0244000000000004025400000000000c0254000000000004026
+400000000000c0264000000000004027400000000000c0274000000000004028
+400000000000c0284000000000004029400000000000c029400000000000402a
+400000000000c02a400000000000402b400000000000c02b400000000000402c
+400000000000c02c400000000000402d400000000000c02d400000000000402e
+400000000000c02e400000000000402f400000000000c02f4000000000002030
+4000000000006030400000000000a030400000000000e0304000000000002031
+4000000000006031400000000000a031400000000000e0314000000000002032
+4000000000006032400000000000a032400000000000e0324000000000002033
+4000000000006033400000000000a033400000000000e0334000000000002034
+4000000000006034400000000000a034400000000000e0344000000000002035
+4000000000006035400000000000a035400000000000e0354000000000002036
+4000000000006036400000000000a036400000000000e0364000000000002037
+4000000000006037400000000000a037400000000000e0374000000000002038
+4000000000006038400000000000a038400000000000e0384000000000002039
+4000000000006039400000000000a039400000000000e039400000000000203a
+400000000000603a400000000000a03a400000000000e03a400000000000203b
+400000000000603b400000000000a03b400000000000e03b400000000000203c
+400000000000603c400000000000a03c400000000000e03c400000000000203d
+400000000000603d400000000000a03d400000000000e03d400000000000203e
+400000000000603e400000000000a03e400000000000e03e400000000000203f
+400000000000603f400000000000a03f400000000000e03f40
+`
+
+// TestWeightedSnapshotPinned: a checkpoint blob in the pinned layout
+// decodes into the set of its shape and encodes back to the same bytes,
+// so checkpoint files written by earlier releases stay resumable.
+func TestWeightedSnapshotPinned(t *testing.T) {
+	blob, err := hex.DecodeString(strings.Join(strings.Fields(pinnedBlob), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := NewWeightedSet(2, 1)
+	if err := set.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if n := set.Dim(0).Y.Count; n != 259 {
+		t.Fatalf("decoded %d trials, want 259", n)
+	}
+	if sk := set.Sketch(1); sk == nil || sk.N != 259 || len(sk.Levels) != 2 {
+		t.Fatalf("decoded sketch %+v, want 259 observations over two levels", sk)
+	}
+	back, err := set.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, blob) {
+		t.Fatal("the decoded set encodes to other bytes")
+	}
+}
+
 func BenchmarkRunWeighted(b *testing.B) {
-	job := withTrial(WeightedJob{
+	job := withTrial(weightedJob{
 		Trials: 10_000,
 		Seed:   1,
 		Dims:   8,
@@ -484,7 +592,7 @@ func BenchmarkRunWeighted(b *testing.B) {
 // the checkpoint, as the sweep service's store does: what checkpointing
 // costs a long job, per job.
 func BenchmarkRunCheckpointed(b *testing.B) {
-	job := withTrial(WeightedJob{
+	job := withTrial(weightedJob{
 		Trials:     2048 * DefaultShardSize,
 		Seed:       1,
 		Dims:       7,
@@ -507,8 +615,8 @@ func BenchmarkRunCheckpointed(b *testing.B) {
 // shapeJob is a small weighted job with a sketch: 5 shards of shapeShard
 // trials, enough for the merged sketch to span several levels, one of them
 // empty.
-func shapeJob(dims int) WeightedJob {
-	return withTrial(WeightedJob{
+func shapeJob(dims int) weightedJob {
+	return withTrial(weightedJob{
 		Trials:     5 * shapeShard,
 		Seed:       5,
 		Dims:       dims,
@@ -524,9 +632,9 @@ const shapeShard = 128
 // snapshotWeighted returns the per-shard checkpoint of job's first
 // shards shards (all of them when shards is the job's shard count), each
 // shard's blob on its own.
-func snapshotWeighted(t testing.TB, job WeightedJob, shards int) *Checkpoint {
+func snapshotWeighted(t testing.TB, job weightedJob, shards int) *Checkpoint {
 	t.Helper()
-	return perShard(t, job.engineJob(), shapeShard, shards)
+	return perShard(t, job.engine(), shapeShard, shards)
 }
 
 // sameSet compares two weighted sets bit for bit through their snapshot
@@ -534,11 +642,11 @@ func snapshotWeighted(t testing.TB, job WeightedJob, shards int) *Checkpoint {
 // TestWeightedSnapshotCanonical).
 func sameSet(t testing.TB, got, want *WeightedSet) bool {
 	t.Helper()
-	g, err := (&weightedAcc{set: *got}).MarshalBinary()
+	g, err := got.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := (&weightedAcc{set: *want}).MarshalBinary()
+	w, err := want.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,9 +686,9 @@ func gobWeightedBlob(t testing.TB, set *WeightedSet) []byte {
 // snapshotSet is a weighted set with the seven yearly dimensions of a
 // default lifetime run, from a real run of trials trials; when sketched it
 // also sketches the final year.
-func snapshotSet(t testing.TB, sketched bool, trials int) (*WeightedSet, WeightedJob) {
+func snapshotSet(t testing.TB, sketched bool, trials int) (*WeightedSet, weightedJob) {
 	t.Helper()
-	job := withTrial(WeightedJob{
+	job := withTrial(weightedJob{
 		Trials: trials,
 		Seed:   19,
 		Dims:   7,
@@ -626,15 +734,15 @@ func TestWeightedSnapshotRoundTripBitExact(t *testing.T) {
 			lvl[i] = next()
 		}
 	}
-	blob, err := (&weightedAcc{set: *set}).MarshalBinary()
+	blob, err := set.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := job.newAcc()
+	back := job.newSet()
 	if err := back.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if !sameSet(t, &back.set, set) {
+	if !sameSet(t, back, set) {
 		t.Fatal("round trip changed the set")
 	}
 }
@@ -646,8 +754,8 @@ func TestWeightedSnapshotCanonical(t *testing.T) {
 	job := shapeJob(3)
 	a := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
 	b := runWeighted(job, Options{Parallelism: 4, ShardSize: shapeShard})
-	blobA, _ := (&weightedAcc{set: *a}).MarshalBinary()
-	blobB, _ := (&weightedAcc{set: *b}).MarshalBinary()
+	blobA, _ := a.MarshalBinary()
+	blobB, _ := b.MarshalBinary()
 	if !bytes.Equal(blobA, blobB) {
 		t.Fatal("equal sets encode to different bytes")
 	}
@@ -663,11 +771,11 @@ func TestWeightedSnapshotCanonical(t *testing.T) {
 	if emptied == 0 {
 		t.Fatal("no empty sketch level to compare with nil")
 	}
-	if blob, _ := (&weightedAcc{set: *a}).MarshalBinary(); !bytes.Equal(blob, blobA) {
+	if blob, _ := a.MarshalBinary(); !bytes.Equal(blob, blobA) {
 		t.Fatal("nil and empty sketch levels encode differently")
 	}
 	a.sumW2 = math.Float64frombits(math.Float64bits(a.sumW2) ^ 1)
-	if blob, _ := (&weightedAcc{set: *a}).MarshalBinary(); bytes.Equal(blob, blobA) {
+	if blob, _ := a.MarshalBinary(); bytes.Equal(blob, blobA) {
 		t.Fatal("sets one bit apart encode to equal bytes")
 	}
 }
@@ -677,9 +785,8 @@ func TestWeightedSnapshotCanonical(t *testing.T) {
 func TestWeightedSnapshotMarshalAllocs(t *testing.T) {
 	for _, sketched := range []bool{false, true} {
 		set, _ := snapshotSet(t, sketched, DefaultShardSize)
-		acc := &weightedAcc{set: *set}
 		var blob []byte
-		if n := testing.AllocsPerRun(100, func() { blob, _ = acc.MarshalBinary() }); n > 1 {
+		if n := testing.AllocsPerRun(100, func() { blob, _ = set.MarshalBinary() }); n > 1 {
 			t.Errorf("sketched=%v: MarshalBinary made %v allocations, want at most 1", sketched, n)
 		}
 		if len(blob) != cap(blob) {
@@ -692,16 +799,16 @@ func TestWeightedSnapshotMarshalAllocs(t *testing.T) {
 // the real shard snapshot real: the gob image earlier versions wrote of
 // the same set, the blob cut short or with a byte appended, and one whose
 // dimension count runs past its length.
-func otherLayouts(t testing.TB, job WeightedJob, real []byte) map[string][]byte {
+func otherLayouts(t testing.TB, job weightedJob, real []byte) map[string][]byte {
 	t.Helper()
-	acc := job.newAcc()
+	acc := job.newSet()
 	if err := acc.UnmarshalBinary(real); err != nil {
 		t.Fatal(err)
 	}
 	huge := bytes.Clone(real)
 	huge[8] = 0x7f // the high byte of the dimension count
 	return map[string][]byte{
-		"gob image":      gobWeightedBlob(t, &acc.set),
+		"gob image":      gobWeightedBlob(t, acc),
 		"truncated":      real[:len(real)-1],
 		"trailing byte":  append(bytes.Clone(real), 0),
 		"huge dim count": huge,
@@ -715,12 +822,12 @@ func TestWeightedSnapshotRejectsOtherLayouts(t *testing.T) {
 	job := shapeJob(3)
 	real := snapshotWeighted(t, job, 5).Shards[1]
 	for name, blob := range otherLayouts(t, job, real) {
-		if err := (job.newAcc()).UnmarshalBinary(blob); err == nil {
+		if err := (job.newSet()).UnmarshalBinary(blob); err == nil {
 			t.Errorf("%s: blob decoded", name)
 		}
 	}
 	for n := range real {
-		if err := (job.newAcc()).UnmarshalBinary(real[:n]); err == nil {
+		if err := (job.newSet()).UnmarshalBinary(real[:n]); err == nil {
 			t.Fatalf("the %d-byte prefix of a %d-byte blob decoded", n, len(real))
 		}
 	}
@@ -737,11 +844,10 @@ func BenchmarkWeightedSnapshot(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			set, job := snapshotSet(b, sketched, DefaultShardSize)
-			acc := &weightedAcc{set: *set}
-			dst := job.newAcc()
+			dst := job.newSet()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				blob, err := acc.MarshalBinary()
+				blob, err := set.MarshalBinary()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -781,11 +887,11 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 	// of a job that sketches at another resolution.
 	otherK := snapshotWeighted(t, job, 5)
 	for sh, blob := range otherK.Shards {
-		acc := job.newAcc()
+		acc := job.newSet()
 		if err := acc.UnmarshalBinary(blob); err != nil {
 			t.Fatal(err)
 		}
-		acc.set.sketches[0].K /= 2
+		acc.sketches[0].K /= 2
 		b, err := acc.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -796,11 +902,11 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 	// A blob of the right shape whose shard-3 sketch claims one more
 	// observation than its items weigh.
 	real := snapshotWeighted(t, job, 5).Shards
-	acc := job.newAcc()
+	acc := job.newSet()
 	if err := acc.UnmarshalBinary(real[3]); err != nil {
 		t.Fatal(err)
 	}
-	acc.set.sketches[0].N++
+	acc.sketches[0].N++
 	miscounted, err := acc.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -816,7 +922,7 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 		"partial 2-dim": {snapshotWeighted(t, shapeJob(2), 2), all},
 		"full 2-dim":    {snapshotWeighted(t, shapeJob(2), 5), all},
 		"full other K":  {otherK, all},
-		"no sketch": {snapshotWeighted(t, withTrial(WeightedJob{Trials: job.Trials, Seed: 5, Dims: 3},
+		"no sketch": {snapshotWeighted(t, withTrial(weightedJob{Trials: job.Trials, Seed: 5, Dims: 3},
 			func(src *rng.Source, _ int, _ any, vals []float64) float64 { weightedObs(src, vals); return 1 }), 5), all},
 	}
 	for name, blob := range otherLayouts(t, job, real[1]) {
@@ -825,7 +931,7 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 	for name, c := range cases {
 		for _, p := range []int{1, 4} {
 			executed.Store(0)
-			got, err := RunWeightedCtx(context.Background(), job, Options{
+			got, err := runWeightedCtx(context.Background(), job, Options{
 				Parallelism: p,
 				ShardSize:   shapeShard,
 				Checkpoint:  &CheckpointConfig{Resume: c.snap},
@@ -861,7 +967,7 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 	snaps := snapshotWeighted(f, job, shards).Shards
 	// prefixes[k] is the engine's snapshot blob of shards [0, k).
 	prefixes := [][]byte{nil}
-	_, err := RunWeightedCtx(context.Background(), job, Options{Parallelism: 1, ShardSize: shapeShard,
+	_, err := runWeightedCtx(context.Background(), job, Options{Parallelism: 1, ShardSize: shapeShard,
 		Checkpoint: &CheckpointConfig{Sink: func(c *Checkpoint) { prefixes = append(prefixes, c.Shards[0]) }}})
 	if err != nil || len(prefixes) != shards+1 {
 		f.Fatalf("snapshot run: err %v, %d prefixes", err, len(prefixes)-1)
@@ -870,11 +976,11 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 	f.Add(uint8(0x05), int8(0), []byte{1, 3}, []byte("not gob"), snaps[0][:len(snaps[0])/2])
 	f.Add(uint8(0x0a), int8(0), []byte{0, 255, 9}, snaps[2], snaps[4])
 	f.Add(uint8(0x00), int8(0), []byte{4}, snapshotWeighted(f, shapeJob(2), shards).Shards[4], []byte{})
-	real := job.newAcc()
+	real := job.newSet()
 	if err := real.UnmarshalBinary(snaps[3]); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(uint8(0x17), int8(0), []byte{3}, gobWeightedBlob(f, &real.set), []byte{})
+	f.Add(uint8(0x17), int8(0), []byte{3}, gobWeightedBlob(f, real), []byte{})
 	f.Add(uint8(0x19), int8(3), []byte{}, []byte{}, []byte{})
 	f.Add(uint8(0x01), int8(5), []byte{}, []byte{}, []byte{})
 	f.Add(uint8(0x1f), int8(-1), []byte{0}, prefixes[2], []byte{})
@@ -882,8 +988,8 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 	f.Add(uint8(0x10), int8(4), []byte{0, 2}, prefixes[2], snaps[2])
 	f.Add(uint8(0x00), int8(2), []byte{0}, prefixes[4], []byte{})
 	f.Add(uint8(0x1f), int8(0), []byte{2}, disagreeingBlob(f, snaps, 2), []byte{})
-	decode := func(blob []byte) *weightedAcc {
-		acc := job.newAcc()
+	decode := func(blob []byte) *WeightedSet {
+		acc := job.newSet()
 		if acc.UnmarshalBinary(blob) != nil {
 			return nil
 		}
@@ -923,10 +1029,10 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 				}
 				out.Merge(acc)
 			}
-			want = &out.set
+			want = out
 		}
 		for _, p := range []int{1, 4} {
-			got, err := RunWeightedCtx(context.Background(), job, Options{
+			got, err := runWeightedCtx(context.Background(), job, Options{
 				Parallelism: p,
 				ShardSize:   shapeShard,
 				Checkpoint:  &CheckpointConfig{Resume: cp},

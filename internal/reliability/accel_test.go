@@ -38,7 +38,7 @@ func TestParseAccel(t *testing.T) {
 }
 
 // TestStatsAccelNoneBitIdentical: with plain sampling the CI path (the
-// weighted engine at unit weight) must reproduce the per-year sums path
+// WeightedSet at unit weight) must reproduce the per-year sums path
 // bit for bit — same samplers, same burst expansion, same series math,
 // same shard-ordered additions — for both metrics, with and without
 // bursts, at any parallelism. Field rates on the 2×18 geometry over 7

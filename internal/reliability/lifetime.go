@@ -269,12 +269,13 @@ func (s Spec) validate() error {
 // the burst model, and writes m's per-year series; the trial weight is
 // the likelihood ratio of the primary arrival process alone, which stays
 // exact under expansion because bursts are drawn from the same
-// conditional law under the nominal and proposal processes. Plain
-// sampling without CI folds the series into per-year sums; everything
-// else runs the weighted engine, sketching the final year of the
-// overhead when every weight is 1. The engine calls each shard once, and
-// the shard runs its trials in one loop over the run's concrete sampler,
-// burst model and series writer.
+// conditional law under the nominal and proposal processes. The
+// estimator picks the job's accumulator and shard loop: plain sampling
+// without CI folds the series into per-year sums, and everything else
+// into an mc.WeightedSet, sketching the final year of the overhead when
+// every weight is 1. The engine calls each shard once, and the shard
+// runs its trials in one loop over the run's concrete sampler, burst
+// model and series writer.
 func (s Spec) run(ctx context.Context, m metric) (*SeriesStats, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -297,63 +298,54 @@ func (s Spec) run(ctx context.Context, m metric) (*SeriesStats, error) {
 		r.sampler = faultmodel.NewSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
 	}
 
+	job := mc.Job{Trials: s.Channels, Seed: s.Seed, NewScratch: newScratch}
 	if !s.CI && s.Accel.Mode == AccelNone {
-		acc, err := mc.RunCtx(ctx, mc.Job{
-			Trials:     s.Channels,
-			Seed:       s.Seed,
-			NewAcc:     newYearSums(s.Years),
-			NewScratch: newScratch,
-			Shard: func(src *rng.Source, lo, hi int, a mc.Accumulator, sc any) {
-				scratch, sums := sc.(*arrivalScratch), a.(*yearSums).sums
-				for range hi - lo {
-					arrivals, _ := r.sampler.SampleInto(src, scratch.buf)
-					if len(arrivals) == 0 {
-						// Most channels see no fault: their series is all +0,
-						// the identity on sums that start at +0 (a sum is -0
-						// only if both addends are), and expanding them draws
-						// nothing.
-						continue
-					}
-					r.series(src, scratch, arrivals)
-					for i, v := range scratch.series {
-						sums[i] += v
-					}
+		job.NewAcc = newYearSums(s.Years)
+		job.Shard = func(src *rng.Source, lo, hi int, a mc.Accumulator, sc any) {
+			scratch, sums := sc.(*arrivalScratch), a.(*yearSums).sums
+			for range hi - lo {
+				arrivals, _ := r.sampler.SampleInto(src, scratch.buf)
+				if len(arrivals) == 0 {
+					// Most channels see no fault: their series is all +0,
+					// the identity on sums that start at +0 (a sum is -0
+					// only if both addends are), and expanding them draws
+					// nothing.
+					continue
 				}
-			},
-		}, s.Opts)
-		if err != nil {
-			return nil, err
+				r.series(src, scratch, arrivals)
+				for i, v := range scratch.series {
+					sums[i] += v
+				}
+			}
 		}
-		sums := acc.(*yearSums).sums
-		for i := range sums {
-			sums[i] /= float64(s.Channels)
+	} else {
+		var sketch []int
+		if r.overhead && s.Accel.Mode == AccelNone {
+			// Raw per-channel quantiles are only meaningful when every
+			// trial weight is 1.
+			sketch = []int{s.Years - 1}
 		}
-		return &SeriesStats{Mean: sums, Trials: s.Channels}, nil
-	}
-
-	job := mc.WeightedJob{
-		Trials:     s.Channels,
-		Seed:       s.Seed,
-		Dims:       s.Years,
-		NewScratch: newScratch,
-		Shard: func(src *rng.Source, lo, hi int, sc any, set *mc.WeightedSet) {
-			scratch := sc.(*arrivalScratch)
+		job.NewAcc = func() mc.Accumulator { return mc.NewWeightedSet(s.Years, sketch...) }
+		job.Shard = func(src *rng.Source, lo, hi int, a mc.Accumulator, sc any) {
+			scratch, set := sc.(*arrivalScratch), a.(*mc.WeightedSet)
 			for range hi - lo {
 				arrivals, w := r.sampler.SampleInto(src, scratch.buf)
 				r.series(src, scratch, arrivals)
 				set.Add(scratch.series, w)
 			}
-		},
+		}
 	}
-	if r.overhead && s.Accel.Mode == AccelNone {
-		// Raw per-channel quantiles are only meaningful when every trial
-		// weight is 1.
-		job.SketchDims = []int{s.Years - 1}
-	}
-	set, err := mc.RunWeightedCtx(ctx, job, s.Opts)
+	acc, err := mc.RunCtx(ctx, job, s.Opts)
 	if err != nil {
 		return nil, err
 	}
+	if a, ok := acc.(*yearSums); ok {
+		for i := range a.sums {
+			a.sums[i] /= float64(s.Channels)
+		}
+		return &SeriesStats{Mean: a.sums, Trials: s.Channels}, nil
+	}
+	set := acc.(*mc.WeightedSet)
 	out := &SeriesStats{
 		Mean:        make([]float64, s.Years),
 		CI95:        make([]float64, s.Years),

@@ -141,25 +141,26 @@ func refRun(ctx context.Context, s Spec, m metric) (*SeriesStats, error) {
 		finish(src, scratch, arrivals, vals)
 		return w
 	}
-	job := mc.WeightedJob{
+	var sketch []int
+	if m.overhead && s.Accel.Mode == AccelNone {
+		sketch = []int{s.Years - 1}
+	}
+	acc, err := mc.RunCtx(ctx, mc.Job{
 		Trials:     s.Channels,
 		Seed:       s.Seed,
-		Dims:       s.Years,
+		NewAcc:     func() mc.Accumulator { return mc.NewWeightedSet(s.Years, sketch...) },
 		NewScratch: newScratch,
-		Shard: func(src *rng.Source, lo, hi int, sc any, set *mc.WeightedSet) {
-			vals := sc.(*arrivalScratch).series
+		Shard: func(src *rng.Source, lo, hi int, a mc.Accumulator, sc any) {
+			set, vals := a.(*mc.WeightedSet), sc.(*arrivalScratch).series
 			for range hi - lo {
 				set.Add(vals, trial(src, sc, vals))
 			}
 		},
-	}
-	if m.overhead && s.Accel.Mode == AccelNone {
-		job.SketchDims = []int{s.Years - 1}
-	}
-	set, err := mc.RunWeightedCtx(ctx, job, s.Opts)
+	}, s.Opts)
 	if err != nil {
 		return nil, err
 	}
+	set := acc.(*mc.WeightedSet)
 	out := &SeriesStats{
 		Mean:        make([]float64, s.Years),
 		CI95:        make([]float64, s.Years),

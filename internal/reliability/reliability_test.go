@@ -198,7 +198,7 @@ func TestLifetimeOverheadRespectsCap(t *testing.T) {
 	}
 }
 
-// TestSeriesWritersFillEveryYear pins what lets the weighted engine skip
+// TestSeriesWritersFillEveryYear pins what lets the WeightedSet path skip
 // clearing a trial's observation vector: faultyPageSeries and
 // overheadSeries write every year slot and never read one. Over empty,
 // single-fault and many-fault histories, and horizons shorter than the

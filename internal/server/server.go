@@ -403,7 +403,7 @@ func (s *Server) newJob(rec journalRecord, ex exhibit.Exhibit) *job {
 			exhibit.WithSeed(rec.Seed),
 			exhibit.WithParallel(rec.Parallel),
 			exhibit.WithTrials(rec.Trials),
-			exhibit.WithProgress(tracker),
+			exhibit.WithProgress(tracker.Update),
 		),
 		tracker: tracker,
 		ctx:     ctx,

@@ -38,10 +38,12 @@ run -bench='MulAddSlice|EncodeInto|Syndromes|ChienSearch|DecodeScratch|DecodeBat
 # proposal (SamplerSampleInto, ...Conditional, ...Tilted).
 run -bench='SampleArrivals|SamplerSampleInto(Conditional|Tilted)?$' ./internal/faultmodel/
 # Streaming estimators and the weighted MC path (PR 9): per-observation
-# accumulator costs, the weighted engine overhead, one weighted shard's
-# checkpoint round trip (seven years, with and without a final-year
-# sketch), a 2,048-shard weighted job snapshotting after every shard into
-# a JSON-encoding sink (what checkpointing costs a long served job), and
+# accumulator costs; RunWeighted, a weighted job (an mc.Job whose
+# accumulator is mc.NewWeightedSet) through RunCtx; one WeightedSet
+# shard's checkpoint round trip (seven years, with and without a
+# final-year sketch); RunCheckpointed, a 2,048-shard weighted job
+# snapshotting after every shard into a JSON-encoding sink (what
+# checkpointing costs a long served job); and
 # the lifetime sweeps end to end: the conditional and tilted rare-event
 # ones, and the plain-sampling serial sweep (20,000 channels through the
 # plain shard loop into per-year sums).
