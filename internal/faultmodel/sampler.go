@@ -30,8 +30,13 @@ import (
 // (0 < mean <= 100; at field rates, all seven) draws its first uniforms
 // in one rng.Source.Int63sAtMost call, which stops at the first type
 // whose draw is above its threshold; that type continues Knuth's product
-// from the draw, and the run resumes after it. An empty plain trial is
-// one such call.
+// from the draw, and the run resumes after it. When the types form one
+// such run, an empty plain or tilted trial is one run of those draws,
+// and SampleNextInto draws a Monte Carlo shard's consecutive empty trials
+// in one rng.Source.Int63RunsAtMost call, eight draws per instruction on
+// CPUs with AVX-512F: 64 empty trials of seven types take about 270 ns
+// there, against 680–760 ns for 64 Int63sAtMost calls
+// (BenchmarkEmptyRuns, 2-vCPU Xeon).
 //
 // Each constant is computed by the same floating-point expression the
 // per-call SampleArrivals*Into functions use, and SampleInto consumes an
@@ -55,6 +60,12 @@ type Sampler struct {
 	// rng.Source.Int63sAtMost as one slice. Unused by the conditional
 	// proposal.
 	zeroMax [NumTypes]int64
+	// oneRun is set when the plain or tilted proposal's types form one
+	// run of Knuth types (or there are none), and runs is then the
+	// rng.RunBounds of zeroMax[:n]: SampleNextInto draws empty trials
+	// with it.
+	oneRun bool
+	runs   rng.RunBounds
 	// lambda is the channel-aggregated arrival mean of the unscaled
 	// process (conditional and tilted).
 	lambda float64
@@ -134,7 +145,17 @@ func NewSampler(rates Rates, ranks, devicesPerRank int, years float64) *Sampler 
 		lambda := rate * 1e-9 * float64(totalDevices) * s.hours
 		s.add(t, lambda, math.Exp(-lambda))
 	}
+	s.initRuns()
 	return s
+}
+
+// initRuns sets oneRun and runs once a plain or tilted sampler has all
+// its types.
+func (s *Sampler) initRuns() {
+	if s.n == 0 || s.types[0].runEnd == s.n {
+		s.oneRun = true
+		s.runs = rng.NewRunBounds(s.zeroMax[:s.n])
+	}
 }
 
 // NewConditionalSampler returns the sampler of the process conditioned on
@@ -201,6 +222,7 @@ func NewTiltedSampler(rates Rates, tilt float64, ranks, devicesPerRank int, year
 	for n := range s.tiltWeights {
 		s.tiltWeights[n] = math.Exp(s.tiltLambda - float64(n)*s.logTilt)
 	}
+	s.initRuns()
 	return s
 }
 
@@ -218,58 +240,101 @@ func checkTilt(tilt float64) {
 // process (1 for the plain sampler). With an adequately sized buffer (see
 // ArrivalCapHint) it performs no heap allocations.
 func (s *Sampler) SampleInto(src *rng.Source, buf []Arrival) ([]Arrival, float64) {
+	if s.mode != conditionalProposal {
+		return s.sampleFrom(src, buf, 0, -1)
+	}
 	out := buf[:0]
-	w := 1.0
-	if s.mode == conditionalProposal {
-		n := zeroTruncatedPoisson(src, s.lambda, s.expNegLambda, s.zeroMaxLambda, s.p1)
-		for i := 0; i < n; i++ {
-			// Inverse-CDF walk over the per-type means; u lands past the
-			// last bucket only through float rounding, in which case the
-			// last type absorbs it.
-			u := src.Float64() * s.lambda
-			var typ Type
-			for _, tm := range s.types[:s.n] {
-				typ = tm.t
-				if u < tm.mean {
-					break
-				}
-				u -= tm.mean
+	n := zeroTruncatedPoisson(src, s.lambda, s.expNegLambda, s.zeroMaxLambda, s.p1)
+	for i := 0; i < n; i++ {
+		// Inverse-CDF walk over the per-type means; u lands past the
+		// last bucket only through float rounding, in which case the
+		// last type absorbs it.
+		u := src.Float64() * s.lambda
+		var typ Type
+		for _, tm := range s.types[:s.n] {
+			typ = tm.t
+			if u < tm.mean {
+				break
 			}
-			out = s.place(src, out, typ, 1)
+			u -= tm.mean
 		}
-		w = s.weight
-	} else {
-		for i := 0; i < s.n; {
-			tm := &s.types[i]
-			n := 0
-			if tm.runEnd == 0 {
-				n = poisson(src, tm.mean, tm.expNeg, s.zeroMax[i])
-			} else {
-				// poisson for the rest of the run, with the test for a
-				// count of 0 in one call: its types draw 0 up to the
-				// first whose draw is above its zero threshold, which
-				// continues Knuth's product from that draw.
-				end := tm.runEnd
-				k, x := src.Int63sAtMost(s.zeroMax[i:end])
-				if i += k; i == end {
-					continue
-				}
-				tm = &s.types[i]
-				n = knuthPastZero(src, x, tm.expNeg)
-			}
-			if n > 0 {
-				out = s.place(src, out, tm.t, n)
-			}
-			i++
-		}
-		if n := len(out); n < len(s.tiltWeights) {
-			w = s.tiltWeights[n]
-		} else if s.mode == tiltedProposal {
-			w = math.Exp(s.tiltLambda - float64(n)*s.logTilt)
-		}
+		out = s.place(src, out, typ, 1)
 	}
 	sortArrivals(out)
-	return out, w
+	return out, s.weight
+}
+
+// SampleNextInto draws trials as SampleInto does until one has an
+// arrival, at most max (>= 1) of them, and returns how many empty
+// trials came first. When that is below max, it also returns the next
+// trial's history (into buf, as SampleInto) and likelihood ratio;
+// otherwise an empty history. The stream advances exactly as that many
+// SampleInto calls. A plain or tilted sampler whose types form one run
+// of Knuth types draws the empty trials' first uniforms in one
+// rng.Source.Int63RunsAtMost call, and the trial that ends the run goes
+// on from the draw above its type's threshold, as in SampleInto. Every
+// other sampler returns 0 empty trials and SampleInto's next trial,
+// empty or not (a conditional trial never is).
+func (s *Sampler) SampleNextInto(src *rng.Source, buf []Arrival, max int) (empty int, out []Arrival, w float64) {
+	if !s.oneRun {
+		out, w = s.SampleInto(src, buf)
+		return 0, out, w
+	}
+	k, i, x := src.Int63RunsAtMost(&s.runs, max)
+	if k == max {
+		return max, buf[:0], 0
+	}
+	out, w = s.sampleFrom(src, buf, i, x)
+	return k, out, w
+}
+
+// Weight returns the likelihood ratio against the plain process of a
+// trial with n arrivals, as SampleInto returns it: 1 for the plain
+// sampler, e^{(tilt-1)λ} · tilt^{-n} for the tilted one (tabulated for
+// n < 16) and 1 - e^{-λ} for the conditional one.
+func (s *Sampler) Weight(n int) float64 {
+	switch {
+	case s.mode == conditionalProposal:
+		return s.weight
+	case n < len(s.tiltWeights):
+		return s.tiltWeights[n]
+	case s.mode == tiltedProposal:
+		return math.Exp(s.tiltLambda - float64(n)*s.logTilt)
+	}
+	return 1
+}
+
+// sampleFrom draws a plain or tilted trial from type i on, the types
+// before it having drawn 0. When x >= 0 it is type i's first draw, made
+// already and above the type's zero threshold; x < 0 means type i has
+// not drawn yet.
+func (s *Sampler) sampleFrom(src *rng.Source, buf []Arrival, i int, x int64) ([]Arrival, float64) {
+	out := buf[:0]
+	for i < s.n {
+		tm := &s.types[i]
+		n := 0
+		switch {
+		case x >= 0:
+			n, x = knuthPastZero(src, x, tm.expNeg), -1
+		case tm.runEnd == 0:
+			n = poisson(src, tm.mean, tm.expNeg, s.zeroMax[i])
+		default:
+			// poisson for the rest of the run, with the test for a count
+			// of 0 in one call: its types draw 0 up to the first whose
+			// draw is above its zero threshold, which continues Knuth's
+			// product from that draw (x, -1 when none is above).
+			var k int
+			k, x = src.Int63sAtMost(s.zeroMax[i:tm.runEnd])
+			i += k
+			continue
+		}
+		if n > 0 {
+			out = s.place(src, out, tm.t, n)
+		}
+		i++
+	}
+	sortArrivals(out)
+	return out, s.Weight(len(out))
 }
 
 // place appends n arrivals of type t at uniform times and positions.

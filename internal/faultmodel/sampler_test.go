@@ -246,6 +246,85 @@ func checkSamplerMeans(t *testing.T, name string, plain, tilted *Sampler, rates 
 	}
 }
 
+// TestSampleNextIntoMatchesSampleInto draws the same trials through
+// SampleNextInto, with a random trial budget per call, and through
+// SampleInto calls on a Source seeded alike: the empty trials it skips
+// must be empty SampleInto trials, the trial it returns must be the next
+// SampleInto trial, arrival for arrival and weight for weight, and both
+// Sources must end in the same state. The samplers cover one run of
+// Knuth types (rare and field rates, plain and tilted, where runs of
+// empty trials are long), samplers it must not skip for (a Column mean
+// past 100 that splits the run, and the conditional proposal), and one
+// with no types at all, whose trials are all empty and draw nothing.
+func TestSampleNextIntoMatchesSampleInto(t *testing.T) {
+	split := Rates{Bit: 40, Word: 0, Column: 68000, Row: 9, Bank: 20, Lane: 2}
+	samplers := map[string]*Sampler{
+		"rare":              NewSampler(rareRates(), 2, 18, 7),
+		"field":             NewSampler(FieldStudyRates(), 2, 18, 7),
+		"field x4":          NewSampler(FieldStudyRates().Scale(4), 2, 36, 7),
+		"field tilted":      NewTiltedSampler(FieldStudyRates(), 8, 2, 18, 7),
+		"rare tilted below": NewTiltedSampler(rareRates(), 0.5, 1, 36, 3.5),
+		"split":             NewSampler(split, 2, 18, 7),
+		"split tilted":      NewTiltedSampler(split, 3, 2, 18, 7),
+		"conditional":       NewConditionalSampler(FieldStudyRates(), 2, 18, 7),
+		"no types":          NewSampler(Rates{}, 2, 18, 7),
+	}
+	wantOneRun := map[string]bool{"rare": true, "field": true, "field x4": true, "field tilted": true, "rare tilted below": true, "no types": true}
+	pick := rand.New(rand.NewSource(8))
+	bits := math.Float64bits
+	for name, s := range samplers {
+		if s.oneRun != wantOneRun[name] {
+			t.Fatalf("%s: oneRun = %v, want %v", name, s.oneRun, wantOneRun[name])
+		}
+		var got, want rng.Source
+		got.Seed(int64(len(name)))
+		want.Seed(int64(len(name)))
+		gbuf, wbuf := make([]Arrival, 0, 8), make([]Arrival, 0, 8)
+		skipped, drawn := 0, 0
+		for call := 0; call < 400; call++ {
+			max := 1 + pick.Intn(80)
+			empty, out, w := s.SampleNextInto(&got, gbuf, max)
+			gbuf = out
+			if empty < 0 || empty > max || !s.oneRun && empty != 0 {
+				t.Fatalf("%s call %d: %d empty trials of at most %d", name, call, empty, max)
+			}
+			for j := 0; j < empty; j++ {
+				ref, rw := s.SampleInto(&want, wbuf)
+				if len(ref) != 0 || bits(rw) != bits(s.Weight(0)) {
+					t.Fatalf("%s call %d: skipped trial %d has %d arrivals and weight %v (Weight(0) = %v)", name, call, j, len(ref), rw, s.Weight(0))
+				}
+			}
+			skipped += empty
+			if empty == max {
+				if len(out) != 0 {
+					t.Fatalf("%s call %d: all %d trials empty, but %d arrivals returned", name, call, max, len(out))
+				}
+			} else {
+				ref, rw := s.SampleInto(&want, wbuf)
+				wbuf = ref
+				if s.oneRun && len(out) == 0 {
+					t.Fatalf("%s call %d: returned trial is empty", name, call)
+				}
+				if len(out) != len(ref) || bits(w) != bits(rw) || bits(w) != bits(s.Weight(len(out))) {
+					t.Fatalf("%s call %d: %d arrivals weight %v, SampleInto %d weight %v, Weight %v", name, call, len(out), w, len(ref), rw, s.Weight(len(out)))
+				}
+				for k := range ref {
+					if out[k] != ref[k] {
+						t.Fatalf("%s call %d: arrival %d = %+v, SampleInto %+v", name, call, k, out[k], ref[k])
+					}
+				}
+				drawn++
+			}
+			if got != want {
+				t.Fatalf("%s call %d: Sources differ after the call", name, call)
+			}
+		}
+		if s.oneRun && name != "no types" && (skipped == 0 || drawn == 0) {
+			t.Fatalf("%s: %d trials skipped and %d drawn; the test needs both", name, skipped, drawn)
+		}
+	}
+}
+
 // TestSamplerSampleIntoZeroAllocations extends the sampling allocation
 // contract to a Sampler built once per process, in every proposal.
 func TestSamplerSampleIntoZeroAllocations(t *testing.T) {

@@ -75,10 +75,13 @@ var ErrCanceled = errors.New("mc: run canceled")
 // AVX-512 reseed costs about 1.1 µs (some 17 ns per trial), 10.6% of the
 // sweep (CPU profile of BenchmarkLifetimeOverheadStatsTilted). A plain
 // field-rate lifetime trial spends about 47 ns drawing its faults from the
-// Source (72-device channel, BenchmarkSamplerSampleInto); when it draws
-// none, that is one Int63sAtMost call over the zero thresholds of its run
-// of fault types. The value cannot change without changing every seeded
-// result: the shard size fixes which stream each trial draws from.
+// Source (72-device channel, BenchmarkSamplerSampleInto), but most draw
+// none, and a shard draws each run of consecutive empty trials in one
+// rng.Source.Int63RunsAtMost call: 64 empty trials take about 270 ns on
+// its AVX-512 kernel (some 4 ns per trial, under the reseed's share) and
+// 680–760 ns on its Go loop (BenchmarkEmptyRuns). The value cannot
+// change without changing every seeded result: the shard size fixes
+// which stream each trial draws from.
 const DefaultShardSize = 64
 
 // Accumulator collects the results of the trials of one shard. One

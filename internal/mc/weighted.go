@@ -10,6 +10,14 @@ import (
 	"arcc/internal/stats"
 )
 
+// addKernel, when set (by weighted_amd64.go on CPUs with AVX-512F), is
+// Add's per-dimension loop: for each i, the Welford step of y = w·vals[i]
+// into sumWX[i], mean[i] and m2[i] with n the new trial count. All four
+// slices have the set's length, and the first three capacity for whole
+// groups of eight, which it loads and stores whole. Tests clear it to
+// run the Go loop alone.
+var addKernel func(sumWX, mean, m2, vals []float64, w, n float64)
+
 // Weighted Monte Carlo: trials that carry an importance-sampling
 // likelihood ratio. A weighted job is an ordinary Job whose NewAcc returns
 // NewWeightedSet: its Shard fills a vector of per-dimension observations
@@ -25,10 +33,13 @@ import (
 //
 // The trial count, Σw and Σw² are the same for every dimension, so a
 // WeightedSet keeps them once; per dimension it keeps only Σw·x and the
-// Welford mean and M2 of y = w·x. Its Add and Merge perform, for every
-// dimension, the float operations stats.Weighted's would, in the same
-// order, so Dim(i) equals the stats.Weighted fed the same trials bit for
-// bit (TestWeightedSetMatchesStatsWeighted).
+// Welford mean and M2 of y = w·x, each quantity in one slice over the
+// dimensions. Its Add and Merge perform, for every dimension, the float
+// operations stats.Weighted's would, in the same order, so Dim(i) equals
+// the stats.Weighted fed the same trials bit for bit
+// (TestWeightedSetMatchesStatsWeighted). On CPUs with AVX-512F, Add runs
+// eight dimensions per instruction (addAVX512): each lane does the same
+// IEEE-754 operations in the same order, with no fused multiply-add.
 
 // WeightedSet is the accumulator of a weighted job: one weighted
 // estimator per dimension plus the requested quantile sketches, merged
@@ -39,8 +50,9 @@ type WeightedSet struct {
 	// Σw and Σw²: the Y.Count, SumW and SumW2 of every dimension.
 	n           int64
 	sumW, sumW2 float64
-	// dims holds each dimension's own sums.
-	dims []weightedDim
+	// sumWX, mean and m2 hold each dimension's Σw·x and the Welford mean
+	// and M2 of its y = w·x, one slice per quantity.
+	sumWX, mean, m2 []float64
 	// sketchDims and sketches mirror NewWeightedSet's sketchDims:
 	// sketches[j] summarises dimension sketchDims[j].
 	sketchDims []int
@@ -58,7 +70,7 @@ func NewWeightedSet(dims int, sketchDims ...int) *WeightedSet {
 	if dims <= 0 {
 		panic(fmt.Sprintf("mc: non-positive dimension count %d", dims))
 	}
-	s := &WeightedSet{dims: make([]weightedDim, dims)}
+	s := newWeightedSet(dims)
 	if len(sketchDims) == 0 {
 		return s
 	}
@@ -78,20 +90,25 @@ func NewWeightedSet(dims int, sketchDims ...int) *WeightedSet {
 	return s
 }
 
-// weightedDim is what a dimension of a WeightedSet does not share with
-// the others: Σw·x, and the Welford mean and M2 of y = w·x.
-type weightedDim struct {
-	sumWX, mean, m2 float64
+// newWeightedSet returns an empty set of dims dimensions, with no
+// sketch, its three per-dimension slices cut from one array and each
+// padded to a multiple of eight elements for addKernel. A masked store
+// of a partial group would keep the next Add's loads from forwarding
+// from it, which made Add slower than the Go loop; the padding, which
+// nothing reads, stays 0.
+func newWeightedSet(dims int) *WeightedSet {
+	pad := (dims + 7) &^ 7
+	all := make([]float64, 3*pad)
+	return &WeightedSet{sumWX: all[:dims:pad], mean: all[pad : pad+dims : 2*pad], m2: all[2*pad : 2*pad+dims : 3*pad]}
 }
 
 // Dim returns the estimator of dimension i.
 func (s *WeightedSet) Dim(i int) stats.Weighted {
-	d := &s.dims[i]
 	return stats.Weighted{
-		SumWX: d.sumWX,
+		SumWX: s.sumWX[i],
 		SumW:  s.sumW,
 		SumW2: s.sumW2,
-		Y:     stats.Welford{Count: s.n, Mean: d.mean, M2: d.m2},
+		Y:     stats.Welford{Count: s.n, Mean: s.mean[i], M2: s.m2[i]},
 	}
 }
 
@@ -112,29 +129,27 @@ func (s *WeightedSet) Sketch(dim int) *stats.QuantileSketch {
 // always merges in shard-index order.
 func (s *WeightedSet) Merge(other Accumulator) {
 	o := other.(*WeightedSet)
-	if len(o.dims) != len(s.dims) || len(o.sketches) != len(s.sketches) {
+	if len(o.sumWX) != len(s.sumWX) || len(o.sketches) != len(s.sketches) {
 		panic("mc: merging weighted sets of different shape")
 	}
 	s.sumW += o.sumW
 	s.sumW2 += o.sumW2
-	for i := range s.dims {
-		s.dims[i].sumWX += o.dims[i].sumWX
+	for i, v := range o.sumWX {
+		s.sumWX[i] += v
 	}
 	// Welford.Merge, with the counts converted once.
 	switch {
 	case o.n == 0:
 	case s.n == 0:
-		for i := range s.dims {
-			s.dims[i].mean, s.dims[i].m2 = o.dims[i].mean, o.dims[i].m2
-		}
+		copy(s.mean, o.mean)
+		copy(s.m2, o.m2)
 	default:
 		n1, n2 := float64(s.n), float64(o.n)
 		n := n1 + n2
-		for i := range s.dims {
-			d, od := &s.dims[i], &o.dims[i]
-			dm := od.mean - d.mean
-			d.mean += dm * n2 / n
-			d.m2 += od.m2 + dm*dm*n1*n2/n
+		for i, om := range o.mean {
+			dm := om - s.mean[i]
+			s.mean[i] += dm * n2 / n
+			s.m2[i] += o.m2[i] + dm*dm*n1*n2/n
 		}
 	}
 	s.n += o.n
@@ -155,14 +170,17 @@ func (s *WeightedSet) Add(vals []float64, w float64) {
 	n := float64(s.n)
 	s.sumW += w
 	s.sumW2 += w * w
-	vals = vals[:len(s.dims)]
-	for i := range s.dims {
-		d := &s.dims[i]
-		y := w * vals[i]
-		d.sumWX += y
-		dy := y - d.mean
-		d.mean += dy / n
-		d.m2 += dy * (y - d.mean)
+	vals = vals[:len(s.sumWX)]
+	if addKernel != nil {
+		addKernel(s.sumWX, s.mean, s.m2, vals, w, n)
+	} else {
+		for i, v := range vals {
+			y := w * v
+			s.sumWX[i] += y
+			dy := y - s.mean[i]
+			s.mean[i] += dy / n
+			s.m2[i] += dy * (y - s.mean[i])
+		}
 	}
 	for j, d := range s.sketchDims {
 		s.sketches[j].Add(vals[d])
@@ -187,7 +205,7 @@ const weightedFormat = 0x81
 // and equal sets encode to equal bytes. The buffer is sized exactly, so
 // encoding allocates once.
 func (s *WeightedSet) MarshalBinary() ([]byte, error) {
-	n := 1 + 8 + 48*len(s.dims) + 8 + 8*len(s.sketchDims)
+	n := 1 + 8 + 48*len(s.sumWX) + 8 + 8*len(s.sketchDims)
 	for _, sk := range s.sketches {
 		n += 24
 		for _, lvl := range sk.Levels {
@@ -196,14 +214,14 @@ func (s *WeightedSet) MarshalBinary() ([]byte, error) {
 	}
 	le := binary.LittleEndian
 	b := append(make([]byte, 0, n), weightedFormat)
-	b = le.AppendUint64(b, uint64(len(s.dims)))
-	for _, d := range s.dims {
-		b = le.AppendUint64(b, math.Float64bits(d.sumWX))
+	b = le.AppendUint64(b, uint64(len(s.sumWX)))
+	for i, v := range s.sumWX {
+		b = le.AppendUint64(b, math.Float64bits(v))
 		b = le.AppendUint64(b, math.Float64bits(s.sumW))
 		b = le.AppendUint64(b, math.Float64bits(s.sumW2))
 		b = le.AppendUint64(b, uint64(s.n))
-		b = le.AppendUint64(b, math.Float64bits(d.mean))
-		b = le.AppendUint64(b, math.Float64bits(d.m2))
+		b = le.AppendUint64(b, math.Float64bits(s.mean[i]))
+		b = le.AppendUint64(b, math.Float64bits(s.m2[i]))
 	}
 	b = le.AppendUint64(b, uint64(len(s.sketchDims)))
 	for _, d := range s.sketchDims {
@@ -236,13 +254,12 @@ func (s *WeightedSet) UnmarshalBinary(b []byte) error {
 		return errors.New("mc: weighted snapshot is not in the fixed layout")
 	}
 	r := wordReader{b: b[1:]}
-	set := WeightedSet{dims: make([]weightedDim, r.count(48))}
+	set := newWeightedSet(r.count(48))
 	disagree := false
-	for i := range set.dims {
-		d := &set.dims[i]
-		d.sumWX = r.float()
+	for i := range set.sumWX {
+		set.sumWX[i] = r.float()
 		sumW, sumW2, n := r.word(), r.word(), r.word()
-		d.mean, d.m2 = r.float(), r.float()
+		set.mean[i], set.m2[i] = r.float(), r.float()
 		if i == 0 {
 			set.sumW, set.sumW2, set.n = math.Float64frombits(sumW), math.Float64frombits(sumW2), int64(n)
 		} else if sumW != math.Float64bits(set.sumW) || sumW2 != math.Float64bits(set.sumW2) || n != uint64(set.n) {
@@ -281,10 +298,10 @@ func (s *WeightedSet) UnmarshalBinary(b []byte) error {
 	if disagree {
 		return errors.New("mc: weighted snapshot dimensions disagree on the trial count, Σw or Σw²")
 	}
-	if err := s.checkShape(&set); err != nil {
+	if err := s.checkShape(set); err != nil {
 		return err
 	}
-	*s = set
+	*s = *set
 	return nil
 }
 
@@ -327,8 +344,8 @@ func (r *wordReader) count(size int) int {
 // shape), or a sketch whose items do not weigh its observation count
 // (its quantiles would be meaningless).
 func (s *WeightedSet) checkShape(o *WeightedSet) error {
-	if len(o.dims) != len(s.dims) {
-		return fmt.Errorf("mc: weighted snapshot has %d dimensions, want %d", len(o.dims), len(s.dims))
+	if len(o.sumWX) != len(s.sumWX) {
+		return fmt.Errorf("mc: weighted snapshot has %d dimensions, want %d", len(o.sumWX), len(s.sumWX))
 	}
 	if !slices.Equal(o.sketchDims, s.sketchDims) || len(o.sketches) != len(s.sketches) {
 		return fmt.Errorf("mc: weighted snapshot sketches dimensions %v, want %v", o.sketchDims, s.sketchDims)

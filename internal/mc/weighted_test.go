@@ -314,20 +314,34 @@ func sameWeighted(a, b stats.Weighted) bool {
 
 // TestWeightedSetMatchesStatsWeighted: a WeightedSet holds the count, Σw
 // and Σw² once, yet every dimension must equal the stats.Weighted fed the
-// same trials bit for bit — through add with weights 0, 1 and random ones,
+// same trials bit for bit — through Add with weights 0, 1 and random ones,
 // with and without weights of 1e300 (whose square overflows, and whose
 // moments soon do), through shard-order merges of 1–64 trials per shard
 // into an empty set and into a filled one, and in its snapshot, whose
-// bytes stay the per-dimension layout.
+// bytes stay the per-dimension layout. It runs for 1 to 17 dimensions
+// (whole groups of Add's eight-lane kernel, and masked tails of every
+// length) on each path of Add: the kernel installed at init (on CPUs with
+// AVX-512F) and the Go loop, forced by clearing addKernel.
 func TestWeightedSetMatchesStatsWeighted(t *testing.T) {
-	for _, huge := range []bool{false, true} {
-		checkWeightedSet(t, huge)
+	kernel := addKernel
+	defer func() { addKernel = kernel }()
+	for _, path := range []string{"kernel", "go"} {
+		if path == "go" {
+			addKernel = nil
+		} else if kernel == nil {
+			t.Logf("%s: this CPU has no Add kernel", path)
+			continue
+		}
+		for dims := 1; dims <= 17; dims++ {
+			for _, huge := range []bool{false, true} {
+				checkWeightedSet(t, path, dims, huge)
+			}
+		}
 	}
 }
 
-func checkWeightedSet(t *testing.T, huge bool) {
-	const dims = 7
-	r := rand.New(rand.NewSource(3))
+func checkWeightedSet(t *testing.T, path string, dims int, huge bool) {
+	r := rand.New(rand.NewSource(int64(3 + dims)))
 	weight := func() float64 {
 		switch r.Intn(5) {
 		case 0:
@@ -366,12 +380,12 @@ func checkWeightedSet(t *testing.T, huge bool) {
 	}
 	check := func(what string, set *WeightedSet, ref []stats.Weighted) {
 		t.Helper()
-		if len(set.dims) != len(ref) {
-			t.Fatalf("%s: %d dimensions, want %d", what, len(set.dims), len(ref))
+		if len(set.sumWX) != len(ref) || len(set.mean) != len(ref) || len(set.m2) != len(ref) {
+			t.Fatalf("%s: %d, %d and %d dimensions, want %d", what, len(set.sumWX), len(set.mean), len(set.m2), len(ref))
 		}
 		for i := range ref {
 			if got := set.Dim(i); !sameWeighted(got, ref[i]) {
-				t.Fatalf("%s (huge weights %v): dimension %d = %+v, stats.Weighted %+v", what, huge, i, got, ref[i])
+				t.Fatalf("%s, %s, %d dimensions (huge weights %v): dimension %d = %+v, stats.Weighted %+v", path, what, dims, huge, i, got, ref[i])
 			}
 		}
 		blob, err := set.MarshalBinary()
@@ -629,6 +643,19 @@ func shapeJob(dims int) weightedJob {
 
 const shapeShard = 128
 
+// fuzzShard is the shard size of fuzzJob, shapeJob's job at a fraction
+// of the trials: a fuzz input runs the job twice, and the smaller job
+// keeps its shape (five shards, a sketched last dimension) at an eighth
+// of the cost.
+const fuzzShard = 16
+
+// fuzzJob is shapeJob(dims) at fuzzShard trials per shard.
+func fuzzJob(dims int) weightedJob {
+	job := shapeJob(dims)
+	job.Trials = 5 * fuzzShard
+	return job
+}
+
 // snapshotWeighted returns the per-shard checkpoint of job's first
 // shards shards (all of them when shards is the job's shard count), each
 // shard's blob on its own.
@@ -665,7 +692,7 @@ type legacySet struct {
 // legacy returns set in the per-dimension layout.
 func legacy(set *WeightedSet) legacySet {
 	l := legacySet{SketchDims: set.sketchDims, Sketches: set.sketches}
-	for i := range set.dims {
+	for i := range set.sumWX {
 		l.Dims = append(l.Dims, set.Dim(i))
 	}
 	return l
@@ -725,9 +752,8 @@ func TestWeightedSnapshotRoundTripBitExact(t *testing.T) {
 	k := 0
 	next := func() float64 { v := special[k%len(special)]; k++; return v }
 	set.sumW, set.sumW2 = next(), next()
-	for i := range set.dims {
-		d := &set.dims[i]
-		d.sumWX, d.mean, d.m2 = next(), next(), next()
+	for i := range set.sumWX {
+		set.sumWX[i], set.mean[i], set.m2[i] = next(), next(), next()
 	}
 	for _, lvl := range sk.Levels {
 		for i := range lvl {
@@ -959,15 +985,16 @@ func TestRunWeightedResumeRejectsForeignShape(t *testing.T) {
 // the resume ignore the checkpoint and equal an uninterrupted run. keep
 // selects which real blobs go in (bit 0: the real prefix of the folded
 // shards), and idx places blobA and blobB (arbitrary bytes) at arbitrary
-// indexes.
+// indexes. The job is shapeJob's at fuzzShard trials per shard, so that
+// an input runs it twice in little time.
 func FuzzWeightedCheckpointResume(f *testing.F) {
 	const shards = 5
-	job := shapeJob(3)
-	full := runWeighted(job, Options{Parallelism: 1, ShardSize: shapeShard})
-	snaps := snapshotWeighted(f, job, shards).Shards
+	job := fuzzJob(3)
+	full := runWeighted(job, Options{Parallelism: 1, ShardSize: fuzzShard})
+	snaps := perShard(f, job.engine(), fuzzShard, shards).Shards
 	// prefixes[k] is the engine's snapshot blob of shards [0, k).
 	prefixes := [][]byte{nil}
-	_, err := runWeightedCtx(context.Background(), job, Options{Parallelism: 1, ShardSize: shapeShard,
+	_, err := runWeightedCtx(context.Background(), job, Options{Parallelism: 1, ShardSize: fuzzShard,
 		Checkpoint: &CheckpointConfig{Sink: func(c *Checkpoint) { prefixes = append(prefixes, c.Shards[0]) }}})
 	if err != nil || len(prefixes) != shards+1 {
 		f.Fatalf("snapshot run: err %v, %d prefixes", err, len(prefixes)-1)
@@ -975,7 +1002,7 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 	f.Add(uint8(0x1f), int8(0), []byte{}, []byte{}, []byte{})
 	f.Add(uint8(0x05), int8(0), []byte{1, 3}, []byte("not gob"), snaps[0][:len(snaps[0])/2])
 	f.Add(uint8(0x0a), int8(0), []byte{0, 255, 9}, snaps[2], snaps[4])
-	f.Add(uint8(0x00), int8(0), []byte{4}, snapshotWeighted(f, shapeJob(2), shards).Shards[4], []byte{})
+	f.Add(uint8(0x00), int8(0), []byte{4}, perShard(f, fuzzJob(2).engine(), fuzzShard, shards).Shards[4], []byte{})
 	real := job.newSet()
 	if err := real.UnmarshalBinary(snaps[3]); err != nil {
 		f.Fatal(err)
@@ -997,7 +1024,7 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, keep uint8, folded int8, idx, blobA, blobB []byte) {
 		prefix := max(int(folded), 1)
-		cp := &Checkpoint{Trials: job.Trials, Seed: job.Seed, ShardSize: shapeShard, Folded: int(folded), Shards: map[int][]byte{}}
+		cp := &Checkpoint{Trials: job.Trials, Seed: job.Seed, ShardSize: fuzzShard, Folded: int(folded), Shards: map[int][]byte{}}
 		for s := range shards {
 			if keep>>s&1 == 1 {
 				cp.Shards[s] = snaps[s]
@@ -1034,7 +1061,7 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 		for _, p := range []int{1, 4} {
 			got, err := runWeightedCtx(context.Background(), job, Options{
 				Parallelism: p,
-				ShardSize:   shapeShard,
+				ShardSize:   fuzzShard,
 				Checkpoint:  &CheckpointConfig{Resume: cp},
 			})
 			if err != nil {
@@ -1045,4 +1072,34 @@ func FuzzWeightedCheckpointResume(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkWeightedSetAdd folds one lifetime trial into a set of seven
+// yearly dimensions per op, on each path of Add (the AVX-512 kernel where
+// the CPU has it, and the Go loop): a shard's worth of trials alternating
+// an all-zero series at one weight (an empty trial) and a faulty one at
+// another, as a tilted run adds them.
+func BenchmarkWeightedSetAdd(b *testing.B) {
+	zeros := make([]float64, 7)
+	faulty := []float64{0, 0.01, 0.01, 0.02, 0.02, 0.02, 0.5}
+	kernel := addKernel
+	defer func() { addKernel = kernel }()
+	for _, path := range []string{"kernel", "go"} {
+		b.Run(path, func(b *testing.B) {
+			if path == "go" {
+				addKernel = nil
+			} else if kernel == nil {
+				b.Skip("this CPU has no Add kernel")
+			}
+			set := NewWeightedSet(7)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i&1 == 0 {
+					set.Add(zeros, 0.33)
+				} else {
+					set.Add(faulty, 0.047)
+				}
+			}
+		})
+	}
 }

@@ -57,9 +57,9 @@ func (a *yearSums) UnmarshalBinary(b []byte) error {
 // Carlos: one fault-arrival buffer plus one per-year series buffer, which
 // a weighted run also adds to its WeightedSet as the trial's
 // observations, reused by every trial of every shard the worker runs.
-// Both only carry capacity between trials — Sampler.SampleInto
-// overwrites the arrival buffer from scratch and the series writers
-// overwrite every year slot — so reuse cannot leak state across trials.
+// Both only carry capacity between trials — the Sampler overwrites the
+// arrival buffer from scratch and the series writers overwrite every
+// year slot — so reuse cannot leak state across trials.
 type arrivalScratch struct {
 	buf    []faultmodel.Arrival
 	series []float64
@@ -76,8 +76,9 @@ func newArrivalScratch(rates faultmodel.Rates, ranks, devicesPerRank int, years 
 	yearBuf := int(years)
 	return func() any {
 		return &arrivalScratch{
-			buf:    make([]faultmodel.Arrival, 0, hint),
-			series: make([]float64, yearBuf),
+			buf: make([]faultmodel.Arrival, 0, hint),
+			// Room for eight years, which seriesKernel writes.
+			series: make([]float64, yearBuf, max(yearBuf, 8)),
 		}
 	}
 }
@@ -93,15 +94,31 @@ func yearEnds(years int) []float64 {
 	return ends
 }
 
+// seriesKernel, when set (by lifetime_amd64.go on CPUs with AVX-512F),
+// is faultyPageSeries for up to eight years, one lane per year, into a
+// series with room for eight (it writes +0 past len(ends)). Tests clear
+// it to run the Go loop alone.
+var seriesKernel func(arrivals []faultmodel.Arrival, frac *[faultmodel.NumTypes]float64, ends, series []float64)
+
 // faultyPageSeries writes one channel's per-year faulty-page fraction
 // into series (len == len(ends)): the union bound over the faults that
 // have arrived by the end of each year, capped at 1. Fault spans are
 // large and disjointness dominates at these counts, so the cap only
 // binds for multi-fault channels with lane faults. frac holds each
 // type's ChannelShape.UpgradedFraction, computed once per run, and ends
-// the yearEnds of the run.
+// the yearEnds of the run. arrivals is sorted by time (as the samplers
+// and burst expansion leave it), so the faults that have arrived by a
+// year's end are a prefix of it, and year y's total is the prefix sum
+// over the arrivals at or before ends[y]. Up to eight years run as one
+// lane each on CPUs with AVX-512F (seriesKernel): every arrival, in
+// order, adds its fraction to the lanes of the years it arrived by, the
+// same additions in the same order.
 func faultyPageSeries(arrivals []faultmodel.Arrival, frac *[faultmodel.NumTypes]float64, ends, series []float64) {
 	series = series[:len(ends)]
+	if seriesKernel != nil && len(ends) <= 8 && cap(series) >= 8 {
+		seriesKernel(arrivals, frac, ends, series)
+		return
+	}
 	idx := 0
 	total := 0.0
 	for y, limit := range ends {
@@ -224,13 +241,16 @@ type metric struct {
 // lifetimeRun is what every trial of one lifetime Monte Carlo shares,
 // fixed once per run: the sampler of the accel's proposal, the burst
 // model (validated, and whether it is the zero model decided, once per
-// Spec), the metric and the yearEnds of the Spec's lifespan.
+// Spec), the metric and the yearEnds of the Spec's lifespan, and the
+// all-zero series and weight of an empty trial.
 type lifetimeRun struct {
 	metric
 	sampler *faultmodel.Sampler
 	burst   faultmodel.Burst
 	bursts  bool
 	ends    []float64
+	zeros   []float64
+	w0      float64
 }
 
 // series expands a sampled history under the burst model, keeps it as
@@ -275,67 +295,19 @@ func (s Spec) validate() error {
 // into an mc.WeightedSet, sketching the final year of the overhead when
 // every weight is 1. The engine calls each shard once, and the shard
 // runs its trials in one loop over the run's concrete sampler, burst
-// model and series writer.
+// model and series writer. Both loops take the shard's trials from
+// Sampler.SampleNextInto: a run of empty trials, then one trial to
+// expand and evaluate. An empty history's series is all +0 in either
+// metric, and expanding it draws nothing, so the sums skip the empty
+// trials (+0 is the identity on sums that start at +0; a sum is -0 only
+// if both addends are), and the weighted set adds each as the all-zero
+// series with the sampler's Weight(0): the very additions the trials
+// made one by one.
 func (s Spec) run(ctx context.Context, m metric) (*SeriesStats, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	years := float64(s.Years)
-	tiltHint := s.Burst.CapHintFactor()
-	if s.Accel.Mode == AccelTilted {
-		tiltHint *= s.Accel.Tilt
-	}
-	newScratch := newArrivalScratch(s.Rates, s.Ranks, s.DevicesPerRank, years, tiltHint)
-	r := &lifetimeRun{metric: m, burst: s.Burst, bursts: !s.Burst.IsZero(), ends: yearEnds(s.Years)}
-	// One sampler for the whole run: the per-type means and exponentials
-	// depend only on the Spec, never on the trial.
-	switch s.Accel.Mode {
-	case AccelConditional:
-		r.sampler = faultmodel.NewConditionalSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
-	case AccelTilted:
-		r.sampler = faultmodel.NewTiltedSampler(s.Rates, s.Accel.Tilt, s.Ranks, s.DevicesPerRank, years)
-	default:
-		r.sampler = faultmodel.NewSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
-	}
-
-	job := mc.Job{Trials: s.Channels, Seed: s.Seed, NewScratch: newScratch}
-	if !s.CI && s.Accel.Mode == AccelNone {
-		job.NewAcc = newYearSums(s.Years)
-		job.Shard = func(src *rng.Source, lo, hi int, a mc.Accumulator, sc any) {
-			scratch, sums := sc.(*arrivalScratch), a.(*yearSums).sums
-			for range hi - lo {
-				arrivals, _ := r.sampler.SampleInto(src, scratch.buf)
-				if len(arrivals) == 0 {
-					// Most channels see no fault: their series is all +0,
-					// the identity on sums that start at +0 (a sum is -0
-					// only if both addends are), and expanding them draws
-					// nothing.
-					continue
-				}
-				r.series(src, scratch, arrivals)
-				for i, v := range scratch.series {
-					sums[i] += v
-				}
-			}
-		}
-	} else {
-		var sketch []int
-		if r.overhead && s.Accel.Mode == AccelNone {
-			// Raw per-channel quantiles are only meaningful when every
-			// trial weight is 1.
-			sketch = []int{s.Years - 1}
-		}
-		job.NewAcc = func() mc.Accumulator { return mc.NewWeightedSet(s.Years, sketch...) }
-		job.Shard = func(src *rng.Source, lo, hi int, a mc.Accumulator, sc any) {
-			scratch, set := sc.(*arrivalScratch), a.(*mc.WeightedSet)
-			for range hi - lo {
-				arrivals, w := r.sampler.SampleInto(src, scratch.buf)
-				r.series(src, scratch, arrivals)
-				set.Add(scratch.series, w)
-			}
-		}
-	}
-	acc, err := mc.RunCtx(ctx, job, s.Opts)
+	acc, err := mc.RunCtx(ctx, s.job(m), s.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -359,6 +331,74 @@ func (s Spec) run(ctx context.Context, m metric) (*SeriesStats, error) {
 		out.CI95[i] = set.Dim(i).CI95()
 	}
 	return out, nil
+}
+
+// job returns the engine job of run for a validated Spec: its trial
+// count and seed, the scratch, and the accumulator and shard loop of the
+// Spec's estimator.
+func (s Spec) job(m metric) mc.Job {
+	years := float64(s.Years)
+	tiltHint := s.Burst.CapHintFactor()
+	if s.Accel.Mode == AccelTilted {
+		tiltHint *= s.Accel.Tilt
+	}
+	newScratch := newArrivalScratch(s.Rates, s.Ranks, s.DevicesPerRank, years, tiltHint)
+	r := &lifetimeRun{metric: m, burst: s.Burst, bursts: !s.Burst.IsZero(), ends: yearEnds(s.Years), zeros: make([]float64, s.Years)}
+	// One sampler for the whole run: the per-type means and exponentials
+	// depend only on the Spec, never on the trial.
+	switch s.Accel.Mode {
+	case AccelConditional:
+		r.sampler = faultmodel.NewConditionalSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
+	case AccelTilted:
+		r.sampler = faultmodel.NewTiltedSampler(s.Rates, s.Accel.Tilt, s.Ranks, s.DevicesPerRank, years)
+	default:
+		r.sampler = faultmodel.NewSampler(s.Rates, s.Ranks, s.DevicesPerRank, years)
+	}
+	r.w0 = r.sampler.Weight(0)
+
+	job := mc.Job{Trials: s.Channels, Seed: s.Seed, NewScratch: newScratch}
+	if !s.CI && s.Accel.Mode == AccelNone {
+		job.NewAcc = newYearSums(s.Years)
+		job.Shard = func(src *rng.Source, lo, hi int, a mc.Accumulator, sc any) {
+			scratch, sums := sc.(*arrivalScratch), a.(*yearSums).sums
+			for left := hi - lo; left > 0; left-- {
+				empty, arrivals, _ := r.sampler.SampleNextInto(src, scratch.buf, left)
+				if left -= empty; left == 0 {
+					break
+				}
+				if len(arrivals) == 0 {
+					continue
+				}
+				r.series(src, scratch, arrivals)
+				for i, v := range scratch.series {
+					sums[i] += v
+				}
+			}
+		}
+	} else {
+		var sketch []int
+		if r.overhead && s.Accel.Mode == AccelNone {
+			// Raw per-channel quantiles are only meaningful when every
+			// trial weight is 1.
+			sketch = []int{s.Years - 1}
+		}
+		job.NewAcc = func() mc.Accumulator { return mc.NewWeightedSet(s.Years, sketch...) }
+		job.Shard = func(src *rng.Source, lo, hi int, a mc.Accumulator, sc any) {
+			scratch, set := sc.(*arrivalScratch), a.(*mc.WeightedSet)
+			for left := hi - lo; left > 0; left-- {
+				empty, arrivals, w := r.sampler.SampleNextInto(src, scratch.buf, left)
+				for range empty {
+					set.Add(r.zeros, r.w0)
+				}
+				if left -= empty; left == 0 {
+					break
+				}
+				r.series(src, scratch, arrivals)
+				set.Add(scratch.series, w)
+			}
+		}
+	}
+	return job
 }
 
 // WorstCaseOverheads derives the Fig 7.4/7.5 "worst case est." inputs from

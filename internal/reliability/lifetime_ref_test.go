@@ -181,8 +181,19 @@ func refRun(ctx context.Context, s Spec, m metric) (*SeriesStats, error) {
 // the per-trial reference bit for bit — every year's Mean and CI95, the
 // ESS and the final-year sketch — under plain sampling with and without
 // CI, conditional and tilted sampling, and a burst model, at any
-// parallelism.
+// parallelism, over 6 and 9 years (past the series kernel's eight
+// lanes), on each path of faultyPageSeries.
 func TestShardLoopMatchesPerTrialReference(t *testing.T) {
+	forEachSeriesPath(func(path string, available bool) {
+		if !available {
+			t.Logf("%s: this CPU has no series kernel", path)
+			return
+		}
+		checkShardLoops(t, path)
+	})
+}
+
+func checkShardLoops(t *testing.T, path string) {
 	shape := faultmodel.ARCCChannelShape()
 	faulty := metric{}
 	for _, typ := range faultmodel.Types() {
@@ -201,6 +212,8 @@ func TestShardLoopMatchesPerTrialReference(t *testing.T) {
 		"tilted":      func(s *Spec) { s.Accel = Accel{Mode: AccelTilted, Tilt: 8} },
 		"burst":       func(s *Spec) { s.Burst = burst },
 		"burst CI":    func(s *Spec) { s.Burst, s.CI = burst, true },
+		"plain 9y":    func(s *Spec) { s.Years = 9 },
+		"tilted 9y":   func(s *Spec) { s.Accel, s.Years = Accel{Mode: AccelTilted, Tilt: 8}, 9 },
 	}
 	bits := math.Float64bits
 	for name, edit := range specs {
@@ -219,9 +232,9 @@ func TestShardLoopMatchesPerTrialReference(t *testing.T) {
 				}
 				what := func() string {
 					if m.overhead {
-						return name + " overhead"
+						return path + ": " + name + " overhead"
 					}
-					return name + " faulty pages"
+					return path + ": " + name + " faulty pages"
 				}()
 				if len(got.Mean) != len(want.Mean) || len(got.CI95) != len(want.CI95) {
 					t.Fatalf("%s, parallelism %d: %d means and %d CIs, want %d and %d", what, par, len(got.Mean), len(got.CI95), len(want.Mean), len(want.CI95))

@@ -102,20 +102,100 @@ loopz:
 	VZEROUPPER
 	RET
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
+// func runsAVX512(vec *[rngLen]int64, tap, feed, n int, rot []int64, off, runLen, step int) (d int, above int64)
+//
+// Makes up to n Int63 draws from the register at tap and feed, which n
+// must not wrap (n <= tap, n <= feed), comparing draw j with
+// rot[8·off + 7 - j%8] of its group, and stops after the first draw
+// above its bound. It returns the draws made, d, and the draw that ended
+// the run (-1 when none did, d = n). The draws walk the register
+// downward, so eight consecutive ones read and write the eight words
+// below tap and feed with the first draw in the top lane; no feed word
+// lies within eight of a tap word, so the eight sums are independent.
+// Each full group adds the tap and feed words, masks the sums to 63 bits
+// and compares them with the group's row of rot (the bounds rotated to
+// the group's offset, off, which advances by step = 8 mod runLen). A
+// group with no draw above its bound stores all eight sums; one with a
+// hit stores the lanes from the first draw to the hit only. Fewer than
+// eight draws left run as one group masked to its top lanes, whose loads
+// are masked too, so no load reads below the register.
+TEXT ·runsAVX512(SB), NOSPLIT, $0-96
+	MOVQ         vec+0(FP), DI
+	MOVQ         tap+8(FP), SI
+	MOVQ         feed+16(FP), DX
+	MOVQ         n+24(FP), CX
+	MOVQ         rot_base+32(FP), R8
+	MOVQ         off+56(FP), R9
+	MOVQ         runLen+64(FP), R10
+	MOVQ         step+72(FP), R11
+	XORQ         R12, R12
+	MOVQ         $0x7fffffffffffffff, AX
+	VPBROADCASTQ AX, Z2
+	CMPQ         CX, $8
+	JLT          tail
+
+group:
+	VMOVDQU64 -64(DI)(SI*8), Z0
+	VPADDQ    -64(DI)(DX*8), Z0, Z0
+	VPANDQ    Z2, Z0, Z1
+	MOVQ      R9, AX
+	SHLQ      $6, AX
+	VPCMPGTQ  (R8)(AX*1), Z1, K1
+	KORTESTW  K1, K1
+	JNE       hit
+	VMOVDQU64 Z0, -64(DI)(DX*8)
+	SUBQ      $8, SI
+	SUBQ      $8, DX
+	ADDQ      $8, R12
+	ADDQ      R11, R9
+	CMPQ      R9, R10
+	JLT       next
+	SUBQ      R10, R9
+
+next:
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  group
+
+tail:
+	TESTQ       CX, CX
+	JEQ         whole
+	MOVL        $0xff00, BX
+	SHRL        CX, BX
+	KMOVW       BX, K2
+	VMOVDQU64.Z -64(DI)(SI*8), K2, Z0
+	VPADDQ.Z    -64(DI)(DX*8), Z0, K2, Z0
+	VPANDQ      Z2, Z0, Z1
+	MOVQ        R9, AX
+	SHLQ        $6, AX
+	VPCMPGTQ    (R8)(AX*1), Z1, K2, K1
+	KORTESTW    K1, K1
+	JNE         hit
+	VMOVDQU64   Z0, K2, -64(DI)(DX*8)
+	ADDQ        CX, R12
+
+whole:
+	MOVQ       R12, d+80(FP)
+	MOVQ       $-1, above+88(FP)
+	VZEROUPPER
 	RET
 
-// func xgetbv() (eax uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
+// The top lane of K1 is the first draw above its bound, BX = its lane.
+// Lanes BX..7 hold the draws up to it, and only those are stored.
+hit:
+	KMOVW     K1, AX
+	BSRL      AX, BX
+	MOVL      $0xff, AX
+	MOVL      BX, CX
+	SHLL      CX, AX
+	KMOVW     AX, K3
+	VMOVDQU64 Z0, K3, -64(DI)(DX*8)
+	LEAQ      -64(DI)(DX*8), AX
+	MOVQ      (AX)(BX*8), AX
+	BTRQ      $63, AX
+	MOVQ      AX, above+88(FP)
+	ADDQ      $8, R12
+	SUBQ      BX, R12
+	MOVQ      R12, d+80(FP)
+	VZEROUPPER
 	RET

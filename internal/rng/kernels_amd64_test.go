@@ -5,18 +5,20 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"arcc/internal/cpufeat"
 )
 
 func init() {
-	if avx2, _ := vectorISA(); avx2 {
+	if avx2, _ := cpufeat.Vector(); avx2 {
 		avx2SeedKernel = seedAVX2
 	}
 }
 
-// TestSeedKernelInstalled checks the init-time choice of Seed's path
-// against the kernel's own view of the CPU: on Linux the AVX-512 kernel
-// must be installed exactly when /proc/cpuinfo lists avx512f, and
-// otherwise the AVX2 kernel exactly when it lists avx2 (flags Linux clears
+// TestSeedKernelInstalled checks the init-time choice of the kernels
+// against Linux's view of the CPU: the AVX-512 seed and run kernels must
+// be installed exactly when /proc/cpuinfo lists avx512f, and otherwise
+// the AVX2 seed kernel exactly when it lists avx2 (flags Linux clears
 // when it does not save ZMM or YMM state).
 func TestSeedKernelInstalled(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
@@ -31,9 +33,6 @@ func TestSeedKernelInstalled(t *testing.T) {
 		}
 	}
 	avx512f, avx2 := strings.Contains(flags, " avx512f "), strings.Contains(flags, " avx2 ")
-	if gotAVX2, gotAVX512F := vectorISA(); gotAVX2 != avx2 || gotAVX512F != avx512f {
-		t.Fatalf("vectorISA: avx2 = %v, avx512f = %v; /proc/cpuinfo lists avx2 = %v, avx512f = %v", gotAVX2, gotAVX512F, avx2, avx512f)
-	}
 	var want func(uint64, *[rngLen]int64)
 	name := "none"
 	switch {
@@ -45,5 +44,9 @@ func TestSeedKernelInstalled(t *testing.T) {
 	if (seedKernel == nil) != (want == nil) ||
 		want != nil && reflect.ValueOf(seedKernel).Pointer() != reflect.ValueOf(want).Pointer() {
 		t.Fatalf("installed seed kernel is not %s", name)
+	}
+	if (runsKernel != nil) != avx512f ||
+		avx512f && reflect.ValueOf(runsKernel).Pointer() != reflect.ValueOf(runsAVX512).Pointer() {
+		t.Fatalf("run kernel installed: %v; /proc/cpuinfo lists avx512f: %v", runsKernel != nil, avx512f)
 	}
 }

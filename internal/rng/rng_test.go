@@ -254,8 +254,80 @@ func TestInt63sAtMostMatchesInt63(t *testing.T) {
 	}
 }
 
+// refRuns is Int63RunsAtMost stated with Int63 calls.
+func refRuns(r *Source, bound []int64, runs int) (k, i int, above int64) {
+	for k := 0; k < runs; k++ {
+		for i, b := range bound {
+			if x := r.Int63(); x > b {
+				return k, i, x
+			}
+		}
+	}
+	return runs, 0, -1
+}
+
+// forEachRunsPath calls f under each implementation of Int63RunsAtMost:
+// the kernel installed at init (on CPUs with AVX-512F) and the Go loop,
+// forced by clearing runsKernel. It reinstalls the kernel afterwards.
+func forEachRunsPath(f func(path string, available bool)) {
+	kernel := runsKernel
+	defer func() { runsKernel = kernel }()
+	f("kernel", kernel != nil)
+	runsKernel = nil
+	f("go", true)
+}
+
+// TestInt63RunsAtMostMatchesInt63 starts Int63RunsAtMost on each of its
+// paths from every register position — after 0 to 606 draws from a
+// random seed, so each group of eight draws meets the wraps of tap and
+// feed at every offset — with run lengths 1 to 9 (below, at and above a
+// group's eight draws), 1 to 100 runs, and bounds drawn from -1 (stop
+// at once), MaxInt64 (never stop) and thresholds a draw passes with
+// probability 31/32 or 127/128, so runs end at every index of every
+// group offset. The result must match sequential Int63 calls, and so
+// must the whole state it leaves.
+func TestInt63RunsAtMostMatchesInt63(t *testing.T) {
+	pick := rand.New(rand.NewSource(4))
+	levels := []int64{-1, math.MaxInt64, math.MaxInt64 - math.MaxInt64/32, math.MaxInt64 - math.MaxInt64/128}
+	forEachRunsPath(func(path string, available bool) {
+		if !available {
+			t.Logf("%s: this CPU has no run kernel", path)
+			return
+		}
+		var base Source
+		base.Seed(pick.Int63())
+		for pos := 0; pos < rngLen; pos++ {
+			for l := 1; l <= 9; l++ {
+				bound := make([]int64, l)
+				for j := range bound {
+					// Mostly passing bounds, so that runs go on
+					// across groups and wraps.
+					bound[j] = levels[2+pick.Intn(2)]
+					if pick.Intn(4*l) == 0 {
+						bound[j] = levels[pick.Intn(2)]
+					}
+				}
+				b := NewRunBounds(bound)
+				runs := 1 + pick.Intn(100)
+				got, want := base, base
+				k, i, above := got.Int63RunsAtMost(&b, runs)
+				wk, wi, wabove := refRuns(&want, bound, runs)
+				if k != wk || i != wi || above != wabove {
+					t.Fatalf("%s: after %d draws, %d runs of %v: (%d, %d, %d), Int63 (%d, %d, %d)",
+						path, pos, runs, bound, k, i, above, wk, wi, wabove)
+				}
+				if got != want {
+					t.Fatalf("%s: after %d draws, %d runs of %v left tap %d feed %d, Int63 tap %d feed %d (or another word)",
+						path, pos, runs, bound, got.tap, got.feed, want.tap, want.feed)
+				}
+			}
+			base.Int63()
+		}
+	})
+}
+
 // avx2SeedKernel is the AVX2 kernel on amd64 CPUs that have AVX2 (set by
-// seed_amd64_test.go), nil elsewhere.
+// kernels_amd64_test.go), nil elsewhere.
 var avx2SeedKernel func(x uint64, vec *[rngLen]int64)
 
 // forEachSeedPath calls f under each implementation of Seed: the vector
@@ -366,4 +438,44 @@ func BenchmarkInt63sAtMost(b *testing.B) {
 		n, _ := s.Int63sAtMost(bound)
 		atMostSink += n
 	}
+}
+
+var runsSink int
+
+// BenchmarkEmptyRuns draws 64 empty lifetime trials of seven fault types
+// (every draw at most its bound), one shard's worth: through
+// Int63RunsAtMost on each of its paths (the AVX-512 kernel where the CPU
+// has it, and the Go loop), and as 64 Int63sAtMost calls, the per-trial
+// loop the Go path runs.
+func BenchmarkEmptyRuns(b *testing.B) {
+	bound := make([]int64, 7)
+	for j := range bound {
+		bound[j] = math.MaxInt64
+	}
+	rb := NewRunBounds(bound)
+	forEachRunsPath(func(path string, available bool) {
+		b.Run("Int63RunsAtMost/"+path, func(b *testing.B) {
+			if !available {
+				b.Skip("this CPU has no run kernel")
+			}
+			var s Source
+			s.Seed(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k, _, _ := s.Int63RunsAtMost(&rb, 64)
+				runsSink += k
+			}
+		})
+	})
+	b.Run("Int63sAtMost", func(b *testing.B) {
+		var s Source
+		s.Seed(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for range 64 {
+				n, _ := s.Int63sAtMost(bound)
+				runsSink += n
+			}
+		}
+	})
 }

@@ -43,13 +43,15 @@ run -bench='SampleArrivals|SamplerSampleInto(Conditional|Tilted)?$' ./internal/f
 # shard's checkpoint round trip (seven years, with and without a
 # final-year sketch); RunCheckpointed, a 2,048-shard weighted job
 # snapshotting after every shard into a JSON-encoding sink (what
-# checkpointing costs a long served job); and
-# the lifetime sweeps end to end: the conditional and tilted rare-event
-# ones, and the plain-sampling serial sweep (20,000 channels through the
-# plain shard loop into per-year sums).
+# checkpointing costs a long served job); WeightedSetAdd, one
+# seven-year trial folded into a set, on Add's AVX-512 kernel and its Go
+# loop; the lifetime sweeps end to end: the conditional and tilted
+# rare-event ones, and the plain-sampling serial sweep (20,000 channels
+# through the plain shard loop into per-year sums); and FaultyPageSeries,
+# one faulty history's seven-year series, on the kernel and the Go loop.
 run -bench='WelfordAdd|WeightedAdd|QuantileSketch' ./internal/stats/
-run -bench='RunWeighted|WeightedSnapshot|RunCheckpointed' ./internal/mc/
-run -bench='LifetimeOverheadStats(Conditional|Tilted)|LifetimeOverheadSerial' ./internal/reliability/
+run -bench='RunWeighted|WeightedSnapshot|RunCheckpointed|WeightedSetAdd' ./internal/mc/
+run -bench='LifetimeOverheadStats(Conditional|Tilted)|LifetimeOverheadSerial|FaultyPageSeries' ./internal/reliability/
 # The paged sparse memory core (PR 10): a terabyte-span line sweep over
 # lazily materialised pages — ns/op and B/op gate the zero-alloc
 # steady-state contract, and the bytes-resident/pages-resident metrics
@@ -81,9 +83,11 @@ run -bench='StreamNext' ./internal/workload/
 # Reseeding the in-repo math/rand source in place (what the Monte Carlo
 # engine pays per shard) on each of its three paths — the installed kernel
 # (AVX-512 where the CPU has it), the AVX2 kernel and the Go loop — next
-# to building one with rand.NewSource; and Int63sAtMost over seven bounds,
-# an empty lifetime trial's draws.
-run -bench='Seed|Int63sAtMost' ./internal/rng/
+# to building one with rand.NewSource; Int63sAtMost over seven bounds,
+# an empty lifetime trial's draws; and EmptyRuns, a shard's 64 empty
+# trials through Int63RunsAtMost on its AVX-512 kernel (eight draws per
+# instruction) and its Go loop, next to 64 Int63sAtMost calls.
+run -bench='Seed|Int63sAtMost|EmptyRuns' ./internal/rng/
 # End-to-end exhibit regenerators (quick profile). A handful of iterations
 # per sample rather than one, so each recorded ns/op is comparable across
 # PRs instead of a single noisy wall-time sample.
